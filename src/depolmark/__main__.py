@@ -1,0 +1,6 @@
+"""``python -m depolmark``: the ``depolmark`` command line."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -213,17 +213,19 @@ def multiqubit_kraus(alpha: float, p: float, qubits: int) -> KrausSet:
 def apply_channel(kraus: KrausSet, rho: np.ndarray, validate: bool = True) -> np.ndarray:
     """Apply the channel, rho -> sum_i E_i rho E_i^dag.
 
-    With ``validate`` (the default) the input must be a density matrix:
+    ``rho`` is one operator ``(d, d)`` or a stack ``(..., d, d)``; a stack
+    is mapped operator by operator. The terms are summed in Kraus order,
+    starting from zero.
+
+    With ``validate`` (the default) every input must be a density matrix:
     Hermitian, unit trace and positive semidefinite within 1e-10. Pass
     ``validate=False`` to use the linear action on arbitrary operators,
     e.g. basis elements when assembling transfer matrices.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (kraus.dim, kraus.dim):
+    if rho.ndim < 2 or rho.shape[-2:] != (kraus.dim, kraus.dim):
         raise ValueError(f"state has shape {rho.shape}, channel acts on dimension {kraus.dim}")
-    if validate and not is_density_matrix(rho, 1e-10):
+    if validate and not all(is_density_matrix(r, 1e-10) for r in rho.reshape(-1, kraus.dim, kraus.dim)):
         raise ValueError("input is not a density matrix within tolerance 1e-10")
-    out = np.zeros_like(rho)
-    for op in kraus:
-        out += op @ rho @ op.conj().T
-    return out
+    ops = np.asarray(kraus.operators).reshape((len(kraus),) + (1,) * (rho.ndim - 2) + rho.shape[-2:])
+    return np.add.reduce(ops @ rho @ ops.conj().swapaxes(-1, -2), axis=0, initial=0)

@@ -30,7 +30,7 @@ reference plots and write one or two files into the output directory.
 Grid points inside the singularity guard band are emitted as ``NA``
 samples, never dropped. A singularity at a *pinned* parameter (e.g. ``--q``
 exactly at the singular value for a Choi quantity) aborts with exit code 3;
-usage errors exit with code 2.
+usage errors, a grid bound outside [0, 1] among them, exit with code 2.
 
 Set ``DEPOLMARK_THREADS`` to an integer >= 2 to fan the grid evaluation out
 over that many threads (default: serial). Row order is independent of the
@@ -104,6 +104,9 @@ QUANTITIES = (
 
 FIGURES = tuple(f"fig{i}" for i in range(1, 14))
 
+# Abscissa of the quantities that do not sweep p (see the module table).
+_ABSCISSA = {"g-function": "q", "hcla": "alpha", "blp": "alpha"}
+
 
 class UsageError(ValueError):
     """A sweep specification violates a documented parameter domain."""
@@ -149,7 +152,16 @@ class SweepSpec:
             raise UsageError(f"grid needs min < max, got [{self.p_min}, {self.p_max}]")
         if not self.alpha:
             raise UsageError("at least one alpha value is required")
+        if self.uses_grid() and not (0.0 <= self.p_min and self.p_max <= 1.0):
+            raise UsageError(
+                f"{_ABSCISSA.get(self.quantity, 'p')} grid values must lie in [0, 1], "
+                f"got [{self.p_min}, {self.p_max}]"
+            )
         _check_quantity_domain(self)
+
+    def uses_grid(self) -> bool:
+        """False when an alpha-swept quantity takes its several alphas as the grid."""
+        return _ABSCISSA.get(self.quantity) != "alpha" or len(self.alpha) == 1
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.steps)
@@ -272,8 +284,8 @@ def _check_pinned_q(spec: SweepSpec) -> None:
                 )
 
 
-def _series_for(spec: SweepSpec) -> tuple[str, list]:
-    """Abscissa name plus ordered (series_name, fn(x)) pairs for one sweep."""
+def _series_for(spec: SweepSpec) -> list:
+    """Ordered (series_name, fn(x)) pairs for one sweep."""
     q = spec.quantity
     series: list = []
 
@@ -296,7 +308,7 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
                     series.append(
                         (f"Lambda_rest_{tag}", _guarded(lambda p, a=alpha, n=levels: qudit_choi_eigenvalues(a, spec.q, p, n)[1]))
                     )
-        return "p", series
+        return series
 
     if q == "choi-norm":
         _check_pinned_q(spec)
@@ -313,7 +325,7 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
                     else:
                         fn = lambda p, a=alpha, n=qubits: multiqubit_choi_trace_norm(a, spec.q, p, n)
                     series.append((f"choi_norm_{tag}", _guarded(fn)))
-        return "p", series
+        return series
 
     if q == "decay-rate":
         levels = spec.levels[0]
@@ -331,7 +343,7 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
 
             series.append((f"gamma_{_alpha_tag(alpha)}", _guarded(rate)))
             series.append((f"gamma_normalized_{_alpha_tag(alpha)}", _guarded(rate_norm)))
-        return "p", series
+        return series
 
     if q == "trace-distance":
         plus, minus = plus_minus_states()
@@ -341,18 +353,18 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
                 return trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
 
             series.append((f"D_{_alpha_tag(alpha)}", dist))
-        return "p", series
+        return series
 
     if q == "memory-x":
         _check_pinned_q(spec)
         for alpha in spec.alpha:
             series.append((f"X_{_alpha_tag(alpha)}", _guarded(lambda p, a=alpha: memory_witness_X(a, spec.q, p))))
-        return "p", series
+        return series
 
     if q == "volume":
         for alpha in spec.alpha:
             series.append((f"volume_{_alpha_tag(alpha)}", lambda p, a=alpha: volume_determinant(a, p)))
-        return "p", series
+        return series
 
     if q == "trajectory":
         for alpha in spec.alpha:
@@ -368,7 +380,7 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
             )
             series.append((f"inside_tetrahedron_{tag}", lambda p, f=point: float(f(p).inside_tetrahedron)))
             series.append((f"cp_divisible_{tag}", lambda p, f=point: float(f(p).cp_divisible)))
-        return "p", series
+        return series
 
     if q == "f-norm":
         levels = spec.levels[0]
@@ -376,7 +388,7 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
             series.append(
                 (f"F{levels}_norm_{_alpha_tag(alpha)}", lambda p, a=alpha, n=levels: f_matrix(a, p, n).trace_norm)
             )
-        return "p", series
+        return series
 
     if q == "g-function":
         for alpha in spec.alpha:
@@ -389,7 +401,7 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
                     return g_function(a, x, n)
 
                 series.append((f"g_{tag}", _guarded(g_at)))
-        return "q", series
+        return series
 
     if q == "hcla":
         levels = spec.levels[0]
@@ -398,11 +410,11 @@ def _series_for(spec: SweepSpec) -> tuple[str, list]:
             series.append(("N_HCLA_closed", lambda a: hcla_closed_form(a).value))
         else:
             series.append(("N_HCLA_log_form", qutrit_hcla_log_form))
-        return "alpha", series
+        return series
 
     if q == "blp":
         series.append(("N_BLP", lambda a: blp_measure(a).value))
-        return "alpha", series
+        return series
 
     raise UsageError(f"unknown quantity {q!r}")
 
@@ -413,14 +425,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     Singular grid points are emitted as ``None`` samples, never dropped.
     Row order follows the grid regardless of the thread cap.
     """
-    abscissa_name, series = _series_for(spec)
-    if abscissa_name == "alpha":
-        grid = spec.alpha if len(spec.alpha) > 1 else tuple(spec.grid())
-        for a in grid:
-            if not 0.0 <= a <= 1.0:
-                raise UsageError(f"alpha grid values must lie in [0, 1], got {a}")
-    else:
-        grid = tuple(spec.grid())
+    series = _series_for(spec)
+    grid = tuple(spec.grid()) if spec.uses_grid() else spec.alpha
     names = tuple(name for name, _ in series)
     fns = [fn for _, fn in series]
 
@@ -428,7 +434,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         return (float(x),) + tuple(fn(float(x)) for fn in fns)
 
     rows = _grid_map(row, grid)
-    return SweepTable(abscissa_name, names, rows, spec.metadata())
+    return SweepTable(_ABSCISSA.get(spec.quantity, "p"), names, rows, spec.metadata())
 
 
 def _merge(tables: Sequence[SweepTable]) -> SweepTable:

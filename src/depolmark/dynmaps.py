@@ -16,12 +16,15 @@ The denominator vanishes when the effective depolarizing probability
 reaches 1 at q; that parameter value (``crossover_point``) is a genuine
 singularity of the propagator and surfaces as :class:`SingularMapError`.
 
-The Choi matrix of a map with superoperator S on an N-level system is
-obtained by building U (S kron I_{N^2}) U with U the swap of the second
-and third tensor factors, applying it to the vectorized projector onto
-the maximally entangled state sum_i |ii>/sqrt(N), and devectorizing.
-The map is completely positive iff the Choi matrix is positive
-semidefinite; a trace norm above 1 therefore witnesses an NCP propagator.
+The Choi matrix of a map with superoperator S on an N-level system is a
+reshuffle of S (Wood, Biamonte and Cory, arXiv:1111.6950): S is read as a
+four-index tensor over (row, column) pairs of the input and output
+operators, its axes are permuted, and the result is weighted by the
+entry 1/N of the projector onto the maximally entangled state
+sum_i |ii>/sqrt(N). Every entry of the Choi matrix is one entry of S
+times that weight; no N^4 x N^4 intermediate is formed. The map is
+completely positive iff the Choi matrix is positive semidefinite; a trace
+norm above 1 therefore witnesses an NCP propagator.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .matcore import (
     devectorize,
     hermitian_eigenvalues,
     kron,
-    swap_permutation,
     trace_norm,
     vectorize,
 )
@@ -152,13 +154,12 @@ class NcpWitness(NamedTuple):
 def superoperator_of(kraus: KrausSet) -> Superoperator:
     """Column-stacking superoperator S = sum_i conj(E_i) kron E_i.
 
-    Satisfies S vec(rho) = vec(sum_i E_i rho E_i^dag).
+    Satisfies S vec(rho) = vec(sum_i E_i rho E_i^dag). The products are
+    formed for the whole stack of Kraus operators at once and summed in
+    operator order, starting from zero.
     """
-    d2 = kraus.dim * kraus.dim
-    acc = np.zeros((d2, d2), dtype=complex)
-    for op in kraus:
-        acc += kron(op.conj(), op)
-    return Superoperator(acc, kraus.dim)
+    ops = np.asarray(kraus.operators)
+    return Superoperator(np.add.reduce(kron(ops.conj(), ops), axis=0, initial=0), kraus.dim)
 
 
 def _check_pair(q: float, p: float) -> None:
@@ -269,17 +270,20 @@ def maximally_entangled_projector(dim: int) -> np.ndarray:
 def choi_of(superop: Superoperator) -> ChoiMatrix:
     """Choi matrix of a map given its superoperator.
 
-    Builds the composite operator U (S kron I_{d^2}) U, with U the swap of
-    the second and third tensor factors, applies it to the vectorized
-    maximally entangled projector and devectorizes the result. Since U is a
-    symmetric permutation, the composite is assembled by permuting rows and
-    columns instead of multiplying by the dense permutation matrix.
+    Reshuffles S (Wood, Biamonte and Cory, arXiv:1111.6950): with
+    S[(a, b), (c, e)] = S4[a, b, c, e] in column-stacking order, the Choi
+    matrix is chi[(b, e), (a, c)] = S4[a, b, c, e] / d. The weight 1/d is
+    read from the maximally entangled projector, so it is the same float
+    (e.g. 0.4999999999999999 at d = 2) as in the textbook route
+    devec(U (S kron I_{d^2}) U vec(P)), with U the swap of the second and
+    third tensor factors. That route's matrix-vector product has exactly
+    one nonzero term per entry, so both give the same bits.
     """
     d = superop.dim
-    perm = swap_permutation(d)
-    composite = kron(superop.matrix, np.eye(d * d))[np.ix_(perm, perm)]
-    chi_vec = composite @ vectorize(maximally_entangled_projector(d))
-    return ChoiMatrix(devectorize(chi_vec, d * d), d)
+    weight = maximally_entangled_projector(d)[0, 0]
+    # Adding +0.0 turns a -0.0 into +0.0, the sign a sum of zero terms has.
+    chi = superop.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2) * weight + 0.0
+    return ChoiMatrix(chi.reshape(d * d, d * d), d)
 
 
 def intermediate_choi(

@@ -117,21 +117,22 @@ def bloch_contraction_derivative(alpha: float, p: float) -> float:
     return 1.5 * alpha * p - alpha - 1.0
 
 
-def affine_map_of(alpha: float, p: float) -> AffineMap:
-    """Affine Bloch-vector map of the qubit channel, computed entrywise.
+def _transfer_table(kraus, basis) -> np.ndarray:
+    """Real table tr(G_i Phi(G_j)) over an operator basis, one channel call."""
+    basis = np.asarray(basis)
+    images = apply_channel(kraus, basis, validate=False)
+    return np.trace(basis[:, None] @ images[None, :], axis1=-2, axis2=-1).real
 
-    Each entry is tr(G_i Phi(G_j)) with Phi applied through the Kraus
-    machinery; for this family the result is diag(1, lambda, lambda,
-    lambda).
+
+def affine_map_of(alpha: float, p: float) -> AffineMap:
+    """Affine Bloch-vector map of the qubit channel.
+
+    Each entry is tr(G_i Phi(G_j)) with Phi applied to the whole basis
+    through the Kraus machinery; for this family the result is
+    diag(1, lambda, lambda, lambda).
     """
     basis = bloch_basis()
-    kraus = qubit_kraus(alpha, p)
-    images = [apply_channel(kraus, g, validate=False) for g in basis]
-    m = np.empty((4, 4))
-    for i, g_i in enumerate(basis):
-        for j in range(4):
-            m[i, j] = float(np.trace(g_i @ images[j]).real)
-    return AffineMap(m, basis)
+    return AffineMap(_transfer_table(qubit_kraus(alpha, p), basis), basis)
 
 
 def volume_determinant(alpha: float, p: float) -> float:
@@ -207,14 +208,7 @@ def f_matrix(alpha: float, p: float, levels: int) -> AffineMap:
     if n not in (3, 4):
         raise ValueError(f"the scaled transfer matrix is provided for levels in (3, 4), got {n}")
     basis = [np.eye(n, dtype=complex) / math.sqrt(n)] + gell_mann_matrices(n)
-    kraus = qudit_kraus(alpha, p, n)
-    images = [apply_channel(kraus, g, validate=False) for g in basis]
-    size = n * n
-    m = np.empty((size, size))
-    for i, g_i in enumerate(basis):
-        for j in range(size):
-            m[i, j] = float(np.trace(g_i @ images[j]).real) / size
-    return AffineMap(m, basis)
+    return AffineMap(_transfer_table(qudit_kraus(alpha, p, n), basis) / (n * n), basis)
 
 
 def trajectory(alpha: float, p_grid: Sequence[float]) -> list:

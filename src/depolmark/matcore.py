@@ -5,8 +5,11 @@ stacking convention is used throughout: ``vectorize`` gathers the columns
 of a matrix on top of one another, and every superoperator built elsewhere
 in the package follows from that choice.
 
-Matrices are small (at most 256 x 256), so all routines are dense and
-LAPACK-backed.
+Matrices are small (at most 64 x 64), so all routines are dense and
+LAPACK-backed. ``kron`` is a broadcast product rather than ``np.kron``: it
+performs the same elementwise multiplications, so its result is bit-equal,
+without ``np.kron``'s Python-level axis bookkeeping, and it also accepts
+stacks of matrices.
 """
 
 from __future__ import annotations
@@ -59,8 +62,16 @@ _SINGULAR_RTOL = 1e-12
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (dimensions multiply)."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two matrices (dimensions multiply).
+
+    Leading axes broadcast, so stacks ``(..., m, n)`` and ``(..., r, s)``
+    give the stack of products ``(..., m r, n s)``. Each entry is the single
+    product ``a[i, j] * b[k, l]``, exactly as in ``np.kron``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    (m, n), (r, s) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * r, n * s))
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:
@@ -134,12 +145,17 @@ def is_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> bool:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending.
 
+    The Hermiticity tolerance is relative: 1e-10 times ``max(1, max |m|)``.
+    Propagator Choi matrices near the singular parameter have entries of
+    order 1/G(q), and their rounding asymmetry grows with them.
+
     Raises:
-        ValueError: if ``m`` deviates from Hermiticity by more than 1e-10.
+        ValueError: if ``m`` deviates from Hermiticity by more than that.
     """
     m = np.asarray(m)
-    if not is_hermitian(m, 1e-10):
-        raise ValueError("matrix is not Hermitian within 1e-10")
+    tol = 1e-10 * max(1.0, float(np.abs(m).max()))
+    if not is_hermitian(m, tol):
+        raise ValueError(f"matrix is not Hermitian within {tol:.3g}")
     return np.linalg.eigvalsh(m)
 
 

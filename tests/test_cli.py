@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +250,60 @@ def test_main_figure_warns_about_ignored_flags(tmp_path, capsys):
 
 def test_quantities_and_figures_disjoint():
     assert set(QUANTITIES).isdisjoint(FIGURES)
+
+
+def test_memory_x_near_singular_q_matches_closed_form(capsys):
+    # q = 0.7726 lies 4.7e-5 from the singular value, outside the guard band.
+    assert main(["memory-x", "--alpha", "0.7", "--q", "0.7726"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+    assert len(lines) == 101
+
+    def survival(p):
+        return 1.0 - (p + 0.7 * p - 0.75 * 0.7 * p * p)
+
+    for line in lines:
+        p, x = (float(v) for v in line.split(","))
+        want = 3.0 * abs(survival(p) / survival(0.7726))
+        assert abs(x - want) <= 1e-6 * want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace-distance", "--p-min", "-0.5"],
+        ["decay-rate", "--p-min", "-0.5"],
+        ["volume", "--p-max", "1.5"],
+        ["trajectory", "--p-max", "1.5"],
+        ["choi-eigs", "--p-max", "1.2"],
+        ["g-function", "--p-min", "-0.1"],
+        ["hcla", "--p-max", "1.5"],
+    ],
+)
+def test_grid_bound_outside_unit_interval_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "grid values must lie in [0, 1]" in captured.err
+    assert captured.out == ""
+
+
+def test_alpha_list_grid_ignores_p_bounds():
+    spec = SweepSpec("blp", alpha=(0.2, 0.4), p_max=1.5)
+    assert [row[0] for row in run_sweep(spec).rows] == [0.2, 0.4]
+
+
+def test_python_m_depolmark_runs_a_figure(tmp_path):
+    (tmp_path / "m").mkdir()
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("DEPOLMARK_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "depolmark", "fig1", "--out", str(tmp_path / "m")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(tmp_path / "m" / "fig1.csv")
+    (in_process,) = figure("fig1", str(tmp_path))
+    assert (tmp_path / "m" / "fig1.csv").read_bytes() == Path(in_process).read_bytes()

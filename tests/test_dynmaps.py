@@ -227,6 +227,17 @@ def test_qudit_choi_matches_closed_spectrum():
             assert abs(chi.trace() - 1.0) < 1e-10
 
 
+def test_qudit_choi_spectrum_near_the_singular_q():
+    # q is 9e-6 below the N = 3 singular value: entries reach about 4e3 and
+    # the rounding asymmetry about 1e-8, beyond an absolute 1e-10 bound.
+    alpha, q, p = 0.777, 0.831405, 0.964
+    assert abs(q - crossover_point(alpha, 3)) < 1e-3
+    chi = intermediate_choi(alpha, q, p, levels=3)
+    top, rest = qudit_choi_eigenvalues(alpha, q, p, 3)
+    expected = np.sort(np.array([top] + [rest] * 8))
+    assert np.abs(chi.eigenvalues() - expected).max() < 1e-10 * np.abs(expected).max()
+
+
 def test_qudit_intermediate_singularity_moves_up():
     # q = 0.8 is singular-side for the qubit family but regular for N = 3
     with pytest.raises(SingularMapError):

@@ -94,6 +94,15 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigenvalues_tolerance_scales_with_entries():
+    # An asymmetry of 1e-9 is 1e-12 of entries of order 1e3: rounding, not a defect.
+    h = 1e3 * np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
+    h[0, 1] += 1e-9
+    assert np.allclose(hermitian_eigenvalues(h), [-1e3 * np.sqrt(5), 1e3 * np.sqrt(5)])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(h + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+
+
 def test_hermitian_eigenvalues_sum_matches_trace():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

@@ -193,6 +193,14 @@ def test_memory_witness_value():
     assert abs(memory_witness_closed(0.7, 0.3, 1.0) - 3 * 0.7 / 2.149) < 1e-12
 
 
+def test_memory_witness_near_the_singular_q():
+    # q is 4.7e-5 above the singular value: X grows to about 1.3e4 at p = 1,
+    # where the two routes can differ by more than 1e-8 in absolute terms.
+    for p in (0.7726, 0.9, 1.0):
+        closed = memory_witness_closed(0.7, 0.7726, p)
+        assert abs(memory_witness_X(0.7, 0.7726, p) - closed) <= 1e-8 * closed
+
+
 def test_memory_witness_routes_agree():
     for alpha, p in itertools.product((0.0, 0.5, 0.8, 1.0), (0.3, 0.6, 0.9)):
         direct = memory_witness_X(alpha, 0.3, p)
