@@ -13,12 +13,17 @@ probability k(p) = p + alpha p - (3/4) alpha p^2 (see :func:`kappa`).
 The N-level generalization replaces the Pauli operators by the Weyl
 shift-and-phase unitaries and the fraction 3/4 by (N^2 - 1)/N^2; the
 n-qubit family is the tensor product of identical single-qubit channels.
+
+The builders take ``p`` as one value or as a grid. A grid gives a stacked
+:class:`KrausSet`: operator ``i`` has shape ``p.shape + (d, d)`` and holds
+the i-th Kraus operator at every grid point, built from the same float
+operations as a single value, so a stack is bit-equal to the sets built
+point by point. Completeness is checked at every grid point.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +54,13 @@ __all__ = [
 MAX_QUBITS = 3
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0 or math.isnan(value):
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
+def _check_unit_interval(name: str, value):
+    """``value`` as a float (an array for a grid), every entry checked to lie in [0, 1]."""
+    value = np.asarray(value, dtype=float)
+    inside = (0.0 <= value) & (value <= 1.0)
+    if not inside.all():
+        raise ValueError(f"{name} must lie in [0, 1], got {value[~inside].flat[0]}")
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,10 @@ class DepolParams:
 class KrausSet:
     """Ordered Kraus operators of one channel, all of dimension ``dim``.
 
-    Construction verifies the completeness relation sum_i E_i^dag E_i = I.
+    Each operator is ``(dim, dim)``, or a stack ``(..., dim, dim)`` holding
+    that operator for every channel of a grid; all operators share the
+    stack shape. Construction verifies the completeness relation
+    sum_i E_i^dag E_i = I for every channel.
     """
 
     operators: tuple = field(repr=False)
@@ -95,9 +105,9 @@ class KrausSet:
         ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
         object.__setattr__(self, "operators", ops)
         for op in ops:
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(f"expected {self.dim}x{self.dim} operators, got {op.shape}")
-        if self.completeness_defect() > 1e-9:
+            if op.shape != ops[0].shape or op.shape[-2:] != (self.dim, self.dim):
+                raise ValueError(f"expected {self.dim}x{self.dim} operators of one stack shape, got {op.shape}")
+        if np.asarray(self.completeness_defect()).max() > 1e-9:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
 
     def __len__(self) -> int:
@@ -106,13 +116,23 @@ class KrausSet:
     def __iter__(self):
         return iter(self.operators)
 
-    def completeness_defect(self) -> float:
-        """max |sum_i E_i^dag E_i - I|; zero for a trace-preserving set."""
-        acc = sum(op.conj().T @ op for op in self.operators)
-        return float(np.abs(acc - np.eye(self.dim)).max())
+    @property
+    def shape(self) -> tuple:
+        """Stack shape of the operators: ``()`` for one channel."""
+        return self.operators[0].shape[:-2]
+
+    def completeness_defect(self):
+        """max |sum_i E_i^dag E_i - I|; zero for a trace-preserving set.
+
+        A float for one channel, an array with one defect per channel for a stack.
+        """
+        ops = np.asarray(self.operators)
+        acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+        defect = np.abs(acc - np.eye(self.dim)).max(axis=(-2, -1))
+        return float(defect) if defect.ndim == 0 else defect
 
 
-def kappa(alpha: float, p: float, levels: int = 2) -> float:
+def kappa(alpha: float, p, levels: int = 2):
     """Effective depolarizing probability k(p) of the N-level channel.
 
     k(p) = p + alpha p - ((N^2 - 1)/N^2) alpha p^2. For alpha = 0 this is
@@ -123,15 +143,20 @@ def kappa(alpha: float, p: float, levels: int = 2) -> float:
     return p + alpha * p - (n2 - 1) / n2 * alpha * p * p
 
 
-def _sqrt_coefficient(radicand: float, what: str) -> float:
+def _sqrt_coefficient(radicand, what: str) -> np.ndarray:
+    """Square roots with a trailing (1, 1), ready to scale an operator at every grid point."""
     # Radicands are nonnegative for alpha, p in [0, 1]; tolerate roundoff only.
-    if radicand < -1e-12:
-        raise ValueError(f"negative radicand for {what}: {radicand}")
-    return math.sqrt(max(radicand, 0.0))
+    radicand = np.asarray(radicand, dtype=float)
+    if (radicand < -1e-12).any():
+        raise ValueError(f"negative radicand for {what}: {radicand.min()}")
+    return np.sqrt(np.maximum(radicand, 0.0))[..., None, None]
 
 
-def qubit_kraus(alpha: float, p: float) -> KrausSet:
-    """Kraus operators of the single-qubit channel, ordered (I, X, Y, Z)."""
+def qubit_kraus(alpha: float, p) -> KrausSet:
+    """Kraus operators of the single-qubit channel, ordered (I, X, Y, Z).
+
+    ``p`` may be a grid; the set then holds one channel per grid point.
+    """
     alpha = _check_unit_interval("alpha", alpha)
     p = _check_unit_interval("p", p)
     c_id = _sqrt_coefficient((1 - 0.75 * alpha * p) * (1 - 0.75 * p), "identity term")
@@ -158,14 +183,14 @@ def weyl_operator(levels: int, r: int, s: int) -> np.ndarray:
     return u
 
 
-def qudit_kraus(alpha: float, p: float, levels: int) -> KrausSet:
+def qudit_kraus(alpha: float, p, levels: int) -> KrausSet:
     """Kraus operators of the N-level channel, lexicographic in (r, s).
 
     The (0, 0) slot carries the identity with weight
     sqrt((1 - c alpha p)(1 - c p)), c = (N^2 - 1)/N^2; every other slot
     carries sqrt((1 + alpha (1 - c p)) p / N^2) U_{r,s}. These weights are
     the unique choice for which the completeness relation holds for all
-    alpha and p.
+    alpha and p. ``p`` may be a grid, as for :func:`qubit_kraus`.
     """
     alpha = _check_unit_interval("alpha", alpha)
     p = _check_unit_interval("p", p)
@@ -184,11 +209,12 @@ def qudit_kraus(alpha: float, p: float, levels: int) -> KrausSet:
     return KrausSet(tuple(ops), n)
 
 
-def multiqubit_kraus(alpha: float, p: float, qubits: int) -> KrausSet:
+def multiqubit_kraus(alpha: float, p, qubits: int) -> KrausSet:
     """Tensor-product Kraus set of ``qubits`` independent qubit channels.
 
     The 4^n operators are ordered lexicographically in the per-qubit index
-    (I, X, Y, Z). Capped at n = 3 to keep the Choi dimension at 64.
+    (I, X, Y, Z). Capped at n = 3 to keep the Choi dimension at 64. ``p``
+    may be a grid, as for :func:`qubit_kraus`.
     """
     n = int(qubits)
     if n < 1:
@@ -214,8 +240,10 @@ def apply_channel(kraus: KrausSet, rho: np.ndarray, validate: bool = True) -> np
     """Apply the channel, rho -> sum_i E_i rho E_i^dag.
 
     ``rho`` is one operator ``(d, d)`` or a stack ``(..., d, d)``; a stack
-    is mapped operator by operator. The terms are summed in Kraus order,
-    starting from zero.
+    is mapped operator by operator. A stacked Kraus set maps every operator
+    through every one of its channels: the result has shape
+    ``kraus.shape + rho.shape``. The terms are summed in Kraus order,
+    starting from zero, one term at a time across the stack.
 
     With ``validate`` (the default) every input must be a density matrix:
     Hermitian, unit trace and positive semidefinite within 1e-10. Pass
@@ -227,5 +255,9 @@ def apply_channel(kraus: KrausSet, rho: np.ndarray, validate: bool = True) -> np
         raise ValueError(f"state has shape {rho.shape}, channel acts on dimension {kraus.dim}")
     if validate and not all(is_density_matrix(r, 1e-10) for r in rho.reshape(-1, kraus.dim, kraus.dim)):
         raise ValueError("input is not a density matrix within tolerance 1e-10")
-    ops = np.asarray(kraus.operators).reshape((len(kraus),) + (1,) * (rho.ndim - 2) + rho.shape[-2:])
-    return np.add.reduce(ops @ rho @ ops.conj().swapaxes(-1, -2), axis=0, initial=0)
+    spread = kraus.shape + (1,) * (rho.ndim - 2) + rho.shape[-2:]
+    acc = 0
+    for op in kraus.operators:
+        op = op.reshape(spread)
+        acc = acc + op @ rho @ op.conj().swapaxes(-1, -2)
+    return acc

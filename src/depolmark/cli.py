@@ -27,14 +27,29 @@ blp                alpha      distinguishability-revival measure
 Figure presets ``fig1`` .. ``fig13`` pin the parameters of the package's
 reference plots and write one or two files into the output directory.
 
-Grid points inside the singularity guard band are emitted as ``NA``
-samples, never dropped. A singularity at a *pinned* parameter (e.g. ``--q``
-exactly at the singular value for a Choi quantity) aborts with exit code 3;
-usage errors, a grid bound outside [0, 1] among them, exit with code 2.
+Every series is a column function: it takes the whole grid as an array
+and returns its column in one call. The dense columns (``choi-norm``,
+``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
+run the whole grid through the stacked Kraus -> superoperator -> Choi
+route, 32 grid points per block (``matcore.blockwise``) so that the
+stacks held at once stay a few hundred kilobytes whatever ``--steps`` is;
+with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series.
+The stacked route is bit-equal to evaluating the points one by one. The
+``trajectory`` of one alpha is computed once and feeds its five columns.
+The cheap closed forms (``choi-eigs``, ``decay-rate``, ``hcla``, ``blp``)
+are evaluated point by point through one helper.
 
-Set ``DEPOLMARK_THREADS`` to an integer >= 2 to fan the grid evaluation out
-over that many threads (default: serial). Row order is independent of the
-thread count.
+Grid points inside the singularity guard band are emitted as ``NA``
+samples, never dropped: a mask marks them before the column is computed.
+A singularity at a *pinned* parameter (e.g. ``--q`` exactly at the
+singular value for a Choi quantity) aborts with exit code 3; usage errors
+exit with code 2. Among them: a grid bound outside [0, 1], ``levels`` < 2,
+``qubits`` < 1, more than 1 000 000 ``steps`` (every row is held in
+memory), and a ``g-function`` grid ending above 1 - 1e-6 (its
+finite-difference step).
+
+``DEPOLMARK_THREADS`` is accepted and ignored: sweeps run serially, as
+whole-grid columns are faster than the per-point threads they replaced.
 """
 
 from __future__ import annotations
@@ -43,7 +58,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
 
@@ -52,6 +66,7 @@ import numpy as np
 from . import __version__
 from .channels import apply_channel, qubit_kraus
 from .dynmaps import (
+    G_FUNCTION_STEP,
     SINGULARITY_GUARD,
     choi_eigenvalues_closed,
     crossover_point,
@@ -61,7 +76,7 @@ from .dynmaps import (
     qudit_choi_trace_norm,
 )
 from .geometry import f_matrix, trajectory, volume_determinant
-from .matcore import SingularityError, SingularMapError
+from .matcore import SingularityError, SingularMapError, blockwise
 from .measures import (
     blp_measure,
     decay_rate,
@@ -107,6 +122,9 @@ FIGURES = tuple(f"fig{i}" for i in range(1, 14))
 # Abscissa of the quantities that do not sweep p (see the module table).
 _ABSCISSA = {"g-function": "q", "hcla": "alpha", "blp": "alpha"}
 
+# Largest accepted number of grid points: a sweep holds every row in memory.
+_MAX_STEPS = 1_000_000
+
 
 class UsageError(ValueError):
     """A sweep specification violates a documented parameter domain."""
@@ -144,8 +162,12 @@ class SweepSpec:
                 raise UsageError(f"alpha must lie in [0, 1], got {a}")
         if not 0.0 <= self.q <= 1.0:
             raise UsageError(f"q must lie in [0, 1], got {self.q}")
-        if self.steps < 2:
-            raise UsageError(f"steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= _MAX_STEPS:
+            raise UsageError(f"steps must lie in [2, {_MAX_STEPS}], got {self.steps}")
+        if any(n < 2 for n in self.levels):
+            raise UsageError(f"levels must be >= 2, got {self.levels}")
+        if any(n < 1 for n in self.qubits):
+            raise UsageError(f"qubits must be >= 1, got {self.qubits}")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.fmt!r}")
         if not self.p_min < self.p_max:
@@ -216,8 +238,8 @@ def _check_quantity_domain(spec: SweepSpec) -> None:
     if q == "g-function":
         if any(n not in (1, 2) for n in spec.qubits) or not single_level:
             raise UsageError("g-function supports qubits in (1, 2) with levels=2")
-        if spec.p_max >= 1.0:
-            raise UsageError("g-function sweeps q and requires max < 1")
+        if spec.p_max + G_FUNCTION_STEP > 1.0:
+            raise UsageError(f"g-function sweeps q and requires max + {G_FUNCTION_STEP:g} <= 1")
     if q in ("choi-eigs", "choi-norm"):
         if any(n not in (2, 3, 4) for n in spec.levels):
             raise UsageError(f"{q} supports levels in (2, 3, 4)")
@@ -227,11 +249,11 @@ def _check_quantity_domain(spec: SweepSpec) -> None:
             raise UsageError("sweep either levels or qubits, not both")
         if any(n > 2 for n in spec.levels) and any(n > 1 for n in spec.qubits):
             raise UsageError("combined multi-level multi-qubit maps are not supported")
-        if spec.p_min < spec.q - 1e-12:
+        if spec.p_min < spec.q:
             raise UsageError(f"p range must start at or above q = {spec.q}, got p_min = {spec.p_min}")
     if q == "choi-eigs" and not single_qubit:
         raise UsageError("choi-eigs emits the per-qubit spectrum; use qubits=1")
-    if q == "memory-x" and spec.p_min < spec.q - 1e-12:
+    if q == "memory-x" and spec.p_min < spec.q:
         raise UsageError(f"p range must start at or above q = {spec.q}, got p_min = {spec.p_min}")
 
 
@@ -239,38 +261,60 @@ def _alpha_tag(alpha: float) -> str:
     return f"alpha{alpha:g}"
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("DEPOLMARK_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        print(f"depolmark: ignoring invalid DEPOLMARK_THREADS={raw!r}", file=sys.stderr)
-        return 1
+def _pointwise(fn: Callable[[float], float | None]) -> Callable[[np.ndarray], list]:
+    """Column of a cheap closed form, one call per grid point; singularities become NA."""
+
+    def column(grid: np.ndarray) -> list:
+        out = []
+        for x in grid.tolist():
+            try:
+                out.append(fn(x))
+            except SingularityError:
+                out.append(None)
+        return out
+
+    return column
 
 
-def _grid_map(fn: Callable, xs: Sequence[float]) -> list:
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, xs))
-    return [fn(x) for x in xs]
+def _dense(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], list]:
+    """Column of a stacked dense-route function, evaluated block by block."""
+    return lambda grid: blockwise(fn, grid).tolist()
 
 
-def _guarded(fn: Callable[[float], float]) -> Callable[[float], float | None]:
-    """Turn in-sweep singularities into NA samples."""
+def _pinned(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], list]:
+    """Column of a dense function with q pinned, which inverts Phi(q, 0) once for the grid.
 
-    def wrapped(x: float) -> float | None:
+    A pinned q outside the guard band can still fail the SVD check (alpha = 0
+    with q within 1e-12 of 1); every point then shares that failure, so the
+    whole column is NA.
+    """
+
+    def column(grid: np.ndarray) -> list:
         try:
-            return fn(x)
-        except SingularityError:
-            return None
+            return fn(grid).tolist()
+        except SingularMapError:
+            return [None] * len(grid)
 
-    return wrapped
+    return column
 
 
-def _near_singularity(x: float, alpha: float, levels: int = 2) -> bool:
+def _with_na(values, na: np.ndarray) -> list:
+    """Column holding ``values`` at the unmasked points and NA at the masked ones."""
+    it = iter(np.asarray(values).tolist())
+    return [None if masked else next(it) for masked in na.tolist()]
+
+
+def _column(name: str, fn: Callable[[np.ndarray], list]) -> tuple:
+    """A series of one column."""
+    return (name,), lambda grid: [fn(grid)]
+
+
+def _near_singularity(x, alpha: float, levels: int = 2):
+    """Whether x (or each point of a grid) lies inside the guard band of the singular parameter."""
     point = crossover_point(alpha, levels)
-    return point is not None and abs(x - point) < SINGULARITY_GUARD
+    if point is None:
+        return np.zeros(np.shape(x), dtype=bool)
+    return abs(x - point) < SINGULARITY_GUARD
 
 
 def _check_pinned_q(spec: SweepSpec) -> None:
@@ -284,8 +328,22 @@ def _check_pinned_q(spec: SweepSpec) -> None:
                 )
 
 
+def _trajectory_columns(alpha: float) -> Callable[[np.ndarray], list]:
+    def columns(grid: np.ndarray) -> list:
+        points = trajectory(alpha, grid)
+        return [
+            [pt.lambdas[0] for pt in points],
+            [pt.abs_lambdas[0] for pt in points],
+            [None if pt.a_vector is None else pt.a_vector[0] for pt in points],
+            [float(pt.inside_tetrahedron) for pt in points],
+            [float(pt.cp_divisible) for pt in points],
+        ]
+
+    return columns
+
+
 def _series_for(spec: SweepSpec) -> list:
-    """Ordered (series_name, fn(x)) pairs for one sweep."""
+    """Ordered (series names, fn(grid) -> one column per name) pairs for one sweep."""
     q = spec.quantity
     series: list = []
 
@@ -296,17 +354,17 @@ def _series_for(spec: SweepSpec) -> list:
                 tag = _alpha_tag(alpha) + (f"_N{levels}" if len(spec.levels) > 1 or levels != 2 else "")
                 if levels == 2:
                     series.append(
-                        (f"Lambda_I_{tag}", _guarded(lambda p, a=alpha: choi_eigenvalues_closed(a, spec.q, p)[0]))
+                        _column(f"Lambda_I_{tag}", _pointwise(lambda p, a=alpha: choi_eigenvalues_closed(a, spec.q, p)[0]))
                     )
                     series.append(
-                        (f"Lambda_XYZ_{tag}", _guarded(lambda p, a=alpha: choi_eigenvalues_closed(a, spec.q, p)[1]))
+                        _column(f"Lambda_XYZ_{tag}", _pointwise(lambda p, a=alpha: choi_eigenvalues_closed(a, spec.q, p)[1]))
                     )
                 else:
                     series.append(
-                        (f"Lambda_top_{tag}", _guarded(lambda p, a=alpha, n=levels: qudit_choi_eigenvalues(a, spec.q, p, n)[0]))
+                        _column(f"Lambda_top_{tag}", _pointwise(lambda p, a=alpha, n=levels: qudit_choi_eigenvalues(a, spec.q, p, n)[0]))
                     )
                     series.append(
-                        (f"Lambda_rest_{tag}", _guarded(lambda p, a=alpha, n=levels: qudit_choi_eigenvalues(a, spec.q, p, n)[1]))
+                        _column(f"Lambda_rest_{tag}", _pointwise(lambda p, a=alpha, n=levels: qudit_choi_eigenvalues(a, spec.q, p, n)[1]))
                     )
         return series
 
@@ -321,10 +379,10 @@ def _series_for(spec: SweepSpec) -> list:
                     if len(spec.qubits) > 1 or qubits != 1:
                         tag += f"_n{qubits}"
                     if levels > 2:
-                        fn = lambda p, a=alpha, n=levels: qudit_choi_trace_norm(a, spec.q, p, n)
+                        fn = lambda grid, a=alpha, n=levels: qudit_choi_trace_norm(a, spec.q, grid, n)
                     else:
-                        fn = lambda p, a=alpha, n=qubits: multiqubit_choi_trace_norm(a, spec.q, p, n)
-                    series.append((f"choi_norm_{tag}", _guarded(fn)))
+                        fn = lambda grid, a=alpha, n=qubits: multiqubit_choi_trace_norm(a, spec.q, grid, n)
+                    series.append(_column(f"choi_norm_{tag}", _pinned(fn)))
         return series
 
     if q == "decay-rate":
@@ -341,52 +399,43 @@ def _series_for(spec: SweepSpec) -> list:
                     return None
                 return decay_rate_normalized(a, p, n)
 
-            series.append((f"gamma_{_alpha_tag(alpha)}", _guarded(rate)))
-            series.append((f"gamma_normalized_{_alpha_tag(alpha)}", _guarded(rate_norm)))
+            series.append(_column(f"gamma_{_alpha_tag(alpha)}", _pointwise(rate)))
+            series.append(_column(f"gamma_normalized_{_alpha_tag(alpha)}", _pointwise(rate_norm)))
         return series
 
     if q == "trace-distance":
         plus, minus = plus_minus_states()
         for alpha in spec.alpha:
-            def dist(p: float, a=alpha) -> float:
+            def dist(p: np.ndarray, a=alpha) -> np.ndarray:
                 kraus = qubit_kraus(a, p)
                 return trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
 
-            series.append((f"D_{_alpha_tag(alpha)}", dist))
+            series.append(_column(f"D_{_alpha_tag(alpha)}", _dense(dist)))
         return series
 
     if q == "memory-x":
         _check_pinned_q(spec)
         for alpha in spec.alpha:
-            series.append((f"X_{_alpha_tag(alpha)}", _guarded(lambda p, a=alpha: memory_witness_X(a, spec.q, p))))
+            series.append(_column(f"X_{_alpha_tag(alpha)}", _pinned(lambda grid, a=alpha: memory_witness_X(a, spec.q, grid))))
         return series
 
     if q == "volume":
         for alpha in spec.alpha:
-            series.append((f"volume_{_alpha_tag(alpha)}", lambda p, a=alpha: volume_determinant(a, p)))
+            series.append(_column(f"volume_{_alpha_tag(alpha)}", _dense(lambda p, a=alpha: volume_determinant(a, p))))
         return series
 
     if q == "trajectory":
         for alpha in spec.alpha:
             tag = _alpha_tag(alpha)
-
-            def point(p: float, a=alpha):
-                return trajectory(a, [p])[0]
-
-            series.append((f"lambda_{tag}", lambda p, f=point: f(p).lambdas[0]))
-            series.append((f"abs_lambda_{tag}", lambda p, f=point: f(p).abs_lambdas[0]))
-            series.append(
-                (f"A_{tag}", lambda p, f=point: f(p).a_vector[0] if f(p).a_vector is not None else None)
-            )
-            series.append((f"inside_tetrahedron_{tag}", lambda p, f=point: float(f(p).inside_tetrahedron)))
-            series.append((f"cp_divisible_{tag}", lambda p, f=point: float(f(p).cp_divisible)))
+            names = tuple(f"{col}_{tag}" for col in ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible"))
+            series.append((names, _trajectory_columns(alpha)))
         return series
 
     if q == "f-norm":
         levels = spec.levels[0]
         for alpha in spec.alpha:
             series.append(
-                (f"F{levels}_norm_{_alpha_tag(alpha)}", lambda p, a=alpha, n=levels: f_matrix(a, p, n).trace_norm)
+                _column(f"F{levels}_norm_{_alpha_tag(alpha)}", _dense(lambda p, a=alpha, n=levels: f_matrix(a, p, n).trace_norm))
             )
         return series
 
@@ -395,46 +444,43 @@ def _series_for(spec: SweepSpec) -> list:
             for qubits in spec.qubits:
                 tag = _alpha_tag(alpha) + (f"_n{qubits}" if len(spec.qubits) > 1 or qubits != 1 else "")
 
-                def g_at(x: float, a=alpha, n=qubits) -> float | None:
-                    if _near_singularity(x, a):
-                        return None
-                    return g_function(a, x, n)
+                def g_column(grid: np.ndarray, a=alpha, n=qubits) -> list:
+                    na = _near_singularity(grid, a)
+                    inside = grid[~na]
+                    return _with_na(g_function(a, inside, n) if inside.size else [], na)
 
-                series.append((f"g_{tag}", _guarded(g_at)))
+                series.append(_column(f"g_{tag}", g_column))
         return series
 
     if q == "hcla":
         levels = spec.levels[0]
-        series.append(("N_HCLA_numeric", lambda a: hcla_measure(a, levels).value))
+        series.append(_column("N_HCLA_numeric", _pointwise(lambda a: hcla_measure(a, levels).value)))
         if levels == 2:
-            series.append(("N_HCLA_closed", lambda a: hcla_closed_form(a).value))
+            series.append(_column("N_HCLA_closed", _pointwise(lambda a: hcla_closed_form(a).value)))
         else:
-            series.append(("N_HCLA_log_form", qutrit_hcla_log_form))
+            series.append(_column("N_HCLA_log_form", _pointwise(qutrit_hcla_log_form)))
         return series
 
     if q == "blp":
-        series.append(("N_BLP", lambda a: blp_measure(a).value))
+        series.append(_column("N_BLP", _pointwise(lambda a: blp_measure(a).value)))
         return series
 
     raise UsageError(f"unknown quantity {q!r}")
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the requested quantity on its grid.
+    """Evaluate the requested quantity on its grid, one column function call per series.
 
     Singular grid points are emitted as ``None`` samples, never dropped.
-    Row order follows the grid regardless of the thread cap.
     """
-    series = _series_for(spec)
-    grid = tuple(spec.grid()) if spec.uses_grid() else spec.alpha
-    names = tuple(name for name, _ in series)
-    fns = [fn for _, fn in series]
-
-    def row(x: float) -> tuple:
-        return (float(x),) + tuple(fn(float(x)) for fn in fns)
-
-    rows = _grid_map(row, grid)
-    return SweepTable(_ABSCISSA.get(spec.quantity, "p"), names, rows, spec.metadata())
+    grid = spec.grid() if spec.uses_grid() else np.array(spec.alpha)
+    names: list = []
+    columns: list = []
+    for series_names, fn in _series_for(spec):
+        names.extend(series_names)
+        columns.extend(fn(grid))
+    rows = list(zip(grid.tolist(), *columns))
+    return SweepTable(_ABSCISSA.get(spec.quantity, "p"), tuple(names), rows, spec.metadata())
 
 
 def _merge(tables: Sequence[SweepTable]) -> SweepTable:
@@ -567,7 +613,8 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "TARGET is a quantity (" + ", ".join(QUANTITIES) + ") or a figure preset "
             "(fig1..fig13). Figure presets pin their own parameters and treat --out as "
-            "an output directory. Set DEPOLMARK_THREADS>=2 to parallelize grid evaluation."
+            f"an output directory. --steps is capped at {_MAX_STEPS}. Sweeps run serially; "
+            "DEPOLMARK_THREADS is accepted and ignored."
         ),
     )
     parser.add_argument("target", choices=QUANTITIES + FIGURES, metavar="TARGET")
@@ -575,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--q", type=float, default=None, help="pinned lower timelike parameter")
     parser.add_argument("--p-min", type=float, default=None, help="grid start (p, q or alpha)")
     parser.add_argument("--p-max", type=float, default=None, help="grid end (p, q or alpha)")
-    parser.add_argument("--steps", type=int, default=None, help="number of grid samples (>= 2)")
+    parser.add_argument("--steps", type=int, default=None, help=f"number of grid samples (2 to {_MAX_STEPS})")
     parser.add_argument("--levels", default=None, help="system dimension(s) N, comma separated")
     parser.add_argument("--qubits", default=None, help="qubit count(s) n, comma separated")
     parser.add_argument("--out", default=None, help="output file (sweeps) or directory (figures)")

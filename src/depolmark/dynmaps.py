@@ -25,6 +25,17 @@ sum_i |ii>/sqrt(N). Every entry of the Choi matrix is one entry of S
 times that weight; no N^4 x N^4 intermediate is formed. The map is
 completely positive iff the Choi matrix is positive semidefinite; a trace
 norm above 1 therefore witnesses an NCP propagator.
+
+Every function of the dense route takes ``p`` (and ``q``) as one value or
+as a grid, and ``Superoperator`` and ``ChoiMatrix`` hold either one matrix
+or a stack ``(..., n, n)`` with one matrix per grid point. A single value
+is the 0-d case of the same code. The stacked route performs, point by
+point, the same float operations as a single call, so its results are
+bit-equal to those calls; sweeps use it to evaluate a whole column in one
+call. The propagator functions walk their grid in blocks of 32 points
+(``matcore.blockwise``) so that the stacks they hold stay small, and with
+a pinned ``q`` they build and SVD-check Phi(q, 0)^{-1} once for the whole
+grid rather than once per point.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from .matcore import (
     PAULI_Y,
     PAULI_Z,
     SingularMapError,
+    blockwise,
     devectorize,
     hermitian_eigenvalues,
     kron,
@@ -57,6 +69,7 @@ __all__ = [
     "NcpWitness",
     "superoperator_of",
     "intermediate_map",
+    "propagator_column",
     "qudit_intermediate_map",
     "multiqubit_intermediate_map",
     "lambda_ratio",
@@ -81,10 +94,18 @@ __all__ = [
 #: grid points closer than this to the singularity as undefined samples.
 SINGULARITY_GUARD = 1e-6
 
+#: Finite-difference step of :func:`g_function`; a q grid must end at or
+#: below 1 minus this step.
+G_FUNCTION_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Matrix representation of a channel on column-stacked operators."""
+    """Matrix representation of a channel on column-stacked operators.
+
+    ``matrix`` is ``(d^2, d^2)``, or a stack ``(..., d^2, d^2)`` with one
+    channel per grid point; ``dim`` is d either way.
+    """
 
     matrix: np.ndarray = field(repr=False)
     dim: int
@@ -92,7 +113,7 @@ class Superoperator:
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
         d2 = self.dim * self.dim
-        if m.shape != (d2, d2):
+        if m.shape[-2:] != (d2, d2):
             raise ValueError(f"superoperator for dimension {self.dim} must be {d2}x{d2}")
         object.__setattr__(self, "matrix", m)
 
@@ -110,9 +131,10 @@ class Superoperator:
 class ChoiMatrix:
     """Choi matrix of a map on a ``dim``-level system (d^2 x d^2, trace 1).
 
-    ``alpha``, ``q`` and ``p`` record the source parameters when the matrix
-    came from the depolarizing intermediate map; they stay ``None`` for
-    Choi matrices of generic superoperators.
+    ``matrix`` may also be a stack ``(..., d^2, d^2)``, one Choi matrix per
+    grid point. ``alpha``, ``q`` and ``p`` record the source parameters
+    when the matrix came from the depolarizing intermediate map; they stay
+    ``None`` for Choi matrices of generic superoperators.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -124,15 +146,17 @@ class ChoiMatrix:
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
         d2 = self.dim * self.dim
-        if m.shape != (d2, d2):
+        if m.shape[-2:] != (d2, d2):
             raise ValueError(f"Choi matrix for dimension {self.dim} must be {d2}x{d2}")
         object.__setattr__(self, "matrix", m)
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    def trace(self):
+        """Trace (a float, or an array for a stack)."""
+        t = np.trace(self.matrix, axis1=-2, axis2=-1).real
+        return float(t) if t.ndim == 0 else t
 
     def eigenvalues(self) -> np.ndarray:
-        """Real spectrum, ascending (the matrix is Hermitian by construction)."""
+        """Real spectrum, ascending, per matrix (Hermitian by construction)."""
         return hermitian_eigenvalues(self.matrix)
 
 
@@ -154,41 +178,84 @@ class NcpWitness(NamedTuple):
 def superoperator_of(kraus: KrausSet) -> Superoperator:
     """Column-stacking superoperator S = sum_i conj(E_i) kron E_i.
 
-    Satisfies S vec(rho) = vec(sum_i E_i rho E_i^dag). The products are
-    formed for the whole stack of Kraus operators at once and summed in
-    operator order, starting from zero.
+    Satisfies S vec(rho) = vec(sum_i E_i rho E_i^dag). A stacked Kraus set
+    gives the stack of superoperators. The products are summed in operator
+    order, starting from zero, one Kraus term at a time across the stack.
     """
-    ops = np.asarray(kraus.operators)
-    return Superoperator(np.add.reduce(kron(ops.conj(), ops), axis=0, initial=0), kraus.dim)
+    acc = 0
+    for op in kraus.operators:
+        acc = acc + kron(op.conj(), op)
+    return Superoperator(acc, kraus.dim)
 
 
-def _check_pair(q: float, p: float) -> None:
-    if not 0.0 <= q <= p <= 1.0:
-        raise ValueError(f"intermediate parameters must satisfy 0 <= q <= p <= 1, got q={q}, p={p}")
+def _all(flags) -> bool:
+    """all() of one flag or of an array of flags; Python bools skip numpy's reduction overhead."""
+    return flags if isinstance(flags, bool) else bool(np.all(flags))
+
+
+def _check_pair(q, p) -> None:
+    ok = (0.0 <= q) & (q <= p) & (p <= 1.0)
+    if not _all(ok):
+        bad = np.argmin(np.reshape(ok, -1))
+        q_bad, p_bad = (np.broadcast_to(x, np.shape(ok)).reshape(-1)[bad] for x in (q, p))
+        raise ValueError(f"intermediate parameters must satisfy 0 <= q <= p <= 1, got q={q_bad}, p={p_bad}")
+
+
+def propagator_column(
+    fn: Callable[[Superoperator], np.ndarray],
+    alpha: float,
+    q,
+    p,
+    kraus_builder: Callable[[float, float], KrausSet] = qubit_kraus,
+):
+    """``fn(Phi(p, q))`` over the grid, 32 points at a time, results concatenated.
+
+    ``fn`` receives a stack of propagators (one matrix for scalar q and p)
+    and returns one value, or one array, per propagator. A pinned q (one
+    value) has Phi(q, 0)^{-1} built and SVD-checked once for the whole grid
+    of p; a grid of q, broadcast against p, is inverted block by block,
+    every matrix checked.
+
+    Raises:
+        SingularMapError: when Phi(q, 0) is not invertible at some q.
+    """
+    _check_pair(q, p)
+
+    def one_step_inverse(t):
+        return matcore.inverse(superoperator_of(kraus_builder(alpha, t)).matrix)
+
+    def propagator(p_block, inverse):
+        s_p = superoperator_of(kraus_builder(alpha, p_block))
+        return Superoperator(s_p.matrix @ inverse, s_p.dim)
+
+    if np.ndim(q) == 0:
+        inverse = one_step_inverse(q)
+        return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p)
+    return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p)
 
 
 def intermediate_map(
     alpha: float,
-    q: float,
-    p: float,
+    q,
+    p,
     kraus_builder: Callable[[float, float], KrausSet] = qubit_kraus,
 ) -> Superoperator:
     """Propagator Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1} as a superoperator.
 
     ``kraus_builder(alpha, p)`` must return the Kraus set of the one-step
-    map; the default is the single-qubit family.
+    map; the default is the single-qubit family. ``q`` and ``p`` may be
+    grids (they broadcast); the result is then the stack of propagators,
+    and a pinned ``q`` is inverted once.
 
     Raises:
         SingularMapError: when Phi(q, 0) is not invertible (q at the
             crossover point of the family).
     """
-    _check_pair(q, p)
-    s_p = superoperator_of(kraus_builder(alpha, p))
-    s_q = superoperator_of(kraus_builder(alpha, q))
-    return Superoperator(s_p.matrix @ matcore.inverse(s_q.matrix), s_p.dim)
+    matrix = propagator_column(lambda s: s.matrix, alpha, q, p, kraus_builder)
+    return Superoperator(matrix, math.isqrt(matrix.shape[-1]))
 
 
-def qudit_intermediate_map(alpha: float, q: float, p: float, levels: int) -> Superoperator:
+def qudit_intermediate_map(alpha: float, q, p, levels: int) -> Superoperator:
     """N-level specialization of :func:`intermediate_map`."""
     return intermediate_map(alpha, q, p, lambda a, t: qudit_kraus(a, t, levels))
 
@@ -206,7 +273,7 @@ def _grouped_slot_permutation(qubits: int) -> np.ndarray:
     return np.arange(4**n).reshape([2] * (2 * n)).transpose(axes).reshape(-1)
 
 
-def multiqubit_intermediate_map(alpha: float, q: float, p: float, qubits: int) -> Superoperator:
+def multiqubit_intermediate_map(alpha: float, q, p, qubits: int) -> Superoperator:
     """Propagator of the n-qubit tensor family.
 
     The n-qubit one-step superoperator is (up to the fixed slot reordering
@@ -225,14 +292,14 @@ def multiqubit_intermediate_map(alpha: float, q: float, p: float, qubits: int) -
     for _ in range(n - 1):
         acc = kron(acc, single.matrix)
     perm = _grouped_slot_permutation(n)
-    return Superoperator(acc[np.ix_(perm, perm)], 2**n)
+    return Superoperator(acc[..., perm[:, None], perm], 2**n)
 
 
-def lambda_ratio(alpha: float, q: float, p: float) -> LambdaRatio:
+def lambda_ratio(alpha: float, q, p) -> LambdaRatio:
     """Closed-form Pauli eigenvalue lambda(p, q) of the qubit propagator.
 
     Equals (1 - k(p)) / (1 - k(q)) expressed over the common denominator 4;
-    it is 1 - p at q = alpha = 0 and exactly 1 at p = q.
+    it is 1 - p at q = alpha = 0 and exactly 1 at p = q. Takes grids too.
 
     Raises:
         SingularMapError: when the denominator vanishes (q at the singular
@@ -243,7 +310,7 @@ def lambda_ratio(alpha: float, q: float, p: float) -> LambdaRatio:
     num = p * (4 + 4 * alpha - 3 * alpha * p) - 4
     den = 4 * q + 4 * alpha * q - 3 * alpha * q * q - 4
     # |den|/4 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
-    if abs(den) / 4.0 <= matcore._SINGULAR_RTOL:
+    if not _all(abs(den) / 4.0 > matcore._SINGULAR_RTOL):
         raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
     return LambdaRatio(num / den, num, den)
 
@@ -253,7 +320,7 @@ def qudit_transfer_ratio(alpha: float, q: float, p: float, levels: int) -> float
     _check_pair(q, p)
     g_p = 1.0 - kappa(alpha, p, levels)
     g_q = 1.0 - kappa(alpha, q, levels)
-    if abs(g_q) <= matcore._SINGULAR_RTOL:
+    if not _all(abs(g_q) > matcore._SINGULAR_RTOL):
         raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
     return g_p / g_q
 
@@ -277,18 +344,19 @@ def choi_of(superop: Superoperator) -> ChoiMatrix:
     (e.g. 0.4999999999999999 at d = 2) as in the textbook route
     devec(U (S kron I_{d^2}) U vec(P)), with U the swap of the second and
     third tensor factors. That route's matrix-vector product has exactly
-    one nonzero term per entry, so both give the same bits.
+    one nonzero term per entry, so both give the same bits. A stack of
+    superoperators gives the stack of Choi matrices.
     """
     d = superop.dim
+    lead = superop.matrix.shape[:-2]
+    k = len(lead)
     weight = maximally_entangled_projector(d)[0, 0]
     # Adding +0.0 turns a -0.0 into +0.0, the sign a sum of zero terms has.
-    chi = superop.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2) * weight + 0.0
-    return ChoiMatrix(chi.reshape(d * d, d * d), d)
+    chi = superop.matrix.reshape(lead + (d, d, d, d)).transpose(*range(k), k + 1, k + 3, k, k + 2) * weight + 0.0
+    return ChoiMatrix(chi.reshape(lead + (d * d, d * d)), d)
 
 
-def intermediate_choi(
-    alpha: float, q: float, p: float, levels: int = 2, qubits: int = 1
-) -> ChoiMatrix:
+def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> ChoiMatrix:
     """Choi matrix of the depolarizing propagator, parameters attached.
 
     Exactly one of ``levels > 2`` or ``qubits > 1`` may be used.
@@ -375,7 +443,11 @@ def ncp_witness(choi: ChoiMatrix) -> NcpWitness:
     return NcpWitness(norm, norm > 1.0 + 1e-10)
 
 
-def multiqubit_choi_trace_norm(alpha: float, q: float, p: float, qubits: int) -> float:
+def _choi_trace_norm(superop: Superoperator):
+    return trace_norm(choi_of(superop).matrix)
+
+
+def multiqubit_choi_trace_norm(alpha: float, q, p, qubits: int):
     """Choi trace norm of the n-qubit propagator.
 
     The n-qubit Choi matrix is, up to a subsystem permutation, the n-fold
@@ -383,46 +455,55 @@ def multiqubit_choi_trace_norm(alpha: float, q: float, p: float, qubits: int) ->
     products of single-qubit Choi eigenvalues and the trace norm is the
     n-th power of the single-qubit trace norm. The single-qubit spectrum is
     computed through the full superoperator/Choi pipeline.
+
+    ``q`` and ``p`` may be grids (an array of norms comes back). The power
+    is taken point by point in Python floats, whose ``**`` can differ from
+    ``np.power`` in the last bit.
     """
     n = int(qubits)
     if n < 1:
         raise ValueError("qubits must be >= 1")
-    base = trace_norm(intermediate_choi(alpha, q, p).matrix)
-    return float(base**n)
+    base = propagator_column(_choi_trace_norm, alpha, q, p, qubit_kraus)
+    if np.ndim(base) == 0:
+        return float(base) ** n
+    return np.array([b**n for b in base.tolist()]).reshape(base.shape)
 
 
-def qudit_choi_trace_norm(alpha: float, q: float, p: float, levels: int) -> float:
-    """Choi trace norm of the N-level propagator via the full pipeline."""
-    return trace_norm(intermediate_choi(alpha, q, p, levels=levels).matrix)
+def qudit_choi_trace_norm(alpha: float, q, p, levels: int):
+    """Choi trace norm of the N-level propagator via the full pipeline; grids welcome."""
+    return propagator_column(_choi_trace_norm, alpha, q, p, lambda a, t: qudit_kraus(a, t, levels))
 
 
-def g_function(alpha: float, q: float, qubits: int = 1) -> float:
+def g_function(alpha: float, q, qubits: int = 1):
     """Right derivative of the Choi trace norm at a vanishing step.
 
     g(q, alpha) = lim_{eps -> 0+} (||chi(alpha, q, q + eps)||_1 - 1) / eps,
-    evaluated by a one-sided finite difference with eps = 1e-6 refined by
-    Richardson extrapolation at eps/2. Negative values and values below the
-    1e-8 noise floor of the difference quotient are clamped to 0. The limit
-    is zero wherever the propagator stays CP and positive where CP
-    divisibility breaks.
+    evaluated by a one-sided finite difference with eps =
+    ``G_FUNCTION_STEP`` (1e-6) refined by Richardson extrapolation at eps/2.
+    Negative values and values below the 1e-8 noise floor of the difference
+    quotient are clamped to 0. The limit is zero wherever the propagator
+    stays CP and positive where CP divisibility breaks. ``q`` may be a grid
+    (an array comes back); every q of it is inverted and checked.
 
     Raises:
         SingularMapError: when q sits at the singular parameter value.
     """
-    if not 0.0 <= q < 1.0:
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((0.0 <= q_arr) & (q_arr < 1.0)):
         raise ValueError(f"q must lie in [0, 1), got {q}")
     if qubits not in (1, 2):
         raise ValueError("the derivative witness is provided for 1 or 2 qubits")
-    eps = 1e-6
-    if q + eps > 1.0:
+    eps = G_FUNCTION_STEP
+    if np.any(q_arr + eps > 1.0):
         raise ValueError(f"q = {q} leaves no room for the finite-difference step {eps}")
 
-    def quotient(step: float) -> float:
-        norm = multiqubit_choi_trace_norm(alpha, q, q + step, qubits)
+    def quotient(step: float):
+        norm = multiqubit_choi_trace_norm(alpha, q, q_arr + step, qubits)
         return (norm - 1.0) / step
 
     refined = 2.0 * quotient(eps / 2.0) - quotient(eps)
-    return refined if refined > 1e-8 else 0.0
+    clamped = np.where(refined > 1e-8, refined, 0.0)
+    return float(clamped) if clamped.ndim == 0 else clamped
 
 
 def bell_states() -> tuple:

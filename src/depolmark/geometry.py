@@ -16,6 +16,10 @@ Three views of the same family:
   lambda_3) through the tetrahedron of completely positive unital Pauli
   maps, together with the log-derivative vector A(p) whose sign pattern
   decides CP divisibility point by point.
+
+``affine_map_of``, ``volume_determinant`` and ``f_matrix`` take ``p`` as one
+value or as a grid; a grid gives stacked transfer matrices, point by point
+bit-equal to single calls, and ``trajectory`` takes the whole grid.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class AffineMap:
         object.__setattr__(self, "basis", tuple(self.basis))
 
     @property
-    def trace_norm(self) -> float:
+    def trace_norm(self):
         return trace_norm(self.matrix)
 
     @property
@@ -76,7 +80,7 @@ class AffineMap:
         diagonal, 1 on the identity component and B on the rest; the volume
         rate of change is proportional to this block norm.
         """
-        return trace_norm(self.matrix[1:, 1:])
+        return trace_norm(self.matrix[..., 1:, 1:])
 
 
 @dataclass(frozen=True)
@@ -118,13 +122,13 @@ def bloch_contraction_derivative(alpha: float, p: float) -> float:
 
 
 def _transfer_table(kraus, basis) -> np.ndarray:
-    """Real table tr(G_i Phi(G_j)) over an operator basis, one channel call."""
+    """Real table tr(G_i Phi(G_j)) over an operator basis, one per channel of the set."""
     basis = np.asarray(basis)
     images = apply_channel(kraus, basis, validate=False)
-    return np.trace(basis[:, None] @ images[None, :], axis1=-2, axis2=-1).real
+    return np.trace(basis[:, None] @ images[..., None, :, :, :], axis1=-2, axis2=-1).real
 
 
-def affine_map_of(alpha: float, p: float) -> AffineMap:
+def affine_map_of(alpha: float, p) -> AffineMap:
     """Affine Bloch-vector map of the qubit channel.
 
     Each entry is tr(G_i Phi(G_j)) with Phi applied to the whole basis
@@ -135,13 +139,14 @@ def affine_map_of(alpha: float, p: float) -> AffineMap:
     return AffineMap(_transfer_table(qubit_kraus(alpha, p), basis), basis)
 
 
-def volume_determinant(alpha: float, p: float) -> float:
+def volume_determinant(alpha: float, p):
     """Volume |det M| of the set of reachable Bloch vectors (= |lambda|^3).
 
     Shrinks monotonically for the memoryless channel and regrows past the
-    singular parameter value when alpha > 0.
+    singular parameter value when alpha > 0. A grid of p gives an array.
     """
-    return float(abs(np.linalg.det(affine_map_of(alpha, p).matrix)))
+    volume = np.abs(np.linalg.det(affine_map_of(alpha, p).matrix))
+    return float(volume) if volume.ndim == 0 else volume
 
 
 def volume_measure(alpha: float) -> MeasureValue:
@@ -196,7 +201,7 @@ def gell_mann_matrices(levels: int) -> list:
     return result
 
 
-def f_matrix(alpha: float, p: float, levels: int) -> AffineMap:
+def f_matrix(alpha: float, p, levels: int) -> AffineMap:
     """Scaled N-level transfer matrix F_kl = (1/N^2) tr(G_k Phi(G_l)).
 
     The basis is I/sqrt(N) followed by the Gell-Mann operators in their

@@ -15,6 +15,9 @@ Built on the survival factor G(p) = 1 - k(p) of the depolarizing family:
   decomposition of the propagator Choi matrix, equal to 3 |lambda(p, q)|.
 
 All quadratures are adaptive with absolute tolerance 1e-9.
+``memory_witness_X``, ``memory_witness_closed`` and ``trace_distance``
+also take whole grids (stacks of states), point by point bit-equal to
+single calls.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import numpy as np
 from scipy import integrate
 
 from .channels import apply_channel, kappa, qubit_kraus
-from .dynmaps import crossover_point, intermediate_choi, lambda_ratio
+from .dynmaps import choi_of, crossover_point, lambda_ratio, propagator_column
+from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
 from .matcore import (
     PAULI_X,
     PAULI_Y,
@@ -201,11 +205,11 @@ def qutrit_hcla_log_form(alpha: float) -> float:
     return log_form(1.0) - log_form(lower)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray):
     """Trace distance (1/2) ||a - b||_1 between two density matrices.
 
     Lies in [0, 1] and reaches 1 exactly for states with orthogonal
-    support.
+    support. Two stacks of states give the array of pairwise distances.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -295,14 +299,21 @@ _BLOCH_OBSERVABLES = np.array(
 )
 
 
-def _choi_bloch_parts(alpha: float, q: float, p: float) -> tuple:
-    """Local Bloch vector s and correlation matrix T of the propagator Choi."""
-    chi = intermediate_choi(alpha, q, p).matrix
-    values = np.trace(chi @ _BLOCH_OBSERVABLES, axis1=-2, axis2=-1).real
-    return values[:3], values[3:].reshape(3, 3)
+def _choi_bloch_parts(chi: np.ndarray) -> tuple:
+    """Local Bloch vector s and correlation matrix T of a two-qubit Choi matrix (or stack)."""
+    values = np.trace(chi[..., None, :, :] @ _BLOCH_OBSERVABLES, axis1=-2, axis2=-1).real
+    return values[..., :3], values[..., 3:].reshape(values.shape[:-1] + (3, 3))
 
 
-def memory_witness_X(alpha: float, q: float, p: float) -> float:
+def _witness_direct(superop) -> np.ndarray:
+    """|s| + ||T||_1 of the Choi matrix of each propagator."""
+    s, t = _choi_bloch_parts(choi_of(superop).matrix)
+    # One norm call per Bloch vector: a batched norm sums in another order.
+    norms = np.array([np.linalg.norm(row) for row in s.reshape(-1, 3)]).reshape(s.shape[:-1])
+    return norms + trace_norm(t)
+
+
+def memory_witness_X(alpha: float, q, p):
     """Quantum-memory witness X = |s| + ||T||_1 of the propagator Choi matrix.
 
     ``s`` collects tr(chi (I kron sigma_i)) and T the correlations
@@ -310,25 +321,28 @@ def memory_witness_X(alpha: float, q: float, p: float) -> float:
     correlations in the Choi state; a nonmonotonic rise of X along p
     signals quantum information backflow. Equals 3 |lambda(p, q)| for this
     family, which is cross-checked internally to 1e-8 of
-    max(1, 3 |lambda|).
+    max(1, 3 |lambda|) at every point.
+
+    ``p`` (and ``q``) may be grids; the propagators then run through
+    :func:`depolmark.dynmaps.propagator_column`, with Phi(q, 0)^{-1} built
+    once for a pinned q, and an array comes back.
 
     Raises:
         SingularMapError: when q sits at the singular parameter value.
         ArithmeticError: when the two routes disagree beyond that bound.
     """
-    s, t = _choi_bloch_parts(alpha, q, p)
-    direct = float(np.linalg.norm(s) + trace_norm(t))
+    direct = propagator_column(_witness_direct, alpha, q, p)
     closed = memory_witness_closed(alpha, q, p)
     # Near the singular q both routes grow like 1/G(q), and so does their
     # rounding difference, hence the relative bound.
-    if abs(direct - closed) > 1e-8 * max(1.0, abs(closed)):
-        raise ArithmeticError(
-            f"witness routes disagree: direct {direct!r} vs closed {closed!r} at "
-            f"(alpha={alpha}, q={q}, p={p})"
-        )
-    return direct
+    apart = np.abs(direct - closed) > 1e-8 * np.maximum(1.0, np.abs(closed))
+    if np.any(apart):
+        i = np.argmax(apart.reshape(-1))
+        d, c = (float(np.reshape(x, -1)[i]) for x in (direct, closed))
+        raise ArithmeticError(f"witness routes disagree: direct {d!r} vs closed {c!r} at (alpha={alpha}, q={q}, p={p})")
+    return float(direct) if np.ndim(direct) == 0 else direct
 
 
-def memory_witness_closed(alpha: float, q: float, p: float) -> float:
+def memory_witness_closed(alpha: float, q, p):
     """Closed form 3 |lambda(p, q)| of the memory witness."""
     return 3.0 * abs(lambda_ratio(alpha, q, p).value)

@@ -307,3 +307,44 @@ def test_python_m_depolmark_runs_a_figure(tmp_path):
     assert proc.stdout.strip() == str(tmp_path / "m" / "fig1.csv")
     (in_process,) = figure("fig1", str(tmp_path))
     assert (tmp_path / "m" / "fig1.csv").read_bytes() == Path(in_process).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["decay-rate", "--levels", "0"], "levels must be >= 2"),
+        (["decay-rate", "--levels", "1"], "levels must be >= 2"),
+        (["hcla", "--levels", "1"], "levels must be >= 2"),
+        (["choi-norm", "--qubits", "0"], "qubits must be >= 1"),
+        (["choi-norm", "--q", "0.3", "--p-min", "0.2999999999999"], "at or above q"),
+        (["g-function", "--p-max", "0.9999999"], "max + 1e-06 <= 1"),
+        (["trace-distance", "--steps", "1000000000000"], "steps must lie in [2, 1000000]"),
+    ],
+)
+def test_out_of_domain_parameters_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_steps_cap_is_checked_before_any_grid_exists():
+    # SweepSpec validates on construction and builds no grid.
+    with pytest.raises(UsageError, match="steps"):
+        SweepSpec("trace-distance", steps=10**12)
+    assert SweepSpec("trace-distance", steps=1_000_000).steps == 1_000_000
+
+
+def test_g_function_grid_may_end_one_step_below_one():
+    spec = SweepSpec("g-function", alpha=(0.9,), p_min=0.98, p_max=0.999, steps=2)
+    assert [row[0] for row in run_sweep(spec).rows] == [0.98, 0.999]
+
+
+@pytest.mark.parametrize("quantity", ["choi-norm", "memory-x"])
+def test_pinned_q_failing_the_conditioning_check_gives_na_rows(quantity, capsys):
+    # alpha = 0 has no interior singular point, yet Phi(q, 0) at q = 1 - 1e-13
+    # fails the 1e-12 conditioning check of the inverse at every grid point.
+    argv = [quantity, "--alpha", "0", "--q", "0.9999999999999", "--p-min", "0.9999999999999", "--p-max", "1", "--steps", "2"]
+    assert main(argv) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+    assert rows == ["0.9999999999999,NA", "1,NA"]

@@ -1,5 +1,8 @@
 """The whole-array constructions of the dense route against their loop forms.
 
+The second half checks the whole-grid sweep columns against the per-point
+calls they replaced.
+
 Each oracle below is the construction the library used before it built
 its products by broadcasting: ``np.kron`` in a loop over Kraus operators,
 the composite U (S kron I_{d^2}) U applied to vec(P) for the Choi matrix,
@@ -12,11 +15,31 @@ put q within 1e-3 of the singular parameter, where entries grow like
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from depolmark import dynmaps, geometry, measures
-from depolmark.channels import apply_channel, multiqubit_kraus, qubit_kraus, qudit_kraus
-from depolmark.dynmaps import choi_of, crossover_point, maximally_entangled_projector, superoperator_of
-from depolmark.matcore import PAULI_X, PAULI_Y, PAULI_Z, devectorize, kron, swap_permutation, vectorize
+from depolmark import cli, dynmaps, geometry, measures
+from depolmark.channels import KrausSet, apply_channel, multiqubit_kraus, qubit_kraus, qudit_kraus
+from depolmark.dynmaps import (
+    SINGULARITY_GUARD,
+    choi_of,
+    crossover_point,
+    maximally_entangled_projector,
+    superoperator_of,
+)
+from depolmark.matcore import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    SingularityError,
+    SingularMapError,
+    devectorize,
+    inverse,
+    kron,
+    swap_permutation,
+    trace_norm,
+    vectorize,
+)
 
 # (levels, qubits, draws): Choi dimensions d = 2, 3, 4, 4 and 8.
 SYSTEMS = [(2, 1, 8), (3, 1, 8), (4, 1, 8), (2, 2, 8), (2, 3, 2)]
@@ -157,8 +180,9 @@ def test_f_matrix_matches_entry_loop(levels):
 
 def test_bloch_parts_match_entry_loop():
     for alpha, q, p in draws(2, 1, 8):
-        s, t = measures._choi_bloch_parts(alpha, q, p)
-        want_s, want_t = bloch_parts_loop(dynmaps.intermediate_choi(alpha, q, p).matrix)
+        chi = dynmaps.intermediate_choi(alpha, q, p).matrix
+        s, t = measures._choi_bloch_parts(chi)
+        want_s, want_t = bloch_parts_loop(chi)
         assert_same_bits(s, want_s)
         assert_same_bits(np.ascontiguousarray(t), want_t)
 
@@ -183,3 +207,187 @@ def test_apply_channel_validates_every_state_of_a_stack():
         apply_channel(kraus, np.array([rho, 2 * rho]))
     with pytest.raises(ValueError, match="shape"):
         apply_channel(kraus, np.ones(2))
+
+
+# ---------------------------------------------------------------- whole-grid columns
+#
+# The oracle is the per-point evaluation that sweeps made before they
+# became column functions: one scalar library call per grid point and per
+# series, a singularity turning that one point into NA. The columns must
+# reproduce it bit for bit, NA positions included.
+
+
+def guarded(fn):
+    def wrapped(x):
+        try:
+            return fn(x)
+        except SingularityError:
+            return None
+
+    return wrapped
+
+
+def near(x, alpha, levels=2):
+    point = crossover_point(alpha, levels)
+    return point is not None and abs(x - point) < SINGULARITY_GUARD
+
+
+def per_point_series(spec) -> list:
+    """(name, fn(x)) pairs of the sweep, one scalar call per point."""
+    q, out = spec.q, []
+    for alpha in spec.alpha:
+        tag = f"alpha{alpha:g}"
+        if spec.quantity == "choi-eigs":
+            for n in spec.levels:
+                t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
+                if n == 2:
+                    out.append((f"Lambda_I_{t}", guarded(lambda p, a=alpha: dynmaps.choi_eigenvalues_closed(a, q, p)[0])))
+                    out.append((f"Lambda_XYZ_{t}", guarded(lambda p, a=alpha: dynmaps.choi_eigenvalues_closed(a, q, p)[1])))
+                else:
+                    out.append((f"Lambda_top_{t}", guarded(lambda p, a=alpha, n=n: dynmaps.qudit_choi_eigenvalues(a, q, p, n)[0])))
+                    out.append((f"Lambda_rest_{t}", guarded(lambda p, a=alpha, n=n: dynmaps.qudit_choi_eigenvalues(a, q, p, n)[1])))
+        elif spec.quantity == "choi-norm":
+            for n in spec.levels:
+                for k in spec.qubits:
+                    t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
+                    t += f"_n{k}" if len(spec.qubits) > 1 or k != 1 else ""
+                    if n > 2:
+                        fn = lambda p, a=alpha, n=n: dynmaps.qudit_choi_trace_norm(a, q, p, n)
+                    else:
+                        fn = lambda p, a=alpha, k=k: dynmaps.multiqubit_choi_trace_norm(a, q, p, k)
+                    out.append((f"choi_norm_{t}", guarded(fn)))
+        elif spec.quantity == "decay-rate":
+            n = spec.levels[0]
+
+            def rate(p, a=alpha):
+                if near(p, a, n) or (a == 0.0 and abs(p - 1.0) < SINGULARITY_GUARD):
+                    return None
+                return measures.decay_rate(a, p, n)
+
+            def rate_norm(p, a=alpha):
+                return None if a == 0.0 and p < SINGULARITY_GUARD else measures.decay_rate_normalized(a, p, n)
+
+            out += [(f"gamma_{tag}", guarded(rate)), (f"gamma_normalized_{tag}", guarded(rate_norm))]
+        elif spec.quantity == "trace-distance":
+            plus, minus = measures.plus_minus_states()
+
+            def dist(p, a=alpha):
+                kraus = qubit_kraus(a, p)
+                return measures.trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
+
+            out.append((f"D_{tag}", dist))
+        elif spec.quantity == "memory-x":
+            out.append((f"X_{tag}", guarded(lambda p, a=alpha: measures.memory_witness_X(a, q, p))))
+        elif spec.quantity == "volume":
+            out.append((f"volume_{tag}", lambda p, a=alpha: geometry.volume_determinant(a, p)))
+        elif spec.quantity == "trajectory":
+            point = lambda p, a=alpha: geometry.trajectory(a, [p])[0]
+            out += [
+                (f"lambda_{tag}", lambda p, f=point: f(p).lambdas[0]),
+                (f"abs_lambda_{tag}", lambda p, f=point: f(p).abs_lambdas[0]),
+                (f"A_{tag}", lambda p, f=point: None if f(p).a_vector is None else f(p).a_vector[0]),
+                (f"inside_tetrahedron_{tag}", lambda p, f=point: float(f(p).inside_tetrahedron)),
+                (f"cp_divisible_{tag}", lambda p, f=point: float(f(p).cp_divisible)),
+            ]
+        elif spec.quantity == "f-norm":
+            n = spec.levels[0]
+            out.append((f"F{n}_norm_{tag}", lambda p, a=alpha: geometry.f_matrix(a, p, n).trace_norm))
+        elif spec.quantity == "g-function":
+            for k in spec.qubits:
+                t = tag + (f"_n{k}" if len(spec.qubits) > 1 or k != 1 else "")
+                g = lambda x, a=alpha, k=k: None if near(x, a) else dynmaps.g_function(a, x, k)
+                out.append((f"g_{t}", guarded(g)))
+    return out
+
+
+def straddling_grid(centre: float, width: float, points: int, lo: float, hi: float) -> np.ndarray:
+    """A grid across ``centre`` with points at it, inside its guard band and just outside."""
+    offsets = (0.0, -0.5, 0.5, -0.999, 0.999, -2.0, 2.0)
+    special = [centre + o * SINGULARITY_GUARD for o in offsets]
+    grid = np.concatenate([np.linspace(centre - width, centre + width, points), special])
+    return np.unique(np.clip(grid, lo, hi))
+
+
+def bits(column) -> list:
+    """Exact float bits (signs of zeros included) with None for NA."""
+    return [None if v is None else float(v).hex() for v in column]
+
+
+def assert_columns_match_per_point(spec, grid):
+    names, columns = [], []
+    for series_names, fn in cli._series_for(spec):
+        names += series_names
+        columns += fn(grid)
+    oracle = per_point_series(spec)
+    assert names == [name for name, _ in oracle]
+    for name, column, (_, fn) in zip(names, columns, oracle):
+        assert bits(column) == bits([fn(x) for x in grid.tolist()]), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    levels=st.sampled_from([2, 3, 4]),
+    qubits=st.sampled_from([1, 2, 3]),
+    width=st.floats(1e-5, 0.3),
+    points=st.integers(2, 12),
+    q_shift=st.one_of(st.floats(-0.6, -2 * SINGULARITY_GUARD), st.floats(2 * SINGULARITY_GUARD, 1e-3)),
+)
+def test_sweep_columns_equal_per_point_calls(alpha, levels, qubits, width, points, q_shift):
+    centre = crossover_point(alpha, levels) or 0.8
+    # q pinned off the guard band, sometimes within 1e-3 of the singular q.
+    q = min(max(centre + q_shift, 0.0), 0.99)
+    assume(not near(q, alpha, levels))
+    pinned = straddling_grid(centre, width, points, q, 1.0)
+    swept = straddling_grid(centre, width, points, 0.0, 1.0)
+    spec = lambda quantity, **kw: cli.SweepSpec(quantity, **{"alpha": (alpha,), "q": q, "p_max": 1.0, **kw})
+    n_or_qubits = dict(qubits=(1, 2, 3)) if levels == 2 else dict(levels=(levels,))
+    cases = [
+        (spec("choi-eigs", levels=tuple(sorted({2, levels})), p_min=q), pinned),
+        (spec("choi-norm", p_min=q, **n_or_qubits), pinned),
+        (spec("memory-x", p_min=q), pinned),
+        (spec("decay-rate", levels=(levels,)), swept),
+        (spec("trace-distance"), swept),
+        (spec("volume"), swept),
+        (spec("trajectory"), swept),
+        (spec("f-norm", levels=(max(levels, 3),)), swept),
+    ]
+    if qubits < 3:
+        g_centre = crossover_point(alpha) or 0.8
+        q_grid = straddling_grid(g_centre, width, points, 0.0, 1.0 - dynmaps.G_FUNCTION_STEP)
+        cases.append((spec("g-function", qubits=(qubits,), p_max=0.99), q_grid))
+    for sweep, grid in cases:
+        assert_columns_match_per_point(sweep, grid)
+
+
+@pytest.mark.parametrize("levels,qubits,count", SYSTEMS, ids=SYSTEM_IDS)
+def test_stacked_route_equals_its_0d_case(levels, qubits, count):
+    for alpha, q, _ in draws(levels, qubits, count):
+        grid = np.linspace(q, 1.0, 5)
+        stacked = dynmaps.intermediate_choi(alpha, q, grid, levels, qubits)
+        for i, p in enumerate(grid.tolist()):
+            assert_same_bits(stacked.matrix[i], dynmaps.intermediate_choi(alpha, q, p, levels, qubits).matrix)
+        norms = trace_norm(stacked.matrix)
+        assert [trace_norm(m) for m in stacked.matrix] == norms.tolist()
+        kraus = kraus_for(alpha, grid, levels, qubits)
+        assert kraus.shape == (5,)
+        assert_same_bits(superoperator_of(kraus).matrix[2], superoperator_of(kraus_for(alpha, grid[2], levels, qubits)).matrix)
+    assert isinstance(dynmaps.qudit_choi_trace_norm(0.7, 0.3, 0.5, 3), float)
+    assert isinstance(dynmaps.multiqubit_choi_trace_norm(0.7, 0.3, 0.5, 2), float)
+
+
+def test_inverse_checks_every_matrix_of_a_stack():
+    singular_q = crossover_point(0.7)
+    stack = np.array([superoperator_of(qubit_kraus(0.7, t)).matrix for t in (0.2, singular_q, 0.4)])
+    with pytest.raises(SingularMapError):
+        inverse(stack)
+    assert_same_bits(inverse(stack[[0, 2]])[1], inverse(stack[2]))
+
+
+def test_kraus_stack_checks_completeness_at_every_point():
+    good = qubit_kraus(0.7, np.array([0.2, 0.5])).operators
+    broken = tuple(op.copy() for op in good)
+    broken[0][1] *= 1.01
+    with pytest.raises(ValueError, match="completeness"):
+        KrausSet(broken, 2)
+    assert np.all(KrausSet(good, 2).completeness_defect() < 1e-12)
