@@ -42,6 +42,7 @@ __all__ = [
     "DepolParams",
     "KrausSet",
     "kappa",
+    "survival",
     "qubit_kraus",
     "weyl_operator",
     "qudit_kraus",
@@ -141,6 +142,16 @@ def kappa(alpha: float, p, levels: int = 2):
     """
     n2 = levels * levels
     return p + alpha * p - (n2 - 1) / n2 * alpha * p * p
+
+
+def survival(alpha: float, p, levels: int = 2):
+    """Survival factor G(p) = 1 - k(p): the shared non-identity transfer eigenvalue of Phi(p, 0).
+
+    For the qubit it is the Bloch contraction factor. Every Choi spectrum,
+    rate and measure of the family is a function of G; it vanishes at the
+    singular parameter value.
+    """
+    return 1.0 - kappa(alpha, p, levels)
 
 
 def _sqrt_coefficient(radicand, what: str) -> np.ndarray:

@@ -6,26 +6,20 @@ digits) or JSON (``{"spec": ..., "columns": ..., "rows": ...}``). Output is
 deterministic: no timestamps or randomness enter the payload, so repeated
 runs are byte identical.
 
-Grid semantics per quantity:
+One table, ``_QUANTITIES``, is the only place a quantity is defined. Its
+entry holds the abscissa (``p``, ``q`` or ``alpha``), the default grid,
+the allowed ``levels`` and ``qubits``, whether the p range starts at a
+pinned ``q`` (which is then checked against the singular value), any
+further domain rule, and the column builder that turns a spec and one
+alpha into ``(names, fn(grid))`` series groups. ``SweepSpec`` validates
+against the entry, ``run_sweep`` evaluates its groups and the command line
+takes its default grid from it, so adding a quantity means adding one
+entry. ``QUANTITIES`` lists the table's keys in order.
 
-=================  =========  =======================================
-quantity           abscissa   series
-=================  =========  =======================================
-choi-eigs          p          Choi eigenvalues per alpha (and N)
-choi-norm          p          Choi trace norm per alpha / qubits / N
-decay-rate         p          gamma and normalized gamma per alpha
-trace-distance     p          evolved |+>/|-> distance per alpha
-memory-x           p          memory witness X per alpha
-volume             p          |det M| per alpha
-trajectory         p          lambda, |lambda|, A, flags per alpha
-f-norm             p          ||F_N||_1 per alpha
-g-function         q          trace-norm right derivative per alpha/n
-hcla               alpha      quadrature (+ closed/log form)
-blp                alpha      distinguishability-revival measure
-=================  =========  =======================================
-
-Figure presets ``fig1`` .. ``fig13`` pin the parameters of the package's
-reference plots and write one or two files into the output directory.
+Figure presets ``fig1`` .. ``fig13`` are a second table, ``_FIGURES``,
+from figure id to the files the preset writes, each with the pinned
+spec(s) behind it; two specs behind one file (``fig4``) are merged column
+by column. ``FIGURES`` lists its keys in order.
 
 Every series is a column function: it takes the whole grid as an array
 and returns its column in one call. The dense columns (``choi-norm``,
@@ -33,20 +27,22 @@ and returns its column in one call. The dense columns (``choi-norm``,
 run the whole grid through the stacked Kraus -> superoperator -> Choi
 route, 32 grid points per block (``matcore.blockwise``) so that the
 stacks held at once stay a few hundred kilobytes whatever ``--steps`` is;
-with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series.
-The stacked route is bit-equal to evaluating the points one by one. The
+with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series,
+and the n-qubit Choi norms of one alpha are powers of one single-qubit
+column. The stacked route is bit-equal to evaluating the points one by
+one. ``choi-eigs`` evaluates its closed form on the whole grid, and the
 ``trajectory`` of one alpha is computed once and feeds its five columns.
-The cheap closed forms (``choi-eigs``, ``decay-rate``, ``hcla``, ``blp``)
-are evaluated point by point through one helper.
+The other closed forms (``decay-rate``, ``hcla``, ``blp``) are evaluated
+point by point through one helper.
 
 Grid points inside the singularity guard band are emitted as ``NA``
-samples, never dropped: a mask marks them before the column is computed.
-A singularity at a *pinned* parameter (e.g. ``--q`` exactly at the
-singular value for a Choi quantity) aborts with exit code 3; usage errors
-exit with code 2. Among them: a grid bound outside [0, 1], ``levels`` < 2,
-``qubits`` < 1, more than 1 000 000 ``steps`` (every row is held in
-memory), and a ``g-function`` grid ending above 1 - 1e-6 (its
-finite-difference step).
+samples, never dropped: a mask, computed once per series, marks them
+before the column is computed. A singularity at a *pinned* parameter
+(e.g. ``--q`` exactly at the singular value for a Choi quantity) aborts
+with exit code 3; usage errors exit with code 2. Among them: a grid bound
+outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
+``steps`` (every row is held in memory), and a ``g-function`` grid ending
+above 1 - 1e-6 (its finite-difference step).
 
 ``DEPOLMARK_THREADS`` is accepted and ignored: sweeps run serially, as
 whole-grid columns are faster than the per-point threads they replaced.
@@ -68,7 +64,6 @@ from .channels import apply_channel, qubit_kraus
 from .dynmaps import (
     G_FUNCTION_STEP,
     SINGULARITY_GUARD,
-    choi_eigenvalues_closed,
     crossover_point,
     g_function,
     multiqubit_choi_trace_norm,
@@ -103,25 +98,6 @@ __all__ = [
     "FIGURES",
 ]
 
-QUANTITIES = (
-    "choi-eigs",
-    "choi-norm",
-    "decay-rate",
-    "hcla",
-    "blp",
-    "trace-distance",
-    "memory-x",
-    "volume",
-    "trajectory",
-    "f-norm",
-    "g-function",
-)
-
-FIGURES = tuple(f"fig{i}" for i in range(1, 14))
-
-# Abscissa of the quantities that do not sweep p (see the module table).
-_ABSCISSA = {"g-function": "q", "hcla": "alpha", "blp": "alpha"}
-
 # Largest accepted number of grid points: a sweep holds every row in memory.
 _MAX_STEPS = 1_000_000
 
@@ -131,13 +107,48 @@ class UsageError(ValueError):
 
 
 @dataclass(frozen=True)
+class _Quantity:
+    """One entry of the quantity table: what a sweep of this quantity needs to know."""
+
+    # (spec, alpha) -> [(series names, fn(grid) -> one column per name)]; an
+    # alpha-swept quantity is built once, with alpha None.
+    columns: Callable
+    abscissa: str = "p"
+    # Default grid; a pinned quantity starts it at q instead.
+    grid: tuple = (0.0, 1.0)
+    # Allowed values; None allows every levels >= 2.
+    levels: tuple | None = (2,)
+    qubits: tuple = (1,)
+    # The p range starts at or above q, and q is checked against the singularity.
+    pinned: bool = False
+    # A further domain rule: spec -> None, raising UsageError.
+    rule: Callable | None = None
+
+    def check(self, spec: "SweepSpec") -> None:
+        """Raise UsageError where ``spec`` leaves this quantity's domain."""
+        for axis in ("levels", "qubits"):
+            allowed, values = getattr(self, axis), getattr(spec, axis)
+            if allowed is None:
+                continue
+            # One allowed value is the whole list: it is not swept, not even repeated.
+            if not (values == allowed if len(allowed) == 1 else all(n in allowed for n in values)):
+                single = (self.levels, self.qubits) == ((2,), (1,))
+                domain = "the single-qubit family (levels=2, qubits=1)" if single else f"{axis} in {allowed}"
+                raise UsageError(f"{spec.quantity} is defined for {domain}, got {axis} = {values}")
+        if self.rule is not None:
+            self.rule(spec)
+        if self.pinned and spec.p_min < spec.q:
+            raise UsageError(f"p range must start at or above q = {spec.q}, got p_min = {spec.p_min}")
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     """Validated description of one sweep.
 
     ``alpha``, ``levels`` and ``qubits`` accept several values at once; the
     sweep then emits one series per combination. ``p_min``/``p_max``/
     ``steps`` describe the abscissa grid of whichever variable the quantity
-    sweeps (p, q or alpha, see the module table).
+    sweeps (p, q or alpha, see the quantity table).
     """
 
     quantity: str
@@ -152,7 +163,8 @@ class SweepSpec:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.quantity not in QUANTITIES:
+        entry = _QUANTITIES.get(self.quantity)
+        if entry is None:
             raise UsageError(f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}")
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
@@ -175,15 +187,12 @@ class SweepSpec:
         if not self.alpha:
             raise UsageError("at least one alpha value is required")
         if self.uses_grid() and not (0.0 <= self.p_min and self.p_max <= 1.0):
-            raise UsageError(
-                f"{_ABSCISSA.get(self.quantity, 'p')} grid values must lie in [0, 1], "
-                f"got [{self.p_min}, {self.p_max}]"
-            )
-        _check_quantity_domain(self)
+            raise UsageError(f"{entry.abscissa} grid values must lie in [0, 1], got [{self.p_min}, {self.p_max}]")
+        entry.check(self)
 
     def uses_grid(self) -> bool:
         """False when an alpha-swept quantity takes its several alphas as the grid."""
-        return _ABSCISSA.get(self.quantity) != "alpha" or len(self.alpha) == 1
+        return _QUANTITIES[self.quantity].abscissa != "alpha" or len(self.alpha) == 1
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.steps)
@@ -218,47 +227,26 @@ class SweepTable:
         return [row[idx] for row in self.rows]
 
 
-def _check_quantity_domain(spec: SweepSpec) -> None:
-    q = spec.quantity
-    single_level = spec.levels == (2,)
-    single_qubit = spec.qubits == (1,)
-    if q in ("blp", "trace-distance", "memory-x", "volume", "trajectory"):
-        if not (single_level and single_qubit):
-            raise UsageError(f"{q} is defined for the single-qubit family (levels=2, qubits=1)")
-    if q == "decay-rate" and not single_qubit:
-        raise UsageError("decay-rate is a per-qubit quantity; use qubits=1")
-    if q == "hcla":
-        if not single_qubit:
-            raise UsageError("hcla is a per-qubit quantity; use qubits=1")
-        if any(n not in (2, 3) for n in spec.levels) or len(spec.levels) != 1:
-            raise UsageError("hcla supports a single levels value of 2 or 3")
-    if q == "f-norm":
-        if any(n not in (3, 4) for n in spec.levels) or not single_qubit:
-            raise UsageError("f-norm requires levels in (3, 4) and qubits=1")
-    if q == "g-function":
-        if any(n not in (1, 2) for n in spec.qubits) or not single_level:
-            raise UsageError("g-function supports qubits in (1, 2) with levels=2")
-        if spec.p_max + G_FUNCTION_STEP > 1.0:
-            raise UsageError(f"g-function sweeps q and requires max + {G_FUNCTION_STEP:g} <= 1")
-    if q in ("choi-eigs", "choi-norm"):
-        if any(n not in (2, 3, 4) for n in spec.levels):
-            raise UsageError(f"{q} supports levels in (2, 3, 4)")
-        if any(n not in (1, 2, 3) for n in spec.qubits):
-            raise UsageError(f"{q} supports qubits in (1, 2, 3)")
-        if len(spec.levels) > 1 and len(spec.qubits) > 1:
-            raise UsageError("sweep either levels or qubits, not both")
-        if any(n > 2 for n in spec.levels) and any(n > 1 for n in spec.qubits):
-            raise UsageError("combined multi-level multi-qubit maps are not supported")
-        if spec.p_min < spec.q:
-            raise UsageError(f"p range must start at or above q = {spec.q}, got p_min = {spec.p_min}")
-    if q == "choi-eigs" and not single_qubit:
-        raise UsageError("choi-eigs emits the per-qubit spectrum; use qubits=1")
-    if q == "memory-x" and spec.p_min < spec.q:
-        raise UsageError(f"p range must start at or above q = {spec.q}, got p_min = {spec.p_min}")
+# ---------------------------------------------------------------- series helpers
 
 
 def _alpha_tag(alpha: float) -> str:
     return f"alpha{alpha:g}"
+
+
+def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1) -> str:
+    """Series suffix naming N and n wherever the spec sweeps them or leaves the single qubit."""
+    tag = _alpha_tag(alpha)
+    if len(spec.levels) > 1 or levels != 2:
+        tag += f"_N{levels}"
+    if len(spec.qubits) > 1 or qubits != 1:
+        tag += f"_n{qubits}"
+    return tag
+
+
+def _column(name: str, fn: Callable[[np.ndarray], Sequence]) -> tuple:
+    """A series group of one column."""
+    return (name,), lambda grid: [fn(grid)]
 
 
 def _pointwise(fn: Callable[[float], float | None]) -> Callable[[np.ndarray], list]:
@@ -276,40 +264,41 @@ def _pointwise(fn: Callable[[float], float | None]) -> Callable[[np.ndarray], li
     return column
 
 
-def _dense(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], list]:
+def _dense(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Column of a stacked dense-route function, evaluated block by block."""
-    return lambda grid: blockwise(fn, grid).tolist()
+    return lambda grid: blockwise(fn, grid)
 
 
-def _pinned(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], list]:
-    """Column of a dense function with q pinned, which inverts Phi(q, 0) once for the grid.
+def _pinned(names: tuple, fn: Callable[[np.ndarray], Sequence]) -> tuple:
+    """Series group whose columns all come from one q-pinned ``fn(grid)``.
 
     A pinned q outside the guard band can still fail the SVD check (alpha = 0
-    with q within 1e-12 of 1); every point then shares that failure, so the
-    whole column is NA.
+    with q within 1e-12 of 1); every point then shares that failure, so every
+    column is NA.
     """
 
-    def column(grid: np.ndarray) -> list:
+    def columns(grid: np.ndarray) -> Sequence:
         try:
-            return fn(grid).tolist()
+            return fn(grid)
         except SingularMapError:
-            return [None] * len(grid)
+            return [[None] * len(grid)] * len(names)
+
+    return names, columns
+
+
+def _masked(mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray], Sequence]) -> Callable:
+    """Column of ``fn`` on the grid points outside ``mask(grid)``, NA at the masked ones."""
+
+    def column(grid: np.ndarray) -> list:
+        na = mask(grid)
+        inside = grid[~na]
+        values = iter(np.asarray(fn(inside) if inside.size else []).tolist())
+        return [None if masked else next(values) for masked in na.tolist()]
 
     return column
 
 
-def _with_na(values, na: np.ndarray) -> list:
-    """Column holding ``values`` at the unmasked points and NA at the masked ones."""
-    it = iter(np.asarray(values).tolist())
-    return [None if masked else next(it) for masked in na.tolist()]
-
-
-def _column(name: str, fn: Callable[[np.ndarray], list]) -> tuple:
-    """A series of one column."""
-    return (name,), lambda grid: [fn(grid)]
-
-
-def _near_singularity(x, alpha: float, levels: int = 2):
+def _guard(x, alpha: float, levels: int = 2):
     """Whether x (or each point of a grid) lies inside the guard band of the singular parameter."""
     point = crossover_point(alpha, levels)
     if point is None:
@@ -321,14 +310,71 @@ def _check_pinned_q(spec: SweepSpec) -> None:
     """A singular pinned q cannot produce any sample: abort, not NA."""
     for alpha in spec.alpha:
         for levels in spec.levels:
-            if _near_singularity(spec.q, alpha, levels):
+            if _guard(spec.q, alpha, levels):
                 raise SingularMapError(
                     f"pinned q = {spec.q} sits at the singular parameter value for "
                     f"alpha = {alpha}, levels = {levels}"
                 )
 
 
-def _trajectory_columns(alpha: float) -> Callable[[np.ndarray], list]:
+# ---------------------------------------------------------------- column builders
+
+
+def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
+    groups = []
+    for n in spec.levels:
+        tag = _system_tag(spec, alpha, levels=n)
+        names = ("Lambda_I", "Lambda_XYZ") if n == 2 else ("Lambda_top", "Lambda_rest")
+        spectrum = lambda grid, n=n: qudit_choi_eigenvalues(alpha, spec.q, grid, n)
+        groups.append(_pinned(tuple(f"{name}_{tag}" for name in names), spectrum))
+    return groups
+
+
+def _choi_norm(spec: SweepSpec, alpha: float) -> list:
+    def norms(grid: np.ndarray, n: int) -> list:
+        if n > 2:
+            return [qudit_choi_trace_norm(alpha, spec.q, grid, n)] * len(spec.qubits)
+        # One single-qubit column; the n-qubit norm is its n-th power, taken
+        # per point in Python floats (np.power can differ in the last bit).
+        base = multiqubit_choi_trace_norm(alpha, spec.q, grid, 1).tolist()
+        return [[b**k for b in base] for k in spec.qubits]
+
+    return [
+        _pinned(tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits), lambda grid, n=n: norms(grid, n))
+        for n in spec.levels
+    ]
+
+
+def _decay_rate(spec: SweepSpec, alpha: float) -> list:
+    n, tag = spec.levels[0], _alpha_tag(alpha)
+    pole = lambda grid: _guard(grid, alpha, n) | ((alpha == 0.0) & (abs(grid - 1.0) < SINGULARITY_GUARD))
+    # The normalized rate has its only [0, 1] pole at alpha = 0, p = 0.
+    norm_pole = lambda grid: (alpha == 0.0) & (grid < SINGULARITY_GUARD)
+    return [
+        _column(f"gamma_{tag}", _masked(pole, _pointwise(lambda p: decay_rate(alpha, p, n)))),
+        _column(f"gamma_normalized_{tag}", _masked(norm_pole, _pointwise(lambda p: decay_rate_normalized(alpha, p, n)))),
+    ]
+
+
+def _hcla(spec: SweepSpec, alpha: float | None) -> list:
+    n = spec.levels[0]
+    numeric = _column("N_HCLA_numeric", _pointwise(lambda a: hcla_measure(a, n).value))
+    if n == 2:
+        return [numeric, _column("N_HCLA_closed", _pointwise(lambda a: hcla_closed_form(a).value))]
+    return [numeric, _column("N_HCLA_log_form", _pointwise(qutrit_hcla_log_form))]
+
+
+def _trace_distance(spec: SweepSpec, alpha: float) -> list:
+    plus, minus = plus_minus_states()
+
+    def dist(p: np.ndarray) -> np.ndarray:
+        kraus = qubit_kraus(alpha, p)
+        return trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
+
+    return [_column(f"D_{_alpha_tag(alpha)}", _dense(dist))]
+
+
+def _trajectory(spec: SweepSpec, alpha: float) -> list:
     def columns(grid: np.ndarray) -> list:
         points = trajectory(alpha, grid)
         return [
@@ -339,133 +385,58 @@ def _trajectory_columns(alpha: float) -> Callable[[np.ndarray], list]:
             [float(pt.cp_divisible) for pt in points],
         ]
 
-    return columns
+    names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
+    return [(tuple(f"{name}_{_alpha_tag(alpha)}" for name in names), columns)]
 
 
-def _series_for(spec: SweepSpec) -> list:
-    """Ordered (series names, fn(grid) -> one column per name) pairs for one sweep."""
-    q = spec.quantity
-    series: list = []
+def _g_function(spec: SweepSpec, alpha: float) -> list:
+    return [
+        _column(f"g_{_system_tag(spec, alpha, qubits=k)}", _masked(lambda q: _guard(q, alpha), lambda q, k=k: g_function(alpha, q, k)))
+        for k in spec.qubits
+    ]
 
-    if q == "choi-eigs":
-        _check_pinned_q(spec)
-        for alpha in spec.alpha:
-            for levels in spec.levels:
-                tag = _alpha_tag(alpha) + (f"_N{levels}" if len(spec.levels) > 1 or levels != 2 else "")
-                if levels == 2:
-                    series.append(
-                        _column(f"Lambda_I_{tag}", _pointwise(lambda p, a=alpha: choi_eigenvalues_closed(a, spec.q, p)[0]))
-                    )
-                    series.append(
-                        _column(f"Lambda_XYZ_{tag}", _pointwise(lambda p, a=alpha: choi_eigenvalues_closed(a, spec.q, p)[1]))
-                    )
-                else:
-                    series.append(
-                        _column(f"Lambda_top_{tag}", _pointwise(lambda p, a=alpha, n=levels: qudit_choi_eigenvalues(a, spec.q, p, n)[0]))
-                    )
-                    series.append(
-                        _column(f"Lambda_rest_{tag}", _pointwise(lambda p, a=alpha, n=levels: qudit_choi_eigenvalues(a, spec.q, p, n)[1]))
-                    )
-        return series
 
-    if q == "choi-norm":
-        _check_pinned_q(spec)
-        for alpha in spec.alpha:
-            for levels in spec.levels:
-                for qubits in spec.qubits:
-                    tag = _alpha_tag(alpha)
-                    if len(spec.levels) > 1 or levels != 2:
-                        tag += f"_N{levels}"
-                    if len(spec.qubits) > 1 or qubits != 1:
-                        tag += f"_n{qubits}"
-                    if levels > 2:
-                        fn = lambda grid, a=alpha, n=levels: qudit_choi_trace_norm(a, spec.q, grid, n)
-                    else:
-                        fn = lambda grid, a=alpha, n=qubits: multiqubit_choi_trace_norm(a, spec.q, grid, n)
-                    series.append(_column(f"choi_norm_{tag}", _pinned(fn)))
-        return series
+# ---------------------------------------------------------------- domain rules
 
-    if q == "decay-rate":
-        levels = spec.levels[0]
-        for alpha in spec.alpha:
-            def rate(p: float, a=alpha, n=levels) -> float | None:
-                if _near_singularity(p, a, n) or (a == 0.0 and abs(p - 1.0) < SINGULARITY_GUARD):
-                    return None
-                return decay_rate(a, p, n)
 
-            def rate_norm(p: float, a=alpha, n=levels) -> float | None:
-                # The normalized rate has its only [0, 1] pole at alpha = 0, p = 0.
-                if a == 0.0 and p < SINGULARITY_GUARD:
-                    return None
-                return decay_rate_normalized(a, p, n)
+def _one_system_axis(spec: SweepSpec) -> None:
+    if len(spec.levels) > 1 and len(spec.qubits) > 1:
+        raise UsageError("sweep either levels or qubits, not both")
+    if any(n > 2 for n in spec.levels) and any(k > 1 for k in spec.qubits):
+        raise UsageError("combined multi-level multi-qubit maps are not supported")
 
-            series.append(_column(f"gamma_{_alpha_tag(alpha)}", _pointwise(rate)))
-            series.append(_column(f"gamma_normalized_{_alpha_tag(alpha)}", _pointwise(rate_norm)))
-        return series
 
-    if q == "trace-distance":
-        plus, minus = plus_minus_states()
-        for alpha in spec.alpha:
-            def dist(p: np.ndarray, a=alpha) -> np.ndarray:
-                kraus = qubit_kraus(a, p)
-                return trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
+def _one_level(spec: SweepSpec) -> None:
+    if len(spec.levels) != 1:
+        raise UsageError(f"{spec.quantity} supports a single levels value")
 
-            series.append(_column(f"D_{_alpha_tag(alpha)}", _dense(dist)))
-        return series
 
-    if q == "memory-x":
-        _check_pinned_q(spec)
-        for alpha in spec.alpha:
-            series.append(_column(f"X_{_alpha_tag(alpha)}", _pinned(lambda grid, a=alpha: memory_witness_X(a, spec.q, grid))))
-        return series
+def _step_room(spec: SweepSpec) -> None:
+    if spec.p_max + G_FUNCTION_STEP > 1.0:
+        raise UsageError(f"g-function sweeps q and requires max + {G_FUNCTION_STEP:g} <= 1")
 
-    if q == "volume":
-        for alpha in spec.alpha:
-            series.append(_column(f"volume_{_alpha_tag(alpha)}", _dense(lambda p, a=alpha: volume_determinant(a, p))))
-        return series
 
-    if q == "trajectory":
-        for alpha in spec.alpha:
-            tag = _alpha_tag(alpha)
-            names = tuple(f"{col}_{tag}" for col in ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible"))
-            series.append((names, _trajectory_columns(alpha)))
-        return series
+_QUANTITIES = {
+    "choi-eigs": _Quantity(_choi_eigs, levels=(2, 3, 4), pinned=True),
+    "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
+    "decay-rate": _Quantity(_decay_rate, levels=None),
+    "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
+    "blp": _Quantity(lambda spec, _: [_column("N_BLP", _pointwise(lambda a: blp_measure(a).value))], abscissa="alpha"),
+    "trace-distance": _Quantity(_trace_distance),
+    "memory-x": _Quantity(
+        lambda spec, a: [_pinned((f"X_{_alpha_tag(a)}",), lambda grid: [memory_witness_X(a, spec.q, grid)])],
+        pinned=True,
+    ),
+    "volume": _Quantity(lambda spec, a: [_column(f"volume_{_alpha_tag(a)}", _dense(lambda p: volume_determinant(a, p)))]),
+    "trajectory": _Quantity(_trajectory),
+    "f-norm": _Quantity(
+        lambda spec, a: [_column(f"F{spec.levels[0]}_norm_{_alpha_tag(a)}", _dense(lambda p: f_matrix(a, p, spec.levels[0]).trace_norm))],
+        levels=(3, 4),
+    ),
+    "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
+}
 
-    if q == "f-norm":
-        levels = spec.levels[0]
-        for alpha in spec.alpha:
-            series.append(
-                _column(f"F{levels}_norm_{_alpha_tag(alpha)}", _dense(lambda p, a=alpha, n=levels: f_matrix(a, p, n).trace_norm))
-            )
-        return series
-
-    if q == "g-function":
-        for alpha in spec.alpha:
-            for qubits in spec.qubits:
-                tag = _alpha_tag(alpha) + (f"_n{qubits}" if len(spec.qubits) > 1 or qubits != 1 else "")
-
-                def g_column(grid: np.ndarray, a=alpha, n=qubits) -> list:
-                    na = _near_singularity(grid, a)
-                    inside = grid[~na]
-                    return _with_na(g_function(a, inside, n) if inside.size else [], na)
-
-                series.append(_column(f"g_{tag}", g_column))
-        return series
-
-    if q == "hcla":
-        levels = spec.levels[0]
-        series.append(_column("N_HCLA_numeric", _pointwise(lambda a: hcla_measure(a, levels).value)))
-        if levels == 2:
-            series.append(_column("N_HCLA_closed", _pointwise(lambda a: hcla_closed_form(a).value)))
-        else:
-            series.append(_column("N_HCLA_log_form", _pointwise(qutrit_hcla_log_form)))
-        return series
-
-    if q == "blp":
-        series.append(_column("N_BLP", _pointwise(lambda a: blp_measure(a).value)))
-        return series
-
-    raise UsageError(f"unknown quantity {q!r}")
+QUANTITIES = tuple(_QUANTITIES)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -473,19 +444,25 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     Singular grid points are emitted as ``None`` samples, never dropped.
     """
+    entry = _QUANTITIES[spec.quantity]
+    if entry.pinned:
+        _check_pinned_q(spec)
     grid = spec.grid() if spec.uses_grid() else np.array(spec.alpha)
     names: list = []
     columns: list = []
-    for series_names, fn in _series_for(spec):
-        names.extend(series_names)
-        columns.extend(fn(grid))
+    for alpha in spec.alpha if entry.abscissa != "alpha" else (None,):
+        for series_names, fn in entry.columns(spec, alpha):
+            names.extend(series_names)
+            columns.extend(np.asarray(column).tolist() for column in fn(grid))
     rows = list(zip(grid.tolist(), *columns))
-    return SweepTable(_ABSCISSA.get(spec.quantity, "p"), tuple(names), rows, spec.metadata())
+    return SweepTable(entry.abscissa, tuple(names), rows, spec.metadata())
 
 
 def _merge(tables: Sequence[SweepTable]) -> SweepTable:
-    """Join tables that share an identical abscissa grid."""
+    """Join tables that share an identical abscissa grid; a single table comes back as it is."""
     first = tables[0]
+    if len(tables) == 1:
+        return first
     for other in tables[1:]:
         if other.abscissa_name != first.abscissa_name or len(other.rows) != len(first.rows):
             raise ValueError("cannot merge tables with different abscissas")
@@ -501,58 +478,39 @@ def _merge(tables: Sequence[SweepTable]) -> SweepTable:
     return SweepTable(first.abscissa_name, names, rows, meta)
 
 
-def _figure_tables(fig_id: str) -> list:
-    """Build the (name, table) list behind one figure preset."""
-    if fig_id == "fig1":
-        spec = SweepSpec("choi-eigs", alpha=(0.0, 0.7), q=0.3, p_min=0.3, p_max=1.0, steps=141)
-        return [("fig1", run_sweep(spec))]
-    if fig_id == "fig2":
-        spec = SweepSpec("choi-eigs", alpha=(0.7,), q=0.8, p_min=0.8, p_max=1.0, steps=101)
-        return [("fig2", run_sweep(spec))]
-    if fig_id == "fig3":
-        spec = SweepSpec("decay-rate", alpha=(0.0, 0.7), p_min=0.0, p_max=1.0, steps=201)
-        return [("fig3", run_sweep(spec))]
-    if fig_id == "fig4":
-        blp = run_sweep(SweepSpec("blp", alpha=(0.7,), p_min=0.0, p_max=1.0, steps=101))
-        hcla = run_sweep(SweepSpec("hcla", alpha=(0.7,), p_min=0.0, p_max=1.0, steps=101))
-        return [("fig4", _merge([blp, hcla]))]
-    if fig_id == "fig5":
-        spec = SweepSpec("trace-distance", alpha=(0.0, 0.7, 0.9), p_min=0.0, p_max=1.0, steps=201)
-        return [("fig5", run_sweep(spec))]
-    if fig_id == "fig6":
-        spec = SweepSpec("memory-x", alpha=(0.0, 0.7, 0.8, 0.9, 1.0), q=0.3, p_min=0.3, p_max=1.0, steps=141)
-        return [("fig6", run_sweep(spec))]
-    if fig_id == "fig7":
-        spec = SweepSpec("volume", alpha=(0.0, 0.7, 0.8), p_min=0.0, p_max=1.0, steps=201)
-        return [("fig7", run_sweep(spec))]
-    if fig_id == "fig8":
-        spec = SweepSpec("trajectory", alpha=(0.0,), p_min=0.0, p_max=0.99, steps=100)
-        return [("fig8", run_sweep(spec))]
-    if fig_id == "fig9":
-        spec = SweepSpec("trajectory", alpha=(0.0, 0.7), p_min=0.0, p_max=1.0, steps=101)
-        return [("fig9", run_sweep(spec))]
-    if fig_id == "fig10":
-        spec = SweepSpec("hcla", alpha=(0.7,), p_min=0.0, p_max=1.0, steps=101, levels=(3,))
-        return [("fig10", run_sweep(spec))]
-    if fig_id == "fig11":
-        spec = SweepSpec("f-norm", alpha=(0.7,), p_min=0.0, p_max=1.0, steps=201, levels=(3,))
-        return [("fig11", run_sweep(spec))]
-    if fig_id == "fig12":
-        qubits = SweepSpec("choi-norm", alpha=(0.9,), q=0.4, p_min=0.4, p_max=1.0, steps=241, qubits=(1, 2, 3))
-        levels = SweepSpec("choi-norm", alpha=(0.9,), q=0.4, p_min=0.4, p_max=1.0, steps=241, levels=(2, 3, 4))
-        return [("fig12a", run_sweep(qubits)), ("fig12b", run_sweep(levels))]
-    if fig_id == "fig13":
-        spec = SweepSpec("g-function", alpha=(0.9,), p_min=0.0, p_max=0.98, steps=197, qubits=(1, 2))
-        return [("fig13", run_sweep(spec))]
-    raise UsageError(f"unknown figure id {fig_id!r}; expected one of {FIGURES}")
+# Figure id -> one (file name, spec, ...) per file written; the specs behind
+# one file are merged column by column.
+_FIGURES = {
+    "fig1": [("fig1", SweepSpec("choi-eigs", alpha=(0.0, 0.7), q=0.3, p_min=0.3, steps=141))],
+    "fig2": [("fig2", SweepSpec("choi-eigs", alpha=(0.7,), q=0.8, p_min=0.8))],
+    "fig3": [("fig3", SweepSpec("decay-rate", alpha=(0.0, 0.7), steps=201))],
+    "fig4": [("fig4", SweepSpec("blp", alpha=(0.7,)), SweepSpec("hcla", alpha=(0.7,)))],
+    "fig5": [("fig5", SweepSpec("trace-distance", alpha=(0.0, 0.7, 0.9), steps=201))],
+    "fig6": [("fig6", SweepSpec("memory-x", alpha=(0.0, 0.7, 0.8, 0.9, 1.0), q=0.3, p_min=0.3, steps=141))],
+    "fig7": [("fig7", SweepSpec("volume", alpha=(0.0, 0.7, 0.8), steps=201))],
+    "fig8": [("fig8", SweepSpec("trajectory", alpha=(0.0,), p_max=0.99, steps=100))],
+    "fig9": [("fig9", SweepSpec("trajectory", alpha=(0.0, 0.7)))],
+    "fig10": [("fig10", SweepSpec("hcla", alpha=(0.7,), levels=(3,)))],
+    "fig11": [("fig11", SweepSpec("f-norm", alpha=(0.7,), steps=201, levels=(3,)))],
+    "fig12": [
+        ("fig12a", SweepSpec("choi-norm", alpha=(0.9,), q=0.4, p_min=0.4, steps=241, qubits=(1, 2, 3))),
+        ("fig12b", SweepSpec("choi-norm", alpha=(0.9,), q=0.4, p_min=0.4, steps=241, levels=(2, 3, 4))),
+    ],
+    "fig13": [("fig13", SweepSpec("g-function", alpha=(0.9,), p_max=0.98, steps=197, qubits=(1, 2)))],
+}
+
+FIGURES = tuple(_FIGURES)
 
 
 def figure(fig_id: str, out_dir: str = ".", fmt: str = "csv") -> list:
     """Write the dataset(s) behind one figure preset; returns the paths."""
     if fmt not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {fmt!r}")
+    if fig_id not in _FIGURES:
+        raise UsageError(f"unknown figure id {fig_id!r}; expected one of {FIGURES}")
     paths = []
-    for name, table in _figure_tables(fig_id):
+    for name, *specs in _FIGURES[fig_id]:
+        table = _merge([run_sweep(spec) for spec in specs])
         path = os.path.join(out_dir, f"{name}.{fmt}")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             (write_csv if fmt == "csv" else write_json)(table, fh)
@@ -592,18 +550,12 @@ def write_json(table: SweepTable, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def _parse_floats(raw: str) -> tuple:
+def _parse_list(raw: str, kind: type) -> tuple:
     try:
-        return tuple(float(v) for v in raw.split(","))
+        return tuple(kind(v) for v in raw.split(","))
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {raw!r}") from exc
-
-
-def _parse_ints(raw: str) -> tuple:
-    try:
-        return tuple(int(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {raw!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise UsageError(f"expected comma-separated {what}, got {raw!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -630,29 +582,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_grid(quantity: str, q: float) -> tuple:
-    if quantity == "g-function":
-        return 0.0, 0.98
-    if quantity in ("choi-eigs", "choi-norm", "memory-x"):
-        return q, 1.0
-    return 0.0, 1.0
-
-
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    q = 0.3 if args.q is None else args.q
-    p_lo, p_hi = _default_grid(args.target, q)
-    return SweepSpec(
-        quantity=args.target,
-        alpha=_parse_floats(args.alpha) if args.alpha is not None else (0.7,),
-        q=q,
-        p_min=p_lo if args.p_min is None else args.p_min,
-        p_max=p_hi if args.p_max is None else args.p_max,
-        steps=101 if args.steps is None else args.steps,
-        levels=_parse_ints(args.levels) if args.levels is not None else (2,),
-        qubits=_parse_ints(args.qubits) if args.qubits is not None else (1,),
-        out=args.out,
-        fmt=args.fmt or "csv",
-    )
+    """The sweep the flags ask for; unset flags keep the spec defaults and the entry's default grid."""
+    entry = _QUANTITIES[args.target]
+    given = {name: getattr(args, name) for name in ("q", "p_min", "p_max", "steps") if getattr(args, name) is not None}
+    for name, kind in (("alpha", float), ("levels", int), ("qubits", int)):
+        if getattr(args, name) is not None:
+            given[name] = _parse_list(getattr(args, name), kind)
+    given.setdefault("p_min", given.get("q", SweepSpec.q) if entry.pinned else entry.grid[0])
+    given.setdefault("p_max", entry.grid[1])
+    return SweepSpec(args.target, out=args.out, fmt=args.fmt or "csv", **given)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -10,7 +10,10 @@ which for the qubit family is diagonal in the Pauli basis,
 diag(1, lambda, lambda, lambda), with
 
     lambda(p, q) = (p (4 + 4 alpha - 3 alpha p) - 4)
-                   / (4 q + 4 alpha q - 3 alpha q^2 - 4).
+                   / (4 q + 4 alpha q - 3 alpha q^2 - 4),
+
+the ratio G(p)/G(q) of survival factors G = 1 - k over the common
+denominator 4 (N^2 for N levels, see :func:`lambda_ratio`).
 
 The denominator vanishes when the effective depolarizing probability
 reaches 1 at q; that parameter value (``crossover_point``) is a genuine
@@ -47,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import matcore
-from .channels import KrausSet, kappa, qubit_kraus, qudit_kraus
+from .channels import KrausSet, _check_unit_interval, qubit_kraus, qudit_kraus
 from .matcore import (
     PAULI_I,
     PAULI_X,
@@ -73,7 +76,6 @@ __all__ = [
     "qudit_intermediate_map",
     "multiqubit_intermediate_map",
     "lambda_ratio",
-    "qudit_transfer_ratio",
     "maximally_entangled_projector",
     "choi_of",
     "intermediate_choi",
@@ -295,11 +297,17 @@ def multiqubit_intermediate_map(alpha: float, q, p, qubits: int) -> Superoperato
     return Superoperator(acc[..., perm[:, None], perm], 2**n)
 
 
-def lambda_ratio(alpha: float, q, p) -> LambdaRatio:
-    """Closed-form Pauli eigenvalue lambda(p, q) of the qubit propagator.
+def lambda_ratio(alpha: float, q, p, levels: int = 2) -> LambdaRatio:
+    """Closed-form transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator.
 
-    Equals (1 - k(p)) / (1 - k(q)) expressed over the common denominator 4;
-    it is 1 - p at q = alpha = 0 and exactly 1 at p = q. Takes grids too.
+    With n2 = N^2 both survival factors G = 1 - k are written over the
+    common denominator n2,
+
+        lambda = (p (n2 + n2 alpha - (n2 - 1) alpha p) - n2)
+                 / (n2 q + n2 alpha q - (n2 - 1) alpha q^2 - n2);
+
+    it is 1 - p at q = alpha = 0 for the qubit and exactly 1 at p = q.
+    Takes grids too.
 
     Raises:
         SingularMapError: when the denominator vanishes (q at the singular
@@ -307,22 +315,13 @@ def lambda_ratio(alpha: float, q, p) -> LambdaRatio:
             :func:`depolmark.matcore.inverse`.
     """
     _check_pair(q, p)
-    num = p * (4 + 4 * alpha - 3 * alpha * p) - 4
-    den = 4 * q + 4 * alpha * q - 3 * alpha * q * q - 4
-    # |den|/4 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
-    if not _all(abs(den) / 4.0 > matcore._SINGULAR_RTOL):
+    n2 = levels * levels
+    num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
+    den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2
+    # |den|/n2 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
+    if not _all(abs(den) / n2 > matcore._SINGULAR_RTOL):
         raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
     return LambdaRatio(num / den, num, den)
-
-
-def qudit_transfer_ratio(alpha: float, q: float, p: float, levels: int) -> float:
-    """Shared non-identity transfer eigenvalue (1 - k(p)) / (1 - k(q)) for N levels."""
-    _check_pair(q, p)
-    g_p = 1.0 - kappa(alpha, p, levels)
-    g_q = 1.0 - kappa(alpha, q, levels)
-    if not _all(abs(g_q) > matcore._SINGULAR_RTOL):
-        raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
-    return g_p / g_q
 
 
 def maximally_entangled_projector(dim: int) -> np.ndarray:
@@ -395,25 +394,24 @@ def choi_closed_form(alpha: float, q: float, p: float) -> np.ndarray:
 def choi_eigenvalues_closed(alpha: float, q: float, p: float) -> tuple:
     """Closed-form Choi spectrum (Lambda_I, Lambda_X, Lambda_Y, Lambda_Z).
 
-    Lambda_I = 1/4 + (3/4) lambda and Lambda_i = 1/4 - (1/4) lambda; they
-    always sum to 1 (trace preservation), and any negative entry flags an
-    NCP propagator.
+    The N = 2 view of :func:`qudit_choi_eigenvalues`: Lambda_I = 1/4 +
+    (3/4) lambda and Lambda_i = 1/4 - (1/4) lambda; they always sum to 1
+    (trace preservation), and any negative entry flags an NCP propagator.
     """
-    lam = lambda_ratio(alpha, q, p).value
-    top = 0.25 + 0.75 * lam
-    rest = 0.25 - 0.25 * lam
+    top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
     return (top, rest, rest, rest)
 
 
-def qudit_choi_eigenvalues(alpha: float, q: float, p: float, levels: int) -> tuple:
+def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     """Choi spectrum of the N-level propagator as (top, rest).
 
-    ``top`` = l + (1 - l)/N^2 has multiplicity 1 and ``rest`` = (1 - l)/N^2
-    has multiplicity N^2 - 1, with l the shared transfer eigenvalue.
+    ``top`` = 1/N^2 + (1 - 1/N^2) l has multiplicity 1 and ``rest`` =
+    1/N^2 - l/N^2 has multiplicity N^2 - 1, with l = :func:`lambda_ratio`.
+    Takes grids too.
     """
-    lam = qudit_transfer_ratio(alpha, q, p, levels)
+    lam = lambda_ratio(alpha, q, p, levels).value
     n2 = levels * levels
-    return (lam + (1 - lam) / n2, (1 - lam) / n2)
+    return (1 / n2 + (1 - 1 / n2) * lam, 1 / n2 - lam / n2)
 
 
 def crossover_point(alpha: float, levels: int = 2) -> float | None:
@@ -428,8 +426,7 @@ def crossover_point(alpha: float, levels: int = 2) -> float | None:
     p = 1 (and the companion root escapes to infinity), so the family has
     no interior singularity.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return None
     c = (levels * levels - 1) / (levels * levels)

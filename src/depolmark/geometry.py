@@ -31,16 +31,15 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
-from .channels import apply_channel, kappa, qubit_kraus, qudit_kraus
+from .channels import _check_unit_interval, apply_channel, qubit_kraus, qudit_kraus, survival
 from .dynmaps import crossover_point
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, trace_norm
-from .measures import MeasureValue
+from .measures import _QUAD_OPTS, MeasureValue
 
 __all__ = [
     "AffineMap",
     "TrajectoryPoint",
     "bloch_basis",
-    "bloch_contraction",
     "bloch_contraction_derivative",
     "affine_map_of",
     "volume_determinant",
@@ -49,8 +48,6 @@ __all__ = [
     "f_matrix",
     "trajectory",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-11, limit=200)
 
 #: Transfer eigenvalues closer than this to zero make the log-derivative
 #: vector undefined; such trajectory points are kept but marked singular.
@@ -111,13 +108,9 @@ def bloch_basis() -> tuple:
     return (rt * PAULI_I, rt * PAULI_X, rt * PAULI_Y, rt * PAULI_Z)
 
 
-def bloch_contraction(alpha: float, p: float) -> float:
-    """Shared Bloch contraction factor lambda(p) = 1 - k(p) of the qubit map."""
-    return 1.0 - kappa(alpha, p, 2)
-
-
 def bloch_contraction_derivative(alpha: float, p: float) -> float:
-    """d lambda / dp = (3/2) alpha p - alpha - 1."""
+    """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p)."""
+    # Apart from measures._survival_derivative: same G', other last bits; this one feeds trajectories.
     return 1.5 * alpha * p - alpha - 1.0
 
 
@@ -156,13 +149,12 @@ def volume_measure(alpha: float) -> MeasureValue:
     so the integral equals 3 (|lambda(1)| - 0) = (3/4) alpha. The alpha = 0
     channel yields exactly 0.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return MeasureValue("Volume", alpha, 2, 0.0)
 
     def integrand(p: float) -> float:
-        lam = bloch_contraction(alpha, p)
+        lam = survival(alpha, p)
         if lam == 0.0:
             return 0.0
         return max(0.0, 3.0 * math.copysign(1.0, lam) * bloch_contraction_derivative(alpha, p))
@@ -231,7 +223,7 @@ def trajectory(alpha: float, p_grid: Sequence[float]) -> list:
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"grid values must lie in [0, 1], got {p}")
-        lam = bloch_contraction(alpha, p)
+        lam = survival(alpha, p)
         lambdas = (lam, lam, lam)
         abs_lambdas = (abs(lam), abs(lam), abs(lam))
         inside = (1.0 + lambdas[2] >= abs(lambdas[0] + lambdas[1]) - 1e-12) and (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .channels import apply_channel, kappa, qubit_kraus
+from .channels import _check_unit_interval, apply_channel, qubit_kraus, survival
 from .dynmaps import choi_of, crossover_point, lambda_ratio, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
 from .matcore import (
@@ -87,10 +87,7 @@ class MeasureValue:
             raise ValueError(f"unknown measure name {self.name!r}; expected one of {sorted(_MEASURE_NAMES)}")
 
 
-def _survival(alpha: float, p: float, levels: int) -> float:
-    return 1.0 - kappa(alpha, p, levels)
-
-
+# Apart from geometry.bloch_contraction_derivative: same G', other last bits; this one feeds the rates.
 def _survival_derivative(alpha: float, p: float, levels: int) -> float:
     c = (levels * levels - 1) / (levels * levels)
     return -(1.0 + alpha) + 2.0 * c * alpha * p
@@ -107,7 +104,7 @@ def decay_rate(alpha: float, p: float, levels: int = 2) -> float:
     Raises:
         SingularRateError: where G vanishes and the rate diverges.
     """
-    g = _survival(alpha, p, levels)
+    g = survival(alpha, p, levels)
     if abs(g) <= 1e-12:
         raise SingularRateError(f"decay rate diverges at p = {p} (survival factor vanished)")
     return -_survival_derivative(alpha, p, levels) / g
@@ -126,7 +123,7 @@ def decay_rate_normalized(alpha: float, p: float, levels: int = 2) -> float:
             (0, 1] this cannot happen inside [0, 1].
     """
     num = _survival_derivative(alpha, p, levels)
-    den = _survival(alpha, p, levels) + num
+    den = survival(alpha, p, levels) + num
     if abs(den) <= 1e-12:
         raise ValueError(f"normalized rate undefined at p = {p}")
     return num / den
@@ -168,8 +165,7 @@ def hcla_closed_form(alpha: float) -> MeasureValue:
     and the measure is F(1) - F(p_-). The logarithm is taken of the
     absolute value; the branch constant cancels between the endpoints.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return MeasureValue("HCLA_closed", alpha, 2, 0.0)
     s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
@@ -193,8 +189,7 @@ def qutrit_hcla_log_form(alpha: float) -> float:
     It is provided so datasets can report both values side by side; the
     quadrature value is the authoritative one.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return 0.0
     lower = crossover_point(alpha, 3)
@@ -237,7 +232,7 @@ def plus_minus_trace_distance(alpha: float, p: float) -> float:
 
 def plus_minus_distance_derivative(alpha: float, p: float) -> float:
     """dD/dp of :func:`plus_minus_trace_distance` (zero at the kink)."""
-    g = _survival(alpha, p, 2)
+    g = survival(alpha, p)
     if g == 0.0:
         return 0.0
     return math.copysign(1.0, g) * _survival_derivative(alpha, p, 2)
@@ -251,8 +246,7 @@ def blp_measure(alpha: float) -> MeasureValue:
     revival window is (p_-, 1], giving D(1) - D(p_-) = alpha/4. The
     alpha = 0 channel contracts monotonically and yields exactly 0.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return MeasureValue("BLP", alpha, 2, 0.0)
     split = crossover_point(alpha, 2)

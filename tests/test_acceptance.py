@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from depolmark.channels import apply_channel, kappa, multiqubit_kraus, qubit_kraus, qudit_kraus
+from depolmark.channels import apply_channel, kappa, multiqubit_kraus, qubit_kraus, qudit_kraus, survival
 from depolmark.dynmaps import (
     bell_expectations,
     choi_closed_form,
@@ -24,7 +24,7 @@ from depolmark.dynmaps import (
     multiqubit_choi_trace_norm,
     qudit_choi_trace_norm,
 )
-from depolmark.geometry import bloch_contraction, f_matrix, trajectory, volume_determinant, volume_measure
+from depolmark.geometry import f_matrix, trajectory, volume_determinant, volume_measure
 from depolmark.matcore import devectorize, swap_matrix, trace_norm, vectorize
 from depolmark.measures import (
     blp_measure,
@@ -180,7 +180,7 @@ def test_criterion_7_memory_witness():
 def test_criterion_8_volume():
     worst = 0.0
     for alpha, p in itertools.product((0.0, 0.4, 0.8, 1.0), np.linspace(0.0, 1.0, 21)):
-        worst = max(worst, abs(volume_determinant(alpha, p) - abs(bloch_contraction(alpha, p)) ** 3))
+        worst = max(worst, abs(volume_determinant(alpha, p) - abs(survival(alpha, p)) ** 3))
     measure_err = max(
         abs(volume_measure(alpha).value - 0.75 * alpha) for alpha in [round(0.1 * k, 1) for k in range(11)]
     )

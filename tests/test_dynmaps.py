@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from depolmark.channels import multiqubit_kraus, qubit_kraus, qudit_kraus
+from depolmark.channels import kappa, multiqubit_kraus, qubit_kraus, qudit_kraus
 from depolmark.dynmaps import (
     ChoiMatrix,
     Superoperator,
@@ -305,3 +305,31 @@ def test_choi_matrix_shape_validation():
 def test_intermediate_choi_rejects_mixed_extension():
     with pytest.raises(ValueError):
         intermediate_choi(0.5, 0.2, 0.8, levels=3, qubits=2)
+
+
+def test_qubit_closed_forms_keep_their_bits():
+    # The qubit forms before lambda_ratio took N: common denominator 4 and
+    # the spectrum 1/4 +- l. The general-N forms must give the same bits.
+    rng = np.random.default_rng(20)
+    for alpha, q, u in rng.uniform(0.0, 1.0, size=(2000, 3)).tolist():
+        if abs(q - (crossover_point(alpha) or 2.0)) < 1e-9:
+            continue
+        p = q + u * (1.0 - q)
+        num = p * (4 + 4 * alpha - 3 * alpha * p) - 4
+        lam = num / (4 * q + 4 * alpha * q - 3 * alpha * q * q - 4)
+        assert lambda_ratio(alpha, q, p).value.hex() == lam.hex()
+        top, rest, _, _ = choi_eigenvalues_closed(alpha, q, p)
+        assert (top.hex(), rest.hex()) == ((0.25 + 0.75 * lam).hex(), (0.25 - 0.25 * lam).hex())
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_lambda_ratio_is_the_survival_ratio_at_every_level(levels):
+    rng = np.random.default_rng(levels)
+    for alpha, q, u in rng.uniform(0.0, 1.0, size=(200, 3)).tolist():
+        p = q + u * (1.0 - q)
+        g_p, g_q = (1.0 - kappa(alpha, t, levels) for t in (p, q))
+        if abs(g_q) < 1e-6:
+            continue
+        assert abs(lambda_ratio(alpha, q, p, levels).value - g_p / g_q) <= 1e-12 * max(1.0, abs(g_p / g_q))
+    with pytest.raises(SingularMapError):
+        lambda_ratio(0.7, crossover_point(0.7, levels), 0.95, levels)

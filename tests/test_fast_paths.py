@@ -315,9 +315,10 @@ def bits(column) -> list:
 
 def assert_columns_match_per_point(spec, grid):
     names, columns = [], []
-    for series_names, fn in cli._series_for(spec):
-        names += series_names
-        columns += fn(grid)
+    for alpha in spec.alpha:
+        for series_names, fn in cli._QUANTITIES[spec.quantity].columns(spec, alpha):
+            names += series_names
+            columns += fn(grid)
     oracle = per_point_series(spec)
     assert names == [name for name, _ in oracle]
     for name, column, (_, fn) in zip(names, columns, oracle):

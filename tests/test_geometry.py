@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from depolmark.channels import survival
 from depolmark.dynmaps import crossover_point
 from depolmark.geometry import (
     affine_map_of,
-    bloch_contraction,
     bloch_contraction_derivative,
     f_matrix,
     gell_mann_matrices,
@@ -28,7 +28,7 @@ def test_affine_map_at_zero_is_identity():
 
 def test_affine_map_matches_contraction_factor():
     for alpha, p in itertools.product((0.0, 0.4, 0.8, 1.0), (0.0, 0.3, 0.7, 1.0)):
-        lam = bloch_contraction(alpha, p)
+        lam = survival(alpha, p)
         expected = np.diag([1.0, lam, lam, lam])
         assert np.abs(affine_map_of(alpha, p).matrix - expected).max() < 1e-12
         assert abs(lam - (0.75 * alpha * p * p - alpha * p - p + 1)) < 1e-15
@@ -42,14 +42,14 @@ def test_affine_map_first_row_is_trace_preservation():
 def test_affine_map_block_norm():
     for alpha, p in ((0.0, 0.5), (0.8, 0.9)):
         affine = affine_map_of(alpha, p)
-        expected = 3 * abs(bloch_contraction(alpha, p))
+        expected = 3 * abs(survival(alpha, p))
         assert abs(affine.block_trace_norm - expected) < 1e-12
         assert abs(affine.trace_norm - (1 + expected)) < 1e-12
 
 
 def test_volume_determinant_matches_cube_of_contraction():
     for alpha, p in itertools.product((0.0, 0.4, 0.8), (0.0, 0.3, 0.7, 0.9, 1.0)):
-        assert abs(volume_determinant(alpha, p) - abs(bloch_contraction(alpha, p)) ** 3) < 1e-12
+        assert abs(volume_determinant(alpha, p) - abs(survival(alpha, p)) ** 3) < 1e-12
 
 
 def test_volume_memoryless_monotone():
@@ -85,7 +85,7 @@ def test_volume_norm_grows_somewhere_iff_memory():
     grid = np.linspace(0.0, 1.0, 201)
 
     def derivative(alpha, p):
-        lam = bloch_contraction(alpha, p)
+        lam = survival(alpha, p)
         return 3 * np.sign(lam) * bloch_contraction_derivative(alpha, p)
 
     assert all(derivative(0.0, p) <= 0 for p in grid)
@@ -192,7 +192,7 @@ def test_trajectory_divisibility_equivalent_to_log_derivative_sign():
         for pt in trajectory(alpha, np.linspace(0.0, 0.99, 100)):
             if pt.a_vector is None:
                 continue
-            ratio = bloch_contraction_derivative(alpha, pt.p) / bloch_contraction(alpha, pt.p)
+            ratio = bloch_contraction_derivative(alpha, pt.p) / survival(alpha, pt.p)
             assert pt.cp_divisible == (ratio <= 1e-12)
 
 
