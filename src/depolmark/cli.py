@@ -41,8 +41,10 @@ before the column is computed. A singularity at a *pinned* parameter
 (e.g. ``--q`` exactly at the singular value for a Choi quantity) aborts
 with exit code 3; usage errors exit with code 2. Among them: a grid bound
 outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
-``steps`` (every row is held in memory), and a ``g-function`` grid ending
-above 1 - 1e-6 (its finite-difference step).
+``steps`` (every row is held in memory), a ``g-function`` grid ending
+above 1 - 1e-6 (its finite-difference step), a value repeated in
+``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
+that takes one, and an output path that cannot be written.
 
 ``DEPOLMARK_THREADS`` is accepted and ignored: sweeps run serially, as
 whole-grid columns are faster than the per-point threads they replaced.
@@ -169,6 +171,12 @@ class SweepSpec:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
         object.__setattr__(self, "qubits", tuple(int(n) for n in self.qubits))
+        for axis in ("alpha", "levels", "qubits"):
+            values = getattr(self, axis)
+            if not values:
+                raise UsageError(f"at least one {axis} value is required")
+            if len(set(values)) != len(values):
+                raise UsageError(f"{axis} values must be distinct, got {values}")
         for a in self.alpha:
             if not 0.0 <= a <= 1.0:
                 raise UsageError(f"alpha must lie in [0, 1], got {a}")
@@ -184,8 +192,6 @@ class SweepSpec:
             raise UsageError(f"format must be csv or json, got {self.fmt!r}")
         if not self.p_min < self.p_max:
             raise UsageError(f"grid needs min < max, got [{self.p_min}, {self.p_max}]")
-        if not self.alpha:
-            raise UsageError("at least one alpha value is required")
         if self.uses_grid() and not (0.0 <= self.p_min and self.p_max <= 1.0):
             raise UsageError(f"{entry.abscissa} grid values must lie in [0, 1], got [{self.p_min}, {self.p_max}]")
         entry.check(self)
@@ -419,7 +425,7 @@ def _step_room(spec: SweepSpec) -> None:
 _QUANTITIES = {
     "choi-eigs": _Quantity(_choi_eigs, levels=(2, 3, 4), pinned=True),
     "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
-    "decay-rate": _Quantity(_decay_rate, levels=None),
+    "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
     "blp": _Quantity(lambda spec, _: [_column("N_BLP", _pointwise(lambda a: blp_measure(a).value))], abscissa="alpha"),
     "trace-distance": _Quantity(_trace_distance),
@@ -432,6 +438,7 @@ _QUANTITIES = {
     "f-norm": _Quantity(
         lambda spec, a: [_column(f"F{spec.levels[0]}_norm_{_alpha_tag(a)}", _dense(lambda p: f_matrix(a, p, spec.levels[0]).trace_norm))],
         levels=(3, 4),
+        rule=_one_level,
     ),
     "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
 }
@@ -512,10 +519,18 @@ def figure(fig_id: str, out_dir: str = ".", fmt: str = "csv") -> list:
     for name, *specs in _FIGURES[fig_id]:
         table = _merge([run_sweep(spec) for spec in specs])
         path = os.path.join(out_dir, f"{name}.{fmt}")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(path) as fh:
             (write_csv if fmt == "csv" else write_json)(table, fh)
         paths.append(path)
     return paths
+
+
+def _open_out(path: str) -> TextIO:
+    """The output file opened for writing; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _format_value(value: float | None) -> str:
@@ -621,7 +636,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         table = run_sweep(spec)
         writer = write_csv if spec.fmt == "csv" else write_json
         if spec.out:
-            with open(spec.out, "w", encoding="utf-8", newline="") as fh:
+            with _open_out(spec.out) as fh:
                 writer(table, fh)
         else:
             writer(table, sys.stdout)

@@ -29,12 +29,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .channels import _check_unit_interval, apply_channel, qubit_kraus, qudit_kraus, survival
 from .dynmaps import crossover_point
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, trace_norm
-from .measures import _QUAD_OPTS, MeasureValue
+from .measures import MeasureValue, _quad
 
 __all__ = [
     "AffineMap",
@@ -159,10 +158,7 @@ def volume_measure(alpha: float) -> MeasureValue:
             return 0.0
         return max(0.0, 3.0 * math.copysign(1.0, lam) * bloch_contraction_derivative(alpha, p))
 
-    split = crossover_point(alpha, 2)
-    head, _ = integrate.quad(integrand, 0.0, split, **_QUAD_OPTS)
-    tail, _ = integrate.quad(integrand, split, 1.0, **_QUAD_OPTS)
-    return MeasureValue("Volume", alpha, 2, float(head + tail))
+    return MeasureValue("Volume", alpha, 2, _quad(integrand, 0.0, 1.0, crossover_point(alpha, 2)))
 
 
 def gell_mann_matrices(levels: int) -> list:

@@ -14,7 +14,8 @@ Built on the survival factor G(p) = 1 - k(p) of the depolarizing family:
 * memory witness              X = |s| + ||T||_1 from the Bloch-type
   decomposition of the propagator Choi matrix, equal to 3 |lambda(p, q)|.
 
-All quadratures are adaptive with absolute tolerance 1e-9.
+All quadratures are adaptive with absolute tolerance 1e-9. They load
+scipy on first use; the rest of the package needs numpy only.
 ``memory_witness_X``, ``memory_witness_closed`` and ``trace_distance``
 also take whole grids (stacks of states), point by point bit-equal to
 single calls.
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .channels import _check_unit_interval, apply_channel, qubit_kraus, survival
 from .dynmaps import choi_of, crossover_point, lambda_ratio, propagator_column
@@ -62,6 +62,14 @@ __all__ = [
 _MEASURE_NAMES = frozenset({"HCLA", "HCLA_closed", "BLP", "Volume", "Memory"})
 
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-11, limit=200)
+
+
+def _quad(integrand, lower: float, upper: float, split: float | None = None) -> float:
+    """Adaptive quadrature over [lower, upper]; with ``split``, the head then the tail, summed."""
+    from scipy import integrate  # loaded on first use: only the quadrature measures need scipy
+    if split is None:
+        return integrate.quad(integrand, lower, upper, **_QUAD_OPTS)[0]
+    return _quad(integrand, lower, split) + _quad(integrand, split, upper)
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,7 @@ def hcla_measure(alpha: float, levels: int = 2) -> MeasureValue:
     if alpha == 0.0:
         return MeasureValue("HCLA", alpha, levels, 0.0)
     lower = crossover_point(alpha, levels)
-    value, _ = integrate.quad(lambda p: decay_rate_normalized(alpha, p, levels), lower, 1.0, **_QUAD_OPTS)
-    return MeasureValue("HCLA", alpha, levels, float(value))
+    return MeasureValue("HCLA", alpha, levels, _quad(lambda p: decay_rate_normalized(alpha, p, levels), lower, 1.0))
 
 
 def hcla_closed_form(alpha: float) -> MeasureValue:
@@ -249,11 +256,8 @@ def blp_measure(alpha: float) -> MeasureValue:
     _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return MeasureValue("BLP", alpha, 2, 0.0)
-    split = crossover_point(alpha, 2)
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
-    head, _ = integrate.quad(integrand, 0.0, split, **_QUAD_OPTS)
-    tail, _ = integrate.quad(integrand, split, 1.0, **_QUAD_OPTS)
-    return MeasureValue("BLP", alpha, 2, float(head + tail))
+    return MeasureValue("BLP", alpha, 2, _quad(integrand, 0.0, 1.0, crossover_point(alpha, 2)))
 
 
 def blp_random_pair_search(

@@ -348,3 +348,42 @@ def test_pinned_q_failing_the_conditioning_check_gives_na_rows(quantity, capsys)
     assert main(argv) == 0
     rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
     assert rows == ["0.9999999999999,NA", "1,NA"]
+
+
+def test_unwritable_sweep_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["choi-eigs", "--steps", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"depolmark: error: cannot write {out}" in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_figure_directory_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "missing"
+    assert main(["fig1", "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert f"depolmark: error: cannot write {out_dir / 'fig1.csv'}" in captured.err
+    assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["decay-rate", "--levels", "2,3"], "decay-rate supports a single levels value"),
+        (["f-norm", "--levels", "3,4"], "f-norm supports a single levels value"),
+        (["choi-eigs", "--levels", "2,2"], "levels values must be distinct, got (2, 2)"),
+        (["choi-eigs", "--alpha", "0.7,0.7"], "alpha values must be distinct, got (0.7, 0.7)"),
+        (["choi-norm", "--qubits", "1,1"], "qubits values must be distinct, got (1, 1)"),
+    ],
+)
+def test_list_flags_that_would_drop_or_repeat_a_series_exit_2(argv, message, capsys):
+    assert main([*argv, "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("quantity,axis", [("blp", "alpha"), ("choi-eigs", "levels"), ("g-function", "qubits")])
+def test_empty_list_is_rejected(quantity, axis):
+    with pytest.raises(UsageError, match=f"at least one {axis} value is required"):
+        SweepSpec(quantity, p_min=0.3, p_max=0.9, **{axis: ()})
