@@ -21,8 +21,11 @@ from figure id to the files the preset writes, each with the pinned
 spec(s) behind it; two specs behind one file (``fig4``) are merged column
 by column. ``FIGURES`` lists its keys in order.
 
-Every series is a column function: it takes the whole grid as an array
-and returns its column in one call. The dense columns (``choi-norm``,
+Every series group is a column function: it takes the whole grid as an
+array and returns one float column per series name, NaN marking an NA
+sample; ``run_sweep`` turns NaN into ``None`` in one place, and
+``SweepTable`` keeps the columns (abscissa first), its ``rows`` being
+derived from them. The dense columns (``choi-norm``,
 ``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
 run the whole grid through the stacked Kraus -> superoperator -> Choi
 route, 32 grid points per block (``matcore.blockwise``) so that the
@@ -30,21 +33,24 @@ stacks held at once stay a few hundred kilobytes whatever ``--steps`` is;
 with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series,
 and the n-qubit Choi norms of one alpha are powers of one single-qubit
 column. The stacked route is bit-equal to evaluating the points one by
-one. ``choi-eigs`` evaluates its closed form on the whole grid, and the
-``trajectory`` of one alpha is computed once and feeds its five columns.
-The other closed forms (``decay-rate``, ``hcla``, ``blp``) are evaluated
-point by point through one helper.
+one. ``choi-eigs`` and ``decay-rate`` evaluate their closed forms on the
+whole grid, the ``trajectory`` of one alpha is computed once and feeds its
+five columns, and ``hcla`` and ``blp`` call their measure once per alpha.
 
-Grid points inside the singularity guard band are emitted as ``NA``
-samples, never dropped: a mask, computed once per series, marks them
-before the column is computed. A singularity at a *pinned* parameter
-(e.g. ``--q`` exactly at the singular value for a Choi quantity) aborts
-with exit code 3; usage errors exit with code 2. Among them: a grid bound
-outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
-``steps`` (every row is held in memory), a ``g-function`` grid ending
-above 1 - 1e-6 (its finite-difference step), a value repeated in
-``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
-that takes one, and an output path that cannot be written.
+Grid points inside the singularity guard band, or where a closed form is
+undefined, are emitted as ``NA`` samples, never dropped: a mask, computed
+once per series, marks them before the column is computed. A pinned q that
+fails the SVD check makes its whole series group NA. A singularity at a
+*pinned* parameter (e.g. ``--q`` exactly at the singular value for a Choi
+quantity) aborts with exit code 3; usage errors exit with code 2. Among
+them: a grid bound outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more
+than 1 000 000 ``steps`` (every row is held in memory), a ``g-function``
+grid ending above 1 - 1e-6 (its finite-difference step), a value repeated
+in ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
+that takes one, and an output path that cannot be written. Series names
+and the CSV metadata echo print numbers with ``:g`` where that reads back
+as the same float, and with the shortest round-tripping ``repr``
+otherwise.
 
 ``DEPOLMARK_THREADS`` is accepted and ignored: sweeps run serially, as
 whole-grid columns are faster than the per-point threads they replaced.
@@ -62,7 +68,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .channels import apply_channel, qubit_kraus
+from .channels import apply_channel, qubit_kraus, survival
 from .dynmaps import (
     G_FUNCTION_STEP,
     SINGULARITY_GUARD,
@@ -83,6 +89,7 @@ from .measures import (
     memory_witness_X,
     plus_minus_states,
     qutrit_hcla_log_form,
+    _survival_derivative,
     trace_distance,
 )
 
@@ -221,23 +228,36 @@ class SweepSpec:
 
 @dataclass
 class SweepTable:
-    """Grid samples of one or more named series over a common abscissa."""
+    """Grid samples of one or more named series over a common abscissa.
+
+    ``columns`` holds the abscissa column first, then one column per series
+    name: lists of floats, with ``None`` for an NA sample.
+    """
 
     abscissa_name: str
     series_names: tuple
-    rows: list = field(repr=False)
+    columns: list = field(repr=False)
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def rows(self) -> list:
+        return list(zip(*self.columns))
+
     def column(self, name: str) -> list:
-        idx = ([self.abscissa_name] + list(self.series_names)).index(name)
-        return [row[idx] for row in self.rows]
+        return list(self.columns[[self.abscissa_name, *self.series_names].index(name)])
 
 
 # ---------------------------------------------------------------- series helpers
 
 
+def _number(value: float) -> str:
+    """``:g`` where it reads back as the same float, else the shortest round-tripping repr."""
+    short = format(value, "g")
+    return short if float(short) == value else repr(value)
+
+
 def _alpha_tag(alpha: float) -> str:
-    return f"alpha{alpha:g}"
+    return f"alpha{_number(alpha)}"
 
 
 def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1) -> str:
@@ -255,51 +275,20 @@ def _column(name: str, fn: Callable[[np.ndarray], Sequence]) -> tuple:
     return (name,), lambda grid: [fn(grid)]
 
 
-def _pointwise(fn: Callable[[float], float | None]) -> Callable[[np.ndarray], list]:
-    """Column of a cheap closed form, one call per grid point; singularities become NA."""
-
-    def column(grid: np.ndarray) -> list:
-        out = []
-        for x in grid.tolist():
-            try:
-                out.append(fn(x))
-            except SingularityError:
-                out.append(None)
-        return out
-
-    return column
-
-
 def _dense(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Column of a stacked dense-route function, evaluated block by block."""
     return lambda grid: blockwise(fn, grid)
 
 
-def _pinned(names: tuple, fn: Callable[[np.ndarray], Sequence]) -> tuple:
-    """Series group whose columns all come from one q-pinned ``fn(grid)``.
-
-    A pinned q outside the guard band can still fail the SVD check (alpha = 0
-    with q within 1e-12 of 1); every point then shares that failure, so every
-    column is NA.
-    """
-
-    def columns(grid: np.ndarray) -> Sequence:
-        try:
-            return fn(grid)
-        except SingularMapError:
-            return [[None] * len(grid)] * len(names)
-
-    return names, columns
-
-
 def _masked(mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray], Sequence]) -> Callable:
-    """Column of ``fn`` on the grid points outside ``mask(grid)``, NA at the masked ones."""
+    """Column of ``fn`` on the grid points outside ``mask(grid)``, NaN (NA) at the masked ones."""
 
-    def column(grid: np.ndarray) -> list:
+    def column(grid: np.ndarray) -> np.ndarray:
         na = mask(grid)
-        inside = grid[~na]
-        values = iter(np.asarray(fn(inside) if inside.size else []).tolist())
-        return [None if masked else next(values) for masked in na.tolist()]
+        out = np.full(grid.shape, np.nan)
+        if not na.all():
+            out[~na] = fn(grid[~na])
+        return out
 
     return column
 
@@ -332,7 +321,7 @@ def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
         tag = _system_tag(spec, alpha, levels=n)
         names = ("Lambda_I", "Lambda_XYZ") if n == 2 else ("Lambda_top", "Lambda_rest")
         spectrum = lambda grid, n=n: qudit_choi_eigenvalues(alpha, spec.q, grid, n)
-        groups.append(_pinned(tuple(f"{name}_{tag}" for name in names), spectrum))
+        groups.append((tuple(f"{name}_{tag}" for name in names), spectrum))
     return groups
 
 
@@ -346,28 +335,34 @@ def _choi_norm(spec: SweepSpec, alpha: float) -> list:
         return [[b**k for b in base] for k in spec.qubits]
 
     return [
-        _pinned(tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits), lambda grid, n=n: norms(grid, n))
+        (tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits), lambda grid, n=n: norms(grid, n))
         for n in spec.levels
     ]
 
 
 def _decay_rate(spec: SweepSpec, alpha: float) -> list:
     n, tag = spec.levels[0], _alpha_tag(alpha)
-    pole = lambda grid: _guard(grid, alpha, n) | ((alpha == 0.0) & (abs(grid - 1.0) < SINGULARITY_GUARD))
-    # The normalized rate has its only [0, 1] pole at alpha = 0, p = 0.
-    norm_pole = lambda grid: (alpha == 0.0) & (grid < SINGULARITY_GUARD)
+    # NA in the guard band of each pole (p_- for the rate, p = 1 and p = 0 at
+    # alpha = 0) and wherever the library would raise: G = 0 for the rate,
+    # G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
+    g = lambda p: survival(alpha, p, n)
+    pole = lambda p: _guard(p, alpha, n) | ((alpha == 0.0) & (abs(p - 1.0) < SINGULARITY_GUARD)) | (abs(g(p)) <= 1e-12)
+    norm_pole = lambda p: ((alpha == 0.0) & (p < SINGULARITY_GUARD)) | (abs(g(p) + _survival_derivative(alpha, p, n)) <= 1e-12)
     return [
-        _column(f"gamma_{tag}", _masked(pole, _pointwise(lambda p: decay_rate(alpha, p, n)))),
-        _column(f"gamma_normalized_{tag}", _masked(norm_pole, _pointwise(lambda p: decay_rate_normalized(alpha, p, n)))),
+        _column(f"gamma_{tag}", _masked(pole, lambda p: decay_rate(alpha, p, n))),
+        _column(f"gamma_normalized_{tag}", _masked(norm_pole, lambda p: decay_rate_normalized(alpha, p, n))),
     ]
+
+
+def _per_alpha(name: str, fn: Callable[[float], float]) -> tuple:
+    """Column of a measure over the alpha grid, one call per alpha."""
+    return _column(name, lambda alphas: [fn(a) for a in alphas.tolist()])
 
 
 def _hcla(spec: SweepSpec, alpha: float | None) -> list:
     n = spec.levels[0]
-    numeric = _column("N_HCLA_numeric", _pointwise(lambda a: hcla_measure(a, n).value))
-    if n == 2:
-        return [numeric, _column("N_HCLA_closed", _pointwise(lambda a: hcla_closed_form(a).value))]
-    return [numeric, _column("N_HCLA_log_form", _pointwise(qutrit_hcla_log_form))]
+    closed = ("N_HCLA_closed", lambda a: hcla_closed_form(a).value) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
+    return [_per_alpha("N_HCLA_numeric", lambda a: hcla_measure(a, n).value), _per_alpha(*closed)]
 
 
 def _trace_distance(spec: SweepSpec, alpha: float) -> list:
@@ -382,14 +377,8 @@ def _trace_distance(spec: SweepSpec, alpha: float) -> list:
 
 def _trajectory(spec: SweepSpec, alpha: float) -> list:
     def columns(grid: np.ndarray) -> list:
-        points = trajectory(alpha, grid)
-        return [
-            [pt.lambdas[0] for pt in points],
-            [pt.abs_lambdas[0] for pt in points],
-            [None if pt.a_vector is None else pt.a_vector[0] for pt in points],
-            [float(pt.inside_tetrahedron) for pt in points],
-            [float(pt.cp_divisible) for pt in points],
-        ]
+        path = trajectory(alpha, grid)
+        return [path.lam, np.abs(path.lam), path.a, path.inside_tetrahedron, path.cp_divisible]
 
     names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
     return [(tuple(f"{name}_{_alpha_tag(alpha)}" for name in names), columns)]
@@ -427,10 +416,10 @@ _QUANTITIES = {
     "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
-    "blp": _Quantity(lambda spec, _: [_column("N_BLP", _pointwise(lambda a: blp_measure(a).value))], abscissa="alpha"),
+    "blp": _Quantity(lambda spec, _: [_per_alpha("N_BLP", lambda a: blp_measure(a).value)], abscissa="alpha"),
     "trace-distance": _Quantity(_trace_distance),
     "memory-x": _Quantity(
-        lambda spec, a: [_pinned((f"X_{_alpha_tag(a)}",), lambda grid: [memory_witness_X(a, spec.q, grid)])],
+        lambda spec, a: [_column(f"X_{_alpha_tag(a)}", lambda grid: memory_witness_X(a, spec.q, grid))],
         pinned=True,
     ),
     "volume": _Quantity(lambda spec, a: [_column(f"volume_{_alpha_tag(a)}", _dense(lambda p: volume_determinant(a, p)))]),
@@ -447,22 +436,30 @@ QUANTITIES = tuple(_QUANTITIES)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the requested quantity on its grid, one column function call per series.
+    """Evaluate the requested quantity on its grid, one column function call per series group.
 
-    Singular grid points are emitted as ``None`` samples, never dropped.
+    Every group returns one float column per name, NaN marking NA; here,
+    and only here, NaN becomes the ``None`` sample that the writers print
+    as NA. Singular grid points are never dropped. A group that raises
+    ``SingularMapError`` is NA throughout: that is a pinned q failing the
+    SVD check outside the guard band (alpha = 0 with q within 1e-12 of 1),
+    which fails every point alike.
     """
     entry = _QUANTITIES[spec.quantity]
     if entry.pinned:
         _check_pinned_q(spec)
     grid = spec.grid() if spec.uses_grid() else np.array(spec.alpha)
     names: list = []
-    columns: list = []
+    columns: list = [grid.tolist()]
     for alpha in spec.alpha if entry.abscissa != "alpha" else (None,):
         for series_names, fn in entry.columns(spec, alpha):
+            try:
+                group = fn(grid)
+            except SingularMapError:
+                group = np.full((len(series_names), grid.size), np.nan)
             names.extend(series_names)
-            columns.extend(np.asarray(column).tolist() for column in fn(grid))
-    rows = list(zip(grid.tolist(), *columns))
-    return SweepTable(entry.abscissa, tuple(names), rows, spec.metadata())
+            columns.extend([None if v != v else v for v in np.asarray(column, dtype=float).tolist()] for column in group)
+    return SweepTable(entry.abscissa, tuple(names), columns, spec.metadata())
 
 
 def _merge(tables: Sequence[SweepTable]) -> SweepTable:
@@ -471,18 +468,13 @@ def _merge(tables: Sequence[SweepTable]) -> SweepTable:
     if len(tables) == 1:
         return first
     for other in tables[1:]:
-        if other.abscissa_name != first.abscissa_name or len(other.rows) != len(first.rows):
-            raise ValueError("cannot merge tables with different abscissas")
-        if any(a[0] != b[0] for a, b in zip(first.rows, other.rows)):
+        if other.abscissa_name != first.abscissa_name or other.columns[0] != first.columns[0]:
             raise ValueError("cannot merge tables with different grids")
     names = tuple(n for t in tables for n in t.series_names)
-    rows = [
-        sum((tuple(t.rows[i][1:]) for t in tables), (first.rows[i][0],))
-        for i in range(len(first.rows))
-    ]
+    columns = [first.columns[0]] + [c for t in tables for c in t.columns[1:]]
     meta = dict(first.metadata)
     meta["merged_quantities"] = [t.metadata.get("quantity") for t in tables]
-    return SweepTable(first.abscissa_name, names, rows, meta)
+    return SweepTable(first.abscissa_name, names, columns, meta)
 
 
 # Figure id -> one (file name, spec, ...) per file written; the specs behind
@@ -550,7 +542,7 @@ def _meta_str(value) -> str:
     if isinstance(value, (list, tuple)):
         return ";".join(_meta_str(v) for v in value)
     if isinstance(value, float):
-        return format(value, "g")
+        return _number(value)
     return str(value)
 
 

@@ -19,14 +19,15 @@ Three views of the same family:
 
 ``affine_map_of``, ``volume_determinant`` and ``f_matrix`` take ``p`` as one
 value or as a grid; a grid gives stacked transfer matrices, point by point
-bit-equal to single calls, and ``trajectory`` takes the whole grid.
+bit-equal to single calls, and ``trajectory`` returns one array per
+field over the whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .measures import MeasureValue, _quad
 
 __all__ = [
     "AffineMap",
-    "TrajectoryPoint",
+    "Trajectory",
     "bloch_basis",
     "bloch_contraction_derivative",
     "affine_map_of",
@@ -79,26 +80,24 @@ class AffineMap:
         return trace_norm(self.matrix[..., 1:, 1:])
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """State of the parameter-space trajectory at one grid point.
+class Trajectory(NamedTuple):
+    """The transfer-eigenvalue trajectory over a grid, one array entry per grid point.
 
-    ``a_vector`` holds the log-derivative triple (lambda_i'/lambda_i) and is
-    ``None`` where a transfer eigenvalue vanishes; such points keep their
-    remaining data but cannot be classified as CP divisible (the propagator
-    through them is undefined), so ``cp_divisible`` is False there.
-    ``inequalities`` are the scalar products of the A vector with
-    (-1, 1, 1), (1, -1, 1) and (1, 1, -1); CP divisibility requires all
-    three to be nonpositive.
+    The three transfer eigenvalues are equal, so ``lam`` holds the one
+    value; ``a`` is the log-derivative lambda'/lambda shared by all three
+    axes of the A vector, NaN where |lambda| <= 1e-12. CP divisibility
+    needs the three inequalities A.(-1, 1, 1), A.(1, -1, 1) and
+    A.(1, 1, -1) to be <= 1e-12; with equal entries each of them is
+    exactly ``a`` in floating point, so ``cp_divisible`` is ``a <= 1e-12``,
+    and False where ``a`` is NaN (the propagator through that point is
+    undefined).
     """
 
-    p: float
-    lambdas: tuple
-    abs_lambdas: tuple
-    a_vector: tuple | None
-    inequalities: tuple | None
-    inside_tetrahedron: bool
-    cp_divisible: bool
+    p: np.ndarray
+    lam: np.ndarray
+    a: np.ndarray
+    inside_tetrahedron: np.ndarray
+    cp_divisible: np.ndarray
 
 
 def bloch_basis() -> tuple:
@@ -204,39 +203,19 @@ def f_matrix(alpha: float, p, levels: int) -> AffineMap:
     return AffineMap(_transfer_table(qudit_kraus(alpha, p, n), basis) / (n * n), basis)
 
 
-def trajectory(alpha: float, p_grid: Sequence[float]) -> list:
+def trajectory(alpha: float, p_grid) -> Trajectory:
     """Trace the transfer-eigenvalue trajectory over a parameter grid.
 
-    For every grid point the shared eigenvalue lambda(p), its absolute
-    value, the analytic log-derivative vector A(p) = lambda'/lambda
-    (repeated on all three axes), the three divisibility inequalities and
-    the tetrahedron membership test 1 +- lambda_3 >= |lambda_1 +- lambda_2|
-    are evaluated. Grid points with lambda = 0 are retained with
-    ``a_vector=None``.
+    Evaluates, on the whole grid at once, the shared eigenvalue lambda(p),
+    the analytic log-derivative A(p) = lambda'/lambda, CP divisibility and
+    the tetrahedron membership test 1 +- lambda_3 >= |lambda_1 +- lambda_2|.
+    Grid points with lambda = 0 are retained with ``a`` NaN.
     """
-    points = []
-    for p in p_grid:
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"grid values must lie in [0, 1], got {p}")
-        lam = survival(alpha, p)
-        lambdas = (lam, lam, lam)
-        abs_lambdas = (abs(lam), abs(lam), abs(lam))
-        inside = (1.0 + lambdas[2] >= abs(lambdas[0] + lambdas[1]) - 1e-12) and (
-            1.0 - lambdas[2] >= abs(lambdas[0] - lambdas[1]) - 1e-12
-        )
-        if abs(lam) <= _LAMBDA_FLOOR:
-            points.append(TrajectoryPoint(p, lambdas, abs_lambdas, None, None, inside, False))
-            continue
-        a = bloch_contraction_derivative(alpha, p) / lam
-        a_vector = (a, a, a)
-        inequalities = (
-            -a_vector[0] + a_vector[1] + a_vector[2],
-            a_vector[0] - a_vector[1] + a_vector[2],
-            a_vector[0] + a_vector[1] - a_vector[2],
-        )
-        divisible = all(v <= 1e-12 for v in inequalities)
-        points.append(
-            TrajectoryPoint(p, lambdas, abs_lambdas, a_vector, inequalities, inside, divisible)
-        )
-    return points
+    p = np.array(p_grid, dtype=float, ndmin=1)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError(f"grid values must lie in [0, 1], got {p}")
+    lam = survival(alpha, p)
+    singular = np.abs(lam) <= _LAMBDA_FLOOR
+    a = np.divide(bloch_contraction_derivative(alpha, p), lam, out=np.full_like(lam, np.nan), where=~singular)
+    inside = (1.0 + lam >= np.abs(lam + lam) - 1e-12) & (1.0 - lam >= np.abs(lam - lam) - 1e-12)
+    return Trajectory(p, lam, a, inside, ~singular & (a <= 1e-12))

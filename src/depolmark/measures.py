@@ -16,9 +16,11 @@ Built on the survival factor G(p) = 1 - k(p) of the depolarizing family:
 
 All quadratures are adaptive with absolute tolerance 1e-9. They load
 scipy on first use; the rest of the package needs numpy only.
-``memory_witness_X``, ``memory_witness_closed`` and ``trace_distance``
-also take whole grids (stacks of states), point by point bit-equal to
-single calls.
+``decay_rate``, ``decay_rate_normalized``, ``memory_witness_X``,
+``memory_witness_closed`` and ``trace_distance`` also take whole grids
+(stacks of states), point by point bit-equal to single calls; a scalar
+stays on plain Python floats, as the quadrature integrands call it
+thousands of times.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _check_unit_interval, apply_channel, qubit_kraus, survival
-from .dynmaps import choi_of, crossover_point, lambda_ratio, propagator_column
+from .dynmaps import _all, choi_of, crossover_point, lambda_ratio, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
 from .matcore import (
     PAULI_X,
@@ -101,38 +103,41 @@ def _survival_derivative(alpha: float, p: float, levels: int) -> float:
     return -(1.0 + alpha) + 2.0 * c * alpha * p
 
 
-def decay_rate(alpha: float, p: float, levels: int = 2) -> float:
+def decay_rate(alpha: float, p, levels: int = 2):
     """Canonical decay rate gamma(p) = -G'(p)/G(p) with G = 1 - k(p).
 
     For the qubit this is (4 + (4 - 6 p) alpha) / (4 + 3 alpha p^2
     - 4 p (1 + alpha)); at alpha = 0 it reduces to 1/(1 - p). The rate is
     positive while the channel keeps contracting and flips sign across the
-    singular parameter value.
+    singular parameter value. A grid of p gives an array.
 
     Raises:
-        SingularRateError: where G vanishes and the rate diverges.
+        SingularRateError: where G vanishes (at any point of a grid) and the
+            rate diverges.
     """
     g = survival(alpha, p, levels)
-    if abs(g) <= 1e-12:
+    if not _all(abs(g) > 1e-12):
         raise SingularRateError(f"decay rate diverges at p = {p} (survival factor vanished)")
     return -_survival_derivative(alpha, p, levels) / g
 
 
-def decay_rate_normalized(alpha: float, p: float, levels: int = 2) -> float:
+def decay_rate_normalized(alpha: float, p, levels: int = 2):
     """Normalized rate gamma~ = -gamma/(1 - gamma), simplified to G'/(G + G').
 
     The algebraic simplification cancels the pole of gamma, so the value is
     finite across the singular parameter (where it equals exactly 1). For
     the qubit it reads (4 + 4 alpha - 6 alpha p) / (4 p + 4 alpha
-    - 2 alpha p - 3 alpha p^2), and 1/p at alpha = 0.
+    - 2 alpha p - 3 alpha p^2), and 1/p at alpha = 0. A grid of p gives an
+    array.
 
     Raises:
-        ValueError: if the simplified denominator vanishes; for alpha in
-            (0, 1] this cannot happen inside [0, 1].
+        ValueError: if the simplified denominator G + G' (about -(alpha + p)
+            near p = 0) vanishes at any point: at alpha = p = 0, and wherever
+            alpha + p is below about 1e-12.
     """
     num = _survival_derivative(alpha, p, levels)
     den = survival(alpha, p, levels) + num
-    if abs(den) <= 1e-12:
+    if not _all(abs(den) > 1e-12):
         raise ValueError(f"normalized rate undefined at p = {p}")
     return num / den
 
@@ -171,10 +176,16 @@ def hcla_closed_form(alpha: float) -> MeasureValue:
 
     and the measure is F(1) - F(p_-). The logarithm is taken of the
     absolute value; the branch constant cancels between the endpoints.
+
+    Below alpha = 1e-6 the two endpoint values cancel catastrophically
+    (relative error -9.9 at alpha = 1e-16, and the artanh argument leaves
+    (-1, 1) below about 1e-17), so the series alpha/4 + 3 alpha^2/32 is
+    returned there instead: it is within 5e-14 relative of a 60-digit
+    quadrature on (0, 1e-6) and gives exactly 0 at alpha = 0.
     """
     _check_unit_interval("alpha", alpha)
-    if alpha == 0.0:
-        return MeasureValue("HCLA_closed", alpha, 2, 0.0)
+    if alpha < 1e-6:
+        return MeasureValue("HCLA_closed", alpha, 2, alpha / 4.0 + 3.0 * alpha * alpha / 32.0)
     s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
 
     def antiderivative(p: float) -> float:

@@ -196,13 +196,12 @@ def test_criterion_8_volume():
 
 
 def test_criterion_9_trajectory_divisibility():
-    memoryless_ok = all(pt.cp_divisible for pt in trajectory(0.0, np.linspace(0.0, 0.99, 100)))
+    memoryless_ok = bool(trajectory(0.0, np.linspace(0.0, 0.99, 100)).cp_divisible.all())
     window = np.minimum(np.arange(0.80, 1.0001, 0.01), 1.0)
-    violated = all(not pt.cp_divisible for pt in trajectory(0.7, window))
-    worst = 0.0
-    for pt in trajectory(0.7, window):
-        expected = (42 * pt.p - 68) / (21 * pt.p**2 - 68 * pt.p + 40)
-        worst = max(worst, abs(pt.a_vector[0] - expected))
+    path = trajectory(0.7, window)
+    violated = not path.cp_divisible.any()
+    expected = (42 * path.p - 68) / (21 * path.p**2 - 68 * path.p + 40)
+    worst = float(np.max(np.abs(path.a - expected)))
     report(
         9,
         "alpha=0 divisible on [0, 0.99]; alpha=0.7 violated on [0.80, 1.00] with A matching the rational form",

@@ -387,3 +387,49 @@ def test_list_flags_that_would_drop_or_repeat_a_series_exit_2(argv, message, cap
 def test_empty_list_is_rejected(quantity, axis):
     with pytest.raises(UsageError, match=f"at least one {axis} value is required"):
         SweepSpec(quantity, p_min=0.3, p_max=0.9, **{axis: ()})
+
+
+def payload(capsys) -> tuple:
+    """(metadata lines, header, data rows) of a CSV sweep printed to stdout."""
+    lines = capsys.readouterr().out.splitlines()
+    meta = [l for l in lines if l.startswith("#")]
+    table = [l.split(",") for l in lines if not l.startswith("#")]
+    return meta, table[0], table[1:]
+
+
+def test_values_equal_to_six_digits_keep_distinct_names_and_metadata(capsys):
+    argv = ["choi-eigs", "--alpha", "0.7,0.7000001", "--q", "0.30000001", "--steps", "2"]
+    assert main(argv) == 0
+    meta, header, rows = payload(capsys)
+    assert header == ["p", "Lambda_I_alpha0.7", "Lambda_XYZ_alpha0.7", "Lambda_I_alpha0.7000001", "Lambda_XYZ_alpha0.7000001"]
+    assert "# alpha=0.7;0.7000001" in meta and "# q=0.30000001" in meta and "# p_min=0.30000001" in meta
+    assert rows[0][1:3] != rows[0][3:] or rows[1][1:3] != rows[1][3:]
+    # Values that round-trip under :g keep their short form.
+    assert main(["choi-eigs", "--alpha", "0.7", "--q", "0.3", "--steps", "2"]) == 0
+    meta, header, _ = payload(capsys)
+    assert header[1] == "Lambda_I_alpha0.7" and "# q=0.3" in meta and "# p_max=1" in meta
+
+
+def test_decay_rate_at_tiny_alpha_marks_the_vanishing_normalized_denominator(capsys):
+    # G + G' = -alpha at p = 0: 1e-300 makes it vanish, so that cell is NA.
+    assert main(["decay-rate", "--alpha", "1e-300"]) == 0
+    _, header, rows = payload(capsys)
+    assert header == ["p", "gamma_alpha1e-300", "gamma_normalized_alpha1e-300"]
+    assert rows[0] == ["0", "1", "NA"]
+    assert rows[1][2] != "NA" and rows[-1][1] == "NA"
+
+
+def test_hcla_at_tiny_alpha_uses_the_series(capsys):
+    assert main(["hcla", "--alpha", "0,1e-17"]) == 0
+    _, header, rows = payload(capsys)
+    assert header == ["alpha", "N_HCLA_numeric", "N_HCLA_closed"]
+    assert rows == [["0", "0", "0"], ["1e-17", "0", "2.5e-18"]]
+
+
+def test_sweep_table_rows_are_its_columns_side_by_side():
+    table = run_sweep(SweepSpec("trajectory", alpha=(1.0,), steps=4))
+    assert len(table.columns) == 1 + len(table.series_names)
+    assert table.rows == list(zip(*table.columns))
+    assert table.column("p") == table.columns[0]
+    a_column = table.column("A_alpha1")
+    assert a_column[2] is None and a_column[::3] == [-2.0, 2.0] and a_column[1] == pytest.approx(-3.6)

@@ -1,0 +1,69 @@
+"""Property test of the exit-code contract: any command line ends in 0, 2 or 3, never a traceback."""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from depolmark.cli import QUANTITIES, main
+
+# Ordinary values and edge values inside [0, 1]: its ends, a signed zero,
+# subnormal and tiny numbers, the alpha = 1 singular point, a hair below 1.
+IN_RANGE = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-300, 1e-17, 1e-7, 2 / 3, 0.99, 1 - 1e-12]),
+)
+OUT_OF_RANGE = st.sampled_from([math.nan, math.inf, -math.inf, -1e-9, 1.0000001, 2.0])
+
+
+def number_list(values, fmt=repr, unique=False):
+    return st.lists(values, min_size=1, max_size=3, unique=unique).map(lambda vs: ",".join(fmt(v) for v in vs))
+
+
+# flag -> (value in its domain, value that may leave it)
+FLAGS = {
+    "--alpha": (number_list(IN_RANGE), number_list(st.one_of(IN_RANGE, OUT_OF_RANGE))),
+    "--q": (IN_RANGE.map(repr), OUT_OF_RANGE.map(repr)),
+    "--p-min": (IN_RANGE.map(repr), OUT_OF_RANGE.map(repr)),
+    "--p-max": (IN_RANGE.map(repr), OUT_OF_RANGE.map(repr)),
+    "--steps": (st.integers(2, 12).map(str), st.sampled_from(["-1", "0", "1", "1.5"])),
+    "--levels": (number_list(st.integers(2, 5), str, unique=True), number_list(st.integers(0, 5), str)),
+    "--qubits": (number_list(st.integers(1, 4), str, unique=True), number_list(st.integers(0, 4), str)),
+    "--format": (st.sampled_from(["csv", "json"]), st.just("xml")),
+}
+
+
+@st.composite
+def command_lines(draw) -> list:
+    """A quantity and up to five flags, each value out of its domain one time in four."""
+    argv = [draw(st.sampled_from(QUANTITIES))]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS)), unique=True, max_size=5)):
+        good, bad = FLAGS[flag]
+        value = draw(draw(st.sampled_from([good, good, good, bad])))
+        argv.append(f"{flag}={value}")  # "=" lets a value start with "-"
+    return argv
+
+
+def cells(payload: str) -> list:
+    """Every sample of a CSV or JSON table, as text."""
+    if payload.startswith("{"):
+        return [repr(v) for row in json.loads(payload)["rows"] for v in row]
+    lines = [line for line in payload.splitlines() if not line.startswith("#")]
+    return [cell for line in lines[1:] for cell in line.split(",")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+@example(argv=["hcla", "--alpha", "0,1e-17"])
+@example(argv=["decay-rate", "--alpha", "1e-300"])
+@example(argv=["choi-eigs", "--alpha", "0.7,0.7000001", "--q", "0.30000001", "--steps", "2"])
+def test_any_command_line_exits_0_2_or_3_without_nan_cells(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        assert "nan" not in [cell.lower() for cell in cells(out.getvalue())], argv

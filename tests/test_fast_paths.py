@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depolmark import cli, dynmaps, geometry, measures
+from depolmark import channels, cli, dynmaps, geometry, measures
 from depolmark.channels import KrausSet, apply_channel, multiqubit_kraus, qubit_kraus, qudit_kraus
 from depolmark.dynmaps import (
     SINGULARITY_GUARD,
@@ -227,6 +227,25 @@ def guarded(fn):
     return wrapped
 
 
+def trajectory_point(alpha, p) -> tuple:
+    """(lambda, |lambda|, A or None, inside, CP divisible) at one p, the three axes written out."""
+    lam = channels.survival(alpha, p)
+    lambdas = (lam, lam, lam)
+    inside = (1.0 + lambdas[2] >= abs(lambdas[0] + lambdas[1]) - 1e-12) and (
+        1.0 - lambdas[2] >= abs(lambdas[0] - lambdas[1]) - 1e-12
+    )
+    if abs(lam) <= 1e-12:
+        return lam, abs(lam), None, inside, False
+    a = geometry.bloch_contraction_derivative(alpha, p) / lam
+    a_vector = (a, a, a)
+    inequalities = (
+        -a_vector[0] + a_vector[1] + a_vector[2],
+        a_vector[0] - a_vector[1] + a_vector[2],
+        a_vector[0] + a_vector[1] - a_vector[2],
+    )
+    return lam, abs(lam), a, inside, all(v <= 1e-12 for v in inequalities)
+
+
 def near(x, alpha, levels=2):
     point = crossover_point(alpha, levels)
     return point is not None and abs(x - point) < SINGULARITY_GUARD
@@ -236,7 +255,8 @@ def per_point_series(spec) -> list:
     """(name, fn(x)) pairs of the sweep, one scalar call per point."""
     q, out = spec.q, []
     for alpha in spec.alpha:
-        tag = f"alpha{alpha:g}"
+        short = f"{alpha:g}"
+        tag = "alpha" + (short if float(short) == alpha else repr(alpha))
         if spec.quantity == "choi-eigs":
             for n in spec.levels:
                 t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
@@ -281,13 +301,10 @@ def per_point_series(spec) -> list:
         elif spec.quantity == "volume":
             out.append((f"volume_{tag}", lambda p, a=alpha: geometry.volume_determinant(a, p)))
         elif spec.quantity == "trajectory":
-            point = lambda p, a=alpha: geometry.trajectory(a, [p])[0]
+            names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
             out += [
-                (f"lambda_{tag}", lambda p, f=point: f(p).lambdas[0]),
-                (f"abs_lambda_{tag}", lambda p, f=point: f(p).abs_lambdas[0]),
-                (f"A_{tag}", lambda p, f=point: None if f(p).a_vector is None else f(p).a_vector[0]),
-                (f"inside_tetrahedron_{tag}", lambda p, f=point: float(f(p).inside_tetrahedron)),
-                (f"cp_divisible_{tag}", lambda p, f=point: float(f(p).cp_divisible)),
+                (f"{name}_{tag}", lambda p, a=alpha, i=i: trajectory_point(a, p)[i])
+                for i, name in enumerate(names)
             ]
         elif spec.quantity == "f-norm":
             n = spec.levels[0]
@@ -309,8 +326,8 @@ def straddling_grid(centre: float, width: float, points: int, lo: float, hi: flo
 
 
 def bits(column) -> list:
-    """Exact float bits (signs of zeros included) with None for NA."""
-    return [None if v is None else float(v).hex() for v in column]
+    """Exact float bits (signs of zeros included) with None for NA, given as None or NaN."""
+    return [None if v is None or v != v else float(v).hex() for v in column]
 
 
 def assert_columns_match_per_point(spec, grid):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -155,54 +156,49 @@ def test_f_matrix_rejects_other_dimensions():
 
 
 def test_trajectory_memoryless():
-    points = trajectory(0.0, np.linspace(0.0, 0.99, 100))
-    for pt in points:
-        expected = -1.0 / (1.0 - pt.p)
-        assert abs(pt.a_vector[0] - expected) < 1e-12
-        assert pt.a_vector[0] == pt.a_vector[1] == pt.a_vector[2]
-        assert pt.a_vector[0] < 0
-        assert pt.cp_divisible and pt.inside_tetrahedron
-        assert all(v <= 1e-12 for v in pt.inequalities)
+    path = trajectory(0.0, np.linspace(0.0, 0.99, 100))
+    assert np.all(np.abs(path.a - -1.0 / (1.0 - path.p)) < 1e-12)
+    assert np.all(path.a < 0)
+    assert path.cp_divisible.all() and path.inside_tetrahedron.all()
 
 
 def test_trajectory_with_memory_matches_rational_form():
-    points = trajectory(0.7, np.minimum(np.arange(0.0, 1.0001, 0.01), 1.0))
-    for pt in points:
-        p = pt.p
-        expected = (42 * p - 68) / (21 * p * p - 68 * p + 40)
-        assert abs(pt.a_vector[0] - expected) < 1e-10
+    path = trajectory(0.7, np.minimum(np.arange(0.0, 1.0001, 0.01), 1.0))
+    p = path.p
+    expected = (42 * p - 68) / (21 * p * p - 68 * p + 40)
+    assert np.all(np.abs(path.a - expected) < 1e-10)
 
 
 def test_trajectory_violations_in_memory_window():
-    points = trajectory(0.7, np.minimum(np.arange(0.80, 1.0001, 0.01), 1.0))
-    for pt in points:
-        assert not pt.cp_divisible
-        assert any(v > 0 for v in pt.inequalities)
+    path = trajectory(0.7, np.minimum(np.arange(0.80, 1.0001, 0.01), 1.0))
+    assert not path.cp_divisible.any()
+    assert np.all(path.a > 0)
 
 
 def test_trajectory_stays_in_positivity_cube():
     for alpha in (0.0, 0.5, 1.0):
-        for pt in trajectory(alpha, np.linspace(0.0, 1.0, 51)):
-            assert all(-1.0 <= lam <= 1.0 for lam in pt.lambdas)
-            assert pt.abs_lambdas == tuple(abs(l) for l in pt.lambdas)
+        path = trajectory(alpha, np.linspace(0.0, 1.0, 51))
+        assert np.all((-1.0 <= path.lam) & (path.lam <= 1.0))
 
 
 def test_trajectory_divisibility_equivalent_to_log_derivative_sign():
     for alpha in (0.0, 0.3, 0.7, 1.0):
-        for pt in trajectory(alpha, np.linspace(0.0, 0.99, 100)):
-            if pt.a_vector is None:
+        path = trajectory(alpha, np.linspace(0.0, 0.99, 100))
+        for p, a, divisible in zip(path.p.tolist(), path.a.tolist(), path.cp_divisible.tolist()):
+            if math.isnan(a):
                 continue
-            ratio = bloch_contraction_derivative(alpha, pt.p) / survival(alpha, pt.p)
-            assert pt.cp_divisible == (ratio <= 1e-12)
+            ratio = bloch_contraction_derivative(alpha, p) / survival(alpha, p)
+            assert divisible == (ratio <= 1e-12)
 
 
 def test_trajectory_singular_point_retained():
     point = crossover_point(1.0)
-    pt = trajectory(1.0, [point])[0]
-    assert pt.a_vector is None and pt.inequalities is None
-    assert not pt.cp_divisible
-    assert pt.inside_tetrahedron
-    assert abs(pt.lambdas[0]) <= 1e-12
+    path = trajectory(1.0, [point])
+    assert path.p.tolist() == [point]
+    assert np.isnan(path.a[0])
+    assert not path.cp_divisible[0]
+    assert path.inside_tetrahedron[0]
+    assert abs(path.lam[0]) <= 1e-12
 
 
 def test_trajectory_rejects_out_of_range_grid():

@@ -58,6 +58,26 @@ def test_decay_rate_sign_change_at_crossover():
         decay_rate(0.0, 1.0)
 
 
+def test_rates_take_a_grid_bit_equal_to_scalar_calls():
+    grid = np.linspace(0.0, 0.99, 37)
+    for alpha, levels in ((0.0, 2), (0.7, 2), (0.4, 3)):
+        for rate in (decay_rate, decay_rate_normalized):
+            column = rate(alpha, grid[1:], levels)
+            scalars = [rate(alpha, p, levels) for p in grid[1:].tolist()]
+            assert all(type(v) is float for v in scalars)
+            assert [v.hex() for v in column.tolist()] == [v.hex() for v in scalars]
+
+
+def test_rates_on_a_grid_raise_if_any_point_is_singular():
+    point = crossover_point(0.7)
+    with pytest.raises(SingularRateError):
+        decay_rate(0.7, np.array([0.2, point, 0.9]))
+    with pytest.raises(ValueError, match="normalized rate undefined"):
+        decay_rate_normalized(0.0, np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="normalized rate undefined"):
+        decay_rate_normalized(1e-300, 0.0)
+
+
 def test_normalized_rate_closed_forms():
     for p in (0.2, 0.5, 1.0):
         assert abs(decay_rate_normalized(0.0, p) - 1 / p) < 1e-12
@@ -109,6 +129,42 @@ def test_hcla_full_memory_value():
 def test_hcla_numeric_matches_closed_form():
     for alpha in ALPHA_GRID:
         assert abs(hcla_measure(alpha).value - hcla_closed_form(alpha).value) < 1e-6
+
+
+# 20 digits of the qubit normalized-rate integral from a 60-digit mpmath
+# quadrature (more digits for tinier alpha), at the float nearest each alpha.
+HCLA_REFERENCE = {
+    1e-300: 2.5000000000000000626e-301,
+    1e-16: 2.5000000000000000415e-17,
+    1e-10: 2.5000000000937500911e-11,
+    5e-07: 1.2500002343749869226e-7,
+    1e-6 - 1e-12: 2.499998437498020652e-7,
+}
+
+
+def test_hcla_closed_form_small_alpha_series():
+    # Below 1e-6 the antiderivative cancels (relative error -9.9 at 1e-16,
+    # a math domain error below about 1e-17); the series holds to 5e-14.
+    for alpha, want in HCLA_REFERENCE.items():
+        got = hcla_closed_form(alpha).value
+        assert got == alpha / 4.0 + 3.0 * alpha * alpha / 32.0
+        assert abs(got - want) <= 5e-14 * want, alpha
+    assert hcla_closed_form(1e-17).value == 2.5e-18
+    assert hcla_closed_form(5e-324).value == 0.0 and hcla_closed_form(0.0).value == 0.0
+
+
+def test_hcla_closed_form_keeps_the_antiderivative_from_1e_6():
+    for alpha in (1e-6, 1e-4, 0.01, 0.3, 0.7, 1.0):
+        s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
+
+        def antiderivative(p):
+            den = 4.0 * p + 4.0 * alpha - 2.0 * alpha * p - 3.0 * alpha * p * p
+            return math.log(abs(den)) + (6.0 * alpha / s) * math.atanh((3.0 * alpha * p + alpha - 2.0) / s)
+
+        want = antiderivative(1.0) - antiderivative(crossover_point(alpha, 2))
+        assert hcla_closed_form(alpha).value == want, alpha
+    # The two sides of the switch meet to the antiderivative's own error there.
+    assert abs(hcla_closed_form(1e-6).value / hcla_closed_form(math.nextafter(1e-6, 0.0)).value - 1.0) < 1e-8
 
 
 def test_hcla_monotone_in_alpha():
