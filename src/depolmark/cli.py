@@ -31,8 +31,8 @@ run the whole grid through the stacked Kraus -> superoperator -> Choi
 route, 32 grid points per block (``matcore.blockwise``) so that the
 stacks held at once stay a few hundred kilobytes whatever ``--steps`` is;
 with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series,
-and the n-qubit Choi norms of one alpha are powers of one single-qubit
-column. The stacked route is bit-equal to evaluating the points one by
+and ``choi-norm`` computes one ``choi_trace_norm`` column per alpha and N,
+whose n-th powers are the n-qubit norms. The stacked route is bit-equal to evaluating the points one by
 one. ``choi-eigs`` and ``decay-rate`` evaluate their closed forms on the
 whole grid, the ``trajectory`` of one alpha is computed once and feeds its
 five columns, and ``hcla`` and ``blp`` call their measure once per alpha.
@@ -72,11 +72,10 @@ from .channels import apply_channel, qubit_kraus, survival
 from .dynmaps import (
     G_FUNCTION_STEP,
     SINGULARITY_GUARD,
+    choi_trace_norm,
     crossover_point,
     g_function,
-    multiqubit_choi_trace_norm,
     qudit_choi_eigenvalues,
-    qudit_choi_trace_norm,
 )
 from .geometry import f_matrix, trajectory, volume_determinant
 from .matcore import SingularityError, SingularMapError, blockwise
@@ -327,11 +326,10 @@ def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
 
 def _choi_norm(spec: SweepSpec, alpha: float) -> list:
     def norms(grid: np.ndarray, n: int) -> list:
-        if n > 2:
-            return [qudit_choi_trace_norm(alpha, spec.q, grid, n)] * len(spec.qubits)
-        # One single-qubit column; the n-qubit norm is its n-th power, taken
-        # per point in Python floats (np.power can differ in the last bit).
-        base = multiqubit_choi_trace_norm(alpha, spec.q, grid, 1).tolist()
+        # One N-level column; the n-qubit norm is its n-th power (spec.qubits
+        # is (1,) above N = 2), taken per point in Python floats as
+        # choi_trace_norm takes it (np.power can differ in the last bit).
+        base = choi_trace_norm(alpha, spec.q, grid, n).tolist()
         return [[b**k for b in base] for k in spec.qubits]
 
     return [

@@ -39,6 +39,14 @@ call. The propagator functions walk their grid in blocks of 32 points
 (``matcore.blockwise``) so that the stacks they hold stay small, and with
 a pinned ``q`` they build and SVD-check Phi(q, 0)^{-1} once for the whole
 grid rather than once per point.
+
+The system is a parameter too: ``propagator_column`` takes ``levels`` N,
+and ``intermediate_map``, ``intermediate_choi`` and ``choi_trace_norm``
+take ``levels`` and ``qubits`` n. N = 2 builds its Kraus sets in Pauli
+order (``qubit_kraus``), N > 2 in Weyl order (``qudit_kraus``); n qubits
+are the reordered Kronecker power of the single-qubit propagator, and
+their Choi trace norm is the n-th power of the single-qubit one. N > 2
+together with n > 1 is not supported.
 """
 
 from __future__ import annotations
@@ -73,8 +81,6 @@ __all__ = [
     "superoperator_of",
     "intermediate_map",
     "propagator_column",
-    "qudit_intermediate_map",
-    "multiqubit_intermediate_map",
     "lambda_ratio",
     "maximally_entangled_projector",
     "choi_of",
@@ -84,8 +90,7 @@ __all__ = [
     "qudit_choi_eigenvalues",
     "crossover_point",
     "ncp_witness",
-    "multiqubit_choi_trace_norm",
-    "qudit_choi_trace_norm",
+    "choi_trace_norm",
     "g_function",
     "bell_states",
     "bell_expectations",
@@ -119,11 +124,6 @@ class Superoperator:
             raise ValueError(f"superoperator for dimension {self.dim} must be {d2}x{d2}")
         object.__setattr__(self, "matrix", m)
 
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError("superoperator dimensions differ")
-        return Superoperator(self.matrix @ other.matrix, self.dim)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Action on an operator via vectorize / devectorize."""
         return devectorize(self.matrix @ vectorize(rho), self.dim)
@@ -134,16 +134,11 @@ class ChoiMatrix:
     """Choi matrix of a map on a ``dim``-level system (d^2 x d^2, trace 1).
 
     ``matrix`` may also be a stack ``(..., d^2, d^2)``, one Choi matrix per
-    grid point. ``alpha``, ``q`` and ``p`` record the source parameters
-    when the matrix came from the depolarizing intermediate map; they stay
-    ``None`` for Choi matrices of generic superoperators.
+    grid point.
     """
 
     matrix: np.ndarray = field(repr=False)
     dim: int
-    alpha: float | None = None
-    q: float | None = None
-    p: float | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -203,14 +198,20 @@ def _check_pair(q, p) -> None:
         raise ValueError(f"intermediate parameters must satisfy 0 <= q <= p <= 1, got q={q_bad}, p={p_bad}")
 
 
-def propagator_column(
-    fn: Callable[[Superoperator], np.ndarray],
-    alpha: float,
-    q,
-    p,
-    kraus_builder: Callable[[float, float], KrausSet] = qubit_kraus,
-):
-    """``fn(Phi(p, q))`` over the grid, 32 points at a time, results concatenated.
+def _kraus(alpha: float, p, levels: int) -> KrausSet:
+    """One-step Kraus set: the Pauli-ordered qubit builder at N = 2, the Weyl one above."""
+    return qubit_kraus(alpha, p) if levels == 2 else qudit_kraus(alpha, p, levels)
+
+
+def _check_system(levels: int, qubits: int) -> None:
+    if qubits < 1:
+        raise ValueError("qubits must be >= 1")
+    if levels > 2 and qubits > 1:
+        raise ValueError("combined multi-level multi-qubit maps are not supported")
+
+
+def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q, p, levels: int = 2):
+    """``fn(Phi(p, q))`` of the N-level propagator over the grid, 32 points at a time, results concatenated.
 
     ``fn`` receives a stack of propagators (one matrix for scalar q and p)
     and returns one value, or one array, per propagator. A pinned q (one
@@ -224,42 +225,16 @@ def propagator_column(
     _check_pair(q, p)
 
     def one_step_inverse(t):
-        return matcore.inverse(superoperator_of(kraus_builder(alpha, t)).matrix)
+        return matcore.inverse(superoperator_of(_kraus(alpha, t, levels)).matrix)
 
     def propagator(p_block, inverse):
-        s_p = superoperator_of(kraus_builder(alpha, p_block))
+        s_p = superoperator_of(_kraus(alpha, p_block, levels))
         return Superoperator(s_p.matrix @ inverse, s_p.dim)
 
     if np.ndim(q) == 0:
         inverse = one_step_inverse(q)
         return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p)
     return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p)
-
-
-def intermediate_map(
-    alpha: float,
-    q,
-    p,
-    kraus_builder: Callable[[float, float], KrausSet] = qubit_kraus,
-) -> Superoperator:
-    """Propagator Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1} as a superoperator.
-
-    ``kraus_builder(alpha, p)`` must return the Kraus set of the one-step
-    map; the default is the single-qubit family. ``q`` and ``p`` may be
-    grids (they broadcast); the result is then the stack of propagators,
-    and a pinned ``q`` is inverted once.
-
-    Raises:
-        SingularMapError: when Phi(q, 0) is not invertible (q at the
-            crossover point of the family).
-    """
-    matrix = propagator_column(lambda s: s.matrix, alpha, q, p, kraus_builder)
-    return Superoperator(matrix, math.isqrt(matrix.shape[-1]))
-
-
-def qudit_intermediate_map(alpha: float, q, p, levels: int) -> Superoperator:
-    """N-level specialization of :func:`intermediate_map`."""
-    return intermediate_map(alpha, q, p, lambda a, t: qudit_kraus(a, t, levels))
 
 
 def _grouped_slot_permutation(qubits: int) -> np.ndarray:
@@ -270,31 +245,35 @@ def _grouped_slot_permutation(qubits: int) -> np.ndarray:
     superoperator of the composite system orders them (col_1..col_n,
     row_1..row_n) under column stacking of 2^n x 2^n matrices.
     """
-    n = int(qubits)
-    axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return np.arange(4**n).reshape([2] * (2 * n)).transpose(axes).reshape(-1)
+    axes = list(range(0, 2 * qubits, 2)) + list(range(1, 2 * qubits, 2))
+    return np.arange(4**qubits).reshape([2] * (2 * qubits)).transpose(axes).reshape(-1)
 
 
-def multiqubit_intermediate_map(alpha: float, q, p, qubits: int) -> Superoperator:
-    """Propagator of the n-qubit tensor family.
+def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Superoperator:
+    """Propagator Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1} of N levels or n qubits, as a superoperator.
 
-    The n-qubit one-step superoperator is (up to the fixed slot reordering
-    of :func:`_grouped_slot_permutation`) the n-fold Kronecker power of the
+    ``q`` and ``p`` may be grids (they broadcast); the result is then the
+    stack of propagators, and a pinned ``q`` is inverted once. The n-qubit
+    one-step superoperator is (up to the fixed slot reordering of
+    :func:`_grouped_slot_permutation`) the n-fold Kronecker power of the
     single-qubit one, so its inverse factorizes per tensor slot and the
     propagator is the reordered Kronecker power of the single-qubit
-    propagator. This avoids inverting the 4^n-dimensional matrix directly.
+    propagator; the 4^n-dimensional matrix is never inverted.
+
+    Raises:
+        ValueError: for qubits < 1, or N > 2 together with n > 1.
+        SingularMapError: when Phi(q, 0) is not invertible (q at the
+            crossover point of the family).
     """
-    n = int(qubits)
-    if n < 1:
-        raise ValueError("qubits must be >= 1")
-    single = intermediate_map(alpha, q, p)
-    if n == 1:
-        return single
-    acc = single.matrix
-    for _ in range(n - 1):
-        acc = kron(acc, single.matrix)
-    perm = _grouped_slot_permutation(n)
-    return Superoperator(acc[..., perm[:, None], perm], 2**n)
+    _check_system(levels, qubits)
+    single = propagator_column(lambda s: s.matrix, alpha, q, p, levels)
+    acc = single
+    for _ in range(qubits - 1):
+        acc = kron(acc, single)
+    if qubits > 1:
+        perm = _grouped_slot_permutation(qubits)
+        acc = acc[..., perm[:, None], perm]
+    return Superoperator(acc, levels**qubits)
 
 
 def lambda_ratio(alpha: float, q, p, levels: int = 2) -> LambdaRatio:
@@ -356,20 +335,8 @@ def choi_of(superop: Superoperator) -> ChoiMatrix:
 
 
 def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> ChoiMatrix:
-    """Choi matrix of the depolarizing propagator, parameters attached.
-
-    Exactly one of ``levels > 2`` or ``qubits > 1`` may be used.
-    """
-    if levels > 2 and qubits > 1:
-        raise ValueError("combined multi-level multi-qubit maps are not supported")
-    if qubits > 1:
-        superop = multiqubit_intermediate_map(alpha, q, p, qubits)
-    elif levels > 2:
-        superop = qudit_intermediate_map(alpha, q, p, levels)
-    else:
-        superop = intermediate_map(alpha, q, p)
-    chi = choi_of(superop)
-    return ChoiMatrix(chi.matrix, chi.dim, alpha=alpha, q=q, p=p)
+    """Choi matrix of the propagator :func:`intermediate_map` of N levels or n qubits."""
+    return choi_of(intermediate_map(alpha, q, p, levels, qubits))
 
 
 def choi_closed_form(alpha: float, q: float, p: float) -> np.ndarray:
@@ -444,31 +411,24 @@ def _choi_trace_norm(superop: Superoperator):
     return trace_norm(choi_of(superop).matrix)
 
 
-def multiqubit_choi_trace_norm(alpha: float, q, p, qubits: int):
-    """Choi trace norm of the n-qubit propagator.
+def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int = 1):
+    """Choi trace norm of the propagator of N levels or n qubits, via the full pipeline.
 
     The n-qubit Choi matrix is, up to a subsystem permutation, the n-fold
     Kronecker power of the single-qubit one, so its spectrum consists of
     products of single-qubit Choi eigenvalues and the trace norm is the
-    n-th power of the single-qubit trace norm. The single-qubit spectrum is
+    n-th power of the single-qubit trace norm. The single-system norm is
     computed through the full superoperator/Choi pipeline.
 
     ``q`` and ``p`` may be grids (an array of norms comes back). The power
     is taken point by point in Python floats, whose ``**`` can differ from
     ``np.power`` in the last bit.
     """
-    n = int(qubits)
-    if n < 1:
-        raise ValueError("qubits must be >= 1")
-    base = propagator_column(_choi_trace_norm, alpha, q, p, qubit_kraus)
+    _check_system(levels, qubits)
+    base = propagator_column(_choi_trace_norm, alpha, q, p, levels)
     if np.ndim(base) == 0:
-        return float(base) ** n
-    return np.array([b**n for b in base.tolist()]).reshape(base.shape)
-
-
-def qudit_choi_trace_norm(alpha: float, q, p, levels: int):
-    """Choi trace norm of the N-level propagator via the full pipeline; grids welcome."""
-    return propagator_column(_choi_trace_norm, alpha, q, p, lambda a, t: qudit_kraus(a, t, levels))
+        return float(base) ** qubits
+    return np.array([b**qubits for b in base.tolist()]).reshape(base.shape)
 
 
 def g_function(alpha: float, q, qubits: int = 1):
@@ -495,7 +455,7 @@ def g_function(alpha: float, q, qubits: int = 1):
         raise ValueError(f"q = {q} leaves no room for the finite-difference step {eps}")
 
     def quotient(step: float):
-        norm = multiqubit_choi_trace_norm(alpha, q, q_arr + step, qubits)
+        norm = choi_trace_norm(alpha, q, q_arr + step, qubits=qubits)
         return (norm - 1.0) / step
 
     refined = 2.0 * quotient(eps / 2.0) - quotient(eps)

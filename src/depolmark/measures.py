@@ -7,7 +7,8 @@ Built on the survival factor G(p) = 1 - k(p) of the depolarizing family:
 * normalized rate             gamma~(p) = -gamma/(1 - gamma) = G'/(G + G'),
   finite across the singularity;
 * rate measure                integral of gamma~ over the negative-rate
-  window [p_-, 1], with p_- the singular parameter value;
+  window [p_-, 1], with p_- the singular parameter value (over
+  s = 1 - p below alpha = 1e-6, where the window is a few ulps wide);
 * distinguishability measure  integral of the positive part of the trace
   distance derivative for the antipodal |+>/|-> pair, which evaluates to
   alpha/4;
@@ -159,11 +160,25 @@ def hcla_measure(alpha: float, levels: int = 2) -> MeasureValue:
     rate is negative and the normalized rate is positive. Evaluated by
     adaptive quadrature; alpha = 0 has no negative-rate window and yields
     exactly 0.
+
+    Below alpha = 1e-6 the window is only a few ulps of 1 wide (about
+    alpha/4 for the qubit), so bounds on p would round. There the integral
+    runs over s = 1 - p, on [0, w] with the width w = 1 - p_- =
+    4 alpha (1 - c) / ((r + 1 - alpha) ((1 + alpha) + r)), c =
+    (N^2 - 1)/N^2 and r = sqrt((1 + alpha)^2 - 4 c alpha), which has no
+    cancellation.
     """
+    _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return MeasureValue("HCLA", alpha, levels, 0.0)
-    lower = crossover_point(alpha, levels)
-    return MeasureValue("HCLA", alpha, levels, _quad(lambda p: decay_rate_normalized(alpha, p, levels), lower, 1.0))
+    if alpha < 1e-6:
+        c = (levels * levels - 1) / (levels * levels)
+        r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
+        width = 4.0 * alpha * (1.0 - c) / ((r + 1.0 - alpha) * ((1.0 + alpha) + r))
+        value = _quad(lambda s: decay_rate_normalized(alpha, 1.0 - s, levels), 0.0, width)
+    else:
+        value = _quad(lambda p: decay_rate_normalized(alpha, p, levels), crossover_point(alpha, levels), 1.0)
+    return MeasureValue("HCLA", alpha, levels, value)
 
 
 def hcla_closed_form(alpha: float) -> MeasureValue:

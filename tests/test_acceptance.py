@@ -17,12 +17,11 @@ from depolmark.dynmaps import (
     choi_closed_form,
     choi_eigenvalues_closed,
     choi_of,
+    choi_trace_norm,
     crossover_point,
     g_function,
     intermediate_choi,
     intermediate_map,
-    multiqubit_choi_trace_norm,
-    qudit_choi_trace_norm,
 )
 from depolmark.geometry import f_matrix, trajectory, volume_determinant, volume_measure
 from depolmark.matcore import devectorize, swap_matrix, trace_norm, vectorize
@@ -246,12 +245,12 @@ def test_criterion_11_multiqubit_multilevel():
         return None
 
     qubit_thresholds = [
-        threshold(lambda p, n=n: multiqubit_choi_trace_norm(0.9, 0.4, p, n)) for n in (1, 2, 3)
+        threshold(lambda p, n=n: choi_trace_norm(0.9, 0.4, p, qubits=n)) for n in (1, 2, 3)
     ]
     coincide = max(qubit_thresholds) - min(qubit_thresholds) <= step + 1e-12
 
     level_thresholds = [
-        threshold(lambda p, n=n: qudit_choi_trace_norm(0.9, 0.4, p, n)) for n in (2, 3, 4)
+        threshold(lambda p, n=n: choi_trace_norm(0.9, 0.4, p, levels=n)) for n in (2, 3, 4)
     ]
     increasing = all(a < b - step / 2 for a, b in zip(level_thresholds, level_thresholds[1:]))
 

@@ -179,19 +179,19 @@ def test_figures_all_build_quickly(tmp_path):
 
 def test_fig4_columns(tmp_path):
     (path,) = figure("fig4", out_dir=str(tmp_path))
-    header = [l for l in open(path) if not l.startswith("#")][0].strip()
+    header = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")][0].strip()
     assert header == "alpha,N_BLP,N_HCLA_numeric,N_HCLA_closed"
 
 
 def test_fig10_reports_both_qutrit_columns(tmp_path):
     (path,) = figure("fig10", out_dir=str(tmp_path))
-    header = [l for l in open(path) if not l.startswith("#")][0].strip()
+    header = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")][0].strip()
     assert header == "alpha,N_HCLA_numeric,N_HCLA_log_form"
 
 
 def test_fig3_marks_memoryless_pole(tmp_path):
     (path,) = figure("fig3", out_dir=str(tmp_path))
-    last = open(path).read().strip().splitlines()[-1].split(",")
+    last = Path(path).read_text().strip().splitlines()[-1].split(",")
     assert last[0] == "1" and last[1] == "NA"
 
 
@@ -207,9 +207,9 @@ def test_figure_unknown_id_names_valid_ones(tmp_path):
 
 def test_figure_rerun_is_byte_identical(tmp_path):
     (first,) = figure("fig1", out_dir=str(tmp_path))
-    content = open(first, "rb").read()
+    content = Path(first).read_bytes()
     (second,) = figure("fig1", out_dir=str(tmp_path))
-    assert open(second, "rb").read() == content
+    assert Path(second).read_bytes() == content
 
 
 def test_main_sweep_to_file(tmp_path):
@@ -423,7 +423,7 @@ def test_hcla_at_tiny_alpha_uses_the_series(capsys):
     assert main(["hcla", "--alpha", "0,1e-17"]) == 0
     _, header, rows = payload(capsys)
     assert header == ["alpha", "N_HCLA_numeric", "N_HCLA_closed"]
-    assert rows == [["0", "0", "0"], ["1e-17", "0", "2.5e-18"]]
+    assert rows == [["0", "0", "0"], ["1e-17", "2.5e-18", "2.5e-18"]]
 
 
 def test_sweep_table_rows_are_its_columns_side_by_side():

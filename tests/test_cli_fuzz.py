@@ -1,4 +1,7 @@
-"""Property test of the exit-code contract: any command line ends in 0, 2 or 3, never a traceback."""
+"""Property test of the exit-code contract: any command line ends in 0, 2 or 3, never a traceback.
+
+An exit-0 table also holds no ``nan`` cell and no negative measure.
+"""
 
 import contextlib
 import io
@@ -47,17 +50,25 @@ def command_lines(draw) -> list:
     return argv
 
 
-def cells(payload: str) -> list:
-    """Every sample of a CSV or JSON table, as text."""
+# Measures that are nonnegative by definition. N_HCLA_log_form is left out:
+# it is documented as not an antiderivative of the rate.
+NONNEGATIVE = ("N_BLP", "N_HCLA_numeric", "N_HCLA_closed")
+
+
+def table(payload: str) -> tuple:
+    """Header and rows of a CSV or JSON table, every sample as text (NA or None where singular)."""
     if payload.startswith("{"):
-        return [repr(v) for row in json.loads(payload)["rows"] for v in row]
+        data = json.loads(payload)
+        return data["columns"], [[repr(v) for v in row] for row in data["rows"]]
     lines = [line for line in payload.splitlines() if not line.startswith("#")]
-    return [cell for line in lines[1:] for cell in line.split(",")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argv=command_lines())
 @example(argv=["hcla", "--alpha", "0,1e-17"])
+@example(argv=["hcla", "--alpha", "1e-16,1e-14"])
+@example(argv=["hcla", "--levels", "3", "--alpha", "1e-16,1e-14"])
 @example(argv=["decay-rate", "--alpha", "1e-300"])
 @example(argv=["choi-eigs", "--alpha", "0.7,0.7000001", "--q", "0.30000001", "--steps", "2"])
 def test_any_command_line_exits_0_2_or_3_without_nan_cells(argv):
@@ -66,4 +77,8 @@ def test_any_command_line_exits_0_2_or_3_without_nan_cells(argv):
         code = main(argv)
     assert code in (0, 2, 3), argv
     if code == 0:
-        assert "nan" not in [cell.lower() for cell in cells(out.getvalue())], argv
+        header, rows = table(out.getvalue())
+        assert "nan" not in [cell.lower() for row in rows for cell in row], argv
+        measures = [i for i, name in enumerate(header) if name in NONNEGATIVE]
+        negative = [row[i] for row in rows for i in measures if row[i] not in ("NA", "None") and float(row[i]) < 0.0]
+        assert not negative, argv

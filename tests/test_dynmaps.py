@@ -1,8 +1,9 @@
-import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from depolmark.channels import kappa, multiqubit_kraus, qubit_kraus, qudit_kraus
 from depolmark.dynmaps import (
@@ -13,22 +14,19 @@ from depolmark.dynmaps import (
     choi_closed_form,
     choi_eigenvalues_closed,
     choi_of,
+    choi_trace_norm,
     crossover_point,
     g_function,
     intermediate_choi,
     intermediate_map,
     lambda_ratio,
     maximally_entangled_projector,
-    multiqubit_choi_trace_norm,
-    multiqubit_intermediate_map,
     ncp_witness,
     pauli_transfer,
     qudit_choi_eigenvalues,
-    qudit_choi_trace_norm,
-    qudit_intermediate_map,
     superoperator_of,
 )
-from depolmark.matcore import SingularMapError, kron, trace_norm, vectorize
+from depolmark.matcore import SingularMapError, inverse, kron, trace_norm, vectorize
 from depolmark.measures import decay_rate
 
 ALPHA_MINUS_07 = 0.7725529126366106  # closed-form root for alpha = 0.7
@@ -197,7 +195,7 @@ def test_ncp_witness_equivalent_to_negative_eigenvalue():
 def test_ncp_witness_threshold_location():
     # for alpha=0.9, q=0.4 the norm first exceeds 1 once the shared ratio
     # drops below -1/3, at p about 0.836
-    norms = {p: multiqubit_choi_trace_norm(0.9, 0.4, p, 1) for p in (0.83, 0.84)}
+    norms = {p: choi_trace_norm(0.9, 0.4, p) for p in (0.83, 0.84)}
     assert norms[0.83] <= 1.0 + 1e-10
     assert norms[0.84] > 1.0 + 1e-6
 
@@ -242,31 +240,32 @@ def test_qudit_intermediate_singularity_moves_up():
     # q = 0.8 is singular-side for the qubit family but regular for N = 3
     with pytest.raises(SingularMapError):
         intermediate_map(0.7, ALPHA_MINUS_07, 0.9)
-    superop = qudit_intermediate_map(0.7, ALPHA_MINUS_07, 0.9, 3)
+    superop = intermediate_map(0.7, ALPHA_MINUS_07, 0.9, levels=3)
     assert np.isfinite(superop.matrix).all()
 
 
 def test_multiqubit_intermediate_matches_generic_route():
-    generic = intermediate_map(0.9, 0.4, 0.95, functools.partial(multiqubit_kraus, qubits=2))
-    fast = multiqubit_intermediate_map(0.9, 0.4, 0.95, 2)
-    assert np.abs(generic.matrix - fast.matrix).max() < 1e-12
+    s_p, s_q = (superoperator_of(multiqubit_kraus(0.9, t, 2)).matrix for t in (0.95, 0.4))
+    generic = s_p @ inverse(s_q)
+    fast = intermediate_map(0.9, 0.4, 0.95, qubits=2)
+    assert np.abs(generic - fast.matrix).max() < 1e-12
 
 
 def test_multiqubit_choi_norm_matches_full_pipeline():
     for p in (0.5, 0.84, 0.95):
-        full = trace_norm(choi_of(multiqubit_intermediate_map(0.9, 0.4, p, 2)).matrix)
-        fast = multiqubit_choi_trace_norm(0.9, 0.4, p, 2)
+        full = trace_norm(choi_of(intermediate_map(0.9, 0.4, p, qubits=2)).matrix)
+        fast = choi_trace_norm(0.9, 0.4, p, qubits=2)
         assert abs(full - fast) < 1e-10
 
 
 def test_three_qubit_norm_matches_kron_of_chois():
     chi1 = intermediate_choi(0.9, 0.4, 0.95).matrix
     expected = trace_norm(kron(kron(chi1, chi1), chi1))
-    assert abs(multiqubit_choi_trace_norm(0.9, 0.4, 0.95, 3) - expected) < 1e-10
+    assert abs(choi_trace_norm(0.9, 0.4, 0.95, qubits=3) - expected) < 1e-10
 
 
 def test_qudit_choi_trace_norm_boundary():
-    assert abs(qudit_choi_trace_norm(0.7, 0.3, 0.3, 3) - 1.0) < 1e-12
+    assert abs(choi_trace_norm(0.7, 0.3, 0.3, levels=3) - 1.0) < 1e-12
 
 
 def test_g_function_values():
@@ -305,6 +304,50 @@ def test_choi_matrix_shape_validation():
 def test_intermediate_choi_rejects_mixed_extension():
     with pytest.raises(ValueError):
         intermediate_choi(0.5, 0.2, 0.8, levels=3, qubits=2)
+
+
+def test_intermediate_map_rejects_fewer_than_one_qubit():
+    with pytest.raises(ValueError, match="qubits"):
+        intermediate_map(0.5, 0.2, 0.8, qubits=0)
+    with pytest.raises(ValueError, match="qubits"):
+        choi_trace_norm(0.5, 0.2, 0.8, qubits=0)
+
+
+# (levels, qubits): Choi dimensions d = 2, 3, 4, 4 and 8.
+ORACLE_SYSTEMS = [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3)]
+
+
+@st.composite
+def propagator_parameters(draw) -> tuple:
+    """(alpha, q, p, levels, qubits) with q <= p; half of the q within 1e-3 of the singular q."""
+    levels, qubits = draw(st.sampled_from(ORACLE_SYSTEMS))
+    alpha = draw(st.floats(0.0, 1.0))
+    if alpha > 0.0 and draw(st.booleans()):
+        q = min(1.0, max(0.0, crossover_point(alpha, levels) + draw(st.floats(-1e-3, 1e-3))))
+    else:
+        q = draw(st.floats(0.0, 1.0))
+    return alpha, q, draw(st.floats(q, 1.0)), levels, qubits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(params=propagator_parameters())
+def test_oracle_preserves_trace_and_gives_hermitian_unit_trace_choi(params):
+    alpha, q, p, levels, qubits = params
+    try:
+        superop = intermediate_map(alpha, q, p, levels, qubits)
+    except SingularMapError:
+        assume(False)
+    s = superop.matrix
+    # Phi(q, 0)^{-1} has condition number about 1/|G(q)|, and the propagator
+    # is exact only to that many ulps of its largest entry (up to 2 of them
+    # in a scan of 3000 draws). Near the singular q no fixed relative bound
+    # holds: 1e-10 max|S| fails at the guard band (|q - p_-| = 1e-6).
+    bound = 1e-13 * max(1.0, np.abs(s).max()) / abs(1.0 - kappa(alpha, q, levels))
+    vec_identity = vectorize(np.eye(superop.dim))
+    assert np.abs(vec_identity @ s - vec_identity).max() <= bound, params
+    chi = choi_of(superop)
+    assert np.abs(chi.matrix - chi.matrix.conj().T).max() <= bound, params
+    assert abs(np.trace(chi.matrix) - 1.0) <= bound, params
 
 
 def test_qubit_closed_forms_keep_their_bits():

@@ -68,11 +68,7 @@ def kraus_for(alpha: float, p: float, levels: int, qubits: int):
 
 def propagator(alpha: float, q: float, p: float, levels: int, qubits: int):
     """The superoperator that ``intermediate_choi`` reshuffles for this system."""
-    if qubits > 1:
-        return dynmaps.multiqubit_intermediate_map(alpha, q, p, qubits)
-    if levels > 2:
-        return dynmaps.qudit_intermediate_map(alpha, q, p, levels)
-    return dynmaps.intermediate_map(alpha, q, p)
+    return dynmaps.intermediate_map(alpha, q, p, levels, qubits)
 
 
 def assert_same_bits(got, want):
@@ -271,10 +267,7 @@ def per_point_series(spec) -> list:
                 for k in spec.qubits:
                     t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
                     t += f"_n{k}" if len(spec.qubits) > 1 or k != 1 else ""
-                    if n > 2:
-                        fn = lambda p, a=alpha, n=n: dynmaps.qudit_choi_trace_norm(a, q, p, n)
-                    else:
-                        fn = lambda p, a=alpha, k=k: dynmaps.multiqubit_choi_trace_norm(a, q, p, k)
+                    fn = lambda p, a=alpha, n=n, k=k: dynmaps.choi_trace_norm(a, q, p, n, k)
                     out.append((f"choi_norm_{t}", guarded(fn)))
         elif spec.quantity == "decay-rate":
             n = spec.levels[0]
@@ -390,8 +383,8 @@ def test_stacked_route_equals_its_0d_case(levels, qubits, count):
         kraus = kraus_for(alpha, grid, levels, qubits)
         assert kraus.shape == (5,)
         assert_same_bits(superoperator_of(kraus).matrix[2], superoperator_of(kraus_for(alpha, grid[2], levels, qubits)).matrix)
-    assert isinstance(dynmaps.qudit_choi_trace_norm(0.7, 0.3, 0.5, 3), float)
-    assert isinstance(dynmaps.multiqubit_choi_trace_norm(0.7, 0.3, 0.5, 2), float)
+    assert isinstance(dynmaps.choi_trace_norm(0.7, 0.3, 0.5, levels=3), float)
+    assert isinstance(dynmaps.choi_trace_norm(0.7, 0.3, 0.5, qubits=2), float)
 
 
 def test_inverse_checks_every_matrix_of_a_stack():

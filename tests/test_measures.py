@@ -153,6 +153,28 @@ def test_hcla_closed_form_small_alpha_series():
     assert hcla_closed_form(5e-324).value == 0.0 and hcla_closed_form(0.0).value == 0.0
 
 
+# The same for the qutrit (N = 3) normalized rate, from a 660-digit mpmath
+# quadrature over s = 1 - p.
+HCLA_REFERENCE_N3 = {
+    1e-300: 1.111111111111111139e-301,
+    1e-16: 1.1111111111111111681e-17,
+    1e-10: 1.1111111111913580652e-11,
+    5e-07: 5.5555575617289835164e-8,
+    1e-6 - 1e-12: 1.1111108024680017476e-7,
+}
+
+
+def test_hcla_measure_at_tiny_alpha_matches_the_references():
+    # Below 1e-6 the window [p_-, 1] is a few ulps of 1 wide; integrated over
+    # s = 1 - p with a cancellation-free width, the measure keeps its digits.
+    for levels, table in ((2, HCLA_REFERENCE), (3, HCLA_REFERENCE_N3)):
+        for alpha, want in table.items():
+            got = hcla_measure(alpha, levels).value
+            assert abs(got - want) <= 1e-13 * want, (levels, alpha, got)
+    assert hcla_measure(1e-17).value == 2.5e-18
+    assert hcla_measure(5e-324).value == 0.0 and hcla_measure(0.0).value == 0.0
+
+
 def test_hcla_closed_form_keeps_the_antiderivative_from_1e_6():
     for alpha in (1e-6, 1e-4, 0.01, 0.3, 0.7, 1.0):
         s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
