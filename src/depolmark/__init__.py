@@ -11,119 +11,13 @@ witness, accessible-state volume and parameter-space trajectories. The
 
 __version__ = "0.1.0"
 
-from .matcore import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SingularityError,
-    SingularMapError,
-    SingularRateError,
-)
-from .channels import (
-    DepolParams,
-    KrausSet,
-    apply_channel,
-    kappa,
-    multiqubit_kraus,
-    qubit_kraus,
-    qudit_kraus,
-    weyl_operator,
-)
-from .dynmaps import (
-    ChoiMatrix,
-    LambdaRatio,
-    NcpWitness,
-    Superoperator,
-    bell_expectations,
-    bell_states,
-    choi_closed_form,
-    choi_eigenvalues_closed,
-    choi_of,
-    choi_trace_norm,
-    crossover_point,
-    g_function,
-    intermediate_choi,
-    intermediate_map,
-    lambda_ratio,
-    ncp_witness,
-    superoperator_of,
-)
-from .measures import (
-    MeasureValue,
-    RateSample,
-    blp_measure,
-    decay_rate,
-    decay_rate_normalized,
-    hcla_closed_form,
-    hcla_measure,
-    memory_witness_X,
-    memory_witness_closed,
-    qutrit_hcla_log_form,
-    trace_distance,
-)
-from .geometry import (
-    AffineMap,
-    Trajectory,
-    affine_map_of,
-    f_matrix,
-    gell_mann_matrices,
-    trajectory,
-    volume_determinant,
-    volume_measure,
-)
+from . import matcore, channels, dynmaps, measures, geometry
 
-__all__ = [
-    "__version__",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "SingularityError",
-    "SingularMapError",
-    "SingularRateError",
-    "DepolParams",
-    "KrausSet",
-    "apply_channel",
-    "kappa",
-    "multiqubit_kraus",
-    "qubit_kraus",
-    "qudit_kraus",
-    "weyl_operator",
-    "ChoiMatrix",
-    "LambdaRatio",
-    "NcpWitness",
-    "Superoperator",
-    "bell_expectations",
-    "bell_states",
-    "choi_closed_form",
-    "choi_eigenvalues_closed",
-    "choi_of",
-    "choi_trace_norm",
-    "crossover_point",
-    "g_function",
-    "intermediate_choi",
-    "intermediate_map",
-    "lambda_ratio",
-    "ncp_witness",
-    "superoperator_of",
-    "MeasureValue",
-    "RateSample",
-    "blp_measure",
-    "decay_rate",
-    "decay_rate_normalized",
-    "hcla_closed_form",
-    "hcla_measure",
-    "memory_witness_X",
-    "memory_witness_closed",
-    "qutrit_hcla_log_form",
-    "trace_distance",
-    "AffineMap",
-    "Trajectory",
-    "affine_map_of",
-    "f_matrix",
-    "gell_mann_matrices",
-    "trajectory",
-    "volume_determinant",
-    "volume_measure",
-]
+# Each module's __all__ is its public API; the package re-exports all five.
+from .matcore import *
+from .channels import *
+from .dynmaps import *
+from .measures import *
+from .geometry import *
+
+__all__ = ["__version__", *matcore.__all__, *channels.__all__, *dynmaps.__all__, *measures.__all__, *geometry.__all__]

@@ -39,12 +39,13 @@ five columns, and ``hcla`` and ``blp`` call their measure once per alpha.
 
 Grid points inside the singularity guard band, or where a closed form is
 undefined, are emitted as ``NA`` samples, never dropped: a mask, computed
-once per series, marks them before the column is computed. A pinned q that
-fails the SVD check makes its whole series group NA. A singularity at a
-*pinned* parameter (e.g. ``--q`` exactly at the singular value for a Choi
+once per series, marks them before the column is computed; at alpha = 0
+the singular point is the boundary p = 1. A singularity at a *pinned*
+parameter (``--q`` within 1e-6 of the singular value for a Choi
 quantity) aborts with exit code 3; usage errors exit with code 2. Among
-them: a grid bound outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more
-than 1 000 000 ``steps`` (every row is held in memory), a ``g-function``
+them: a single ``alpha`` for ``hcla`` or ``blp``, which sweep alpha, a
+grid bound outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than
+1 000 000 ``steps`` (every row is held in memory), a ``g-function``
 grid ending above 1 - 1e-6 (its finite-difference step), a value repeated
 in ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
 that takes one, and an output path that cannot be written. Series names
@@ -293,11 +294,12 @@ def _masked(mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray],
 
 
 def _guard(x, alpha: float, levels: int = 2):
-    """Whether x (or each point of a grid) lies inside the guard band of the singular parameter."""
+    """Whether x (or each point of a grid) lies inside the guard band of the singular parameter.
+
+    At alpha = 0 that parameter is the boundary p = 1 (``crossover_point`` returns None).
+    """
     point = crossover_point(alpha, levels)
-    if point is None:
-        return np.zeros(np.shape(x), dtype=bool)
-    return abs(x - point) < SINGULARITY_GUARD
+    return abs(x - (1.0 if point is None else point)) < SINGULARITY_GUARD
 
 
 def _check_pinned_q(spec: SweepSpec) -> None:
@@ -344,7 +346,7 @@ def _decay_rate(spec: SweepSpec, alpha: float) -> list:
     # alpha = 0) and wherever the library would raise: G = 0 for the rate,
     # G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
     g = lambda p: survival(alpha, p, n)
-    pole = lambda p: _guard(p, alpha, n) | ((alpha == 0.0) & (abs(p - 1.0) < SINGULARITY_GUARD)) | (abs(g(p)) <= 1e-12)
+    pole = lambda p: _guard(p, alpha, n) | (abs(g(p)) <= 1e-12)
     norm_pole = lambda p: ((alpha == 0.0) & (p < SINGULARITY_GUARD)) | (abs(g(p) + _survival_derivative(alpha, p, n)) <= 1e-12)
     return [
         _column(f"gamma_{tag}", _masked(pole, lambda p: decay_rate(alpha, p, n))),
@@ -438,10 +440,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     Every group returns one float column per name, NaN marking NA; here,
     and only here, NaN becomes the ``None`` sample that the writers print
-    as NA. Singular grid points are never dropped. A group that raises
-    ``SingularMapError`` is NA throughout: that is a pinned q failing the
-    SVD check outside the guard band (alpha = 0 with q within 1e-12 of 1),
-    which fails every point alike.
+    as NA. Singular grid points are never dropped.
     """
     entry = _QUANTITIES[spec.quantity]
     if entry.pinned:
@@ -451,12 +450,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     columns: list = [grid.tolist()]
     for alpha in spec.alpha if entry.abscissa != "alpha" else (None,):
         for series_names, fn in entry.columns(spec, alpha):
-            try:
-                group = fn(grid)
-            except SingularMapError:
-                group = np.full((len(series_names), grid.size), np.nan)
             names.extend(series_names)
-            columns.extend([None if v != v else v for v in np.asarray(column, dtype=float).tolist()] for column in group)
+            columns.extend([None if v != v else v for v in np.asarray(column, dtype=float).tolist()] for column in fn(grid))
     return SweepTable(entry.abscissa, tuple(names), columns, spec.metadata())
 
 
@@ -594,6 +589,10 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     for name, kind in (("alpha", float), ("levels", int), ("qubits", int)):
         if getattr(args, name) is not None:
             given[name] = _parse_list(getattr(args, name), kind)
+    if entry.abscissa == "alpha" and len(given.get("alpha", ())) == 1:
+        raise UsageError(
+            f"{args.target} sweeps alpha: give two or more --alpha values, or leave --alpha out and set the grid with --p-min/--p-max/--steps"
+        )
     given.setdefault("p_min", given.get("q", SweepSpec.q) if entry.pinned else entry.grid[0])
     given.setdefault("p_max", entry.grid[1])
     return SweepSpec(args.target, out=args.out, fmt=args.fmt or "csv", **given)

@@ -340,14 +340,16 @@ def test_g_function_grid_may_end_one_step_below_one():
     assert [row[0] for row in run_sweep(spec).rows] == [0.98, 0.999]
 
 
-@pytest.mark.parametrize("quantity", ["choi-norm", "memory-x"])
-def test_pinned_q_failing_the_conditioning_check_gives_na_rows(quantity, capsys):
-    # alpha = 0 has no interior singular point, yet Phi(q, 0) at q = 1 - 1e-13
-    # fails the 1e-12 conditioning check of the inverse at every grid point.
-    argv = [quantity, "--alpha", "0", "--q", "0.9999999999999", "--p-min", "0.9999999999999", "--p-max", "1", "--steps", "2"]
-    assert main(argv) == 0
-    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
-    assert rows == ["0.9999999999999,NA", "1,NA"]
+@pytest.mark.parametrize("q", ["0.9999999999999", "0.9999999"])
+@pytest.mark.parametrize("quantity", ["choi-eigs", "choi-norm", "memory-x"])
+def test_pinned_q_in_the_alpha_0_guard_band_exits_3(quantity, q, capsys):
+    # At alpha = 0 the singular point is the boundary p = 1: a pinned q
+    # within 1e-6 of it is singular, like any other pinned singular q.
+    argv = [quantity, "--alpha", "0", "--q", q, "--p-min", q, "--p-max", "1", "--steps", "2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "depolmark: singularity:" in captured.err
+    assert captured.out == ""
 
 
 def test_unwritable_sweep_output_exits_2(tmp_path, capsys):
@@ -380,6 +382,15 @@ def test_list_flags_that_would_drop_or_repeat_a_series_exit_2(argv, message, cap
     assert main([*argv, "--steps", "3"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["hcla", "--alpha", "1e-16"], ["blp", "--alpha", "0.3"]], ids=["hcla", "blp"])
+def test_single_alpha_for_an_alpha_sweep_exits_2(argv, capsys):
+    # One alpha is not a grid: the sweep would run the default alpha grid and drop it.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "give two or more --alpha values" in captured.err
     assert captured.out == ""
 
 

@@ -75,6 +75,12 @@ def test_volume_measure_values():
     assert abs(volume_measure(1.0).value - 0.75) < 1e-8
 
 
+def test_volume_measure_is_exact_at_tiny_alpha():
+    # The quadrature it replaced read 0.0 at 1e-16 and was 2.3 % low at 1e-14.
+    assert volume_measure(1e-16).value == 7.5e-17
+    assert volume_measure(1e-14).value == 7.5e-15
+
+
 def test_volume_measure_triples_distinguishability_measure():
     for alpha in (0.2, 0.5, 0.9):
         assert abs(volume_measure(alpha).value - 3 * blp_measure(alpha).value) < 1e-8

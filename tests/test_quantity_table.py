@@ -6,11 +6,15 @@ README. The expectations are written out here rather than read from the
 table, so that a table edit shows up as a failing case.
 """
 
+import importlib
+import itertools
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import depolmark
 from depolmark.cli import FIGURES, QUANTITIES, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -98,18 +102,35 @@ def test_qubits_outside_the_domain_exit_2(quantity, capsys):
     assert "qubits" in captured.err and captured.out == ""
 
 
-def readme_table(first_header: str) -> list:
-    """Back-quoted names in the first column of the README table whose header starts with ``first_header``."""
+def readme_rows(first_header: str) -> list:
+    """Body rows of the README table whose header starts with ``first_header``, as lists of cells."""
     lines = README.splitlines()
     start = next(i for i, line in enumerate(lines) if re.match(rf"\|\s*{first_header}\s*\|", line))
-    names = []
-    for line in lines[start + 2 :]:
-        if not line.startswith("|"):
-            break
-        names.append(re.match(r"\|\s*`([^`]+)`", line).group(1))
-    return names
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def readme_table(first_header: str) -> list:
+    """Back-quoted names in the first column of the README table whose header starts with ``first_header``."""
+    return [row[0].strip("`") for row in readme_rows(first_header)]
 
 
 def test_readme_tables_list_exactly_the_quantities_and_figures():
     assert readme_table("quantity") == list(QUANTITIES)
     assert readme_table("id") == list(FIGURES)
+
+
+def test_readme_layout_names_only_public_exports():
+    # Every back-quoted name that the layout table gives a module, and that
+    # the module defines (modules aside), is in its __all__; for the five
+    # library modules it is importable from the package as well.
+    missing = []
+    for module_cell, contents in readme_rows("module"):
+        module = importlib.import_module(module_cell.strip("`"))
+        library = module.__name__ != "depolmark.cli"
+        for name in contents.split("`")[1::2]:
+            if not hasattr(module, name) or isinstance(getattr(module, name), types.ModuleType):
+                continue
+            if name not in module.__all__ or (library and name not in depolmark.__all__):
+                missing.append(f"{module.__name__}.{name}")
+    assert missing == []
