@@ -39,7 +39,6 @@ from .matcore import (
 )
 
 __all__ = [
-    "DepolParams",
     "KrausSet",
     "kappa",
     "survival",
@@ -62,31 +61,6 @@ def _check_unit_interval(name: str, value):
     if not inside.all():
         raise ValueError(f"{name} must lie in [0, 1], got {value[~inside].flat[0]}")
     return float(value) if value.ndim == 0 else value
-
-
-@dataclass(frozen=True)
-class DepolParams:
-    """Parameter record for the depolarizing channel family.
-
-    Attributes:
-        alpha: memory strength in [0, 1].
-        p: timelike parameter in [0, 1].
-        levels: system dimension N >= 2.
-        qubits: number of qubits n >= 1 (tensor-product family).
-    """
-
-    alpha: float
-    p: float
-    levels: int = 2
-    qubits: int = 1
-
-    def __post_init__(self) -> None:
-        _check_unit_interval("alpha", self.alpha)
-        _check_unit_interval("p", self.p)
-        if int(self.levels) < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
-        if int(self.qubits) < 1:
-            raise ValueError(f"qubits must be >= 1, got {self.qubits}")
 
 
 @dataclass(frozen=True)
@@ -163,17 +137,26 @@ def _sqrt_coefficient(radicand, what: str) -> np.ndarray:
     return np.sqrt(np.maximum(radicand, 0.0))[..., None, None]
 
 
+def _kraus_set(alpha: float, p, levels: int, unitaries: list) -> KrausSet:
+    """Kraus set of the N-level channel over ``unitaries``, the identity first, weighted as in :func:`qudit_kraus`.
+
+    At N = 2, c = (N^2 - 1)/N^2 is exactly 0.75, the 3/4 of the qubit weights.
+    """
+    alpha = _check_unit_interval("alpha", alpha)
+    p = _check_unit_interval("p", p)
+    n2 = levels * levels
+    c = (n2 - 1) / n2
+    c_id = _sqrt_coefficient((1 - c * alpha * p) * (1 - c * p), "identity term")
+    c_rest = _sqrt_coefficient((1 + alpha * (1 - c * p)) * p / n2, "non-identity term")
+    return KrausSet((c_id * unitaries[0], *(c_rest * u for u in unitaries[1:])), levels)
+
+
 def qubit_kraus(alpha: float, p) -> KrausSet:
     """Kraus operators of the single-qubit channel, ordered (I, X, Y, Z).
 
     ``p`` may be a grid; the set then holds one channel per grid point.
     """
-    alpha = _check_unit_interval("alpha", alpha)
-    p = _check_unit_interval("p", p)
-    c_id = _sqrt_coefficient((1 - 0.75 * alpha * p) * (1 - 0.75 * p), "identity term")
-    c_pauli = _sqrt_coefficient((1 + alpha * (1 - 0.75 * p)) * p / 4.0, "Pauli term")
-    ops = (c_id * PAULI_I, c_pauli * PAULI_X, c_pauli * PAULI_Y, c_pauli * PAULI_Z)
-    return KrausSet(ops, 2)
+    return _kraus_set(alpha, p, 2, [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def weyl_operator(levels: int, r: int, s: int) -> np.ndarray:
@@ -203,21 +186,10 @@ def qudit_kraus(alpha: float, p, levels: int) -> KrausSet:
     the unique choice for which the completeness relation holds for all
     alpha and p. ``p`` may be a grid, as for :func:`qubit_kraus`.
     """
-    alpha = _check_unit_interval("alpha", alpha)
-    p = _check_unit_interval("p", p)
     n = int(levels)
     if n < 2:
         raise ValueError("levels must be >= 2")
-    n2 = n * n
-    c = (n2 - 1) / n2
-    c_id = _sqrt_coefficient((1 - c * alpha * p) * (1 - c * p), "identity term")
-    c_weyl = _sqrt_coefficient((1 + alpha * (1 - c * p)) * p / n2, "Weyl term")
-    ops = []
-    for r in range(n):
-        for s in range(n):
-            coeff = c_id if (r, s) == (0, 0) else c_weyl
-            ops.append(coeff * weyl_operator(n, r, s))
-    return KrausSet(tuple(ops), n)
+    return _kraus_set(alpha, p, n, [weyl_operator(n, r, s) for r in range(n) for s in range(n)])
 
 
 def multiqubit_kraus(alpha: float, p, qubits: int) -> KrausSet:

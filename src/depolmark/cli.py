@@ -52,9 +52,6 @@ that takes one, and an output path that cannot be written. Series names
 and the CSV metadata echo print numbers with ``:g`` where that reads back
 as the same float, and with the shortest round-tripping ``repr``
 otherwise.
-
-``DEPOLMARK_THREADS`` is accepted and ignored: sweeps run serially, as
-whole-grid columns are faster than the per-point threads they replaced.
 """
 
 from __future__ import annotations
@@ -73,13 +70,13 @@ from .channels import apply_channel, qubit_kraus, survival
 from .dynmaps import (
     G_FUNCTION_STEP,
     SINGULARITY_GUARD,
+    _guard,
     choi_trace_norm,
-    crossover_point,
     g_function,
     qudit_choi_eigenvalues,
 )
 from .geometry import f_matrix, trajectory, volume_determinant
-from .matcore import SingularityError, SingularMapError, blockwise
+from .matcore import ZERO_FLOOR, SingularityError, SingularMapError, blockwise
 from .measures import (
     blp_measure,
     decay_rate,
@@ -293,15 +290,6 @@ def _masked(mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray],
     return column
 
 
-def _guard(x, alpha: float, levels: int = 2):
-    """Whether x (or each point of a grid) lies inside the guard band of the singular parameter.
-
-    At alpha = 0 that parameter is the boundary p = 1 (``crossover_point`` returns None).
-    """
-    point = crossover_point(alpha, levels)
-    return abs(x - (1.0 if point is None else point)) < SINGULARITY_GUARD
-
-
 def _check_pinned_q(spec: SweepSpec) -> None:
     """A singular pinned q cannot produce any sample: abort, not NA."""
     for alpha in spec.alpha:
@@ -346,8 +334,8 @@ def _decay_rate(spec: SweepSpec, alpha: float) -> list:
     # alpha = 0) and wherever the library would raise: G = 0 for the rate,
     # G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
     g = lambda p: survival(alpha, p, n)
-    pole = lambda p: _guard(p, alpha, n) | (abs(g(p)) <= 1e-12)
-    norm_pole = lambda p: ((alpha == 0.0) & (p < SINGULARITY_GUARD)) | (abs(g(p) + _survival_derivative(alpha, p, n)) <= 1e-12)
+    pole = lambda p: _guard(p, alpha, n) | (abs(g(p)) <= ZERO_FLOOR)
+    norm_pole = lambda p: ((alpha == 0.0) & (p < SINGULARITY_GUARD)) | (abs(g(p) + _survival_derivative(alpha, p, n)) <= ZERO_FLOOR)
     return [
         _column(f"gamma_{tag}", _masked(pole, lambda p: decay_rate(alpha, p, n))),
         _column(f"gamma_normalized_{tag}", _masked(norm_pole, lambda p: decay_rate_normalized(alpha, p, n))),
@@ -361,8 +349,8 @@ def _per_alpha(name: str, fn: Callable[[float], float]) -> tuple:
 
 def _hcla(spec: SweepSpec, alpha: float | None) -> list:
     n = spec.levels[0]
-    closed = ("N_HCLA_closed", lambda a: hcla_closed_form(a).value) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
-    return [_per_alpha("N_HCLA_numeric", lambda a: hcla_measure(a, n).value), _per_alpha(*closed)]
+    closed = ("N_HCLA_closed", hcla_closed_form) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
+    return [_per_alpha("N_HCLA_numeric", lambda a: hcla_measure(a, n)), _per_alpha(*closed)]
 
 
 def _trace_distance(spec: SweepSpec, alpha: float) -> list:
@@ -416,7 +404,7 @@ _QUANTITIES = {
     "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
-    "blp": _Quantity(lambda spec, _: [_per_alpha("N_BLP", lambda a: blp_measure(a).value)], abscissa="alpha"),
+    "blp": _Quantity(lambda spec, _: [_per_alpha("N_BLP", blp_measure)], abscissa="alpha"),
     "trace-distance": _Quantity(_trace_distance),
     "memory-x": _Quantity(
         lambda spec, a: [_column(f"X_{_alpha_tag(a)}", lambda grid: memory_witness_X(a, spec.q, grid))],
@@ -565,8 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "TARGET is a quantity (" + ", ".join(QUANTITIES) + ") or a figure preset "
             "(fig1..fig13). Figure presets pin their own parameters and treat --out as "
-            f"an output directory. --steps is capped at {_MAX_STEPS}. Sweeps run serially; "
-            "DEPOLMARK_THREADS is accepted and ignored."
+            f"an output directory. --steps is capped at {_MAX_STEPS}."
         ),
     )
     parser.add_argument("target", choices=QUANTITIES + FIGURES, metavar="TARGET")

@@ -64,6 +64,7 @@ from .matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    ZERO_FLOOR,
     SingularMapError,
     blockwise,
     devectorize,
@@ -76,7 +77,6 @@ from .matcore import (
 __all__ = [
     "Superoperator",
     "ChoiMatrix",
-    "LambdaRatio",
     "NcpWitness",
     "superoperator_of",
     "intermediate_map",
@@ -86,7 +86,6 @@ __all__ = [
     "choi_of",
     "intermediate_choi",
     "choi_closed_form",
-    "choi_eigenvalues_closed",
     "qudit_choi_eigenvalues",
     "crossover_point",
     "ncp_witness",
@@ -97,8 +96,9 @@ __all__ = [
     "pauli_transfer",
 ]
 
-#: Width of the guard band around the singular parameter value; sweeps treat
-#: grid points closer than this to the singularity as undefined samples.
+#: Width of the guard band around the singular parameter value (see
+#: :func:`_guard`); sweeps treat grid points closer than this to the
+#: singularity as undefined samples, and :func:`g_function` rejects them.
 SINGULARITY_GUARD = 1e-6
 
 #: Finite-difference step of :func:`g_function`; a q grid must end at or
@@ -155,14 +155,6 @@ class ChoiMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum, ascending, per matrix (Hermitian by construction)."""
         return hermitian_eigenvalues(self.matrix)
-
-
-class LambdaRatio(NamedTuple):
-    """Shared Pauli eigenvalue of the qubit propagator, with its two factors."""
-
-    value: float
-    numerator: float
-    denominator: float
 
 
 class NcpWitness(NamedTuple):
@@ -276,7 +268,7 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     return Superoperator(acc, levels**qubits)
 
 
-def lambda_ratio(alpha: float, q, p, levels: int = 2) -> LambdaRatio:
+def lambda_ratio(alpha: float, q, p, levels: int = 2):
     """Closed-form transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator.
 
     With n2 = N^2 both survival factors G = 1 - k are written over the
@@ -298,9 +290,9 @@ def lambda_ratio(alpha: float, q, p, levels: int = 2) -> LambdaRatio:
     num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
     den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2
     # |den|/n2 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
-    if not _all(abs(den) / n2 > matcore._SINGULAR_RTOL):
+    if not _all(abs(den) / n2 > ZERO_FLOOR):
         raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
-    return LambdaRatio(num / den, num, den)
+    return num / den
 
 
 def maximally_entangled_projector(dim: int) -> np.ndarray:
@@ -350,7 +342,7 @@ def choi_closed_form(alpha: float, q: float, p: float) -> np.ndarray:
     with l = lambda(p, q). Its spectrum is 1/4 + (3/4) l once and
     1/4 - (1/4) l three times.
     """
-    lam = lambda_ratio(alpha, q, p).value
+    lam = lambda_ratio(alpha, q, p)
     chi = np.zeros((4, 4), dtype=complex)
     chi[0, 0] = chi[3, 3] = (1 + lam) / 4.0
     chi[1, 1] = chi[2, 2] = (1 - lam) / 4.0
@@ -358,25 +350,16 @@ def choi_closed_form(alpha: float, q: float, p: float) -> np.ndarray:
     return chi
 
 
-def choi_eigenvalues_closed(alpha: float, q: float, p: float) -> tuple:
-    """Closed-form Choi spectrum (Lambda_I, Lambda_X, Lambda_Y, Lambda_Z).
-
-    The N = 2 view of :func:`qudit_choi_eigenvalues`: Lambda_I = 1/4 +
-    (3/4) lambda and Lambda_i = 1/4 - (1/4) lambda; they always sum to 1
-    (trace preservation), and any negative entry flags an NCP propagator.
-    """
-    top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
-    return (top, rest, rest, rest)
-
-
 def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     """Choi spectrum of the N-level propagator as (top, rest).
 
     ``top`` = 1/N^2 + (1 - 1/N^2) l has multiplicity 1 and ``rest`` =
     1/N^2 - l/N^2 has multiplicity N^2 - 1, with l = :func:`lambda_ratio`.
-    Takes grids too.
+    For the qubit they are Lambda_I and the threefold Lambda_{X,Y,Z}. The
+    spectrum sums to 1 (trace preservation), and a negative ``rest`` or
+    ``top`` flags an NCP propagator. Takes grids too.
     """
-    lam = lambda_ratio(alpha, q, p, levels).value
+    lam = lambda_ratio(alpha, q, p, levels)
     n2 = levels * levels
     return (1 / n2 + (1 - 1 / n2) * lam, 1 / n2 - lam / n2)
 
@@ -399,6 +382,15 @@ def crossover_point(alpha: float, levels: int = 2) -> float | None:
     c = (levels * levels - 1) / (levels * levels)
     disc = (1 + alpha) ** 2 - 4 * c * alpha
     return 2.0 / ((1 + alpha) + math.sqrt(disc))
+
+
+def _guard(x, alpha: float, levels: int = 2):
+    """Whether x (or each point of a grid) lies inside the guard band of the singular parameter.
+
+    At alpha = 0 that parameter is the boundary p = 1 (``crossover_point`` returns None).
+    """
+    point = crossover_point(alpha, levels)
+    return abs(x - (1.0 if point is None else point)) < SINGULARITY_GUARD
 
 
 def ncp_witness(choi: ChoiMatrix) -> NcpWitness:
@@ -443,7 +435,8 @@ def g_function(alpha: float, q, qubits: int = 1):
     (an array comes back); every q of it is inverted and checked.
 
     Raises:
-        SingularMapError: when q sits at the singular parameter value.
+        SingularMapError: when q lies in the guard band of the singular
+            parameter value, where the steps would reach past it.
     """
     q_arr = np.asarray(q, dtype=float)
     if not np.all((0.0 <= q_arr) & (q_arr < 1.0)):
@@ -453,6 +446,8 @@ def g_function(alpha: float, q, qubits: int = 1):
     eps = G_FUNCTION_STEP
     if np.any(q_arr + eps > 1.0):
         raise ValueError(f"q = {q} leaves no room for the finite-difference step {eps}")
+    if np.any(_guard(q_arr, alpha)):
+        raise SingularMapError(f"q = {q} lies within {SINGULARITY_GUARD:g} of the singular parameter value")
 
     def quotient(step: float):
         norm = choi_trace_norm(alpha, q, q_arr + step, qubits=qubits)

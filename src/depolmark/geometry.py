@@ -17,6 +17,7 @@ Three views of the same family:
   maps, together with the log-derivative vector A(p) whose sign pattern
   decides CP divisibility point by point.
 
+``volume_measure`` returns a plain float, one number per alpha.
 ``affine_map_of``, ``volume_determinant`` and ``f_matrix`` take ``p`` as one
 value or as a grid; a grid gives stacked transfer matrices, point by point
 bit-equal to single calls, and ``trajectory`` returns one array per
@@ -32,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import _check_unit_interval, apply_channel, qubit_kraus, qudit_kraus, survival
-from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, trace_norm
-from .measures import MeasureValue
+from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ZERO_FLOOR, trace_norm
 
 __all__ = [
     "AffineMap",
@@ -47,11 +47,6 @@ __all__ = [
     "f_matrix",
     "trajectory",
 ]
-
-#: Transfer eigenvalues closer than this to zero make the log-derivative
-#: vector undefined; such trajectory points are kept but marked singular.
-_LAMBDA_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -84,8 +79,8 @@ class Trajectory(NamedTuple):
 
     The three transfer eigenvalues are equal, so ``lam`` holds the one
     value; ``a`` is the log-derivative lambda'/lambda shared by all three
-    axes of the A vector, NaN where |lambda| <= 1e-12. CP divisibility
-    needs the three inequalities A.(-1, 1, 1), A.(1, -1, 1) and
+    axes of the A vector, NaN where |lambda| <= ``matcore.ZERO_FLOOR``. CP
+    divisibility needs the three inequalities A.(-1, 1, 1), A.(1, -1, 1) and
     A.(1, 1, -1) to be <= 1e-12; with equal entries each of them is
     exactly ``a`` in floating point, so ``cp_divisible`` is ``a <= 1e-12``,
     and False where ``a`` is NaN (the propagator through that point is
@@ -139,15 +134,14 @@ def volume_determinant(alpha: float, p):
     return float(volume) if volume.ndim == 0 else volume
 
 
-def volume_measure(alpha: float) -> MeasureValue:
+def volume_measure(alpha: float) -> float:
     """Volume-revival measure: integral of max(0, d||M||_1/dp) over [0, 1].
 
     ||M||_1 = 1 + 3 |lambda| grows only past the singular parameter value,
     so the integral is 3 (|lambda(1)| - 0) = (3/4) alpha, returned in that
     closed form. The alpha = 0 channel yields exactly 0.
     """
-    _check_unit_interval("alpha", alpha)
-    return MeasureValue("Volume", alpha, 2, 0.75 * alpha)
+    return 0.75 * _check_unit_interval("alpha", alpha)
 
 
 def gell_mann_matrices(levels: int) -> list:
@@ -205,7 +199,7 @@ def trajectory(alpha: float, p_grid) -> Trajectory:
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"grid values must lie in [0, 1], got {p}")
     lam = survival(alpha, p)
-    singular = np.abs(lam) <= _LAMBDA_FLOOR
+    singular = np.abs(lam) <= ZERO_FLOOR
     a = np.divide(bloch_contraction_derivative(alpha, p), lam, out=np.full_like(lam, np.nan), where=~singular)
     inside = (1.0 + lam >= np.abs(lam + lam) - 1e-12) & (1.0 - lam >= np.abs(lam - lam) - 1e-12)
     return Trajectory(p, lam, a, inside, ~singular & (a <= 1e-12))

@@ -63,10 +63,13 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# Relative threshold on singular values below which a matrix is treated as
-# non-invertible. The map singularity must surface as a typed error, not as
-# a garbage inverse.
-_SINGULAR_RTOL = 1e-12
+#: Zero floor of the package. A matrix whose smallest singular value is at
+#: most this times its largest is not invertible, and a denominator of at
+#: most this magnitude counts as zero; the two agree for the survival factor
+#: G, which is the smallest singular value of Phi(p, 0). Every raise
+#: condition and NA mask of a singular point reads this one value, so the
+#: map singularity surfaces as a typed error, not as a garbage inverse.
+ZERO_FLOOR = 1e-12
 
 # Grid points per block of a whole-grid evaluation. A block's stacks (an
 # N = 4 superoperator takes 4 KiB per point, a 3-qubit one 64 KiB) stay
@@ -218,16 +221,16 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
     Raises:
         SingularMapError: if, for any matrix, the smallest singular value
-            is below 1e-12 times the largest. For the channel families in
-            this package that is exactly the parameter point where the map
-            loses invertibility.
+            is at most ``ZERO_FLOOR`` times the largest. For the channel
+            families in this package that is exactly the parameter point
+            where the map loses invertibility.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("only square matrices can be inverted")
     svals = np.linalg.svd(m, compute_uv=False)
     top, bottom = svals[..., 0], svals[..., -1]
-    singular = (top == 0.0) | (bottom <= _SINGULAR_RTOL * top)
+    singular = (top == 0.0) | (bottom <= ZERO_FLOOR * top)
     if np.any(singular):
         i = np.unravel_index(np.argmax(singular), singular.shape)
         ratio = 0.0 if top[i] == 0.0 else bottom[i] / top[i]

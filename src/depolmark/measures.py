@@ -15,8 +15,10 @@ Built on the survival factor G(p) = 1 - k(p) of the depolarizing family:
 * memory witness              X = |s| + ||T||_1 from the Bloch-type
   decomposition of the propagator Choi matrix, equal to 3 |lambda(p, q)|.
 
-All quadratures are adaptive with absolute tolerance 1e-9. They load
-scipy on first use; the rest of the package needs numpy only.
+Each measure (``hcla_measure``, ``hcla_closed_form``, ``blp_measure``)
+returns a plain float, one number per alpha. All quadratures are adaptive
+with absolute tolerance 1e-9. They load scipy on first use; the rest of
+the package needs numpy only.
 ``decay_rate``, ``decay_rate_normalized``, ``memory_witness_X``,
 ``memory_witness_closed`` and ``trace_distance`` also take whole grids
 (stacks of states), point by point bit-equal to single calls; a scalar
@@ -27,7 +29,6 @@ thousands of times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +39,13 @@ from .matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    ZERO_FLOOR,
     SingularRateError,
     kron,
     trace_norm,
 )
 
 __all__ = [
-    "RateSample",
-    "MeasureValue",
-    "rate_sample",
     "decay_rate",
     "decay_rate_normalized",
     "hcla_measure",
@@ -62,8 +61,6 @@ __all__ = [
     "memory_witness_closed",
 ]
 
-_MEASURE_NAMES = frozenset({"HCLA", "HCLA_closed", "BLP", "Volume", "Memory"})
-
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-11, limit=200)
 
 
@@ -73,29 +70,6 @@ def _quad(integrand, lower: float, upper: float, split: float | None = None) -> 
     if split is None:
         return integrate.quad(integrand, lower, upper, **_QUAD_OPTS)[0]
     return _quad(integrand, lower, split) + _quad(integrand, split, upper)
-
-
-@dataclass(frozen=True)
-class RateSample:
-    """Decay rate and its normalized form at one parameter value."""
-
-    p: float
-    gamma: float
-    gamma_normalized: float
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """One scalar non-Markovianity measure evaluated at fixed parameters."""
-
-    name: str
-    alpha: float
-    levels: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.name not in _MEASURE_NAMES:
-            raise ValueError(f"unknown measure name {self.name!r}; expected one of {sorted(_MEASURE_NAMES)}")
 
 
 # Apart from geometry.bloch_contraction_derivative: same G', other last bits; this one feeds the rates.
@@ -113,11 +87,11 @@ def decay_rate(alpha: float, p, levels: int = 2):
     singular parameter value. A grid of p gives an array.
 
     Raises:
-        SingularRateError: where G vanishes (at any point of a grid) and the
-            rate diverges.
+        SingularRateError: where |G| is at most ``matcore.ZERO_FLOOR`` (at
+            any point of a grid) and the rate diverges.
     """
     g = survival(alpha, p, levels)
-    if not _all(abs(g) > 1e-12):
+    if not _all(abs(g) > ZERO_FLOOR):
         raise SingularRateError(f"decay rate diverges at p = {p} (survival factor vanished)")
     return -_survival_derivative(alpha, p, levels) / g
 
@@ -133,26 +107,17 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
 
     Raises:
         ValueError: if the simplified denominator G + G' (about -(alpha + p)
-            near p = 0) vanishes at any point: at alpha = p = 0, and wherever
-            alpha + p is below about 1e-12.
+            near p = 0) is at most ``matcore.ZERO_FLOOR`` at any point: at
+            alpha = p = 0, and wherever alpha + p is below about 1e-12.
     """
     num = _survival_derivative(alpha, p, levels)
     den = survival(alpha, p, levels) + num
-    if not _all(abs(den) > 1e-12):
+    if not _all(abs(den) > ZERO_FLOOR):
         raise ValueError(f"normalized rate undefined at p = {p}")
     return num / den
 
 
-def rate_sample(alpha: float, p: float, levels: int = 2) -> RateSample:
-    """Both rate views at one parameter value, for dataset assembly.
-
-    Raises:
-        SingularRateError: where the raw rate diverges.
-    """
-    return RateSample(p, decay_rate(alpha, p, levels), decay_rate_normalized(alpha, p, levels))
-
-
-def hcla_measure(alpha: float, levels: int = 2) -> MeasureValue:
+def hcla_measure(alpha: float, levels: int = 2) -> float:
     """Negative-decay-rate measure: integral of gamma~ over [p_-, 1].
 
     ``p_-`` is the singular parameter value of the family
@@ -170,18 +135,16 @@ def hcla_measure(alpha: float, levels: int = 2) -> MeasureValue:
     """
     _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
-        return MeasureValue("HCLA", alpha, levels, 0.0)
+        return 0.0
     if alpha < 1e-6:
         c = (levels * levels - 1) / (levels * levels)
         r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
         width = 4.0 * alpha * (1.0 - c) / ((r + 1.0 - alpha) * ((1.0 + alpha) + r))
-        value = _quad(lambda s: decay_rate_normalized(alpha, 1.0 - s, levels), 0.0, width)
-    else:
-        value = _quad(lambda p: decay_rate_normalized(alpha, p, levels), crossover_point(alpha, levels), 1.0)
-    return MeasureValue("HCLA", alpha, levels, value)
+        return _quad(lambda s: decay_rate_normalized(alpha, 1.0 - s, levels), 0.0, width)
+    return _quad(lambda p: decay_rate_normalized(alpha, p, levels), crossover_point(alpha, levels), 1.0)
 
 
-def hcla_closed_form(alpha: float) -> MeasureValue:
+def hcla_closed_form(alpha: float) -> float:
     """Antiderivative evaluation of the qubit normalized-rate integral.
 
     With den(p) = 4 p + 4 alpha - 2 alpha p - 3 alpha p^2 and
@@ -200,7 +163,7 @@ def hcla_closed_form(alpha: float) -> MeasureValue:
     """
     _check_unit_interval("alpha", alpha)
     if alpha < 1e-6:
-        return MeasureValue("HCLA_closed", alpha, 2, alpha / 4.0 + 3.0 * alpha * alpha / 32.0)
+        return alpha / 4.0 + 3.0 * alpha * alpha / 32.0
     s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
 
     def antiderivative(p: float) -> float:
@@ -208,7 +171,7 @@ def hcla_closed_form(alpha: float) -> MeasureValue:
         return math.log(abs(den)) + (6.0 * alpha / s) * math.atanh((3.0 * alpha * p + alpha - 2.0) / s)
 
     lower = crossover_point(alpha, 2)
-    return MeasureValue("HCLA_closed", alpha, 2, antiderivative(1.0) - antiderivative(lower))
+    return antiderivative(1.0) - antiderivative(lower)
 
 
 def qutrit_hcla_log_form(alpha: float) -> float:
@@ -271,7 +234,7 @@ def plus_minus_distance_derivative(alpha: float, p: float) -> float:
     return math.copysign(1.0, g) * _survival_derivative(alpha, p, 2)
 
 
-def blp_measure(alpha: float) -> MeasureValue:
+def blp_measure(alpha: float) -> float:
     """Distinguishability-revival measure for the antipodal |+>/|-> pair.
 
     Integrates max(0, dD/dp) over [0, 1] by adaptive quadrature, splitting
@@ -281,9 +244,9 @@ def blp_measure(alpha: float) -> MeasureValue:
     """
     _check_unit_interval("alpha", alpha)
     if alpha == 0.0:
-        return MeasureValue("BLP", alpha, 2, 0.0)
+        return 0.0
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
-    return MeasureValue("BLP", alpha, 2, _quad(integrand, 0.0, 1.0, crossover_point(alpha, 2)))
+    return _quad(integrand, 0.0, 1.0, crossover_point(alpha, 2))
 
 
 def blp_random_pair_search(
@@ -369,4 +332,4 @@ def memory_witness_X(alpha: float, q, p):
 
 def memory_witness_closed(alpha: float, q, p):
     """Closed form 3 |lambda(p, q)| of the memory witness."""
-    return 3.0 * abs(lambda_ratio(alpha, q, p).value)
+    return 3.0 * abs(lambda_ratio(alpha, q, p))

@@ -15,13 +15,13 @@ from depolmark.channels import apply_channel, kappa, multiqubit_kraus, qubit_kra
 from depolmark.dynmaps import (
     bell_expectations,
     choi_closed_form,
-    choi_eigenvalues_closed,
     choi_of,
     choi_trace_norm,
     crossover_point,
     g_function,
     intermediate_choi,
     intermediate_map,
+    qudit_choi_eigenvalues,
 )
 from depolmark.geometry import f_matrix, trajectory, volume_determinant, volume_measure
 from depolmark.matcore import devectorize, swap_matrix, trace_norm, vectorize
@@ -75,7 +75,7 @@ def test_criterion_1_choi_oracle_equivalence():
 
 
 def test_criterion_2_eigenvalue_crossover():
-    gap = lambda p: choi_eigenvalues_closed(0.7, 0.3, p)[0] - choi_eigenvalues_closed(0.7, 0.3, p)[1]
+    gap = lambda p: qudit_choi_eigenvalues(0.7, 0.3, p, 2)[0] - qudit_choi_eigenvalues(0.7, 0.3, p, 2)[1]
     root = brentq(gap, 0.7, 0.85, xtol=1e-12)
     closed = crossover_point(0.7)
     ok = abs(root - 0.772553) < 1e-6 and abs(root - closed) < 1e-9 and abs(closed - 0.78) < 0.01
@@ -92,8 +92,7 @@ def test_criterion_3_ncp_region():
     negatives = []
     norms = []
     for p in grid:
-        eigs = choi_eigenvalues_closed(0.7, 0.8, p)
-        negatives.append(eigs[1] < 0 and eigs[2] < 0 and eigs[3] < 0)
+        negatives.append(qudit_choi_eigenvalues(0.7, 0.8, p, 2)[1] < 0)
         chi = intermediate_choi(0.7, 0.8, p)
         norms.append(trace_norm(chi.matrix) > 1.0)
         negatives.append(chi.eigenvalues()[0] < -1e-10)
@@ -122,8 +121,8 @@ def test_criterion_5_hcla_consistency():
     worst = 0.0
     values = []
     for alpha in [round(0.1 * k, 1) for k in range(1, 11)]:
-        numeric = hcla_measure(alpha).value
-        closed = hcla_closed_form(alpha).value
+        numeric = hcla_measure(alpha)
+        closed = hcla_closed_form(alpha)
         worst = max(worst, abs(numeric - closed))
         values.append(numeric)
     monotone = all(a < b for a, b in zip(values, values[1:]))
@@ -137,7 +136,7 @@ def test_criterion_5_hcla_consistency():
 
 def test_criterion_6_blp_exactness():
     worst = max(
-        abs(blp_measure(alpha).value - alpha / 4) for alpha in [round(0.1 * k, 1) for k in range(1, 11)]
+        abs(blp_measure(alpha) - alpha / 4) for alpha in [round(0.1 * k, 1) for k in range(1, 11)]
     )
     rng = np.random.default_rng(123)
     grid = np.linspace(0.0, 1.0, 21)
@@ -181,7 +180,7 @@ def test_criterion_8_volume():
     for alpha, p in itertools.product((0.0, 0.4, 0.8, 1.0), np.linspace(0.0, 1.0, 21)):
         worst = max(worst, abs(volume_determinant(alpha, p) - abs(survival(alpha, p)) ** 3))
     measure_err = max(
-        abs(volume_measure(alpha).value - 0.75 * alpha) for alpha in [round(0.1 * k, 1) for k in range(11)]
+        abs(volume_measure(alpha) - 0.75 * alpha) for alpha in [round(0.1 * k, 1) for k in range(11)]
     )
     grid = np.linspace(0.7405, 1.0, 53)
     values = [volume_determinant(0.8, p) for p in grid]
@@ -218,7 +217,7 @@ def test_criterion_10_qutrit():
     nonmonotone = 0 < low < len(norms7) - 1 and norms7[-1] > norms7[low] and abs(grid[low] - point3) < 0.02
     norms0 = [f_matrix(0.0, p, 3).trace_norm for p in grid]
     monotone0 = all(b <= a + 1e-13 for a, b in zip(norms0, norms0[1:]))
-    numeric = hcla_measure(1.0, levels=3).value
+    numeric = hcla_measure(1.0, levels=3)
     logform = qutrit_hcla_log_form(1.0)
     print(
         f"    qutrit rate measure at alpha=1: quadrature {numeric:.6f} vs plain-log form "
@@ -288,10 +287,10 @@ def test_criterion_12_structural_invariants():
     for alpha, q, p in ((0.0, 0.0, 0.5), (0.7, 0.3, 0.9), (0.9, 0.4, 1.0), (0.7, 0.8, 1.0)):
         chi = intermediate_choi(alpha, q, p)
         traces.append(abs(chi.trace() - 1.0))
-        closed = choi_eigenvalues_closed(alpha, q, p)
+        top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
         expectations = bell_expectations(chi)
-        bell_ok &= abs(expectations[0] - closed[0]) < 1e-10
-        bell_ok &= np.abs(expectations[1:] - np.array(closed[1:])).max() < 1e-10
+        bell_ok &= abs(expectations[0] - top) < 1e-10
+        bell_ok &= np.abs(expectations[1:] - rest).max() < 1e-10
     unit_trace = max(traces) < 1e-10
 
     rng = np.random.default_rng(3)

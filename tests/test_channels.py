@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from depolmark.channels import (
-    DepolParams,
     KrausSet,
     apply_channel,
     kappa,
@@ -200,14 +199,3 @@ def test_apply_channel_validates_density_input():
 def test_kraus_set_rejects_incomplete_family():
     with pytest.raises(ValueError, match="completeness"):
         KrausSet((0.5 * PAULI_I,), 2)
-
-
-def test_depol_params_validation():
-    params = DepolParams(0.5, 0.25, levels=3, qubits=2)
-    assert params.levels == 3
-    with pytest.raises(ValueError):
-        DepolParams(1.5, 0.5)
-    with pytest.raises(ValueError):
-        DepolParams(0.5, 0.5, levels=1)
-    with pytest.raises(ValueError):
-        DepolParams(0.5, 0.5, qubits=0)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depolmark.channels import kappa, multiqubit_kraus, qubit_kraus, qudit_kraus
+from depolmark.channels import kappa, multiqubit_kraus, qubit_kraus, qudit_kraus, survival
 from depolmark.dynmaps import (
     ChoiMatrix,
     Superoperator,
     bell_expectations,
     bell_states,
     choi_closed_form,
-    choi_eigenvalues_closed,
     choi_of,
     choi_trace_norm,
     crossover_point,
@@ -102,11 +101,11 @@ def test_intermediate_map_rejects_bad_pair():
 
 def test_lambda_ratio_special_values():
     for p in (0.0, 0.3, 0.9):
-        assert abs(lambda_ratio(0.0, 0.0, p).value - (1 - p)) < 1e-15
-    assert lambda_ratio(0.6, 0.4, 0.4).value == 1.0
-    ratio = lambda_ratio(0.7, 0.3, 1.0)
-    assert abs(ratio.value + 0.3257328990228014) < 1e-14
-    assert abs(ratio.denominator + 2.149) < 1e-14
+        assert abs(lambda_ratio(0.0, 0.0, p) - (1 - p)) < 1e-15
+    assert lambda_ratio(0.6, 0.4, 0.4) == 1.0
+    assert abs(lambda_ratio(0.7, 0.3, 1.0) + 0.3257328990228014) < 1e-14
+    # The denominator of the ratio is -4 G(q): G(0.3) = 2.149 / 4 at alpha = 0.7.
+    assert abs(4 * survival(0.7, 0.3) - 2.149) < 1e-14
     with pytest.raises(SingularMapError):
         lambda_ratio(0.7, ALPHA_MINUS_07, 0.9)
 
@@ -124,35 +123,36 @@ def test_choi_pipeline_matches_closed_form(alpha, q):
     for p in np.minimum(np.arange(q, 1.0 + 1e-9, 0.1), 1.0):
         chi = choi_of(intermediate_map(alpha, q, p))
         assert np.abs(chi.matrix - choi_closed_form(alpha, q, p)).max() < 1e-12
-        closed = np.sort(choi_eigenvalues_closed(alpha, q, p))
+        top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
+        closed = np.sort([top, rest, rest, rest])
         assert np.abs(chi.eigenvalues() - closed).max() < 1e-10
         assert abs(chi.trace() - 1.0) < 1e-12
 
 
 def test_choi_eigenvalues_memoryless():
     for p in (0.0, 0.5, 1.0):
-        top, x, y, z = choi_eigenvalues_closed(0.0, 0.0, p)
+        top, rest = qudit_choi_eigenvalues(0.0, 0.0, p, 2)
         assert abs(top - (1 - 0.75 * p)) < 1e-14
-        assert abs(x - 0.25 * p) < 1e-14 and x == y == z
+        assert abs(rest - 0.25 * p) < 1e-14
 
 
 def test_choi_eigenvalues_identity_propagator():
-    assert choi_eigenvalues_closed(0.9, 0.4, 0.4) == (1.0, 0.0, 0.0, 0.0)
+    assert qudit_choi_eigenvalues(0.9, 0.4, 0.4, 2) == (1.0, 0.0)
 
 
 def test_choi_eigenvalues_ncp_region():
     # past the singular parameter the shared ratio exceeds 1 and the
     # threefold eigenvalue goes negative
-    top, x, _, _ = choi_eigenvalues_closed(0.7, 0.8, 0.9)
-    assert lambda_ratio(0.7, 0.8, 0.9).value > 1
-    assert x < 0
+    _, rest = qudit_choi_eigenvalues(0.7, 0.8, 0.9, 2)
+    assert lambda_ratio(0.7, 0.8, 0.9) > 1
+    assert rest < 0
 
 
 def test_choi_eigenvalue_sum_is_one():
     for alpha, q in itertools.product((0.0, 0.5, 0.9), (0.0, 0.3)):
         for p in np.arange(q, 1.0 + 1e-9, 0.25):
-            top, x, y, z = choi_eigenvalues_closed(alpha, q, p)
-            assert abs(top + x + y + z - 1.0) < 1e-12
+            top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
+            assert abs(top + rest + rest + rest - 1.0) < 1e-12
 
 
 def test_crossover_values():
@@ -204,9 +204,9 @@ def test_bell_expectations_match_spectrum():
     for alpha, q, p in ((0.0, 0.0, 0.6), (0.7, 0.3, 0.9), (0.9, 0.4, 1.0)):
         chi = intermediate_choi(alpha, q, p)
         expectations = bell_expectations(chi)
-        top, x, y, z = choi_eigenvalues_closed(alpha, q, p)
+        top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
         assert abs(expectations[0] - top) < 1e-10
-        assert np.abs(expectations[1:] - np.array([x, y, z])).max() < 1e-10
+        assert np.abs(expectations[1:] - rest).max() < 1e-10
 
 
 def test_bell_states_are_orthonormal():
@@ -296,6 +296,19 @@ def test_g_function_domain_errors():
         g_function(0.9, crossover_point(0.9))
 
 
+def test_g_function_raises_inside_the_guard_band():
+    # Below the singular q, 0 < lambda < 1 and the exact right-derivative is 0,
+    # but the finite-difference steps would cross the singularity (the
+    # quotient read 2.94e8 at 5e-9 below it).
+    point = crossover_point(0.9)
+    for offset in (-9.9e-7, -5e-9, 0.0, 5e-9, 9.9e-7):
+        with pytest.raises(SingularMapError):
+            g_function(0.9, point + offset)
+    with pytest.raises(SingularMapError):
+        g_function(0.9, np.array([0.5, point - 5e-9]), qubits=2)
+    assert g_function(0.9, point - 2e-6) == 0.0
+
+
 def test_choi_matrix_shape_validation():
     with pytest.raises(ValueError):
         ChoiMatrix(np.eye(3), 2)
@@ -360,8 +373,8 @@ def test_qubit_closed_forms_keep_their_bits():
         p = q + u * (1.0 - q)
         num = p * (4 + 4 * alpha - 3 * alpha * p) - 4
         lam = num / (4 * q + 4 * alpha * q - 3 * alpha * q * q - 4)
-        assert lambda_ratio(alpha, q, p).value.hex() == lam.hex()
-        top, rest, _, _ = choi_eigenvalues_closed(alpha, q, p)
+        assert lambda_ratio(alpha, q, p).hex() == lam.hex()
+        top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
         assert (top.hex(), rest.hex()) == ((0.25 + 0.75 * lam).hex(), (0.25 - 0.25 * lam).hex())
 
 
@@ -373,6 +386,6 @@ def test_lambda_ratio_is_the_survival_ratio_at_every_level(levels):
         g_p, g_q = (1.0 - kappa(alpha, t, levels) for t in (p, q))
         if abs(g_q) < 1e-6:
             continue
-        assert abs(lambda_ratio(alpha, q, p, levels).value - g_p / g_q) <= 1e-12 * max(1.0, abs(g_p / g_q))
+        assert abs(lambda_ratio(alpha, q, p, levels) - g_p / g_q) <= 1e-12 * max(1.0, abs(g_p / g_q))
     with pytest.raises(SingularMapError):
         lambda_ratio(0.7, crossover_point(0.7, levels), 0.95, levels)

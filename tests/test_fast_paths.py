@@ -257,8 +257,8 @@ def per_point_series(spec) -> list:
             for n in spec.levels:
                 t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
                 if n == 2:
-                    out.append((f"Lambda_I_{t}", guarded(lambda p, a=alpha: dynmaps.choi_eigenvalues_closed(a, q, p)[0])))
-                    out.append((f"Lambda_XYZ_{t}", guarded(lambda p, a=alpha: dynmaps.choi_eigenvalues_closed(a, q, p)[1])))
+                    out.append((f"Lambda_I_{t}", guarded(lambda p, a=alpha: dynmaps.qudit_choi_eigenvalues(a, q, p, 2)[0])))
+                    out.append((f"Lambda_XYZ_{t}", guarded(lambda p, a=alpha: dynmaps.qudit_choi_eigenvalues(a, q, p, 2)[1])))
                 else:
                     out.append((f"Lambda_top_{t}", guarded(lambda p, a=alpha, n=n: dynmaps.qudit_choi_eigenvalues(a, q, p, n)[0])))
                     out.append((f"Lambda_rest_{t}", guarded(lambda p, a=alpha, n=n: dynmaps.qudit_choi_eigenvalues(a, q, p, n)[1])))

@@ -70,20 +70,20 @@ def test_volume_regrows_past_crossover():
 
 
 def test_volume_measure_values():
-    assert volume_measure(0.0).value == 0.0
-    assert abs(volume_measure(0.8).value - 0.6) < 1e-8
-    assert abs(volume_measure(1.0).value - 0.75) < 1e-8
+    assert volume_measure(0.0) == 0.0
+    assert abs(volume_measure(0.8) - 0.6) < 1e-8
+    assert abs(volume_measure(1.0) - 0.75) < 1e-8
 
 
 def test_volume_measure_is_exact_at_tiny_alpha():
     # The quadrature it replaced read 0.0 at 1e-16 and was 2.3 % low at 1e-14.
-    assert volume_measure(1e-16).value == 7.5e-17
-    assert volume_measure(1e-14).value == 7.5e-15
+    assert volume_measure(1e-16) == 7.5e-17
+    assert volume_measure(1e-14) == 7.5e-15
 
 
 def test_volume_measure_triples_distinguishability_measure():
     for alpha in (0.2, 0.5, 0.9):
-        assert abs(volume_measure(alpha).value - 3 * blp_measure(alpha).value) < 1e-8
+        assert abs(volume_measure(alpha) - 3 * blp_measure(alpha)) < 1e-8
 
 
 def test_volume_norm_grows_somewhere_iff_memory():
@@ -98,7 +98,7 @@ def test_volume_norm_grows_somewhere_iff_memory():
     assert all(derivative(0.0, p) <= 0 for p in grid)
     for alpha in (0.1, 0.5, 1.0):
         assert any(derivative(alpha, p) > 0 for p in grid)
-        assert volume_measure(alpha).value > 0
+        assert volume_measure(alpha) > 0
 
 
 @pytest.mark.parametrize("levels", [2, 3, 4])

@@ -7,8 +7,8 @@ import pytest
 from depolmark.channels import apply_channel, kappa, qubit_kraus
 from depolmark.dynmaps import crossover_point, lambda_ratio
 from depolmark.matcore import SingularMapError, SingularRateError
+from depolmark.geometry import volume_measure
 from depolmark.measures import (
-    MeasureValue,
     blp_measure,
     blp_random_pair_search,
     decay_rate,
@@ -104,31 +104,26 @@ def test_normalized_rate_pole():
 
 
 def test_rate_sample_links_both_views():
-    from depolmark.measures import rate_sample
-
-    sample = rate_sample(0.6, 0.4)
-    assert sample.p == 0.4
-    assert abs(sample.gamma_normalized - (-sample.gamma / (1 - sample.gamma))) < 1e-12
+    gamma = decay_rate(0.6, 0.4)
+    assert abs(decay_rate_normalized(0.6, 0.4) - (-gamma / (1 - gamma))) < 1e-12
     for p in (0.1, 0.5, 0.9):  # the normalized view is undefined at alpha = 0, p = 0
-        assert rate_sample(0.0, p).gamma > 0
+        assert decay_rate(0.0, p) > 0
     with pytest.raises(SingularRateError):
-        rate_sample(0.7, crossover_point(0.7))
+        decay_rate(0.7, crossover_point(0.7))
 
 
 def test_hcla_zero_without_memory():
-    assert hcla_measure(0.0).value == 0.0
-    assert hcla_closed_form(0.0).value == 0.0
+    assert hcla_measure(0.0) == 0.0
+    assert hcla_closed_form(0.0) == 0.0
 
 
 def test_hcla_full_memory_value():
-    result = hcla_measure(1.0)
-    assert isinstance(result, MeasureValue) and result.name == "HCLA"
-    assert abs(result.value - 0.2786713773766758) < 1e-9
+    assert abs(hcla_measure(1.0) - 0.2786713773766758) < 1e-9
 
 
 def test_hcla_numeric_matches_closed_form():
     for alpha in ALPHA_GRID:
-        assert abs(hcla_measure(alpha).value - hcla_closed_form(alpha).value) < 1e-6
+        assert abs(hcla_measure(alpha) - hcla_closed_form(alpha)) < 1e-6
 
 
 # 20 digits of the qubit normalized-rate integral from a 60-digit mpmath
@@ -146,11 +141,11 @@ def test_hcla_closed_form_small_alpha_series():
     # Below 1e-6 the antiderivative cancels (relative error -9.9 at 1e-16,
     # a math domain error below about 1e-17); the series holds to 5e-14.
     for alpha, want in HCLA_REFERENCE.items():
-        got = hcla_closed_form(alpha).value
+        got = hcla_closed_form(alpha)
         assert got == alpha / 4.0 + 3.0 * alpha * alpha / 32.0
         assert abs(got - want) <= 5e-14 * want, alpha
-    assert hcla_closed_form(1e-17).value == 2.5e-18
-    assert hcla_closed_form(5e-324).value == 0.0 and hcla_closed_form(0.0).value == 0.0
+    assert hcla_closed_form(1e-17) == 2.5e-18
+    assert hcla_closed_form(5e-324) == 0.0 and hcla_closed_form(0.0) == 0.0
 
 
 # The same for the qutrit (N = 3) normalized rate, from a 660-digit mpmath
@@ -169,10 +164,10 @@ def test_hcla_measure_at_tiny_alpha_matches_the_references():
     # s = 1 - p with a cancellation-free width, the measure keeps its digits.
     for levels, table in ((2, HCLA_REFERENCE), (3, HCLA_REFERENCE_N3)):
         for alpha, want in table.items():
-            got = hcla_measure(alpha, levels).value
+            got = hcla_measure(alpha, levels)
             assert abs(got - want) <= 1e-13 * want, (levels, alpha, got)
-    assert hcla_measure(1e-17).value == 2.5e-18
-    assert hcla_measure(5e-324).value == 0.0 and hcla_measure(0.0).value == 0.0
+    assert hcla_measure(1e-17) == 2.5e-18
+    assert hcla_measure(5e-324) == 0.0 and hcla_measure(0.0) == 0.0
 
 
 def test_hcla_closed_form_keeps_the_antiderivative_from_1e_6():
@@ -184,20 +179,20 @@ def test_hcla_closed_form_keeps_the_antiderivative_from_1e_6():
             return math.log(abs(den)) + (6.0 * alpha / s) * math.atanh((3.0 * alpha * p + alpha - 2.0) / s)
 
         want = antiderivative(1.0) - antiderivative(crossover_point(alpha, 2))
-        assert hcla_closed_form(alpha).value == want, alpha
+        assert hcla_closed_form(alpha) == want, alpha
     # The two sides of the switch meet to the antiderivative's own error there.
-    assert abs(hcla_closed_form(1e-6).value / hcla_closed_form(math.nextafter(1e-6, 0.0)).value - 1.0) < 1e-8
+    assert abs(hcla_closed_form(1e-6) / hcla_closed_form(math.nextafter(1e-6, 0.0)) - 1.0) < 1e-8
 
 
 def test_hcla_monotone_in_alpha():
-    values = [hcla_measure(alpha).value for alpha in ALPHA_GRID]
+    values = [hcla_measure(alpha) for alpha in ALPHA_GRID]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_qutrit_hcla_diverges_from_log_form():
     # the quadrature value is authoritative; the plain-log expression is a
     # reference that disagrees beyond any numerical tolerance
-    numeric = hcla_measure(1.0, levels=3).value
+    numeric = hcla_measure(1.0, levels=3)
     logform = qutrit_hcla_log_form(1.0)
     assert numeric > 0 and math.isfinite(logform)
     assert abs(numeric - logform) > 1e-2
@@ -205,7 +200,7 @@ def test_qutrit_hcla_diverges_from_log_form():
 
 def test_qutrit_hcla_smaller_than_qubit():
     for alpha in (0.4, 0.8, 1.0):
-        assert hcla_measure(alpha, levels=3).value < hcla_measure(alpha).value
+        assert hcla_measure(alpha, levels=3) < hcla_measure(alpha)
 
 
 def test_trace_distance_basics():
@@ -239,11 +234,11 @@ def test_distance_derivative_single_sign_change():
 
 
 def test_blp_measure_values():
-    assert blp_measure(0.0).value == 0.0
-    assert abs(blp_measure(0.7).value - 0.175) < 1e-8
-    assert abs(blp_measure(1.0).value - 0.25) < 1e-8
+    assert blp_measure(0.0) == 0.0
+    assert abs(blp_measure(0.7) - 0.175) < 1e-8
+    assert abs(blp_measure(1.0) - 0.25) < 1e-8
     for alpha in ALPHA_GRID:
-        assert abs(blp_measure(alpha).value - alpha / 4) < 1e-8
+        assert abs(blp_measure(alpha) - alpha / 4) < 1e-8
 
 
 def test_blp_random_pair_search_never_beats_antipodal_pair():
@@ -283,7 +278,7 @@ def test_memory_witness_routes_agree():
     for alpha, p in itertools.product((0.0, 0.5, 0.8, 1.0), (0.3, 0.6, 0.9)):
         direct = memory_witness_X(alpha, 0.3, p)
         assert abs(direct - memory_witness_closed(alpha, 0.3, p)) < 1e-10
-        assert abs(direct - 3 * abs(lambda_ratio(alpha, 0.3, p).value)) < 1e-10
+        assert abs(direct - 3 * abs(lambda_ratio(alpha, 0.3, p))) < 1e-10
 
 
 def test_memory_witness_nonmonotonic_with_memory():
@@ -307,6 +302,7 @@ def test_memory_witness_singular_q():
         memory_witness_X(0.7, crossover_point(0.7), 0.9)
 
 
-def test_measure_value_name_validation():
-    with pytest.raises(ValueError):
-        MeasureValue("bogus", 0.5, 2, 1.0)
+@pytest.mark.parametrize("alpha", [0.0, 1e-7, 0.7])
+def test_measures_return_plain_floats(alpha):
+    for value in (hcla_measure(alpha), hcla_measure(alpha, 3), hcla_closed_form(alpha), blp_measure(alpha), volume_measure(alpha)):
+        assert type(value) is float
