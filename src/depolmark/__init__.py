@@ -7,17 +7,37 @@ Choi spectra and trace-norm witnesses, canonical decay rates and their
 normalized integral, distinguishability revivals, the quantum-memory
 witness, accessible-state volume and parameter-space trajectories. The
 ``depolmark`` command line emits the corresponding plot-ready datasets.
+
+Submodules and the names they export load on first access (PEP 562):
+``import depolmark`` imports nothing else, ``depolmark.survival`` loads
+the numpy-free ``kernel`` only, and ``__all__`` (``from depolmark import
+*``) loads every library module.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import matcore, channels, dynmaps, measures, geometry
+# Each module's __all__ is its public API; a name is looked up in this
+# order, the numpy-free kernel first.
+_LIBRARY = ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry")
 
-# Each module's __all__ is its public API; the package re-exports all five.
-from .matcore import *
-from .channels import *
-from .dynmaps import *
-from .measures import *
-from .geometry import *
 
-__all__ = ["__version__", *matcore.__all__, *channels.__all__, *dynmaps.__all__, *measures.__all__, *geometry.__all__]
+def _module(name: str):
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name in _LIBRARY or name == "cli":
+        return _module(name)
+    if name == "__all__":
+        return ["__version__", *(n for m in _LIBRARY for n in _module(m).__all__)]
+    if not name.startswith("__"):
+        for module in map(_module, _LIBRARY):
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__"), *_LIBRARY, "cli"})

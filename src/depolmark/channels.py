@@ -7,7 +7,7 @@ The single-qubit channel is parametrized by a timelike parameter ``p`` in
     E_i = sqrt((1 + alpha (1 - (3/4) p)) p / 4) sigma_i,   i = X, Y, Z
 
 which acts as rho -> (1 - k) rho + k I/2 with the effective depolarizing
-probability k(p) = p + alpha p - (3/4) alpha p^2 (see :func:`kappa`).
+probability k(p) = p + alpha p - (3/4) alpha p^2 (see :func:`depolmark.kernel.kappa`).
 ``alpha = 0`` recovers the standard depolarizing channel with k = p.
 
 The N-level generalization replaces the Pauli operators by the Weyl
@@ -37,11 +37,10 @@ from .matcore import (
     is_hermitian,
     kron,
 )
+from .kernel import kappa, survival  # noqa: F401 -- channels.kappa and channels.survival stay importable
 
 __all__ = [
     "KrausSet",
-    "kappa",
-    "survival",
     "qubit_kraus",
     "weyl_operator",
     "qudit_kraus",
@@ -105,27 +104,6 @@ class KrausSet:
         acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
         defect = np.abs(acc - np.eye(self.dim)).max(axis=(-2, -1))
         return float(defect) if defect.ndim == 0 else defect
-
-
-def kappa(alpha: float, p, levels: int = 2):
-    """Effective depolarizing probability k(p) of the N-level channel.
-
-    k(p) = p + alpha p - ((N^2 - 1)/N^2) alpha p^2. For alpha = 0 this is
-    just p; at p = 1 it equals 1 + alpha/N^2, i.e. the perturbation drives
-    the channel past the maximal-depolarizing point k = 1.
-    """
-    n2 = levels * levels
-    return p + alpha * p - (n2 - 1) / n2 * alpha * p * p
-
-
-def survival(alpha: float, p, levels: int = 2):
-    """Survival factor G(p) = 1 - k(p): the shared non-identity transfer eigenvalue of Phi(p, 0).
-
-    For the qubit it is the Bloch contraction factor. Every Choi spectrum,
-    rate and measure of the family is a function of G; it vanishes at the
-    singular parameter value.
-    """
-    return 1.0 - kappa(alpha, p, levels)
 
 
 def _sqrt_coefficient(radicand, what: str) -> np.ndarray:

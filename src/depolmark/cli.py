@@ -48,10 +48,20 @@ grid bound outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than
 1 000 000 ``steps`` (every row is held in memory), a ``g-function``
 grid ending above 1 - 1e-6 (its finite-difference step), a value repeated
 in ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
-that takes one, and an output path that cannot be written. Series names
-and the CSV metadata echo print numbers with ``:g`` where that reads back
-as the same float, and with the shortest round-tripping ``repr``
-otherwise.
+that takes one, ``--q`` for a quantity that does not pin q (only
+``choi-eigs``, ``choi-norm`` and ``memory-x`` read it), and an output path
+that cannot be written. Series names and the CSV metadata echo print
+numbers with ``:g`` where that reads back as the same float, and with the
+shortest round-tripping ``repr`` otherwise.
+
+At module level this file imports the standard library and the numpy-free
+``kernel`` only: parsing, ``SweepSpec`` validation (the ``_FIGURES`` table
+included), the pinned-q check and every exit-2 or exit-3 path run without
+numpy. ``run_sweep``, ``SweepSpec.grid``, ``_masked`` and the column
+builders import numpy and the library modules they call when they run, so
+a command loads only the modules its quantity needs (``fig1`` loads
+``dynmaps``, ``channels`` and ``matcore``, not ``measures`` or
+``geometry``), and library functions are looked up at call time.
 """
 
 from __future__ import annotations
@@ -61,34 +71,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from . import __version__
-from .channels import apply_channel, qubit_kraus, survival
-from .dynmaps import (
-    G_FUNCTION_STEP,
-    SINGULARITY_GUARD,
-    _guard,
-    choi_trace_norm,
-    g_function,
-    qudit_choi_eigenvalues,
-)
-from .geometry import f_matrix, trajectory, volume_determinant
-from .matcore import ZERO_FLOOR, SingularityError, SingularMapError, blockwise
-from .measures import (
-    blp_measure,
-    decay_rate,
-    decay_rate_normalized,
-    hcla_closed_form,
-    hcla_measure,
-    memory_witness_X,
-    plus_minus_states,
-    qutrit_hcla_log_form,
-    _survival_derivative,
-    trace_distance,
-)
+from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard, survival
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SweepSpec",
@@ -205,6 +194,8 @@ class SweepSpec:
         return _QUANTITIES[self.quantity].abscissa != "alpha" or len(self.alpha) == 1
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.p_min, self.p_max, self.steps)
 
     def metadata(self) -> dict:
@@ -274,6 +265,8 @@ def _column(name: str, fn: Callable[[np.ndarray], Sequence]) -> tuple:
 
 def _dense(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Column of a stacked dense-route function, evaluated block by block."""
+    from .matcore import blockwise
+
     return lambda grid: blockwise(fn, grid)
 
 
@@ -281,6 +274,8 @@ def _masked(mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray],
     """Column of ``fn`` on the grid points outside ``mask(grid)``, NaN (NA) at the masked ones."""
 
     def column(grid: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         na = mask(grid)
         out = np.full(grid.shape, np.nan)
         if not na.all():
@@ -305,6 +300,8 @@ def _check_pinned_q(spec: SweepSpec) -> None:
 
 
 def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
+    from .dynmaps import qudit_choi_eigenvalues
+
     groups = []
     for n in spec.levels:
         tag = _system_tag(spec, alpha, levels=n)
@@ -315,6 +312,8 @@ def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
 
 
 def _choi_norm(spec: SweepSpec, alpha: float) -> list:
+    from .dynmaps import choi_trace_norm
+
     def norms(grid: np.ndarray, n: int) -> list:
         # One N-level column; the n-qubit norm is its n-th power (spec.qubits
         # is (1,) above N = 2), taken per point in Python floats as
@@ -329,6 +328,8 @@ def _choi_norm(spec: SweepSpec, alpha: float) -> list:
 
 
 def _decay_rate(spec: SweepSpec, alpha: float) -> list:
+    from .measures import _survival_derivative, decay_rate, decay_rate_normalized
+
     n, tag = spec.levels[0], _alpha_tag(alpha)
     # NA in the guard band of each pole (p_- for the rate, p = 1 and p = 0 at
     # alpha = 0) and wherever the library would raise: G = 0 for the rate,
@@ -348,12 +349,23 @@ def _per_alpha(name: str, fn: Callable[[float], float]) -> tuple:
 
 
 def _hcla(spec: SweepSpec, alpha: float | None) -> list:
+    from .measures import hcla_closed_form, hcla_measure, qutrit_hcla_log_form
+
     n = spec.levels[0]
     closed = ("N_HCLA_closed", hcla_closed_form) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
     return [_per_alpha("N_HCLA_numeric", lambda a: hcla_measure(a, n)), _per_alpha(*closed)]
 
 
+def _blp(spec: SweepSpec, alpha: None) -> list:
+    from .measures import blp_measure
+
+    return [_per_alpha("N_BLP", blp_measure)]
+
+
 def _trace_distance(spec: SweepSpec, alpha: float) -> list:
+    from .channels import apply_channel, qubit_kraus
+    from .measures import plus_minus_states, trace_distance
+
     plus, minus = plus_minus_states()
 
     def dist(p: np.ndarray) -> np.ndarray:
@@ -363,7 +375,23 @@ def _trace_distance(spec: SweepSpec, alpha: float) -> list:
     return [_column(f"D_{_alpha_tag(alpha)}", _dense(dist))]
 
 
+def _memory_x(spec: SweepSpec, alpha: float) -> list:
+    from .measures import memory_witness_X
+
+    return [_column(f"X_{_alpha_tag(alpha)}", lambda grid: memory_witness_X(alpha, spec.q, grid))]
+
+
+def _volume(spec: SweepSpec, alpha: float) -> list:
+    from .geometry import volume_determinant
+
+    return [_column(f"volume_{_alpha_tag(alpha)}", _dense(lambda p: volume_determinant(alpha, p)))]
+
+
 def _trajectory(spec: SweepSpec, alpha: float) -> list:
+    import numpy as np
+
+    from .geometry import trajectory
+
     def columns(grid: np.ndarray) -> list:
         path = trajectory(alpha, grid)
         return [path.lam, np.abs(path.lam), path.a, path.inside_tetrahedron, path.cp_divisible]
@@ -372,7 +400,16 @@ def _trajectory(spec: SweepSpec, alpha: float) -> list:
     return [(tuple(f"{name}_{_alpha_tag(alpha)}" for name in names), columns)]
 
 
+def _f_norm(spec: SweepSpec, alpha: float) -> list:
+    from .geometry import f_matrix
+
+    n = spec.levels[0]
+    return [_column(f"F{n}_norm_{_alpha_tag(alpha)}", _dense(lambda p: f_matrix(alpha, p, n).trace_norm))]
+
+
 def _g_function(spec: SweepSpec, alpha: float) -> list:
+    from .dynmaps import g_function
+
     return [
         _column(f"g_{_system_tag(spec, alpha, qubits=k)}", _masked(lambda q: _guard(q, alpha), lambda q, k=k: g_function(alpha, q, k)))
         for k in spec.qubits
@@ -404,19 +441,12 @@ _QUANTITIES = {
     "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
-    "blp": _Quantity(lambda spec, _: [_per_alpha("N_BLP", blp_measure)], abscissa="alpha"),
+    "blp": _Quantity(_blp, abscissa="alpha"),
     "trace-distance": _Quantity(_trace_distance),
-    "memory-x": _Quantity(
-        lambda spec, a: [_column(f"X_{_alpha_tag(a)}", lambda grid: memory_witness_X(a, spec.q, grid))],
-        pinned=True,
-    ),
-    "volume": _Quantity(lambda spec, a: [_column(f"volume_{_alpha_tag(a)}", _dense(lambda p: volume_determinant(a, p)))]),
+    "memory-x": _Quantity(_memory_x, pinned=True),
+    "volume": _Quantity(_volume),
     "trajectory": _Quantity(_trajectory),
-    "f-norm": _Quantity(
-        lambda spec, a: [_column(f"F{spec.levels[0]}_norm_{_alpha_tag(a)}", _dense(lambda p: f_matrix(a, p, spec.levels[0]).trace_norm))],
-        levels=(3, 4),
-        rule=_one_level,
-    ),
+    "f-norm": _Quantity(_f_norm, levels=(3, 4), rule=_one_level),
     "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
 }
 
@@ -433,6 +463,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     entry = _QUANTITIES[spec.quantity]
     if entry.pinned:
         _check_pinned_q(spec)
+    import numpy as np
+
     grid = spec.grid() if spec.uses_grid() else np.array(spec.alpha)
     names: list = []
     columns: list = [grid.tolist()]
@@ -580,6 +612,11 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         raise UsageError(
             f"{args.target} sweeps alpha: give two or more --alpha values, or leave --alpha out and set the grid with --p-min/--p-max/--steps"
         )
+    if "q" in given and not entry.pinned:
+        if entry.abscissa == "q":
+            raise UsageError(f"{args.target} sweeps q: set the q grid with --p-min/--p-max instead of --q")
+        pinned = ", ".join(name for name, e in _QUANTITIES.items() if e.pinned)
+        raise UsageError(f"{args.target} does not read --q; only {pinned} pin q")
     given.setdefault("p_min", given.get("q", SweepSpec.q) if entry.pinned else entry.grid[0])
     given.setdefault("p_max", entry.grid[1])
     return SweepSpec(args.target, out=args.out, fmt=args.fmt or "csv", **given)

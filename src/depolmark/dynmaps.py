@@ -58,14 +58,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import matcore
-from .channels import KrausSet, _check_unit_interval, qubit_kraus, qudit_kraus
+from .channels import KrausSet, qubit_kraus, qudit_kraus
+from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularMapError, _guard
+from .kernel import crossover_point  # noqa: F401 -- dynmaps.crossover_point stays importable
 from .matcore import (
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    ZERO_FLOOR,
-    SingularMapError,
     blockwise,
     devectorize,
     hermitian_eigenvalues,
@@ -87,7 +87,6 @@ __all__ = [
     "intermediate_choi",
     "choi_closed_form",
     "qudit_choi_eigenvalues",
-    "crossover_point",
     "ncp_witness",
     "choi_trace_norm",
     "g_function",
@@ -95,16 +94,6 @@ __all__ = [
     "bell_expectations",
     "pauli_transfer",
 ]
-
-#: Width of the guard band around the singular parameter value (see
-#: :func:`_guard`); sweeps treat grid points closer than this to the
-#: singularity as undefined samples, and :func:`g_function` rejects them.
-SINGULARITY_GUARD = 1e-6
-
-#: Finite-difference step of :func:`g_function`; a q grid must end at or
-#: below 1 minus this step.
-G_FUNCTION_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -362,35 +351,6 @@ def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     lam = lambda_ratio(alpha, q, p, levels)
     n2 = levels * levels
     return (1 / n2 + (1 - 1 / n2) * lam, 1 / n2 - lam / n2)
-
-
-def crossover_point(alpha: float, levels: int = 2) -> float | None:
-    """Singular parameter value of the N-level family (the smaller root).
-
-    Solves ((N^2-1)/N^2) alpha p^2 - (1 + alpha) p + 1 = 0, i.e. k(p) = 1,
-    using the cancellation-free form 2 / ((1 + alpha) + sqrt(disc)). At this
-    point the one-step map loses invertibility, the propagator eigenvalues
-    cross, and the decay rate diverges.
-
-    Returns ``None`` for alpha = 0: the root degenerates to the boundary
-    p = 1 (and the companion root escapes to infinity), so the family has
-    no interior singularity.
-    """
-    _check_unit_interval("alpha", alpha)
-    if alpha == 0.0:
-        return None
-    c = (levels * levels - 1) / (levels * levels)
-    disc = (1 + alpha) ** 2 - 4 * c * alpha
-    return 2.0 / ((1 + alpha) + math.sqrt(disc))
-
-
-def _guard(x, alpha: float, levels: int = 2):
-    """Whether x (or each point of a grid) lies inside the guard band of the singular parameter.
-
-    At alpha = 0 that parameter is the boundary p = 1 (``crossover_point`` returns None).
-    """
-    point = crossover_point(alpha, levels)
-    return abs(x - (1.0 if point is None else point)) < SINGULARITY_GUARD
 
 
 def ncp_witness(choi: ChoiMatrix) -> NcpWitness:

@@ -32,8 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import _check_unit_interval, apply_channel, qubit_kraus, qudit_kraus, survival
-from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ZERO_FLOOR, trace_norm
+from .channels import _check_unit_interval, apply_channel, qubit_kraus, qudit_kraus
+from .kernel import ZERO_FLOOR, survival
+from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, trace_norm
 
 __all__ = [
     "AffineMap",
@@ -79,7 +80,7 @@ class Trajectory(NamedTuple):
 
     The three transfer eigenvalues are equal, so ``lam`` holds the one
     value; ``a`` is the log-derivative lambda'/lambda shared by all three
-    axes of the A vector, NaN where |lambda| <= ``matcore.ZERO_FLOOR``. CP
+    axes of the A vector, NaN where |lambda| <= ``kernel.ZERO_FLOOR``. CP
     divisibility needs the three inequalities A.(-1, 1, 1), A.(1, -1, 1) and
     A.(1, 1, -1) to be <= 1e-12; with equal entries each of them is
     exactly ``a`` in floating point, so ``cp_divisible`` is ``a <= 1e-12``,

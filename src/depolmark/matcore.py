@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernel import ZERO_FLOOR, SingularMapError
+from .kernel import SingularityError, SingularRateError  # noqa: F401 -- matcore.SingularityError stays importable
+
 __all__ = [
-    "SingularityError",
-    "SingularMapError",
-    "SingularRateError",
     "PAULI_I",
     "PAULI_X",
     "PAULI_Y",
@@ -46,30 +46,10 @@ __all__ = [
 ]
 
 
-class SingularityError(ArithmeticError):
-    """A computation hit the physical singularity of the channel family."""
-
-
-class SingularMapError(SingularityError):
-    """The dynamical map is not invertible, so the propagator is undefined."""
-
-
-class SingularRateError(SingularityError):
-    """The canonical decay rate diverges at the requested parameter."""
-
-
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-#: Zero floor of the package. A matrix whose smallest singular value is at
-#: most this times its largest is not invertible, and a denominator of at
-#: most this magnitude counts as zero; the two agree for the survival factor
-#: G, which is the smallest singular value of Phi(p, 0). Every raise
-#: condition and NA mask of a singular point reads this one value, so the
-#: map singularity surfaces as a typed error, not as a garbage inverse.
-ZERO_FLOOR = 1e-12
 
 # Grid points per block of a whole-grid evaluation. A block's stacks (an
 # N = 4 superoperator takes 4 KiB per point, a 3-qubit one 64 KiB) stay

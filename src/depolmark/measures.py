@@ -32,18 +32,11 @@ import math
 
 import numpy as np
 
-from .channels import _check_unit_interval, apply_channel, qubit_kraus, survival
-from .dynmaps import _all, choi_of, crossover_point, lambda_ratio, propagator_column
+from .channels import _check_unit_interval, apply_channel, qubit_kraus
+from .dynmaps import _all, choi_of, lambda_ratio, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
-from .matcore import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    ZERO_FLOOR,
-    SingularRateError,
-    kron,
-    trace_norm,
-)
+from .kernel import ZERO_FLOOR, SingularRateError, crossover_point, survival
+from .matcore import PAULI_X, PAULI_Y, PAULI_Z, kron, trace_norm
 
 __all__ = [
     "decay_rate",
@@ -87,7 +80,7 @@ def decay_rate(alpha: float, p, levels: int = 2):
     singular parameter value. A grid of p gives an array.
 
     Raises:
-        SingularRateError: where |G| is at most ``matcore.ZERO_FLOOR`` (at
+        SingularRateError: where |G| is at most ``kernel.ZERO_FLOOR`` (at
             any point of a grid) and the rate diverges.
     """
     g = survival(alpha, p, levels)
@@ -107,7 +100,7 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
 
     Raises:
         ValueError: if the simplified denominator G + G' (about -(alpha + p)
-            near p = 0) is at most ``matcore.ZERO_FLOOR`` at any point: at
+            near p = 0) is at most ``kernel.ZERO_FLOOR`` at any point: at
             alpha = p = 0, and wherever alpha + p is below about 1e-12.
     """
     num = _survival_derivative(alpha, p, levels)
@@ -121,7 +114,7 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     """Negative-decay-rate measure: integral of gamma~ over [p_-, 1].
 
     ``p_-`` is the singular parameter value of the family
-    (:func:`depolmark.dynmaps.crossover_point`); beyond it the canonical
+    (:func:`depolmark.kernel.crossover_point`); beyond it the canonical
     rate is negative and the normalized rate is positive. Evaluated by
     adaptive quadrature; alpha = 0 has no negative-rate window and yields
     exactly 0.

@@ -390,6 +390,18 @@ def test_single_alpha_for_an_alpha_sweep_exits_2(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("quantity", [q for q in QUANTITIES if q not in ("choi-eigs", "choi-norm", "memory-x")])
+def test_q_for_a_quantity_that_does_not_pin_it_exits_2(quantity, capsys):
+    # Only the pinned quantities read q; elsewhere the metadata would echo a
+    # value that changed nothing.
+    extra = ["--levels", "3"] if quantity == "f-norm" else []
+    assert main([quantity, "--q", "0.9", "--steps", "3", *extra]) == 2
+    captured = capsys.readouterr()
+    hint = "--p-min/--p-max" if quantity == "g-function" else "only choi-eigs, choi-norm, memory-x pin q"
+    assert f"depolmark: error: {quantity}" in captured.err and hint in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("quantity,axis", [("blp", "alpha"), ("choi-eigs", "levels"), ("g-function", "qubits")])
 def test_empty_list_is_rejected(quantity, axis):
     with pytest.raises(UsageError, match=f"at least one {axis} value is required"):

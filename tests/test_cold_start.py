@@ -1,0 +1,96 @@
+"""A depolmark process imports numpy only when it computes a column.
+
+Parsing, ``SweepSpec`` validation (the figure table built at import
+included), the pinned-q singularity check and every exit-2 or exit-3 path
+run on the standard library and the numpy-free ``depolmark.kernel``. A
+fresh interpreter that runs only such command lines must end with no numpy
+module loaded, and ``import depolmark`` alone loads none either.
+
+The package resolves its submodules and re-exported names on first access;
+its ``__all__`` is the same 70 names the eager package exported.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import depolmark
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PUBLIC = [
+    "AffineMap", "ChoiMatrix", "KrausSet", "NcpWitness", "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z",
+    "SingularMapError", "SingularRateError", "SingularityError", "Superoperator", "Trajectory", "__version__",
+    "affine_map_of", "apply_channel", "bell_expectations", "bell_states", "bloch_basis",
+    "bloch_contraction_derivative", "blockwise", "blp_measure", "blp_random_pair_search", "choi_closed_form",
+    "choi_of", "choi_trace_norm", "commutation_matrix", "crossover_point", "decay_rate", "decay_rate_normalized",
+    "devectorize", "f_matrix", "g_function", "gell_mann_matrices", "hcla_closed_form", "hcla_measure",
+    "hermitian_eigenvalues", "intermediate_choi", "intermediate_map", "inverse", "is_density_matrix",
+    "is_hermitian", "kappa", "kron", "lambda_ratio", "maximally_entangled_projector", "memory_witness_X",
+    "memory_witness_closed", "multiqubit_kraus", "ncp_witness", "pauli_transfer", "plus_minus_distance_derivative",
+    "plus_minus_states", "plus_minus_trace_distance", "propagator_column", "qubit_kraus", "qudit_choi_eigenvalues",
+    "qudit_kraus", "qutrit_hcla_log_form", "superoperator_of", "survival", "swap_matrix", "swap_permutation",
+    "trace_distance", "trace_norm", "trajectory", "vectorize", "volume_determinant", "volume_measure",
+    "weyl_operator",
+]
+
+# (argv, exit code): none of them computes a column.
+NON_COMPUTING = [
+    (["fig99"], 2),
+    (["--help"], 0),
+    (["choi-eigs", "--alpha", "1.5"], 2),
+    (["trace-distance", "--p-min=-0.5"], 2),
+    (["choi-norm", "--alpha", "0.7", "--q", "0.7725529"], 3),
+]
+
+CHILD = """
+import contextlib, io, sys
+import depolmark
+print("numpy" in sys.modules)
+from depolmark.cli import main
+for argv, code in {cases!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code, argv
+print("numpy" in sys.modules)
+print(sorted(name for name in sys.modules if name.startswith("depolmark")))
+"""
+
+
+def test_usage_and_singularity_exits_never_import_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD.format(cases=NON_COMPUTING)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "False", "['depolmark', 'depolmark.cli', 'depolmark.kernel']"]
+
+
+def test_lazy_package_keeps_its_public_names():
+    assert len(PUBLIC) == 70
+    assert sorted(depolmark.__all__) == PUBLIC
+    names = dir(depolmark)
+    for name in PUBLIC:
+        assert name in names, name
+        assert getattr(depolmark, name) is not None, name
+    star: dict = {}
+    exec("from depolmark import *", star)
+    assert sorted(k for k in star if k != "__builtins__") == PUBLIC
+    # Each name is the object its home module exports.
+    assert depolmark.survival is depolmark.kernel.survival is depolmark.channels.survival
+    assert depolmark.SingularityError is depolmark.matcore.SingularityError
+    assert depolmark.crossover_point is depolmark.dynmaps.crossover_point
+    assert depolmark.trajectory is depolmark.geometry.trajectory
+
+
+def test_each_public_name_is_in_one_module_all():
+    homes = {}
+    for module in ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry"):
+        for name in getattr(depolmark, module).__all__:
+            homes.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    assert not hasattr(depolmark, "no_such_name")
+    assert not hasattr(depolmark, "__no_such_dunder__")

@@ -186,6 +186,18 @@ def test_ncp_witness_flags_ncp_region():
     assert norm > 1.0 and flagged
 
 
+def test_ncp_witness_flags_a_norm_1e_9_above_one():
+    # Past the singular q, G(p) < G(q) < 0, so lambda = G(p)/G(q) > 1 and the
+    # norm is (3 lambda - 1)/2. A step of 2.5e-10 in p lifts it about 1.6e-9
+    # above 1: past the 1e-10 margin, well inside a tenfold larger one.
+    alpha, q = 0.9, 0.9
+    norm, flagged = ncp_witness(intermediate_choi(alpha, q, q + 2.5e-10))
+    assert 1e-9 < norm - 1.0 < 3e-9
+    assert norm == pytest.approx((3.0 * lambda_ratio(alpha, q, q + 2.5e-10) - 1.0) / 2.0, rel=1e-15)
+    assert flagged
+    assert not ncp_witness(intermediate_choi(alpha, q, q)).is_ncp
+
+
 def test_ncp_witness_equivalent_to_negative_eigenvalue():
     for alpha, q, p in ((0.7, 0.3, 0.6), (0.7, 0.3, 1.0), (0.7, 0.8, 0.95), (0.9, 0.4, 0.9)):
         chi = intermediate_choi(alpha, q, p)
@@ -256,6 +268,17 @@ def test_multiqubit_choi_norm_matches_full_pipeline():
         full = trace_norm(choi_of(intermediate_map(0.9, 0.4, p, qubits=2)).matrix)
         fast = choi_trace_norm(0.9, 0.4, p, qubits=2)
         assert abs(full - fast) < 1e-10
+
+
+@pytest.mark.parametrize("qubits", (2, 3))
+def test_multiqubit_choi_norm_grid_is_the_python_power_of_the_single_norm(qubits):
+    # The n-qubit norm is the n-th power of the single-qubit one, taken per
+    # point in Python floats; np.power differs from it in the last bit at
+    # some points of this grid (the fig12a sweep).
+    grid = np.linspace(0.4, 1.0, 241)
+    single = choi_trace_norm(0.9, 0.4, grid).tolist()
+    got = choi_trace_norm(0.9, 0.4, grid, qubits=qubits).tolist()
+    assert [v.hex() for v in got] == [(b**qubits).hex() for b in single]
 
 
 def test_three_qubit_norm_matches_kron_of_chois():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from depolmark.channels import apply_channel, kappa, qubit_kraus
-from depolmark.dynmaps import crossover_point, lambda_ratio
+from depolmark.channels import apply_channel, kappa, qubit_kraus, survival
+from depolmark.dynmaps import crossover_point, intermediate_map, lambda_ratio
 from depolmark.matcore import SingularMapError, SingularRateError
 from depolmark.geometry import volume_measure
 from depolmark.measures import (
@@ -76,6 +76,31 @@ def test_rates_on_a_grid_raise_if_any_point_is_singular():
         decay_rate_normalized(0.0, np.array([0.0, 0.5]))
     with pytest.raises(ValueError, match="normalized rate undefined"):
         decay_rate_normalized(1e-300, 0.0)
+
+
+@pytest.mark.parametrize("levels", (2, 3))
+def test_zero_floor_sits_between_5e_13_and_5e_12(levels):
+    # |G| = 5e-12 is above the floor of 1e-12: the rate, the propagator
+    # ratio and the conditioned inverse behind it are all defined there.
+    # |G| = 5e-13 is below it, and all three raise. Near its zero G holds
+    # only about eps/|G| relative, hence the loose value checks.
+    alpha = 0.7
+    point = crossover_point(alpha, levels)
+    slope = abs(-(1.0 + alpha) + 2.0 * (1.0 - 1.0 / levels**2) * alpha * point)
+    above, below = point - 5e-12 / slope, point - 5e-13 / slope
+    assert 4e-12 < survival(alpha, above, levels) < 6e-12
+    assert 4e-13 < survival(alpha, below, levels) < 6e-13
+    assert decay_rate(alpha, above, levels) == pytest.approx(slope / survival(alpha, above, levels), rel=1e-3)
+    assert lambda_ratio(alpha, above, 1.0, levels) == pytest.approx(
+        survival(alpha, 1.0, levels) / survival(alpha, above, levels), rel=1e-3
+    )
+    intermediate_map(alpha, above, 1.0, levels)
+    with pytest.raises(SingularRateError):
+        decay_rate(alpha, below, levels)
+    with pytest.raises(SingularMapError):
+        lambda_ratio(alpha, below, 1.0, levels)
+    with pytest.raises(SingularMapError):
+        intermediate_map(alpha, below, 1.0, levels)
 
 
 def test_normalized_rate_closed_forms():

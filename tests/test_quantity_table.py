@@ -6,7 +6,10 @@ README. The expectations are written out here rather than read from the
 table, so that a table edit shows up as a failing case.
 """
 
+import dataclasses
+import functools
 import importlib
+import inspect
 import itertools
 import re
 import types
@@ -120,17 +123,41 @@ def test_readme_tables_list_exactly_the_quantities_and_figures():
     assert readme_table("id") == list(FIGURES)
 
 
+def record_and_parameter_names(module) -> set:
+    """Field names of the records ``module`` exports and parameter names of its exported functions."""
+    names = set()
+    for obj in (getattr(module, name) for name in module.__all__):
+        if isinstance(obj, type):
+            names.update(getattr(obj, "_fields", ()))
+            if dataclasses.is_dataclass(obj):
+                names.update(f.name for f in dataclasses.fields(obj))
+        elif callable(obj):
+            names.update(inspect.signature(obj).parameters)
+    return names
+
+
 def test_readme_layout_names_only_public_exports():
-    # Every back-quoted name that the layout table gives a module, and that
-    # the module defines (modules aside), is in its __all__; for the five
-    # library modules it is importable from the package as well.
-    missing = []
+    # Every back-quoted name that the layout table gives a module must exist
+    # there: as an attribute (a dotted name resolves one attribute at a
+    # time), or as a field of an exported record or a parameter of an
+    # exported function (``p``, ``lam``, ``levels``). Every attribute among
+    # them, modules aside, is in the module's __all__; for the library
+    # modules it is importable from the package as well. A name deleted
+    # from the code but left in the table fails here.
+    missing, unknown = [], []
     for module_cell, contents in readme_rows("module"):
         module = importlib.import_module(module_cell.strip("`"))
         library = module.__name__ != "depolmark.cli"
         for name in contents.split("`")[1::2]:
-            if not hasattr(module, name) or isinstance(getattr(module, name), types.ModuleType):
+            try:
+                obj = functools.reduce(getattr, name.split("."), module)
+            except AttributeError:
+                if "." in name or name not in record_and_parameter_names(module):
+                    unknown.append(f"{module.__name__}.{name}")
+                continue
+            if "." in name or isinstance(obj, types.ModuleType):
                 continue
             if name not in module.__all__ or (library and name not in depolmark.__all__):
                 missing.append(f"{module.__name__}.{name}")
+    assert unknown == []
     assert missing == []

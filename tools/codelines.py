@@ -6,15 +6,30 @@ docstring (the leading string literal of a module, class or function,
 found with ``ast``). This is the simplicity metric the ROADMAP tracks.
 
 Usage: ``python3 tools/codelines.py [PACKAGE_DIR]`` from the checkout
-root; prints one ``lines  module`` row per module and the total.
+root; prints one ``lines  module`` row per module, the total, and the
+code lines on the import path of ``depolmark fig1``: the sum over the
+package modules that command has loaded when it ends, run in a fresh
+interpreter against PACKAGE_DIR.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
+
+# Runs ``depolmark fig1`` into a temporary directory and prints the package
+# modules it loaded, one line.
+_FIG1 = """
+import contextlib, io, sys, tempfile
+from depolmark.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    assert main(["fig1", "--out", out]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "depolmark")))
+"""
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -42,6 +57,14 @@ def code_lines(path: Path) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def fig1_modules(package: Path) -> list:
+    """Source files of the package modules that ``depolmark fig1`` loads."""
+    env = dict(os.environ, PYTHONPATH=str(package.resolve().parent))
+    proc = subprocess.run([sys.executable, "-c", _FIG1], env=env, capture_output=True, text=True, check=True)
+    names = proc.stdout.split()
+    return [package / ("__init__.py" if name == package.name else name.split(".", 1)[1] + ".py") for name in names]
+
+
 def main(argv: list) -> int:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "depolmark"
     total = 0
@@ -50,6 +73,8 @@ def main(argv: list) -> int:
         total += count
         print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  total")
+    loaded = fig1_modules(package)
+    print(f"{sum(map(code_lines, loaded)):6d}  import path of depolmark fig1 ({', '.join(p.stem for p in loaded)})")
     return 0
 
 
