@@ -37,7 +37,7 @@ from .matcore import (
     is_hermitian,
     kron,
 )
-from .kernel import kappa, survival  # noqa: F401 -- channels.kappa and channels.survival stay importable
+from .kernel import survival  # noqa: F401 -- channels.survival stays importable
 
 __all__ = [
     "KrausSet",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import ZERO_FLOOR, SingularMapError
-from .kernel import SingularityError, SingularRateError  # noqa: F401 -- matcore.SingularityError stays importable
+from .kernel import SingularityError  # noqa: F401 -- matcore.SingularityError stays importable
 
 __all__ = [
     "PAULI_I",

@@ -11,19 +11,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from depolmark.channels import apply_channel, kappa, multiqubit_kraus, qubit_kraus, qudit_kraus, survival
+from depolmark.channels import apply_channel, multiqubit_kraus, qubit_kraus, qudit_kraus
 from depolmark.dynmaps import (
     bell_expectations,
     choi_closed_form,
     choi_of,
     choi_trace_norm,
-    crossover_point,
     g_function,
     intermediate_choi,
     intermediate_map,
     qudit_choi_eigenvalues,
 )
 from depolmark.geometry import f_matrix, trajectory, volume_determinant, volume_measure
+from depolmark.kernel import crossover_point, kappa, survival
 from depolmark.matcore import devectorize, swap_matrix, trace_norm, vectorize
 from depolmark.measures import (
     blp_measure,

@@ -7,12 +7,12 @@ import pytest
 from depolmark.channels import (
     KrausSet,
     apply_channel,
-    kappa,
     multiqubit_kraus,
     qubit_kraus,
     qudit_kraus,
     weyl_operator,
 )
+from depolmark.kernel import kappa
 from depolmark.matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 
 ALPHAS = (0.0, 0.3, 0.7, 1.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depolmark.channels import kappa, multiqubit_kraus, qubit_kraus, qudit_kraus, survival
+from depolmark.channels import multiqubit_kraus, qubit_kraus, qudit_kraus
 from depolmark.dynmaps import (
     ChoiMatrix,
     Superoperator,
@@ -14,7 +14,6 @@ from depolmark.dynmaps import (
     choi_closed_form,
     choi_of,
     choi_trace_norm,
-    crossover_point,
     g_function,
     intermediate_choi,
     intermediate_map,
@@ -25,7 +24,8 @@ from depolmark.dynmaps import (
     qudit_choi_eigenvalues,
     superoperator_of,
 )
-from depolmark.matcore import SingularMapError, inverse, kron, trace_norm, vectorize
+from depolmark.kernel import SingularMapError, crossover_point, kappa, survival
+from depolmark.matcore import inverse, kron, trace_norm, vectorize
 from depolmark.measures import decay_rate
 
 ALPHA_MINUS_07 = 0.7725529126366106  # closed-form root for alpha = 0.7

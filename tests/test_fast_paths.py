@@ -18,20 +18,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depolmark import channels, cli, dynmaps, geometry, measures
+from depolmark import cli, dynmaps, geometry, measures
 from depolmark.channels import KrausSet, apply_channel, multiqubit_kraus, qubit_kraus, qudit_kraus
-from depolmark.dynmaps import (
-    SINGULARITY_GUARD,
-    choi_of,
-    crossover_point,
-    maximally_entangled_projector,
-    superoperator_of,
-)
+from depolmark.dynmaps import choi_of, maximally_entangled_projector, superoperator_of
+from depolmark.kernel import SINGULARITY_GUARD, SingularityError, crossover_point, survival
 from depolmark.matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SingularityError,
     SingularMapError,
     devectorize,
     inverse,
@@ -225,7 +219,7 @@ def guarded(fn):
 
 def trajectory_point(alpha, p) -> tuple:
     """(lambda, |lambda|, A or None, inside, CP divisible) at one p, the three axes written out."""
-    lam = channels.survival(alpha, p)
+    lam = survival(alpha, p)
     lambdas = (lam, lam, lam)
     inside = (1.0 + lambdas[2] >= abs(lambdas[0] + lambdas[1]) - 1e-12) and (
         1.0 - lambdas[2] >= abs(lambdas[0] - lambdas[1]) - 1e-12

@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from depolmark.channels import survival
-from depolmark.dynmaps import crossover_point
 from depolmark.geometry import (
     affine_map_of,
     bloch_contraction_derivative,
@@ -15,6 +13,7 @@ from depolmark.geometry import (
     volume_determinant,
     volume_measure,
 )
+from depolmark.kernel import crossover_point, kappa, survival
 from depolmark.measures import blp_measure
 
 
@@ -133,8 +132,6 @@ def test_f_matrix_diagonal_structure():
         for alpha, p in ((0.0, 0.5), (0.7, 0.9)):
             f = f_matrix(alpha, p, levels).matrix
             size = levels**2
-            from depolmark.channels import kappa
-
             shrink = 1 - kappa(alpha, p, levels)
             expected = np.diag([1 / size] + [2 * shrink / size] * (size - 1))
             assert np.abs(f - expected).max() < 1e-12

@@ -20,9 +20,8 @@ from pathlib import Path
 import pytest
 from scipy import integrate
 
-from depolmark.channels import survival
-from depolmark.dynmaps import crossover_point
 from depolmark.geometry import bloch_contraction_derivative, volume_measure
+from depolmark.kernel import crossover_point, survival
 from depolmark.measures import (
     blp_measure,
     decay_rate_normalized,

@@ -143,7 +143,8 @@ def test_inverse_singular_map_at_crossover():
     # the one-step superoperator loses its smallest singular value exactly
     # where the effective depolarizing probability reaches 1
     from depolmark.channels import qubit_kraus
-    from depolmark.dynmaps import crossover_point, superoperator_of
+    from depolmark.dynmaps import superoperator_of
+    from depolmark.kernel import crossover_point
 
     s = superoperator_of(qubit_kraus(0.7, crossover_point(0.7)))
     with pytest.raises(SingularMapError):

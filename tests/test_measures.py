@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from depolmark.channels import apply_channel, kappa, qubit_kraus, survival
-from depolmark.dynmaps import crossover_point, intermediate_map, lambda_ratio
-from depolmark.matcore import SingularMapError, SingularRateError
+from depolmark.channels import apply_channel, qubit_kraus
+from depolmark.dynmaps import intermediate_map, lambda_ratio
+from depolmark.kernel import SingularMapError, SingularRateError, crossover_point, kappa, survival
 from depolmark.geometry import volume_measure
 from depolmark.measures import (
     blp_measure,

@@ -15,9 +15,9 @@ catalogue. The exit code is 1 when a mutant without a reason survives or
 when a mutant's text no longer matches its file (the code moved: update
 the catalogue), 0 otherwise.
 
-Usage: ``python3 tools/mutants.py [NAME ...]`` from the checkout root;
-names pick a subset of the catalogue. Each mutant costs one tier-1 run
-(about 15 s on a 2-vCPU host when it survives, less when it is killed).
+Usage: ``python3 tools/mutants.py`` from the checkout root. Each mutant
+costs one tier-1 run (about 15 s on a 2-vCPU host when it survives, less
+when it is killed).
 """
 
 from __future__ import annotations
@@ -114,14 +114,5 @@ def run(mutants: list) -> int:
         return 1 if bad else 0
 
 
-def main(argv: list) -> int:
-    names = argv[1:]
-    unknown = set(names) - {m.name for m in CATALOGUE}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}; the catalogue holds {[m.name for m in CATALOGUE]}")
-        return 2
-    return run([m for m in CATALOGUE if not names or m.name in names])
-
-
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv))
+    raise SystemExit(run(list(CATALOGUE)))
