@@ -7,6 +7,9 @@ Choi spectra and trace-norm witnesses, canonical decay rates and their
 normalized integral, distinguishability revivals, the quantum-memory
 witness, accessible-state volume and parameter-space trajectories. The
 ``depolmark`` command line emits the corresponding plot-ready datasets.
+The helpers that only check those routes (``vectorize``, the tensor-product
+Kraus set, the closed-form qubit Choi matrix, ...) live in ``dense``, which
+no command loads.
 
 Submodules and the names they export load on first access (PEP 562):
 ``import depolmark`` imports nothing else, ``depolmark.survival`` loads
@@ -19,8 +22,8 @@ import importlib
 __version__ = "0.1.0"
 
 # Each module's __all__ is its public API; a name is looked up in this
-# order, the numpy-free kernel first.
-_LIBRARY = ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry")
+# order, the numpy-free kernel first and the oracle helpers of ``dense`` last.
+_LIBRARY = ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry", "dense")
 
 
 def _module(name: str):

@@ -11,8 +11,10 @@ probability k(p) = p + alpha p - (3/4) alpha p^2 (see :func:`depolmark.kernel.ka
 ``alpha = 0`` recovers the standard depolarizing channel with k = p.
 
 The N-level generalization replaces the Pauli operators by the Weyl
-shift-and-phase unitaries and the fraction 3/4 by (N^2 - 1)/N^2; the
-n-qubit family is the tensor product of identical single-qubit channels.
+shift-and-phase unitaries and the fraction 3/4 by (N^2 - 1)/N^2. The
+n-qubit family is the tensor product of identical single-qubit channels;
+its Kraus set, which no dataset reads, is the oracle
+``depolmark.dense.multiqubit_kraus``.
 
 The builders take ``p`` as one value or as a grid. A grid gives a stacked
 :class:`KrausSet`: operator ``i`` has shape ``p.shape + (d, d)`` and holds
@@ -23,7 +25,6 @@ point by point. Completeness is checked at every grid point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,23 +35,15 @@ from .matcore import (
     PAULI_Y,
     PAULI_Z,
     is_density_matrix,
-    is_hermitian,
-    kron,
 )
-from .kernel import survival  # noqa: F401 -- channels.survival stays importable
 
 __all__ = [
     "KrausSet",
     "qubit_kraus",
     "weyl_operator",
     "qudit_kraus",
-    "multiqubit_kraus",
     "apply_channel",
 ]
-
-#: Largest supported qubit count; the Choi matrix of the 3-qubit map already
-#: has dimension 64 and larger systems are out of scope.
-MAX_QUBITS = 3
 
 
 def _check_unit_interval(name: str, value):
@@ -168,33 +161,6 @@ def qudit_kraus(alpha: float, p, levels: int) -> KrausSet:
     if n < 2:
         raise ValueError("levels must be >= 2")
     return _kraus_set(alpha, p, n, [weyl_operator(n, r, s) for r in range(n) for s in range(n)])
-
-
-def multiqubit_kraus(alpha: float, p, qubits: int) -> KrausSet:
-    """Tensor-product Kraus set of ``qubits`` independent qubit channels.
-
-    The 4^n operators are ordered lexicographically in the per-qubit index
-    (I, X, Y, Z). Capped at n = 3 to keep the Choi dimension at 64. ``p``
-    may be a grid, as for :func:`qubit_kraus`.
-    """
-    n = int(qubits)
-    if n < 1:
-        raise ValueError("qubits must be >= 1")
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"qubits = {n} exceeds the supported maximum of {MAX_QUBITS} "
-            "(Choi matrices beyond dimension 64 are not supported)"
-        )
-    single = qubit_kraus(alpha, p).operators
-    if n == 1:
-        return KrausSet(single, 2)
-    ops = []
-    for combo in itertools.product(single, repeat=n):
-        acc = combo[0]
-        for factor in combo[1:]:
-            acc = kron(acc, factor)
-        ops.append(acc)
-    return KrausSet(tuple(ops), 2**n)
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray, validate: bool = True) -> np.ndarray:

@@ -70,7 +70,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from . import __version__
@@ -515,14 +515,17 @@ FIGURES = tuple(_FIGURES)
 
 
 def figure(fig_id: str, out_dir: str = ".", fmt: str = "csv") -> list:
-    """Write the dataset(s) behind one figure preset; returns the paths."""
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
+    """Write the dataset(s) behind one figure preset in ``fmt``; returns the paths.
+
+    Each pinned spec is run with ``fmt`` in place of its own, so the
+    metadata names the format written; ``SweepSpec`` rejects any other
+    format than csv and json.
+    """
     if fig_id not in _FIGURES:
         raise UsageError(f"unknown figure id {fig_id!r}; expected one of {FIGURES}")
     paths = []
     for name, *specs in _FIGURES[fig_id]:
-        table = _merge([run_sweep(spec) for spec in specs])
+        table = _merge([run_sweep(replace(spec, fmt=fmt)) for spec in specs])
         path = os.path.join(out_dir, f"{name}.{fmt}")
         with _open_out(path) as fh:
             (write_csv if fmt == "csv" else write_json)(table, fh)

@@ -16,7 +16,7 @@ the ratio G(p)/G(q) of survival factors G = 1 - k over the common
 denominator 4 (N^2 for N levels, see :func:`lambda_ratio`).
 
 The denominator vanishes when the effective depolarizing probability
-reaches 1 at q; that parameter value (``crossover_point``) is a genuine
+reaches 1 at q; that parameter value (``kernel.crossover_point``) is a genuine
 singularity of the propagator and surfaces as :class:`SingularMapError`.
 
 The Choi matrix of a map with superoperator S on an N-level system is a
@@ -60,19 +60,7 @@ import numpy as np
 from . import matcore
 from .channels import KrausSet, qubit_kraus, qudit_kraus
 from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularMapError, _guard
-from .kernel import crossover_point  # noqa: F401 -- dynmaps.crossover_point stays importable
-from .matcore import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    blockwise,
-    devectorize,
-    hermitian_eigenvalues,
-    kron,
-    trace_norm,
-    vectorize,
-)
+from .matcore import blockwise, hermitian_eigenvalues, kron, trace_norm
 
 __all__ = [
     "Superoperator",
@@ -85,14 +73,10 @@ __all__ = [
     "maximally_entangled_projector",
     "choi_of",
     "intermediate_choi",
-    "choi_closed_form",
     "qudit_choi_eigenvalues",
     "ncp_witness",
     "choi_trace_norm",
     "g_function",
-    "bell_states",
-    "bell_expectations",
-    "pauli_transfer",
 ]
 
 @dataclass(frozen=True)
@@ -112,10 +96,6 @@ class Superoperator:
         if m.shape[-2:] != (d2, d2):
             raise ValueError(f"superoperator for dimension {self.dim} must be {d2}x{d2}")
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Action on an operator via vectorize / devectorize."""
-        return devectorize(self.matrix @ vectorize(rho), self.dim)
 
 
 @dataclass(frozen=True)
@@ -320,25 +300,6 @@ def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> C
     return choi_of(intermediate_map(alpha, q, p, levels, qubits))
 
 
-def choi_closed_form(alpha: float, q: float, p: float) -> np.ndarray:
-    """Closed-form (unit-trace) Choi matrix of the qubit propagator.
-
-    In the computational product basis it is diagonal apart from the two
-    corner entries:
-
-        diag((1+l)/4, (1-l)/4, (1-l)/4, (1+l)/4),  corners l/2,
-
-    with l = lambda(p, q). Its spectrum is 1/4 + (3/4) l once and
-    1/4 - (1/4) l three times.
-    """
-    lam = lambda_ratio(alpha, q, p)
-    chi = np.zeros((4, 4), dtype=complex)
-    chi[0, 0] = chi[3, 3] = (1 + lam) / 4.0
-    chi[1, 1] = chi[2, 2] = (1 - lam) / 4.0
-    chi[0, 3] = chi[3, 0] = lam / 2.0
-    return chi
-
-
 def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     """Choi spectrum of the N-level propagator as (top, rest).
 
@@ -416,43 +377,3 @@ def g_function(alpha: float, q, qubits: int = 1):
     refined = 2.0 * quotient(eps / 2.0) - quotient(eps)
     clamped = np.where(refined > 1e-8, refined, 0.0)
     return float(clamped) if clamped.ndim == 0 else clamped
-
-
-def bell_states() -> tuple:
-    """The four Bell vectors in the fixed order (Phi+, Phi-, Psi+, Psi-)."""
-    rt = 1.0 / math.sqrt(2.0)
-    phi_plus = np.array([rt, 0, 0, rt], dtype=complex)
-    phi_minus = np.array([rt, 0, 0, -rt], dtype=complex)
-    psi_plus = np.array([0, rt, rt, 0], dtype=complex)
-    psi_minus = np.array([0, rt, -rt, 0], dtype=complex)
-    return (phi_plus, phi_minus, psi_plus, psi_minus)
-
-
-def bell_expectations(choi: ChoiMatrix) -> np.ndarray:
-    """Expectation values <b|chi|b> over the Bell basis (witness operators).
-
-    For the qubit propagator the Phi+ expectation reproduces the Choi
-    eigenvalue Lambda_I and the remaining three reproduce the degenerate
-    Lambda_{X,Y,Z}.
-    """
-    if choi.dim != 2:
-        raise ValueError("Bell-state expectations are defined for qubit Choi matrices")
-    return np.array([float((b.conj() @ choi.matrix @ b).real) for b in bell_states()])
-
-
-def pauli_transfer(superop: Superoperator) -> np.ndarray:
-    """Real transfer matrix of a qubit superoperator in the Pauli basis.
-
-    R_ij = (1/2) tr(sigma_i S(sigma_j)) over (I, X, Y, Z). Trace
-    preservation forces the first row to (1, 0, 0, 0); for the depolarizing
-    propagator the result is diag(1, lambda, lambda, lambda).
-    """
-    if superop.dim != 2:
-        raise ValueError("the Pauli transfer matrix is defined for qubit superoperators")
-    basis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-    out = np.empty((4, 4))
-    for j, sig_j in enumerate(basis):
-        image = superop.apply(sig_j)
-        for i, sig_i in enumerate(basis):
-            out[i, j] = 0.5 * float(np.trace(sig_i @ image).real)
-    return out

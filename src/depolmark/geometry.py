@@ -64,16 +64,6 @@ class AffineMap:
     def trace_norm(self):
         return trace_norm(self.matrix)
 
-    @property
-    def block_trace_norm(self) -> float:
-        """Trace norm of the lower block (the map on traceless operators).
-
-        For a unital trace-preserving map the transfer matrix is block
-        diagonal, 1 on the identity component and B on the rest; the volume
-        rate of change is proportional to this block norm.
-        """
-        return trace_norm(self.matrix[..., 1:, 1:])
-
 
 class Trajectory(NamedTuple):
     """The transfer-eigenvalue trajectory over a grid, one array entry per grid point.

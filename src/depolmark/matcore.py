@@ -1,9 +1,8 @@
 """Dense complex linear algebra primitives shared by the whole package.
 
-Everything here operates on plain ``numpy.ndarray`` values. A column
-stacking convention is used throughout: ``vectorize`` gathers the columns
-of a matrix on top of one another, and every superoperator built elsewhere
-in the package follows from that choice.
+Everything here operates on plain ``numpy.ndarray`` values. Superoperators
+act on column-stacked operators throughout; the stacking itself,
+``vectorize``/``devectorize``, is an oracle helper in ``depolmark.dense``.
 
 Matrices are small (at most 64 x 64), so all routines are dense and
 LAPACK-backed. ``kron`` is a broadcast product rather than ``np.kron``: it
@@ -32,11 +31,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "kron",
-    "vectorize",
-    "devectorize",
-    "commutation_matrix",
-    "swap_matrix",
-    "swap_permutation",
     "hermitian_eigenvalues",
     "trace_norm",
     "inverse",
@@ -87,56 +81,6 @@ def blockwise(fn, *grids):
     flat = [g.reshape(-1) for g in grids]
     out = np.concatenate([fn(*(g[i : i + _BLOCK] for g in flat)) for i in range(0, flat[0].size, _BLOCK)])
     return out.reshape(shape + out.shape[1:])
-
-
-def vectorize(m: np.ndarray) -> np.ndarray:
-    """Stack the columns of ``m`` into a single vector.
-
-    ``[[a, b], [c, d]]`` becomes ``(a, c, b, d)``.
-    """
-    return np.asarray(m).reshape(-1, order="F")
-
-
-def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a square ``dim x dim`` matrix."""
-    v = np.asarray(v).reshape(-1)
-    if v.size != dim * dim:
-        raise ValueError(f"vector of length {v.size} cannot fill a {dim}x{dim} matrix")
-    return v.reshape((dim, dim), order="F")
-
-
-def commutation_matrix(levels: int) -> np.ndarray:
-    """Permutation matrix U with U (A kron B) U = B kron A for N x N blocks.
-
-    U has one row per pair (k, l), mapping basis vector |k,l> to |l,k>.
-    It is real, symmetric and involutory.
-    """
-    n = int(levels)
-    if n < 2:
-        raise ValueError("levels must be >= 2")
-    idx = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return np.eye(n * n)[idx]
-
-
-def swap_permutation(levels: int) -> np.ndarray:
-    """Index permutation exchanging subsystems 2 and 3 of a 4-fold tensor.
-
-    Returns ``perm`` such that applying the swap operator to a vector ``x``
-    of length ``levels**4`` yields ``x[perm]``.
-    """
-    n = int(levels)
-    if n < 2:
-        raise ValueError("levels must be >= 2")
-    return np.arange(n**4).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(-1)
-
-
-def swap_matrix(levels: int) -> np.ndarray:
-    """Swap of the second and third subsystem: I_N kron U_P kron I_N.
-
-    ``U_P`` is the :func:`commutation_matrix`. The result is a real
-    permutation matrix of dimension ``levels**4``, equal to its own inverse.
-    """
-    return np.eye(int(levels) ** 4)[swap_permutation(levels)]
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10):

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .channels import _check_unit_interval, apply_channel, qubit_kraus
+from .channels import _check_unit_interval
 from .dynmaps import _all, choi_of, lambda_ratio, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
 from .kernel import ZERO_FLOOR, SingularRateError, crossover_point, survival
@@ -46,10 +46,8 @@ __all__ = [
     "qutrit_hcla_log_form",
     "trace_distance",
     "plus_minus_states",
-    "plus_minus_trace_distance",
     "plus_minus_distance_derivative",
     "blp_measure",
-    "blp_random_pair_search",
     "memory_witness_X",
     "memory_witness_closed",
 ]
@@ -209,18 +207,8 @@ def plus_minus_states() -> tuple:
     return plus, minus
 
 
-def plus_minus_trace_distance(alpha: float, p: float) -> float:
-    """Trace distance of the evolved |+>/|-> pair in closed form.
-
-    D(p) = (1/4) |4 + 3 alpha p^2 - 4 p (alpha + 1)| = |1 - k(p)|: the pair
-    stays antipodal along x and the distance is the magnitude of the Bloch
-    contraction factor.
-    """
-    return abs(4.0 + 3.0 * alpha * p * p - 4.0 * p * (alpha + 1.0)) / 4.0
-
-
 def plus_minus_distance_derivative(alpha: float, p: float) -> float:
-    """dD/dp of :func:`plus_minus_trace_distance` (zero at the kink)."""
+    """dD/dp of the |+>/|-> trace distance D(p) = |G(p)| (zero at the kink)."""
     g = survival(alpha, p)
     if g == 0.0:
         return 0.0
@@ -240,34 +228,6 @@ def blp_measure(alpha: float) -> float:
         return 0.0
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
     return _quad(integrand, 0.0, 1.0, crossover_point(alpha, 2))
-
-
-def blp_random_pair_search(
-    alpha: float, pairs: int = 200, grid_points: int = 201, seed: int = 7
-) -> float:
-    """Largest distinguishability revival over random antipodal Bloch pairs.
-
-    Evidence (not proof) that the fixed |+>/|-> pair of
-    :func:`blp_measure` is optimal: each sampled pair is evolved through
-    the Kraus machinery on a p grid and the positive trace-distance
-    increments are summed. By isotropy of the channel every antipodal pure
-    pair attains the same revival, so the maximum matches alpha/4 up to
-    grid error.
-    """
-    rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, 1.0, grid_points)
-    kraus_sets = [qubit_kraus(alpha, p) for p in grid]
-    best = 0.0
-    for _ in range(pairs):
-        vec = rng.normal(size=3)
-        vec /= np.linalg.norm(vec)
-        bloch = vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z
-        rho_a = 0.5 * (np.eye(2) + bloch)
-        rho_b = 0.5 * (np.eye(2) - bloch)
-        dist = [trace_distance(apply_channel(k, rho_a), apply_channel(k, rho_b)) for k in kraus_sets]
-        revival = sum(max(0.0, b - a) for a, b in zip(dist, dist[1:]))
-        best = max(best, revival)
-    return best
 
 
 # I kron sigma_i, then sigma_i kron sigma_j row by row: the observables

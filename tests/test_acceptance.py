@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from depolmark.channels import apply_channel, multiqubit_kraus, qubit_kraus, qudit_kraus
+from depolmark.channels import apply_channel, qubit_kraus, qudit_kraus
+from depolmark.dense import bell_expectations, choi_closed_form, devectorize, multiqubit_kraus, swap_matrix, vectorize
 from depolmark.dynmaps import (
-    bell_expectations,
-    choi_closed_form,
     choi_of,
     choi_trace_norm,
     g_function,
@@ -24,7 +23,7 @@ from depolmark.dynmaps import (
 )
 from depolmark.geometry import f_matrix, trajectory, volume_determinant, volume_measure
 from depolmark.kernel import crossover_point, kappa, survival
-from depolmark.matcore import devectorize, swap_matrix, trace_norm, vectorize
+from depolmark.matcore import trace_norm
 from depolmark.measures import (
     blp_measure,
     decay_rate,

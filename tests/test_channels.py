@@ -7,11 +7,11 @@ import pytest
 from depolmark.channels import (
     KrausSet,
     apply_channel,
-    multiqubit_kraus,
     qubit_kraus,
     qudit_kraus,
     weyl_operator,
 )
+from depolmark.dense import multiqubit_kraus
 from depolmark.kernel import kappa
 from depolmark.matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 
@@ -199,3 +199,11 @@ def test_apply_channel_validates_density_input():
 def test_kraus_set_rejects_incomplete_family():
     with pytest.raises(ValueError, match="completeness"):
         KrausSet((0.5 * PAULI_I,), 2)
+
+
+def test_kraus_set_completeness_bound_is_1e_9():
+    # Scaling every operator by s moves sum E^dag E away from I by s^2 - 1.
+    ops = qubit_kraus(0.7, 0.4).operators
+    assert len(KrausSet(tuple(np.sqrt(1 + 5e-10) * op for op in ops), 2)) == 4
+    with pytest.raises(ValueError, match="completeness"):
+        KrausSet(tuple(np.sqrt(1 + 5e-9) * op for op in ops), 2)

@@ -202,6 +202,18 @@ def test_figure_unknown_id_names_valid_ones(tmp_path):
         figure("fig99", out_dir=str(tmp_path))
 
 
+def test_figure_metadata_names_the_format_written(tmp_path):
+    # fig4 merges two specs: the merged metadata is the first spec's.
+    for fig_id in ("fig3", "fig4"):
+        (path,) = figure(fig_id, out_dir=str(tmp_path), fmt="json")
+        assert json.loads(Path(path).read_text())["spec"]["format"] == "json"
+        (path,) = figure(fig_id, out_dir=str(tmp_path))
+        assert "# format=csv\n" in Path(path).read_text()
+    with pytest.raises(UsageError, match="format must be csv or json, got 'xml'"):
+        figure("fig1", out_dir=str(tmp_path), fmt="xml")
+    assert not (tmp_path / "fig1.xml").exists()
+
+
 def test_figure_rerun_is_byte_identical(tmp_path):
     (first,) = figure("fig1", out_dir=str(tmp_path))
     content = Path(first).read_bytes()

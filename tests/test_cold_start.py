@@ -4,10 +4,12 @@ Parsing, ``SweepSpec`` validation (the figure table built at import
 included), the pinned-q singularity check and every exit-2 or exit-3 path
 run on the standard library and the numpy-free ``depolmark.kernel``. A
 fresh interpreter that runs only such command lines must end with no numpy
-module loaded, and ``import depolmark`` alone loads none either.
+module loaded, and ``import depolmark`` alone loads none either. A command
+that computes loads the library modules its columns call, but never the
+oracle module ``depolmark.dense``: all 13 presets run without it.
 
 The package resolves its submodules and re-exported names on first access;
-its ``__all__`` is the same 70 names the eager package exported.
+its ``__all__`` holds 69 names, each exported by one module.
 """
 
 import os
@@ -24,7 +26,7 @@ PUBLIC = [
     "SingularMapError", "SingularRateError", "SingularityError", "Superoperator", "Trajectory", "__version__",
     "affine_map_of", "apply_channel", "bell_expectations", "bell_states", "bloch_basis",
     "bloch_contraction_derivative", "blockwise", "blp_measure", "blp_random_pair_search", "choi_closed_form",
-    "choi_of", "choi_trace_norm", "commutation_matrix", "crossover_point", "decay_rate", "decay_rate_normalized",
+    "choi_of", "choi_trace_norm", "crossover_point", "decay_rate", "decay_rate_normalized",
     "devectorize", "f_matrix", "g_function", "gell_mann_matrices", "hcla_closed_form", "hcla_measure",
     "hermitian_eigenvalues", "intermediate_choi", "intermediate_map", "inverse", "is_density_matrix",
     "is_hermitian", "kappa", "kron", "lambda_ratio", "maximally_entangled_projector", "memory_witness_X",
@@ -66,8 +68,23 @@ def test_usage_and_singularity_exits_never_import_numpy():
     assert proc.stdout.splitlines() == ["False", "False", "['depolmark', 'depolmark.cli', 'depolmark.kernel']"]
 
 
+def test_no_preset_loads_the_oracle_module():
+    child = """
+import sys, tempfile
+from depolmark.cli import FIGURES, figure
+with tempfile.TemporaryDirectory() as out:
+    for fig_id in FIGURES:
+        figure(fig_id, out)
+print(len(FIGURES), "depolmark.dense" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["13", "False"]
+
+
 def test_lazy_package_keeps_its_public_names():
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 69
     assert sorted(depolmark.__all__) == PUBLIC
     names = dir(depolmark)
     for name in PUBLIC:
@@ -77,15 +94,15 @@ def test_lazy_package_keeps_its_public_names():
     exec("from depolmark import *", star)
     assert sorted(k for k in star if k != "__builtins__") == PUBLIC
     # Each name is the object its home module exports.
-    assert depolmark.survival is depolmark.kernel.survival is depolmark.channels.survival
+    assert depolmark.survival is depolmark.kernel.survival
     assert depolmark.SingularityError is depolmark.matcore.SingularityError
-    assert depolmark.crossover_point is depolmark.dynmaps.crossover_point
     assert depolmark.trajectory is depolmark.geometry.trajectory
+    assert depolmark.vectorize is depolmark.dense.vectorize
 
 
 def test_each_public_name_is_in_one_module_all():
     homes = {}
-    for module in ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry"):
+    for module in ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry", "dense"):
         for name in getattr(depolmark, module).__all__:
             homes.setdefault(name, []).append(module)
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depolmark.channels import multiqubit_kraus, qubit_kraus, qudit_kraus
-from depolmark.dynmaps import (
-    ChoiMatrix,
-    Superoperator,
+from depolmark.channels import qubit_kraus, qudit_kraus
+from depolmark.dense import (
     bell_expectations,
     bell_states,
     choi_closed_form,
+    devectorize,
+    multiqubit_kraus,
+    pauli_transfer,
+    vectorize,
+)
+from depolmark.dynmaps import (
+    ChoiMatrix,
+    Superoperator,
     choi_of,
     choi_trace_norm,
     g_function,
@@ -20,12 +26,11 @@ from depolmark.dynmaps import (
     lambda_ratio,
     maximally_entangled_projector,
     ncp_witness,
-    pauli_transfer,
     qudit_choi_eigenvalues,
     superoperator_of,
 )
 from depolmark.kernel import SingularMapError, crossover_point, kappa, survival
-from depolmark.matcore import inverse, kron, trace_norm, vectorize
+from depolmark.matcore import inverse, kron, trace_norm
 from depolmark.measures import decay_rate
 
 ALPHA_MINUS_07 = 0.7725529126366106  # closed-form root for alpha = 0.7
@@ -58,7 +63,8 @@ def test_superoperator_action_matches_kraus_application():
         kraus = qubit_kraus(alpha, p)
         superop = superoperator_of(kraus)
         rho = random_density(rng)
-        assert np.abs(superop.apply(rho) - apply_channel(kraus, rho)).max() < 1e-12
+        image = devectorize(superop.matrix @ vectorize(rho), superop.dim)
+        assert np.abs(image - apply_channel(kraus, rho)).max() < 1e-12
 
 
 @pytest.mark.parametrize(

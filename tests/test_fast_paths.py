@@ -19,7 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depolmark import cli, dynmaps, geometry, measures
-from depolmark.channels import KrausSet, apply_channel, multiqubit_kraus, qubit_kraus, qudit_kraus
+from depolmark.channels import KrausSet, apply_channel, qubit_kraus, qudit_kraus
+from depolmark.dense import devectorize, multiqubit_kraus, swap_permutation, vectorize
 from depolmark.dynmaps import choi_of, maximally_entangled_projector, superoperator_of
 from depolmark.kernel import SINGULARITY_GUARD, SingularityError, crossover_point, survival
 from depolmark.matcore import (
@@ -27,12 +28,9 @@ from depolmark.matcore import (
     PAULI_Y,
     PAULI_Z,
     SingularMapError,
-    devectorize,
     inverse,
     kron,
-    swap_permutation,
     trace_norm,
-    vectorize,
 )
 
 # (levels, qubits, draws): Choi dimensions d = 2, 3, 4, 4 and 8.

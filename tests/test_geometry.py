@@ -43,7 +43,6 @@ def test_affine_map_block_norm():
     for alpha, p in ((0.0, 0.5), (0.8, 0.9)):
         affine = affine_map_of(alpha, p)
         expected = 3 * abs(survival(alpha, p))
-        assert abs(affine.block_trace_norm - expected) < 1e-12
         assert abs(affine.trace_norm - (1 + expected)) < 1e-12
 
 

@@ -8,15 +8,12 @@ from depolmark.matcore import (
     PAULI_Y,
     PAULI_Z,
     SingularMapError,
-    commutation_matrix,
-    devectorize,
     hermitian_eigenvalues,
     inverse,
     kron,
-    swap_matrix,
     trace_norm,
-    vectorize,
 )
+from depolmark.dense import devectorize, swap_matrix, vectorize
 
 
 def random_density(rng, dim):
@@ -66,7 +63,6 @@ def test_swap_matrix_structure_n2():
     u_p = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
     expected = np.kron(np.kron(np.eye(2), u_p), np.eye(2))
     assert np.array_equal(swap_matrix(2), expected)
-    assert np.array_equal(commutation_matrix(2), u_p)
 
 
 @pytest.mark.parametrize("levels", [2, 3, 4])
@@ -74,14 +70,6 @@ def test_swap_matrix_orthogonal_involution(levels):
     u = swap_matrix(levels)
     assert np.array_equal(u, u.T)
     assert np.array_equal(u @ u, np.eye(levels**4))
-
-
-def test_commutation_matrix_swaps_kron_factors():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    u_p = commutation_matrix(3)
-    assert np.abs(u_p @ kron(a, b) @ u_p - kron(b, a)).max() < 1e-12
 
 
 def test_hermitian_eigenvalues_basic():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from depolmark.channels import apply_channel, qubit_kraus
+from depolmark import measures
+from depolmark.dense import blp_random_pair_search, plus_minus_trace_distance
 from depolmark.dynmaps import intermediate_map, lambda_ratio
 from depolmark.kernel import SingularMapError, SingularRateError, crossover_point, kappa, survival
 from depolmark.geometry import volume_measure
 from depolmark.measures import (
     blp_measure,
-    blp_random_pair_search,
     decay_rate,
     decay_rate_normalized,
     hcla_closed_form,
@@ -19,7 +20,6 @@ from depolmark.measures import (
     memory_witness_X,
     plus_minus_distance_derivative,
     plus_minus_states,
-    plus_minus_trace_distance,
     qutrit_hcla_log_form,
     trace_distance,
 )
@@ -320,6 +320,20 @@ def test_memory_witness_monotone_without_memory():
     grid = np.linspace(0.3, 1.0, 71)
     values = [memory_witness_X(0.0, 0.3, p) for p in grid]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_memory_witness_cross_check_bound_is_1e_8_relative(monkeypatch):
+    # The routes agree to about 5e-12 relative here (X up to 1.3e4 near the
+    # singular q). A closed form off by 5e-9 relative passes the internal
+    # check, one off by 5e-8 fails it.
+    closed = measures.memory_witness_closed
+    for q in (0.3, 0.7726):
+        grid = np.linspace(q, 1.0, 8)
+        monkeypatch.setattr(measures, "memory_witness_closed", lambda a, q, p: (1 + 5e-9) * closed(a, q, p))
+        assert memory_witness_X(0.7, q, grid).shape == grid.shape
+        monkeypatch.setattr(measures, "memory_witness_closed", lambda a, q, p: (1 + 5e-8) * closed(a, q, p))
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            memory_witness_X(0.7, q, grid)
 
 
 def test_memory_witness_singular_q():

@@ -74,6 +74,16 @@ CATALOGUE = (
         "    if alpha < 1e-5:\n        c = (levels * levels - 1)",
         reason="an accuracy gain, not a defect: the s = 1 - p form is the more accurate one (ROADMAP item 5 covers it)",
     ),
+    Mutant("kraus-completeness", "channels.py", ".max() > 1e-9", ".max() > 1e-8"),
+    Mutant("hermitian-tolerance", "matcore.py", "tol = 1e-10 * np.maximum", "tol = 1e-9 * np.maximum"),
+    Mutant("witness-cross-check", "measures.py", "> 1e-8 * np.maximum", "> 1e-7 * np.maximum"),
+    Mutant(
+        "cp-divisible-margin",
+        "geometry.py",
+        "(a <= 1e-12)",
+        "(a <= 1e-11)",
+        reason="equivalent: on [0, 1] lambda' <= alpha/2 - 1 <= -1/2 and |lambda| <= 1, so |a| >= 1/2 never meets the margin",
+    ),
 )
 
 
