@@ -21,25 +21,32 @@ from figure id to the files the preset writes, each with the pinned
 spec(s) behind it; two specs behind one file (``fig4``) are merged column
 by column. ``FIGURES`` lists its keys in order.
 
-Every series group is a column function: it takes the whole grid as an
-array and returns one float column per series name, NaN marking an NA
-sample; ``run_sweep`` turns NaN into ``None`` in one place, and
+Every series group is a column function: it takes the whole grid as a
+list of floats and returns one float column per series name, NaN marking
+an NA sample; ``run_sweep`` turns NaN into ``None`` in one place, and
 ``SweepTable`` keeps the columns (abscissa first), its ``rows`` being
-derived from them. The dense columns (``choi-norm``,
+derived from them. ``SweepSpec.grid`` performs ``np.linspace``'s own
+arithmetic on Python floats, so the grid is bit-equal to numpy's.
+``choi-eigs`` and ``decay-rate`` map their ``kernel`` closed form over the
+grid point by point; IEEE arithmetic gives the bits the whole-array call
+gives. The dense columns (``choi-norm``,
 ``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
 run the whole grid through the stacked Kraus -> superoperator -> Choi
 route, 32 grid points per block (``matcore.blockwise``) so that the
 stacks held at once stay a few hundred kilobytes whatever ``--steps`` is;
 with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series,
 and ``choi-norm`` computes one ``choi_trace_norm`` column per alpha and N,
-whose n-th powers are the n-qubit norms. The stacked route is bit-equal to evaluating the points one by
-one. ``choi-eigs`` and ``decay-rate`` evaluate their closed forms on the
-whole grid, the ``trajectory`` of one alpha is computed once and feeds its
-five columns, and ``hcla`` and ``blp`` call their measure once per alpha.
+whose n-th powers are the n-qubit norms. The stacked route is bit-equal to
+evaluating the points one by one. The ``trajectory`` of one alpha is
+computed once and feeds its five columns, and ``hcla`` and ``blp`` call
+their measure once per alpha. The dense builders are the only ones that
+see numpy: the table wraps each in ``_arrays``, which hands its column
+functions the grid as an array and turns each column back into a list.
 
 Grid points inside the singularity guard band, or where a closed form is
-undefined, are emitted as ``NA`` samples, never dropped: a mask, computed
-once per series, marks them before the column is computed; at alpha = 0
+undefined, are emitted as ``NA`` samples, never dropped: a mask marks them
+before the column is computed, point by point for a closed form and once
+per series for ``g-function``; at alpha = 0
 the singular point is the boundary p = 1. A singularity at a *pinned*
 parameter (``--q`` within 1e-6 of the singular value for a Choi
 quantity) aborts with exit code 3; usage errors exit with code 2. Among
@@ -52,29 +59,33 @@ that takes one, ``--q`` for a quantity that does not pin q (only
 ``choi-eigs``, ``choi-norm`` and ``memory-x`` read it), and an output path
 that cannot be written. Series names and the CSV metadata echo print
 numbers with ``:g`` where that reads back as the same float, and with the
-shortest round-tripping ``repr`` otherwise.
+shortest round-tripping ``repr`` otherwise; ``SweepSpec`` adds 0.0 to
+``alpha``, ``q`` and the grid bounds, so a -0.0 prints and names as 0.
 
 At module level this file imports the standard library and the numpy-free
 ``kernel`` only: parsing, ``SweepSpec`` validation (the ``_FIGURES`` table
-included), the pinned-q check and every exit-2 or exit-3 path run without
-numpy. ``run_sweep``, ``SweepSpec.grid``, ``_masked`` and the column
-builders import numpy and the library modules they call when they run, so
-a command loads only the modules its quantity needs (``fig1`` loads
-``dynmaps``, ``channels`` and ``matcore``, not ``measures`` or
-``geometry``), and library functions are looked up at call time.
+included), the grid, ``run_sweep``, the pinned-q check, the closed-form
+columns and every exit-2 or exit-3 path run without numpy, so ``choi-eigs``,
+``decay-rate`` and the presets ``fig1``, ``fig2`` and ``fig3`` load
+``cli`` and ``kernel`` alone. The dense builders, ``hcla`` and ``blp``
+import numpy and the library modules they call when they run, so a command
+loads only the modules its quantity needs, and library functions are
+looked up at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from . import __version__
-from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard, survival
+from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard
+from .kernel import _survival_derivative, decay_rate, decay_rate_normalized, qudit_choi_eigenvalues, survival
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,7 +172,10 @@ class SweepSpec:
         entry = _QUANTITIES.get(self.quantity)
         if entry is None:
             raise UsageError(f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}")
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        # Adding 0.0 turns a -0.0 into 0.0, which names and prints as 0.
+        object.__setattr__(self, "alpha", tuple(float(a) + 0.0 for a in self.alpha))
+        for bound in ("q", "p_min", "p_max"):
+            object.__setattr__(self, bound, getattr(self, bound) + 0.0)
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
         object.__setattr__(self, "qubits", tuple(int(n) for n in self.qubits))
         for axis in ("alpha", "levels", "qubits"):
@@ -193,10 +207,15 @@ class SweepSpec:
         """False when an alpha-swept quantity takes its several alphas as the grid."""
         return _QUANTITIES[self.quantity].abscissa != "alpha" or len(self.alpha) == 1
 
-    def grid(self) -> np.ndarray:
-        import numpy as np
-
-        return np.linspace(self.p_min, self.p_max, self.steps)
+    def grid(self) -> list:
+        """``np.linspace(p_min, p_max, steps)`` in Python floats, bit for bit: numpy's own arithmetic."""
+        div, delta = self.steps - 1, self.p_max - self.p_min
+        step = delta / div
+        if step == 0:  # numpy's branch for a step that underflows to zero
+            points = [i / div * delta + self.p_min for i in range(div)]
+        else:
+            points = [i * step + self.p_min for i in range(div)]
+        return points + [self.p_max]
 
     def metadata(self) -> dict:
         return {
@@ -258,9 +277,25 @@ def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1)
     return tag
 
 
-def _column(name: str, fn: Callable[[np.ndarray], Sequence]) -> tuple:
+def _column(name: str, fn: Callable[[list], Sequence]) -> tuple:
     """A series group of one column."""
     return (name,), lambda grid: [fn(grid)]
+
+
+def _points(fn: Callable[[float], float], mask: Callable[[float], bool]) -> Callable[[list], list]:
+    """Column of a closed form evaluated at each grid point, NaN (NA) where ``mask`` holds."""
+    return lambda grid: [math.nan if mask(x) else fn(x) for x in grid]
+
+
+def _arrays(builder: Callable) -> Callable:
+    """The numpy boundary of a dense builder: its column functions get the grid as an array, and lists come back."""
+
+    def on_array(fn: Callable) -> Callable[[list], list]:
+        import numpy as np
+
+        return lambda grid: [np.asarray(column, dtype=float).tolist() for column in fn(np.array(grid))]
+
+    return lambda spec, alpha: [(names, on_array(fn)) for names, fn in builder(spec, alpha)]
 
 
 def _dense(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -300,13 +335,11 @@ def _check_pinned_q(spec: SweepSpec) -> None:
 
 
 def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
-    from .dynmaps import qudit_choi_eigenvalues
-
     groups = []
     for n in spec.levels:
         tag = _system_tag(spec, alpha, levels=n)
         names = ("Lambda_I", "Lambda_XYZ") if n == 2 else ("Lambda_top", "Lambda_rest")
-        spectrum = lambda grid, n=n: qudit_choi_eigenvalues(alpha, spec.q, grid, n)
+        spectrum = lambda grid, n=n: list(zip(*(qudit_choi_eigenvalues(alpha, spec.q, p, n) for p in grid)))
         groups.append((tuple(f"{name}_{tag}" for name in names), spectrum))
     return groups
 
@@ -328,24 +361,22 @@ def _choi_norm(spec: SweepSpec, alpha: float) -> list:
 
 
 def _decay_rate(spec: SweepSpec, alpha: float) -> list:
-    from .measures import _survival_derivative, decay_rate, decay_rate_normalized
-
     n, tag = spec.levels[0], _alpha_tag(alpha)
     # NA in the guard band of each pole (p_- for the rate, p = 1 and p = 0 at
     # alpha = 0) and wherever the library would raise: G = 0 for the rate,
     # G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
     g = lambda p: survival(alpha, p, n)
-    pole = lambda p: _guard(p, alpha, n) | (abs(g(p)) <= ZERO_FLOOR)
-    norm_pole = lambda p: ((alpha == 0.0) & (p < SINGULARITY_GUARD)) | (abs(g(p) + _survival_derivative(alpha, p, n)) <= ZERO_FLOOR)
+    pole = lambda p: _guard(p, alpha, n) or abs(g(p)) <= ZERO_FLOOR
+    norm_pole = lambda p: (alpha == 0.0 and p < SINGULARITY_GUARD) or abs(g(p) + _survival_derivative(alpha, p, n)) <= ZERO_FLOOR
     return [
-        _column(f"gamma_{tag}", _masked(pole, lambda p: decay_rate(alpha, p, n))),
-        _column(f"gamma_normalized_{tag}", _masked(norm_pole, lambda p: decay_rate_normalized(alpha, p, n))),
+        _column(f"gamma_{tag}", _points(lambda p: decay_rate(alpha, p, n), pole)),
+        _column(f"gamma_normalized_{tag}", _points(lambda p: decay_rate_normalized(alpha, p, n), norm_pole)),
     ]
 
 
 def _per_alpha(name: str, fn: Callable[[float], float]) -> tuple:
     """Column of a measure over the alpha grid, one call per alpha."""
-    return _column(name, lambda alphas: [fn(a) for a in alphas.tolist()])
+    return _column(name, lambda alphas: [fn(a) for a in alphas])
 
 
 def _hcla(spec: SweepSpec, alpha: float | None) -> list:
@@ -438,16 +469,16 @@ def _step_room(spec: SweepSpec) -> None:
 
 _QUANTITIES = {
     "choi-eigs": _Quantity(_choi_eigs, levels=(2, 3, 4), pinned=True),
-    "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
+    "choi-norm": _Quantity(_arrays(_choi_norm), levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
     "blp": _Quantity(_blp, abscissa="alpha"),
-    "trace-distance": _Quantity(_trace_distance),
-    "memory-x": _Quantity(_memory_x, pinned=True),
-    "volume": _Quantity(_volume),
-    "trajectory": _Quantity(_trajectory),
-    "f-norm": _Quantity(_f_norm, levels=(3, 4), rule=_one_level),
-    "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
+    "trace-distance": _Quantity(_arrays(_trace_distance)),
+    "memory-x": _Quantity(_arrays(_memory_x), pinned=True),
+    "volume": _Quantity(_arrays(_volume)),
+    "trajectory": _Quantity(_arrays(_trajectory)),
+    "f-norm": _Quantity(_arrays(_f_norm), levels=(3, 4), rule=_one_level),
+    "g-function": _Quantity(_arrays(_g_function), abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
 }
 
 QUANTITIES = tuple(_QUANTITIES)
@@ -463,15 +494,13 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     entry = _QUANTITIES[spec.quantity]
     if entry.pinned:
         _check_pinned_q(spec)
-    import numpy as np
-
-    grid = spec.grid() if spec.uses_grid() else np.array(spec.alpha)
+    grid = spec.grid() if spec.uses_grid() else list(spec.alpha)
     names: list = []
-    columns: list = [grid.tolist()]
+    columns: list = [grid]
     for alpha in spec.alpha if entry.abscissa != "alpha" else (None,):
         for series_names, fn in entry.columns(spec, alpha):
             names.extend(series_names)
-            columns.extend([None if v != v else v for v in np.asarray(column, dtype=float).tolist()] for column in fn(grid))
+            columns.extend([None if v != v else v for v in column] for column in fn(grid))
     return SweepTable(entry.abscissa, tuple(names), columns, spec.metadata())
 
 

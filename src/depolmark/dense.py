@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from .channels import KrausSet, apply_channel, qubit_kraus
-from .dynmaps import ChoiMatrix, Superoperator, lambda_ratio
+from .dynmaps import ChoiMatrix, Superoperator
+from .kernel import lambda_ratio
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .measures import trace_distance
 

@@ -13,7 +13,10 @@ diag(1, lambda, lambda, lambda), with
                    / (4 q + 4 alpha q - 3 alpha q^2 - 4),
 
 the ratio G(p)/G(q) of survival factors G = 1 - k over the common
-denominator 4 (N^2 for N levels, see :func:`lambda_ratio`).
+denominator 4 (N^2 for N levels). That closed form and the Choi spectrum
+built from it are ``kernel.lambda_ratio`` and
+``kernel.qudit_choi_eigenvalues``, which need no numpy; this module is the
+dense route they are checked against.
 
 The denominator vanishes when the effective depolarizing probability
 reaches 1 at q; that parameter value (``kernel.crossover_point``) is a genuine
@@ -59,7 +62,7 @@ import numpy as np
 
 from . import matcore
 from .channels import KrausSet, qubit_kraus, qudit_kraus
-from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularMapError, _guard
+from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, SingularMapError, _check_pair, _guard
 from .matcore import blockwise, hermitian_eigenvalues, kron, trace_norm
 
 __all__ = [
@@ -69,11 +72,9 @@ __all__ = [
     "superoperator_of",
     "intermediate_map",
     "propagator_column",
-    "lambda_ratio",
     "maximally_entangled_projector",
     "choi_of",
     "intermediate_choi",
-    "qudit_choi_eigenvalues",
     "ncp_witness",
     "choi_trace_norm",
     "g_function",
@@ -144,19 +145,6 @@ def superoperator_of(kraus: KrausSet) -> Superoperator:
     for op in kraus.operators:
         acc = acc + kron(op.conj(), op)
     return Superoperator(acc, kraus.dim)
-
-
-def _all(flags) -> bool:
-    """all() of one flag or of an array of flags; Python bools skip numpy's reduction overhead."""
-    return flags if isinstance(flags, bool) else bool(np.all(flags))
-
-
-def _check_pair(q, p) -> None:
-    ok = (0.0 <= q) & (q <= p) & (p <= 1.0)
-    if not _all(ok):
-        bad = np.argmin(np.reshape(ok, -1))
-        q_bad, p_bad = (np.broadcast_to(x, np.shape(ok)).reshape(-1)[bad] for x in (q, p))
-        raise ValueError(f"intermediate parameters must satisfy 0 <= q <= p <= 1, got q={q_bad}, p={p_bad}")
 
 
 def _kraus(alpha: float, p, levels: int) -> KrausSet:
@@ -237,33 +225,6 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     return Superoperator(acc, levels**qubits)
 
 
-def lambda_ratio(alpha: float, q, p, levels: int = 2):
-    """Closed-form transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator.
-
-    With n2 = N^2 both survival factors G = 1 - k are written over the
-    common denominator n2,
-
-        lambda = (p (n2 + n2 alpha - (n2 - 1) alpha p) - n2)
-                 / (n2 q + n2 alpha q - (n2 - 1) alpha q^2 - n2);
-
-    it is 1 - p at q = alpha = 0 for the qubit and exactly 1 at p = q.
-    Takes grids too.
-
-    Raises:
-        SingularMapError: when the denominator vanishes (q at the singular
-            parameter), matching the invertibility threshold of
-            :func:`depolmark.matcore.inverse`.
-    """
-    _check_pair(q, p)
-    n2 = levels * levels
-    num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
-    den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2
-    # |den|/n2 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
-    if not _all(abs(den) / n2 > ZERO_FLOOR):
-        raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
-    return num / den
-
-
 def maximally_entangled_projector(dim: int) -> np.ndarray:
     """Projector onto sum_i |ii>/sqrt(dim) of a dim x dim bipartite system."""
     psi = np.zeros(dim * dim, dtype=complex)
@@ -298,20 +259,6 @@ def choi_of(superop: Superoperator) -> ChoiMatrix:
 def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> ChoiMatrix:
     """Choi matrix of the propagator :func:`intermediate_map` of N levels or n qubits."""
     return choi_of(intermediate_map(alpha, q, p, levels, qubits))
-
-
-def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
-    """Choi spectrum of the N-level propagator as (top, rest).
-
-    ``top`` = 1/N^2 + (1 - 1/N^2) l has multiplicity 1 and ``rest`` =
-    1/N^2 - l/N^2 has multiplicity N^2 - 1, with l = :func:`lambda_ratio`.
-    For the qubit they are Lambda_I and the threefold Lambda_{X,Y,Z}. The
-    spectrum sums to 1 (trace preservation), and a negative ``rest`` or
-    ``top`` flags an NCP propagator. Takes grids too.
-    """
-    lam = lambda_ratio(alpha, q, p, levels)
-    n2 = levels * levels
-    return (1 / n2 + (1 - 1 / n2) * lam, 1 / n2 - lam / n2)
 
 
 def ncp_witness(choi: ChoiMatrix) -> NcpWitness:

@@ -72,10 +72,12 @@ class Trajectory(NamedTuple):
     value; ``a`` is the log-derivative lambda'/lambda shared by all three
     axes of the A vector, NaN where |lambda| <= ``kernel.ZERO_FLOOR``. CP
     divisibility needs the three inequalities A.(-1, 1, 1), A.(1, -1, 1) and
-    A.(1, 1, -1) to be <= 1e-12; with equal entries each of them is
-    exactly ``a`` in floating point, so ``cp_divisible`` is ``a <= 1e-12``,
-    and False where ``a`` is NaN (the propagator through that point is
-    undefined).
+    A.(1, 1, -1) to be <= 0; with equal entries each of them is exactly
+    ``a`` in floating point, so ``cp_divisible`` is ``a <= 0``, and False
+    where ``a`` is NaN (the propagator through that point is undefined).
+    No tolerance is needed: on the whole box lambda' <= alpha/2 - 1 <= -1/2
+    and |lambda| <= 1, so |a| >= 1/2. ``inside_tetrahedron`` is the exact
+    test 1 + lambda >= |2 lambda| and 1 - lambda >= 0.
     """
 
     p: np.ndarray
@@ -93,7 +95,7 @@ def bloch_basis() -> tuple:
 
 def bloch_contraction_derivative(alpha: float, p: float) -> float:
     """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p)."""
-    # Apart from measures._survival_derivative: same G', other last bits; this one feeds trajectories.
+    # Apart from kernel._survival_derivative: same G', other last bits; this one feeds trajectories.
     return 1.5 * alpha * p - alpha - 1.0
 
 
@@ -192,5 +194,5 @@ def trajectory(alpha: float, p_grid) -> Trajectory:
     lam = survival(alpha, p)
     singular = np.abs(lam) <= ZERO_FLOOR
     a = np.divide(bloch_contraction_derivative(alpha, p), lam, out=np.full_like(lam, np.nan), where=~singular)
-    inside = (1.0 + lam >= np.abs(lam + lam) - 1e-12) & (1.0 - lam >= np.abs(lam - lam) - 1e-12)
-    return Trajectory(p, lam, a, inside, ~singular & (a <= 1e-12))
+    inside = (1.0 + lam >= np.abs(lam + lam)) & (1.0 - lam >= np.abs(lam - lam))
+    return Trajectory(p, lam, a, inside, ~singular & (a <= 0))

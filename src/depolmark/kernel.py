@@ -1,13 +1,19 @@
-"""The scalar kernel of the family: survival factor, singular point, guard band, typed errors.
+"""The scalar kernel of the family: survival factor, singular point, closed forms, typed errors.
 
 Everything here is plain arithmetic on the standard library (``math``
-only), so the command line can validate a sweep, check a pinned q against
-the singular value and exit with a usage or singularity code without
-loading numpy. ``kappa``, ``survival`` and ``_guard`` are written with
-operators alone and take numpy arrays as well as floats.
+only). The command line validates a sweep, checks a pinned q against the
+singular value and computes every closed-form column (the Choi spectra
+and both decay rates) on it, so those commands never load numpy.
+``kappa``, ``survival``, ``_guard``, ``lambda_ratio``,
+``qudit_choi_eigenvalues``, ``decay_rate`` and ``decay_rate_normalized``
+are written with operators alone (``+ - * /`` and ``abs``) and take numpy
+arrays as well as floats; IEEE arithmetic gives the same bits either way,
+so a column mapped point by point over Python floats equals the one
+computed on the whole array.
 
 The other modules import these names from here; ``matcore``, ``channels``
-and ``dynmaps`` keep them importable under their old homes.
+and ``dynmaps`` keep the errors and constants importable under their old
+homes.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ __all__ = [
     "kappa",
     "survival",
     "crossover_point",
+    "lambda_ratio",
+    "qudit_choi_eigenvalues",
+    "decay_rate",
+    "decay_rate_normalized",
 ]
 
 
@@ -106,3 +116,103 @@ def _guard(x, alpha: float, levels: int = 2):
     """
     point = crossover_point(alpha, levels)
     return abs(x - (1.0 if point is None else point)) < SINGULARITY_GUARD
+
+
+def _all(flags) -> bool:
+    """all() of one flag or of an array of flags, read with the array's own method (no numpy import)."""
+    return flags if isinstance(flags, bool) else bool(flags.all())
+
+
+def _check_pair(q, p) -> None:
+    ok = (0.0 <= q) & (q <= p) & (p <= 1.0)
+    if not _all(ok):
+        if not isinstance(ok, bool):  # a grid: report its first bad point
+            bad = ok.reshape(-1).argmin()
+            q, p = ((x + 0 * ok).reshape(-1)[bad] for x in (q, p))
+        raise ValueError(f"intermediate parameters must satisfy 0 <= q <= p <= 1, got q={q}, p={p}")
+
+
+def lambda_ratio(alpha: float, q, p, levels: int = 2):
+    """Closed-form transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator.
+
+    With n2 = N^2 both survival factors G = 1 - k are written over the
+    common denominator n2,
+
+        lambda = (p (n2 + n2 alpha - (n2 - 1) alpha p) - n2)
+                 / (n2 q + n2 alpha q - (n2 - 1) alpha q^2 - n2);
+
+    it is 1 - p at q = alpha = 0 for the qubit and exactly 1 at p = q.
+    Takes grids too.
+
+    Raises:
+        SingularMapError: when the denominator vanishes (q at the singular
+            parameter), matching the invertibility threshold of
+            :func:`depolmark.matcore.inverse`.
+    """
+    _check_pair(q, p)
+    n2 = levels * levels
+    num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
+    den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2
+    # |den|/n2 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
+    if not _all(abs(den) / n2 > ZERO_FLOOR):
+        raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
+    return num / den
+
+
+def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
+    """Choi spectrum of the N-level propagator as (top, rest).
+
+    ``top`` = 1/N^2 + (1 - 1/N^2) l has multiplicity 1 and ``rest`` =
+    1/N^2 - l/N^2 has multiplicity N^2 - 1, with l = :func:`lambda_ratio`.
+    For the qubit they are Lambda_I and the threefold Lambda_{X,Y,Z}. The
+    spectrum sums to 1 (trace preservation), and a negative ``rest`` or
+    ``top`` flags an NCP propagator. Takes grids too.
+    """
+    lam = lambda_ratio(alpha, q, p, levels)
+    n2 = levels * levels
+    return (1 / n2 + (1 - 1 / n2) * lam, 1 / n2 - lam / n2)
+
+
+# Apart from geometry.bloch_contraction_derivative: same G', other last bits; this one feeds the rates.
+def _survival_derivative(alpha: float, p, levels: int):
+    c = (levels * levels - 1) / (levels * levels)
+    return -(1.0 + alpha) + 2.0 * c * alpha * p
+
+
+def decay_rate(alpha: float, p, levels: int = 2):
+    """Canonical decay rate gamma(p) = -G'(p)/G(p) with G = 1 - k(p).
+
+    For the qubit this is (4 + (4 - 6 p) alpha) / (4 + 3 alpha p^2
+    - 4 p (1 + alpha)); at alpha = 0 it reduces to 1/(1 - p). The rate is
+    positive while the channel keeps contracting and flips sign across the
+    singular parameter value. A grid of p gives an array.
+
+    Raises:
+        SingularRateError: where |G| is at most ``ZERO_FLOOR`` (at any point
+            of a grid) and the rate diverges.
+    """
+    g = survival(alpha, p, levels)
+    if not _all(abs(g) > ZERO_FLOOR):
+        raise SingularRateError(f"decay rate diverges at p = {p} (survival factor vanished)")
+    return -_survival_derivative(alpha, p, levels) / g
+
+
+def decay_rate_normalized(alpha: float, p, levels: int = 2):
+    """Normalized rate gamma~ = -gamma/(1 - gamma), simplified to G'/(G + G').
+
+    The algebraic simplification cancels the pole of gamma, so the value is
+    finite across the singular parameter (where it equals exactly 1). For
+    the qubit it reads (4 + 4 alpha - 6 alpha p) / (4 p + 4 alpha
+    - 2 alpha p - 3 alpha p^2), and 1/p at alpha = 0. A grid of p gives an
+    array.
+
+    Raises:
+        ValueError: if the simplified denominator G + G' (about -(alpha + p)
+            near p = 0) is at most ``ZERO_FLOOR`` at any point: at
+            alpha = p = 0, and wherever alpha + p is below about 1e-12.
+    """
+    num = _survival_derivative(alpha, p, levels)
+    den = survival(alpha, p, levels) + num
+    if not _all(abs(den) > ZERO_FLOOR):
+        raise ValueError(f"normalized rate undefined at p = {p}")
+    return num / den

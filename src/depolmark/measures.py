@@ -1,11 +1,12 @@
 """Scalar non-Markovianity measures and witnesses.
 
-Built on the survival factor G(p) = 1 - k(p) of the depolarizing family:
+Built on the survival factor G(p) = 1 - k(p) of the depolarizing family
+and on the two decay rates of ``kernel``: the canonical rate
+gamma(p) = -G'(p)/G(p) (``kernel.decay_rate``), divergent at the singular
+parameter value where G vanishes, and the normalized rate
+gamma~(p) = -gamma/(1 - gamma) = G'/(G + G') (``kernel.decay_rate_normalized``),
+finite across the singularity. This module holds
 
-* canonical decay rate        gamma(p) = -G'(p)/G(p), divergent at the
-  singular parameter value where G vanishes;
-* normalized rate             gamma~(p) = -gamma/(1 - gamma) = G'/(G + G'),
-  finite across the singularity;
 * rate measure                integral of gamma~ over the negative-rate
   window [p_-, 1], with p_- the singular parameter value (over
   s = 1 - p below alpha = 1e-6, where the window is a few ulps wide);
@@ -19,11 +20,10 @@ Each measure (``hcla_measure``, ``hcla_closed_form``, ``blp_measure``)
 returns a plain float, one number per alpha. All quadratures are adaptive
 with absolute tolerance 1e-9. They load scipy on first use; the rest of
 the package needs numpy only.
-``decay_rate``, ``decay_rate_normalized``, ``memory_witness_X``,
-``memory_witness_closed`` and ``trace_distance`` also take whole grids
-(stacks of states), point by point bit-equal to single calls; a scalar
-stays on plain Python floats, as the quadrature integrands call it
-thousands of times.
+``memory_witness_X``, ``memory_witness_closed`` and ``trace_distance``
+also take whole grids (stacks of states), point by point bit-equal to
+single calls. The rate integrands call ``kernel.decay_rate_normalized``
+on plain Python floats, thousands of times per measure.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ import math
 import numpy as np
 
 from .channels import _check_unit_interval
-from .dynmaps import _all, choi_of, lambda_ratio, propagator_column
+from .dynmaps import choi_of, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
-from .kernel import ZERO_FLOOR, SingularRateError, crossover_point, survival
+from .kernel import _survival_derivative, crossover_point, decay_rate_normalized, lambda_ratio, survival
 from .matcore import PAULI_X, PAULI_Y, PAULI_Z, kron, trace_norm
 
 __all__ = [
-    "decay_rate",
-    "decay_rate_normalized",
     "hcla_measure",
     "hcla_closed_form",
     "qutrit_hcla_log_form",
@@ -61,51 +59,6 @@ def _quad(integrand, lower: float, upper: float, split: float | None = None) -> 
     if split is None:
         return integrate.quad(integrand, lower, upper, **_QUAD_OPTS)[0]
     return _quad(integrand, lower, split) + _quad(integrand, split, upper)
-
-
-# Apart from geometry.bloch_contraction_derivative: same G', other last bits; this one feeds the rates.
-def _survival_derivative(alpha: float, p: float, levels: int) -> float:
-    c = (levels * levels - 1) / (levels * levels)
-    return -(1.0 + alpha) + 2.0 * c * alpha * p
-
-
-def decay_rate(alpha: float, p, levels: int = 2):
-    """Canonical decay rate gamma(p) = -G'(p)/G(p) with G = 1 - k(p).
-
-    For the qubit this is (4 + (4 - 6 p) alpha) / (4 + 3 alpha p^2
-    - 4 p (1 + alpha)); at alpha = 0 it reduces to 1/(1 - p). The rate is
-    positive while the channel keeps contracting and flips sign across the
-    singular parameter value. A grid of p gives an array.
-
-    Raises:
-        SingularRateError: where |G| is at most ``kernel.ZERO_FLOOR`` (at
-            any point of a grid) and the rate diverges.
-    """
-    g = survival(alpha, p, levels)
-    if not _all(abs(g) > ZERO_FLOOR):
-        raise SingularRateError(f"decay rate diverges at p = {p} (survival factor vanished)")
-    return -_survival_derivative(alpha, p, levels) / g
-
-
-def decay_rate_normalized(alpha: float, p, levels: int = 2):
-    """Normalized rate gamma~ = -gamma/(1 - gamma), simplified to G'/(G + G').
-
-    The algebraic simplification cancels the pole of gamma, so the value is
-    finite across the singular parameter (where it equals exactly 1). For
-    the qubit it reads (4 + 4 alpha - 6 alpha p) / (4 p + 4 alpha
-    - 2 alpha p - 3 alpha p^2), and 1/p at alpha = 0. A grid of p gives an
-    array.
-
-    Raises:
-        ValueError: if the simplified denominator G + G' (about -(alpha + p)
-            near p = 0) is at most ``kernel.ZERO_FLOOR`` at any point: at
-            alpha = p = 0, and wherever alpha + p is below about 1e-12.
-    """
-    num = _survival_derivative(alpha, p, levels)
-    den = survival(alpha, p, levels) + num
-    if not _all(abs(den) > ZERO_FLOOR):
-        raise ValueError(f"normalized rate undefined at p = {p}")
-    return num / den
 
 
 def hcla_measure(alpha: float, levels: int = 2) -> float:

@@ -19,14 +19,12 @@ from depolmark.dynmaps import (
     g_function,
     intermediate_choi,
     intermediate_map,
-    qudit_choi_eigenvalues,
 )
 from depolmark.geometry import f_matrix, trajectory, volume_determinant, volume_measure
-from depolmark.kernel import crossover_point, kappa, survival
+from depolmark.kernel import crossover_point, decay_rate, kappa, qudit_choi_eigenvalues, survival
 from depolmark.matcore import trace_norm
 from depolmark.measures import (
     blp_measure,
-    decay_rate,
     hcla_closed_form,
     hcla_measure,
     memory_witness_closed,

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -439,6 +440,20 @@ def test_values_equal_to_six_digits_keep_distinct_names_and_metadata(capsys):
     assert main(["choi-eigs", "--alpha", "0.7", "--q", "0.3", "--steps", "2"]) == 0
     meta, header, _ = payload(capsys)
     assert header[1] == "Lambda_I_alpha0.7" and "# q=0.3" in meta and "# p_max=1" in meta
+
+
+def test_negative_zero_names_and_prints_as_zero(capsys):
+    # -0.0 is the same channel as 0.0: one series name, one metadata echo.
+    assert main(["choi-eigs", "--alpha=0.5,-0.0", "--q=-0.0", "--p-min=-0.0", "--steps", "2"]) == 0
+    meta, header, rows = payload(capsys)
+    assert header == ["p", "Lambda_I_alpha0.5", "Lambda_XYZ_alpha0.5", "Lambda_I_alpha0", "Lambda_XYZ_alpha0"]
+    assert "# alpha=0.5;0" in meta and "# q=0" in meta and "# p_min=0" in meta
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert main(["decay-rate", "--p-min=-0.0", "--steps", "2"]) == 0
+    meta, _, _ = payload(capsys)
+    assert "# p_min=0" in meta
+    spec = SweepSpec("trace-distance", alpha=(-0.0,), q=-0.0, p_min=-0.0)
+    assert [math.copysign(1.0, x) for x in (*spec.alpha, spec.q, spec.p_min)] == [1.0, 1.0, 1.0]
 
 
 def test_decay_rate_at_tiny_alpha_marks_the_vanishing_normalized_denominator(capsys):

@@ -1,12 +1,15 @@
-"""A depolmark process imports numpy only when it computes a column.
+"""A depolmark process imports numpy only when it computes a dense quantity.
 
 Parsing, ``SweepSpec`` validation (the figure table built at import
-included), the pinned-q singularity check and every exit-2 or exit-3 path
-run on the standard library and the numpy-free ``depolmark.kernel``. A
-fresh interpreter that runs only such command lines must end with no numpy
-module loaded, and ``import depolmark`` alone loads none either. A command
-that computes loads the library modules its columns call, but never the
-oracle module ``depolmark.dense``: all 13 presets run without it.
+included), the grid, the pinned-q singularity check, every exit-2 or
+exit-3 path and the closed-form columns (``choi-eigs``, ``decay-rate`` and
+the presets ``fig1``, ``fig2`` and ``fig3``) run on the standard library
+and the numpy-free ``depolmark.kernel``. A fresh interpreter that runs
+only such command lines must end with no numpy module loaded and with no
+``depolmark`` module besides the package, ``cli`` and ``kernel``, and
+``import depolmark`` alone loads none either. A command that computes a
+dense quantity loads numpy and the library modules its columns call, but
+never the oracle module ``depolmark.dense``: all 13 presets run without it.
 
 The package resolves its submodules and re-exported names on first access;
 its ``__all__`` holds 69 names, each exported by one module.
@@ -59,13 +62,25 @@ print(sorted(name for name in sys.modules if name.startswith("depolmark")))
 """
 
 
-def test_usage_and_singularity_exits_never_import_numpy():
+def assert_numpy_free(cases: list) -> None:
+    """A fresh interpreter runs ``cases`` through ``main`` and ends with no numpy and only cli and kernel loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD.format(cases=NON_COMPUTING)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", CHILD.format(cases=cases)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False", "False", "['depolmark', 'depolmark.cli', 'depolmark.kernel']"]
+
+
+def test_usage_and_singularity_exits_never_import_numpy():
+    assert_numpy_free(NON_COMPUTING)
+
+
+def test_closed_form_commands_never_import_numpy(tmp_path):
+    out = str(tmp_path)
+    figures = [([fig_id, "--out", out], 0) for fig_id in ("fig1", "fig2", "fig3")]
+    assert_numpy_free(figures + [(["choi-eigs", "--levels", "2,3,4"], 0), (["decay-rate", "--format", "json"], 0)])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig1.csv", "fig2.csv", "fig3.csv"]
 
 
 def test_no_preset_loads_the_oracle_module():

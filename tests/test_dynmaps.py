@@ -23,15 +23,20 @@ from depolmark.dynmaps import (
     g_function,
     intermediate_choi,
     intermediate_map,
-    lambda_ratio,
     maximally_entangled_projector,
     ncp_witness,
-    qudit_choi_eigenvalues,
     superoperator_of,
 )
-from depolmark.kernel import SingularMapError, crossover_point, kappa, survival
+from depolmark.kernel import (
+    SingularMapError,
+    crossover_point,
+    decay_rate,
+    kappa,
+    lambda_ratio,
+    qudit_choi_eigenvalues,
+    survival,
+)
 from depolmark.matcore import inverse, kron, trace_norm
-from depolmark.measures import decay_rate
 
 ALPHA_MINUS_07 = 0.7725529126366106  # closed-form root for alpha = 0.7
 

@@ -1,7 +1,9 @@
 """The whole-array constructions of the dense route against their loop forms.
 
 The second half checks the whole-grid sweep columns against the per-point
-calls they replaced.
+calls they replaced, the command line's Python-float grid against
+``np.linspace``, and each ``kernel`` closed form evaluated point by point
+on Python floats against the same form on the whole array.
 
 Each oracle below is the construction the library used before it built
 its products by broadcasting: ``np.kron`` in a loop over Kraus operators,
@@ -15,14 +17,23 @@ put q within 1e-3 of the singular parameter, where entries grow like
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from depolmark import cli, dynmaps, geometry, measures
+from depolmark import cli, dynmaps, geometry, kernel, measures
 from depolmark.channels import KrausSet, apply_channel, qubit_kraus, qudit_kraus
 from depolmark.dense import devectorize, multiqubit_kraus, swap_permutation, vectorize
 from depolmark.dynmaps import choi_of, maximally_entangled_projector, superoperator_of
-from depolmark.kernel import SINGULARITY_GUARD, SingularityError, crossover_point, survival
+from depolmark.kernel import (
+    SINGULARITY_GUARD,
+    SingularityError,
+    crossover_point,
+    decay_rate,
+    decay_rate_normalized,
+    lambda_ratio,
+    qudit_choi_eigenvalues,
+    survival,
+)
 from depolmark.matcore import (
     PAULI_X,
     PAULI_Y,
@@ -249,11 +260,11 @@ def per_point_series(spec) -> list:
             for n in spec.levels:
                 t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
                 if n == 2:
-                    out.append((f"Lambda_I_{t}", guarded(lambda p, a=alpha: dynmaps.qudit_choi_eigenvalues(a, q, p, 2)[0])))
-                    out.append((f"Lambda_XYZ_{t}", guarded(lambda p, a=alpha: dynmaps.qudit_choi_eigenvalues(a, q, p, 2)[1])))
+                    out.append((f"Lambda_I_{t}", guarded(lambda p, a=alpha: kernel.qudit_choi_eigenvalues(a, q, p, 2)[0])))
+                    out.append((f"Lambda_XYZ_{t}", guarded(lambda p, a=alpha: kernel.qudit_choi_eigenvalues(a, q, p, 2)[1])))
                 else:
-                    out.append((f"Lambda_top_{t}", guarded(lambda p, a=alpha, n=n: dynmaps.qudit_choi_eigenvalues(a, q, p, n)[0])))
-                    out.append((f"Lambda_rest_{t}", guarded(lambda p, a=alpha, n=n: dynmaps.qudit_choi_eigenvalues(a, q, p, n)[1])))
+                    out.append((f"Lambda_top_{t}", guarded(lambda p, a=alpha, n=n: kernel.qudit_choi_eigenvalues(a, q, p, n)[0])))
+                    out.append((f"Lambda_rest_{t}", guarded(lambda p, a=alpha, n=n: kernel.qudit_choi_eigenvalues(a, q, p, n)[1])))
         elif spec.quantity == "choi-norm":
             for n in spec.levels:
                 for k in spec.qubits:
@@ -267,10 +278,10 @@ def per_point_series(spec) -> list:
             def rate(p, a=alpha):
                 if near(p, a, n) or (a == 0.0 and abs(p - 1.0) < SINGULARITY_GUARD):
                     return None
-                return measures.decay_rate(a, p, n)
+                return kernel.decay_rate(a, p, n)
 
             def rate_norm(p, a=alpha):
-                return None if a == 0.0 and p < SINGULARITY_GUARD else measures.decay_rate_normalized(a, p, n)
+                return None if a == 0.0 and p < SINGULARITY_GUARD else kernel.decay_rate_normalized(a, p, n)
 
             out += [(f"gamma_{tag}", guarded(rate)), (f"gamma_normalized_{tag}", guarded(rate_norm))]
         elif spec.quantity == "trace-distance":
@@ -361,6 +372,72 @@ def test_sweep_columns_equal_per_point_calls(alpha, levels, qubits, width, point
         cases.append((spec("g-function", qubits=(qubits,), p_max=0.99), q_grid))
     for sweep, grid in cases:
         assert_columns_match_per_point(sweep, grid)
+
+
+# Grid bounds: anywhere in [0, 1], or a few thousand subnormal units
+# (5e-324 each) wide, where the step of a long grid underflows to zero.
+GRID_BOUNDS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.tuples(st.integers(0, 4096), st.integers(0, 4096)).map(lambda units: tuple(k * 5e-324 for k in units)),
+).map(sorted).filter(lambda bounds: bounds[0] < bounds[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bounds=GRID_BOUNDS, steps=st.integers(2, 10_000))
+@example(bounds=[0.0, 1e-323], steps=5)  # step == 0: numpy's i / div * delta branch
+@example(bounds=[0.3, 1.0], steps=141)
+def test_grid_is_linspace_bit_for_bit(bounds, steps):
+    p_min, p_max = bounds
+    grid = cli.SweepSpec("trace-distance", p_min=p_min, p_max=p_max, steps=steps).grid()
+    assert all(type(x) is float for x in grid)
+    assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(p_min, p_max, steps).tolist()]
+
+
+def assert_pointwise_equals_array(fn, points: list) -> None:
+    """``fn`` at each point (Python floats) gives the bits of ``fn`` on the array of them.
+
+    Points where the scalar call raises (a singular q, a vanishing G or
+    G + G') are left out, as the sweeps mask them.
+    """
+    kept = []
+    for x in points:
+        try:
+            fn(x)
+        except (SingularityError, ValueError):
+            continue
+        kept.append(x)
+    if not kept:
+        return
+    columns = lambda value: value if isinstance(value, tuple) else (value,)
+    whole = columns(fn(np.array(kept)))
+    per_point = list(zip(*(columns(fn(x)) for x in kept)))
+    assert len(whole) == len(per_point)
+    for array, scalars in zip(whole, per_point):
+        assert all(type(v) is float for v in scalars)
+        assert [v.hex() for v in array.tolist()] == [v.hex() for v in scalars]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    levels=st.sampled_from([2, 3, 4]),
+    q_offset=st.one_of(st.none(), st.floats(-1e-3, 1e-3)),
+    q_unit=st.floats(0.0, 1.0),
+    near=st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=8),
+    far=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_kernel_closed_forms_give_the_same_bits_per_point_and_on_an_array(alpha, levels, q_offset, q_unit, near, far):
+    # Half of the points, and half of the pinned q, lie within 1e-3 of the
+    # singular parameter (p = 1 at alpha = 0).
+    centre = crossover_point(alpha, levels) or 1.0
+    clip = lambda x: min(max(x, 0.0), 1.0)
+    swept = [clip(centre + o) for o in near] + far
+    q = q_unit if q_offset is None else clip(centre + q_offset)
+    pinned = [min(q + (1.0 - q) * u, 1.0) for u in far] + [p for p in swept if p >= q]
+    assert_pointwise_equals_array(lambda p: lambda_ratio(alpha, q, p, levels), pinned)
+    assert_pointwise_equals_array(lambda p: qudit_choi_eigenvalues(alpha, q, p, levels), pinned)
+    assert_pointwise_equals_array(lambda p: decay_rate(alpha, p, levels), swept)
+    assert_pointwise_equals_array(lambda p: decay_rate_normalized(alpha, p, levels), swept)
 
 
 @pytest.mark.parametrize("levels,qubits,count", SYSTEMS, ids=SYSTEM_IDS)

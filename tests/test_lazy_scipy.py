@@ -21,10 +21,9 @@ import pytest
 from scipy import integrate
 
 from depolmark.geometry import bloch_contraction_derivative, volume_measure
-from depolmark.kernel import crossover_point, survival
+from depolmark.kernel import crossover_point, decay_rate_normalized, survival
 from depolmark.measures import (
     blp_measure,
-    decay_rate_normalized,
     hcla_measure,
     plus_minus_distance_derivative,
 )

@@ -7,13 +7,20 @@ import pytest
 from depolmark.channels import apply_channel, qubit_kraus
 from depolmark import measures
 from depolmark.dense import blp_random_pair_search, plus_minus_trace_distance
-from depolmark.dynmaps import intermediate_map, lambda_ratio
-from depolmark.kernel import SingularMapError, SingularRateError, crossover_point, kappa, survival
+from depolmark.dynmaps import intermediate_map
+from depolmark.kernel import (
+    SingularMapError,
+    SingularRateError,
+    crossover_point,
+    decay_rate,
+    decay_rate_normalized,
+    kappa,
+    lambda_ratio,
+    survival,
+)
 from depolmark.geometry import volume_measure
 from depolmark.measures import (
     blp_measure,
-    decay_rate,
-    decay_rate_normalized,
     hcla_closed_form,
     hcla_measure,
     memory_witness_closed,

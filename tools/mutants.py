@@ -77,12 +77,14 @@ CATALOGUE = (
     Mutant("kraus-completeness", "channels.py", ".max() > 1e-9", ".max() > 1e-8"),
     Mutant("hermitian-tolerance", "matcore.py", "tol = 1e-10 * np.maximum", "tol = 1e-9 * np.maximum"),
     Mutant("witness-cross-check", "measures.py", "> 1e-8 * np.maximum", "> 1e-7 * np.maximum"),
+    Mutant("grid-end-not-pinned", "cli.py", "return points + [self.p_max]", "return points + [div * step + self.p_min]"),
+    Mutant("grid-zero-step-branch-dropped", "cli.py", "if step == 0:", "if False:"),
     Mutant(
-        "cp-divisible-margin",
-        "geometry.py",
-        "(a <= 1e-12)",
-        "(a <= 1e-11)",
-        reason="equivalent: on [0, 1] lambda' <= alpha/2 - 1 <= -1/2 and |lambda| <= 1, so |a| >= 1/2 never meets the margin",
+        "lambda-ratio-floor-inclusive",
+        "kernel.py",
+        "abs(den) / n2 > ZERO_FLOOR",
+        "abs(den) / n2 >= ZERO_FLOOR",
+        reason="equivalent: near the root den = x - N^2 is an exact multiple of ulp(N^2), and no such multiple over N^2 equals 1e-12 (checked for N = 2..39)",
     ),
 )
 
