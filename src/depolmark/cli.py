@@ -27,9 +27,14 @@ an NA sample; ``run_sweep`` turns NaN into ``None`` in one place, and
 ``SweepTable`` keeps the columns (abscissa first), its ``rows`` being
 derived from them. ``SweepSpec.grid`` performs ``np.linspace``'s own
 arithmetic on Python floats, so the grid is bit-equal to numpy's.
-``choi-eigs`` and ``decay-rate`` map their ``kernel`` closed form over the
-grid point by point; IEEE arithmetic gives the bits the whole-array call
-gives. The dense columns (``choi-norm``,
+``choi-eigs``, ``decay-rate``, ``trajectory``, ``hcla`` and ``blp`` build
+every group with one per-point helper, ``_points``: it calls a scalar
+function once per grid point (or alpha), which returns one value per
+series name, and a mask marks the points that stay NA. ``kernel``'s closed
+forms give the bits the whole-array call gives (IEEE arithmetic), one
+``kernel.trajectory`` call feeds the five ``trajectory`` columns (its two
+flags written as 1.0/0.0), and ``hcla`` and ``blp`` call their measure
+once per alpha. The dense columns (``choi-norm``,
 ``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
 run the whole grid through the stacked Kraus -> superoperator -> Choi
 route, 32 grid points per block (``matcore.blockwise``) so that the
@@ -37,11 +42,10 @@ stacks held at once stay a few hundred kilobytes whatever ``--steps`` is;
 with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series,
 and ``choi-norm`` computes one ``choi_trace_norm`` column per alpha and N,
 whose n-th powers are the n-qubit norms. The stacked route is bit-equal to
-evaluating the points one by one. The ``trajectory`` of one alpha is
-computed once and feeds its five columns, and ``hcla`` and ``blp`` call
-their measure once per alpha. The dense builders are the only ones that
-see numpy: the table wraps each in ``_arrays``, which hands its column
-functions the grid as an array and turns each column back into a list.
+evaluating the points one by one. The six dense builders are the only
+ones that see numpy: the table wraps each in ``_arrays``, which hands its
+column functions the grid as an array and turns each column back into a
+list.
 
 Grid points inside the singularity guard band, or where a closed form is
 undefined, are emitted as ``NA`` samples, never dropped: a mask marks them
@@ -56,28 +60,35 @@ grid bound outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than
 grid ending above 1 - 1e-6 (its finite-difference step), a value repeated
 in ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
 that takes one, ``--q`` for a quantity that does not pin q (only
-``choi-eigs``, ``choi-norm`` and ``memory-x`` read it), and an output path
-that cannot be written. Series names and the CSV metadata echo print
-numbers with ``:g`` where that reads back as the same float, and with the
-shortest round-tripping ``repr`` otherwise; ``SweepSpec`` adds 0.0 to
+``choi-eigs``, ``choi-norm`` and ``memory-x`` read it), a non-integer
+``steps``, ``levels`` or ``qubits`` given to ``SweepSpec``, and any output
+that cannot be opened or written: an ``--out`` file, a preset's file or
+stdout (a full disk, a closed pipe). That one prints ``cannot write
+<dest>: <reason>`` and no traceback, and a broken stdout is pointed at the
+null device so the interpreter's last flush stays silent. Series names
+and the CSV metadata echo print numbers with ``:g`` where that reads back
+as the same float, and with the shortest round-tripping ``repr``
+otherwise; ``SweepSpec`` adds 0.0 to
 ``alpha``, ``q`` and the grid bounds, so a -0.0 prints and names as 0.
 
 At module level this file imports the standard library and the numpy-free
 ``kernel`` only: parsing, ``SweepSpec`` validation (the ``_FIGURES`` table
 included), the grid, ``run_sweep``, the pinned-q check, the closed-form
 columns and every exit-2 or exit-3 path run without numpy, so ``choi-eigs``,
-``decay-rate`` and the presets ``fig1``, ``fig2`` and ``fig3`` load
-``cli`` and ``kernel`` alone. The dense builders, ``hcla`` and ``blp``
-import numpy and the library modules they call when they run, so a command
-loads only the modules its quantity needs, and library functions are
-looked up at call time.
+``decay-rate``, ``trajectory`` and the presets ``fig1``, ``fig2``,
+``fig3``, ``fig8`` and ``fig9`` load ``cli`` and ``kernel`` alone. The
+dense builders, ``hcla`` and ``blp`` import numpy and the library modules
+they call when they run, so a command loads only the modules its quantity
+needs, and library functions are looked up at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -85,7 +96,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from . import __version__
 from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard
-from .kernel import _survival_derivative, decay_rate, decay_rate_normalized, qudit_choi_eigenvalues, survival
+from .kernel import _survival_derivative, decay_rate, decay_rate_normalized, qudit_choi_eigenvalues, survival, trajectory
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,8 +187,12 @@ class SweepSpec:
         object.__setattr__(self, "alpha", tuple(float(a) + 0.0 for a in self.alpha))
         for bound in ("q", "p_min", "p_max"):
             object.__setattr__(self, bound, getattr(self, bound) + 0.0)
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
-        object.__setattr__(self, "qubits", tuple(int(n) for n in self.qubits))
+        for axis in ("steps", "levels", "qubits"):
+            value = getattr(self, axis)
+            try:
+                object.__setattr__(self, axis, operator.index(value) if axis == "steps" else tuple(map(operator.index, value)))
+            except TypeError:
+                raise UsageError(f"{axis} takes integers only, got {value!r}") from None
         for axis in ("alpha", "levels", "qubits"):
             values = getattr(self, axis)
             if not values:
@@ -282,9 +297,10 @@ def _column(name: str, fn: Callable[[list], Sequence]) -> tuple:
     return (name,), lambda grid: [fn(grid)]
 
 
-def _points(fn: Callable[[float], float], mask: Callable[[float], bool]) -> Callable[[list], list]:
-    """Column of a closed form evaluated at each grid point, NaN (NA) where ``mask`` holds."""
-    return lambda grid: [math.nan if mask(x) else fn(x) for x in grid]
+def _points(names: tuple, fn: Callable[[float], tuple], mask: Callable[[float], bool] | None = None) -> tuple:
+    """A series group evaluated point by point: ``fn(x)`` gives one value per name, all NaN (NA) where ``mask`` holds."""
+    na = (math.nan,) * len(names)
+    return names, lambda grid: list(zip(*(na if mask and mask(x) else fn(x) for x in grid)))
 
 
 def _arrays(builder: Callable) -> Callable:
@@ -335,13 +351,12 @@ def _check_pinned_q(spec: SweepSpec) -> None:
 
 
 def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
-    groups = []
-    for n in spec.levels:
-        tag = _system_tag(spec, alpha, levels=n)
+    def spectrum(n: int) -> tuple:
         names = ("Lambda_I", "Lambda_XYZ") if n == 2 else ("Lambda_top", "Lambda_rest")
-        spectrum = lambda grid, n=n: list(zip(*(qudit_choi_eigenvalues(alpha, spec.q, p, n) for p in grid)))
-        groups.append((tuple(f"{name}_{tag}" for name in names), spectrum))
-    return groups
+        tag = _system_tag(spec, alpha, levels=n)
+        return _points(tuple(f"{name}_{tag}" for name in names), lambda p: qudit_choi_eigenvalues(alpha, spec.q, p, n))
+
+    return [spectrum(n) for n in spec.levels]
 
 
 def _choi_norm(spec: SweepSpec, alpha: float) -> list:
@@ -369,28 +384,23 @@ def _decay_rate(spec: SweepSpec, alpha: float) -> list:
     pole = lambda p: _guard(p, alpha, n) or abs(g(p)) <= ZERO_FLOOR
     norm_pole = lambda p: (alpha == 0.0 and p < SINGULARITY_GUARD) or abs(g(p) + _survival_derivative(alpha, p, n)) <= ZERO_FLOOR
     return [
-        _column(f"gamma_{tag}", _points(lambda p: decay_rate(alpha, p, n), pole)),
-        _column(f"gamma_normalized_{tag}", _points(lambda p: decay_rate_normalized(alpha, p, n), norm_pole)),
+        _points((f"gamma_{tag}",), lambda p: (decay_rate(alpha, p, n),), pole),
+        _points((f"gamma_normalized_{tag}",), lambda p: (decay_rate_normalized(alpha, p, n),), norm_pole),
     ]
-
-
-def _per_alpha(name: str, fn: Callable[[float], float]) -> tuple:
-    """Column of a measure over the alpha grid, one call per alpha."""
-    return _column(name, lambda alphas: [fn(a) for a in alphas])
 
 
 def _hcla(spec: SweepSpec, alpha: float | None) -> list:
     from .measures import hcla_closed_form, hcla_measure, qutrit_hcla_log_form
 
     n = spec.levels[0]
-    closed = ("N_HCLA_closed", hcla_closed_form) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
-    return [_per_alpha("N_HCLA_numeric", lambda a: hcla_measure(a, n)), _per_alpha(*closed)]
+    name, closed = ("N_HCLA_closed", hcla_closed_form) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
+    return [_points(("N_HCLA_numeric", name), lambda a: (hcla_measure(a, n), closed(a)))]
 
 
 def _blp(spec: SweepSpec, alpha: None) -> list:
     from .measures import blp_measure
 
-    return [_per_alpha("N_BLP", blp_measure)]
+    return [_points(("N_BLP",), lambda a: (blp_measure(a),))]
 
 
 def _trace_distance(spec: SweepSpec, alpha: float) -> list:
@@ -419,16 +429,12 @@ def _volume(spec: SweepSpec, alpha: float) -> list:
 
 
 def _trajectory(spec: SweepSpec, alpha: float) -> list:
-    import numpy as np
-
-    from .geometry import trajectory
-
-    def columns(grid: np.ndarray) -> list:
-        path = trajectory(alpha, grid)
-        return [path.lam, np.abs(path.lam), path.a, path.inside_tetrahedron, path.cp_divisible]
+    def point(p: float) -> tuple:
+        lam, a, inside, divisible = trajectory(alpha, p)
+        return lam, abs(lam), a, float(inside), float(divisible)
 
     names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
-    return [(tuple(f"{name}_{_alpha_tag(alpha)}" for name in names), columns)]
+    return [_points(tuple(f"{name}_{_alpha_tag(alpha)}" for name in names), point)]
 
 
 def _f_norm(spec: SweepSpec, alpha: float) -> list:
@@ -476,7 +482,7 @@ _QUANTITIES = {
     "trace-distance": _Quantity(_arrays(_trace_distance)),
     "memory-x": _Quantity(_arrays(_memory_x), pinned=True),
     "volume": _Quantity(_arrays(_volume)),
-    "trajectory": _Quantity(_arrays(_trajectory)),
+    "trajectory": _Quantity(_trajectory),
     "f-norm": _Quantity(_arrays(_f_norm), levels=(3, 4), rule=_one_level),
     "g-function": _Quantity(_arrays(_g_function), abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
 }
@@ -556,18 +562,28 @@ def figure(fig_id: str, out_dir: str = ".", fmt: str = "csv") -> list:
     for name, *specs in _FIGURES[fig_id]:
         table = _merge([run_sweep(replace(spec, fmt=fmt)) for spec in specs])
         path = os.path.join(out_dir, f"{name}.{fmt}")
-        with _open_out(path) as fh:
-            (write_csv if fmt == "csv" else write_json)(table, fh)
+        _write_out(path, lambda fh: (write_csv if fmt == "csv" else write_json)(table, fh))
         paths.append(path)
     return paths
 
 
-def _open_out(path: str) -> TextIO:
-    """The output file opened for writing; a path that cannot be written is a usage error."""
+def _write_out(path: str | None, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on the file at ``path``, or on stdout (then flushed) when there is none.
+
+    A failed open or write is a usage error naming the destination. A broken
+    stdout is pointed at the null device, so that the interpreter's last
+    flush at exit stays silent.
+    """
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+            write(fh)
+            fh.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        if not path:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise UsageError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
 
 
 def _format_value(value: float | None) -> str:
@@ -667,24 +683,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             sweep_flags = ("alpha", "q", "p_min", "p_max", "steps", "levels", "qubits")
             ignored = [name for name in sweep_flags if getattr(args, name) is not None]
             if ignored:
-                print(
-                    "depolmark: warning: figure presets pin their own parameters; ignoring "
-                    + ", ".join("--" + n.replace("_", "-") for n in ignored),
-                    file=sys.stderr,
-                )
+                flags = ", ".join("--" + n.replace("_", "-") for n in ignored)
+                print(f"depolmark: warning: figure presets pin their own parameters; ignoring {flags}", file=sys.stderr)
             paths = figure(args.target, out_dir=args.out or ".", fmt=args.fmt or "csv")
-            for path in paths:
-                print(path)
+            _write_out(None, lambda fh: fh.writelines(f"{path}\n" for path in paths))
             return 0
 
         spec = _spec_from_args(args)
         table = run_sweep(spec)
-        writer = write_csv if spec.fmt == "csv" else write_json
-        if spec.out:
-            with _open_out(spec.out) as fh:
-                writer(table, fh)
-        else:
-            writer(table, sys.stdout)
+        _write_out(spec.out, lambda fh: (write_csv if spec.fmt == "csv" else write_json)(table, fh))
         return 0
     except UsageError as exc:
         print(f"depolmark: error: {exc}", file=sys.stderr)

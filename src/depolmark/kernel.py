@@ -2,14 +2,15 @@
 
 Everything here is plain arithmetic on the standard library (``math``
 only). The command line validates a sweep, checks a pinned q against the
-singular value and computes every closed-form column (the Choi spectra
-and both decay rates) on it, so those commands never load numpy.
-``kappa``, ``survival``, ``_guard``, ``lambda_ratio``,
+singular value and computes every closed-form column (the Choi spectra,
+both decay rates and the tetrahedron trajectory) on it, so those commands
+never load numpy. ``kappa``, ``survival``, ``_guard``, ``lambda_ratio``,
 ``qudit_choi_eigenvalues``, ``decay_rate`` and ``decay_rate_normalized``
 are written with operators alone (``+ - * /`` and ``abs``) and take numpy
 arrays as well as floats; IEEE arithmetic gives the same bits either way,
 so a column mapped point by point over Python floats equals the one
-computed on the whole array.
+computed on the whole array. ``trajectory`` takes one ``p``, and
+``volume_measure`` returns one float per alpha.
 
 The other modules import these names from here; ``matcore``, ``channels``
 and ``dynmaps`` keep the errors and constants importable under their old
@@ -31,6 +32,9 @@ __all__ = [
     "qudit_choi_eigenvalues",
     "decay_rate",
     "decay_rate_normalized",
+    "bloch_contraction_derivative",
+    "trajectory",
+    "volume_measure",
 ]
 
 
@@ -85,6 +89,13 @@ def survival(alpha: float, p, levels: int = 2):
     return 1.0 - kappa(alpha, p, levels)
 
 
+def _check_alpha(alpha) -> float:
+    """``alpha`` as a float, checked to lie in [0, 1] (NaN fails)."""
+    if not 0.0 <= float(alpha) <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {float(alpha)}")
+    return float(alpha)
+
+
 def crossover_point(alpha: float, levels: int = 2) -> float | None:
     """Singular parameter value of the N-level family (the smaller root).
 
@@ -100,8 +111,7 @@ def crossover_point(alpha: float, levels: int = 2) -> float | None:
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included).
     """
-    if not 0.0 <= float(alpha) <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {float(alpha)}")
+    _check_alpha(alpha)
     if alpha == 0.0:
         return None
     c = (levels * levels - 1) / (levels * levels)
@@ -173,7 +183,7 @@ def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     return (1 / n2 + (1 - 1 / n2) * lam, 1 / n2 - lam / n2)
 
 
-# Apart from geometry.bloch_contraction_derivative: same G', other last bits; this one feeds the rates.
+# Apart from bloch_contraction_derivative: same G', other last bits; this one feeds the rates.
 def _survival_derivative(alpha: float, p, levels: int):
     c = (levels * levels - 1) / (levels * levels)
     return -(1.0 + alpha) + 2.0 * c * alpha * p
@@ -216,3 +226,52 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
     if not _all(abs(den) > ZERO_FLOOR):
         raise ValueError(f"normalized rate undefined at p = {p}")
     return num / den
+
+
+def bloch_contraction_derivative(alpha: float, p: float) -> float:
+    """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p)."""
+    # Apart from _survival_derivative: same G', other last bits; this one feeds trajectories.
+    return 1.5 * alpha * p - alpha - 1.0
+
+
+def trajectory(alpha: float, p: float) -> tuple:
+    """The transfer-eigenvalue trajectory at one p, as (lam, a, inside_tetrahedron, cp_divisible).
+
+    The three transfer eigenvalues of the qubit map are equal, so ``lam``
+    is the one value G(p). ``a`` is the log-derivative lambda'/lambda
+    shared by all three axes of the A vector, NaN where |lambda| <=
+    ``ZERO_FLOOR``. CP divisibility needs the three inequalities
+    A.(-1, 1, 1), A.(1, -1, 1) and A.(1, 1, -1) to be <= 0; with equal
+    entries each of them is exactly ``a`` in floating point, so
+    ``cp_divisible`` is ``a <= 0``, and False where ``a`` is NaN (the
+    propagator through that point is undefined). No tolerance is needed:
+    on the whole box lambda' <= alpha/2 - 1 <= -1/2 and |lambda| <= 1, so
+    |a| >= 1/2. ``inside_tetrahedron`` is the exact test
+    1 + lambda >= |2 lambda| and 1 - lambda >= 0 of the tetrahedron
+    1 +- lambda_3 >= |lambda_1 +- lambda_2| of CP unital Pauli maps.
+
+    Raises:
+        ValueError: for p outside [0, 1] (NaN included).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"grid values must lie in [0, 1], got {p}")
+    lam = survival(alpha, p)
+    inside = 1.0 + lam >= abs(lam + lam) and 1.0 - lam >= 0.0
+    if abs(lam) <= ZERO_FLOOR:
+        return lam, math.nan, inside, False
+    a = bloch_contraction_derivative(alpha, p) / lam
+    return lam, a, inside, a <= 0
+
+
+def volume_measure(alpha: float) -> float:
+    """Volume-revival measure: integral of max(0, d||M||_1/dp) over [0, 1].
+
+    ||M||_1 = 1 + 3 |lambda| of the affine Bloch map grows only past the
+    singular parameter value, so the integral is 3 (|lambda(1)| - 0) =
+    (3/4) alpha, returned in that closed form. The alpha = 0 channel
+    yields exactly 0.
+
+    Raises:
+        ValueError: for alpha outside [0, 1] (NaN included).
+    """
+    return 0.75 * _check_alpha(alpha)

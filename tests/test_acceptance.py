@@ -6,12 +6,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from depolmark.channels import apply_channel, qubit_kraus, qudit_kraus
+from depolmark import kernel
 from depolmark.dense import bell_expectations, choi_closed_form, devectorize, multiqubit_kraus, swap_matrix, vectorize
 from depolmark.dynmaps import (
     choi_of,
@@ -20,8 +22,8 @@ from depolmark.dynmaps import (
     intermediate_choi,
     intermediate_map,
 )
-from depolmark.geometry import f_matrix, trajectory, volume_determinant, volume_measure
-from depolmark.kernel import crossover_point, decay_rate, kappa, qudit_choi_eigenvalues, survival
+from depolmark.geometry import f_matrix, volume_determinant
+from depolmark.kernel import crossover_point, decay_rate, kappa, qudit_choi_eigenvalues, survival, volume_measure
 from depolmark.matcore import trace_norm
 from depolmark.measures import (
     blp_measure,
@@ -38,6 +40,13 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
     tail = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number:2d}: {description}{tail}")
     assert ok, f"criterion {number} failed: {description}{tail}"
+
+
+def trajectory(alpha, grid):
+    """``kernel.trajectory`` mapped over a grid: ``p`` and one array per field."""
+    p = np.array(grid, dtype=float, ndmin=1)
+    fields = map(np.array, zip(*(kernel.trajectory(alpha, x) for x in p.tolist())))
+    return SimpleNamespace(p=p, **dict(zip(("lam", "a", "inside_tetrahedron", "cp_divisible"), fields)))
 
 
 def survival(alpha, p, levels=2):

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from depolmark import cli
 from depolmark.cli import (
     FIGURES,
     QUANTITIES,
@@ -375,6 +377,78 @@ def test_unwritable_figure_directory_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"depolmark: error: cannot write {out_dir / 'fig1.csv'}" in captured.err
     assert captured.out == "" and not out_dir.exists()
+
+
+def run_depolmark(argv: list, stdout) -> subprocess.CompletedProcess:
+    """``python -m depolmark ARGV`` in a fresh interpreter, its stdout sent to ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "depolmark", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the always-full device /dev/full")
+@pytest.mark.parametrize(
+    "argv,dest",
+    [
+        (["choi-eigs", "--steps", "5"], "stdout"),
+        (["choi-eigs", "--steps", "5", "--out", "/dev/full"], "/dev/full"),
+        (["fig1", "--out", "{tmp}"], "stdout"),
+    ],
+)
+def test_a_full_device_exits_2_with_one_line(argv, dest, tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = run_depolmark([arg.format(tmp=tmp_path) for arg in argv], stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"depolmark: error: cannot write {dest}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_closed_pipe_exits_2_with_one_line():
+    # The reader is gone before the first write, as with ``| head -0``.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_depolmark(["choi-eigs", "--steps", "5"], stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == f"depolmark: error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_a_pipe_closed_mid_stream_exits_2_with_one_line():
+    # As ``depolmark choi-eigs --steps 200000 | head -1``: the reader leaves after one line.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "depolmark", "choi-eigs", "--steps", "200000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().startswith("# ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert proc.returncode == 2
+    assert err == f"depolmark: error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_a_failed_figure_write_exits_2_naming_the_file(tmp_path, capsys, monkeypatch):
+    def full(table, fh):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_csv", full)
+    assert main(["fig1", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"depolmark: error: cannot write {tmp_path / 'fig1.csv'}: {os.strerror(errno.ENOSPC)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("axis,value", [("steps", 5.5), ("steps", 5.0), ("levels", (2.5,)), ("levels", (2.0,)), ("qubits", (1.0,))])
+def test_non_integer_counts_are_rejected(axis, value):
+    with pytest.raises(UsageError, match=f"{axis} takes integers only"):
+        SweepSpec("choi-eigs", p_min=0.3, **{axis: value})
+
+
+def test_numpy_integer_counts_become_python_ints():
+    spec = SweepSpec("choi-eigs", p_min=0.3, steps=np.int64(5), levels=(np.int64(3),))
+    assert (spec.steps, spec.levels) == (5, (3,))
+    assert type(spec.steps) is int and type(spec.levels[0]) is int
 
 
 @pytest.mark.parametrize(

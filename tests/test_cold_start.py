@@ -2,8 +2,9 @@
 
 Parsing, ``SweepSpec`` validation (the figure table built at import
 included), the grid, the pinned-q singularity check, every exit-2 or
-exit-3 path and the closed-form columns (``choi-eigs``, ``decay-rate`` and
-the presets ``fig1``, ``fig2`` and ``fig3``) run on the standard library
+exit-3 path and the closed-form columns (``choi-eigs``, ``decay-rate``,
+``trajectory`` and the presets ``fig1``, ``fig2``, ``fig3``, ``fig8`` and
+``fig9``) run on the standard library
 and the numpy-free ``depolmark.kernel``. A fresh interpreter that runs
 only such command lines must end with no numpy module loaded and with no
 ``depolmark`` module besides the package, ``cli`` and ``kernel``, and
@@ -12,7 +13,7 @@ dense quantity loads numpy and the library modules its columns call, but
 never the oracle module ``depolmark.dense``: all 13 presets run without it.
 
 The package resolves its submodules and re-exported names on first access;
-its ``__all__`` holds 69 names, each exported by one module.
+its ``__all__`` holds 68 names, each exported by one module.
 """
 
 import os
@@ -26,7 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = [
     "AffineMap", "ChoiMatrix", "KrausSet", "NcpWitness", "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z",
-    "SingularMapError", "SingularRateError", "SingularityError", "Superoperator", "Trajectory", "__version__",
+    "SingularMapError", "SingularRateError", "SingularityError", "Superoperator", "__version__",
     "affine_map_of", "apply_channel", "bell_expectations", "bell_states", "bloch_basis",
     "bloch_contraction_derivative", "blockwise", "blp_measure", "blp_random_pair_search", "choi_closed_form",
     "choi_of", "choi_trace_norm", "crossover_point", "decay_rate", "decay_rate_normalized",
@@ -78,9 +79,10 @@ def test_usage_and_singularity_exits_never_import_numpy():
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
     out = str(tmp_path)
-    figures = [([fig_id, "--out", out], 0) for fig_id in ("fig1", "fig2", "fig3")]
-    assert_numpy_free(figures + [(["choi-eigs", "--levels", "2,3,4"], 0), (["decay-rate", "--format", "json"], 0)])
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig1.csv", "fig2.csv", "fig3.csv"]
+    figures = [([fig_id, "--out", out], 0) for fig_id in ("fig1", "fig2", "fig3", "fig8", "fig9")]
+    sweeps = [["choi-eigs", "--levels", "2,3,4"], ["decay-rate", "--format", "json"], ["trajectory", "--alpha", "0,0.7"]]
+    assert_numpy_free(figures + [(argv, 0) for argv in sweeps])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig1.csv", "fig2.csv", "fig3.csv", "fig8.csv", "fig9.csv"]
 
 
 def test_no_preset_loads_the_oracle_module():
@@ -99,7 +101,7 @@ print(len(FIGURES), "depolmark.dense" in sys.modules)
 
 
 def test_lazy_package_keeps_its_public_names():
-    assert len(PUBLIC) == 69
+    assert len(PUBLIC) == 68
     assert sorted(depolmark.__all__) == PUBLIC
     names = dir(depolmark)
     for name in PUBLIC:
@@ -111,7 +113,7 @@ def test_lazy_package_keeps_its_public_names():
     # Each name is the object its home module exports.
     assert depolmark.survival is depolmark.kernel.survival
     assert depolmark.SingularityError is depolmark.matcore.SingularityError
-    assert depolmark.trajectory is depolmark.geometry.trajectory
+    assert depolmark.trajectory is depolmark.kernel.trajectory
     assert depolmark.vectorize is depolmark.dense.vectorize
 
 

@@ -235,7 +235,7 @@ def trajectory_point(alpha, p) -> tuple:
     )
     if abs(lam) <= 1e-12:
         return lam, abs(lam), None, inside, False
-    a = geometry.bloch_contraction_derivative(alpha, p) / lam
+    a = kernel.bloch_contraction_derivative(alpha, p) / lam
     a_vector = (a, a, a)
     inequalities = (
         -a_vector[0] + a_vector[1] + a_vector[2],
@@ -438,6 +438,43 @@ def test_kernel_closed_forms_give_the_same_bits_per_point_and_on_an_array(alpha,
     assert_pointwise_equals_array(lambda p: qudit_choi_eigenvalues(alpha, q, p, levels), pinned)
     assert_pointwise_equals_array(lambda p: decay_rate(alpha, p, levels), swept)
     assert_pointwise_equals_array(lambda p: decay_rate_normalized(alpha, p, levels), swept)
+
+
+def array_trajectory(alpha, p_grid) -> tuple:
+    """The whole-grid trajectory formula ``kernel.trajectory`` replaced: (lam, a, inside, CP divisible) arrays."""
+    p = np.array(p_grid, dtype=float, ndmin=1)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError(f"grid values must lie in [0, 1], got {p}")
+    lam = survival(alpha, p)
+    singular = np.abs(lam) <= 1e-12
+    a = np.divide(1.5 * alpha * p - alpha - 1.0, lam, out=np.full_like(lam, np.nan), where=~singular)
+    inside = (1.0 + lam >= np.abs(lam + lam)) & (1.0 - lam >= np.abs(lam - lam))
+    return lam, a, inside, ~singular & (a <= 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    near=st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=8),
+    far=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+@example(alpha=1.0, near=[0.0], far=[2 / 3])  # lam vanishes: a is NaN, CP divisibility False
+def test_kernel_trajectory_matches_the_array_formula(alpha, near, far):
+    # Half of the points lie within 1e-3 of the singular parameter (p = 1 at alpha = 0).
+    centre = crossover_point(alpha) or 1.0
+    grid = [min(max(centre + o, 0.0), 1.0) for o in near] + far
+    lam, a, inside, divisible = array_trajectory(alpha, grid)
+    for i, p in enumerate(grid):
+        got = kernel.trajectory(alpha, p)
+        assert all(type(v) is float for v in got[:2]) and all(type(v) is bool for v in got[2:])
+        assert bits(got[:2]) == bits([lam[i], a[i]])
+        assert got[2:] == (bool(inside[i]), bool(divisible[i]))
+
+
+def test_kernel_trajectory_rejects_p_outside_the_unit_interval():
+    for p in (-1e-300, 1.0 + 2**-52, float("nan")):
+        with pytest.raises(ValueError, match="grid values must lie in"):
+            kernel.trajectory(0.5, p)
 
 
 @pytest.mark.parametrize("levels,qubits,count", SYSTEMS, ids=SYSTEM_IDS)

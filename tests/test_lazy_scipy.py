@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 from scipy import integrate
 
-from depolmark.geometry import bloch_contraction_derivative, volume_measure
-from depolmark.kernel import crossover_point, decay_rate_normalized, survival
+from depolmark.kernel import bloch_contraction_derivative, crossover_point, decay_rate_normalized, survival, volume_measure
 from depolmark.measures import (
     blp_measure,
     hcla_measure,

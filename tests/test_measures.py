@@ -17,8 +17,8 @@ from depolmark.kernel import (
     kappa,
     lambda_ratio,
     survival,
+    volume_measure,
 )
-from depolmark.geometry import volume_measure
 from depolmark.measures import (
     blp_measure,
     hcla_closed_form,

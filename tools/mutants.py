@@ -86,6 +86,14 @@ CATALOGUE = (
         "abs(den) / n2 >= ZERO_FLOOR",
         reason="equivalent: near the root den = x - N^2 is an exact multiple of ulp(N^2), and no such multiple over N^2 equals 1e-12 (checked for N = 2..39)",
     ),
+    Mutant("trajectory-range-check-dropped", "kernel.py", "if not 0.0 <= p <= 1.0:", "if False:"),
+    Mutant(
+        "trajectory-singular-cp-divisible",
+        "kernel.py",
+        "return lam, math.nan, inside, False",
+        "return lam, math.nan, inside, True",
+    ),
+    Mutant("output-error-handler-removed", "cli.py", "except OSError as exc:", "except ArithmeticError as exc:"),
 )
 
 
