@@ -37,11 +37,13 @@ flags written as 1.0/0.0), and ``hcla`` and ``blp`` call their measure
 once per alpha. The dense columns (``choi-norm``,
 ``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
 run the whole grid through the stacked Kraus -> superoperator -> Choi
-route, 32 grid points per block (``matcore.blockwise``) so that the
-stacks held at once stay a few hundred kilobytes whatever ``--steps`` is;
-with ``q`` pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series,
-and ``choi-norm`` computes one ``choi_trace_norm`` column per alpha and N,
-whose n-th powers are the n-qubit norms. The stacked route is bit-equal to
+route, in blocks of ``max(1, 2**14 // N**4)`` grid points
+(``matcore.blockwise``) so that a block's superoperators hold at most
+2**14 complex entries (256 KiB) whatever ``--steps`` is; with ``q``
+pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series.
+``choi-norm`` computes one single-system ``choi_trace_norm`` column per
+alpha and N, and ``g-function`` one per alpha and finite-difference step;
+their n-th powers are the n-qubit norms. The stacked route is bit-equal to
 evaluating the points one by one. The six dense builders are the only
 ones that see numpy: the table wraps each in ``_arrays``, which hands its
 column functions the grid as an array and turns each column back into a
@@ -50,7 +52,7 @@ list.
 Grid points inside the singularity guard band, or where a closed form is
 undefined, are emitted as ``NA`` samples, never dropped: a mask marks them
 before the column is computed, point by point for a closed form and once
-per series for ``g-function``; at alpha = 0
+per alpha for ``g-function``; at alpha = 0
 the singular point is the boundary p = 1. A singularity at a *pinned*
 parameter (``--q`` within 1e-6 of the singular value for a Choi
 quantity) aborts with exit code 3; usage errors exit with code 2. Among
@@ -61,7 +63,8 @@ grid ending above 1 - 1e-6 (its finite-difference step), a value repeated
 in ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
 that takes one, ``--q`` for a quantity that does not pin q (only
 ``choi-eigs``, ``choi-norm`` and ``memory-x`` read it), a non-integer
-``steps``, ``levels`` or ``qubits`` given to ``SweepSpec``, and any output
+``steps``, ``levels`` or ``qubits`` or a non-numeric ``alpha``, ``q`` or
+grid bound given to ``SweepSpec``, and any output
 that cannot be opened or written: an ``--out`` file, a preset's file or
 stdout (a full disk, a closed pipe). That one prints ``cannot write
 <dest>: <reason>`` and no traceback, and a broken stdout is pointed at the
@@ -180,19 +183,16 @@ class SweepSpec:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
-        entry = _QUANTITIES.get(self.quantity)
+        entry = _QUANTITIES.get(self.quantity) if isinstance(self.quantity, str) else None
         if entry is None:
             raise UsageError(f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}")
-        # Adding 0.0 turns a -0.0 into 0.0, which names and prints as 0.
-        object.__setattr__(self, "alpha", tuple(float(a) + 0.0 for a in self.alpha))
-        for bound in ("q", "p_min", "p_max"):
-            object.__setattr__(self, bound, getattr(self, bound) + 0.0)
-        for axis in ("steps", "levels", "qubits"):
-            value = getattr(self, axis)
+        for name in ("alpha", "q", "p_min", "p_max", "steps", "levels", "qubits"):
+            value = getattr(self, name)
+            convert = operator.index if name in ("steps", "levels", "qubits") else _real
             try:
-                object.__setattr__(self, axis, operator.index(value) if axis == "steps" else tuple(map(operator.index, value)))
+                object.__setattr__(self, name, tuple(map(convert, value)) if name in ("alpha", "levels", "qubits") else convert(value))
             except TypeError:
-                raise UsageError(f"{axis} takes integers only, got {value!r}") from None
+                raise UsageError(f"{name} takes {'integers' if convert is operator.index else 'numbers'} only, got {value!r}") from None
         for axis in ("alpha", "levels", "qubits"):
             values = getattr(self, axis)
             if not values:
@@ -269,6 +269,14 @@ class SweepTable:
         return list(self.columns[[self.abscissa_name, *self.series_names].index(name)])
 
 
+def _real(value) -> float:
+    """A number (numpy scalars included) as a float; TypeError for a string, as ``float`` gives for a non-number."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"{value!r} is not a number")
+    # Adding 0.0 turns a -0.0 into 0.0, which names and prints as 0.
+    return float(value) + 0.0
+
+
 # ---------------------------------------------------------------- series helpers
 
 
@@ -292,11 +300,6 @@ def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1)
     return tag
 
 
-def _column(name: str, fn: Callable[[list], Sequence]) -> tuple:
-    """A series group of one column."""
-    return (name,), lambda grid: [fn(grid)]
-
-
 def _points(names: tuple, fn: Callable[[float], tuple], mask: Callable[[float], bool] | None = None) -> tuple:
     """A series group evaluated point by point: ``fn(x)`` gives one value per name, all NaN (NA) where ``mask`` holds."""
     na = (math.nan,) * len(names)
@@ -314,26 +317,26 @@ def _arrays(builder: Callable) -> Callable:
     return lambda spec, alpha: [(names, on_array(fn)) for names, fn in builder(spec, alpha)]
 
 
-def _dense(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Column of a stacked dense-route function, evaluated block by block."""
+def _dense(name: str, fn: Callable[[np.ndarray], np.ndarray], dim: int) -> tuple:
+    """A one-column series group: a stacked dense-route function on a ``dim``-level system, evaluated block by block."""
     from .matcore import blockwise
 
-    return lambda grid: blockwise(fn, grid)
+    return (name,), lambda grid: [blockwise(fn, grid, dim=dim)]
 
 
-def _masked(mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray], Sequence]) -> Callable:
-    """Column of ``fn`` on the grid points outside ``mask(grid)``, NaN (NA) at the masked ones."""
+def _masked(names: tuple, mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray], Sequence]) -> tuple:
+    """A series group: ``fn`` gives one column per name on the grid points outside ``mask(grid)``, NaN (NA) at the masked ones."""
 
-    def column(grid: np.ndarray) -> np.ndarray:
+    def columns(grid: np.ndarray) -> np.ndarray:
         import numpy as np
 
         na = mask(grid)
-        out = np.full(grid.shape, np.nan)
+        out = np.full((len(names),) + grid.shape, np.nan)
         if not na.all():
-            out[~na] = fn(grid[~na])
+            out[:, ~na] = fn(grid[~na])
         return out
 
-    return column
+    return names, columns
 
 
 def _check_pinned_q(spec: SweepSpec) -> None:
@@ -362,17 +365,9 @@ def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
 def _choi_norm(spec: SweepSpec, alpha: float) -> list:
     from .dynmaps import choi_trace_norm
 
-    def norms(grid: np.ndarray, n: int) -> list:
-        # One N-level column; the n-qubit norm is its n-th power (spec.qubits
-        # is (1,) above N = 2), taken per point in Python floats as
-        # choi_trace_norm takes it (np.power can differ in the last bit).
-        base = choi_trace_norm(alpha, spec.q, grid, n).tolist()
-        return [[b**k for b in base] for k in spec.qubits]
-
-    return [
-        (tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits), lambda grid, n=n: norms(grid, n))
-        for n in spec.levels
-    ]
+    # One N-level column per N, and its n-th powers (spec.qubits is (1,) above N = 2).
+    names = lambda n: tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits)
+    return [(names(n), lambda grid, n=n: choi_trace_norm(alpha, spec.q, grid, n, spec.qubits)) for n in spec.levels]
 
 
 def _decay_rate(spec: SweepSpec, alpha: float) -> list:
@@ -413,19 +408,19 @@ def _trace_distance(spec: SweepSpec, alpha: float) -> list:
         kraus = qubit_kraus(alpha, p)
         return trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
 
-    return [_column(f"D_{_alpha_tag(alpha)}", _dense(dist))]
+    return [_dense(f"D_{_alpha_tag(alpha)}", dist, 2)]
 
 
 def _memory_x(spec: SweepSpec, alpha: float) -> list:
     from .measures import memory_witness_X
 
-    return [_column(f"X_{_alpha_tag(alpha)}", lambda grid: memory_witness_X(alpha, spec.q, grid))]
+    return [((f"X_{_alpha_tag(alpha)}",), lambda grid: [memory_witness_X(alpha, spec.q, grid)])]
 
 
 def _volume(spec: SweepSpec, alpha: float) -> list:
     from .geometry import volume_determinant
 
-    return [_column(f"volume_{_alpha_tag(alpha)}", _dense(lambda p: volume_determinant(alpha, p)))]
+    return [_dense(f"volume_{_alpha_tag(alpha)}", lambda p: volume_determinant(alpha, p), 2)]
 
 
 def _trajectory(spec: SweepSpec, alpha: float) -> list:
@@ -441,16 +436,14 @@ def _f_norm(spec: SweepSpec, alpha: float) -> list:
     from .geometry import f_matrix
 
     n = spec.levels[0]
-    return [_column(f"F{n}_norm_{_alpha_tag(alpha)}", _dense(lambda p: f_matrix(alpha, p, n).trace_norm))]
+    return [_dense(f"F{n}_norm_{_alpha_tag(alpha)}", lambda p: f_matrix(alpha, p, n).trace_norm, n)]
 
 
 def _g_function(spec: SweepSpec, alpha: float) -> list:
     from .dynmaps import g_function
 
-    return [
-        _column(f"g_{_system_tag(spec, alpha, qubits=k)}", _masked(lambda q: _guard(q, alpha), lambda q, k=k: g_function(alpha, q, k)))
-        for k in spec.qubits
-    ]
+    names = tuple(f"g_{_system_tag(spec, alpha, qubits=k)}" for k in spec.qubits)
+    return [_masked(names, lambda q: _guard(q, alpha), lambda q: g_function(alpha, q, spec.qubits))]
 
 
 # ---------------------------------------------------------------- domain rules

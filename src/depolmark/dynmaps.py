@@ -38,18 +38,21 @@ or a stack ``(..., n, n)`` with one matrix per grid point. A single value
 is the 0-d case of the same code. The stacked route performs, point by
 point, the same float operations as a single call, so its results are
 bit-equal to those calls; sweeps use it to evaluate a whole column in one
-call. The propagator functions walk their grid in blocks of 32 points
-(``matcore.blockwise``) so that the stacks they hold stay small, and with
-a pinned ``q`` they build and SVD-check Phi(q, 0)^{-1} once for the whole
-grid rather than once per point.
+call. The propagator functions walk their grid in blocks sized by the
+system dimension, 1024 points at N = 2 and 64 at N = 4
+(``matcore.blockwise``), so that the stacks they hold stay bounded, and
+with a pinned ``q`` they build and SVD-check Phi(q, 0)^{-1} once for the
+whole grid rather than once per point.
 
 The system is a parameter too: ``propagator_column`` takes ``levels`` N,
 and ``intermediate_map``, ``intermediate_choi`` and ``choi_trace_norm``
 take ``levels`` and ``qubits`` n. N = 2 builds its Kraus sets in Pauli
 order (``qubit_kraus``), N > 2 in Weyl order (``qudit_kraus``); n qubits
 are the reordered Kronecker power of the single-qubit propagator, and
-their Choi trace norm is the n-th power of the single-qubit one. N > 2
-together with n > 1 is not supported.
+their Choi trace norm is the n-th power of the single-qubit one.
+``choi_trace_norm`` and ``g_function`` take a tuple of qubit counts as
+well, and then compute one single-system column and take all its powers.
+N > 2 together with n > 1 is not supported.
 """
 
 from __future__ import annotations
@@ -152,15 +155,15 @@ def _kraus(alpha: float, p, levels: int) -> KrausSet:
     return qubit_kraus(alpha, p) if levels == 2 else qudit_kraus(alpha, p, levels)
 
 
-def _check_system(levels: int, qubits: int) -> None:
-    if qubits < 1:
+def _check_system(levels: int, *qubits: int) -> None:
+    if min(qubits) < 1:
         raise ValueError("qubits must be >= 1")
-    if levels > 2 and qubits > 1:
+    if levels > 2 and max(qubits) > 1:
         raise ValueError("combined multi-level multi-qubit maps are not supported")
 
 
 def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q, p, levels: int = 2):
-    """``fn(Phi(p, q))`` of the N-level propagator over the grid, 32 points at a time, results concatenated.
+    """``fn(Phi(p, q))`` of the N-level propagator over the grid, block by block, results concatenated.
 
     ``fn`` receives a stack of propagators (one matrix for scalar q and p)
     and returns one value, or one array, per propagator. A pinned q (one
@@ -182,8 +185,8 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
 
     if np.ndim(q) == 0:
         inverse = one_step_inverse(q)
-        return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p)
-    return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p)
+        return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p, dim=levels)
+    return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p, dim=levels)
 
 
 def _grouped_slot_permutation(qubits: int) -> np.ndarray:
@@ -271,7 +274,7 @@ def _choi_trace_norm(superop: Superoperator):
     return trace_norm(choi_of(superop).matrix)
 
 
-def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int = 1):
+def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1):
     """Choi trace norm of the propagator of N levels or n qubits, via the full pipeline.
 
     The n-qubit Choi matrix is, up to a subsystem permutation, the n-fold
@@ -282,16 +285,21 @@ def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int = 1):
 
     ``q`` and ``p`` may be grids (an array of norms comes back). The power
     is taken point by point in Python floats, whose ``**`` can differ from
-    ``np.power`` in the last bit.
+    ``np.power`` in the last bit. A tuple of qubit counts gives a list with
+    one result per count, all powers of one single-system column.
     """
-    _check_system(levels, qubits)
+    counts = qubits if isinstance(qubits, tuple) else (qubits,)
+    _check_system(levels, *counts)
     base = propagator_column(_choi_trace_norm, alpha, q, p, levels)
     if np.ndim(base) == 0:
-        return float(base) ** qubits
-    return np.array([b**qubits for b in base.tolist()]).reshape(base.shape)
+        norms = [float(base) ** n for n in counts]
+    else:
+        flat = base.reshape(-1).tolist()
+        norms = [np.array([b**n for b in flat]).reshape(base.shape) for n in counts]
+    return norms if isinstance(qubits, tuple) else norms[0]
 
 
-def g_function(alpha: float, q, qubits: int = 1):
+def g_function(alpha: float, q, qubits: int | tuple = 1):
     """Right derivative of the Choi trace norm at a vanishing step.
 
     g(q, alpha) = lim_{eps -> 0+} (||chi(alpha, q, q + eps)||_1 - 1) / eps,
@@ -302,6 +310,10 @@ def g_function(alpha: float, q, qubits: int = 1):
     stays CP and positive where CP divisibility breaks. ``q`` may be a grid
     (an array comes back); every q of it is inverted and checked.
 
+    ``qubits`` is 1 or 2, or a tuple of them; a tuple gives a list with one
+    result per count. Either way each step takes one single-qubit Choi-norm
+    column, whose n-th power is the n-qubit norm.
+
     Raises:
         SingularMapError: when q lies in the guard band of the singular
             parameter value, where the steps would reach past it.
@@ -309,7 +321,8 @@ def g_function(alpha: float, q, qubits: int = 1):
     q_arr = np.asarray(q, dtype=float)
     if not np.all((0.0 <= q_arr) & (q_arr < 1.0)):
         raise ValueError(f"q must lie in [0, 1), got {q}")
-    if qubits not in (1, 2):
+    counts = qubits if isinstance(qubits, tuple) else (qubits,)
+    if not all(n in (1, 2) for n in counts):
         raise ValueError("the derivative witness is provided for 1 or 2 qubits")
     eps = G_FUNCTION_STEP
     if np.any(q_arr + eps > 1.0):
@@ -317,10 +330,10 @@ def g_function(alpha: float, q, qubits: int = 1):
     if np.any(_guard(q_arr, alpha)):
         raise SingularMapError(f"q = {q} lies within {SINGULARITY_GUARD:g} of the singular parameter value")
 
-    def quotient(step: float):
-        norm = choi_trace_norm(alpha, q, q_arr + step, qubits=qubits)
-        return (norm - 1.0) / step
+    def quotients(step: float) -> list:
+        return [(norm - 1.0) / step for norm in choi_trace_norm(alpha, q, q_arr + step, qubits=counts)]
 
-    refined = 2.0 * quotient(eps / 2.0) - quotient(eps)
-    clamped = np.where(refined > 1e-8, refined, 0.0)
-    return float(clamped) if clamped.ndim == 0 else clamped
+    refined = [2.0 * half - full for half, full in zip(quotients(eps / 2.0), quotients(eps))]
+    clamped = [np.where(r > 1e-8, r, 0.0) for r in refined]
+    columns = [float(c) if c.ndim == 0 else c for c in clamped]
+    return columns if isinstance(qubits, tuple) else columns[0]

@@ -10,7 +10,10 @@ are written with operators alone (``+ - * /`` and ``abs``) and take numpy
 arrays as well as floats; IEEE arithmetic gives the same bits either way,
 so a column mapped point by point over Python floats equals the one
 computed on the whole array. ``trajectory`` takes one ``p``, and
-``volume_measure`` returns one float per alpha.
+``volume_measure`` returns one float per alpha. ``survival`` and
+``lambda_ratio`` reject an alpha outside [0, 1] (NaN included) with the
+``ValueError`` of ``crossover_point``, so every closed form built on them
+does too.
 
 The other modules import these names from here; ``matcore``, ``channels``
 and ``dynmaps`` keep the errors and constants importable under their old
@@ -68,6 +71,10 @@ SINGULARITY_GUARD = 1e-6
 G_FUNCTION_STEP = 1e-6
 
 
+def _alpha_error(alpha) -> ValueError:
+    return ValueError(f"alpha must lie in [0, 1], got {float(alpha)}")
+
+
 def kappa(alpha: float, p, levels: int = 2):
     """Effective depolarizing probability k(p) of the N-level channel.
 
@@ -85,14 +92,22 @@ def survival(alpha: float, p, levels: int = 2):
     For the qubit it is the Bloch contraction factor. Every Choi spectrum,
     rate and measure of the family is a function of G; it vanishes at the
     singular parameter value.
+
+    Raises:
+        ValueError: for alpha outside [0, 1] (NaN included). The rates and
+            the trajectory inherit this check.
     """
+    # One chained comparison: the per-point columns and the rate quadrature
+    # call this thousands of times.
+    if not 0.0 <= alpha <= 1.0:
+        raise _alpha_error(alpha)
     return 1.0 - kappa(alpha, p, levels)
 
 
 def _check_alpha(alpha) -> float:
     """``alpha`` as a float, checked to lie in [0, 1] (NaN fails)."""
     if not 0.0 <= float(alpha) <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {float(alpha)}")
+        raise _alpha_error(alpha)
     return float(alpha)
 
 
@@ -155,10 +170,14 @@ def lambda_ratio(alpha: float, q, p, levels: int = 2):
     Takes grids too.
 
     Raises:
+        ValueError: for alpha outside [0, 1] (NaN included), or unless
+            0 <= q <= p <= 1.
         SingularMapError: when the denominator vanishes (q at the singular
             parameter), matching the invertibility threshold of
             :func:`depolmark.matcore.inverse`.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise _alpha_error(alpha)
     _check_pair(q, p)
     n2 = levels * levels
     num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
@@ -198,6 +217,7 @@ def decay_rate(alpha: float, p, levels: int = 2):
     singular parameter value. A grid of p gives an array.
 
     Raises:
+        ValueError: for alpha outside [0, 1] (NaN included).
         SingularRateError: where |G| is at most ``ZERO_FLOOR`` (at any point
             of a grid) and the rate diverges.
     """
@@ -217,9 +237,10 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
     array.
 
     Raises:
-        ValueError: if the simplified denominator G + G' (about -(alpha + p)
-            near p = 0) is at most ``ZERO_FLOOR`` at any point: at
-            alpha = p = 0, and wherever alpha + p is below about 1e-12.
+        ValueError: for alpha outside [0, 1] (NaN included), or if the
+            simplified denominator G + G' (about -(alpha + p) near p = 0) is
+            at most ``ZERO_FLOOR`` at any point: at alpha = p = 0, and
+            wherever alpha + p is below about 1e-12.
     """
     num = _survival_derivative(alpha, p, levels)
     den = survival(alpha, p, levels) + num
@@ -251,7 +272,7 @@ def trajectory(alpha: float, p: float) -> tuple:
     1 +- lambda_3 >= |lambda_1 +- lambda_2| of CP unital Pauli maps.
 
     Raises:
-        ValueError: for p outside [0, 1] (NaN included).
+        ValueError: for alpha or p outside [0, 1] (NaN included).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"grid values must lie in [0, 1], got {p}")

@@ -45,10 +45,11 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# Grid points per block of a whole-grid evaluation. A block's stacks (an
-# N = 4 superoperator takes 4 KiB per point, a 3-qubit one 64 KiB) stay
-# small next to the interpreter, whatever the number of grid points.
-_BLOCK = 32
+# Complex superoperator entries that one block of a whole-grid evaluation
+# may hold (256 KiB). A d-level superoperator has d**4 entries per point, so
+# a block is 1024 points at d = 2, 202 at d = 3 and 64 at d = 4, and the
+# stacks held at once stay bounded whatever the number of grid points.
+_BUDGET = 2**14
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,14 +65,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (m * r, n * s))
 
 
-def blockwise(fn, *grids):
-    """``fn`` over consecutive 32-point blocks of the grids, results concatenated.
+def blockwise(fn, *grids, dim: int):
+    """``fn`` over consecutive blocks of the grids, results concatenated.
 
-    The grids broadcast against each other and are flattened; ``fn`` takes
-    one 1-D block of each and returns arrays whose first axis runs over the
-    block. The result has the grids' shape followed by ``fn``'s trailing
-    axes. Scalar grids are a single call with 0-d arrays, whose result is
-    returned as it is.
+    ``dim`` is the dimension d of the system whose maps ``fn`` builds; a
+    block holds ``max(1, _BUDGET // d**4)`` points. The grids broadcast
+    against each other and are flattened; ``fn`` takes one 1-D block of
+    each and returns arrays whose first axis runs over the block. The
+    result has the grids' shape followed by ``fn``'s trailing axes. Scalar
+    grids are a single call with 0-d arrays, whose result is returned as
+    it is.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     if all(g.ndim == 0 for g in grids):
@@ -79,7 +82,8 @@ def blockwise(fn, *grids):
     grids = np.broadcast_arrays(*grids)
     shape = grids[0].shape
     flat = [g.reshape(-1) for g in grids]
-    out = np.concatenate([fn(*(g[i : i + _BLOCK] for g in flat)) for i in range(0, flat[0].size, _BLOCK)])
+    block = max(1, _BUDGET // dim**4)
+    out = np.concatenate([fn(*(g[i : i + block] for g in flat)) for i in range(0, flat[0].size, block)])
     return out.reshape(shape + out.shape[1:])
 
 

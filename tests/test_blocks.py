@@ -1,0 +1,135 @@
+"""The block walk of the dense route and the Choi-norm columns it shares.
+
+``matcore.blockwise`` evaluates a grid in blocks of
+``max(1, _BUDGET // d**4)`` points, d the system dimension. These tests
+check that a block never holds more points than that, that the blocks
+tile the grid in order, that the result has the bits of one call per
+point, and that no dense preset column depends on the block length. The
+count tests pin the shared single-system column: the qubit counts of a
+``choi-norm`` or ``g-function`` sweep are powers of one column per N (per
+alpha and finite-difference step for ``g-function``).
+"""
+
+import numpy as np
+import pytest
+
+from depolmark import cli, dynmaps, matcore
+from depolmark.channels import qudit_kraus
+from depolmark.cli import SweepSpec, run_sweep
+from depolmark.dynmaps import superoperator_of
+from depolmark.matcore import blockwise, trace_norm
+
+DENSE_PRESETS = ["fig5", "fig6", "fig7", "fig11", "fig12", "fig13"]
+
+
+def recording(fn, blocks: list):
+    """``fn``, recording the grid blocks it is called with."""
+
+    def wrapper(*grids):
+        blocks.append([g.tolist() for g in grids])
+        return fn(*grids)
+
+    return wrapper
+
+
+def superoperator_norm(p):
+    return trace_norm(superoperator_of(qudit_kraus(0.7, p, 4)).matrix)
+
+
+@pytest.mark.parametrize("dim,points", [(4, 200), (3, 450), (2, 2100)])
+def test_blocks_hold_the_budget_and_tile_the_grid_in_order(dim, points):
+    grid = np.linspace(0.0, 1.0, points)
+    blocks: list = []
+    out = blockwise(recording(lambda p: p * p + 1.0, blocks), grid, dim=dim)
+    size = max(1, matcore._BUDGET // dim**4)
+    assert len(blocks) == -(-points // size) >= 3
+    assert all(len(b[0]) == size for b in blocks[:-1]) and 0 < len(blocks[-1][0]) <= size
+    assert [x for b in blocks for x in b[0]] == grid.tolist()
+    assert out.tolist() == [x * x + 1.0 for x in grid.tolist()]
+
+
+def test_block_walk_has_the_bits_of_single_point_calls():
+    grid = np.linspace(0.0, 1.0, 150)  # three blocks at d = 4
+    column = blockwise(superoperator_norm, grid, dim=4)
+    assert [v.hex() for v in column.tolist()] == [superoperator_norm(np.asarray(p)).hex() for p in grid.tolist()]
+
+
+def test_broadcast_q_grid_walks_every_pair_once():
+    q = np.array([[0.1], [0.2], [0.3]])
+    p = np.linspace(0.3, 1.0, 100)
+    blocks: list = []
+    out = blockwise(recording(lambda qb, pb: np.stack([qb, pb * qb], axis=-1), blocks), q, p, dim=3)
+    assert out.shape == (3, 100, 2)
+    assert [len(b[0]) for b in blocks] == [202, 98]
+    pairs = [pair for b in blocks for pair in zip(*b)]
+    assert pairs == [(qi, pi) for qi in (0.1, 0.2, 0.3) for pi in p.tolist()]
+    assert out[..., 1].tolist() == [[pi * qi for pi in p.tolist()] for qi in (0.1, 0.2, 0.3)]
+
+
+def test_scalar_grids_are_one_call_whose_result_comes_back_as_it_is():
+    blocks: list = []
+    result = object()
+    assert blockwise(recording(lambda q, p: result, blocks), 0.3, 0.5, dim=2) is result
+    assert blocks == [[0.3, 0.5]]
+
+
+@pytest.mark.parametrize("fig_id", DENSE_PRESETS)
+def test_dense_preset_columns_do_not_depend_on_the_block_length(fig_id, monkeypatch):
+    specs = [spec for _, *specs in cli._FIGURES[fig_id] for spec in specs]
+
+    def cells() -> list:
+        return [[["NA" if v is None else v.hex() for v in col] for col in run_sweep(spec).columns] for spec in specs]
+
+    default = cells()
+    monkeypatch.setattr(matcore, "_BUDGET", 1)  # one point per block
+    assert cells() == default
+
+
+def counting(monkeypatch) -> list:
+    calls: list = []
+    column = dynmaps.propagator_column
+
+    def wrapper(fn, alpha, q, p, levels=2):
+        calls.append((alpha, levels))
+        return column(fn, alpha, q, p, levels)
+
+    monkeypatch.setattr(dynmaps, "propagator_column", wrapper)
+    return calls
+
+
+def test_g_function_takes_one_column_per_alpha_and_step(monkeypatch):
+    calls = counting(monkeypatch)
+    spec = SweepSpec("g-function", alpha=(0.0, 0.9), p_min=0.7, p_max=0.95, steps=6, qubits=(1, 2))
+    table = run_sweep(spec)
+    assert calls == [(0.0, 2)] * 2 + [(0.9, 2)] * 2
+    for k in (1, 2):
+        column = table.column(f"g_alpha0.9_n{k}")
+        assert column == dynmaps.g_function(0.9, np.array(spec.grid()), k).tolist()
+
+
+@pytest.mark.parametrize("axis,values,expected", [("qubits", (1, 2, 3), [2]), ("levels", (2, 3, 4), [2, 3, 4])])
+def test_choi_norm_takes_one_column_per_n(monkeypatch, axis, values, expected):
+    calls = counting(monkeypatch)
+    spec = SweepSpec("choi-norm", alpha=(0.9,), q=0.4, p_min=0.4, steps=21, **{axis: values})
+    table = run_sweep(spec)
+    assert [levels for _, levels in calls] == expected
+    for name, column in zip(table.series_names, table.columns[1:]):
+        levels, qubits = (2, int(name[-1])) if axis == "qubits" else (int(name[-1]), 1)
+        assert column == dynmaps.choi_trace_norm(0.9, 0.4, np.array(spec.grid()), levels, qubits).tolist()
+
+
+def test_a_tuple_of_counts_gives_the_bits_of_one_call_per_count():
+    grid = np.linspace(0.4, 1.0, 31)
+    norms = dynmaps.choi_trace_norm(0.9, 0.4, grid, qubits=(1, 2, 3))
+    assert [n.tolist() for n in norms] == [dynmaps.choi_trace_norm(0.9, 0.4, grid, qubits=k).tolist() for k in (1, 2, 3)]
+    q = np.linspace(0.7, 0.95, 11)
+    gs = dynmaps.g_function(0.9, q, (1, 2))
+    assert [g.tolist() for g in gs] == [dynmaps.g_function(0.9, q, k).tolist() for k in (1, 2)]
+    assert dynmaps.g_function(0.9, 0.9, (2,)) == [dynmaps.g_function(0.9, 0.9, 2)]
+
+
+def test_qubit_norms_of_a_broadcast_grid_keep_its_shape():
+    q, p = np.array([[0.4], [0.5]]), np.array([0.6, 0.7, 0.9])
+    got = dynmaps.choi_trace_norm(0.9, q, p, qubits=2)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[dynmaps.choi_trace_norm(0.9, qi, pi, qubits=2) for pi in p.tolist()] for qi in (0.4, 0.5)]

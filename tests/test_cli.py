@@ -445,6 +445,29 @@ def test_non_integer_counts_are_rejected(axis, value):
         SweepSpec("choi-eigs", p_min=0.3, **{axis: value})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("q", "0.3"),
+        ("p_min", b"0"),
+        ("p_max", None),
+        ("q", 0.3j),
+        ("alpha", 0.5),
+        ("alpha", ("0.5",)),
+        ("alpha", (None,)),
+    ],
+)
+def test_non_numeric_values_are_usage_errors_naming_the_field(field, value):
+    with pytest.raises(UsageError, match=f"^{field} takes"):
+        SweepSpec("trace-distance", **{field: value})
+
+
+def test_numpy_scalars_pass_as_python_floats():
+    spec = SweepSpec("choi-eigs", alpha=(np.float64(0.7), np.float32(0.5)), q=np.float64(0.25), p_min=np.float32(0.5))
+    assert (spec.alpha, spec.q, spec.p_min) == ((0.7, 0.5), 0.25, 0.5)
+    assert all(type(v) is float for v in (*spec.alpha, spec.q, spec.p_min, spec.p_max))
+
+
 def test_numpy_integer_counts_become_python_ints():
     spec = SweepSpec("choi-eigs", p_min=0.3, steps=np.int64(5), levels=(np.int64(3),))
     assert (spec.steps, spec.levels) == (5, (3,))

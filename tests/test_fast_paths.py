@@ -477,6 +477,21 @@ def test_kernel_trajectory_rejects_p_outside_the_unit_interval():
             kernel.trajectory(0.5, p)
 
 
+@pytest.mark.parametrize("alpha", [3.0, 5.0, -1.0, -1e-300, 1.0 + 2**-52, float("nan")])
+def test_kernel_closed_forms_reject_alpha_outside_the_unit_interval(alpha):
+    calls = [
+        lambda: lambda_ratio(alpha, 0.1, 0.2),
+        lambda: qudit_choi_eigenvalues(alpha, 0.1, 0.2, 3),
+        lambda: decay_rate(alpha, 0.5),
+        lambda: decay_rate_normalized(alpha, 0.5),
+        lambda: kernel.trajectory(alpha, 0.5),
+        lambda: crossover_point(alpha),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            call()
+
+
 @pytest.mark.parametrize("levels,qubits,count", SYSTEMS, ids=SYSTEM_IDS)
 def test_stacked_route_equals_its_0d_case(levels, qubits, count):
     for alpha, q, _ in draws(levels, qubits, count):

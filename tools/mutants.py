@@ -48,13 +48,10 @@ CATALOGUE = (
     Mutant("zero-floor", "kernel.py", "ZERO_FLOOR = 1e-12", "ZERO_FLOOR = 1e-11"),
     Mutant("singularity-guard", "kernel.py", "SINGULARITY_GUARD = 1e-6", "SINGULARITY_GUARD = 1e-7"),
     Mutant("ncp-margin", "dynmaps.py", "norm > 1.0 + 1e-10", "norm > 1.0 + 1e-8"),
-    Mutant("g-function-clamp", "dynmaps.py", "refined > 1e-8", "refined > 1e-7"),
-    Mutant(
-        "qubit-power-np",
-        "dynmaps.py",
-        "np.array([b**qubits for b in base.tolist()]).reshape(base.shape)",
-        "np.power(base, qubits)",
-    ),
+    Mutant("g-function-clamp", "dynmaps.py", "np.where(r > 1e-8", "np.where(r > 1e-7"),
+    Mutant("qubit-power-np", "dynmaps.py", "np.array([b**n for b in flat]).reshape(base.shape)", "np.power(base, n)"),
+    Mutant("qubit-power-one", "dynmaps.py", "[b**n for b in flat]", "[b**1 for b in flat]"),
+    Mutant("block-ignores-dim", "matcore.py", "block = max(1, _BUDGET // dim**4)", "block = max(1, _BUDGET // 16)"),
     Mutant(
         "n3-propagator-scaled",
         "dynmaps.py",
@@ -85,6 +82,12 @@ CATALOGUE = (
         "abs(den) / n2 > ZERO_FLOOR",
         "abs(den) / n2 >= ZERO_FLOOR",
         reason="equivalent: near the root den = x - N^2 is an exact multiple of ulp(N^2), and no such multiple over N^2 equals 1e-12 (checked for N = 2..39)",
+    ),
+    Mutant(
+        "lambda-ratio-alpha-check-dropped",
+        "kernel.py",
+        "    if not 0.0 <= alpha <= 1.0:\n        raise _alpha_error(alpha)\n    _check_pair(q, p)",
+        "    _check_pair(q, p)",
     ),
     Mutant("trajectory-range-check-dropped", "kernel.py", "if not 0.0 <= p <= 1.0:", "if False:"),
     Mutant(
