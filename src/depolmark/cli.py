@@ -21,33 +21,33 @@ from figure id to the files the preset writes, each with the pinned
 spec(s) behind it; two specs behind one file (``fig4``) are merged column
 by column. ``FIGURES`` lists its keys in order.
 
-Every series group is a column function: it takes the whole grid as a
-list of floats and returns one float column per series name, NaN marking
-an NA sample; ``run_sweep`` turns NaN into ``None`` in one place, and
-``SweepTable`` keeps the columns (abscissa first), its ``rows`` being
+Every series group has one shape, ``_series(names, fn, mask)``: ``fn``
+takes the grid points outside ``mask`` as a list of floats and returns
+one column per series name, and the masked points read NaN. ``run_sweep``
+turns each cell into a Python float, and NaN into ``None``, in one place,
+and ``SweepTable`` keeps the columns (abscissa first), its ``rows`` being
 derived from them. ``SweepSpec.grid`` performs ``np.linspace``'s own
 arithmetic on Python floats, so the grid is bit-equal to numpy's.
-``choi-eigs``, ``decay-rate``, ``trajectory``, ``hcla`` and ``blp`` build
-every group with one per-point helper, ``_points``: it calls a scalar
-function once per grid point (or alpha), which returns one value per
-series name, and a mask marks the points that stay NA. ``kernel``'s closed
-forms give the bits the whole-array call gives (IEEE arithmetic), one
-``kernel.trajectory`` call feeds the five ``trajectory`` columns (its two
-flags written as 1.0/0.0), and ``hcla`` and ``blp`` call their measure
-once per alpha. The dense columns (``choi-norm``,
+``choi-eigs``, ``decay-rate``, ``trajectory``, ``hcla`` and ``blp`` use
+the per-point adapter ``_points``: it calls a scalar function once per
+grid point (or alpha), which returns one value per series name.
+``kernel``'s closed forms give the bits the whole-array call gives (IEEE
+arithmetic), one ``kernel.trajectory`` call feeds the five ``trajectory``
+columns (its two flags written as 1.0/0.0), and ``hcla`` and ``blp`` call
+their measure once per alpha. The dense columns (``choi-norm``,
 ``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
-run the whole grid through the stacked Kraus -> superoperator -> Choi
-route, in blocks of ``max(1, 2**14 // N**4)`` grid points
-(``matcore.blockwise``) so that a block's superoperators hold at most
-2**14 complex entries (256 KiB) whatever ``--steps`` is; with ``q``
-pinned, Phi(q, 0)^{-1} is built and SVD-checked once per series.
-``choi-norm`` computes one single-system ``choi_trace_norm`` column per
-alpha and N, and ``g-function`` one per alpha and finite-difference step;
-their n-th powers are the n-qubit norms. The stacked route is bit-equal to
-evaluating the points one by one. The six dense builders are the only
-ones that see numpy: the table wraps each in ``_arrays``, which hands its
-column functions the grid as an array and turns each column back into a
-list.
+hand the list to the library, which runs it through the stacked Kraus ->
+superoperator -> Choi route in blocks of ``max(1, 2**14 // N**4)`` grid
+points (``matcore.blockwise``), so that a block's superoperators hold at
+most 2**14 complex entries (256 KiB) whatever ``--steps`` is: the three
+one-step builders (``trace-distance``, ``volume``, ``f-norm``) call
+``blockwise`` themselves, and the propagator columns walk their blocks in
+``dynmaps.propagator_column``, where with ``q`` pinned Phi(q, 0)^{-1} is
+built and SVD-checked once per series. ``choi-norm`` computes one
+single-system ``choi_trace_norm`` column per alpha and N, and
+``g-function`` one per alpha and finite-difference step; their n-th
+powers are the n-qubit norms. The stacked route is bit-equal to
+evaluating the points one by one.
 
 Grid points inside the singularity guard band, or where a closed form is
 undefined, are emitted as ``NA`` samples, never dropped: a mask marks them
@@ -79,10 +79,16 @@ At module level this file imports the standard library and the numpy-free
 included), the grid, ``run_sweep``, the pinned-q check, the closed-form
 columns and every exit-2 or exit-3 path run without numpy, so ``choi-eigs``,
 ``decay-rate``, ``trajectory`` and the presets ``fig1``, ``fig2``,
-``fig3``, ``fig8`` and ``fig9`` load ``cli`` and ``kernel`` alone. The
-dense builders, ``hcla`` and ``blp`` import numpy and the library modules
-they call when they run, so a command loads only the modules its quantity
-needs, and library functions are looked up at call time.
+``fig3``, ``fig8`` and ``fig9`` load ``cli`` and ``kernel`` alone. This
+file imports numpy nowhere: the dense builders, ``hcla`` and ``blp``
+import the library modules they call when they run, and those load numpy,
+so a command loads only the modules its quantity needs, and library
+functions are looked up at call time.
+
+``SweepSpec`` holds the sweep and nothing else: its ``metadata()`` is its
+fields, and the command line's ``--out`` goes to the writers, never into
+the spec. Library callers hand ``write_csv`` or ``write_json`` an open
+file, and ``figure`` a directory.
 """
 
 from __future__ import annotations
@@ -94,15 +100,12 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence, TextIO
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard
 from .kernel import _survival_derivative, decay_rate, decay_rate_normalized, qudit_choi_eigenvalues, survival, trajectory
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SweepSpec",
@@ -179,7 +182,6 @@ class SweepSpec:
     steps: int = 101
     levels: tuple = (2,)
     qubits: tuple = (1,)
-    out: str | None = None
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
@@ -233,19 +235,12 @@ class SweepSpec:
         return points + [self.p_max]
 
     def metadata(self) -> dict:
-        return {
-            "tool": "depolmark",
-            "version": __version__,
-            "quantity": self.quantity,
-            "alpha": list(self.alpha),
-            "q": self.q,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "steps": self.steps,
-            "levels": list(self.levels),
-            "qubits": list(self.qubits),
-            "format": self.fmt,
-        }
+        """The spec's fields (``fmt`` as ``format``, tuples as lists) after the tool and version."""
+        meta = {"tool": "depolmark", "version": __version__}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            meta["format" if f.name == "fmt" else f.name] = list(value) if isinstance(value, tuple) else value
+        return meta
 
 
 @dataclass
@@ -300,43 +295,23 @@ def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1)
     return tag
 
 
-def _points(names: tuple, fn: Callable[[float], tuple], mask: Callable[[float], bool] | None = None) -> tuple:
-    """A series group evaluated point by point: ``fn(x)`` gives one value per name, all NaN (NA) where ``mask`` holds."""
-    na = (math.nan,) * len(names)
-    return names, lambda grid: list(zip(*(na if mask and mask(x) else fn(x) for x in grid)))
+def _series(names: tuple, fn: Callable[[list], Sequence], mask: Callable[[float], bool] | None = None) -> tuple:
+    """A series group: ``fn`` maps the grid points outside ``mask``, as a list, to one column per name; masked points read NaN (NA)."""
 
-
-def _arrays(builder: Callable) -> Callable:
-    """The numpy boundary of a dense builder: its column functions get the grid as an array, and lists come back."""
-
-    def on_array(fn: Callable) -> Callable[[list], list]:
-        import numpy as np
-
-        return lambda grid: [np.asarray(column, dtype=float).tolist() for column in fn(np.array(grid))]
-
-    return lambda spec, alpha: [(names, on_array(fn)) for names, fn in builder(spec, alpha)]
-
-
-def _dense(name: str, fn: Callable[[np.ndarray], np.ndarray], dim: int) -> tuple:
-    """A one-column series group: a stacked dense-route function on a ``dim``-level system, evaluated block by block."""
-    from .matcore import blockwise
-
-    return (name,), lambda grid: [blockwise(fn, grid, dim=dim)]
-
-
-def _masked(names: tuple, mask: Callable[[np.ndarray], np.ndarray], fn: Callable[[np.ndarray], Sequence]) -> tuple:
-    """A series group: ``fn`` gives one column per name on the grid points outside ``mask(grid)``, NaN (NA) at the masked ones."""
-
-    def columns(grid: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        na = mask(grid)
-        out = np.full((len(names),) + grid.shape, np.nan)
-        if not na.all():
-            out[:, ~na] = fn(grid[~na])
-        return out
+    def columns(grid: list) -> Sequence:
+        if mask is None:  # nothing to fill: skips a pass per column on large unmasked grids
+            return fn(grid)
+        na = [mask(x) for x in grid]
+        kept = [x for x, masked in zip(grid, na) if not masked]
+        # With every point masked fn is not called: no column value is read.
+        return [[math.nan if masked else next(values) for masked in na] for values in map(iter, fn(kept) if kept else [()] * len(names))]
 
     return names, columns
+
+
+def _points(names: tuple, fn: Callable[[float], tuple], mask: Callable[[float], bool] | None = None) -> tuple:
+    """A series group evaluated point by point: ``fn(x)`` gives one value per name."""
+    return _series(names, lambda xs: list(zip(*map(fn, xs))), mask)
 
 
 def _check_pinned_q(spec: SweepSpec) -> None:
@@ -367,7 +342,7 @@ def _choi_norm(spec: SweepSpec, alpha: float) -> list:
 
     # One N-level column per N, and its n-th powers (spec.qubits is (1,) above N = 2).
     names = lambda n: tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits)
-    return [(names(n), lambda grid, n=n: choi_trace_norm(alpha, spec.q, grid, n, spec.qubits)) for n in spec.levels]
+    return [_series(names(n), lambda grid, n=n: choi_trace_norm(alpha, spec.q, grid, n, spec.qubits)) for n in spec.levels]
 
 
 def _decay_rate(spec: SweepSpec, alpha: float) -> list:
@@ -400,27 +375,29 @@ def _blp(spec: SweepSpec, alpha: None) -> list:
 
 def _trace_distance(spec: SweepSpec, alpha: float) -> list:
     from .channels import apply_channel, qubit_kraus
+    from .matcore import blockwise
     from .measures import plus_minus_states, trace_distance
 
     plus, minus = plus_minus_states()
 
-    def dist(p: np.ndarray) -> np.ndarray:
+    def dist(p):
         kraus = qubit_kraus(alpha, p)
         return trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
 
-    return [_dense(f"D_{_alpha_tag(alpha)}", dist, 2)]
+    return [_series((f"D_{_alpha_tag(alpha)}",), lambda grid: [blockwise(dist, grid, dim=2)])]
 
 
 def _memory_x(spec: SweepSpec, alpha: float) -> list:
     from .measures import memory_witness_X
 
-    return [((f"X_{_alpha_tag(alpha)}",), lambda grid: [memory_witness_X(alpha, spec.q, grid)])]
+    return [_series((f"X_{_alpha_tag(alpha)}",), lambda grid: [memory_witness_X(alpha, spec.q, grid)])]
 
 
 def _volume(spec: SweepSpec, alpha: float) -> list:
     from .geometry import volume_determinant
+    from .matcore import blockwise
 
-    return [_dense(f"volume_{_alpha_tag(alpha)}", lambda p: volume_determinant(alpha, p), 2)]
+    return [_series((f"volume_{_alpha_tag(alpha)}",), lambda grid: [blockwise(lambda p: volume_determinant(alpha, p), grid, dim=2)])]
 
 
 def _trajectory(spec: SweepSpec, alpha: float) -> list:
@@ -434,16 +411,17 @@ def _trajectory(spec: SweepSpec, alpha: float) -> list:
 
 def _f_norm(spec: SweepSpec, alpha: float) -> list:
     from .geometry import f_matrix
+    from .matcore import blockwise
 
     n = spec.levels[0]
-    return [_dense(f"F{n}_norm_{_alpha_tag(alpha)}", lambda p: f_matrix(alpha, p, n).trace_norm, n)]
+    return [_series((f"F{n}_norm_{_alpha_tag(alpha)}",), lambda grid: [blockwise(lambda p: f_matrix(alpha, p, n).trace_norm, grid, dim=n)])]
 
 
 def _g_function(spec: SweepSpec, alpha: float) -> list:
     from .dynmaps import g_function
 
     names = tuple(f"g_{_system_tag(spec, alpha, qubits=k)}" for k in spec.qubits)
-    return [_masked(names, lambda q: _guard(q, alpha), lambda q: g_function(alpha, q, spec.qubits))]
+    return [_series(names, lambda q: g_function(alpha, q, spec.qubits), lambda q: _guard(q, alpha))]
 
 
 # ---------------------------------------------------------------- domain rules
@@ -468,16 +446,16 @@ def _step_room(spec: SweepSpec) -> None:
 
 _QUANTITIES = {
     "choi-eigs": _Quantity(_choi_eigs, levels=(2, 3, 4), pinned=True),
-    "choi-norm": _Quantity(_arrays(_choi_norm), levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
+    "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
     "blp": _Quantity(_blp, abscissa="alpha"),
-    "trace-distance": _Quantity(_arrays(_trace_distance)),
-    "memory-x": _Quantity(_arrays(_memory_x), pinned=True),
-    "volume": _Quantity(_arrays(_volume)),
+    "trace-distance": _Quantity(_trace_distance),
+    "memory-x": _Quantity(_memory_x, pinned=True),
+    "volume": _Quantity(_volume),
     "trajectory": _Quantity(_trajectory),
-    "f-norm": _Quantity(_arrays(_f_norm), levels=(3, 4), rule=_one_level),
-    "g-function": _Quantity(_arrays(_g_function), abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
+    "f-norm": _Quantity(_f_norm, levels=(3, 4), rule=_one_level),
+    "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
 }
 
 QUANTITIES = tuple(_QUANTITIES)
@@ -499,7 +477,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for alpha in spec.alpha if entry.abscissa != "alpha" else (None,):
         for series_names, fn in entry.columns(spec, alpha):
             names.extend(series_names)
-            columns.extend([None if v != v else v for v in column] for column in fn(grid))
+            columns.extend([None if v != v else float(v) for v in column] for column in fn(grid))
     return SweepTable(entry.abscissa, tuple(names), columns, spec.metadata())
 
 
@@ -660,7 +638,7 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         raise UsageError(f"{args.target} does not read --q; only {pinned} pin q")
     given.setdefault("p_min", given.get("q", SweepSpec.q) if entry.pinned else entry.grid[0])
     given.setdefault("p_max", entry.grid[1])
-    return SweepSpec(args.target, out=args.out, fmt=args.fmt or "csv", **given)
+    return SweepSpec(args.target, fmt=args.fmt or "csv", **given)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -684,7 +662,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         spec = _spec_from_args(args)
         table = run_sweep(spec)
-        _write_out(spec.out, lambda fh: (write_csv if spec.fmt == "csv" else write_json)(table, fh))
+        _write_out(args.out, lambda fh: (write_csv if spec.fmt == "csv" else write_json)(table, fh))
         return 0
     except UsageError as exc:
         print(f"depolmark: error: {exc}", file=sys.stderr)

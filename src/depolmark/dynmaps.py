@@ -33,7 +33,9 @@ completely positive iff the Choi matrix is positive semidefinite; a trace
 norm above 1 therefore witnesses an NCP propagator.
 
 Every function of the dense route takes ``p`` (and ``q``) as one value or
-as a grid, and ``Superoperator`` and ``ChoiMatrix`` hold either one matrix
+as a grid (a list or an array: ``propagator_column`` turns both into float
+arrays first), and ``Superoperator`` and ``ChoiMatrix``, which share one
+shape check, hold either one matrix
 or a stack ``(..., n, n)`` with one matrix per grid point. A single value
 is the 0-d case of the same code. The stacked route performs, point by
 point, the same float operations as a single call, so its results are
@@ -84,41 +86,38 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class Superoperator:
+class _MapMatrix:
+    """A complex d^2 x d^2 matrix of a map on a ``dim``-level system, or a stack ``(..., d^2, d^2)`` of them."""
+
+    matrix: np.ndarray = field(repr=False)
+    dim: int
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix, dtype=complex)
+        d2 = self.dim * self.dim
+        if m.shape[-2:] != (d2, d2):
+            raise ValueError(f"{self._kind} for dimension {self.dim} must be {d2}x{d2}")
+        object.__setattr__(self, "matrix", m)
+
+
+class Superoperator(_MapMatrix):
     """Matrix representation of a channel on column-stacked operators.
 
     ``matrix`` is ``(d^2, d^2)``, or a stack ``(..., d^2, d^2)`` with one
     channel per grid point; ``dim`` is d either way.
     """
 
-    matrix: np.ndarray = field(repr=False)
-    dim: int
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        d2 = self.dim * self.dim
-        if m.shape[-2:] != (d2, d2):
-            raise ValueError(f"superoperator for dimension {self.dim} must be {d2}x{d2}")
-        object.__setattr__(self, "matrix", m)
+    _kind = "superoperator"
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
+class ChoiMatrix(_MapMatrix):
     """Choi matrix of a map on a ``dim``-level system (d^2 x d^2, trace 1).
 
     ``matrix`` may also be a stack ``(..., d^2, d^2)``, one Choi matrix per
     grid point.
     """
 
-    matrix: np.ndarray = field(repr=False)
-    dim: int
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        d2 = self.dim * self.dim
-        if m.shape[-2:] != (d2, d2):
-            raise ValueError(f"Choi matrix for dimension {self.dim} must be {d2}x{d2}")
-        object.__setattr__(self, "matrix", m)
+    _kind = "Choi matrix"
 
     def trace(self):
         """Trace (a float, or an array for a stack)."""
@@ -174,6 +173,7 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
     Raises:
         SingularMapError: when Phi(q, 0) is not invertible at some q.
     """
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     _check_pair(q, p)
 
     def one_step_inverse(t):
@@ -183,7 +183,7 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
         s_p = superoperator_of(_kraus(alpha, p_block, levels))
         return Superoperator(s_p.matrix @ inverse, s_p.dim)
 
-    if np.ndim(q) == 0:
+    if q.ndim == 0:
         inverse = one_step_inverse(q)
         return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p, dim=levels)
     return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p, dim=levels)
@@ -291,11 +291,9 @@ def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1
     counts = qubits if isinstance(qubits, tuple) else (qubits,)
     _check_system(levels, *counts)
     base = propagator_column(_choi_trace_norm, alpha, q, p, levels)
-    if np.ndim(base) == 0:
-        norms = [float(base) ** n for n in counts]
-    else:
-        flat = base.reshape(-1).tolist()
-        norms = [np.array([b**n for b in flat]).reshape(base.shape) for n in counts]
+    flat = np.reshape(base, -1).tolist()
+    norms = [np.reshape([b**n for b in flat], np.shape(base)) for n in counts]
+    norms = [norm if norm.ndim else float(norm) for norm in norms]
     return norms if isinstance(qubits, tuple) else norms[0]
 
 
@@ -331,7 +329,7 @@ def g_function(alpha: float, q, qubits: int | tuple = 1):
         raise SingularMapError(f"q = {q} lies within {SINGULARITY_GUARD:g} of the singular parameter value")
 
     def quotients(step: float) -> list:
-        return [(norm - 1.0) / step for norm in choi_trace_norm(alpha, q, q_arr + step, qubits=counts)]
+        return [(norm - 1.0) / step for norm in choi_trace_norm(alpha, q_arr, q_arr + step, qubits=counts)]
 
     refined = [2.0 * half - full for half, full in zip(quotients(eps / 2.0), quotients(eps))]
     clamped = [np.where(r > 1e-8, r, 0.0) for r in refined]

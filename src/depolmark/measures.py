@@ -32,10 +32,9 @@ import math
 
 import numpy as np
 
-from .channels import _check_unit_interval
 from .dynmaps import choi_of, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
-from .kernel import _survival_derivative, crossover_point, decay_rate_normalized, lambda_ratio, survival
+from .kernel import _check_alpha, _survival_derivative, crossover_point, decay_rate_normalized, lambda_ratio, survival
 from .matcore import PAULI_X, PAULI_Y, PAULI_Z, kron, trace_norm
 
 __all__ = [
@@ -77,7 +76,7 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     (N^2 - 1)/N^2 and r = sqrt((1 + alpha)^2 - 4 c alpha), which has no
     cancellation.
     """
-    _check_unit_interval("alpha", alpha)
+    _check_alpha(alpha)
     if alpha == 0.0:
         return 0.0
     if alpha < 1e-6:
@@ -105,7 +104,7 @@ def hcla_closed_form(alpha: float) -> float:
     returned there instead: it is within 5e-14 relative of a 60-digit
     quadrature on (0, 1e-6) and gives exactly 0 at alpha = 0.
     """
-    _check_unit_interval("alpha", alpha)
+    _check_alpha(alpha)
     if alpha < 1e-6:
         return alpha / 4.0 + 3.0 * alpha * alpha / 32.0
     s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
@@ -129,7 +128,7 @@ def qutrit_hcla_log_form(alpha: float) -> float:
     It is provided so datasets can report both values side by side; the
     quadrature value is the authoritative one.
     """
-    _check_unit_interval("alpha", alpha)
+    _check_alpha(alpha)
     if alpha == 0.0:
         return 0.0
     lower = crossover_point(alpha, 3)
@@ -176,7 +175,7 @@ def blp_measure(alpha: float) -> float:
     revival window is (p_-, 1], giving D(1) - D(p_-) = alpha/4. The
     alpha = 0 channel contracts monotonically and yields exactly 0.
     """
-    _check_unit_interval("alpha", alpha)
+    _check_alpha(alpha)
     if alpha == 0.0:
         return 0.0
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
@@ -216,14 +215,15 @@ def memory_witness_X(alpha: float, q, p):
     family, which is cross-checked internally to 1e-8 of
     max(1, 3 |lambda|) at every point.
 
-    ``p`` (and ``q``) may be grids; the propagators then run through
-    :func:`depolmark.dynmaps.propagator_column`, with Phi(q, 0)^{-1} built
-    once for a pinned q, and an array comes back.
+    ``p`` (and ``q``) may be grids, as lists or arrays; the propagators
+    then run through :func:`depolmark.dynmaps.propagator_column`, with
+    Phi(q, 0)^{-1} built once for a pinned q, and an array comes back.
 
     Raises:
         SingularMapError: when q sits at the singular parameter value.
         ArithmeticError: when the two routes disagree beyond that bound.
     """
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     direct = propagator_column(_witness_direct, alpha, q, p)
     closed = memory_witness_closed(alpha, q, p)
     # Near the singular q both routes grow like 1/G(q), and so does their

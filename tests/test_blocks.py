@@ -7,14 +7,18 @@ tile the grid in order, that the result has the bits of one call per
 point, and that no dense preset column depends on the block length. The
 count tests pin the shared single-system column: the qubit counts of a
 ``choi-norm`` or ``g-function`` sweep are powers of one column per N (per
-alpha and finite-difference step for ``g-function``).
+alpha and finite-difference step for ``g-function``). Every dense
+quantity walks its grid in such blocks, so the stacks a sweep holds stay
+bounded whatever its number of steps; and the propagator functions take a
+list grid as they take an array.
 """
 
 import numpy as np
 import pytest
 
-from depolmark import cli, dynmaps, matcore
+from depolmark import channels, cli, dynmaps, matcore
 from depolmark.channels import qudit_kraus
+from depolmark.measures import memory_witness_X
 from depolmark.cli import SweepSpec, run_sweep
 from depolmark.dynmaps import superoperator_of
 from depolmark.matcore import blockwise, trace_norm
@@ -133,3 +137,47 @@ def test_qubit_norms_of_a_broadcast_grid_keep_its_shape():
     got = dynmaps.choi_trace_norm(0.9, q, p, qubits=2)
     assert got.shape == (2, 3)
     assert got.tolist() == [[dynmaps.choi_trace_norm(0.9, qi, pi, qubits=2) for pi in p.tolist()] for qi in (0.4, 0.5)]
+
+
+# One small sweep of each dense quantity: more grid points than a block at
+# the budget below holds, every system size the quantity takes.
+DENSE_SWEEPS = [
+    SweepSpec("trace-distance", alpha=(0.0, 0.7), steps=11),
+    SweepSpec("memory-x", alpha=(0.7,), q=0.3, p_min=0.3, steps=11),
+    SweepSpec("volume", alpha=(0.7,), steps=11),
+    SweepSpec("f-norm", alpha=(0.7,), steps=3, levels=(3,)),
+    SweepSpec("f-norm", alpha=(0.7,), steps=3, levels=(4,)),
+    SweepSpec("choi-norm", alpha=(0.9,), q=0.4, p_min=0.4, steps=11, qubits=(1, 2, 3)),
+    SweepSpec("choi-norm", alpha=(0.9,), q=0.4, p_min=0.4, steps=3, levels=(2, 3, 4)),
+    SweepSpec("g-function", alpha=(0.9,), p_min=0.7, p_max=0.95, steps=11, qubits=(1, 2)),
+]
+
+
+@pytest.mark.parametrize("spec", DENSE_SWEEPS, ids=lambda spec: f"{spec.quantity}-{spec.levels}-{spec.qubits}")
+def test_every_dense_column_walks_its_grid_in_budgeted_blocks(spec, monkeypatch):
+    budget, sizes = 64, []
+    kraus_set = channels._kraus_set
+
+    def spy(alpha, p, levels, *rest):
+        sizes.append((levels, np.size(p)))
+        return kraus_set(alpha, p, levels, *rest)
+
+    monkeypatch.setattr(matcore, "_BUDGET", budget)
+    monkeypatch.setattr(channels, "_kraus_set", spy)
+    run_sweep(spec)
+    assert len(sizes) > 1
+    assert all(points <= max(1, budget // levels**4) for levels, points in sizes), sizes
+
+
+def test_list_grids_give_the_bits_of_array_grids():
+    grid = [0.4, 0.5, 0.55]
+    for fn in (
+        lambda p: memory_witness_X(0.5, 0.3, p),
+        lambda p: dynmaps.choi_trace_norm(0.5, 0.3, p),
+        lambda p: dynmaps.choi_trace_norm(0.5, 0.3, p, qubits=(1, 2))[1],
+        lambda p: dynmaps.g_function(0.5, p),
+        lambda p: dynmaps.intermediate_choi(0.5, 0.3, p).matrix,
+    ):
+        from_list, from_array = fn(grid), fn(np.array(grid))
+        assert from_list.shape == from_array.shape == (3,) + from_array.shape[1:]
+        assert from_list.tobytes() == from_array.tobytes()

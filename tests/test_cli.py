@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import depolmark
 from depolmark import cli
 from depolmark.cli import (
     FIGURES,
@@ -22,6 +24,7 @@ from depolmark.cli import (
     write_csv,
     write_json,
 )
+from depolmark.kernel import crossover_point
 
 ALPHA_MINUS_07 = 0.7725529126366106
 
@@ -576,3 +579,44 @@ def test_sweep_table_rows_are_its_columns_side_by_side():
     assert table.column("p") == table.columns[0]
     a_column = table.column("A_alpha1")
     assert a_column[2] is None and a_column[::3] == [-2.0, 2.0] and a_column[1] == pytest.approx(-3.6)
+
+
+def test_spec_holds_only_the_sweep_and_its_metadata_reads_every_field():
+    names = [f.name for f in dataclasses.fields(SweepSpec)]
+    assert names == ["quantity", "alpha", "q", "p_min", "p_max", "steps", "levels", "qubits", "fmt"]
+    spec = SweepSpec("choi-norm", alpha=(0.5, 0.9), q=0.25, p_min=0.5, steps=7, qubits=(1, 3), fmt="json")
+    assert spec.metadata() == {
+        "tool": "depolmark",
+        "version": depolmark.__version__,
+        "quantity": "choi-norm",
+        "alpha": [0.5, 0.9],
+        "q": 0.25,
+        "p_min": 0.5,
+        "p_max": 1.0,
+        "steps": 7,
+        "levels": [2],
+        "qubits": [1, 3],
+        "format": "json",
+    }
+
+
+@pytest.mark.parametrize("fig_id", FIGURES)
+def test_every_cell_is_a_python_float_or_none(fig_id):
+    for _, *specs in cli._FIGURES[fig_id]:
+        for spec in specs:
+            table = run_sweep(spec)
+            assert {type(v) for column in table.columns for v in column} <= {float, type(None)}
+
+
+def test_a_group_masked_at_every_point_is_all_na():
+    # The column function is never called on an empty grid.
+    point = crossover_point(0.9)
+    spec = SweepSpec("g-function", alpha=(0.9,), p_min=point - 4e-7, p_max=point + 4e-7, steps=5, qubits=(1, 2))
+    table = run_sweep(spec)
+    assert table.series_names == ("g_alpha0.9_n1", "g_alpha0.9_n2")
+    assert table.columns[1:] == [[None] * 5] * 2
+    point = crossover_point(0.7)
+    table = run_sweep(SweepSpec("decay-rate", alpha=(0.7,), p_min=point - 4e-7, p_max=point + 4e-7, steps=5))
+    assert table.series_names == ("gamma_alpha0.7", "gamma_normalized_alpha0.7")
+    assert table.column("gamma_alpha0.7") == [None] * 5
+    assert None not in table.column("gamma_normalized_alpha0.7")

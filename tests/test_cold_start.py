@@ -16,6 +16,7 @@ The package resolves its submodules and re-exported names on first access;
 its ``__all__`` holds 68 names, each exported by one module.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -83,6 +84,15 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     sweeps = [["choi-eigs", "--levels", "2,3,4"], ["decay-rate", "--format", "json"], ["trajectory", "--alpha", "0,0.7"]]
     assert_numpy_free(figures + [(argv, 0) for argv in sweeps])
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fig1.csv", "fig2.csv", "fig3.csv", "fig8.csv", "fig9.csv"]
+
+
+def test_cli_source_imports_no_numpy():
+    # Not at module level, not for type checking and not inside a builder:
+    # the dense builders reach numpy only through the library modules.
+    tree = ast.parse((SRC / "depolmark" / "cli.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert modules and not [name for name in modules if name.split(".")[0] == "numpy"]
 
 
 def test_no_preset_loads_the_oracle_module():

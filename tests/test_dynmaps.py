@@ -344,8 +344,10 @@ def test_g_function_raises_inside_the_guard_band():
 
 
 def test_choi_matrix_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Choi matrix for dimension 2 must be 4x4$"):
         ChoiMatrix(np.eye(3), 2)
+    with pytest.raises(ValueError, match="^superoperator for dimension 3 must be 9x9$"):
+        Superoperator(np.eye(4), 3)
 
 
 def test_intermediate_choi_rejects_mixed_extension():

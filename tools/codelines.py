@@ -6,8 +6,9 @@ docstring (the leading string literal of a module, class or function,
 found with ``ast``). This is the simplicity metric the ROADMAP tracks.
 
 Usage: ``python3 tools/codelines.py [PACKAGE_DIR]`` from the checkout
-root; prints one ``lines  module`` row per module, the total, and the
-code lines on the import path of ``depolmark fig1``: the sum over the
+root; prints one ``lines  module`` row per module, the total, the
+production total (every module but the test-only oracle ``dense``), and
+the code lines on the import path of ``depolmark fig1``: the sum over the
 package modules that command has loaded when it ends, run in a fresh
 interpreter against PACKAGE_DIR.
 """
@@ -67,12 +68,11 @@ def fig1_modules(package: Path) -> list:
 
 def main(argv: list) -> int:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "depolmark"
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    counts = {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{count:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")
+    print(f"{sum(counts.values()) - counts.get('dense.py', 0):6d}  production (all but dense)")
     loaded = fig1_modules(package)
     print(f"{sum(map(code_lines, loaded)):6d}  import path of depolmark fig1 ({', '.join(p.stem for p in loaded)})")
     return 0

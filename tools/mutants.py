@@ -49,9 +49,18 @@ CATALOGUE = (
     Mutant("singularity-guard", "kernel.py", "SINGULARITY_GUARD = 1e-6", "SINGULARITY_GUARD = 1e-7"),
     Mutant("ncp-margin", "dynmaps.py", "norm > 1.0 + 1e-10", "norm > 1.0 + 1e-8"),
     Mutant("g-function-clamp", "dynmaps.py", "np.where(r > 1e-8", "np.where(r > 1e-7"),
-    Mutant("qubit-power-np", "dynmaps.py", "np.array([b**n for b in flat]).reshape(base.shape)", "np.power(base, n)"),
+    Mutant("qubit-power-np", "dynmaps.py", "np.reshape([b**n for b in flat], np.shape(base))", "np.power(base, n)"),
     Mutant("qubit-power-one", "dynmaps.py", "[b**n for b in flat]", "[b**1 for b in flat]"),
     Mutant("block-ignores-dim", "matcore.py", "block = max(1, _BUDGET // dim**4)", "block = max(1, _BUDGET // 16)"),
+    Mutant("trace-distance-unblocked", "cli.py", "[blockwise(dist, grid, dim=2)]", "[dist(grid)]"),
+    Mutant("volume-unblocked", "cli.py", "[blockwise(lambda p: volume_determinant(alpha, p), grid, dim=2)]", "[volume_determinant(alpha, grid)]"),
+    Mutant("f-norm-unblocked", "cli.py", "[blockwise(lambda p: f_matrix(alpha, p, n).trace_norm, grid, dim=n)]", "[f_matrix(alpha, grid, n).trace_norm]"),
+    Mutant(
+        "pinned-propagator-unblocked",
+        "dynmaps.py",
+        "return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p, dim=levels)",
+        "return fn(propagator(p, inverse))",
+    ),
     Mutant(
         "n3-propagator-scaled",
         "dynmaps.py",
@@ -74,6 +83,7 @@ CATALOGUE = (
     Mutant("kraus-completeness", "channels.py", ".max() > 1e-9", ".max() > 1e-8"),
     Mutant("hermitian-tolerance", "matcore.py", "tol = 1e-10 * np.maximum", "tol = 1e-9 * np.maximum"),
     Mutant("witness-cross-check", "measures.py", "> 1e-8 * np.maximum", "> 1e-7 * np.maximum"),
+    Mutant("all-masked-group-calls-fn", "cli.py", "fn(kept) if kept else [()] * len(names)", "fn(kept)"),
     Mutant("grid-end-not-pinned", "cli.py", "return points + [self.p_max]", "return points + [div * step + self.p_min]"),
     Mutant("grid-zero-step-branch-dropped", "cli.py", "if step == 0:", "if False:"),
     Mutant(
