@@ -8,13 +8,16 @@ runs are byte identical.
 
 One table, ``_QUANTITIES``, is the only place a quantity is defined. Its
 entry holds the abscissa (``p``, ``q`` or ``alpha``), the default grid,
-the allowed ``levels`` and ``qubits``, whether the p range starts at a
-pinned ``q`` (which is then checked against the singular value), any
-further domain rule, and the column builder that turns a spec and one
-alpha into ``(names, fn(grid))`` series groups. ``SweepSpec`` validates
-against the entry, ``run_sweep`` evaluates its groups and the command line
-takes its default grid from it, so adding a quantity means adding one
-entry. ``QUANTITIES`` lists the table's keys in order.
+the allowed ``levels`` (the first one the default) and ``qubits``, whether
+the p range starts at a pinned ``q`` (which is then checked against the
+singular value), any further domain rule, and the column builder that
+turns a spec and one alpha into ``(names, fn(grid))`` series groups.
+``SweepSpec`` takes the defaults it is not given from the entry (the grid,
+started at ``q`` when q is pinned, and the first allowed level) and
+validates against it; ``run_sweep`` evaluates its groups. The command line
+only turns the flags given into fields, so ``SweepSpec("f-norm")`` and a
+bare ``depolmark f-norm`` are the same sweep, and adding a quantity means
+adding one entry. ``QUANTITIES`` lists the table's keys in order.
 
 Figure presets ``fig1`` .. ``fig13`` are a second table, ``_FIGURES``,
 from figure id to the files the preset writes, each with the pinned
@@ -52,31 +55,36 @@ evaluating the points one by one.
 Grid points inside the singularity guard band, or where a closed form is
 undefined, are emitted as ``NA`` samples, never dropped: a mask marks them
 before the column is computed, point by point for a closed form and once
-per alpha for ``g-function``; at alpha = 0
-the singular point is the boundary p = 1. A singularity at a *pinned*
-parameter (``--q`` within 1e-6 of the singular value for a Choi
-quantity) aborts with exit code 3; usage errors exit with code 2. Among
-them: a single ``alpha`` for ``hcla`` or ``blp``, which sweep alpha, a
-grid bound outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than
-1 000 000 ``steps`` (every row is held in memory), a ``g-function``
-grid ending above 1 - 1e-6 (its finite-difference step), a value repeated
-in ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
-that takes one, ``--q`` for a quantity that does not pin q (only
-``choi-eigs``, ``choi-norm`` and ``memory-x`` read it), a non-integer
-``steps``, ``levels`` or ``qubits`` or a non-numeric ``alpha``, ``q`` or
-grid bound given to ``SweepSpec``, and any output
-that cannot be opened or written: an ``--out`` file, a preset's file or
-stdout (a full disk, a closed pipe). That one prints ``cannot write
-<dest>: <reason>`` and no traceback, and a broken stdout is pointed at the
-null device so the interpreter's last flush stays silent. Series names
-and the CSV metadata echo print numbers with ``:g`` where that reads back
-as the same float, and with the shortest round-tripping ``repr``
-otherwise; ``SweepSpec`` adds 0.0 to
-``alpha``, ``q`` and the grid bounds, so a -0.0 prints and names as 0.
+per alpha for ``g-function``; at alpha = 0 the singular point is the
+boundary p = 1. A singularity at a *pinned* parameter (``q`` within 1e-6
+of the singular value for a Choi quantity) is refused when the
+``SweepSpec`` is built, with ``SingularMapError``, and the command exits
+with code 3; usage errors exit with code 2. Among them: a grid bound
+outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
+``steps`` (every row is held in memory), a ``g-function`` grid ending
+above 1 - 1e-6 (its finite-difference step), a value repeated in
+``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
+that takes one, a non-integer ``steps``, ``levels`` or ``qubits`` or a
+non-numeric ``alpha``, ``q`` or grid bound given to ``SweepSpec``, an
+``--alpha``, ``--levels`` or ``--qubits`` that is not a comma-separated
+list (argparse names the flag), a format other than csv or json given to
+``figure``, and any output that cannot be opened or written: an ``--out``
+file, a preset's file or stdout (a full disk, a closed pipe). That one
+prints ``cannot write <dest>: <reason>`` and no traceback, and a broken
+stdout is pointed at the null device so the interpreter's last flush stays
+silent. Two refusals depend on a flag being given at all, so they live on
+the command line alone, never in ``SweepSpec`` (its defaults
+``alpha=(0.7,)`` and ``q=0.3`` are echoed in every table): a single ``--alpha``
+for ``hcla`` or ``blp``, which sweep alpha, and ``--q`` for a quantity
+that does not pin q (only ``choi-eigs``, ``choi-norm`` and ``memory-x``
+read it). Series names and the CSV metadata echo print numbers with ``:g``
+where that reads back as the same float, and with the shortest
+round-tripping ``repr`` otherwise; ``SweepSpec`` adds 0.0 to ``alpha``,
+``q`` and the grid bounds, so a -0.0 prints and names as 0.
 
 At module level this file imports the standard library and the numpy-free
-``kernel`` only: parsing, ``SweepSpec`` validation (the ``_FIGURES`` table
-included), the grid, ``run_sweep``, the pinned-q check, the closed-form
+``kernel`` only: parsing, ``SweepSpec`` validation (the pinned-q check and
+the ``_FIGURES`` table included), the grid, ``run_sweep``, the closed-form
 columns and every exit-2 or exit-3 path run without numpy, so ``choi-eigs``,
 ``decay-rate``, ``trajectory`` and the presets ``fig1``, ``fig2``,
 ``fig3``, ``fig8`` and ``fig9`` load ``cli`` and ``kernel`` alone. This
@@ -86,9 +94,10 @@ so a command loads only the modules its quantity needs, and library
 functions are looked up at call time.
 
 ``SweepSpec`` holds the sweep and nothing else: its ``metadata()`` is its
-fields, and the command line's ``--out`` goes to the writers, never into
-the spec. Library callers hand ``write_csv`` or ``write_json`` an open
-file, and ``figure`` a directory.
+fields, and the command line's ``--out`` and ``--format`` go to the
+writers, never into the spec. Each writer adds its own ``format`` (csv or
+json) to the metadata it prints. Library callers hand ``write_csv`` or
+``write_json`` an open file, and ``figure`` a directory and a format.
 """
 
 from __future__ import annotations
@@ -100,7 +109,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
@@ -139,7 +148,7 @@ class _Quantity:
     abscissa: str = "p"
     # Default grid; a pinned quantity starts it at q instead.
     grid: tuple = (0.0, 1.0)
-    # Allowed values; None allows every levels >= 2.
+    # Allowed values, the first one the default; None allows every levels >= 2 (default 2).
     levels: tuple | None = (2,)
     qubits: tuple = (1,)
     # The p range starts at or above q, and q is checked against the singularity.
@@ -148,7 +157,7 @@ class _Quantity:
     rule: Callable | None = None
 
     def check(self, spec: "SweepSpec") -> None:
-        """Raise UsageError where ``spec`` leaves this quantity's domain."""
+        """Raise UsageError where ``spec`` leaves this quantity's domain, SingularMapError at a singular pinned q."""
         for axis in ("levels", "qubits"):
             allowed, values = getattr(self, axis), getattr(spec, axis)
             if allowed is None:
@@ -160,8 +169,15 @@ class _Quantity:
                 raise UsageError(f"{spec.quantity} is defined for {domain}, got {axis} = {values}")
         if self.rule is not None:
             self.rule(spec)
-        if self.pinned and spec.p_min < spec.q:
+        if not self.pinned:
+            return
+        if spec.p_min < spec.q:
             raise UsageError(f"p range must start at or above q = {spec.q}, got p_min = {spec.p_min}")
+        # A singular pinned q cannot produce any sample: abort, not NA.
+        for alpha in spec.alpha:
+            for levels in spec.levels:
+                if _guard(spec.q, alpha, levels):
+                    raise SingularMapError(f"pinned q = {spec.q} sits at the singular parameter value for alpha = {alpha}, levels = {levels}")
 
 
 @dataclass(frozen=True)
@@ -171,23 +187,28 @@ class SweepSpec:
     ``alpha``, ``levels`` and ``qubits`` accept several values at once; the
     sweep then emits one series per combination. ``p_min``/``p_max``/
     ``steps`` describe the abscissa grid of whichever variable the quantity
-    sweeps (p, q or alpha, see the quantity table).
+    sweeps (p, q or alpha, see the quantity table). ``p_min``, ``p_max``
+    and ``levels`` left at None take the quantity's defaults: its grid
+    (from ``q`` when it pins q) and its first allowed level.
     """
 
     quantity: str
     alpha: tuple = (0.7,)
     q: float = 0.3
-    p_min: float = 0.0
-    p_max: float = 1.0
+    p_min: float | None = None
+    p_max: float | None = None
     steps: int = 101
-    levels: tuple = (2,)
+    levels: tuple | None = None
     qubits: tuple = (1,)
-    fmt: str = "csv"
 
     def __post_init__(self) -> None:
         entry = _QUANTITIES.get(self.quantity) if isinstance(self.quantity, str) else None
         if entry is None:
             raise UsageError(f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}")
+        default = {"p_min": self.q if entry.pinned else entry.grid[0], "p_max": entry.grid[1], "levels": (entry.levels or (2,))[:1]}
+        for name, value in default.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         for name in ("alpha", "q", "p_min", "p_max", "steps", "levels", "qubits"):
             value = getattr(self, name)
             convert = operator.index if name in ("steps", "levels", "qubits") else _real
@@ -212,8 +233,6 @@ class SweepSpec:
             raise UsageError(f"levels must be >= 2, got {self.levels}")
         if any(n < 1 for n in self.qubits):
             raise UsageError(f"qubits must be >= 1, got {self.qubits}")
-        if self.fmt not in ("csv", "json"):
-            raise UsageError(f"format must be csv or json, got {self.fmt!r}")
         if not self.p_min < self.p_max:
             raise UsageError(f"grid needs min < max, got [{self.p_min}, {self.p_max}]")
         if self.uses_grid() and not (0.0 <= self.p_min and self.p_max <= 1.0):
@@ -235,11 +254,11 @@ class SweepSpec:
         return points + [self.p_max]
 
     def metadata(self) -> dict:
-        """The spec's fields (``fmt`` as ``format``, tuples as lists) after the tool and version."""
+        """The spec's fields (tuples as lists) after the tool and version; the writers add the format."""
         meta = {"tool": "depolmark", "version": __version__}
         for f in fields(self):
             value = getattr(self, f.name)
-            meta["format" if f.name == "fmt" else f.name] = list(value) if isinstance(value, tuple) else value
+            meta[f.name] = list(value) if isinstance(value, tuple) else value
         return meta
 
 
@@ -312,17 +331,6 @@ def _series(names: tuple, fn: Callable[[list], Sequence], mask: Callable[[float]
 def _points(names: tuple, fn: Callable[[float], tuple], mask: Callable[[float], bool] | None = None) -> tuple:
     """A series group evaluated point by point: ``fn(x)`` gives one value per name."""
     return _series(names, lambda xs: list(zip(*map(fn, xs))), mask)
-
-
-def _check_pinned_q(spec: SweepSpec) -> None:
-    """A singular pinned q cannot produce any sample: abort, not NA."""
-    for alpha in spec.alpha:
-        for levels in spec.levels:
-            if _guard(spec.q, alpha, levels):
-                raise SingularMapError(
-                    f"pinned q = {spec.q} sits at the singular parameter value for "
-                    f"alpha = {alpha}, levels = {levels}"
-                )
 
 
 # ---------------------------------------------------------------- column builders
@@ -469,8 +477,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     as NA. Singular grid points are never dropped.
     """
     entry = _QUANTITIES[spec.quantity]
-    if entry.pinned:
-        _check_pinned_q(spec)
     grid = spec.grid() if spec.uses_grid() else list(spec.alpha)
     names: list = []
     columns: list = [grid]
@@ -521,17 +527,14 @@ FIGURES = tuple(_FIGURES)
 
 
 def figure(fig_id: str, out_dir: str = ".", fmt: str = "csv") -> list:
-    """Write the dataset(s) behind one figure preset in ``fmt``; returns the paths.
-
-    Each pinned spec is run with ``fmt`` in place of its own, so the
-    metadata names the format written; ``SweepSpec`` rejects any other
-    format than csv and json.
-    """
+    """Write the dataset(s) behind one figure preset in ``fmt``, csv or json; returns the paths."""
     if fig_id not in _FIGURES:
         raise UsageError(f"unknown figure id {fig_id!r}; expected one of {FIGURES}")
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {fmt!r}")
     paths = []
     for name, *specs in _FIGURES[fig_id]:
-        table = _merge([run_sweep(replace(spec, fmt=fmt)) for spec in specs])
+        table = _merge([run_sweep(spec) for spec in specs])
         path = os.path.join(out_dir, f"{name}.{fmt}")
         _write_out(path, lambda fh: (write_csv if fmt == "csv" else write_json)(table, fh))
         paths.append(path)
@@ -562,9 +565,10 @@ def _format_value(value: float | None) -> str:
 
 
 def write_csv(table: SweepTable, fh: TextIO) -> None:
-    """CSV payload: ``#`` metadata lines, header row, 15-significant-digit rows."""
-    for key in sorted(table.metadata):
-        fh.write(f"# {key}={_meta_str(table.metadata[key])}\n")
+    """CSV payload: ``#`` metadata lines (``format=csv`` among them), header row, 15-significant-digit rows."""
+    meta = {**table.metadata, "format": "csv"}
+    for key in sorted(meta):
+        fh.write(f"# {key}={_meta_str(meta[key])}\n")
     fh.write(",".join((table.abscissa_name,) + tuple(table.series_names)) + "\n")
     for row in table.rows:
         fh.write(",".join(_format_value(v) for v in row) + "\n")
@@ -579,9 +583,9 @@ def _meta_str(value) -> str:
 
 
 def write_json(table: SweepTable, fh: TextIO) -> None:
-    """JSON payload: spec echo, column names and row arrays (null = singular)."""
+    """JSON payload: spec echo (``"format": "json"`` in it), column names and row arrays (null = singular)."""
     payload = {
-        "spec": table.metadata,
+        "spec": {**table.metadata, "format": "json"},
         "columns": [table.abscissa_name, *table.series_names],
         "rows": [[None if v is None else float(v) for v in row] for row in table.rows],
     }
@@ -589,12 +593,16 @@ def write_json(table: SweepTable, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def _parse_list(raw: str, kind: type) -> tuple:
-    try:
-        return tuple(kind(v) for v in raw.split(","))
-    except ValueError as exc:
-        what = "integers" if kind is int else "numbers"
-        raise UsageError(f"expected comma-separated {what}, got {raw!r}") from exc
+def _list_of(kind: type, what: str) -> Callable[[str], tuple]:
+    """An argparse ``type=`` for a comma-separated flag; argparse names the flag in its error."""
+
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(map(kind, raw.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {raw!r}") from None
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -608,37 +616,31 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("target", choices=QUANTITIES + FIGURES, metavar="TARGET")
-    parser.add_argument("--alpha", default=None, help="memory strength(s), comma separated")
+    parser.add_argument("--alpha", type=_list_of(float, "numbers"), default=None, help="memory strength(s), comma separated")
     parser.add_argument("--q", type=float, default=None, help="pinned lower timelike parameter")
     parser.add_argument("--p-min", type=float, default=None, help="grid start (p, q or alpha)")
     parser.add_argument("--p-max", type=float, default=None, help="grid end (p, q or alpha)")
     parser.add_argument("--steps", type=int, default=None, help=f"number of grid samples (2 to {_MAX_STEPS})")
-    parser.add_argument("--levels", default=None, help="system dimension(s) N, comma separated")
-    parser.add_argument("--qubits", default=None, help="qubit count(s) n, comma separated")
+    parser.add_argument("--levels", type=_list_of(int, "integers"), default=None, help="system dimension(s) N, comma separated")
+    parser.add_argument("--qubits", type=_list_of(int, "integers"), default=None, help="qubit count(s) n, comma separated")
     parser.add_argument("--out", default=None, help="output file (sweeps) or directory (figures)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    """The sweep the flags ask for; unset flags keep the spec defaults and the entry's default grid."""
-    entry = _QUANTITIES[args.target]
-    given = {name: getattr(args, name) for name in ("q", "p_min", "p_max", "steps") if getattr(args, name) is not None}
-    for name, kind in (("alpha", float), ("levels", int), ("qubits", int)):
-        if getattr(args, name) is not None:
-            given[name] = _parse_list(getattr(args, name), kind)
+def _spec_from_args(target: str, given: dict) -> SweepSpec:
+    """The sweep of the flags ``given``; refuses the two flags that are wrong merely by being given."""
+    entry = _QUANTITIES[target]
     if entry.abscissa == "alpha" and len(given.get("alpha", ())) == 1:
         raise UsageError(
-            f"{args.target} sweeps alpha: give two or more --alpha values, or leave --alpha out and set the grid with --p-min/--p-max/--steps"
+            f"{target} sweeps alpha: give two or more --alpha values, or leave --alpha out and set the grid with --p-min/--p-max/--steps"
         )
     if "q" in given and not entry.pinned:
         if entry.abscissa == "q":
-            raise UsageError(f"{args.target} sweeps q: set the q grid with --p-min/--p-max instead of --q")
+            raise UsageError(f"{target} sweeps q: set the q grid with --p-min/--p-max instead of --q")
         pinned = ", ".join(name for name, e in _QUANTITIES.items() if e.pinned)
-        raise UsageError(f"{args.target} does not read --q; only {pinned} pin q")
-    given.setdefault("p_min", given.get("q", SweepSpec.q) if entry.pinned else entry.grid[0])
-    given.setdefault("p_max", entry.grid[1])
-    return SweepSpec(args.target, fmt=args.fmt or "csv", **given)
+        raise UsageError(f"{target} does not read --q; only {pinned} pin q")
+    return SweepSpec(target, **given)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -649,20 +651,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    given = {name: value for name in ("alpha", "q", "p_min", "p_max", "steps", "levels", "qubits") if (value := getattr(args, name)) is not None}
     try:
         if args.target in FIGURES:
-            sweep_flags = ("alpha", "q", "p_min", "p_max", "steps", "levels", "qubits")
-            ignored = [name for name in sweep_flags if getattr(args, name) is not None]
-            if ignored:
-                flags = ", ".join("--" + n.replace("_", "-") for n in ignored)
+            if given:
+                flags = ", ".join("--" + n.replace("_", "-") for n in given)
                 print(f"depolmark: warning: figure presets pin their own parameters; ignoring {flags}", file=sys.stderr)
-            paths = figure(args.target, out_dir=args.out or ".", fmt=args.fmt or "csv")
+            paths = figure(args.target, out_dir=args.out or ".", fmt=args.fmt)
             _write_out(None, lambda fh: fh.writelines(f"{path}\n" for path in paths))
             return 0
 
-        spec = _spec_from_args(args)
-        table = run_sweep(spec)
-        _write_out(args.out, lambda fh: (write_csv if spec.fmt == "csv" else write_json)(table, fh))
+        table = run_sweep(_spec_from_args(args.target, given))
+        _write_out(args.out, lambda fh: (write_csv if args.fmt == "csv" else write_json)(table, fh))
         return 0
     except UsageError as exc:
         print(f"depolmark: error: {exc}", file=sys.stderr)

@@ -212,6 +212,14 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     propagator is the reordered Kronecker power of the single-qubit
     propagator; the 4^n-dimensional matrix is never inverted.
 
+    Near the crossover point p_- the digits are bounded only by the
+    condition number 1/|G(q)|: :func:`depolmark.matcore.inverse` accepts
+    Phi(q, 0) down to a singular-value ratio of 1e-12, and within about
+    1e-6 of p_- the propagator's relative error can reach a few ulps times
+    that number, erratically (``intermediate_choi(1.0, 0.75 + 1e-10, 1.0,
+    levels=3)`` is Hermitian only to 2e-7 relative, q = 0.75 + 1e-11 to
+    2e-16). Sweeps mask that band as NA; direct calls get no warning.
+
     Raises:
         ValueError: for qubits < 1, or N > 2 together with n > 1.
         SingularMapError: when Phi(q, 0) is not invertible (q at the
@@ -260,7 +268,12 @@ def choi_of(superop: Superoperator) -> ChoiMatrix:
 
 
 def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> ChoiMatrix:
-    """Choi matrix of the propagator :func:`intermediate_map` of N levels or n qubits."""
+    """Choi matrix of the propagator :func:`intermediate_map` of N levels or n qubits.
+
+    Within about 1e-6 of the crossover point its digits are bounded only
+    by the condition number 1/|G(q)| of Phi(q, 0), as for
+    :func:`intermediate_map`; sweeps mask that band, direct calls do not.
+    """
     return choi_of(intermediate_map(alpha, q, p, levels, qubits))
 
 

@@ -52,12 +52,10 @@ __all__ = [
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-11, limit=200)
 
 
-def _quad(integrand, lower: float, upper: float, split: float | None = None) -> float:
-    """Adaptive quadrature over [lower, upper]; with ``split``, the head then the tail, summed."""
+def _quad(integrand, lower: float, upper: float) -> float:
+    """Adaptive quadrature over [lower, upper]."""
     from scipy import integrate  # loaded on first use: only the quadrature measures need scipy
-    if split is None:
-        return integrate.quad(integrand, lower, upper, **_QUAD_OPTS)[0]
-    return _quad(integrand, lower, split) + _quad(integrand, split, upper)
+    return integrate.quad(integrand, lower, upper, **_QUAD_OPTS)[0]
 
 
 def hcla_measure(alpha: float, levels: int = 2) -> float:
@@ -170,16 +168,20 @@ def plus_minus_distance_derivative(alpha: float, p: float) -> float:
 def blp_measure(alpha: float) -> float:
     """Distinguishability-revival measure for the antipodal |+>/|-> pair.
 
-    Integrates max(0, dD/dp) over [0, 1] by adaptive quadrature, splitting
-    at the singular parameter value where the derivative changes sign. The
-    revival window is (p_-, 1], giving D(1) - D(p_-) = alpha/4. The
-    alpha = 0 channel contracts monotonically and yields exactly 0.
+    Integrates max(0, dD/dp) over [0, 1] by adaptive quadrature. D = |G|
+    only contracts up to the singular parameter value p_- (G > 0 and
+    G' < 0 there), so the integrand is zero on [0, p_-] and the quadrature
+    covers the revival window [p_-, 1] alone, giving D(1) - D(p_-) =
+    alpha/4. Where p_- rounds above 1 (alpha near 1e-16) the window is
+    clamped to [1, 1], so the value is +0.0, not the -0.0 of a backwards
+    interval. The alpha = 0 channel contracts monotonically and yields
+    exactly 0.
     """
     _check_alpha(alpha)
     if alpha == 0.0:
         return 0.0
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
-    return _quad(integrand, 0.0, 1.0, crossover_point(alpha, 2))
+    return _quad(integrand, min(crossover_point(alpha, 2), 1.0), 1.0)
 
 
 # I kron sigma_i, then sigma_i kron sigma_j row by row: the observables

@@ -24,7 +24,7 @@ from depolmark.cli import (
     write_csv,
     write_json,
 )
-from depolmark.kernel import crossover_point
+from depolmark.kernel import SingularMapError, crossover_point
 
 ALPHA_MINUS_07 = 0.7725529126366106
 
@@ -453,7 +453,7 @@ def test_non_integer_counts_are_rejected(axis, value):
     [
         ("q", "0.3"),
         ("p_min", b"0"),
-        ("p_max", None),
+        ("p_max", "1"),
         ("q", 0.3j),
         ("alpha", 0.5),
         ("alpha", ("0.5",)),
@@ -463,6 +463,40 @@ def test_non_integer_counts_are_rejected(axis, value):
 def test_non_numeric_values_are_usage_errors_naming_the_field(field, value):
     with pytest.raises(UsageError, match=f"^{field} takes"):
         SweepSpec("trace-distance", **{field: value})
+
+
+def test_none_takes_the_row_default():
+    assert SweepSpec("trace-distance", p_max=None).p_max == 1.0
+    spec = SweepSpec("g-function", p_min=None, p_max=None, levels=None)
+    assert (spec.p_min, spec.p_max, spec.levels) == (0.0, 0.98, (2,))
+    # A pinned quantity starts its grid at q; f-norm's first allowed level is 3, decay-rate allows any and takes 2.
+    assert SweepSpec("memory-x", q=0.45).p_min == 0.45
+    assert SweepSpec("f-norm").levels == (3,) and SweepSpec("decay-rate").levels == (2,)
+
+
+@pytest.mark.parametrize("fig_id", FIGURES)
+def test_preset_specs_survive_replace_and_a_rebuild_from_their_metadata(fig_id):
+    # The defaults a spec resolved are ordinary fields: replace and the metadata echo carry them.
+    for _, *specs in cli._FIGURES[fig_id]:
+        for spec in specs:
+            assert dataclasses.replace(spec, steps=3).steps == 3
+            fields = {k: v for k, v in spec.metadata().items() if k not in ("tool", "version")}
+            assert SweepSpec(**fields) == spec
+
+
+def test_each_writer_stamps_its_own_format():
+    table = run_sweep(SweepSpec("decay-rate", steps=3))
+    buf = io.StringIO()
+    write_json(table, buf)
+    assert json.loads(buf.getvalue())["spec"]["format"] == "json"
+    assert "# format=csv\n" in render_csv(table)
+    assert "format" not in table.metadata
+
+
+@pytest.mark.parametrize("quantity", ["choi-eigs", "choi-norm", "memory-x"])
+def test_a_singular_pinned_q_is_refused_when_the_spec_is_built(quantity):
+    with pytest.raises(SingularMapError, match="pinned q = 0.7725529126366106 sits at the singular parameter"):
+        SweepSpec(quantity, alpha=(0.0, 0.7), q=ALPHA_MINUS_07)
 
 
 def test_numpy_scalars_pass_as_python_floats():
@@ -583,8 +617,8 @@ def test_sweep_table_rows_are_its_columns_side_by_side():
 
 def test_spec_holds_only_the_sweep_and_its_metadata_reads_every_field():
     names = [f.name for f in dataclasses.fields(SweepSpec)]
-    assert names == ["quantity", "alpha", "q", "p_min", "p_max", "steps", "levels", "qubits", "fmt"]
-    spec = SweepSpec("choi-norm", alpha=(0.5, 0.9), q=0.25, p_min=0.5, steps=7, qubits=(1, 3), fmt="json")
+    assert names == ["quantity", "alpha", "q", "p_min", "p_max", "steps", "levels", "qubits"]
+    spec = SweepSpec("choi-norm", alpha=(0.5, 0.9), q=0.25, p_min=0.5, steps=7, qubits=(1, 3))
     assert spec.metadata() == {
         "tool": "depolmark",
         "version": depolmark.__version__,
@@ -596,7 +630,6 @@ def test_spec_holds_only_the_sweep_and_its_metadata_reads_every_field():
         "steps": 7,
         "levels": [2],
         "qubits": [1, 3],
-        "format": "json",
     }
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import importlib
 import inspect
+import io
 import itertools
 import re
 import types
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import depolmark
-from depolmark.cli import FIGURES, QUANTITIES, main
+from depolmark.cli import FIGURES, QUANTITIES, SweepSpec, main, run_sweep, write_csv
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -76,14 +77,22 @@ def test_expectations_cover_every_quantity():
 
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_default_grid_sweeps(quantity, capsys):
-    # f-norm has no default level in its domain (levels 3 or 4).
-    extra = ["--levels", "3"] if quantity == "f-norm" else []
-    assert main([quantity, "--steps", "3", *extra]) == 0
+    assert main([quantity, "--steps", "3"]) == 0
     header, *rows = data_rows(capsys.readouterr().out)
     abscissa, start, end = DEFAULT_GRID[quantity]
     assert header[0] == abscissa
     assert len(rows) == 3
     assert (float(rows[0][0]), float(rows[-1][0])) == (start, end)
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_the_library_spec_is_the_command_line_sweep(quantity, capsys):
+    # SweepSpec(q) takes every default from the row, as a bare command does.
+    SweepSpec(quantity)
+    buf = io.StringIO()
+    write_csv(run_sweep(SweepSpec(quantity, steps=3)), buf)
+    assert main([quantity, "--steps", "3"]) == 0
+    assert capsys.readouterr().out == buf.getvalue()
 
 
 @pytest.mark.parametrize("quantity", QUANTITIES)

@@ -70,9 +70,10 @@ CATALOGUE = (
     Mutant(
         "blp-split-dropped",
         "measures.py",
-        "_quad(integrand, 0.0, 1.0, crossover_point(alpha, 2))",
+        "_quad(integrand, min(crossover_point(alpha, 2), 1.0), 1.0)",
         "_quad(integrand, 0.0, 1.0)",
     ),
+    Mutant("blp-window-unclamped", "measures.py", "min(crossover_point(alpha, 2), 1.0)", "crossover_point(alpha, 2)"),
     Mutant(
         "hcla-branch-point",
         "measures.py",
@@ -107,6 +108,14 @@ CATALOGUE = (
         "return lam, math.nan, inside, True",
     ),
     Mutant("output-error-handler-removed", "cli.py", "except OSError as exc:", "except ArithmeticError as exc:"),
+    Mutant("default-level-ignores-domain", "cli.py", '"levels": (entry.levels or (2,))[:1]', '"levels": (2,)'),
+    Mutant(
+        "pinned-singular-check-dropped",
+        "cli.py",
+        "for alpha in spec.alpha:\n            for levels in spec.levels:",
+        "for alpha in ():\n            for levels in spec.levels:",
+    ),
+    Mutant("writer-format-swapped", "cli.py", '{**table.metadata, "format": "json"}', '{**table.metadata, "format": "csv"}'),
 )
 
 
