@@ -39,18 +39,20 @@ arithmetic), one ``kernel.trajectory`` call feeds the five ``trajectory``
 columns (its two flags written as 1.0/0.0), and ``hcla`` and ``blp`` call
 their measure once per alpha. The dense columns (``choi-norm``,
 ``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
-hand the list to the library, which runs it through the stacked Kraus ->
-superoperator -> Choi route in blocks of ``max(1, 2**14 // N**4)`` grid
-points (``matcore.blockwise``), so that a block's superoperators hold at
-most 2**14 complex entries (256 KiB) whatever ``--steps`` is: the three
-one-step builders (``trace-distance``, ``volume``, ``f-norm``) call
-``blockwise`` themselves, and the propagator columns walk their blocks in
-``dynmaps.propagator_column``, where with ``q`` pinned Phi(q, 0)^{-1} is
-built and SVD-checked once per series. ``choi-norm`` computes one
-single-system ``choi_trace_norm`` column per alpha and N, and
-``g-function`` one per alpha and finite-difference step; their n-th
-powers are the n-qubit norms. The stacked route is bit-equal to
-evaluating the points one by one.
+are one library call each on the list: ``dynmaps.choi_trace_norm``,
+``measures.memory_witness_X``, ``dynmaps.g_function``,
+``measures.plus_minus_distance``, ``geometry.volume_determinant`` and
+``geometry.f_norm``. The library runs the grid through the stacked Kraus
+-> superoperator -> Choi route and walks it in blocks sized by the
+system dimension, so the stacks a sweep holds stay bounded whatever
+``--steps`` is; with ``q`` pinned, Phi(q, 0)^{-1} is built and
+SVD-checked once per series (``dynmaps.propagator_column``). This file
+calls neither a Kraus builder nor the block walk, and the block size is
+set in the library alone. ``choi-norm`` computes one single-system
+``choi_trace_norm`` column per alpha and N, and ``g-function`` one per
+alpha and finite-difference step; their n-th powers are the n-qubit
+norms. The stacked route is bit-equal to evaluating the points one by
+one.
 
 Grid points inside the singularity guard band, or where a closed form is
 undefined, are emitted as ``NA`` samples, never dropped: a mask marks them
@@ -382,17 +384,9 @@ def _blp(spec: SweepSpec, alpha: None) -> list:
 
 
 def _trace_distance(spec: SweepSpec, alpha: float) -> list:
-    from .channels import apply_channel, qubit_kraus
-    from .matcore import blockwise
-    from .measures import plus_minus_states, trace_distance
+    from .measures import plus_minus_distance
 
-    plus, minus = plus_minus_states()
-
-    def dist(p):
-        kraus = qubit_kraus(alpha, p)
-        return trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
-
-    return [_series((f"D_{_alpha_tag(alpha)}",), lambda grid: [blockwise(dist, grid, dim=2)])]
+    return [_series((f"D_{_alpha_tag(alpha)}",), lambda grid: [plus_minus_distance(alpha, grid)])]
 
 
 def _memory_x(spec: SweepSpec, alpha: float) -> list:
@@ -403,9 +397,8 @@ def _memory_x(spec: SweepSpec, alpha: float) -> list:
 
 def _volume(spec: SweepSpec, alpha: float) -> list:
     from .geometry import volume_determinant
-    from .matcore import blockwise
 
-    return [_series((f"volume_{_alpha_tag(alpha)}",), lambda grid: [blockwise(lambda p: volume_determinant(alpha, p), grid, dim=2)])]
+    return [_series((f"volume_{_alpha_tag(alpha)}",), lambda grid: [volume_determinant(alpha, grid)])]
 
 
 def _trajectory(spec: SweepSpec, alpha: float) -> list:
@@ -418,11 +411,10 @@ def _trajectory(spec: SweepSpec, alpha: float) -> list:
 
 
 def _f_norm(spec: SweepSpec, alpha: float) -> list:
-    from .geometry import f_matrix
-    from .matcore import blockwise
+    from .geometry import f_norm
 
     n = spec.levels[0]
-    return [_series((f"F{n}_norm_{_alpha_tag(alpha)}",), lambda grid: [blockwise(lambda p: f_matrix(alpha, p, n).trace_norm, grid, dim=n)])]
+    return [_series((f"F{n}_norm_{_alpha_tag(alpha)}",), lambda grid: [f_norm(alpha, grid, n)])]
 
 
 def _g_function(spec: SweepSpec, alpha: float) -> list:

@@ -13,12 +13,15 @@ Two views of the same family:
   shrinks monotonically for memoryless dynamics and turns upward past the
   singular parameter otherwise.
 
-``affine_map_of``, ``volume_determinant`` and ``f_matrix`` take ``p`` as one
-value or as a grid; a grid gives stacked transfer matrices, point by point
-bit-equal to single calls. The closed forms of the same geometry (the
-tetrahedron ``trajectory`` of the transfer eigenvalues, its
-log-derivative A and the ``volume_measure`` 3 alpha/4) live in
-``kernel``.
+``affine_map_of``, ``volume_determinant``, ``f_matrix`` and ``f_norm`` take
+``p`` as one value or as a grid (a list or an array); a grid gives stacked
+transfer matrices or an array of values, point by point bit-equal to
+single calls. The two dense columns, ``volume_determinant`` and
+``f_norm``, walk a grid in blocks sized by the system dimension
+(``matcore.blockwise``), so the stacks they hold stay bounded. The closed
+forms of the same geometry (the tetrahedron ``trajectory`` of the transfer
+eigenvalues, its log-derivative A and the ``volume_measure`` 3 alpha/4)
+live in ``kernel``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import apply_channel, qubit_kraus, qudit_kraus
-from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, trace_norm
+from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, blockwise, trace_norm
 
 __all__ = [
     "AffineMap",
@@ -38,6 +41,7 @@ __all__ = [
     "volume_determinant",
     "gell_mann_matrices",
     "f_matrix",
+    "f_norm",
 ]
 
 @dataclass(frozen=True)
@@ -84,9 +88,10 @@ def volume_determinant(alpha: float, p):
     """Volume |det M| of the set of reachable Bloch vectors (= |lambda|^3).
 
     Shrinks monotonically for the memoryless channel and regrows past the
-    singular parameter value when alpha > 0. A grid of p gives an array.
+    singular parameter value when alpha > 0. A grid of p gives an array,
+    evaluated block by block.
     """
-    volume = np.abs(np.linalg.det(affine_map_of(alpha, p).matrix))
+    volume = blockwise(lambda p: np.abs(np.linalg.det(affine_map_of(alpha, p).matrix)), p, dim=2)
     return float(volume) if volume.ndim == 0 else volume
 
 
@@ -131,3 +136,8 @@ def f_matrix(alpha: float, p, levels: int) -> AffineMap:
         raise ValueError(f"the scaled transfer matrix is provided for levels in (3, 4), got {n}")
     basis = [np.eye(n, dtype=complex) / math.sqrt(n)] + gell_mann_matrices(n)
     return AffineMap(_transfer_table(qudit_kraus(alpha, p, n), basis) / (n * n), basis)
+
+
+def f_norm(alpha: float, p, levels: int):
+    """Trace norm ||F||_1 of :func:`f_matrix`: a float for one p, an array for a grid, evaluated block by block."""
+    return blockwise(lambda p: f_matrix(alpha, p, levels).trace_norm, p, dim=levels)

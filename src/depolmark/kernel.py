@@ -111,36 +111,35 @@ def _check_alpha(alpha) -> float:
     return float(alpha)
 
 
-def crossover_point(alpha: float, levels: int = 2) -> float | None:
-    """Singular parameter value of the N-level family (the smaller root).
+def crossover_point(alpha: float, levels: int = 2) -> float:
+    """Singular parameter value of the N-level family (the smaller root), in [0, 1].
 
     Solves ((N^2-1)/N^2) alpha p^2 - (1 + alpha) p + 1 = 0, i.e. k(p) = 1,
     using the cancellation-free form 2 / ((1 + alpha) + sqrt(disc)). At this
     point the one-step map loses invertibility, the propagator eigenvalues
     cross, and the decay rate diverges.
 
-    Returns ``None`` for alpha = 0: the root degenerates to the boundary
-    p = 1 (and the companion root escapes to infinity), so the family has
-    no interior singularity.
+    At alpha = 0 the form gives exactly 1.0: the root degenerates to the
+    boundary p = 1 (and the companion root escapes to infinity), so the
+    family has no interior singularity. Below about alpha = 1e-15 the form
+    can round up to 1 + 2**-52; the value is clamped to 1, so it never
+    leaves the parameter range.
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included).
     """
     _check_alpha(alpha)
-    if alpha == 0.0:
-        return None
     c = (levels * levels - 1) / (levels * levels)
     disc = (1 + alpha) ** 2 - 4 * c * alpha
-    return 2.0 / ((1 + alpha) + math.sqrt(disc))
+    return min(2.0 / ((1 + alpha) + math.sqrt(disc)), 1.0)
 
 
 def _guard(x, alpha: float, levels: int = 2):
     """Whether x (or each point of a grid) lies inside the guard band of the singular parameter.
 
-    At alpha = 0 that parameter is the boundary p = 1 (``crossover_point`` returns None).
+    At alpha = 0 that parameter is the boundary p = 1.
     """
-    point = crossover_point(alpha, levels)
-    return abs(x - (1.0 if point is None else point)) < SINGULARITY_GUARD
+    return abs(x - crossover_point(alpha, levels)) < SINGULARITY_GUARD
 
 
 def _all(flags) -> bool:

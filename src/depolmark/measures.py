@@ -22,8 +22,11 @@ with absolute tolerance 1e-9. They load scipy on first use; the rest of
 the package needs numpy only.
 ``memory_witness_X``, ``memory_witness_closed`` and ``trace_distance``
 also take whole grids (stacks of states), point by point bit-equal to
-single calls. The rate integrands call ``kernel.decay_rate_normalized``
-on plain Python floats, thousands of times per measure.
+single calls, and so does ``plus_minus_distance``, the dense |+>/|->
+trace-distance column; the two dense columns walk a grid in blocks
+(``matcore.blockwise``), so the stacks they hold stay bounded. The rate
+integrands call ``kernel.decay_rate_normalized`` on plain Python floats,
+thousands of times per measure.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ import math
 
 import numpy as np
 
+from .channels import apply_channel, qubit_kraus
 from .dynmaps import choi_of, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
 from .kernel import _check_alpha, _survival_derivative, crossover_point, decay_rate_normalized, lambda_ratio, survival
-from .matcore import PAULI_X, PAULI_Y, PAULI_Z, kron, trace_norm
+from .matcore import PAULI_X, PAULI_Y, PAULI_Z, blockwise, kron, trace_norm
 
 __all__ = [
     "hcla_measure",
@@ -43,6 +47,7 @@ __all__ = [
     "qutrit_hcla_log_form",
     "trace_distance",
     "plus_minus_states",
+    "plus_minus_distance",
     "plus_minus_distance_derivative",
     "blp_measure",
     "memory_witness_X",
@@ -124,12 +129,10 @@ def qutrit_hcla_log_form(alpha: float) -> float:
     9 p + 9 alpha p - 8 alpha p^2 instead of 9 p + 9 alpha - 7 alpha p
     - 8 alpha p^2), so it deviates from ``hcla_measure(alpha, levels=3)``.
     It is provided so datasets can report both values side by side; the
-    quadrature value is the authoritative one.
+    quadrature value is the authoritative one. At alpha = 0 the singular
+    parameter is the boundary p = 1, and the value is 0.
     """
-    _check_alpha(alpha)
-    if alpha == 0.0:
-        return 0.0
-    lower = crossover_point(alpha, 3)
+    lower = crossover_point(alpha, 3)  # raises ValueError for alpha outside [0, 1]
 
     def log_form(p: float) -> float:
         return math.log(p) + math.log(abs(9.0 + 9.0 * alpha - 8.0 * p * alpha))
@@ -157,6 +160,19 @@ def plus_minus_states() -> tuple:
     return plus, minus
 
 
+def plus_minus_distance(alpha: float, p):
+    """Trace distance D(p) of the |+>/|-> pair evolved by the qubit channel, through its Kraus set.
+
+    ``p`` may be a grid, as a list or an array: it is walked in blocks
+    (:func:`depolmark.matcore.blockwise`) and an array comes back, point
+    by point bit-equal to single calls. One p gives a float. Equals
+    |G(p)| (``dense.plus_minus_trace_distance`` is that closed form).
+    """
+    plus, minus = plus_minus_states()
+    distance = lambda kraus: trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
+    return blockwise(lambda p: distance(qubit_kraus(alpha, p)), p, dim=2)
+
+
 def plus_minus_distance_derivative(alpha: float, p: float) -> float:
     """dD/dp of the |+>/|-> trace distance D(p) = |G(p)| (zero at the kink)."""
     g = survival(alpha, p)
@@ -172,16 +188,15 @@ def blp_measure(alpha: float) -> float:
     only contracts up to the singular parameter value p_- (G > 0 and
     G' < 0 there), so the integrand is zero on [0, p_-] and the quadrature
     covers the revival window [p_-, 1] alone, giving D(1) - D(p_-) =
-    alpha/4. Where p_- rounds above 1 (alpha near 1e-16) the window is
-    clamped to [1, 1], so the value is +0.0, not the -0.0 of a backwards
-    interval. The alpha = 0 channel contracts monotonically and yields
-    exactly 0.
+    alpha/4. ``crossover_point`` never exceeds 1, so the window is never
+    backwards (at alpha near 1e-16 it is [1, 1] and the value +0.0). The
+    alpha = 0 channel contracts monotonically and yields exactly 0.
     """
     _check_alpha(alpha)
     if alpha == 0.0:
         return 0.0
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
-    return _quad(integrand, min(crossover_point(alpha, 2), 1.0), 1.0)
+    return _quad(integrand, crossover_point(alpha, 2), 1.0)
 
 
 # I kron sigma_i, then sigma_i kron sigma_j row by row: the observables

@@ -9,14 +9,15 @@ count tests pin the shared single-system column: the qubit counts of a
 ``choi-norm`` or ``g-function`` sweep are powers of one column per N (per
 alpha and finite-difference step for ``g-function``). Every dense
 quantity walks its grid in such blocks, so the stacks a sweep holds stay
-bounded whatever its number of steps; and the propagator functions take a
-list grid as they take an array.
+bounded whatever its number of steps, and each of the six dense column
+functions walks them when called directly; and the propagator functions
+take a list grid as they take an array.
 """
 
 import numpy as np
 import pytest
 
-from depolmark import channels, cli, dynmaps, matcore
+from depolmark import channels, cli, dynmaps, geometry, matcore, measures
 from depolmark.channels import qudit_kraus
 from depolmark.measures import memory_witness_X
 from depolmark.cli import SweepSpec, run_sweep
@@ -165,6 +166,35 @@ def test_every_dense_column_walks_its_grid_in_budgeted_blocks(spec, monkeypatch)
     monkeypatch.setattr(matcore, "_BUDGET", budget)
     monkeypatch.setattr(channels, "_kraus_set", spy)
     run_sweep(spec)
+    assert len(sizes) > 1
+    assert all(points <= max(1, budget // levels**4) for levels, points in sizes), sizes
+
+
+# The six dense column functions, each called on a list grid.
+DENSE_COLUMNS = [
+    pytest.param(lambda grid: measures.plus_minus_distance(0.7, grid), id="plus_minus_distance"),
+    pytest.param(lambda grid: measures.memory_witness_X(0.7, 0.3, grid), id="memory_witness_X"),
+    pytest.param(lambda grid: geometry.volume_determinant(0.7, grid), id="volume_determinant"),
+    pytest.param(lambda grid: geometry.f_norm(0.7, grid, 3), id="f_norm-N3"),
+    pytest.param(lambda grid: geometry.f_norm(0.7, grid, 4), id="f_norm-N4"),
+    pytest.param(lambda grid: dynmaps.choi_trace_norm(0.7, 0.3, grid, 3), id="choi_trace_norm-N3"),
+    pytest.param(lambda grid: dynmaps.choi_trace_norm(0.7, 0.3, grid, qubits=(1, 2)), id="choi_trace_norm-qubits"),
+    pytest.param(lambda grid: dynmaps.g_function(0.7, grid, (1, 2)), id="g_function"),
+]
+
+
+@pytest.mark.parametrize("column", DENSE_COLUMNS)
+def test_dense_column_functions_walk_budgeted_blocks_when_called_directly(column, monkeypatch):
+    budget, sizes = 64, []
+    kraus_set = channels._kraus_set
+
+    def spy(alpha, p, levels, *rest):
+        sizes.append((levels, np.size(p)))
+        return kraus_set(alpha, p, levels, *rest)
+
+    monkeypatch.setattr(matcore, "_BUDGET", budget)
+    monkeypatch.setattr(channels, "_kraus_set", spy)
+    column(np.linspace(0.3, 0.6, 9).tolist())  # more points than a block holds at N = 2
     assert len(sizes) > 1
     assert all(points <= max(1, budget // levels**4) for levels, points in sizes), sizes
 

@@ -13,7 +13,7 @@ dense quantity loads numpy and the library modules its columns call, but
 never the oracle module ``depolmark.dense``: all 13 presets run without it.
 
 The package resolves its submodules and re-exported names on first access;
-its ``__all__`` holds 68 names, each exported by one module.
+its ``__all__`` holds 70 names, each exported by one module.
 """
 
 import ast
@@ -32,12 +32,13 @@ PUBLIC = [
     "affine_map_of", "apply_channel", "bell_expectations", "bell_states", "bloch_basis",
     "bloch_contraction_derivative", "blockwise", "blp_measure", "blp_random_pair_search", "choi_closed_form",
     "choi_of", "choi_trace_norm", "crossover_point", "decay_rate", "decay_rate_normalized",
-    "devectorize", "f_matrix", "g_function", "gell_mann_matrices", "hcla_closed_form", "hcla_measure",
+    "devectorize", "f_matrix", "f_norm", "g_function", "gell_mann_matrices", "hcla_closed_form", "hcla_measure",
     "hermitian_eigenvalues", "intermediate_choi", "intermediate_map", "inverse", "is_density_matrix",
     "is_hermitian", "kappa", "kron", "lambda_ratio", "maximally_entangled_projector", "memory_witness_X",
-    "memory_witness_closed", "multiqubit_kraus", "ncp_witness", "pauli_transfer", "plus_minus_distance_derivative",
-    "plus_minus_states", "plus_minus_trace_distance", "propagator_column", "qubit_kraus", "qudit_choi_eigenvalues",
-    "qudit_kraus", "qutrit_hcla_log_form", "superoperator_of", "survival", "swap_matrix", "swap_permutation",
+    "memory_witness_closed", "multiqubit_kraus", "ncp_witness", "pauli_transfer", "plus_minus_distance",
+    "plus_minus_distance_derivative", "plus_minus_states", "plus_minus_trace_distance", "propagator_column",
+    "qubit_kraus", "qudit_choi_eigenvalues", "qudit_kraus", "qutrit_hcla_log_form", "superoperator_of", "survival",
+    "swap_matrix", "swap_permutation",
     "trace_distance", "trace_norm", "trajectory", "vectorize", "volume_determinant", "volume_measure",
     "weyl_operator",
 ]
@@ -95,6 +96,19 @@ def test_cli_source_imports_no_numpy():
     assert modules and not [name for name in modules if name.split(".")[0] == "numpy"]
 
 
+def test_cli_leaves_kraus_sets_and_blocks_to_the_library():
+    # Each dense column is one library call: the Kraus builders and the block
+    # walk (and so the block size) are the library's alone.
+    tree = ast.parse((SRC / "depolmark" / "cli.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {(node.module or "").split(".")[-1] for node in imports if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name.split(".")[-1] for node in imports for alias in node.names}
+    assert not modules & {"channels", "matcore"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "blockwise" not in names | {alias.name for node in imports for alias in node.names}
+
+
 def test_no_preset_loads_the_oracle_module():
     child = """
 import sys, tempfile
@@ -111,7 +125,7 @@ print(len(FIGURES), "depolmark.dense" in sys.modules)
 
 
 def test_lazy_package_keeps_its_public_names():
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 70
     assert sorted(depolmark.__all__) == PUBLIC
     names = dir(depolmark)
     for name in PUBLIC:

@@ -170,7 +170,16 @@ def test_crossover_values():
     assert abs(crossover_point(0.7) - 0.772553) < 1e-6
     assert abs(crossover_point(1.0) - 2 / 3) < 1e-15
     assert abs(crossover_point(0.7, 3) - 6 / 7) < 1e-12
-    assert crossover_point(0.0) is None
+    assert crossover_point(0.0) == 1.0
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4])
+def test_crossover_point_never_leaves_the_parameter_range(levels):
+    # alpha = 0 gives the boundary point p = 1; below alpha of about 1e-15
+    # the root form rounds to 1 + 2**-52 unless it is clamped.
+    assert crossover_point(0.0, levels) == 1.0
+    alphas = np.logspace(-20, -10, 20001).tolist()
+    assert max(crossover_point(alpha, levels) for alpha in alphas) <= 1.0
 
 
 def test_crossover_monotone_in_dimension():

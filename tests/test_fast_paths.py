@@ -2,8 +2,10 @@
 
 The second half checks the whole-grid sweep columns against the per-point
 calls they replaced, the command line's Python-float grid against
-``np.linspace``, and each ``kernel`` closed form evaluated point by point
-on Python floats against the same form on the whole array.
+``np.linspace``, and each ``kernel`` closed form and each one-step dense
+column (``plus_minus_distance``, ``volume_determinant``, ``f_norm``)
+evaluated point by point on Python floats against the same function on
+the whole array.
 
 Each oracle below is the construction the library used before it built
 its products by broadcasting: ``np.kron`` in a loop over Kraus operators,
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from depolmark import cli, dynmaps, geometry, kernel, measures
+from depolmark import cli, dynmaps, geometry, kernel, matcore, measures
 from depolmark.channels import KrausSet, apply_channel, qubit_kraus, qudit_kraus
 from depolmark.dense import devectorize, multiqubit_kraus, swap_permutation, vectorize
 from depolmark.dynmaps import choi_of, maximally_entangled_projector, superoperator_of
@@ -438,6 +440,21 @@ def test_kernel_closed_forms_give_the_same_bits_per_point_and_on_an_array(alpha,
     assert_pointwise_equals_array(lambda p: qudit_choi_eigenvalues(alpha, q, p, levels), pinned)
     assert_pointwise_equals_array(lambda p: decay_rate(alpha, p, levels), swept)
     assert_pointwise_equals_array(lambda p: decay_rate_normalized(alpha, p, levels), swept)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+def test_one_step_dense_columns_give_the_same_bits_per_point_and_on_a_grid(alpha, monkeypatch):
+    # A small budget makes the grid span several blocks at every N.
+    monkeypatch.setattr(matcore, "_BUDGET", 64)
+    for levels, fn in (
+        (2, lambda p: measures.plus_minus_distance(alpha, p)),
+        (2, lambda p: geometry.volume_determinant(alpha, p)),
+        (3, lambda p: geometry.f_norm(alpha, p, 3)),
+        (4, lambda p: geometry.f_norm(alpha, p, 4)),
+    ):
+        points = straddling_grid(crossover_point(alpha, levels), 0.2, 12, 0.0, 1.0).tolist()
+        assert_pointwise_equals_array(fn, points)
+        assert fn(points).tobytes() == fn(np.array(points)).tobytes()
 
 
 def array_trajectory(alpha, p_grid) -> tuple:

@@ -83,8 +83,9 @@ def test_volume_measure_matches_two_piece_quad(alpha):
     assert volume_measure(alpha) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-# At 1.0637648543163141e-16 the crossover point rounds to just above 1: the
-# revival window is empty, and integrated backwards it would give -0.0.
+# At 1.0637648543163141e-16 the root form rounds to just above 1, and
+# crossover_point clamps it: the revival window is empty, and integrated
+# backwards it would give -0.0.
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("alpha", ALPHAS + (1.0637648543163141e-16,))
 def test_blp_measure_matches_two_piece_quad_bit_for_bit(alpha):

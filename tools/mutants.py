@@ -16,7 +16,7 @@ when a mutant's text no longer matches its file (the code moved: update
 the catalogue), 0 otherwise.
 
 Usage: ``python3 tools/mutants.py`` from the checkout root. Each mutant
-costs one tier-1 run (about 15 s on a 2-vCPU host when it survives, less
+costs one tier-1 run (23-27 s on a 2-vCPU host when it survives, less
 when it is killed).
 """
 
@@ -52,9 +52,24 @@ CATALOGUE = (
     Mutant("qubit-power-np", "dynmaps.py", "np.reshape([b**n for b in flat], np.shape(base))", "np.power(base, n)"),
     Mutant("qubit-power-one", "dynmaps.py", "[b**n for b in flat]", "[b**1 for b in flat]"),
     Mutant("block-ignores-dim", "matcore.py", "block = max(1, _BUDGET // dim**4)", "block = max(1, _BUDGET // 16)"),
-    Mutant("trace-distance-unblocked", "cli.py", "[blockwise(dist, grid, dim=2)]", "[dist(grid)]"),
-    Mutant("volume-unblocked", "cli.py", "[blockwise(lambda p: volume_determinant(alpha, p), grid, dim=2)]", "[volume_determinant(alpha, grid)]"),
-    Mutant("f-norm-unblocked", "cli.py", "[blockwise(lambda p: f_matrix(alpha, p, n).trace_norm, grid, dim=n)]", "[f_matrix(alpha, grid, n).trace_norm]"),
+    Mutant(
+        "trace-distance-unblocked",
+        "measures.py",
+        "blockwise(lambda p: distance(qubit_kraus(alpha, p)), p, dim=2)",
+        "distance(qubit_kraus(alpha, p))",
+    ),
+    Mutant(
+        "volume-unblocked",
+        "geometry.py",
+        "blockwise(lambda p: np.abs(np.linalg.det(affine_map_of(alpha, p).matrix)), p, dim=2)",
+        "np.abs(np.linalg.det(affine_map_of(alpha, p).matrix))",
+    ),
+    Mutant(
+        "f-norm-unblocked",
+        "geometry.py",
+        "blockwise(lambda p: f_matrix(alpha, p, levels).trace_norm, p, dim=levels)",
+        "f_matrix(alpha, p, levels).trace_norm",
+    ),
     Mutant(
         "pinned-propagator-unblocked",
         "dynmaps.py",
@@ -70,10 +85,15 @@ CATALOGUE = (
     Mutant(
         "blp-split-dropped",
         "measures.py",
-        "_quad(integrand, min(crossover_point(alpha, 2), 1.0), 1.0)",
+        "_quad(integrand, crossover_point(alpha, 2), 1.0)",
         "_quad(integrand, 0.0, 1.0)",
     ),
-    Mutant("blp-window-unclamped", "measures.py", "min(crossover_point(alpha, 2), 1.0)", "crossover_point(alpha, 2)"),
+    Mutant(
+        "crossover-unclamped",
+        "kernel.py",
+        "return min(2.0 / ((1 + alpha) + math.sqrt(disc)), 1.0)",
+        "return 2.0 / ((1 + alpha) + math.sqrt(disc))",
+    ),
     Mutant(
         "hcla-branch-point",
         "measures.py",
