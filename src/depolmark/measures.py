@@ -18,8 +18,10 @@ finite across the singularity. This module holds
 
 Each measure (``hcla_measure``, ``hcla_closed_form``, ``blp_measure``)
 returns a plain float, one number per alpha. All quadratures are adaptive
-with absolute tolerance 1e-9. They load scipy on first use; the rest of
-the package needs numpy only.
+with absolute tolerance 1e-9 and bit-equal to ``scipy.integrate.quad``.
+quad's first Gauss-Kronrod pass runs in plain Python (``_quad``), so no
+preset loads scipy; only a refused first pass (below alpha of about 1e-6)
+imports it, for quad to bisect. The rest of the package needs numpy only.
 ``memory_witness_X``, ``memory_witness_closed`` and ``trace_distance``
 also take whole grids (stacks of states), point by point bit-equal to
 single calls, and so does ``plus_minus_distance``, the dense |+>/|->
@@ -32,6 +34,7 @@ thousands of times per measure.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -56,10 +59,69 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-11, limit=200)
 
+# QUADPACK's dqk21 rule: Kronrod abscissae (odd indices are the 10-point
+# Gauss nodes, the last is the centre), Kronrod weights, Gauss weights.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452, 0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493, 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784, 0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390, 0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190, 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707, 0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068, 0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697, 0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469, 0.295524224714752870173892994651338,
+)
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
+
 
 def _quad(integrand, lower: float, upper: float) -> float:
-    """Adaptive quadrature over [lower, upper]."""
-    from scipy import integrate  # loaded on first use: only the quadrature measures need scipy
+    """Adaptive quadrature over [lower, upper], bit-equal to ``scipy.integrate.quad`` with ``_QUAD_OPTS``.
+
+    quad's dqagse starts with one 21-point Gauss-Kronrod pass (dqk21) over
+    the whole window and returns it when its error test passes. That pass
+    runs here in plain Python, in QUADPACK's summation order, so an
+    accepted pass gives quad's bits without loading scipy: every preset
+    takes this route. Only a refused pass (the measures refuse it below
+    alpha of about 1e-6) or reversed bounds import scipy and call quad,
+    which then bisects. An empty window gives 0.0, as quad's shortcut does.
+    """
+    if lower < upper:
+        centre, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
+        fc = integrand(centre)
+        resg, resk = 0.0, _WGK[10] * fc
+        resabs = abs(resk)
+        values = [None] * 10
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first, then the Kronrod-only ones
+            x = half * _XGK[j]
+            values[j] = f1, f2 = integrand(centre - x), integrand(centre + x)
+            if j % 2:
+                resg += _WG[j // 2] * (f1 + f2)
+            resk += _WGK[j] * (f1 + f2)
+            resabs += _WGK[j] * (abs(f1) + abs(f2))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * abs(fc - reskh)
+        for j in range(10):
+            resasc += _WGK[j] * (abs(values[j][0] - reskh) + abs(values[j][1] - reskh))
+        result, resabs, resasc = resk * half, resabs * half, resasc * half
+        abserr = abs((resk - resg) * half)
+        if resasc != 0.0 and abserr != 0.0:
+            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+        if resabs > _TINY / (50.0 * _EPS):
+            abserr = max(50.0 * _EPS * resabs, abserr)
+        # dqagse's test. Its round-off flag needs abserr > errbnd, so a flagged
+        # pass is never accepted here: quad returns it with its IntegrationWarning.
+        errbnd = max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(result))
+        if abserr <= errbnd and abserr != resasc or abserr == 0.0:
+            return result
+    elif lower == upper:
+        return 0.0
+    from scipy import integrate  # loaded only for a refused pass: quad goes on to bisect
     return integrate.quad(integrand, lower, upper, **_QUAD_OPTS)[0]
 
 

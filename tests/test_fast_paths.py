@@ -350,7 +350,9 @@ def assert_columns_match_per_point(spec, grid):
     q_shift=st.one_of(st.floats(-0.6, -2 * SINGULARITY_GUARD), st.floats(2 * SINGULARITY_GUARD, 1e-3)),
 )
 def test_sweep_columns_equal_per_point_calls(alpha, levels, qubits, width, points, q_shift):
-    centre = crossover_point(alpha, levels) or 0.8
+    # At alpha = 0 the singular parameter is the boundary p = 1, where a
+    # straddling grid is clipped to one side: centre those grids at p = 0.8.
+    centre = crossover_point(alpha, levels) if alpha > 0.0 else 0.8
     # q pinned off the guard band, sometimes within 1e-3 of the singular q.
     q = min(max(centre + q_shift, 0.0), 0.99)
     assume(not near(q, alpha, levels))
@@ -369,7 +371,7 @@ def test_sweep_columns_equal_per_point_calls(alpha, levels, qubits, width, point
         (spec("f-norm", levels=(max(levels, 3),)), swept),
     ]
     if qubits < 3:
-        g_centre = crossover_point(alpha) or 0.8
+        g_centre = crossover_point(alpha) if alpha > 0.0 else 0.8
         q_grid = straddling_grid(g_centre, width, points, 0.0, 1.0 - dynmaps.G_FUNCTION_STEP)
         cases.append((spec("g-function", qubits=(qubits,), p_max=0.99), q_grid))
     for sweep, grid in cases:
@@ -431,7 +433,7 @@ def assert_pointwise_equals_array(fn, points: list) -> None:
 def test_kernel_closed_forms_give_the_same_bits_per_point_and_on_an_array(alpha, levels, q_offset, q_unit, near, far):
     # Half of the points, and half of the pinned q, lie within 1e-3 of the
     # singular parameter (p = 1 at alpha = 0).
-    centre = crossover_point(alpha, levels) or 1.0
+    centre = crossover_point(alpha, levels)
     clip = lambda x: min(max(x, 0.0), 1.0)
     swept = [clip(centre + o) for o in near] + far
     q = q_unit if q_offset is None else clip(centre + q_offset)
@@ -478,7 +480,7 @@ def array_trajectory(alpha, p_grid) -> tuple:
 @example(alpha=1.0, near=[0.0], far=[2 / 3])  # lam vanishes: a is NaN, CP divisibility False
 def test_kernel_trajectory_matches_the_array_formula(alpha, near, far):
     # Half of the points lie within 1e-3 of the singular parameter (p = 1 at alpha = 0).
-    centre = crossover_point(alpha) or 1.0
+    centre = crossover_point(alpha)
     grid = [min(max(centre + o, 0.0), 1.0) for o in near] + far
     lam, a, inside, divisible = array_trajectory(alpha, grid)
     for i, p in enumerate(grid):

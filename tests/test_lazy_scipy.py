@@ -1,23 +1,31 @@
-"""scipy stays off the import path until a quadrature runs.
+"""scipy stays off the import path unless a quadrature's first pass is refused.
 
-Only ``hcla_measure`` and ``blp_measure`` integrate numerically, and they
-import scipy on first use. A fresh interpreter that imports the package and
-runs every other quantity and preset must end with no scipy module loaded;
-a ``blp`` sweep then loads it.
+``hcla_measure`` and ``blp_measure`` integrate numerically. ``measures._quad``
+runs quad's first 21-point Gauss-Kronrod pass in plain Python and returns it
+when quad's own error test accepts it, which every preset's quadrature does.
+Only a refused pass (blp below alpha of about 1e-6) imports scipy, for quad to
+bisect. A fresh interpreter that imports the package and runs every preset,
+``fig4`` and ``fig10`` included, and every quantity but ``hcla`` and ``blp``
+must end with no scipy module loaded; a ``blp`` sweep at an alpha whose first
+pass is refused then loads it.
 
 The quadrature values are checked bit for bit against two-piece (BLP) or
 one-piece (HCLA) ``scipy.integrate.quad`` calls written out here with their
-options, so the deferred import changes no output bit. ``volume_measure`` is
-its closed form ``3 alpha/4``; the two-piece quadrature of its integrand
-stays here as its oracle.
+options, so neither the deferred import nor the first pass changes an output
+bit. ``volume_measure`` is its closed form ``3 alpha/4``; the two-piece
+quadrature of its integrand stays here as its oracle.
 """
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from depolmark.kernel import bloch_contraction_derivative, crossover_point, decay_rate_normalized, survival, volume_measure
@@ -39,7 +47,7 @@ import depolmark, depolmark.cli
 from depolmark.cli import FIGURES, QUANTITIES, main
 
 out = sys.argv[1]
-runs = [[fig, "--out", out] for fig in FIGURES if fig not in ("fig4", "fig10")]
+runs = [[fig, "--out", out] for fig in FIGURES]
 runs += [
     [quantity, "--steps", "3", "--out", os.path.join(out, quantity + ".csv")]
     + (["--levels", "3"] if quantity == "f-norm" else [])
@@ -49,7 +57,7 @@ runs += [
 for argv in runs:
     assert main(argv) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-assert main(["blp", "--steps", "3", "--out", os.path.join(out, "blp.csv")]) == 0
+assert main(["blp", "--alpha", "0,1.0792209959885488e-15", "--out", os.path.join(out, "blp.csv")]) == 0
 print("scipy" in sys.modules)
 """
 
@@ -99,3 +107,67 @@ def test_hcla_measure_matches_quad_bit_for_bit(alpha, levels):
     integrand = lambda p: decay_rate_normalized(alpha, p, levels)
     want, _ = integrate.quad(integrand, crossover_point(alpha, levels), 1.0, **QUAD_OPTS)
     assert hcla_measure(alpha, levels).hex() == float(want).hex()
+
+
+def hcla_by_quad(alpha: float, levels: int) -> float:
+    """The HCLA quadrature as ``hcla_measure`` sets it up, run by ``scipy.integrate.quad``."""
+    if alpha < 1e-6:
+        c = (levels * levels - 1) / (levels * levels)
+        r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
+        width = 4.0 * alpha * (1.0 - c) / ((r + 1.0 - alpha) * ((1.0 + alpha) + r))
+        return integrate.quad(lambda s: decay_rate_normalized(alpha, 1.0 - s, levels), 0.0, width, **QUAD_OPTS)[0]
+    integrand = lambda p: decay_rate_normalized(alpha, p, levels)
+    return integrate.quad(integrand, crossover_point(alpha, levels), 1.0, **QUAD_OPTS)[0]
+
+
+# Half of the alphas lie at or above 1e-6, where every first pass is accepted
+# (blp's refusals stop below about 9.3e-7, HCLA's below 1e-11). At the pinned
+# alpha quad's first blp pass is refused (it reports last == 2).
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.one_of(st.floats(-17.0, -6.0, exclude_max=True), st.floats(-6.0, 0.0)).map(lambda e: 10.0**e),
+    levels=st.sampled_from([2, 3, 4, 7]),
+)
+@example(alpha=1.0792209959885488e-15, levels=2)
+def test_measures_equal_quad_and_call_it_only_for_a_refused_first_pass(alpha, levels):
+    blp_want = integrate.quad(
+        lambda p: max(0.0, plus_minus_distance_derivative(alpha, p)), crossover_point(alpha, 2), 1.0, **QUAD_OPTS
+    )[0]
+    hcla_want = hcla_by_quad(alpha, levels)
+    with mock.patch.object(integrate, "quad", wraps=integrate.quad) as spy:
+        assert blp_measure(alpha).hex() == float(blp_want).hex()
+        assert hcla_measure(alpha, levels).hex() == float(hcla_want).hex()
+    if alpha >= 1e-6:
+        assert spy.call_count == 0
+    if alpha == 1.0792209959885488e-15:
+        assert spy.call_count >= 1
+
+
+EDGES = """
+import sys, warnings
+from depolmark.measures import _quad
+
+calls = []
+def negative(x):
+    calls.append(x)
+    return -1.0
+print(_quad(negative, 0.5, 0.5).hex(), calls, "scipy" in sys.modules)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    value = _quad(lambda x: 1e7 * (x - 0.5), 0.0, 1.0)
+print(value.hex(), [type(w.message).__name__ for w in caught], "scipy" in sys.modules)
+"""
+
+
+def test_empty_window_loads_no_scipy_and_a_round_off_pass_keeps_quads_warning(tmp_path):
+    # quad returns 0.0 for an empty window without calling the integrand. The
+    # ramp's first pass trips quad's round-off flag: quad returns that pass
+    # with an IntegrationWarning, which only quad itself raises.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", EDGES], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.warns(integrate.IntegrationWarning):
+        ramp = integrate.quad(lambda x: 1e7 * (x - 0.5), 0.0, 1.0, **QUAD_OPTS)[0]
+    empty = integrate.quad(lambda x: -1.0, 0.5, 0.5, **QUAD_OPTS)[0]
+    assert proc.stdout.splitlines() == [f"{empty.hex()} [] False", f"{ramp.hex()} ['IntegrationWarning'] True"]

@@ -89,6 +89,20 @@ CATALOGUE = (
         "_quad(integrand, 0.0, 1.0)",
     ),
     Mutant(
+        "first-pass-always-accepted",
+        "measures.py",
+        "if abserr <= errbnd and abserr != resasc or abserr == 0.0:",
+        "if True:",
+    ),
+    Mutant(
+        "round-off-pass-accepted",
+        "measures.py",
+        "if abserr <= errbnd and abserr != resasc",
+        "if abserr <= max(errbnd, 100.0 * _EPS * resabs) and abserr != resasc",
+    ),
+    Mutant("empty-window-runs-first-pass", "measures.py", "    if lower < upper:", "    if lower <= upper:"),
+    Mutant("gauss-sum-kronrod-weights", "measures.py", "resg += _WG[j // 2] * (f1 + f2)", "resg += _WGK[j] * (f1 + f2)"),
+    Mutant(
         "crossover-unclamped",
         "kernel.py",
         "return min(2.0 / ((1 + alpha) + math.sqrt(disc)), 1.0)",
