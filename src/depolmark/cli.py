@@ -164,8 +164,7 @@ class _Quantity:
             allowed, values = getattr(self, axis), getattr(spec, axis)
             if allowed is None:
                 continue
-            # One allowed value is the whole list: it is not swept, not even repeated.
-            if not (values == allowed if len(allowed) == 1 else all(n in allowed for n in values)):
+            if not all(n in allowed for n in values):
                 single = (self.levels, self.qubits) == ((2,), (1,))
                 domain = "the single-qubit family (levels=2, qubits=1)" if single else f"{axis} in {allowed}"
                 raise UsageError(f"{spec.quantity} is defined for {domain}, got {axis} = {values}")
@@ -302,13 +301,12 @@ def _number(value: float) -> str:
     return short if float(short) == value else repr(value)
 
 
-def _alpha_tag(alpha: float) -> str:
-    return f"alpha{_number(alpha)}"
-
-
 def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1) -> str:
-    """Series suffix naming N and n wherever the spec sweeps them or leaves the single qubit."""
-    tag = _alpha_tag(alpha)
+    """Series suffix naming alpha, then N and n wherever the spec sweeps them or leaves the single qubit.
+
+    Left at their defaults, ``levels`` and ``qubits`` name nothing unless the spec sweeps them.
+    """
+    tag = f"alpha{_number(alpha)}"
     if len(spec.levels) > 1 or levels != 2:
         tag += f"_N{levels}"
     if len(spec.qubits) > 1 or qubits != 1:
@@ -356,7 +354,7 @@ def _choi_norm(spec: SweepSpec, alpha: float) -> list:
 
 
 def _decay_rate(spec: SweepSpec, alpha: float) -> list:
-    n, tag = spec.levels[0], _alpha_tag(alpha)
+    n, tag = spec.levels[0], _system_tag(spec, alpha)
     # NA in the guard band of each pole (p_- for the rate, p = 1 and p = 0 at
     # alpha = 0) and wherever the library would raise: G = 0 for the rate,
     # G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
@@ -386,19 +384,19 @@ def _blp(spec: SweepSpec, alpha: None) -> list:
 def _trace_distance(spec: SweepSpec, alpha: float) -> list:
     from .measures import plus_minus_distance
 
-    return [_series((f"D_{_alpha_tag(alpha)}",), lambda grid: [plus_minus_distance(alpha, grid)])]
+    return [_series((f"D_{_system_tag(spec, alpha)}",), lambda grid: [plus_minus_distance(alpha, grid)])]
 
 
 def _memory_x(spec: SweepSpec, alpha: float) -> list:
     from .measures import memory_witness_X
 
-    return [_series((f"X_{_alpha_tag(alpha)}",), lambda grid: [memory_witness_X(alpha, spec.q, grid)])]
+    return [_series((f"X_{_system_tag(spec, alpha)}",), lambda grid: [memory_witness_X(alpha, spec.q, grid)])]
 
 
 def _volume(spec: SweepSpec, alpha: float) -> list:
     from .geometry import volume_determinant
 
-    return [_series((f"volume_{_alpha_tag(alpha)}",), lambda grid: [volume_determinant(alpha, grid)])]
+    return [_series((f"volume_{_system_tag(spec, alpha)}",), lambda grid: [volume_determinant(alpha, grid)])]
 
 
 def _trajectory(spec: SweepSpec, alpha: float) -> list:
@@ -407,14 +405,14 @@ def _trajectory(spec: SweepSpec, alpha: float) -> list:
         return lam, abs(lam), a, float(inside), float(divisible)
 
     names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
-    return [_points(tuple(f"{name}_{_alpha_tag(alpha)}" for name in names), point)]
+    return [_points(tuple(f"{name}_{_system_tag(spec, alpha)}" for name in names), point)]
 
 
 def _f_norm(spec: SweepSpec, alpha: float) -> list:
     from .geometry import f_norm
 
     n = spec.levels[0]
-    return [_series((f"F{n}_norm_{_alpha_tag(alpha)}",), lambda grid: [f_norm(alpha, grid, n)])]
+    return [_series((f"F{n}_norm_{_system_tag(spec, alpha)}",), lambda grid: [f_norm(alpha, grid, n)])]
 
 
 def _g_function(spec: SweepSpec, alpha: float) -> list:

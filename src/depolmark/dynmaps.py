@@ -238,10 +238,7 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
 
 def maximally_entangled_projector(dim: int) -> np.ndarray:
     """Projector onto sum_i |ii>/sqrt(dim) of a dim x dim bipartite system."""
-    psi = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        psi[i * dim + i] = 1.0
-    psi /= math.sqrt(dim)
+    psi = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
     return np.outer(psi, psi.conj())
 
 

@@ -131,8 +131,8 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     ``p_-`` is the singular parameter value of the family
     (:func:`depolmark.kernel.crossover_point`); beyond it the canonical
     rate is negative and the normalized rate is positive. Evaluated by
-    adaptive quadrature; alpha = 0 has no negative-rate window and yields
-    exactly 0.
+    adaptive quadrature. At alpha = 0 the window is empty (p_- = 1, and
+    the width w below is 0), so the quadrature gives +0.0.
 
     Below alpha = 1e-6 the window is only a few ulps of 1 wide (about
     alpha/4 for the qubit), so bounds on p would round. There the integral
@@ -142,8 +142,6 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     cancellation.
     """
     _check_alpha(alpha)
-    if alpha == 0.0:
-        return 0.0
     if alpha < 1e-6:
         c = (levels * levels - 1) / (levels * levels)
         r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
@@ -251,12 +249,11 @@ def blp_measure(alpha: float) -> float:
     G' < 0 there), so the integrand is zero on [0, p_-] and the quadrature
     covers the revival window [p_-, 1] alone, giving D(1) - D(p_-) =
     alpha/4. ``crossover_point`` never exceeds 1, so the window is never
-    backwards (at alpha near 1e-16 it is [1, 1] and the value +0.0). The
-    alpha = 0 channel contracts monotonically and yields exactly 0.
+    backwards. At alpha = 0 (and near 1e-16) it is the empty window
+    [1, 1] and the value is +0.0: the alpha = 0 channel contracts
+    monotonically. ``crossover_point`` also raises the ValueError for an
+    alpha outside [0, 1] or NaN.
     """
-    _check_alpha(alpha)
-    if alpha == 0.0:
-        return 0.0
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
     return _quad(integrand, crossover_point(alpha, 2), 1.0)
 

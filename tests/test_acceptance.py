@@ -34,6 +34,7 @@ from depolmark.measures import (
     qutrit_hcla_log_form,
     trace_distance,
 )
+from helpers import random_density
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -51,12 +52,6 @@ def trajectory(alpha, grid):
 
 def survival(alpha, p, levels=2):
     return 1.0 - kappa(alpha, p, levels)
-
-
-def random_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def test_criterion_1_choi_oracle_equivalence():

@@ -14,15 +14,10 @@ from depolmark.channels import (
 from depolmark.dense import multiqubit_kraus
 from depolmark.kernel import kappa
 from depolmark.matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from helpers import random_density
 
 ALPHAS = (0.0, 0.3, 0.7, 1.0)
 PS = (0.0, 0.2, 0.5, 0.8, 1.0)
-
-
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def test_kappa_reduces_to_p_without_memory():

@@ -37,14 +37,9 @@ from depolmark.kernel import (
     survival,
 )
 from depolmark.matcore import inverse, kron, trace_norm
+from helpers import random_density
 
 ALPHA_MINUS_07 = 0.7725529126366106  # closed-form root for alpha = 0.7
-
-
-def random_density(rng, dim=2):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def test_identity_channel_superoperator():

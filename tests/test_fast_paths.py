@@ -10,12 +10,15 @@ the whole array.
 Each oracle below is the construction the library used before it built
 its products by broadcasting: ``np.kron`` in a loop over Kraus operators,
 the composite U (S kron I_{d^2}) U applied to vec(P) for the Choi matrix,
-and one trace per transfer-matrix entry. The fast forms perform the same
+one index per diagonal entry of the maximally entangled vector in P, and
+one trace per transfer-matrix entry. The fast forms perform the same
 floating-point operations, so the results must agree bit for bit, signs
 of zeros included, not just within a tolerance. Half of the seeded draws
 put q within 1e-3 of the singular parameter, where entries grow like
 1/G(q).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +97,14 @@ def superoperator_loop(kraus) -> np.ndarray:
     return acc
 
 
+def projector_loop(dim: int) -> np.ndarray:
+    psi = np.zeros(dim * dim, dtype=complex)
+    for i in range(dim):
+        psi[i * dim + i] = 1.0
+    psi /= math.sqrt(dim)
+    return np.outer(psi, psi.conj())
+
+
 def choi_composite(superop) -> np.ndarray:
     d = superop.dim
     perm = swap_permutation(d)
@@ -162,6 +173,11 @@ def test_choi_reshuffle_matches_composite_route(levels, qubits, count):
         want = choi_composite(superop)
         assert_same_bits(choi_of(superop).matrix, want)
         assert_same_bits(dynmaps.intermediate_choi(alpha, q, p, levels, qubits).matrix, want)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_maximally_entangled_projector_matches_index_loop(dim):
+    assert_same_bits(maximally_entangled_projector(dim), projector_loop(dim))
 
 
 def test_affine_map_matches_entry_loop():
@@ -505,6 +521,11 @@ def test_kernel_closed_forms_reject_alpha_outside_the_unit_interval(alpha):
         lambda: decay_rate_normalized(alpha, 0.5),
         lambda: kernel.trajectory(alpha, 0.5),
         lambda: crossover_point(alpha),
+        lambda: measures.blp_measure(alpha),  # its check is crossover_point's
+        lambda: measures.hcla_measure(alpha),
+        lambda: measures.hcla_closed_form(alpha),
+        lambda: measures.qutrit_hcla_log_form(alpha),
+        lambda: kernel.volume_measure(alpha),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):

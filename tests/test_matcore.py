@@ -14,12 +14,7 @@ from depolmark.matcore import (
     trace_norm,
 )
 from depolmark.dense import devectorize, swap_matrix, vectorize
-
-
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
+from helpers import random_density
 
 
 def test_kron_identities():

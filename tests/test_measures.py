@@ -30,14 +30,9 @@ from depolmark.measures import (
     qutrit_hcla_log_form,
     trace_distance,
 )
+from helpers import random_density
 
 ALPHA_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
-
-
-def random_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def test_decay_rate_memoryless():
@@ -352,3 +347,7 @@ def test_memory_witness_singular_q():
 def test_measures_return_plain_floats(alpha):
     for value in (hcla_measure(alpha), hcla_measure(alpha, 3), hcla_closed_form(alpha), blp_measure(alpha), volume_measure(alpha)):
         assert type(value) is float
+    if alpha == 0.0:
+        # No branch of its own: the empty window [1, 1] (width 0 below 1e-6) gives the quadrature's +0.0.
+        for value in [blp_measure(alpha)] + [hcla_measure(alpha, n) for n in (2, 3, 4, 7)]:
+            assert value.hex() == "0x0.0p+0"

@@ -101,6 +101,12 @@ CATALOGUE = (
         "if abserr <= max(errbnd, 100.0 * _EPS * resabs) and abserr != resasc",
     ),
     Mutant("empty-window-runs-first-pass", "measures.py", "    if lower < upper:", "    if lower <= upper:"),
+    Mutant(
+        "empty-window-negative-zero",
+        "measures.py",
+        "    elif lower == upper:\n        return 0.0",
+        "    elif lower == upper:\n        return -0.0",
+    ),
     Mutant("gauss-sum-kronrod-weights", "measures.py", "resg += _WG[j // 2] * (f1 + f2)", "resg += _WGK[j] * (f1 + f2)"),
     Mutant(
         "crossover-unclamped",
