@@ -99,13 +99,15 @@ class KrausSet:
         return float(defect) if defect.ndim == 0 else defect
 
 
-def _sqrt_coefficient(radicand, what: str) -> np.ndarray:
-    """Square roots with a trailing (1, 1), ready to scale an operator at every grid point."""
-    # Radicands are nonnegative for alpha, p in [0, 1]; tolerate roundoff only.
-    radicand = np.asarray(radicand, dtype=float)
-    if (radicand < -1e-12).any():
-        raise ValueError(f"negative radicand for {what}: {radicand.min()}")
-    return np.sqrt(np.maximum(radicand, 0.0))[..., None, None]
+def _sqrt_coefficient(radicand) -> np.ndarray:
+    """Square roots with a trailing (1, 1), ready to scale an operator at every grid point.
+
+    For alpha and p in [0, 1] neither radicand is negative:
+    (1 - c alpha p)(1 - c p) >= (1 - c)^2 > 0 and (1 + alpha (1 - c p)) p / N^2 >= 0.
+    """
+    # p = -0.0 passes the [0, 1] check and gives a -0.0 radicand; the maximum
+    # makes it +0.0, so the coefficient is +0.0 and not sqrt(-0.0) = -0.0.
+    return np.sqrt(np.maximum(np.asarray(radicand, dtype=float), 0.0))[..., None, None]
 
 
 def _kraus_set(alpha: float, p, levels: int, unitaries: list) -> KrausSet:
@@ -117,8 +119,8 @@ def _kraus_set(alpha: float, p, levels: int, unitaries: list) -> KrausSet:
     p = _check_unit_interval("p", p)
     n2 = levels * levels
     c = (n2 - 1) / n2
-    c_id = _sqrt_coefficient((1 - c * alpha * p) * (1 - c * p), "identity term")
-    c_rest = _sqrt_coefficient((1 + alpha * (1 - c * p)) * p / n2, "non-identity term")
+    c_id = _sqrt_coefficient((1 - c * alpha * p) * (1 - c * p))
+    c_rest = _sqrt_coefficient((1 + alpha * (1 - c * p)) * p / n2)
     return KrausSet((c_id * unitaries[0], *(c_rest * u for u in unitaries[1:])), levels)
 
 

@@ -478,13 +478,15 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
 
 def _merge(tables: Sequence[SweepTable]) -> SweepTable:
-    """Join tables that share an identical abscissa grid; a single table comes back as it is."""
+    """Join the tables column by column; a single table comes back as it is.
+
+    Precondition: every table has the first one's abscissa name and grid.
+    The tables come from the specs of one ``_FIGURES`` file, and the tests
+    check that those specs share both.
+    """
     first = tables[0]
     if len(tables) == 1:
         return first
-    for other in tables[1:]:
-        if other.abscissa_name != first.abscissa_name or other.columns[0] != first.columns[0]:
-            raise ValueError("cannot merge tables with different grids")
     names = tuple(n for t in tables for n in t.series_names)
     columns = [first.columns[0]] + [c for t in tables for c in t.columns[1:]]
     meta = dict(first.metadata)

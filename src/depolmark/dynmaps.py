@@ -316,25 +316,27 @@ def g_function(alpha: float, q, qubits: int | tuple = 1):
     Negative values and values below the 1e-8 noise floor of the difference
     quotient are clamped to 0. The limit is zero wherever the propagator
     stays CP and positive where CP divisibility breaks. ``q`` may be a grid
-    (an array comes back); every q of it is inverted and checked.
+    (an array comes back); every q of it is inverted and checked. Its
+    domain is [0, 1 - ``G_FUNCTION_STEP``], so that q + eps stays a
+    parameter value.
 
     ``qubits`` is 1 or 2, or a tuple of them; a tuple gives a list with one
     result per count. Either way each step takes one single-qubit Choi-norm
     column, whose n-th power is the n-qubit norm.
 
     Raises:
+        ValueError: when a q lies outside [0, 1 - ``G_FUNCTION_STEP``] or
+            is NaN, or a qubit count is not 1 or 2.
         SingularMapError: when q lies in the guard band of the singular
             parameter value, where the steps would reach past it.
     """
     q_arr = np.asarray(q, dtype=float)
-    if not np.all((0.0 <= q_arr) & (q_arr < 1.0)):
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    eps = G_FUNCTION_STEP
+    if not np.all((0.0 <= q_arr) & (q_arr + eps <= 1.0)):
+        raise ValueError(f"q must lie in [0, 1 - {eps:g}], got {q}")
     counts = qubits if isinstance(qubits, tuple) else (qubits,)
     if not all(n in (1, 2) for n in counts):
         raise ValueError("the derivative witness is provided for 1 or 2 qubits")
-    eps = G_FUNCTION_STEP
-    if np.any(q_arr + eps > 1.0):
-        raise ValueError(f"q = {q} leaves no room for the finite-difference step {eps}")
     if np.any(_guard(q_arr, alpha)):
         raise SingularMapError(f"q = {q} lies within {SINGULARITY_GUARD:g} of the singular parameter value")
 

@@ -15,9 +15,9 @@ computed on the whole array. ``trajectory`` takes one ``p``, and
 ``ValueError`` of ``crossover_point``, so every closed form built on them
 does too.
 
-The other modules import these names from here; ``matcore``, ``channels``
-and ``dynmaps`` keep the errors and constants importable under their old
-homes.
+The other modules import these names from here; ``matcore`` and
+``dynmaps`` keep the errors and constants they import importable under
+their old homes.
 """
 
 from __future__ import annotations

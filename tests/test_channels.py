@@ -12,6 +12,7 @@ from depolmark.channels import (
     weyl_operator,
 )
 from depolmark.dense import multiqubit_kraus
+from depolmark.geometry import gell_mann_matrices
 from depolmark.kernel import kappa
 from depolmark.matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from helpers import random_density
@@ -194,6 +195,27 @@ def test_apply_channel_validates_density_input():
 def test_kraus_set_rejects_incomplete_family():
     with pytest.raises(ValueError, match="completeness"):
         KrausSet((0.5 * PAULI_I,), 2)
+
+
+def test_kraus_set_rejects_operators_of_mixed_stack_shapes():
+    first, *rest = qubit_kraus(0.7, np.array([0.2, 0.4])).operators
+    with pytest.raises(ValueError, match="of one stack shape, got"):
+        KrausSet((first[0], *rest), 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: weyl_operator(1, 0, 0),
+        lambda: qudit_kraus(0.5, 0.5, 1),
+        lambda: qudit_kraus(0.5, 0.5, 0),  # builds no Weyl operator, so only its own check fires
+        lambda: gell_mann_matrices(1),
+    ],
+    ids=["weyl_operator", "qudit_kraus-1", "qudit_kraus-0", "gell_mann_matrices"],
+)
+def test_builders_need_at_least_two_levels(build):
+    with pytest.raises(ValueError, match="levels must be >= 2"):
+        build()
 
 
 def test_kraus_set_completeness_bound_is_1e_9():

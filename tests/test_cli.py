@@ -333,6 +333,9 @@ def test_python_m_depolmark_runs_a_figure(tmp_path):
         (["choi-norm", "--q", "0.3", "--p-min", "0.2999999999999"], "at or above q"),
         (["g-function", "--p-max", "0.9999999"], "max + 1e-06 <= 1"),
         (["trace-distance", "--steps", "1000000000000"], "steps must lie in [2, 1000000]"),
+        (["choi-norm", "--levels", "3", "--qubits", "2"], "combined multi-level multi-qubit maps are not supported"),
+        (["choi-eigs", "--alpha", "0.1,x"], "expected comma-separated numbers, got '0.1,x'"),
+        (["choi-eigs", "--levels", "2,a"], "expected comma-separated integers, got '2,a'"),
     ],
 )
 def test_out_of_domain_parameters_exit_2(argv, message, capsys):
@@ -631,6 +634,15 @@ def test_spec_holds_only_the_sweep_and_its_metadata_reads_every_field():
         "levels": [2],
         "qubits": [1, 3],
     }
+
+
+def test_specs_merged_into_one_file_share_the_abscissa_and_its_grid():
+    # figure() joins these specs' tables column by column and does not compare their grids.
+    merged = [specs for files in cli._FIGURES.values() for _, *specs in files if len(specs) > 1]
+    assert merged
+    for specs in merged:
+        axes = {(cli._QUANTITIES[s.quantity].abscissa, tuple(s.grid() if s.uses_grid() else s.alpha)) for s in specs}
+        assert len(axes) == 1, specs
 
 
 @pytest.mark.parametrize("fig_id", FIGURES)

@@ -328,6 +328,10 @@ def test_g_function_two_qubits_doubles_the_slope():
 def test_g_function_domain_errors():
     with pytest.raises(ValueError):
         g_function(0.9, 1.0)
+    # The domain ends one finite-difference step below 1.
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1 - 1e-06\]"):
+        g_function(0.5, 1 - 5e-7)
+    assert type(g_function(0.5, 1 - 2e-6)) is float
     with pytest.raises(ValueError):
         g_function(0.9, 0.5, qubits=3)
     with pytest.raises(SingularMapError):

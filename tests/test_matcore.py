@@ -106,8 +106,10 @@ def test_trace_norm_of_density_matrices_is_one():
 
 def test_trace_norm_general_matrix_matches_svd():
     rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert abs(trace_norm(m) - np.linalg.svd(m, compute_uv=False).sum()) < 1e-12
+    for shape in ((4, 4), (2, 3)):
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert abs(trace_norm(m) - np.linalg.svd(m, compute_uv=False).sum()) < 1e-12
+    assert not matcore.is_hermitian(np.ones((2, 3)))
 
 
 def test_inverse_basic():
@@ -143,3 +145,5 @@ def test_is_density_matrix():
     assert matcore.is_density_matrix(np.eye(2) / 2)
     assert not matcore.is_density_matrix(np.eye(2))  # trace 2
     assert not matcore.is_density_matrix(PAULI_Z)  # negative eigenvalue
+    assert not matcore.is_density_matrix(np.array([0.5, 0.5]))  # not a matrix
+    assert not matcore.is_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
