@@ -21,6 +21,10 @@ The builders take ``p`` as one value or as a grid. A grid gives a stacked
 the i-th Kraus operator at every grid point, built from the same float
 operations as a single value, so a stack is bit-equal to the sets built
 point by point. Completeness is checked at every grid point.
+
+The kernel's ``_check_unit`` checks ``alpha`` and every point of ``p``
+against [0, 1]. ``_check_levels`` is the package's one check of
+a level count N >= 2, which ``geometry`` and ``dense`` call too.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import _check_unit
 from .matcore import (
     PAULI_I,
     PAULI_X,
@@ -44,15 +49,6 @@ __all__ = [
     "qudit_kraus",
     "apply_channel",
 ]
-
-
-def _check_unit_interval(name: str, value):
-    """``value`` as a float (an array for a grid), every entry checked to lie in [0, 1]."""
-    value = np.asarray(value, dtype=float)
-    inside = (0.0 <= value) & (value <= 1.0)
-    if not inside.all():
-        raise ValueError(f"{name} must lie in [0, 1], got {value[~inside].flat[0]}")
-    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ def _kraus_set(alpha: float, p, levels: int, unitaries: list) -> KrausSet:
 
     At N = 2, c = (N^2 - 1)/N^2 is exactly 0.75, the 3/4 of the qubit weights.
     """
-    alpha = _check_unit_interval("alpha", alpha)
-    p = _check_unit_interval("p", p)
+    alpha = _check_unit("alpha", np.asarray(alpha, dtype=float))
+    p = _check_unit("p", np.asarray(p, dtype=float))
     n2 = levels * levels
     c = (n2 - 1) / n2
     c_id = _sqrt_coefficient((1 - c * alpha * p) * (1 - c * p))
@@ -132,15 +128,20 @@ def qubit_kraus(alpha: float, p) -> KrausSet:
     return _kraus_set(alpha, p, 2, [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
+def _check_levels(levels) -> int:
+    """``levels`` as an int, checked to be at least 2: the one check of the level count."""
+    if int(levels) < 2:
+        raise ValueError("levels must be >= 2")
+    return int(levels)
+
+
 def weyl_operator(levels: int, r: int, s: int) -> np.ndarray:
     """Weyl unitary U_{r,s} = sum_i omega^{i r} |i><i + s mod N|.
 
     ``omega = exp(2 pi i / N)``. For N = 2, U_{0,1} is sigma_X and U_{1,0}
     is sigma_Z, so the Weyl set generalizes the Pauli operators.
     """
-    n = int(levels)
-    if n < 2:
-        raise ValueError("levels must be >= 2")
+    n = _check_levels(levels)
     if not (0 <= r < n and 0 <= s < n):
         raise ValueError(f"Weyl indices must lie in [0, {n - 1}], got ({r}, {s})")
     omega = np.exp(2j * np.pi / n)
@@ -159,9 +160,7 @@ def qudit_kraus(alpha: float, p, levels: int) -> KrausSet:
     the unique choice for which the completeness relation holds for all
     alpha and p. ``p`` may be a grid, as for :func:`qubit_kraus`.
     """
-    n = int(levels)
-    if n < 2:
-        raise ValueError("levels must be >= 2")
+    n = _check_levels(levels)
     return _kraus_set(alpha, p, n, [weyl_operator(n, r, s) for r in range(n) for s in range(n)])
 
 

@@ -106,7 +106,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import operator
 import os
@@ -576,6 +575,8 @@ def _meta_str(value) -> str:
 
 def write_json(table: SweepTable, fh: TextIO) -> None:
     """JSON payload: spec echo (``"format": "json"`` in it), column names and row arrays (null = singular)."""
+    import json  # here, not at the top: only this writer needs it, and CSV commands stay without it
+
     payload = {
         "spec": {**table.metadata, "format": "json"},
         "columns": [table.abscissa_name, *table.series_names],

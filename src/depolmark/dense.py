@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .channels import KrausSet, apply_channel, qubit_kraus
+from .channels import KrausSet, _check_levels, apply_channel, qubit_kraus
 from .dynmaps import ChoiMatrix, Superoperator
 from .kernel import lambda_ratio
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
@@ -71,9 +71,7 @@ def swap_permutation(levels: int) -> np.ndarray:
     Returns ``perm`` such that applying the swap operator to a vector ``x``
     of length ``levels**4`` yields ``x[perm]``.
     """
-    n = int(levels)
-    if n < 2:
-        raise ValueError("levels must be >= 2")
+    n = _check_levels(levels)
     return np.arange(n**4).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(-1)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import apply_channel, qubit_kraus, qudit_kraus
+from .channels import _check_levels, apply_channel, qubit_kraus, qudit_kraus
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, blockwise, trace_norm
 
 __all__ = [
@@ -102,9 +102,7 @@ def gell_mann_matrices(levels: int) -> list:
     followed by the N - 1 diagonal operators. N = 2 reproduces the Pauli
     matrices (X, Y, then Z).
     """
-    n = int(levels)
-    if n < 2:
-        raise ValueError("levels must be >= 2")
+    n = _check_levels(levels)
     result = []
     for j in range(n):
         for k in range(j + 1, n):

@@ -10,10 +10,11 @@ are written with operators alone (``+ - * /`` and ``abs``) and take numpy
 arrays as well as floats; IEEE arithmetic gives the same bits either way,
 so a column mapped point by point over Python floats equals the one
 computed on the whole array. ``trajectory`` takes one ``p``, and
-``volume_measure`` returns one float per alpha. ``survival`` and
-``lambda_ratio`` reject an alpha outside [0, 1] (NaN included) with the
-``ValueError`` of ``crossover_point``, so every closed form built on them
-does too.
+``volume_measure`` returns one float per alpha. ``_check_unit`` is the
+one check of the parameter box [0, 1]: ``survival``, ``lambda_ratio``,
+``crossover_point``, ``trajectory`` and ``volume_measure`` reject a value
+outside it (NaN included) through it, so every closed form built on them
+does too, with one ``ValueError`` text.
 
 The other modules import these names from here; ``matcore`` and
 ``dynmaps`` keep the errors and constants they import importable under
@@ -71,10 +72,6 @@ SINGULARITY_GUARD = 1e-6
 G_FUNCTION_STEP = 1e-6
 
 
-def _alpha_error(alpha) -> ValueError:
-    return ValueError(f"alpha must lie in [0, 1], got {float(alpha)}")
-
-
 def kappa(alpha: float, p, levels: int = 2):
     """Effective depolarizing probability k(p) of the N-level channel.
 
@@ -97,18 +94,11 @@ def survival(alpha: float, p, levels: int = 2):
         ValueError: for alpha outside [0, 1] (NaN included). The rates and
             the trajectory inherit this check.
     """
-    # One chained comparison: the per-point columns and the rate quadrature
-    # call this thousands of times.
+    # The check is _check_unit's; a chained comparison screens first, as the
+    # per-point columns and the rate quadrature call this thousands of times.
     if not 0.0 <= alpha <= 1.0:
-        raise _alpha_error(alpha)
+        _check_unit("alpha", alpha)
     return 1.0 - kappa(alpha, p, levels)
-
-
-def _check_alpha(alpha) -> float:
-    """``alpha`` as a float, checked to lie in [0, 1] (NaN fails)."""
-    if not 0.0 <= float(alpha) <= 1.0:
-        raise _alpha_error(alpha)
-    return float(alpha)
 
 
 def crossover_point(alpha: float, levels: int = 2) -> float:
@@ -128,7 +118,7 @@ def crossover_point(alpha: float, levels: int = 2) -> float:
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included).
     """
-    _check_alpha(alpha)
+    _check_unit("alpha", alpha)
     c = (levels * levels - 1) / (levels * levels)
     disc = (1 + alpha) ** 2 - 4 * c * alpha
     return min(2.0 / ((1 + alpha) + math.sqrt(disc)), 1.0)
@@ -145,6 +135,20 @@ def _guard(x, alpha: float, levels: int = 2):
 def _all(flags) -> bool:
     """all() of one flag or of an array of flags, read with the array's own method (no numpy import)."""
     return flags if isinstance(flags, bool) else bool(flags.all())
+
+
+def _check_unit(name: str, x):
+    """``x`` unchanged, checked to lie in [0, 1] at every point of a grid (NaN fails).
+
+    Written with operators and the array's own methods, so it takes a float,
+    a ``Fraction`` or an array without importing numpy; the error names the
+    first point outside.
+    """
+    ok = (0.0 <= x) & (x <= 1.0)
+    if not _all(ok):
+        bad = x if isinstance(ok, bool) else x.reshape(-1)[ok.reshape(-1).argmin()]
+        raise ValueError(f"{name} must lie in [0, 1], got {float(bad)}")
+    return x
 
 
 def _check_pair(q, p) -> None:
@@ -175,8 +179,7 @@ def lambda_ratio(alpha: float, q, p, levels: int = 2):
             parameter), matching the invertibility threshold of
             :func:`depolmark.matcore.inverse`.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise _alpha_error(alpha)
+    _check_unit("alpha", alpha)
     _check_pair(q, p)
     n2 = levels * levels
     num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
@@ -273,8 +276,7 @@ def trajectory(alpha: float, p: float) -> tuple:
     Raises:
         ValueError: for alpha or p outside [0, 1] (NaN included).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"grid values must lie in [0, 1], got {p}")
+    _check_unit("grid values", p)
     lam = survival(alpha, p)
     inside = 1.0 + lam >= abs(lam + lam) and 1.0 - lam >= 0.0
     if abs(lam) <= ZERO_FLOOR:
@@ -294,4 +296,4 @@ def volume_measure(alpha: float) -> float:
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included).
     """
-    return 0.75 * _check_alpha(alpha)
+    return 0.75 * float(_check_unit("alpha", alpha))

@@ -91,7 +91,7 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10):
     """True when ``max |m - m^dagger| <= tol``; one verdict per matrix of a stack."""
     m = np.asarray(m)
     if m.shape[-1] != m.shape[-2]:
-        return False
+        return np.zeros(m.shape[:-2], dtype=bool)
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .channels import apply_channel, qubit_kraus
 from .dynmaps import choi_of, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
-from .kernel import _check_alpha, _survival_derivative, crossover_point, decay_rate_normalized, lambda_ratio, survival
+from .kernel import _check_unit, _survival_derivative, crossover_point, decay_rate_normalized, lambda_ratio, survival
 from .matcore import PAULI_X, PAULI_Y, PAULI_Z, blockwise, kron, trace_norm
 
 __all__ = [
@@ -141,7 +141,7 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     (N^2 - 1)/N^2 and r = sqrt((1 + alpha)^2 - 4 c alpha), which has no
     cancellation.
     """
-    _check_alpha(alpha)
+    _check_unit("alpha", alpha)
     if alpha < 1e-6:
         c = (levels * levels - 1) / (levels * levels)
         r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
@@ -167,7 +167,7 @@ def hcla_closed_form(alpha: float) -> float:
     returned there instead: it is within 5e-14 relative of a 60-digit
     quadrature on (0, 1e-6) and gives exactly 0 at alpha = 0.
     """
-    _check_alpha(alpha)
+    _check_unit("alpha", alpha)
     if alpha < 1e-6:
         return alpha / 4.0 + 3.0 * alpha * alpha / 32.0
     s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)

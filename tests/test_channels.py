@@ -1,5 +1,7 @@
 import itertools
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from depolmark.channels import (
     qudit_kraus,
     weyl_operator,
 )
-from depolmark.dense import multiqubit_kraus
+from depolmark.dense import multiqubit_kraus, swap_permutation
 from depolmark.geometry import gell_mann_matrices
-from depolmark.kernel import kappa
+from depolmark.kernel import _check_unit, crossover_point, kappa
 from depolmark.matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from helpers import random_density
 
@@ -210,12 +212,63 @@ def test_kraus_set_rejects_operators_of_mixed_stack_shapes():
         lambda: qudit_kraus(0.5, 0.5, 1),
         lambda: qudit_kraus(0.5, 0.5, 0),  # builds no Weyl operator, so only its own check fires
         lambda: gell_mann_matrices(1),
+        lambda: weyl_operator(0, 0, 0),
+        lambda: weyl_operator(-1, 0, 0),
+        lambda: qudit_kraus(0.5, 0.5, -1),
+        lambda: gell_mann_matrices(0),
+        lambda: gell_mann_matrices(-1),
+        lambda: swap_permutation(1),
+        lambda: swap_permutation(0),
+        lambda: swap_permutation(-1),
     ],
-    ids=["weyl_operator", "qudit_kraus-1", "qudit_kraus-0", "gell_mann_matrices"],
+    ids=[
+        "weyl_operator",
+        "qudit_kraus-1",
+        "qudit_kraus-0",
+        "gell_mann_matrices",
+        "weyl_operator-0",
+        "weyl_operator-minus1",
+        "qudit_kraus-minus1",
+        "gell_mann_matrices-0",
+        "gell_mann_matrices-minus1",
+        "swap_permutation-1",
+        "swap_permutation-0",
+        "swap_permutation-minus1",
+    ],
 )
 def test_builders_need_at_least_two_levels(build):
     with pytest.raises(ValueError, match="levels must be >= 2"):
         build()
+
+
+def test_unit_check_names_the_first_point_outside():
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1\.5$"):
+        qubit_kraus(0.5, [0.2, 1.5, -1.0])
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got -1\.0$"):
+        qudit_kraus(0.5, np.array([[0.2, 0.3], [-1.0, 2.0]]), 3)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got nan$"):
+        qubit_kraus(float("nan"), 0.5)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got nan$"):
+        crossover_point(float("nan"))
+
+
+def test_unit_check_returns_its_argument_unchanged():
+    third = Fraction(1, 3)
+    zero_d = np.asarray(0.25)
+    grid = np.array([0.0, -0.0, 1.0])
+    for x in (third, zero_d, grid, 0.5, 1):
+        assert _check_unit("x", x) is x
+    assert type(_check_unit("x", third)) is Fraction
+    with pytest.raises(ValueError, match=r"got 1\.5$"):
+        _check_unit("x", Fraction(3, 2))
+
+
+def test_each_parameter_domain_is_checked_in_one_place():
+    # Outside the command line, whose usage errors are its exit-2 contract.
+    src = Path(__file__).resolve().parents[1] / "src" / "depolmark"
+    texts = {path.name: path.read_text(encoding="utf-8") for path in src.glob("*.py") if path.name != "cli.py"}
+    for text, home in (("must lie in [0, 1]", "kernel.py"), ("levels must be >= 2", "channels.py")):
+        assert {name: t.count(text) for name, t in texts.items() if text in t} == {home: 1}
 
 
 def test_kraus_set_completeness_bound_is_1e_9():

@@ -87,6 +87,27 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fig1.csv", "fig2.csv", "fig3.csv", "fig8.csv", "fig9.csv"]
 
 
+def test_csv_commands_never_import_json(tmp_path):
+    child = """
+import contextlib, io, sys
+from depolmark.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["fig1", "--out", sys.argv[1]]) == 0
+    assert main(["choi-eigs", "--levels", "2,3"]) == 0
+print("json" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as buf:
+    assert main(["choi-eigs", "--format", "json"]) == 0
+import json
+print(json.loads(buf.getvalue())["spec"]["format"])
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "json"]
+
+
 def test_cli_source_imports_no_numpy():
     # Not at module level, not for type checking and not inside a builder:
     # the dense builders reach numpy only through the library modules.

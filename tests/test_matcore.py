@@ -112,6 +112,16 @@ def test_trace_norm_general_matrix_matches_svd():
     assert not matcore.is_hermitian(np.ones((2, 3)))
 
 
+def test_non_square_stack_gets_one_hermiticity_verdict_per_matrix():
+    verdicts = matcore.is_hermitian(np.ones((3, 2, 3)))
+    assert verdicts.shape == (3,) and verdicts.dtype == bool and not verdicts.any()
+    m = np.random.default_rng(11).normal(size=(3, 2, 3))
+    norms = trace_norm(m)
+    assert norms.shape == (3,)
+    for norm, one in zip(norms, m):
+        assert abs(norm - np.linalg.svd(one, compute_uv=False).sum()) < 1e-12
+
+
 def test_inverse_basic():
     assert np.array_equal(inverse(np.eye(3)), np.eye(3))
     assert np.allclose(inverse(np.diag([1.0, 0.5, 0.5, 0.5])), np.diag([1.0, 2.0, 2.0, 2.0]), atol=1e-14)

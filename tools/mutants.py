@@ -138,10 +138,23 @@ CATALOGUE = (
     Mutant(
         "lambda-ratio-alpha-check-dropped",
         "kernel.py",
-        "    if not 0.0 <= alpha <= 1.0:\n        raise _alpha_error(alpha)\n    _check_pair(q, p)",
+        '    _check_unit("alpha", alpha)\n    _check_pair(q, p)',
         "    _check_pair(q, p)",
     ),
-    Mutant("trajectory-range-check-dropped", "kernel.py", "if not 0.0 <= p <= 1.0:", "if False:"),
+    Mutant("trajectory-range-check-dropped", "kernel.py", '    _check_unit("grid values", p)\n', ""),
+    Mutant(
+        "unit-check-first-point",
+        "kernel.py",
+        "x.reshape(-1)[ok.reshape(-1).argmin()]",
+        "x.reshape(-1)[ok.reshape(-1).argmax()]",
+    ),
+    Mutant("levels-check-boundary", "channels.py", "if int(levels) < 2:", "if int(levels) < 1:"),
+    Mutant(
+        "hermitian-nonsquare-scalar",
+        "matcore.py",
+        "return np.zeros(m.shape[:-2], dtype=bool)",
+        "return False",
+    ),
     Mutant(
         "trajectory-singular-cp-divisible",
         "kernel.py",
