@@ -11,13 +11,15 @@ entry holds the abscissa (``p``, ``q`` or ``alpha``), the default grid,
 the allowed ``levels`` (the first one the default) and ``qubits``, whether
 the p range starts at a pinned ``q`` (which is then checked against the
 singular value), any further domain rule, and the column builder that
-turns a spec and one alpha into ``(names, fn(grid))`` series groups.
-``SweepSpec`` takes the defaults it is not given from the entry (the grid,
-started at ``q`` when q is pinned, and the first allowed level) and
-validates against it; ``run_sweep`` evaluates its groups. The command line
-only turns the flags given into fields, so ``SweepSpec("f-norm")`` and a
-bare ``depolmark f-norm`` are the same sweep, and adding a quantity means
-adding one entry. ``QUANTITIES`` lists the table's keys in order.
+turns a spec, one alpha and one N into one ``(names, fn(grid))`` series
+group. ``SweepSpec`` takes the defaults it is not given from the entry
+(the grid, started at ``q`` when q is pinned, and the first allowed level)
+and validates against it; ``run_sweep`` loops over alpha, then over
+``levels``, and evaluates one group per (alpha, N) (an alpha-swept
+quantity has the one alpha None). The command line only turns the flags
+given into fields, so ``SweepSpec("f-norm")`` and a bare ``depolmark
+f-norm`` are the same sweep, and adding a quantity means adding one entry.
+``QUANTITIES`` lists the table's keys in order.
 
 Figure presets ``fig1`` .. ``fig13`` are a second table, ``_FIGURES``,
 from figure id to the files the preset writes, each with the pinned
@@ -26,39 +28,36 @@ by column. ``FIGURES`` lists its keys in order.
 
 Every series group has one shape, ``_series(names, fn, mask)``: ``fn``
 takes the grid points outside ``mask`` as a list of floats and returns
-one column per series name, and the masked points read NaN. ``run_sweep``
-turns each cell into a Python float, and NaN into ``None``, in one place,
-and ``SweepTable`` keeps the columns (abscissa first), its ``rows`` being
-derived from them. ``SweepSpec.grid`` performs ``np.linspace``'s own
-arithmetic on Python floats, so the grid is bit-equal to numpy's.
-``choi-eigs``, ``decay-rate``, ``trajectory``, ``hcla`` and ``blp`` use
-the per-point adapter ``_points``: it calls a scalar function once per
+one column per series name, and the masked points read NaN. Only
+``g-function`` gives a mask. ``run_sweep`` turns each cell into a Python
+float, and NaN into ``None``, in one place, and ``SweepTable`` keeps the
+columns (abscissa first), its ``rows`` being derived from them.
+``SweepSpec.grid`` performs ``np.linspace``'s own arithmetic on Python
+floats, so the grid is bit-equal to numpy's. ``choi-eigs``,
+``decay-rate``, ``trajectory`` and ``hcla`` use the per-point adapter
+``_points``, which takes no mask: it calls a scalar function once per
 grid point (or alpha), which returns one value per series name.
 ``kernel``'s closed forms give the bits the whole-array call gives (IEEE
 arithmetic), one ``kernel.trajectory`` call feeds the five ``trajectory``
-columns (its two flags written as 1.0/0.0), and ``hcla`` and ``blp`` call
-their measure once per alpha. The dense columns (``choi-norm``,
-``memory-x``, ``g-function``, ``trace-distance``, ``volume``, ``f-norm``)
-are one library call each on the list: ``dynmaps.choi_trace_norm``,
-``measures.memory_witness_X``, ``dynmaps.g_function``,
-``measures.plus_minus_distance``, ``geometry.volume_determinant`` and
-``geometry.f_norm``. The library runs the grid through the stacked Kraus
--> superoperator -> Choi route and walks it in blocks sized by the
-system dimension, so the stacks a sweep holds stay bounded whatever
-``--steps`` is; with ``q`` pinned, Phi(q, 0)^{-1} is built and
-SVD-checked once per series (``dynmaps.propagator_column``). This file
-calls neither a Kraus builder nor the block walk, and the block size is
-set in the library alone. ``choi-norm`` computes one single-system
-``choi_trace_norm`` column per alpha and N, and ``g-function`` one per
-alpha and finite-difference step; their n-th powers are the n-qubit
-norms. The stacked route is bit-equal to evaluating the points one by
-one.
+columns (its two flags written as 1.0/0.0), and ``hcla`` calls its
+measure once per alpha. The one-column quantities are ``_column`` rows,
+a name template and one library call on the grid: ``blp``
+(``measures.blp_measure`` per alpha), ``trace-distance``
+(``measures.plus_minus_distance``), ``memory-x``
+(``measures.memory_witness_X``), ``volume``
+(``geometry.volume_determinant``) and ``f-norm`` (``geometry.f_norm``).
+All of them but ``blp``, and ``choi-norm`` (``dynmaps.choi_trace_norm``)
+and ``g-function`` (``dynmaps.g_function``), run the whole grid through
+the dense route in one call (see ``dynmaps``). ``choi-norm`` computes
+one single-system column per alpha and N, and ``g-function`` one per
+alpha; their n-th powers are the n-qubit norms.
 
 Grid points inside the singularity guard band, or where a closed form is
-undefined, are emitted as ``NA`` samples, never dropped: a mask marks them
-before the column is computed, point by point for a closed form and once
-per alpha for ``g-function``; at alpha = 0 the singular point is the
-boundary p = 1. A singularity at a *pinned* parameter (``q`` within 1e-6
+undefined, are emitted as ``NA`` samples, never dropped: ``decay-rate``'s
+point function returns NaN for a rate wherever that rate's pole mask
+holds, and ``g-function``'s mask marks its points once per alpha before
+the column is computed; at alpha = 0 the singular point is the boundary
+p = 1. A singularity at a *pinned* parameter (``q`` within 1e-6
 of the singular value for a Choi quantity) is refused when the
 ``SweepSpec`` is built, with ``SingularMapError``, and the command exits
 with code 3; usage errors exit with code 2. Among them: a grid bound
@@ -67,7 +66,9 @@ outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
 above 1 - 1e-6 (its finite-difference step), a value repeated in
 ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
 that takes one, a non-integer ``steps``, ``levels`` or ``qubits`` or a
-non-numeric ``alpha``, ``q`` or grid bound given to ``SweepSpec``, an
+non-numeric ``alpha``, ``q`` or grid bound given to ``SweepSpec``, a
+bare number given to ``SweepSpec`` as ``alpha``, ``levels`` or ``qubits``
+(each takes a sequence), an
 ``--alpha``, ``--levels`` or ``--qubits`` that is not a comma-separated
 list (argparse names the flag), a format other than csv or json given to
 ``figure``, and any output that cannot be opened or written: an ``--out``
@@ -90,10 +91,11 @@ the ``_FIGURES`` table included), the grid, ``run_sweep``, the closed-form
 columns and every exit-2 or exit-3 path run without numpy, so ``choi-eigs``,
 ``decay-rate``, ``trajectory`` and the presets ``fig1``, ``fig2``,
 ``fig3``, ``fig8`` and ``fig9`` load ``cli`` and ``kernel`` alone. This
-file imports numpy nowhere: the dense builders, ``hcla`` and ``blp``
-import the library modules they call when they run, and those load numpy,
-so a command loads only the modules its quantity needs, and library
-functions are looked up at call time.
+file imports numpy nowhere, and no function in it imports a module: every
+other library call goes through the package, ``_lib.measures.f(...)``,
+whose first access to a module imports it. So a command loads only the
+modules its quantity calls, and library functions are looked up when a
+sweep runs.
 
 ``SweepSpec`` holds the sweep and nothing else: its ``metadata()`` is its
 fields, and the command line's ``--out`` and ``--format`` go to the
@@ -116,6 +118,10 @@ from typing import Callable, Sequence, TextIO
 from . import __version__
 from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard
 from .kernel import _survival_derivative, decay_rate, decay_rate_normalized, qudit_choi_eigenvalues, survival, trajectory
+
+# The package: ``_lib.measures`` imports that module on first access, so a
+# command loads only the modules its quantity calls.
+_lib = sys.modules[__package__]
 
 __all__ = [
     "SweepSpec",
@@ -143,8 +149,8 @@ class UsageError(ValueError):
 class _Quantity:
     """One entry of the quantity table: what a sweep of this quantity needs to know."""
 
-    # (spec, alpha) -> [(series names, fn(grid) -> one column per name)]; an
-    # alpha-swept quantity is built once, with alpha None.
+    # (spec, alpha, N) -> (series names, fn(grid) -> one column per name),
+    # one group per alpha and N; an alpha-swept quantity has alpha None.
     columns: Callable
     abscissa: str = "p"
     # Default grid; a pinned quantity starts it at q instead.
@@ -161,9 +167,7 @@ class _Quantity:
         """Raise UsageError where ``spec`` leaves this quantity's domain, SingularMapError at a singular pinned q."""
         for axis in ("levels", "qubits"):
             allowed, values = getattr(self, axis), getattr(spec, axis)
-            if allowed is None:
-                continue
-            if not all(n in allowed for n in values):
+            if allowed is not None and not all(n in allowed for n in values):
                 single = (self.levels, self.qubits) == ((2,), (1,))
                 domain = "the single-qubit family (levels=2, qubits=1)" if single else f"{axis} in {allowed}"
                 raise UsageError(f"{spec.quantity} is defined for {domain}, got {axis} = {values}")
@@ -210,12 +214,14 @@ class SweepSpec:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         for name in ("alpha", "q", "p_min", "p_max", "steps", "levels", "qubits"):
-            value = getattr(self, name)
-            convert = operator.index if name in ("steps", "levels", "qubits") else _real
+            value, many = getattr(self, name), name in ("alpha", "levels", "qubits")
+            convert, kind = (operator.index, "integers") if name in ("steps", "levels", "qubits") else (_real, "numbers")
+            if many and not hasattr(value, "__iter__"):
+                raise UsageError(f"{name} takes a sequence of {kind}, got {value!r}")
             try:
-                object.__setattr__(self, name, tuple(map(convert, value)) if name in ("alpha", "levels", "qubits") else convert(value))
+                object.__setattr__(self, name, tuple(map(convert, value)) if many else convert(value))
             except TypeError:
-                raise UsageError(f"{name} takes {'integers' if convert is operator.index else 'numbers'} only, got {value!r}") from None
+                raise UsageError(f"{name} takes {kind} only, got {value!r}") from None
         for axis in ("alpha", "levels", "qubits"):
             values = getattr(self, axis)
             if not values:
@@ -327,98 +333,62 @@ def _series(names: tuple, fn: Callable[[list], Sequence], mask: Callable[[float]
     return names, columns
 
 
-def _points(names: tuple, fn: Callable[[float], tuple], mask: Callable[[float], bool] | None = None) -> tuple:
+def _points(names: tuple, fn: Callable[[float], tuple]) -> tuple:
     """A series group evaluated point by point: ``fn(x)`` gives one value per name."""
-    return _series(names, lambda xs: list(zip(*map(fn, xs))), mask)
+    return _series(names, lambda xs: list(zip(*map(fn, xs))))
+
+
+def _column(name: str, fn: Callable) -> Callable:
+    """A one-column builder: ``name`` formatted with ``n`` and the system ``tag`` (none for an alpha sweep), ``fn(spec, alpha, n, grid)`` the column."""
+    tag = lambda spec, alpha: "" if alpha is None else _system_tag(spec, alpha)
+    return lambda spec, alpha, n: _series((name.format(n=n, tag=tag(spec, alpha)),), lambda grid: [fn(spec, alpha, n, grid)])
 
 
 # ---------------------------------------------------------------- column builders
 
 
-def _choi_eigs(spec: SweepSpec, alpha: float) -> list:
-    def spectrum(n: int) -> tuple:
-        names = ("Lambda_I", "Lambda_XYZ") if n == 2 else ("Lambda_top", "Lambda_rest")
-        tag = _system_tag(spec, alpha, levels=n)
-        return _points(tuple(f"{name}_{tag}" for name in names), lambda p: qudit_choi_eigenvalues(alpha, spec.q, p, n))
-
-    return [spectrum(n) for n in spec.levels]
+def _choi_eigs(spec: SweepSpec, alpha: float, n: int) -> tuple:
+    names = ("Lambda_I", "Lambda_XYZ") if n == 2 else ("Lambda_top", "Lambda_rest")
+    tag = _system_tag(spec, alpha, levels=n)
+    return _points(tuple(f"{name}_{tag}" for name in names), lambda p: qudit_choi_eigenvalues(alpha, spec.q, p, n))
 
 
-def _choi_norm(spec: SweepSpec, alpha: float) -> list:
-    from .dynmaps import choi_trace_norm
-
-    # One N-level column per N, and its n-th powers (spec.qubits is (1,) above N = 2).
-    names = lambda n: tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits)
-    return [_series(names(n), lambda grid, n=n: choi_trace_norm(alpha, spec.q, grid, n, spec.qubits)) for n in spec.levels]
+def _choi_norm(spec: SweepSpec, alpha: float, n: int) -> tuple:
+    # One N-level column and its n-th powers (spec.qubits is (1,) above N = 2).
+    names = tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits)
+    return _series(names, lambda grid: _lib.dynmaps.choi_trace_norm(alpha, spec.q, grid, n, spec.qubits))
 
 
-def _decay_rate(spec: SweepSpec, alpha: float) -> list:
-    n, tag = spec.levels[0], _system_tag(spec, alpha)
-    # NA in the guard band of each pole (p_- for the rate, p = 1 and p = 0 at
-    # alpha = 0) and wherever the library would raise: G = 0 for the rate,
-    # G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
+def _decay_rate(spec: SweepSpec, alpha: float, n: int) -> tuple:
+    # NaN (NA) in the guard band of each pole (p_- for the rate, p = 1 and
+    # p = 0 at alpha = 0) and wherever the library would raise: G = 0 for the
+    # rate, G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
     g = lambda p: survival(alpha, p, n)
     pole = lambda p: _guard(p, alpha, n) or abs(g(p)) <= ZERO_FLOOR
     norm_pole = lambda p: (alpha == 0.0 and p < SINGULARITY_GUARD) or abs(g(p) + _survival_derivative(alpha, p, n)) <= ZERO_FLOOR
-    return [
-        _points((f"gamma_{tag}",), lambda p: (decay_rate(alpha, p, n),), pole),
-        _points((f"gamma_normalized_{tag}",), lambda p: (decay_rate_normalized(alpha, p, n),), norm_pole),
-    ]
+    point = lambda p: (math.nan if pole(p) else decay_rate(alpha, p, n), math.nan if norm_pole(p) else decay_rate_normalized(alpha, p, n))
+    tag = _system_tag(spec, alpha)
+    return _points((f"gamma_{tag}", f"gamma_normalized_{tag}"), point)
 
 
-def _hcla(spec: SweepSpec, alpha: float | None) -> list:
-    from .measures import hcla_closed_form, hcla_measure, qutrit_hcla_log_form
-
-    n = spec.levels[0]
-    name, closed = ("N_HCLA_closed", hcla_closed_form) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
-    return [_points(("N_HCLA_numeric", name), lambda a: (hcla_measure(a, n), closed(a)))]
+def _hcla(spec: SweepSpec, alpha: None, n: int) -> tuple:
+    measures = _lib.measures
+    name, closed = ("N_HCLA_closed", measures.hcla_closed_form) if n == 2 else ("N_HCLA_log_form", measures.qutrit_hcla_log_form)
+    return _points(("N_HCLA_numeric", name), lambda a: (measures.hcla_measure(a, n), closed(a)))
 
 
-def _blp(spec: SweepSpec, alpha: None) -> list:
-    from .measures import blp_measure
-
-    return [_points(("N_BLP",), lambda a: (blp_measure(a),))]
-
-
-def _trace_distance(spec: SweepSpec, alpha: float) -> list:
-    from .measures import plus_minus_distance
-
-    return [_series((f"D_{_system_tag(spec, alpha)}",), lambda grid: [plus_minus_distance(alpha, grid)])]
-
-
-def _memory_x(spec: SweepSpec, alpha: float) -> list:
-    from .measures import memory_witness_X
-
-    return [_series((f"X_{_system_tag(spec, alpha)}",), lambda grid: [memory_witness_X(alpha, spec.q, grid)])]
-
-
-def _volume(spec: SweepSpec, alpha: float) -> list:
-    from .geometry import volume_determinant
-
-    return [_series((f"volume_{_system_tag(spec, alpha)}",), lambda grid: [volume_determinant(alpha, grid)])]
-
-
-def _trajectory(spec: SweepSpec, alpha: float) -> list:
+def _trajectory(spec: SweepSpec, alpha: float, n: int) -> tuple:
     def point(p: float) -> tuple:
         lam, a, inside, divisible = trajectory(alpha, p)
         return lam, abs(lam), a, float(inside), float(divisible)
 
     names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
-    return [_points(tuple(f"{name}_{_system_tag(spec, alpha)}" for name in names), point)]
+    return _points(tuple(f"{name}_{_system_tag(spec, alpha)}" for name in names), point)
 
 
-def _f_norm(spec: SweepSpec, alpha: float) -> list:
-    from .geometry import f_norm
-
-    n = spec.levels[0]
-    return [_series((f"F{n}_norm_{_system_tag(spec, alpha)}",), lambda grid: [f_norm(alpha, grid, n)])]
-
-
-def _g_function(spec: SweepSpec, alpha: float) -> list:
-    from .dynmaps import g_function
-
+def _g_function(spec: SweepSpec, alpha: float, n: int) -> tuple:
     names = tuple(f"g_{_system_tag(spec, alpha, qubits=k)}" for k in spec.qubits)
-    return [_series(names, lambda q: g_function(alpha, q, spec.qubits), lambda q: _guard(q, alpha))]
+    return _series(names, lambda q: _lib.dynmaps.g_function(alpha, q, spec.qubits), lambda q: _guard(q, alpha))
 
 
 # ---------------------------------------------------------------- domain rules
@@ -446,12 +416,12 @@ _QUANTITIES = {
     "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
-    "blp": _Quantity(_blp, abscissa="alpha"),
-    "trace-distance": _Quantity(_trace_distance),
-    "memory-x": _Quantity(_memory_x, pinned=True),
-    "volume": _Quantity(_volume),
+    "blp": _Quantity(_column("N_BLP", lambda spec, a, n, grid: list(map(_lib.measures.blp_measure, grid))), abscissa="alpha"),
+    "trace-distance": _Quantity(_column("D_{tag}", lambda spec, a, n, grid: _lib.measures.plus_minus_distance(a, grid))),
+    "memory-x": _Quantity(_column("X_{tag}", lambda spec, a, n, grid: _lib.measures.memory_witness_X(a, spec.q, grid)), pinned=True),
+    "volume": _Quantity(_column("volume_{tag}", lambda spec, a, n, grid: _lib.geometry.volume_determinant(a, grid))),
     "trajectory": _Quantity(_trajectory),
-    "f-norm": _Quantity(_f_norm, levels=(3, 4), rule=_one_level),
+    "f-norm": _Quantity(_column("F{n}_norm_{tag}", lambda spec, a, n, grid: _lib.geometry.f_norm(a, grid, n)), levels=(3, 4), rule=_one_level),
     "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
 }
 
@@ -470,7 +440,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     names: list = []
     columns: list = [grid]
     for alpha in spec.alpha if entry.abscissa != "alpha" else (None,):
-        for series_names, fn in entry.columns(spec, alpha):
+        for n in spec.levels:
+            series_names, fn = entry.columns(spec, alpha, n)
             names.extend(series_names)
             columns.extend([None if v != v else float(v) for v in column] for column in fn(grid))
     return SweepTable(entry.abscissa, tuple(names), columns, spec.metadata())

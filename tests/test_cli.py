@@ -451,6 +451,12 @@ def test_non_integer_counts_are_rejected(axis, value):
         SweepSpec("choi-eigs", p_min=0.3, **{axis: value})
 
 
+@pytest.mark.parametrize("axis,value,kind", [("levels", 3, "integers"), ("qubits", 1, "integers"), ("alpha", 0.7, "numbers")])
+def test_a_bare_number_where_a_sequence_belongs_is_named_as_such(axis, value, kind):
+    with pytest.raises(UsageError, match=f"^{axis} takes a sequence of {kind}, got {value}$"):
+        SweepSpec("choi-eigs", **{axis: value})
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

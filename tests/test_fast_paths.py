@@ -265,7 +265,7 @@ def trajectory_point(alpha, p) -> tuple:
 
 def near(x, alpha, levels=2):
     point = crossover_point(alpha, levels)
-    return point is not None and abs(x - point) < SINGULARITY_GUARD
+    return abs(x - point) < SINGULARITY_GUARD
 
 
 def per_point_series(spec) -> list:
@@ -347,7 +347,8 @@ def bits(column) -> list:
 def assert_columns_match_per_point(spec, grid):
     names, columns = [], []
     for alpha in spec.alpha:
-        for series_names, fn in cli._QUANTITIES[spec.quantity].columns(spec, alpha):
+        for n in spec.levels:
+            series_names, fn = cli._QUANTITIES[spec.quantity].columns(spec, alpha, n)
             names += series_names
             columns += fn(grid)
     oracle = per_point_series(spec)
