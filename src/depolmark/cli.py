@@ -26,17 +26,16 @@ from figure id to the files the preset writes, each with the pinned
 spec(s) behind it; two specs behind one file (``fig4``) are merged column
 by column. ``FIGURES`` lists its keys in order.
 
-Every series group has one shape, ``_series(names, fn, mask)``: ``fn``
-takes the grid points outside ``mask`` as a list of floats and returns
-one column per series name, and the masked points read NaN. Only
-``g-function`` gives a mask. ``run_sweep`` turns each cell into a Python
-float, and NaN into ``None``, in one place, and ``SweepTable`` keeps the
-columns (abscissa first), its ``rows`` being derived from them.
+Every series group has one shape, the pair ``(names, fn)``: ``fn``
+takes the grid as a list of floats and returns one column per series
+name, with NaN in each NA cell. ``run_sweep`` turns each cell into a
+Python float, and NaN into ``None``, in one place, and ``SweepTable``
+keeps the columns (abscissa first), its ``rows`` being derived from them.
 ``SweepSpec.grid`` performs ``np.linspace``'s own arithmetic on Python
 floats, so the grid is bit-equal to numpy's. ``choi-eigs``,
 ``decay-rate``, ``trajectory`` and ``hcla`` use the per-point adapter
-``_points``, which takes no mask: it calls a scalar function once per
-grid point (or alpha), which returns one value per series name.
+``_points``: it calls a scalar function once per grid point (or alpha),
+which returns one value per series name.
 ``kernel``'s closed forms give the bits the whole-array call gives (IEEE
 arithmetic), one ``kernel.trajectory`` call feeds the five ``trajectory``
 columns (its two flags written as 1.0/0.0), and ``hcla`` calls its
@@ -53,22 +52,24 @@ one single-system column per alpha and N, and ``g-function`` one per
 alpha; their n-th powers are the n-qubit norms.
 
 Grid points inside the singularity guard band, or where a closed form is
-undefined, are emitted as ``NA`` samples, never dropped: ``decay-rate``'s
-point function returns NaN for a rate wherever that rate's pole mask
-holds, and ``g-function``'s mask marks its points once per alpha before
-the column is computed; at alpha = 0 the singular point is the boundary
-p = 1. A singularity at a *pinned* parameter (``q`` within 1e-6
-of the singular value for a Choi quantity) is refused when the
-``SweepSpec`` is built, with ``SingularMapError``, and the command exits
-with code 3; usage errors exit with code 2. Among them: a grid bound
+undefined, are emitted as ``NA`` samples, never dropped, and each column
+function puts the NaN there itself: ``decay-rate``'s point function
+returns NaN for a rate wherever that rate's pole mask holds, and
+``g-function``'s column function tests each grid point against the guard
+band once, calls ``dynmaps.g_function`` on the kept points alone (not at
+all when none is kept) and puts NaN at the others; at alpha = 0 the
+singular point is the boundary p = 1. A singularity at a *pinned*
+parameter (``q`` within 1e-6 of the singular value for a Choi quantity)
+is refused when the ``SweepSpec`` is built, with ``SingularMapError``,
+and the command exits with code 3; usage errors exit with code 2. Among them: a grid bound
 outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
 ``steps`` (every row is held in memory), a ``g-function`` grid ending
 above 1 - 1e-6 (its finite-difference step), a value repeated in
 ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
 that takes one, a non-integer ``steps``, ``levels`` or ``qubits`` or a
 non-numeric ``alpha``, ``q`` or grid bound given to ``SweepSpec``, a
-bare number given to ``SweepSpec`` as ``alpha``, ``levels`` or ``qubits``
-(each takes a sequence), an
+bare number (a 0-d array too) given to ``SweepSpec`` as ``alpha``,
+``levels`` or ``qubits`` (each takes a sequence), an
 ``--alpha``, ``--levels`` or ``--qubits`` that is not a comma-separated
 list (argparse names the flag), a format other than csv or json given to
 ``figure``, and any output that cannot be opened or written: an ``--out``
@@ -216,10 +217,12 @@ class SweepSpec:
         for name in ("alpha", "q", "p_min", "p_max", "steps", "levels", "qubits"):
             value, many = getattr(self, name), name in ("alpha", "levels", "qubits")
             convert, kind = (operator.index, "integers") if name in ("steps", "levels", "qubits") else (_real, "numbers")
-            if many and not hasattr(value, "__iter__"):
-                raise UsageError(f"{name} takes a sequence of {kind}, got {value!r}")
+            try:  # iter() itself: a 0-d array has __iter__ but is no sequence
+                items = iter(value) if many else None
+            except TypeError:
+                raise UsageError(f"{name} takes a sequence of {kind}, got {value!r}") from None
             try:
-                object.__setattr__(self, name, tuple(map(convert, value)) if many else convert(value))
+                object.__setattr__(self, name, tuple(map(convert, items)) if many else convert(value))
             except TypeError:
                 raise UsageError(f"{name} takes {kind} only, got {value!r}") from None
         for axis in ("alpha", "levels", "qubits"):
@@ -319,29 +322,15 @@ def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1)
     return tag
 
 
-def _series(names: tuple, fn: Callable[[list], Sequence], mask: Callable[[float], bool] | None = None) -> tuple:
-    """A series group: ``fn`` maps the grid points outside ``mask``, as a list, to one column per name; masked points read NaN (NA)."""
-
-    def columns(grid: list) -> Sequence:
-        if mask is None:  # nothing to fill: skips a pass per column on large unmasked grids
-            return fn(grid)
-        na = [mask(x) for x in grid]
-        kept = [x for x, masked in zip(grid, na) if not masked]
-        # With every point masked fn is not called: no column value is read.
-        return [[math.nan if masked else next(values) for masked in na] for values in map(iter, fn(kept) if kept else [()] * len(names))]
-
-    return names, columns
-
-
 def _points(names: tuple, fn: Callable[[float], tuple]) -> tuple:
     """A series group evaluated point by point: ``fn(x)`` gives one value per name."""
-    return _series(names, lambda xs: list(zip(*map(fn, xs))))
+    return names, lambda xs: list(zip(*map(fn, xs)))
 
 
 def _column(name: str, fn: Callable) -> Callable:
     """A one-column builder: ``name`` formatted with ``n`` and the system ``tag`` (none for an alpha sweep), ``fn(spec, alpha, n, grid)`` the column."""
     tag = lambda spec, alpha: "" if alpha is None else _system_tag(spec, alpha)
-    return lambda spec, alpha, n: _series((name.format(n=n, tag=tag(spec, alpha)),), lambda grid: [fn(spec, alpha, n, grid)])
+    return lambda spec, alpha, n: ((name.format(n=n, tag=tag(spec, alpha)),), lambda grid: [fn(spec, alpha, n, grid)])
 
 
 # ---------------------------------------------------------------- column builders
@@ -356,7 +345,7 @@ def _choi_eigs(spec: SweepSpec, alpha: float, n: int) -> tuple:
 def _choi_norm(spec: SweepSpec, alpha: float, n: int) -> tuple:
     # One N-level column and its n-th powers (spec.qubits is (1,) above N = 2).
     names = tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits)
-    return _series(names, lambda grid: _lib.dynmaps.choi_trace_norm(alpha, spec.q, grid, n, spec.qubits))
+    return names, lambda grid: _lib.dynmaps.choi_trace_norm(alpha, spec.q, grid, n, spec.qubits)
 
 
 def _decay_rate(spec: SweepSpec, alpha: float, n: int) -> tuple:
@@ -387,8 +376,15 @@ def _trajectory(spec: SweepSpec, alpha: float, n: int) -> tuple:
 
 
 def _g_function(spec: SweepSpec, alpha: float, n: int) -> tuple:
-    names = tuple(f"g_{_system_tag(spec, alpha, qubits=k)}" for k in spec.qubits)
-    return _series(names, lambda q: _lib.dynmaps.g_function(alpha, q, spec.qubits), lambda q: _guard(q, alpha))
+    def columns(grid: list) -> list:
+        # NaN (NA) in the guard band of p_-: the library runs on the kept points
+        # alone, and not at all when every point is masked.
+        na = [_guard(q, alpha) for q in grid]
+        kept = [q for q, masked in zip(grid, na) if not masked]
+        values = map(iter, _lib.dynmaps.g_function(alpha, kept, spec.qubits) if kept else [()] * len(spec.qubits))
+        return [[math.nan if masked else next(column) for masked in na] for column in values]
+
+    return tuple(f"g_{_system_tag(spec, alpha, qubits=k)}" for k in spec.qubits), columns
 
 
 # ---------------------------------------------------------------- domain rules

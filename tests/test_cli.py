@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import depolmark
-from depolmark import cli
+from depolmark import cli, dynmaps
 from depolmark.cli import (
     FIGURES,
     QUANTITIES,
@@ -451,9 +452,19 @@ def test_non_integer_counts_are_rejected(axis, value):
         SweepSpec("choi-eigs", p_min=0.3, **{axis: value})
 
 
-@pytest.mark.parametrize("axis,value,kind", [("levels", 3, "integers"), ("qubits", 1, "integers"), ("alpha", 0.7, "numbers")])
+@pytest.mark.parametrize(
+    "axis,value,kind",
+    [
+        ("levels", 3, "integers"),
+        ("qubits", 1, "integers"),
+        ("alpha", 0.7, "numbers"),
+        # A 0-d array has __iter__, yet iterating it raises.
+        pytest.param("alpha", np.array(0.7), "numbers", id="alpha-0d-array-numbers"),
+        pytest.param("alpha", np.float64(0.7), "numbers", id="alpha-float64-numbers"),
+    ],
+)
 def test_a_bare_number_where_a_sequence_belongs_is_named_as_such(axis, value, kind):
-    with pytest.raises(UsageError, match=f"^{axis} takes a sequence of {kind}, got {value}$"):
+    with pytest.raises(UsageError, match=f"^{axis} takes a sequence of {kind}, got {re.escape(repr(value))}$"):
         SweepSpec("choi-eigs", **{axis: value})
 
 
@@ -671,3 +682,19 @@ def test_a_group_masked_at_every_point_is_all_na():
     assert table.series_names == ("gamma_alpha0.7", "gamma_normalized_alpha0.7")
     assert table.column("gamma_alpha0.7") == [None] * 5
     assert None not in table.column("gamma_normalized_alpha0.7")
+
+
+def test_a_partly_masked_g_function_group_is_na_exactly_in_the_guard_band():
+    # Offsets of +-0.25, 0.75, ..., 2.25e-6 from p_-: the middle four lie within its 1e-6 band.
+    point = crossover_point(0.9)
+    spec = SweepSpec("g-function", alpha=(0.9,), p_min=point - 2.25e-6, p_max=point + 2.25e-6, steps=10, qubits=(1, 2))
+    table = run_sweep(spec)
+    grid = table.columns[0]
+    masked = [abs(q - point) < 1e-6 for q in grid]
+    assert masked == [False] * 3 + [True] * 4 + [False] * 3
+    kept = [q for q, m in zip(grid, masked) if not m]
+    expected = dynmaps.g_function(0.9, kept, (1, 2))
+    for column, values in zip(table.columns[1:], expected):
+        assert [v is None for v in column] == masked
+        assert [v.hex() for v in column if v is not None] == [float(v).hex() for v in values]
+    assert max(max(values) for values in expected) > 0.0  # a column of zeros would prove little

@@ -6,9 +6,14 @@ numerical choices that the suite is meant to pin down: a threshold moved
 by a factor of ten, a power taken by another routine, a dropped
 quadrature split, a propagator scaled by 1 + 1e-9. For every mutant the
 checkout is copied into a temporary directory, the mutant is applied
-there, and the tier-1 suite runs on the copy (stopping at its first
-failure). A failing suite kills the mutant. The unmutated copy runs first
-and has to pass, or no verdict means anything.
+there, and the tests run on the copy, stopping at their first failure.
+First come the subset: the test files whose import lines name the mutated
+module (``from depolmark import cli``, ``from depolmark.cli import ...``).
+A failure there kills the mutant. A mutant the subset leaves alive runs the
+whole tier-1 suite, and a failure there kills it; every subset test is a
+tier-1 test, so the subset changes how long a verdict takes, never the
+verdict. The unmutated copy runs the whole suite first and has to pass,
+or no verdict means anything.
 
 A survivor either gets a test that kills it or a one-line reason in the
 catalogue. The exit code is 1 when a mutant without a reason survives,
@@ -16,14 +21,15 @@ when a killed mutant still carries a reason (the reason is stale: drop
 it), or when a mutant's text no longer matches its file (the code moved:
 update the catalogue), 0 otherwise.
 
-Usage: ``python3 tools/mutants.py`` from the checkout root. Each mutant
-costs one tier-1 run, whose wall time its verdict line prints, and the
-last line gives the gate's total. On a shared 2-vCPU host a surviving
-mutant took 25 s and a killed one 6-33 s; 41 mutants took 9 min 35 s.
+Usage: ``python3 tools/mutants.py`` from the checkout root. Each
+verdict line prints the wall time of the subset run and of the full run
+(``-`` where it did not run), and the last line gives the gate's total.
+On a shared 2-vCPU host, 41 mutants took 9 min 35 s with full runs only.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -127,7 +133,13 @@ CATALOGUE = (
     Mutant("kraus-completeness", "channels.py", ".max() > 1e-9", ".max() > 1e-8"),
     Mutant("hermitian-tolerance", "matcore.py", "tol = 1e-10 * np.maximum", "tol = 1e-9 * np.maximum"),
     Mutant("witness-cross-check", "measures.py", "> 1e-8 * np.maximum", "> 1e-7 * np.maximum"),
-    Mutant("all-masked-group-calls-fn", "cli.py", "fn(kept) if kept else [()] * len(names)", "fn(kept)"),
+    Mutant(
+        "all-masked-group-calls-fn",
+        "cli.py",
+        "_lib.dynmaps.g_function(alpha, kept, spec.qubits) if kept else [()] * len(spec.qubits)",
+        "_lib.dynmaps.g_function(alpha, kept, spec.qubits)",
+    ),
+    Mutant("scalar-sequence-test-skips-iter", "cli.py", "items = iter(value) if many else None", "items = value if many else None"),
     Mutant("grid-end-not-pinned", "cli.py", "return points + [self.p_max]", "return points + [div * step + self.p_min]"),
     Mutant("grid-zero-step-branch-dropped", "cli.py", "if step == 0:", "if False:"),
     Mutant(
@@ -178,14 +190,38 @@ CATALOGUE = (
 )
 
 
-def tier1(root: Path) -> bool:
-    """Whether the tier-1 suite passes in the checkout at ``root``."""
+def importers(root: Path, module: str) -> list:
+    """The tier-1 test files under ``root`` whose import lines name ``depolmark.<module>``."""
+    name = "depolmark." + module.removesuffix(".py")
+    files = []
+    for path in sorted((root / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("depolmark", name):
+                named = {node.module + "." + alias.name for alias in node.names} | {node.module}
+            elif isinstance(node, ast.Import):
+                named = {alias.name for alias in node.names}
+            else:
+                continue
+            if name in named:
+                files.append(str(path.relative_to(root)))
+                break
+    return files
+
+
+def tier1(root: Path, files: list = ()) -> bool:
+    """Whether the tests in ``files`` (the whole tier-1 suite when none) pass in the checkout at ``root``."""
     # No bytecode: a mutant of the same length, written within the same
     # second as the original, would otherwise reuse a stale .pyc.
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors", *files]
     proc = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=900)
     return proc.returncode == 0
+
+
+def timed(check) -> tuple:
+    """``(check(), wall seconds)``."""
+    began = time.perf_counter()
+    return check(), time.perf_counter() - began
 
 
 def run(mutants: list) -> int:
@@ -205,12 +241,19 @@ def run(mutants: list) -> int:
                 bad += 1
                 continue
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
-            began = time.perf_counter()
+            files = importers(copy, mutant.module)
+            times = ["    -", "    -"]
             try:
-                killed = not tier1(copy)
+                killed = False
+                if files:
+                    passed, seconds = timed(lambda: tier1(copy, files))
+                    killed, times[0] = not passed, f"{seconds:5.1f}"
+                if not killed:
+                    passed, seconds = timed(lambda: tier1(copy))
+                    killed, times[1] = not passed, f"{seconds:5.1f}"
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = f"{'killed' if killed else 'survived':9s} {time.perf_counter() - began:5.1f} s"
+            verdict = f"{'killed' if killed else 'survived':9s} subset {times[0]} s full {times[1]} s"
             note = f" ({mutant.reason})" if not killed and mutant.reason else ""
             print(f"{verdict} {mutant.name}: {mutant.module}: {mutant.old.strip()!r} -> {mutant.new.strip()!r}{note}", flush=True)
             if killed and mutant.reason:
