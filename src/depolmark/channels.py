@@ -70,7 +70,7 @@ class KrausSet:
         for op in ops:
             if op.shape != ops[0].shape or op.shape[-2:] != (self.dim, self.dim):
                 raise ValueError(f"expected {self.dim}x{self.dim} operators of one stack shape, got {op.shape}")
-        if np.asarray(self.completeness_defect()).max() > 1e-9:
+        if np.any(self.completeness_defect() > 1e-9):
             raise ValueError("Kraus operators do not satisfy the completeness relation")
 
     def __len__(self) -> int:

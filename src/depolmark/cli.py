@@ -56,8 +56,8 @@ undefined, are emitted as ``NA`` samples, never dropped, and each column
 function puts the NaN there itself: ``decay-rate``'s point function
 returns NaN for a rate wherever that rate's pole mask holds, and
 ``g-function``'s column function tests each grid point against the guard
-band once, calls ``dynmaps.g_function`` on the kept points alone (not at
-all when none is kept) and puts NaN at the others; at alpha = 0 the
+band once, calls ``dynmaps.g_function`` on the kept points alone (which
+may be none) and puts NaN at the others; at alpha = 0 the
 singular point is the boundary p = 1. A singularity at a *pinned*
 parameter (``q`` within 1e-6 of the singular value for a Choi quantity)
 is refused when the ``SweepSpec`` is built, with ``SingularMapError``,
@@ -378,10 +378,10 @@ def _trajectory(spec: SweepSpec, alpha: float, n: int) -> tuple:
 def _g_function(spec: SweepSpec, alpha: float, n: int) -> tuple:
     def columns(grid: list) -> list:
         # NaN (NA) in the guard band of p_-: the library runs on the kept points
-        # alone, and not at all when every point is masked.
+        # alone, which may be none.
         na = [_guard(q, alpha) for q in grid]
         kept = [q for q, masked in zip(grid, na) if not masked]
-        values = map(iter, _lib.dynmaps.g_function(alpha, kept, spec.qubits) if kept else [()] * len(spec.qubits))
+        values = map(iter, _lib.dynmaps.g_function(alpha, kept, spec.qubits))
         return [[math.nan if masked else next(column) for masked in na] for column in values]
 
     return tuple(f"g_{_system_tag(spec, alpha, qubits=k)}" for k in spec.qubits), columns

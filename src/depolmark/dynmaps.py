@@ -33,18 +33,17 @@ completely positive iff the Choi matrix is positive semidefinite; a trace
 norm above 1 therefore witnesses an NCP propagator.
 
 Every function of the dense route takes ``p`` (and ``q``) as one value or
-as a grid (a list or an array: ``propagator_column`` turns both into float
-arrays first), and ``Superoperator`` and ``ChoiMatrix``, which share one
-shape check, hold either one matrix
-or a stack ``(..., n, n)`` with one matrix per grid point. A single value
-is the 0-d case of the same code. The stacked route performs, point by
-point, the same float operations as a single call, so its results are
-bit-equal to those calls; sweeps use it to evaluate a whole column in one
-call. The propagator functions walk their grid in blocks sized by the
-system dimension, 1024 points at N = 2 and 64 at N = 4
-(``matcore.blockwise``), so that the stacks they hold stay bounded, and
-with a pinned ``q`` they build and SVD-check Phi(q, 0)^{-1} once for the
-whole grid rather than once per point.
+as a grid, a list or an array, and ``Superoperator`` and ``ChoiMatrix``
+hold either one matrix or a stack ``(..., n, n)`` with one matrix per
+grid point. The stacked route performs, point by point, the same float
+operations as a call on that point alone, so its results are bit-equal
+to those calls; sweeps use it to evaluate a whole column in one call.
+The propagator functions walk their grid in blocks sized by the system
+dimension, 1024 points at N = 2 and 64 at N = 4 (``matcore.blockwise``),
+so that the stacks they hold stay bounded, and with a pinned ``q`` they
+build and SVD-check Phi(q, 0)^{-1} once for the whole grid rather than
+once per point. A single value is walked as a one-point grid, and an
+empty grid gives empty results.
 
 The system is a parameter too: ``propagator_column`` takes ``levels`` N,
 and ``intermediate_map``, ``intermediate_choi`` and ``choi_trace_norm``
@@ -164,8 +163,8 @@ def _check_system(levels: int, *qubits: int) -> None:
 def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q, p, levels: int = 2):
     """``fn(Phi(p, q))`` of the N-level propagator over the grid, block by block, results concatenated.
 
-    ``fn`` receives a stack of propagators (one matrix for scalar q and p)
-    and returns one value, or one array, per propagator. A pinned q (one
+    ``fn`` receives a stack of propagators (a one-point stack for scalar q
+    and p) and returns one value, or one array, per propagator. A pinned q (one
     value) has Phi(q, 0)^{-1} built and SVD-checked once for the whole grid
     of p; a grid of q, broadcast against p, is inverted block by block,
     every matrix checked.

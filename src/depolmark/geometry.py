@@ -91,8 +91,7 @@ def volume_determinant(alpha: float, p):
     singular parameter value when alpha > 0. A grid of p gives an array,
     evaluated block by block.
     """
-    volume = blockwise(lambda p: np.abs(np.linalg.det(affine_map_of(alpha, p).matrix)), p, dim=2)
-    return float(volume) if volume.ndim == 0 else volume
+    return blockwise(lambda p: np.abs(np.linalg.det(affine_map_of(alpha, p).matrix)), p, dim=2)
 
 
 def gell_mann_matrices(levels: int) -> list:

@@ -72,19 +72,17 @@ def blockwise(fn, *grids, dim: int):
     block holds ``max(1, _BUDGET // d**4)`` points. The grids broadcast
     against each other and are flattened; ``fn`` takes one 1-D block of
     each and returns arrays whose first axis runs over the block. The
-    result has the grids' shape followed by ``fn``'s trailing axes. Scalar
-    grids are a single call with 0-d arrays, whose result is returned as
-    it is.
+    result has the grids' shape followed by ``fn``'s trailing axes. A
+    single value is a one-point block, and an empty grid is one call on
+    empty blocks, so that ``fn``'s trailing axes survive. A 0-d result
+    comes back as a float.
     """
-    grids = [np.asarray(g, dtype=float) for g in grids]
-    if all(g.ndim == 0 for g in grids):
-        return fn(*grids)
-    grids = np.broadcast_arrays(*grids)
-    shape = grids[0].shape
+    grids = np.broadcast_arrays(*(np.asarray(g, dtype=float) for g in grids))
     flat = [g.reshape(-1) for g in grids]
     block = max(1, _BUDGET // dim**4)
-    out = np.concatenate([fn(*(g[i : i + block] for g in flat)) for i in range(0, flat[0].size, block)])
-    return out.reshape(shape + out.shape[1:])
+    out = np.concatenate([fn(*(g[i : i + block] for g in flat)) for i in range(0, max(1, flat[0].size), block)])
+    out = out.reshape(grids[0].shape + out.shape[1:])
+    return float(out) if out.ndim == 0 else out
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10):

@@ -309,7 +309,7 @@ def memory_witness_X(alpha: float, q, p):
         i = np.argmax(apart.reshape(-1))
         d, c = (float(np.reshape(x, -1)[i]) for x in (direct, closed))
         raise ArithmeticError(f"witness routes disagree: direct {d!r} vs closed {c!r} at (alpha={alpha}, q={q}, p={p})")
-    return float(direct) if np.ndim(direct) == 0 else direct
+    return direct
 
 
 def memory_witness_closed(alpha: float, q, p):

@@ -4,7 +4,10 @@
 ``max(1, _BUDGET // d**4)`` points, d the system dimension. These tests
 check that a block never holds more points than that, that the blocks
 tile the grid in order, that the result has the bits of one call per
-point, and that no dense preset column depends on the block length. The
+point, and that no dense preset column depends on the block length. A
+single value is a one-point block whose 0-d result comes back as a
+float, and an empty grid is one call on empty blocks, so every grid call
+of the dense route gives an empty result of the right shape there. The
 count tests pin the shared single-system column: the qubit counts of a
 ``choi-norm`` or ``g-function`` sweep are powers of one column per N (per
 alpha and finite-difference step for ``g-function``). Every dense
@@ -71,11 +74,65 @@ def test_broadcast_q_grid_walks_every_pair_once():
     assert out[..., 1].tolist() == [[pi * qi for pi in p.tolist()] for qi in (0.1, 0.2, 0.3)]
 
 
-def test_scalar_grids_are_one_call_whose_result_comes_back_as_it_is():
+def test_a_scalar_is_a_one_point_block_and_a_0d_result_comes_back_as_a_float():
     blocks: list = []
-    result = object()
-    assert blockwise(recording(lambda q, p: result, blocks), 0.3, 0.5, dim=2) is result
-    assert blocks == [[0.3, 0.5]]
+    out = blockwise(recording(lambda q, p: q + p, blocks), 0.3, 0.5, dim=2)
+    assert blocks == [[[0.3], [0.5]]]
+    assert type(out) is float and out == 0.3 + 0.5
+
+
+def test_an_empty_grid_is_one_call_on_empty_blocks_and_keeps_the_trailing_axes():
+    blocks: list = []
+    out = blockwise(recording(lambda q, p: np.zeros((p.size, 3, 3)), blocks), 0.3, [], dim=2)
+    assert blocks == [[[], []]]
+    assert out.shape == (0, 3, 3)
+
+
+# The twelve grid calls of the dense route, each with the shape its result
+# has on an empty grid: a column, a map or Choi stack, or a Kraus stack.
+EMPTY_GRID_CALLS = [
+    pytest.param(lambda g: channels.qubit_kraus(0.7, g).shape, (0,), id="qubit_kraus"),
+    pytest.param(lambda g: channels.qudit_kraus(0.7, g, 3).shape, (0,), id="qudit_kraus"),
+    pytest.param(lambda g: geometry.affine_map_of(0.7, g).matrix.shape, (0, 4, 4), id="affine_map_of"),
+    pytest.param(lambda g: geometry.f_matrix(0.7, g, 3).matrix.shape, (0, 9, 9), id="f_matrix"),
+    pytest.param(lambda g: geometry.volume_determinant(0.7, g).shape, (0,), id="volume_determinant"),
+    pytest.param(lambda g: geometry.f_norm(0.7, g, 4).shape, (0,), id="f_norm"),
+    pytest.param(lambda g: dynmaps.intermediate_map(0.7, 0.3, g, qubits=2).matrix.shape, (0, 16, 16), id="intermediate_map"),
+    pytest.param(lambda g: dynmaps.intermediate_choi(0.7, 0.3, g, levels=3).matrix.shape, (0, 9, 9), id="intermediate_choi"),
+    pytest.param(lambda g: dynmaps.choi_trace_norm(0.7, 0.3, g).shape, (0,), id="choi_trace_norm"),
+    pytest.param(lambda g: dynmaps.g_function(0.9, g).shape, (0,), id="g_function"),
+    pytest.param(lambda g: measures.plus_minus_distance(0.7, g).shape, (0,), id="plus_minus_distance"),
+    pytest.param(lambda g: measures.memory_witness_X(0.7, 0.3, g).shape, (0,), id="memory_witness_X"),
+]
+
+
+@pytest.mark.parametrize("grid", [[], np.array([])], ids=["list", "array"])
+@pytest.mark.parametrize("call,shape", EMPTY_GRID_CALLS)
+def test_an_empty_grid_gives_an_empty_result(call, shape, grid):
+    assert call(grid) == shape
+
+
+def test_g_function_on_an_empty_grid_gives_one_empty_column_per_count():
+    columns = dynmaps.g_function(0.9, [], (1, 2))
+    assert [c.shape for c in columns] == [(0,), (0,)]
+
+
+# The six dense column functions, as functions of their grid.
+COLUMN_FUNCTIONS = [
+    pytest.param(lambda p: measures.plus_minus_distance(0.7, p), id="plus_minus_distance"),
+    pytest.param(lambda p: measures.memory_witness_X(0.7, 0.3, p), id="memory_witness_X"),
+    pytest.param(lambda p: geometry.volume_determinant(0.7, p), id="volume_determinant"),
+    pytest.param(lambda p: geometry.f_norm(0.7, p, 3), id="f_norm"),
+    pytest.param(lambda p: dynmaps.choi_trace_norm(0.7, 0.3, p, qubits=2), id="choi_trace_norm"),
+    pytest.param(lambda p: dynmaps.g_function(0.9, p), id="g_function"),
+]
+
+
+@pytest.mark.parametrize("column", COLUMN_FUNCTIONS)
+def test_a_scalar_call_gives_a_float_with_the_bits_of_a_one_point_grid(column):
+    value = column(0.8)
+    assert type(value) is float
+    assert value.hex() == column([0.8])[0].hex()
 
 
 @pytest.mark.parametrize("fig_id", DENSE_PRESETS)

@@ -671,7 +671,7 @@ def test_every_cell_is_a_python_float_or_none(fig_id):
 
 
 def test_a_group_masked_at_every_point_is_all_na():
-    # The column function is never called on an empty grid.
+    # dynmaps.g_function runs on the empty grid of kept points and gives empty columns.
     point = crossover_point(0.9)
     spec = SweepSpec("g-function", alpha=(0.9,), p_min=point - 4e-7, p_max=point + 4e-7, steps=5, qubits=(1, 2))
     table = run_sweep(spec)

@@ -62,6 +62,13 @@ CATALOGUE = (
     Mutant("qubit-power-np", "dynmaps.py", "np.reshape([b**n for b in flat], np.shape(base))", "np.power(base, n)"),
     Mutant("qubit-power-one", "dynmaps.py", "[b**n for b in flat]", "[b**1 for b in flat]"),
     Mutant("block-ignores-dim", "matcore.py", "block = max(1, _BUDGET // dim**4)", "block = max(1, _BUDGET // 16)"),
+    Mutant("empty-grid-not-called", "matcore.py", "range(0, max(1, flat[0].size), block)", "range(0, flat[0].size, block)"),
+    Mutant(
+        "block-0d-result-not-float",
+        "matcore.py",
+        "out.shape[1:])\n    return float(out) if out.ndim == 0 else out",
+        "out.shape[1:])\n    return out",
+    ),
     Mutant(
         "trace-distance-unblocked",
         "measures.py",
@@ -130,15 +137,9 @@ CATALOGUE = (
         "    if alpha < 1e-6:\n        c = (levels * levels - 1)",
         "    if alpha < 1e-5:\n        c = (levels * levels - 1)",
     ),
-    Mutant("kraus-completeness", "channels.py", ".max() > 1e-9", ".max() > 1e-8"),
+    Mutant("kraus-completeness", "channels.py", "defect() > 1e-9", "defect() > 1e-8"),
     Mutant("hermitian-tolerance", "matcore.py", "tol = 1e-10 * np.maximum", "tol = 1e-9 * np.maximum"),
     Mutant("witness-cross-check", "measures.py", "> 1e-8 * np.maximum", "> 1e-7 * np.maximum"),
-    Mutant(
-        "all-masked-group-calls-fn",
-        "cli.py",
-        "_lib.dynmaps.g_function(alpha, kept, spec.qubits) if kept else [()] * len(spec.qubits)",
-        "_lib.dynmaps.g_function(alpha, kept, spec.qubits)",
-    ),
     Mutant("scalar-sequence-test-skips-iter", "cli.py", "items = iter(value) if many else None", "items = value if many else None"),
     Mutant("grid-end-not-pinned", "cli.py", "return points + [self.p_max]", "return points + [div * step + self.p_min]"),
     Mutant("grid-zero-step-branch-dropped", "cli.py", "if step == 0:", "if False:"),
