@@ -41,7 +41,7 @@ arithmetic), one ``kernel.trajectory`` call feeds the five ``trajectory``
 columns (its two flags written as 1.0/0.0), and ``hcla`` calls its
 measure once per alpha. The one-column quantities are ``_column`` rows,
 a name template and one library call on the grid: ``blp``
-(``measures.blp_measure`` per alpha), ``trace-distance``
+(``kernel.blp_measure`` per alpha), ``trace-distance``
 (``measures.plus_minus_distance``), ``memory-x``
 (``measures.memory_witness_X``), ``volume``
 (``geometry.volume_determinant``) and ``f-norm`` (``geometry.f_norm``).
@@ -87,16 +87,13 @@ round-tripping ``repr`` otherwise; ``SweepSpec`` adds 0.0 to ``alpha``,
 ``q`` and the grid bounds, so a -0.0 prints and names as 0.
 
 At module level this file imports the standard library and the numpy-free
-``kernel`` only: parsing, ``SweepSpec`` validation (the pinned-q check and
-the ``_FIGURES`` table included), the grid, ``run_sweep``, the closed-form
-columns and every exit-2 or exit-3 path run without numpy, so ``choi-eigs``,
-``decay-rate``, ``trajectory`` and the presets ``fig1``, ``fig2``,
-``fig3``, ``fig8`` and ``fig9`` load ``cli`` and ``kernel`` alone. This
-file imports numpy nowhere, and no function in it imports a module: every
-other library call goes through the package, ``_lib.measures.f(...)``,
-whose first access to a module imports it. So a command loads only the
-modules its quantity calls, and library functions are looked up when a
-sweep runs.
+``kernel`` only, and it imports numpy nowhere, so one rule holds: a
+command loads numpy only when it computes a dense column. Parsing,
+validation, every exit-2 or exit-3 path and every ``kernel`` column (the
+closed forms and the ``hcla`` and ``blp`` measures) load ``cli`` and
+``kernel`` alone. No function here imports a module: a dense column goes
+through the package, ``_lib.measures.f(...)``, whose first access to a
+module imports it, so a command loads only the modules its quantity calls.
 
 ``SweepSpec`` holds the sweep and nothing else: its ``metadata()`` is its
 fields, and the command line's ``--out`` and ``--format`` go to the
@@ -118,7 +115,8 @@ from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard
-from .kernel import _survival_derivative, decay_rate, decay_rate_normalized, qudit_choi_eigenvalues, survival, trajectory
+from .kernel import _survival_derivative, blp_measure, decay_rate, decay_rate_normalized, hcla_closed_form, hcla_measure
+from .kernel import qudit_choi_eigenvalues, qutrit_hcla_log_form, survival, trajectory
 
 # The package: ``_lib.measures`` imports that module on first access, so a
 # command loads only the modules its quantity calls.
@@ -361,9 +359,8 @@ def _decay_rate(spec: SweepSpec, alpha: float, n: int) -> tuple:
 
 
 def _hcla(spec: SweepSpec, alpha: None, n: int) -> tuple:
-    measures = _lib.measures
-    name, closed = ("N_HCLA_closed", measures.hcla_closed_form) if n == 2 else ("N_HCLA_log_form", measures.qutrit_hcla_log_form)
-    return _points(("N_HCLA_numeric", name), lambda a: (measures.hcla_measure(a, n), closed(a)))
+    name, closed = ("N_HCLA_closed", hcla_closed_form) if n == 2 else ("N_HCLA_log_form", qutrit_hcla_log_form)
+    return _points(("N_HCLA_numeric", name), lambda a: (hcla_measure(a, n), closed(a)))
 
 
 def _trajectory(spec: SweepSpec, alpha: float, n: int) -> tuple:
@@ -412,7 +409,7 @@ _QUANTITIES = {
     "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
-    "blp": _Quantity(_column("N_BLP", lambda spec, a, n, grid: list(map(_lib.measures.blp_measure, grid))), abscissa="alpha"),
+    "blp": _Quantity(_column("N_BLP", lambda spec, a, n, grid: list(map(blp_measure, grid))), abscissa="alpha"),
     "trace-distance": _Quantity(_column("D_{tag}", lambda spec, a, n, grid: _lib.measures.plus_minus_distance(a, grid))),
     "memory-x": _Quantity(_column("X_{tag}", lambda spec, a, n, grid: _lib.measures.memory_witness_X(a, spec.q, grid)), pinned=True),
     "volume": _Quantity(_column("volume_{tag}", lambda spec, a, n, grid: _lib.geometry.volume_determinant(a, grid))),

@@ -196,7 +196,7 @@ def blp_random_pair_search(
     """Largest distinguishability revival over random antipodal Bloch pairs.
 
     Evidence (not proof) that the fixed |+>/|-> pair of
-    :func:`depolmark.measures.blp_measure` is optimal: each sampled pair is
+    :func:`depolmark.kernel.blp_measure` is optimal: each sampled pair is
     evolved through the Kraus machinery on a p grid and the positive
     trace-distance increments are summed. By isotropy of the channel every
     antipodal pure pair attains the same revival, so the maximum matches

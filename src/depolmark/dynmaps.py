@@ -343,6 +343,6 @@ def g_function(alpha: float, q, qubits: int | tuple = 1):
         return [(norm - 1.0) / step for norm in choi_trace_norm(alpha, q_arr, q_arr + step, qubits=counts)]
 
     refined = [2.0 * half - full for half, full in zip(quotients(eps / 2.0), quotients(eps))]
-    clamped = [np.where(r > 1e-8, r, 0.0) for r in refined]
-    columns = [float(c) if c.ndim == 0 else c for c in clamped]
+    # + 0.0 turns the -0.0 of a clamped negative quotient into +0.0.
+    columns = [r * (r > 1e-8) + 0.0 for r in refined]
     return columns if isinstance(qubits, tuple) else columns[0]

@@ -1,203 +1,36 @@
-"""Scalar non-Markovianity measures and witnesses.
+"""The dense witness columns: trace distance and quantum-memory witness.
 
-Built on the survival factor G(p) = 1 - k(p) of the depolarizing family
-and on the two decay rates of ``kernel``: the canonical rate
-gamma(p) = -G'(p)/G(p) (``kernel.decay_rate``), divergent at the singular
-parameter value where G vanishes, and the normalized rate
-gamma~(p) = -gamma/(1 - gamma) = G'/(G + G') (``kernel.decay_rate_normalized``),
-finite across the singularity. This module holds
+* trace distance   (1/2) ||a - b||_1 of two states, and the |+>/|->
+  column ``plus_minus_distance`` through the qubit Kraus set (it equals
+  |G(p)|);
+* memory witness   X = |s| + ||T||_1 from the Bloch-type decomposition of
+  the propagator Choi matrix, equal to 3 |lambda(p, q)|
+  (``memory_witness_closed``), and checked against it at every point.
 
-* rate measure                integral of gamma~ over the negative-rate
-  window [p_-, 1], with p_- the singular parameter value (over
-  s = 1 - p below alpha = 1e-6, where the window is a few ulps wide);
-* distinguishability measure  integral of the positive part of the trace
-  distance derivative for the antipodal |+>/|-> pair, which evaluates to
-  alpha/4;
-* memory witness              X = |s| + ||T||_1 from the Bloch-type
-  decomposition of the propagator Choi matrix, equal to 3 |lambda(p, q)|.
-
-Each measure (``hcla_measure``, ``hcla_closed_form``, ``blp_measure``)
-returns a plain float, one number per alpha. All quadratures are adaptive
-with absolute tolerance 1e-9 and bit-equal to ``scipy.integrate.quad``.
-quad's first Gauss-Kronrod pass runs in plain Python (``_quad``), so no
-preset loads scipy; only a refused first pass (below alpha of about 1e-6)
-imports it, for quad to bisect. The rest of the package needs numpy only.
-``memory_witness_X``, ``memory_witness_closed`` and ``trace_distance``
-also take whole grids (stacks of states), point by point bit-equal to
-single calls, and so does ``plus_minus_distance``, the dense |+>/|->
-trace-distance column; the two dense columns walk a grid in blocks
-(``matcore.blockwise``), so the stacks they hold stay bounded. The rate
-integrands call ``kernel.decay_rate_normalized`` on plain Python floats,
-thousands of times per measure.
+Each takes whole grids (stacks of states) as well, point by point
+bit-equal to single calls; the two columns walk a grid in blocks
+(``matcore.blockwise``), so the stacks they hold stay bounded. The
+scalar measures built on the same G (HCLA, BLP and their closed forms)
+are numpy-free and live in ``kernel``.
 """
 
 from __future__ import annotations
-
-import math
-import sys
 
 import numpy as np
 
 from .channels import apply_channel, qubit_kraus
 from .dynmaps import choi_of, propagator_column
 from .dynmaps import intermediate_choi  # noqa: F401 -- measures.intermediate_choi stays importable (perfbench wraps re-bindings)
-from .kernel import _check_unit, _survival_derivative, crossover_point, decay_rate_normalized, lambda_ratio, survival
+from .kernel import lambda_ratio
 from .matcore import PAULI_X, PAULI_Y, PAULI_Z, blockwise, kron, trace_norm
 
 __all__ = [
-    "hcla_measure",
-    "hcla_closed_form",
-    "qutrit_hcla_log_form",
     "trace_distance",
     "plus_minus_states",
     "plus_minus_distance",
-    "plus_minus_distance_derivative",
-    "blp_measure",
     "memory_witness_X",
     "memory_witness_closed",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-11, limit=200)
-
-# QUADPACK's dqk21 rule: Kronrod abscissae (odd indices are the 10-point
-# Gauss nodes, the last is the centre), Kronrod weights, Gauss weights.
-_XGK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452, 0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493, 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784, 0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-)
-_WGK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390, 0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190, 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707, 0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068, 0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697, 0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469, 0.295524224714752870173892994651338,
-)
-_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
-
-
-def _quad(integrand, lower: float, upper: float) -> float:
-    """Adaptive quadrature over [lower, upper], bit-equal to ``scipy.integrate.quad`` with ``_QUAD_OPTS``.
-
-    quad's dqagse starts with one 21-point Gauss-Kronrod pass (dqk21) over
-    the whole window and returns it when its error test passes. That pass
-    runs here in plain Python, in QUADPACK's summation order, so an
-    accepted pass gives quad's bits without loading scipy: every preset
-    takes this route. Only a refused pass (the measures refuse it below
-    alpha of about 1e-6) or reversed bounds import scipy and call quad,
-    which then bisects. An empty window gives 0.0, as quad's shortcut does.
-    """
-    if lower < upper:
-        centre, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
-        fc = integrand(centre)
-        resg, resk = 0.0, _WGK[10] * fc
-        resabs = abs(resk)
-        values = [None] * 10
-        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first, then the Kronrod-only ones
-            x = half * _XGK[j]
-            values[j] = f1, f2 = integrand(centre - x), integrand(centre + x)
-            if j % 2:
-                resg += _WG[j // 2] * (f1 + f2)
-            resk += _WGK[j] * (f1 + f2)
-            resabs += _WGK[j] * (abs(f1) + abs(f2))
-        reskh = resk * 0.5
-        resasc = _WGK[10] * abs(fc - reskh)
-        for j in range(10):
-            resasc += _WGK[j] * (abs(values[j][0] - reskh) + abs(values[j][1] - reskh))
-        result, resabs, resasc = resk * half, resabs * half, resasc * half
-        abserr = abs((resk - resg) * half)
-        if resasc != 0.0 and abserr != 0.0:
-            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-        if resabs > _TINY / (50.0 * _EPS):
-            abserr = max(50.0 * _EPS * resabs, abserr)
-        # dqagse's test. Its round-off flag needs abserr > errbnd, so a flagged
-        # pass is never accepted here: quad returns it with its IntegrationWarning.
-        errbnd = max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(result))
-        if abserr <= errbnd and abserr != resasc or abserr == 0.0:
-            return result
-    elif lower == upper:
-        return 0.0
-    from scipy import integrate  # loaded only for a refused pass: quad goes on to bisect
-    return integrate.quad(integrand, lower, upper, **_QUAD_OPTS)[0]
-
-
-def hcla_measure(alpha: float, levels: int = 2) -> float:
-    """Negative-decay-rate measure: integral of gamma~ over [p_-, 1].
-
-    ``p_-`` is the singular parameter value of the family
-    (:func:`depolmark.kernel.crossover_point`); beyond it the canonical
-    rate is negative and the normalized rate is positive. Evaluated by
-    adaptive quadrature. At alpha = 0 the window is empty (p_- = 1, and
-    the width w below is 0), so the quadrature gives +0.0.
-
-    Below alpha = 1e-6 the window is only a few ulps of 1 wide (about
-    alpha/4 for the qubit), so bounds on p would round. There the integral
-    runs over s = 1 - p, on [0, w] with the width w = 1 - p_- =
-    4 alpha (1 - c) / ((r + 1 - alpha) ((1 + alpha) + r)), c =
-    (N^2 - 1)/N^2 and r = sqrt((1 + alpha)^2 - 4 c alpha), which has no
-    cancellation.
-    """
-    _check_unit("alpha", alpha)
-    if alpha < 1e-6:
-        c = (levels * levels - 1) / (levels * levels)
-        r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
-        width = 4.0 * alpha * (1.0 - c) / ((r + 1.0 - alpha) * ((1.0 + alpha) + r))
-        return _quad(lambda s: decay_rate_normalized(alpha, 1.0 - s, levels), 0.0, width)
-    return _quad(lambda p: decay_rate_normalized(alpha, p, levels), crossover_point(alpha, levels), 1.0)
-
-
-def hcla_closed_form(alpha: float) -> float:
-    """Antiderivative evaluation of the qubit normalized-rate integral.
-
-    With den(p) = 4 p + 4 alpha - 2 alpha p - 3 alpha p^2 and
-    s = sqrt(4 - 4 alpha + 13 alpha^2), the antiderivative is
-
-        F(p) = ln|den(p)| + (6 alpha / s) artanh((3 alpha p + alpha - 2)/s)
-
-    and the measure is F(1) - F(p_-). The logarithm is taken of the
-    absolute value; the branch constant cancels between the endpoints.
-
-    Below alpha = 1e-6 the two endpoint values cancel catastrophically
-    (relative error -9.9 at alpha = 1e-16, and the artanh argument leaves
-    (-1, 1) below about 1e-17), so the series alpha/4 + 3 alpha^2/32 is
-    returned there instead: it is within 5e-14 relative of a 60-digit
-    quadrature on (0, 1e-6) and gives exactly 0 at alpha = 0.
-    """
-    _check_unit("alpha", alpha)
-    if alpha < 1e-6:
-        return alpha / 4.0 + 3.0 * alpha * alpha / 32.0
-    s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
-
-    def antiderivative(p: float) -> float:
-        den = 4.0 * p + 4.0 * alpha - 2.0 * alpha * p - 3.0 * alpha * p * p
-        return math.log(abs(den)) + (6.0 * alpha / s) * math.atanh((3.0 * alpha * p + alpha - 2.0) / s)
-
-    lower = crossover_point(alpha, 2)
-    return antiderivative(1.0) - antiderivative(lower)
-
-
-def qutrit_hcla_log_form(alpha: float) -> float:
-    """Plain-logarithm reference value for the qutrit rate integral.
-
-    Evaluates ln(p) + ln(9 + 9 alpha - 8 p alpha) between the qutrit
-    singular parameter and 1. This expression is NOT an antiderivative of
-    the qutrit normalized rate (its derivative has the denominator
-    9 p + 9 alpha p - 8 alpha p^2 instead of 9 p + 9 alpha - 7 alpha p
-    - 8 alpha p^2), so it deviates from ``hcla_measure(alpha, levels=3)``.
-    It is provided so datasets can report both values side by side; the
-    quadrature value is the authoritative one. At alpha = 0 the singular
-    parameter is the boundary p = 1, and the value is 0.
-    """
-    lower = crossover_point(alpha, 3)  # raises ValueError for alpha outside [0, 1]
-
-    def log_form(p: float) -> float:
-        return math.log(p) + math.log(abs(9.0 + 9.0 * alpha - 8.0 * p * alpha))
-
-    return log_form(1.0) - log_form(lower)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
@@ -231,31 +64,6 @@ def plus_minus_distance(alpha: float, p):
     plus, minus = plus_minus_states()
     distance = lambda kraus: trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
     return blockwise(lambda p: distance(qubit_kraus(alpha, p)), p, dim=2)
-
-
-def plus_minus_distance_derivative(alpha: float, p: float) -> float:
-    """dD/dp of the |+>/|-> trace distance D(p) = |G(p)| (zero at the kink)."""
-    g = survival(alpha, p)
-    if g == 0.0:
-        return 0.0
-    return math.copysign(1.0, g) * _survival_derivative(alpha, p, 2)
-
-
-def blp_measure(alpha: float) -> float:
-    """Distinguishability-revival measure for the antipodal |+>/|-> pair.
-
-    Integrates max(0, dD/dp) over [0, 1] by adaptive quadrature. D = |G|
-    only contracts up to the singular parameter value p_- (G > 0 and
-    G' < 0 there), so the integrand is zero on [0, p_-] and the quadrature
-    covers the revival window [p_-, 1] alone, giving D(1) - D(p_-) =
-    alpha/4. ``crossover_point`` never exceeds 1, so the window is never
-    backwards. At alpha = 0 (and near 1e-16) it is the empty window
-    [1, 1] and the value is +0.0: the alpha = 0 channel contracts
-    monotonically. ``crossover_point`` also raises the ValueError for an
-    alpha outside [0, 1] or NaN.
-    """
-    integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
-    return _quad(integrand, crossover_point(alpha, 2), 1.0)
 
 
 # I kron sigma_i, then sigma_i kron sigma_j row by row: the observables

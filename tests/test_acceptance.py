@@ -23,17 +23,20 @@ from depolmark.dynmaps import (
     intermediate_map,
 )
 from depolmark.geometry import f_matrix, volume_determinant
-from depolmark.kernel import crossover_point, decay_rate, kappa, qudit_choi_eigenvalues, survival, volume_measure
-from depolmark.matcore import trace_norm
-from depolmark.measures import (
+from depolmark.kernel import (
     blp_measure,
+    crossover_point,
+    decay_rate,
     hcla_closed_form,
     hcla_measure,
-    memory_witness_closed,
-    memory_witness_X,
+    kappa,
+    qudit_choi_eigenvalues,
     qutrit_hcla_log_form,
-    trace_distance,
+    survival,
+    volume_measure,
 )
+from depolmark.matcore import trace_norm
+from depolmark.measures import memory_witness_closed, memory_witness_X, trace_distance
 from helpers import random_density
 
 

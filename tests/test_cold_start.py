@@ -1,16 +1,15 @@
-"""A depolmark process imports numpy only when it computes a dense quantity.
+"""A depolmark process imports numpy only when it computes a dense column.
 
-Parsing, ``SweepSpec`` validation (the figure table built at import
-included), the grid, the pinned-q singularity check, every exit-2 or
-exit-3 path and the closed-form columns (``choi-eigs``, ``decay-rate``,
-``trajectory`` and the presets ``fig1``, ``fig2``, ``fig3``, ``fig8`` and
-``fig9``) run on the standard library
-and the numpy-free ``depolmark.kernel``. A fresh interpreter that runs
-only such command lines must end with no numpy module loaded and with no
-``depolmark`` module besides the package, ``cli`` and ``kernel``, and
-``import depolmark`` alone loads none either. A command that computes a
-dense quantity loads numpy and the library modules its columns call, but
-never the oracle module ``depolmark.dense``: all 13 presets run without it.
+``depolmark.kernel`` is numpy-free, and ``cli`` imports no other library
+module at module level. So a fresh interpreter that only parses,
+validates, exits with code 2 or 3, or computes ``kernel`` columns (the
+closed forms of ``choi-eigs``, ``decay-rate`` and ``trajectory``, the
+``hcla`` and ``blp`` measures, and the presets built on them) must end
+with no numpy module loaded and with no ``depolmark`` module besides the
+package, ``cli`` and ``kernel``; ``import depolmark`` alone loads none
+either. A command that computes a dense column loads numpy and the
+library modules its columns call, but never the oracle module
+``depolmark.dense``: all 13 presets run without it.
 
 The package resolves its submodules and re-exported names on first access;
 its ``__all__`` holds 70 names, each exported by one module.
@@ -81,10 +80,13 @@ def test_usage_and_singularity_exits_never_import_numpy():
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
     out = str(tmp_path)
-    figures = [([fig_id, "--out", out], 0) for fig_id in ("fig1", "fig2", "fig3", "fig8", "fig9")]
+    presets = ("fig1", "fig2", "fig3", "fig4", "fig8", "fig9", "fig10")
+    figures = [([fig_id, "--out", out], 0) for fig_id in presets]
+    # blp's default alpha grid has no point below 1e-6 but 0, so no quadrature hands over to scipy.
     sweeps = [["choi-eigs", "--levels", "2,3,4"], ["decay-rate", "--format", "json"], ["trajectory", "--alpha", "0,0.7"]]
+    sweeps += [["hcla", "--alpha", "0.3,0.7"], ["blp"]]
     assert_numpy_free(figures + [(argv, 0) for argv in sweeps])
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig1.csv", "fig2.csv", "fig3.csv", "fig8.csv", "fig9.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"{fig_id}.csv" for fig_id in presets)
 
 
 def test_csv_commands_never_import_json(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -315,6 +316,8 @@ def test_g_function_values():
 
 def test_g_function_zero_below_crossover():
     assert g_function(0.9, 0.4) == 0.0
+    # The refined quotient there is about -1.3e-9: its clamp is +0.0, not -0.0.
+    assert math.copysign(1.0, g_function(0.9, 0.4)) == 1.0
     assert g_function(0.0, 0.5) == 0.0
 
 

@@ -522,10 +522,10 @@ def test_kernel_closed_forms_reject_alpha_outside_the_unit_interval(alpha):
         lambda: decay_rate_normalized(alpha, 0.5),
         lambda: kernel.trajectory(alpha, 0.5),
         lambda: crossover_point(alpha),
-        lambda: measures.blp_measure(alpha),  # its check is crossover_point's
-        lambda: measures.hcla_measure(alpha),
-        lambda: measures.hcla_closed_form(alpha),
-        lambda: measures.qutrit_hcla_log_form(alpha),
+        lambda: kernel.blp_measure(alpha),  # its check is crossover_point's
+        lambda: kernel.hcla_measure(alpha),
+        lambda: kernel.hcla_closed_form(alpha),
+        lambda: kernel.qutrit_hcla_log_form(alpha),
         lambda: kernel.volume_measure(alpha),
     ]
     for call in calls:

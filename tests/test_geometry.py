@@ -7,8 +7,7 @@ import pytest
 
 from depolmark import kernel
 from depolmark.geometry import affine_map_of, f_matrix, gell_mann_matrices, volume_determinant
-from depolmark.kernel import bloch_contraction_derivative, crossover_point, kappa, survival, volume_measure
-from depolmark.measures import blp_measure
+from depolmark.kernel import blp_measure, bloch_contraction_derivative, crossover_point, kappa, survival, volume_measure
 
 
 def trajectory(alpha, grid):

@@ -1,13 +1,12 @@
 """scipy stays off the import path unless a quadrature's first pass is refused.
 
-``hcla_measure`` and ``blp_measure`` integrate numerically. ``measures._quad``
-runs quad's first 21-point Gauss-Kronrod pass in plain Python and returns it
-when quad's own error test accepts it, which every preset's quadrature does.
-Only a refused pass (blp below alpha of about 1e-6) imports scipy, for quad to
-bisect. A fresh interpreter that imports the package and runs every preset,
-``fig4`` and ``fig10`` included, and every quantity but ``hcla`` and ``blp``
-must end with no scipy module loaded; a ``blp`` sweep at an alpha whose first
-pass is refused then loads it.
+``kernel.hcla_measure`` and ``kernel.blp_measure`` integrate with
+``kernel._quad``, quad's first 21-point Gauss-Kronrod pass in plain Python,
+which every preset's quadrature accepts. Only a refused pass (blp below alpha
+of about 1e-6) imports scipy, for quad to bisect. A fresh interpreter that
+imports the package and runs every preset, ``fig4`` and ``fig10`` included,
+and every quantity but ``hcla`` and ``blp`` must end with no scipy module
+loaded; a ``blp`` sweep at an alpha whose first pass is refused then loads it.
 
 The quadrature values are checked bit for bit against two-piece (BLP) or
 one-piece (HCLA) ``scipy.integrate.quad`` calls written out here with their
@@ -28,11 +27,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from depolmark.kernel import bloch_contraction_derivative, crossover_point, decay_rate_normalized, survival, volume_measure
-from depolmark.measures import (
+from depolmark.kernel import (
     blp_measure,
+    bloch_contraction_derivative,
+    crossover_point,
+    decay_rate_normalized,
     hcla_measure,
     plus_minus_distance_derivative,
+    survival,
+    volume_measure,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -146,7 +149,7 @@ def test_measures_equal_quad_and_call_it_only_for_a_refused_first_pass(alpha, le
 
 EDGES = """
 import sys, warnings
-from depolmark.measures import _quad
+from depolmark.kernel import _quad
 
 calls = []
 def negative(x):

@@ -11,23 +11,23 @@ from depolmark.dynmaps import intermediate_map
 from depolmark.kernel import (
     SingularMapError,
     SingularRateError,
+    blp_measure,
     crossover_point,
     decay_rate,
     decay_rate_normalized,
+    hcla_closed_form,
+    hcla_measure,
     kappa,
     lambda_ratio,
+    plus_minus_distance_derivative,
+    qutrit_hcla_log_form,
     survival,
     volume_measure,
 )
 from depolmark.measures import (
-    blp_measure,
-    hcla_closed_form,
-    hcla_measure,
     memory_witness_closed,
     memory_witness_X,
-    plus_minus_distance_derivative,
     plus_minus_states,
-    qutrit_hcla_log_form,
     trace_distance,
 )
 from helpers import random_density

@@ -57,7 +57,8 @@ CATALOGUE = (
     Mutant("zero-floor", "kernel.py", "ZERO_FLOOR = 1e-12", "ZERO_FLOOR = 1e-11"),
     Mutant("singularity-guard", "kernel.py", "SINGULARITY_GUARD = 1e-6", "SINGULARITY_GUARD = 1e-7"),
     Mutant("ncp-margin", "dynmaps.py", "norm > 1.0 + 1e-10", "norm > 1.0 + 1e-8"),
-    Mutant("g-function-clamp", "dynmaps.py", "np.where(r > 1e-8", "np.where(r > 1e-7"),
+    Mutant("g-function-clamp", "dynmaps.py", "r * (r > 1e-8)", "r * (r > 1e-7)"),
+    Mutant("g-function-negative-zero", "dynmaps.py", "r * (r > 1e-8) + 0.0", "r * (r > 1e-8)"),
     Mutant("g-function-q-bound", "dynmaps.py", "q_arr + eps <= 1.0", "q_arr <= 1.0"),
     Mutant("qubit-power-np", "dynmaps.py", "np.reshape([b**n for b in flat], np.shape(base))", "np.power(base, n)"),
     Mutant("qubit-power-one", "dynmaps.py", "[b**n for b in flat]", "[b**1 for b in flat]"),
@@ -101,30 +102,30 @@ CATALOGUE = (
     ),
     Mutant(
         "blp-split-dropped",
-        "measures.py",
+        "kernel.py",
         "_quad(integrand, crossover_point(alpha, 2), 1.0)",
         "_quad(integrand, 0.0, 1.0)",
     ),
     Mutant(
         "first-pass-always-accepted",
-        "measures.py",
+        "kernel.py",
         "if abserr <= errbnd and abserr != resasc or abserr == 0.0:",
         "if True:",
     ),
     Mutant(
         "round-off-pass-accepted",
-        "measures.py",
+        "kernel.py",
         "if abserr <= errbnd and abserr != resasc",
         "if abserr <= max(errbnd, 100.0 * _EPS * resabs) and abserr != resasc",
     ),
-    Mutant("empty-window-runs-first-pass", "measures.py", "    if lower < upper:", "    if lower <= upper:"),
+    Mutant("empty-window-runs-first-pass", "kernel.py", "    if lower < upper:", "    if lower <= upper:"),
     Mutant(
         "empty-window-negative-zero",
-        "measures.py",
+        "kernel.py",
         "    elif lower == upper:\n        return 0.0",
         "    elif lower == upper:\n        return -0.0",
     ),
-    Mutant("gauss-sum-kronrod-weights", "measures.py", "resg += _WG[j // 2] * (f1 + f2)", "resg += _WGK[j] * (f1 + f2)"),
+    Mutant("gauss-sum-kronrod-weights", "kernel.py", "resg += _WG[j // 2] * (f1 + f2)", "resg += _WGK[j] * (f1 + f2)"),
     Mutant(
         "crossover-unclamped",
         "kernel.py",
@@ -133,7 +134,7 @@ CATALOGUE = (
     ),
     Mutant(
         "hcla-branch-point",
-        "measures.py",
+        "kernel.py",
         "    if alpha < 1e-6:\n        c = (levels * levels - 1)",
         "    if alpha < 1e-5:\n        c = (levels * levels - 1)",
     ),
