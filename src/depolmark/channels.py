@@ -20,7 +20,8 @@ The builders take ``p`` as one value or as a grid. A grid gives a stacked
 :class:`KrausSet`: operator ``i`` has shape ``p.shape + (d, d)`` and holds
 the i-th Kraus operator at every grid point, built from the same float
 operations as a single value, so a stack is bit-equal to the sets built
-point by point. Completeness is checked at every grid point.
+point by point. Completeness is checked at every grid point. A
+``KrausSet`` takes the operators alone and reads d from their last axis.
 
 The kernel's ``_check_unit`` checks ``alpha`` and every point of ``p``
 against [0, 1]. ``_check_levels`` is the package's one check of
@@ -53,23 +54,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Ordered Kraus operators of one channel, all of dimension ``dim``.
+    """Ordered Kraus operators of one channel, all of one dimension d.
 
-    Each operator is ``(dim, dim)``, or a stack ``(..., dim, dim)`` holding
-    that operator for every channel of a grid; all operators share the
-    stack shape. Construction verifies the completeness relation
-    sum_i E_i^dag E_i = I for every channel.
+    Each operator is ``(d, d)``, or a stack ``(..., d, d)`` holding that
+    operator for every channel of a grid; all operators share one shape.
+    ``dim`` is d, read from the operators' last axis. Construction verifies
+    the completeness relation sum_i E_i^dag E_i = I for every channel.
     """
 
     operators: tuple = field(repr=False)
-    dim: int
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
         object.__setattr__(self, "operators", ops)
         for op in ops:
-            if op.shape != ops[0].shape or op.shape[-2:] != (self.dim, self.dim):
-                raise ValueError(f"expected {self.dim}x{self.dim} operators of one stack shape, got {op.shape}")
+            if op.shape != ops[0].shape or op.ndim < 2 or op.shape[-2] != op.shape[-1]:
+                raise ValueError(f"expected square operators of one stack shape, got {op.shape}")
+        object.__setattr__(self, "dim", ops[0].shape[-1])
         if np.any(self.completeness_defect() > 1e-9):
             raise ValueError("Kraus operators do not satisfy the completeness relation")
 
@@ -85,12 +87,11 @@ class KrausSet:
         return self.operators[0].shape[:-2]
 
     def completeness_defect(self):
-        """max |sum_i E_i^dag E_i - I|; zero for a trace-preserving set.
+        """max |sum_i E_i^dag E_i - I|, the sum taken over the operators in order; zero for a trace-preserving set.
 
         A float for one channel, an array with one defect per channel for a stack.
         """
-        ops = np.asarray(self.operators)
-        acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+        acc = sum(op.conj().swapaxes(-1, -2) @ op for op in self.operators)
         defect = np.abs(acc - np.eye(self.dim)).max(axis=(-2, -1))
         return float(defect) if defect.ndim == 0 else defect
 
@@ -117,7 +118,7 @@ def _kraus_set(alpha: float, p, levels: int, unitaries: list) -> KrausSet:
     c = (n2 - 1) / n2
     c_id = _sqrt_coefficient((1 - c * alpha * p) * (1 - c * p))
     c_rest = _sqrt_coefficient((1 + alpha * (1 - c * p)) * p / n2)
-    return KrausSet((c_id * unitaries[0], *(c_rest * u for u in unitaries[1:])), levels)
+    return KrausSet((c_id * unitaries[0], *(c_rest * u for u in unitaries[1:])))
 
 
 def qubit_kraus(alpha: float, p) -> KrausSet:

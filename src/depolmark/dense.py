@@ -105,14 +105,14 @@ def multiqubit_kraus(alpha: float, p, qubits: int) -> KrausSet:
         )
     single = qubit_kraus(alpha, p).operators
     if n == 1:
-        return KrausSet(single, 2)
+        return KrausSet(single)
     ops = []
     for combo in itertools.product(single, repeat=n):
         acc = combo[0]
         for factor in combo[1:]:
             acc = kron(acc, factor)
         ops.append(acc)
-    return KrausSet(tuple(ops), 2**n)
+    return KrausSet(tuple(ops))
 
 
 # ---------------------------------------------------------------- qubit Choi matrices

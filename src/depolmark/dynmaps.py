@@ -35,9 +35,11 @@ norm above 1 therefore witnesses an NCP propagator.
 Every function of the dense route takes ``p`` (and ``q``) as one value or
 as a grid, a list or an array, and ``Superoperator`` and ``ChoiMatrix``
 hold either one matrix or a stack ``(..., n, n)`` with one matrix per
-grid point. The stacked route performs, point by point, the same float
-operations as a call on that point alone, so its results are bit-equal
-to those calls; sweeps use it to evaluate a whole column in one call.
+grid point. They take the matrix alone: its side n must be a perfect
+square, and ``dim`` reads d = sqrt(n) from it. The stacked route
+performs, point by point, the same float operations as a call on that
+point alone, so its results are bit-equal to those calls; sweeps use it
+to evaluate a whole column in one call.
 The propagator functions walk their grid in blocks sized by the system
 dimension, 1024 points at N = 2 and 64 at N = 4 (``matcore.blockwise``),
 so that the stacks they hold stay bounded, and with a pinned ``q`` they
@@ -51,9 +53,9 @@ take ``levels`` and ``qubits`` n. N = 2 builds its Kraus sets in Pauli
 order (``qubit_kraus``), N > 2 in Weyl order (``qudit_kraus``); n qubits
 are the reordered Kronecker power of the single-qubit propagator, and
 their Choi trace norm is the n-th power of the single-qubit one.
-``choi_trace_norm`` and ``g_function`` take a tuple of qubit counts as
-well, and then compute one single-system column and take all its powers.
-N > 2 together with n > 1 is not supported.
+``choi_trace_norm`` and ``g_function`` take any count n >= 1 or a tuple
+of counts; either way they compute one single-system column and take its
+powers. N > 2 together with n > 1 is not supported.
 """
 
 from __future__ import annotations
@@ -86,31 +88,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _MapMatrix:
-    """A complex d^2 x d^2 matrix of a map on a ``dim``-level system, or a stack ``(..., d^2, d^2)`` of them."""
+    """A complex d^2 x d^2 matrix of a map on a d-level system, or a stack ``(..., d^2, d^2)`` of them.
+
+    ``dim`` is d, the square root of the matrix side, which must be a perfect square.
+    """
 
     matrix: np.ndarray = field(repr=False)
-    dim: int
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
-        d2 = self.dim * self.dim
-        if m.shape[-2:] != (d2, d2):
-            raise ValueError(f"{self._kind} for dimension {self.dim} must be {d2}x{d2}")
+        d = math.isqrt(m.shape[-1]) if m.ndim else 0
+        if m.shape[-2:] != (d * d, d * d):
+            raise ValueError(f"{self._kind} must be d^2 x d^2 for an integer d, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dim", d)
 
 
 class Superoperator(_MapMatrix):
     """Matrix representation of a channel on column-stacked operators.
 
     ``matrix`` is ``(d^2, d^2)``, or a stack ``(..., d^2, d^2)`` with one
-    channel per grid point; ``dim`` is d either way.
+    channel per grid point; ``dim`` is d either way, read from the matrix.
     """
 
     _kind = "superoperator"
 
 
 class ChoiMatrix(_MapMatrix):
-    """Choi matrix of a map on a ``dim``-level system (d^2 x d^2, trace 1).
+    """Choi matrix of a map on a d-level system (d^2 x d^2, trace 1); ``dim`` is d, read from the matrix.
 
     ``matrix`` may also be a stack ``(..., d^2, d^2)``, one Choi matrix per
     grid point.
@@ -145,7 +151,7 @@ def superoperator_of(kraus: KrausSet) -> Superoperator:
     acc = 0
     for op in kraus.operators:
         acc = acc + kron(op.conj(), op)
-    return Superoperator(acc, kraus.dim)
+    return Superoperator(acc)
 
 
 def _kraus(alpha: float, p, levels: int) -> KrausSet:
@@ -179,8 +185,7 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
         return matcore.inverse(superoperator_of(_kraus(alpha, t, levels)).matrix)
 
     def propagator(p_block, inverse):
-        s_p = superoperator_of(_kraus(alpha, p_block, levels))
-        return Superoperator(s_p.matrix @ inverse, s_p.dim)
+        return Superoperator(superoperator_of(_kraus(alpha, p_block, levels)).matrix @ inverse)
 
     if q.ndim == 0:
         inverse = one_step_inverse(q)
@@ -232,7 +237,7 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     if qubits > 1:
         perm = _grouped_slot_permutation(qubits)
         acc = acc[..., perm[:, None], perm]
-    return Superoperator(acc, levels**qubits)
+    return Superoperator(acc)
 
 
 def maximally_entangled_projector(dim: int) -> np.ndarray:
@@ -260,7 +265,7 @@ def choi_of(superop: Superoperator) -> ChoiMatrix:
     weight = maximally_entangled_projector(d)[0, 0]
     # Adding +0.0 turns a -0.0 into +0.0, the sign a sum of zero terms has.
     chi = superop.matrix.reshape(lead + (d, d, d, d)).transpose(*range(k), k + 1, k + 3, k, k + 2) * weight + 0.0
-    return ChoiMatrix(chi.reshape(lead + (d * d, d * d)), d)
+    return ChoiMatrix(chi.reshape(lead + (d * d, d * d)))
 
 
 def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> ChoiMatrix:
@@ -319,13 +324,14 @@ def g_function(alpha: float, q, qubits: int | tuple = 1):
     domain is [0, 1 - ``G_FUNCTION_STEP``], so that q + eps stays a
     parameter value.
 
-    ``qubits`` is 1 or 2, or a tuple of them; a tuple gives a list with one
-    result per count. Either way each step takes one single-qubit Choi-norm
-    column, whose n-th power is the n-qubit norm.
+    ``qubits`` is any count n >= 1, or a tuple of them; a tuple gives a
+    list with one result per count. Either way each step takes one
+    single-qubit Choi-norm column, whose n-th power is the n-qubit norm, as
+    in :func:`choi_trace_norm`. (The command line offers n = 1 and 2.)
 
     Raises:
         ValueError: when a q lies outside [0, 1 - ``G_FUNCTION_STEP``] or
-            is NaN, or a qubit count is not 1 or 2.
+            is NaN, or a qubit count is below 1.
         SingularMapError: when q lies in the guard band of the singular
             parameter value, where the steps would reach past it.
     """
@@ -334,8 +340,6 @@ def g_function(alpha: float, q, qubits: int | tuple = 1):
     if not np.all((0.0 <= q_arr) & (q_arr + eps <= 1.0)):
         raise ValueError(f"q must lie in [0, 1 - {eps:g}], got {q}")
     counts = qubits if isinstance(qubits, tuple) else (qubits,)
-    if not all(n in (1, 2) for n in counts):
-        raise ValueError("the derivative witness is provided for 1 or 2 qubits")
     if np.any(_guard(q_arr, alpha)):
         raise SingularMapError(f"q = {q} lies within {SINGULARITY_GUARD:g} of the singular parameter value")
 

@@ -18,7 +18,9 @@ Two views of the same family:
 transfer matrices or an array of values, point by point bit-equal to
 single calls. The two dense columns, ``volume_determinant`` and
 ``f_norm``, walk a grid in blocks sized by the system dimension
-(``matcore.blockwise``), so the stacks they hold stay bounded. The closed
+(``matcore.blockwise``), so the stacks they hold stay bounded: a block
+holds the images Phi(G_j) and one row of its table at a time, never the
+products G_i Phi(G_j) whose traces the table reads. The closed
 forms of the same geometry (the tetrahedron ``trajectory`` of the transfer
 eigenvalues, its log-derivative A and the ``volume_measure`` 3 alpha/4)
 live in ``kernel``.
@@ -67,10 +69,14 @@ def bloch_basis() -> tuple:
 
 
 def _transfer_table(kraus, basis) -> np.ndarray:
-    """Real table tr(G_i Phi(G_j)) over an operator basis, one per channel of the set."""
-    basis = np.asarray(basis)
-    images = apply_channel(kraus, basis, validate=False)
-    return np.trace(basis[:, None] @ images[..., None, :, :, :], axis1=-2, axis2=-1).real
+    """Real table tr(G_i Phi(G_j)) over an operator basis, one per channel of the set.
+
+    Row i is G_i times the transposed images, summed over the last axis and
+    then over the next, one basis element at a time: the diagonal of each
+    product G_i Phi(G_j), then its trace, with no product matrix held.
+    """
+    images = apply_channel(kraus, np.asarray(basis), validate=False).swapaxes(-1, -2)
+    return np.stack([(g * images).sum(axis=-1).sum(axis=-1).real for g in basis], axis=-2)
 
 
 def affine_map_of(alpha: float, p) -> AffineMap:

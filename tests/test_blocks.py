@@ -13,9 +13,12 @@ count tests pin the shared single-system column: the qubit counts of a
 alpha and finite-difference step for ``g-function``). Every dense
 quantity walks its grid in such blocks, so the stacks a sweep holds stay
 bounded whatever its number of steps, and each of the six dense column
-functions walks them when called directly; and the propagator functions
-take a list grid as they take an array.
+functions walks them when called directly; one N = 4 ``f_norm`` block
+stays under 2 MiB traced; and the propagator functions take a list grid
+as they take an array.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +257,21 @@ def test_dense_column_functions_walk_budgeted_blocks_when_called_directly(column
     column(np.linspace(0.3, 0.6, 9).tolist())  # more points than a block holds at N = 2
     assert len(sizes) > 1
     assert all(points <= max(1, budget // levels**4) for levels, points in sizes), sizes
+
+
+def test_one_f_norm_block_holds_no_stack_of_transfer_products():
+    # One 64-point block at N = 4 holds the images Phi(G_j) and one row of
+    # the table at a time (1.25 MiB traced); the (block, N^2, N^2, N, N)
+    # stack of products G_i Phi(G_j) alone would take 4 MiB.
+    grid = np.linspace(0.0, 1.0, max(1, matcore._BUDGET // 4**4))
+    geometry.f_norm(0.7, grid, 4)
+    tracemalloc.start()
+    try:
+        geometry.f_norm(0.7, grid, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_list_grids_give_the_bits_of_array_grids():

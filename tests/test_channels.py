@@ -196,13 +196,19 @@ def test_apply_channel_validates_density_input():
 
 def test_kraus_set_rejects_incomplete_family():
     with pytest.raises(ValueError, match="completeness"):
-        KrausSet((0.5 * PAULI_I,), 2)
+        KrausSet((0.5 * PAULI_I,))
 
 
 def test_kraus_set_rejects_operators_of_mixed_stack_shapes():
     first, *rest = qubit_kraus(0.7, np.array([0.2, 0.4])).operators
     with pytest.raises(ValueError, match="of one stack shape, got"):
-        KrausSet((first[0], *rest), 2)
+        KrausSet((first[0], *rest))
+
+
+def test_kraus_set_reads_its_dimension_from_the_operators():
+    assert [qudit_kraus(0.7, [0.2, 0.4], n).dim for n in (2, 3, 4)] == [2, 3, 4]
+    with pytest.raises(ValueError, match=r"^expected square operators of one stack shape, got \(2, 3\)$"):
+        KrausSet((np.ones((2, 3)),))
 
 
 @pytest.mark.parametrize(
@@ -274,6 +280,6 @@ def test_each_parameter_domain_is_checked_in_one_place():
 def test_kraus_set_completeness_bound_is_1e_9():
     # Scaling every operator by s moves sum E^dag E away from I by s^2 - 1.
     ops = qubit_kraus(0.7, 0.4).operators
-    assert len(KrausSet(tuple(np.sqrt(1 + 5e-10) * op for op in ops), 2)) == 4
+    assert len(KrausSet(tuple(np.sqrt(1 + 5e-10) * op for op in ops))) == 4
     with pytest.raises(ValueError, match="completeness"):
-        KrausSet(tuple(np.sqrt(1 + 5e-9) * op for op in ops), 2)
+        KrausSet(tuple(np.sqrt(1 + 5e-9) * op for op in ops))

@@ -358,6 +358,16 @@ def test_g_function_grid_may_end_one_step_below_one():
     assert [row[0] for row in run_sweep(spec).rows] == [0.98, 0.999]
 
 
+def test_g_function_three_qubits_stays_outside_the_command_line(capsys):
+    # The library takes any qubit count; the quantity table keeps the
+    # command at qubits (1, 2), with its own message.
+    assert dynmaps.g_function(0.9, 0.9, 3) > 0.0
+    assert main(["g-function", "--qubits", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "depolmark: error: g-function is defined for qubits in (1, 2), got qubits = (3,)"
+
+
 @pytest.mark.parametrize("q", ["0.9999999999999", "0.9999999"])
 @pytest.mark.parametrize("quantity", ["choi-eigs", "choi-norm", "memory-x"])
 def test_pinned_q_in_the_alpha_0_guard_band_exits_3(quantity, q, capsys):

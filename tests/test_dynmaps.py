@@ -29,6 +29,7 @@ from depolmark.dynmaps import (
     superoperator_of,
 )
 from depolmark.kernel import (
+    G_FUNCTION_STEP,
     SingularMapError,
     crossover_point,
     decay_rate,
@@ -46,8 +47,8 @@ ALPHA_MINUS_07 = 0.7725529126366106  # closed-form root for alpha = 0.7
 def test_identity_channel_superoperator():
     from depolmark.channels import KrausSet
 
-    built = superoperator_of(KrausSet((np.eye(2, dtype=complex),), 2))
-    assert np.array_equal(built.matrix, np.eye(4))
+    built = superoperator_of(KrausSet((np.eye(2, dtype=complex),)))
+    assert np.array_equal(built.matrix, np.eye(4)) and built.dim == 2
 
 
 def test_memoryless_pauli_transfer_is_uniform_shrink():
@@ -118,7 +119,8 @@ def test_lambda_ratio_special_values():
 
 
 def test_choi_of_identity_map():
-    chi = choi_of(Superoperator(np.eye(4), 2))
+    chi = choi_of(Superoperator(np.eye(4)))
+    assert chi.dim == 2
     assert np.abs(chi.matrix - maximally_entangled_projector(2)).max() < 1e-14
     eigs = chi.eigenvalues()
     assert abs(eigs[-1] - 1.0) < 1e-12 and np.abs(eigs[:-1]).max() < 1e-12
@@ -328,6 +330,24 @@ def test_g_function_two_qubits_doubles_the_slope():
     assert abs(g2 - 2 * g1) < 1e-3 * g1
 
 
+def test_g_function_takes_any_qubit_count():
+    # n = 3 is the refined difference quotient of the cubed single-qubit
+    # norm, about 3 g_1; only the command line stops at n = 2.
+    q = np.array([0.4, 0.7, 0.8, 0.85, 0.9, 0.95])
+    g1, g3 = g_function(0.9, q, (1, 3))
+    eps = G_FUNCTION_STEP
+
+    def quotient(step):
+        return (choi_trace_norm(0.9, q, q + step, qubits=3) - 1.0) / step
+
+    refined = 2.0 * quotient(eps / 2.0) - quotient(eps)
+    assert np.array_equal(g3, refined * (refined > 1e-8))
+    assert np.array_equal(g3 == 0.0, g1 == 0.0) and (g1 == 0.0).sum() == 2
+    positive = g1 > 0.0
+    assert np.all(np.abs(g3[positive] - 3 * g1[positive]) <= 1e-4 * 3 * g1[positive])
+    assert g_function(0.9, 0.9, 3) == g3[4]
+
+
 def test_g_function_domain_errors():
     with pytest.raises(ValueError):
         g_function(0.9, 1.0)
@@ -335,8 +355,8 @@ def test_g_function_domain_errors():
     with pytest.raises(ValueError, match=r"q must lie in \[0, 1 - 1e-06\]"):
         g_function(0.5, 1 - 5e-7)
     assert type(g_function(0.5, 1 - 2e-6)) is float
-    with pytest.raises(ValueError):
-        g_function(0.9, 0.5, qubits=3)
+    with pytest.raises(ValueError, match="qubits must be >= 1"):
+        g_function(0.9, 0.5, qubits=0)
     with pytest.raises(SingularMapError):
         g_function(0.9, crossover_point(0.9))
 
@@ -355,10 +375,17 @@ def test_g_function_raises_inside_the_guard_band():
 
 
 def test_choi_matrix_shape_validation():
-    with pytest.raises(ValueError, match="^Choi matrix for dimension 2 must be 4x4$"):
-        ChoiMatrix(np.eye(3), 2)
-    with pytest.raises(ValueError, match="^superoperator for dimension 3 must be 9x9$"):
-        Superoperator(np.eye(4), 3)
+    # d is read from the matrix: its side must be square and a perfect square.
+    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d, got shape \(4, 9\)$"):
+        ChoiMatrix(np.ones((4, 9)))
+    with pytest.raises(ValueError, match=r"^superoperator must be d\^2 x d\^2 for an integer d, got shape \(3, 3\)$"):
+        Superoperator(np.eye(3))
+    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d, got shape \(2, 3, 3\)$"):
+        ChoiMatrix(np.ones((2, 3, 3)))
+    with pytest.raises(ValueError, match=r"got shape \(4,\)$"):
+        Superoperator(np.ones(4))
+    assert [Superoperator(np.eye(k * k)).dim for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert ChoiMatrix(np.zeros((5, 16, 16))).dim == 4
 
 
 def test_intermediate_choi_rejects_mixed_extension():

@@ -562,5 +562,5 @@ def test_kraus_stack_checks_completeness_at_every_point():
     broken = tuple(op.copy() for op in good)
     broken[0][1] *= 1.01
     with pytest.raises(ValueError, match="completeness"):
-        KrausSet(broken, 2)
-    assert np.all(KrausSet(good, 2).completeness_defect() < 1e-12)
+        KrausSet(broken)
+    assert np.all(KrausSet(good).completeness_defect() < 1e-12)

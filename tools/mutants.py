@@ -97,8 +97,8 @@ CATALOGUE = (
     Mutant(
         "n3-propagator-scaled",
         "dynmaps.py",
-        "Superoperator(s_p.matrix @ inverse, s_p.dim)",
-        "Superoperator(s_p.matrix @ inverse * (1.0 + 1e-9 * (levels == 3)), s_p.dim)",
+        "levels)).matrix @ inverse)",
+        "levels)).matrix @ inverse * (1.0 + 1e-9 * (levels == 3)))",
     ),
     Mutant(
         "blp-split-dropped",
@@ -139,6 +139,14 @@ CATALOGUE = (
         "    if alpha < 1e-5:\n        c = (levels * levels - 1)",
     ),
     Mutant("kraus-completeness", "channels.py", "defect() > 1e-9", "defect() > 1e-8"),
+    Mutant("map-matrix-side-any-square", "dynmaps.py", "!= (d * d, d * d):", "!= (m.shape[-1],) * 2:"),
+    Mutant(
+        "transfer-sums-swapped",
+        "geometry.py",
+        "(g * images).sum(axis=-1).sum(axis=-1)",
+        "(g * images).sum(axis=-2).sum(axis=-1)",
+        reason="equivalent: a Pauli or Gell-Mann element has one nonzero per row and column at most, so each trace adds two nonzero terms, or diagonal ones in index order, either way (same bits on 503 p x 22 alpha at N = 2, 3, 4)",
+    ),
     Mutant("hermitian-tolerance", "matcore.py", "tol = 1e-10 * np.maximum", "tol = 1e-9 * np.maximum"),
     Mutant("witness-cross-check", "measures.py", "> 1e-8 * np.maximum", "> 1e-7 * np.maximum"),
     Mutant("scalar-sequence-test-skips-iter", "cli.py", "items = iter(value) if many else None", "items = value if many else None"),
