@@ -24,8 +24,9 @@ point by point. Completeness is checked at every grid point. A
 ``KrausSet`` takes the operators alone and reads d from their last axis.
 
 The kernel's ``_check_unit`` checks ``alpha`` and every point of ``p``
-against [0, 1]. ``_check_levels`` is the package's one check of
-a level count N >= 2, which ``geometry`` and ``dense`` call too.
+against [0, 1], and its ``_check_levels``, the package's one check of a
+level count, refuses an N that is not an integral number of at least 2
+(2.7 does not build a qubit channel).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import _check_unit
+from .kernel import _check_levels, _check_unit
 from .matcore import (
     PAULI_I,
     PAULI_X,
@@ -58,8 +59,9 @@ class KrausSet:
 
     Each operator is ``(d, d)``, or a stack ``(..., d, d)`` holding that
     operator for every channel of a grid; all operators share one shape.
-    ``dim`` is d, read from the operators' last axis. Construction verifies
-    the completeness relation sum_i E_i^dag E_i = I for every channel.
+    ``dim`` is d, read from the operators' last axis. A set holds at least
+    one operator, and d >= 1. Construction verifies the completeness
+    relation sum_i E_i^dag E_i = I for every channel.
     """
 
     operators: tuple = field(repr=False)
@@ -68,9 +70,8 @@ class KrausSet:
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
         object.__setattr__(self, "operators", ops)
-        for op in ops:
-            if op.shape != ops[0].shape or op.ndim < 2 or op.shape[-2] != op.shape[-1]:
-                raise ValueError(f"expected square operators of one stack shape, got {op.shape}")
+        if not ops or ops[0].ndim < 2 or not 1 <= ops[0].shape[-2] == ops[0].shape[-1] or any(op.shape != ops[0].shape for op in ops):
+            raise ValueError(f"a Kraus set needs one or more square operators of one stack shape and d >= 1, got shapes {[op.shape for op in ops]}")
         object.__setattr__(self, "dim", ops[0].shape[-1])
         if np.any(self.completeness_defect() > 1e-9):
             raise ValueError("Kraus operators do not satisfy the completeness relation")
@@ -127,13 +128,6 @@ def qubit_kraus(alpha: float, p) -> KrausSet:
     ``p`` may be a grid; the set then holds one channel per grid point.
     """
     return _kraus_set(alpha, p, 2, [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
-
-
-def _check_levels(levels) -> int:
-    """``levels`` as an int, checked to be at least 2: the one check of the level count."""
-    if int(levels) < 2:
-        raise ValueError("levels must be >= 2")
-    return int(levels)
 
 
 def weyl_operator(levels: int, r: int, s: int) -> np.ndarray:

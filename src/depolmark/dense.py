@@ -16,14 +16,15 @@ vec(Phi(rho)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .channels import KrausSet, _check_levels, apply_channel, qubit_kraus
-from .dynmaps import ChoiMatrix, Superoperator
-from .kernel import lambda_ratio
+from .channels import KrausSet, apply_channel, qubit_kraus
+from .dynmaps import ChoiMatrix, Superoperator, _check_system
+from .kernel import _check_levels, lambda_ratio
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .measures import trace_distance
 
@@ -40,11 +41,6 @@ __all__ = [
     "plus_minus_trace_distance",
     "blp_random_pair_search",
 ]
-
-#: Largest supported qubit count; the Choi matrix of the 3-qubit map already
-#: has dimension 64 and larger systems are out of scope.
-MAX_QUBITS = 3
-
 
 # ---------------------------------------------------------------- column stacking
 
@@ -82,7 +78,7 @@ def swap_matrix(levels: int) -> np.ndarray:
     B kron A. The result is a real permutation matrix of dimension
     ``levels**4``, equal to its own inverse.
     """
-    return np.eye(int(levels) ** 4)[swap_permutation(levels)]
+    return np.eye(_check_levels(levels) ** 4)[swap_permutation(levels)]
 
 
 # ---------------------------------------------------------------- n qubits
@@ -92,27 +88,14 @@ def multiqubit_kraus(alpha: float, p, qubits: int) -> KrausSet:
     """Tensor-product Kraus set of ``qubits`` independent qubit channels.
 
     The 4^n operators are ordered lexicographically in the per-qubit index
-    (I, X, Y, Z). Capped at n = 3 to keep the Choi dimension at 64. ``p``
-    may be a grid, as for :func:`depolmark.channels.qubit_kraus`.
+    (I, X, Y, Z), each the Kronecker product of its factors taken left to
+    right. Any n >= 1 is taken (``dynmaps._check_system`` checks it); the
+    set holds 4^n operators of dimension 2^n, so memory, not a cap, bounds
+    n. ``p`` may be a grid, as for :func:`depolmark.channels.qubit_kraus`.
     """
-    n = int(qubits)
-    if n < 1:
-        raise ValueError("qubits must be >= 1")
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"qubits = {n} exceeds the supported maximum of {MAX_QUBITS} "
-            "(Choi matrices beyond dimension 64 are not supported)"
-        )
+    _, n = _check_system(2, qubits)
     single = qubit_kraus(alpha, p).operators
-    if n == 1:
-        return KrausSet(single)
-    ops = []
-    for combo in itertools.product(single, repeat=n):
-        acc = combo[0]
-        for factor in combo[1:]:
-            acc = kron(acc, factor)
-        ops.append(acc)
-    return KrausSet(tuple(ops))
+    return KrausSet(tuple(functools.reduce(kron, combo) for combo in itertools.product(single, repeat=n)))
 
 
 # ---------------------------------------------------------------- qubit Choi matrices

@@ -36,7 +36,7 @@ Every function of the dense route takes ``p`` (and ``q``) as one value or
 as a grid, a list or an array, and ``Superoperator`` and ``ChoiMatrix``
 hold either one matrix or a stack ``(..., n, n)`` with one matrix per
 grid point. They take the matrix alone: its side n must be a perfect
-square, and ``dim`` reads d = sqrt(n) from it. The stacked route
+square of at least 1, and ``dim`` reads d = sqrt(n) from it. The stacked route
 performs, point by point, the same float operations as a call on that
 point alone, so its results are bit-equal to those calls; sweeps use it
 to evaluate a whole column in one call.
@@ -56,6 +56,13 @@ their Choi trace norm is the n-th power of the single-qubit one.
 ``choi_trace_norm`` and ``g_function`` take any count n >= 1 or a tuple
 of counts; either way they compute one single-system column and take its
 powers. N > 2 together with n > 1 is not supported.
+
+``kernel._check_levels`` is the one check of N, and ``_check_system``
+here the one check of n (and of N with it): each refuses a count that is
+not an integral number (an int, a numpy integer or an integral float) of
+at least 2 and 1 respectively, with one text, and hands back ints. Every
+function here that takes N or n reads them before it walks a grid, and
+``dense.multiqubit_kraus`` reads ``_check_system`` too.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ import numpy as np
 
 from . import matcore
 from .channels import KrausSet, qubit_kraus, qudit_kraus
-from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, SingularMapError, _check_pair, _guard
+from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, SingularMapError, _check_count, _check_levels, _check_pair, _guard
 from .matcore import blockwise, hermitian_eigenvalues, kron, trace_norm
 
 __all__ = [
@@ -90,7 +97,7 @@ __all__ = [
 class _MapMatrix:
     """A complex d^2 x d^2 matrix of a map on a d-level system, or a stack ``(..., d^2, d^2)`` of them.
 
-    ``dim`` is d, the square root of the matrix side, which must be a perfect square.
+    ``dim`` is d >= 1, the square root of the matrix side, which must be a perfect square.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -99,8 +106,8 @@ class _MapMatrix:
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
         d = math.isqrt(m.shape[-1]) if m.ndim else 0
-        if m.shape[-2:] != (d * d, d * d):
-            raise ValueError(f"{self._kind} must be d^2 x d^2 for an integer d, got shape {m.shape}")
+        if m.shape[-2:] != (d * d, d * d) or d < 1:
+            raise ValueError(f"{self._kind} must be d^2 x d^2 for an integer d >= 1, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", d)
 
@@ -159,11 +166,12 @@ def _kraus(alpha: float, p, levels: int) -> KrausSet:
     return qubit_kraus(alpha, p) if levels == 2 else qudit_kraus(alpha, p, levels)
 
 
-def _check_system(levels: int, *qubits: int) -> None:
-    if min(qubits) < 1:
-        raise ValueError("qubits must be >= 1")
-    if levels > 2 and max(qubits) > 1:
+def _check_system(levels, *qubits) -> tuple:
+    """N and the copy counts n as ints: N checked by ``kernel._check_levels``, each n to be integral and >= 1."""
+    levels, *counts = _check_levels(levels), *(_check_count(n, 1, "qubits must be >= 1") for n in qubits)
+    if levels > 2 and any(n > 1 for n in counts):
         raise ValueError("combined multi-level multi-qubit maps are not supported")
+    return (levels, *counts)
 
 
 def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q, p, levels: int = 2):
@@ -175,7 +183,13 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
     of p; a grid of q, broadcast against p, is inverted block by block,
     every matrix checked.
 
+    N is checked before a grid is walked: ``_check_levels`` sizes each
+    walk's blocks, and a pinned q builds its one inverse through the
+    checking Kraus builders first.
+
     Raises:
+        ValueError: unless N is an integral number of at least 2, or
+            unless 0 <= q <= p <= 1.
         SingularMapError: when Phi(q, 0) is not invertible at some q.
     """
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
@@ -189,8 +203,8 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
 
     if q.ndim == 0:
         inverse = one_step_inverse(q)
-        return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p, dim=levels)
-    return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p, dim=levels)
+        return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p, dim=_check_levels(levels))
+    return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p, dim=_check_levels(levels))
 
 
 def _grouped_slot_permutation(qubits: int) -> np.ndarray:
@@ -225,11 +239,12 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     2e-16). Sweeps mask that band as NA; direct calls get no warning.
 
     Raises:
-        ValueError: for qubits < 1, or N > 2 together with n > 1.
+        ValueError: unless N and n are integral numbers of at least 2 and
+            1, or for N > 2 together with n > 1.
         SingularMapError: when Phi(q, 0) is not invertible (q at the
             crossover point of the family).
     """
-    _check_system(levels, qubits)
+    levels, qubits = _check_system(levels, qubits)
     single = propagator_column(lambda s: s.matrix, alpha, q, p, levels)
     acc = single
     for _ in range(qubits - 1):
@@ -284,10 +299,6 @@ def ncp_witness(choi: ChoiMatrix) -> NcpWitness:
     return NcpWitness(norm, norm > 1.0 + 1e-10)
 
 
-def _choi_trace_norm(superop: Superoperator):
-    return trace_norm(choi_of(superop).matrix)
-
-
 def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1):
     """Choi trace norm of the propagator of N levels or n qubits, via the full pipeline.
 
@@ -301,10 +312,13 @@ def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1
     is taken point by point in Python floats, whose ``**`` can differ from
     ``np.power`` in the last bit. A tuple of qubit counts gives a list with
     one result per count, all powers of one single-system column.
+
+    Raises:
+        ValueError: unless N and every n are integral numbers of at least
+            2 and 1, or for N > 2 together with n > 1.
     """
-    counts = qubits if isinstance(qubits, tuple) else (qubits,)
-    _check_system(levels, *counts)
-    base = propagator_column(_choi_trace_norm, alpha, q, p, levels)
+    levels, *counts = _check_system(levels, *(qubits if isinstance(qubits, tuple) else (qubits,)))
+    base = propagator_column(lambda superop: trace_norm(choi_of(superop).matrix), alpha, q, p, levels)
     flat = np.reshape(base, -1).tolist()
     norms = [np.reshape([b**n for b in flat], np.shape(base)) for n in counts]
     norms = [norm if norm.ndim else float(norm) for norm in norms]
@@ -331,7 +345,8 @@ def g_function(alpha: float, q, qubits: int | tuple = 1):
 
     Raises:
         ValueError: when a q lies outside [0, 1 - ``G_FUNCTION_STEP``] or
-            is NaN, or a qubit count is below 1.
+            is NaN, or a qubit count is not an integral number of at
+            least 1.
         SingularMapError: when q lies in the guard band of the singular
             parameter value, where the steps would reach past it.
     """

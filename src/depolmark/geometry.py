@@ -13,6 +13,9 @@ Two views of the same family:
   shrinks monotonically for memoryless dynamics and turns upward past the
   singular parameter otherwise.
 
+``gell_mann_matrices``, ``f_matrix`` and ``f_norm`` take any level count N
+that ``kernel._check_levels`` accepts (an integral number of at least 2),
+and refuse any other with its one text; F has no cap of its own.
 ``affine_map_of``, ``volume_determinant``, ``f_matrix`` and ``f_norm`` take
 ``p`` as one value or as a grid (a list or an array); a grid gives stacked
 transfer matrices or an array of values, point by point bit-equal to
@@ -33,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import _check_levels, apply_channel, qubit_kraus, qudit_kraus
+from .channels import apply_channel, qubit_kraus, qudit_kraus
+from .kernel import _check_levels
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, blockwise, trace_norm
 
 __all__ = [
@@ -130,17 +134,17 @@ def f_matrix(alpha: float, p, levels: int) -> AffineMap:
     """Scaled N-level transfer matrix F_kl = (1/N^2) tr(G_k Phi(G_l)).
 
     The basis is I/sqrt(N) followed by the Gell-Mann operators in their
-    native tr = 2 delta normalization, so the memoryless channel at p = 0
-    gives (1/N^2) diag(1, 2, ..., 2). Supported for N in {3, 4}; the qubit
-    case is covered by :func:`affine_map_of` in its orthonormal convention.
+    native tr = 2 delta normalization, so the channel is
+    (1/N^2) diag(1, 2 G, ..., 2 G) with G = :func:`depolmark.kernel.survival`,
+    and the memoryless channel at p = 0 gives (1/N^2) diag(1, 2, ..., 2).
+    Any N >= 2 is taken; at N = 2 the basis is (I/sqrt(2), X, Y, Z), and
+    :func:`affine_map_of` gives the qubit map in its orthonormal convention.
     """
-    n = int(levels)
-    if n not in (3, 4):
-        raise ValueError(f"the scaled transfer matrix is provided for levels in (3, 4), got {n}")
+    n = _check_levels(levels)
     basis = [np.eye(n, dtype=complex) / math.sqrt(n)] + gell_mann_matrices(n)
     return AffineMap(_transfer_table(qudit_kraus(alpha, p, n), basis) / (n * n), basis)
 
 
 def f_norm(alpha: float, p, levels: int):
-    """Trace norm ||F||_1 of :func:`f_matrix`: a float for one p, an array for a grid, evaluated block by block."""
-    return blockwise(lambda p: f_matrix(alpha, p, levels).trace_norm, p, dim=levels)
+    """Trace norm ||F||_1 = (1 + 2 (N^2 - 1) |G|)/N^2 of :func:`f_matrix`: a float for one p, an array for a grid, evaluated block by block."""
+    return blockwise(lambda p: f_matrix(alpha, p, levels).trace_norm, p, dim=_check_levels(levels))

@@ -14,7 +14,16 @@ gives the same bits either way, so a column mapped point by point over
 Python floats equals the one computed on the whole array. ``trajectory``
 takes one ``p``, and each measure returns one float per alpha.
 ``_check_unit`` is the one check of the parameter box [0, 1], with one
-``ValueError`` text for every closed form built on it.
+``ValueError`` text for every closed form built on it, and ``_check_levels``
+is the package's one check of a level count N: an integral number (an int,
+a numpy integer or a float such as 3.0) of at least 2, refused with one
+``ValueError`` text. Every closed form that takes N reads it: ``kappa``,
+which ``survival`` and both rates call before they use N, screens it as
+``survival`` screens alpha, and ``crossover_point``, ``lambda_ratio`` (so
+``qudit_choi_eigenvalues``) and ``hcla_measure`` call it. ``channels``,
+``dynmaps``, ``geometry`` and ``dense`` call it too, and
+``dynmaps._check_system`` checks a copy count n with the same
+``_check_count``.
 
 The two quadrature measures, ``hcla_measure`` and ``blp_measure``, run
 ``_quad``: quad's first 21-point Gauss-Kronrod pass in plain Python,
@@ -84,13 +93,40 @@ SINGULARITY_GUARD = 1e-6
 G_FUNCTION_STEP = 1e-6
 
 
+def _check_count(n, least: int, rule: str) -> int:
+    """``n`` as an int, checked to be integral (an int, a numpy integer or an integral float) and at least ``least``.
+
+    ``rule`` is the error text; the refusal adds that ``n`` must be integral
+    and names the value given.
+    """
+    if (hasattr(n, "__index__") or isinstance(n, float) and n.is_integer()) and n >= least:
+        return int(n)
+    raise ValueError(f"{rule} and integral, got {n!r}")
+
+
+def _check_levels(levels) -> int:
+    """``levels`` as an int, checked to be an integral N >= 2: the package's one check of a level count.
+
+    An int of at least 2 comes back at once: the closed forms call this once
+    per point of a column.
+    """
+    return levels if levels.__class__ is int and levels >= 2 else _check_count(levels, 2, "levels must be >= 2")
+
+
 def kappa(alpha: float, p, levels: int = 2):
     """Effective depolarizing probability k(p) of the N-level channel.
 
     k(p) = p + alpha p - ((N^2 - 1)/N^2) alpha p^2. For alpha = 0 this is
     just p; at p = 1 it equals 1 + alpha/N^2, i.e. the perturbation drives
     the channel past the maximal-depolarizing point k = 1.
+
+    Raises:
+        ValueError: unless N is an integral number of at least 2.
     """
+    # The check is _check_levels'; a type screen goes first, as the per-point
+    # columns and the rate quadratures call this thousands of times.
+    if levels.__class__ is not int or levels < 2:
+        _check_levels(levels)
     n2 = levels * levels
     return p + alpha * p - (n2 - 1) / n2 * alpha * p * p
 
@@ -103,8 +139,9 @@ def survival(alpha: float, p, levels: int = 2):
     singular parameter value.
 
     Raises:
-        ValueError: for alpha outside [0, 1] (NaN included). The rates and
-            the trajectory inherit this check.
+        ValueError: for alpha outside [0, 1] (NaN included), or unless N
+            is an integral number of at least 2 (``kappa``'s check). The
+            rates and the trajectory inherit these checks.
     """
     # The check is _check_unit's; a chained comparison screens first, as the
     # per-point columns and the rate quadrature call this thousands of times.
@@ -128,9 +165,11 @@ def crossover_point(alpha: float, levels: int = 2) -> float:
     leaves the parameter range.
 
     Raises:
-        ValueError: for alpha outside [0, 1] (NaN included).
+        ValueError: for alpha outside [0, 1] (NaN included), or unless N
+            is an integral number of at least 2.
     """
     _check_unit("alpha", alpha)
+    _check_levels(levels)
     c = (levels * levels - 1) / (levels * levels)
     disc = (1 + alpha) ** 2 - 4 * c * alpha
     return min(2.0 / ((1 + alpha) + math.sqrt(disc)), 1.0)
@@ -185,15 +224,16 @@ def lambda_ratio(alpha: float, q, p, levels: int = 2):
     Takes grids too.
 
     Raises:
-        ValueError: for alpha outside [0, 1] (NaN included), or unless
-            0 <= q <= p <= 1.
+        ValueError: for alpha outside [0, 1] (NaN included), unless
+            0 <= q <= p <= 1, or unless N is an integral number of at
+            least 2.
         SingularMapError: when the denominator vanishes (q at the singular
             parameter), matching the invertibility threshold of
             :func:`depolmark.matcore.inverse`.
     """
     _check_unit("alpha", alpha)
     _check_pair(q, p)
-    n2 = levels * levels
+    n2 = _check_levels(levels) ** 2
     num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
     den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2
     # |den|/n2 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
@@ -256,8 +296,8 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
             at most ``ZERO_FLOOR`` at any point: at alpha = p = 0, and
             wherever alpha + p is below about 1e-12.
     """
-    num = _survival_derivative(alpha, p, levels)
-    den = survival(alpha, p, levels) + num
+    g, num = survival(alpha, p, levels), _survival_derivative(alpha, p, levels)  # survival first: its kappa checks N
+    den = g + num
     if not _all(abs(den) > ZERO_FLOOR):
         raise ValueError(f"normalized rate undefined at p = {p}")
     return num / den
@@ -394,14 +434,18 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     4 alpha (1 - c) / ((r + 1 - alpha) ((1 + alpha) + r)), c =
     (N^2 - 1)/N^2 and r = sqrt((1 + alpha)^2 - 4 c alpha), which has no
     cancellation.
+
+    Raises:
+        ValueError: for alpha outside [0, 1] (NaN included), or unless N
+            is an integral number of at least 2.
     """
-    _check_unit("alpha", alpha)
+    lower = crossover_point(alpha, levels)  # checks alpha and N
     if alpha < 1e-6:
         c = (levels * levels - 1) / (levels * levels)
         r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
         width = 4.0 * alpha * (1.0 - c) / ((r + 1.0 - alpha) * ((1.0 + alpha) + r))
         return _quad(lambda s: decay_rate_normalized(alpha, 1.0 - s, levels), 0.0, width)
-    return _quad(lambda p: decay_rate_normalized(alpha, p, levels), crossover_point(alpha, levels), 1.0)
+    return _quad(lambda p: decay_rate_normalized(alpha, p, levels), lower, 1.0)
 
 
 def hcla_closed_form(alpha: float) -> float:

@@ -14,6 +14,7 @@ from depolmark.channels import (
     weyl_operator,
 )
 from depolmark.dense import multiqubit_kraus, swap_permutation
+from depolmark.dynmaps import intermediate_map, superoperator_of
 from depolmark.geometry import gell_mann_matrices
 from depolmark.kernel import _check_unit, crossover_point, kappa
 from depolmark.matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
@@ -136,9 +137,15 @@ def test_multiqubit_single_matches_qubit():
         assert np.array_equal(a, b)
 
 
-def test_multiqubit_resource_cap():
-    with pytest.raises(ValueError, match="exceeds the supported maximum"):
-        multiqubit_kraus(0.5, 0.5, 4)
+def test_four_qubit_kraus_propagator_matches_intermediate_map():
+    # No qubit cap: the 256 Kraus operators of four qubits give the propagator
+    # S(p) S(q)^-1 that intermediate_map builds as a reordered Kronecker power.
+    alpha, q, p = 0.6, 0.3, 0.7
+    step = lambda t: superoperator_of(multiqubit_kraus(alpha, t, 4)).matrix
+    kraus_route = step(p) @ np.linalg.inv(step(q))
+    direct = intermediate_map(alpha, q, p, qubits=4).matrix
+    assert kraus_route.shape == direct.shape == (256, 256)
+    assert np.abs(kraus_route - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_apply_channel_unital():
@@ -201,13 +208,27 @@ def test_kraus_set_rejects_incomplete_family():
 
 def test_kraus_set_rejects_operators_of_mixed_stack_shapes():
     first, *rest = qubit_kraus(0.7, np.array([0.2, 0.4])).operators
-    with pytest.raises(ValueError, match="of one stack shape, got"):
+    with pytest.raises(ValueError, match=r"of one stack shape and d >= 1, got shapes \[\(2, 2\), \(2, 2, 2\)"):
         KrausSet((first[0], *rest))
+
+
+def test_kraus_set_needs_at_least_one_operator():
+    with pytest.raises(ValueError, match=r"^a Kraus set needs one or more square operators of one stack shape and d >= 1, got shapes \[\]$"):
+        KrausSet(())
+
+
+def test_kraus_set_needs_dimension_at_least_one():
+    with pytest.raises(ValueError, match=r"^a Kraus set needs one or more square operators of one stack shape and d >= 1, got shapes \[\(0, 0\)\]$"):
+        KrausSet((np.zeros((0, 0)),))
+    with pytest.raises(ValueError, match=r"and d >= 1, got shapes \[\(3, 0, 0\)\]$"):
+        KrausSet((np.zeros((3, 0, 0)),))
+    # An empty grid is a stack of no channels, still of dimension 2.
+    assert qubit_kraus(0.7, []).dim == 2
 
 
 def test_kraus_set_reads_its_dimension_from_the_operators():
     assert [qudit_kraus(0.7, [0.2, 0.4], n).dim for n in (2, 3, 4)] == [2, 3, 4]
-    with pytest.raises(ValueError, match=r"^expected square operators of one stack shape, got \(2, 3\)$"):
+    with pytest.raises(ValueError, match=r"^a Kraus set needs one or more square operators of one stack shape and d >= 1, got shapes \[\(2, 3\)\]$"):
         KrausSet((np.ones((2, 3)),))
 
 
@@ -273,8 +294,13 @@ def test_each_parameter_domain_is_checked_in_one_place():
     # Outside the command line, whose usage errors are its exit-2 contract.
     src = Path(__file__).resolve().parents[1] / "src" / "depolmark"
     texts = {path.name: path.read_text(encoding="utf-8") for path in src.glob("*.py") if path.name != "cli.py"}
-    for text, home in (("must lie in [0, 1]", "kernel.py"), ("levels must be >= 2", "channels.py")):
+    rules = (("must lie in [0, 1]", "kernel.py"), ("levels must be >= 2", "kernel.py"), ("qubits must be >= 1", "dynmaps.py"))
+    for text, home in rules:
         assert {name: t.count(text) for name, t in texts.items() if text in t} == {home: 1}
+    # No private copy truncates a count, and no cap the mathematics does not
+    # impose is left: the quantity table in cli.py is the only one.
+    for gone in ("int(levels)", "int(qubits)", "MAX_QUBITS", "(3, 4)"):
+        assert [name for name, t in texts.items() if gone in t] == []
 
 
 def test_kraus_set_completeness_bound_is_1e_9():

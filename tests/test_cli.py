@@ -337,6 +337,8 @@ def test_python_m_depolmark_runs_a_figure(tmp_path):
         (["choi-norm", "--levels", "3", "--qubits", "2"], "combined multi-level multi-qubit maps are not supported"),
         (["choi-eigs", "--alpha", "0.1,x"], "expected comma-separated numbers, got '0.1,x'"),
         (["choi-eigs", "--levels", "2,a"], "expected comma-separated integers, got '2,a'"),
+        # The library's F takes any N >= 2; the quantity table still caps the command.
+        (["f-norm", "--levels", "5"], "f-norm is defined for levels in (3, 4), got levels = (5,)"),
     ],
 )
 def test_out_of_domain_parameters_exit_2(argv, message, capsys):

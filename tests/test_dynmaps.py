@@ -376,16 +376,42 @@ def test_g_function_raises_inside_the_guard_band():
 
 def test_choi_matrix_shape_validation():
     # d is read from the matrix: its side must be square and a perfect square.
-    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d, got shape \(4, 9\)$"):
+    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d >= 1, got shape \(4, 9\)$"):
         ChoiMatrix(np.ones((4, 9)))
-    with pytest.raises(ValueError, match=r"^superoperator must be d\^2 x d\^2 for an integer d, got shape \(3, 3\)$"):
+    with pytest.raises(ValueError, match=r"^superoperator must be d\^2 x d\^2 for an integer d >= 1, got shape \(3, 3\)$"):
         Superoperator(np.eye(3))
-    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d, got shape \(2, 3, 3\)$"):
+    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d >= 1, got shape \(2, 3, 3\)$"):
         ChoiMatrix(np.ones((2, 3, 3)))
     with pytest.raises(ValueError, match=r"got shape \(4,\)$"):
         Superoperator(np.ones(4))
     assert [Superoperator(np.eye(k * k)).dim for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
     assert ChoiMatrix(np.zeros((5, 16, 16))).dim == 4
+
+
+def test_choi_matrix_needs_dimension_at_least_one():
+    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d >= 1, got shape \(0, 0\)$"):
+        ChoiMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^Choi matrix must be d\^2 x d\^2 for an integer d >= 1, got shape \(3, 0, 0\)$"):
+        ChoiMatrix(np.zeros((3, 0, 0)))
+    # An empty grid is a stack of no matrices, still of dimension 2.
+    assert ChoiMatrix(np.zeros((0, 4, 4))).dim == 2
+
+
+def test_superoperator_needs_dimension_at_least_one():
+    with pytest.raises(ValueError, match=r"^superoperator must be d\^2 x d\^2 for an integer d >= 1, got shape \(0, 0\)$"):
+        Superoperator(np.zeros((0, 0)))
+    assert Superoperator(np.zeros((0, 4, 4))).dim == 2
+
+
+@pytest.mark.parametrize("levels", [5, 6, 8])
+def test_choi_spectrum_matches_the_dense_route_up_to_eight_levels(levels):
+    # Off the guard band: the dense digits there are bounded by 1/|G(q)| only.
+    for alpha, q, p in ((0.7, 0.3, 0.5), (0.9, 0.2, 0.95), (0.0, 0.4, 0.8), (1.0, 0.5, 1.0)):
+        assert abs(q - crossover_point(alpha, levels)) > 0.1
+        top, rest = qudit_choi_eigenvalues(alpha, q, p, levels)
+        expected = np.sort([top] + [rest] * (levels * levels - 1))
+        dense = intermediate_choi(alpha, q, p, levels=levels).eigenvalues()
+        assert np.abs(dense - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_intermediate_choi_rejects_mixed_extension():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from depolmark import kernel
-from depolmark.geometry import affine_map_of, f_matrix, gell_mann_matrices, volume_determinant
+from depolmark.geometry import affine_map_of, f_matrix, f_norm, gell_mann_matrices, volume_determinant
 from depolmark.kernel import blp_measure, bloch_contraction_derivative, crossover_point, kappa, survival, volume_measure
 
 
@@ -152,9 +152,17 @@ def test_f_matrix_norm_monotone_without_memory(levels):
     assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
 
 
-def test_f_matrix_rejects_other_dimensions():
-    with pytest.raises(ValueError):
-        f_matrix(0.5, 0.5, 2)
+@pytest.mark.parametrize("levels", [2, 5, 8])
+def test_f_matrix_and_norm_match_their_closed_forms_up_to_eight_levels(levels):
+    # F = diag(1, 2G, ..., 2G)/N^2 at any N >= 2, so ||F||_1 = (1 + 2 (N^2 - 1) |G|)/N^2.
+    n2 = levels * levels
+    grid = [0.0, 0.2, 0.5, 0.95, 1.0]
+    for alpha in (0.0, 0.7, 1.0):
+        stack, norms = f_matrix(alpha, grid, levels).matrix, f_norm(alpha, grid, levels)
+        for f, norm, p in zip(stack, norms, grid):
+            g = survival(alpha, p, levels)
+            assert np.abs(f - np.diag([1.0] + [2.0 * g] * (n2 - 1)) / n2).max() <= 1e-13
+            assert abs(norm - (1.0 + 2.0 * (n2 - 1) * abs(g)) / n2) <= 1e-13
 
 
 def test_trajectory_memoryless():

@@ -4,16 +4,22 @@ Each mutant replaces one piece of text, which must occur exactly once in
 its file under ``src/depolmark``. The catalogue holds thresholds and
 numerical choices that the suite is meant to pin down: a threshold moved
 by a factor of ten, a power taken by another routine, a dropped
-quadrature split, a propagator scaled by 1 + 1e-9. For every mutant the
-checkout is copied into a temporary directory, the mutant is applied
-there, and the tests run on the copy, stopping at their first failure.
-First come the subset: the test files whose import lines name the mutated
-module (``from depolmark import cli``, ``from depolmark.cli import ...``).
-A failure there kills the mutant. A mutant the subset leaves alive runs the
-whole tier-1 suite, and a failure there kills it; every subset test is a
-tier-1 test, so the subset changes how long a verdict takes, never the
-verdict. The unmutated copy runs the whole suite first and has to pass,
-or no verdict means anything.
+quadrature split, a propagator scaled by 1 + 1e-9. The checkout is
+copied into a temporary directory once; each mutant is applied there in
+turn, and the whole tier-1 suite runs on the copy once, in one
+``pytest -x`` call that stops at the first failure, and any failure kills
+the mutant. The call names every tier-1 test file as an explicit
+argument: first the files whose import lines name the mutated module
+(``from depolmark import cli``, ``from depolmark.cli import ...``), then
+every other file, each in name order. pytest keeps the order of explicit
+files (it re-sorts them when a directory is given too, so none is), so a
+mutant is most often killed early; the files are the suite either way, so
+the order changes how long a verdict takes, never the verdict. The
+unmutated copy makes the same call first, and has to pass, or no verdict
+means anything. The call runs with ``--assert=plain``: pytest would
+otherwise rewrite the asserts of the plugins it loads (74 hypothesis and
+12 pytest-benchmark modules) in every run, about 3 s, and a failing
+assert fails either way.
 
 A survivor either gets a test that kills it or a one-line reason in the
 catalogue. The exit code is 1 when a mutant without a reason survives,
@@ -22,9 +28,8 @@ it), or when a mutant's text no longer matches its file (the code moved:
 update the catalogue), 0 otherwise.
 
 Usage: ``python3 tools/mutants.py`` from the checkout root. Each
-verdict line prints the wall time of the subset run and of the full run
-(``-`` where it did not run), and the last line gives the gate's total.
-On a shared 2-vCPU host, 41 mutants took 9 min 35 s with full runs only.
+verdict line prints the wall time of its run, and the last line gives the
+gate's total.
 """
 
 from __future__ import annotations
@@ -85,13 +90,13 @@ CATALOGUE = (
     Mutant(
         "f-norm-unblocked",
         "geometry.py",
-        "blockwise(lambda p: f_matrix(alpha, p, levels).trace_norm, p, dim=levels)",
+        "blockwise(lambda p: f_matrix(alpha, p, levels).trace_norm, p, dim=_check_levels(levels))",
         "f_matrix(alpha, p, levels).trace_norm",
     ),
     Mutant(
         "pinned-propagator-unblocked",
         "dynmaps.py",
-        "return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p, dim=levels)",
+        "return blockwise(lambda p_block: fn(propagator(p_block, inverse)), p, dim=_check_levels(levels))",
         "return fn(propagator(p, inverse))",
     ),
     Mutant(
@@ -139,7 +144,9 @@ CATALOGUE = (
         "    if alpha < 1e-5:\n        c = (levels * levels - 1)",
     ),
     Mutant("kraus-completeness", "channels.py", "defect() > 1e-9", "defect() > 1e-8"),
-    Mutant("map-matrix-side-any-square", "dynmaps.py", "!= (d * d, d * d):", "!= (m.shape[-1],) * 2:"),
+    Mutant("map-matrix-side-any-square", "dynmaps.py", "!= (d * d, d * d) or", "!= (m.shape[-1],) * 2 or"),
+    Mutant("map-matrix-dimension-zero", "dynmaps.py", "or d < 1:", "or d < 0:"),
+    Mutant("kraus-set-dimension-zero", "channels.py", "not 1 <= ops[0].shape[-2] ==", "not 0 <= ops[0].shape[-2] =="),
     Mutant(
         "transfer-sums-swapped",
         "geometry.py",
@@ -172,7 +179,18 @@ CATALOGUE = (
         "x.reshape(-1)[ok.reshape(-1).argmin()]",
         "x.reshape(-1)[ok.reshape(-1).argmax()]",
     ),
-    Mutant("levels-check-boundary", "channels.py", "if int(levels) < 2:", "if int(levels) < 1:"),
+    Mutant("levels-check-boundary", "kernel.py", '_check_count(levels, 2, "levels', '_check_count(levels, 1, "levels'),
+    Mutant("levels-fast-path-boundary", "kernel.py", "is int and levels >= 2 else", "is int and levels >= 1 else"),
+    Mutant("qubits-check-boundary", "dynmaps.py", '_check_count(n, 1, "qubits', '_check_count(n, 0, "qubits'),
+    Mutant("count-integrality-dropped", "kernel.py", "isinstance(n, float) and n.is_integer()", "isinstance(n, float)"),
+    Mutant("kappa-screen-bound-dropped", "kernel.py", "if levels.__class__ is not int or levels < 2:", "if levels.__class__ is not int:"),
+    Mutant(
+        "rate-uses-levels-before-check",
+        "kernel.py",
+        "g, num = survival(alpha, p, levels), _survival_derivative(alpha, p, levels)",
+        "num, g = _survival_derivative(alpha, p, levels), survival(alpha, p, levels)",
+    ),
+    Mutant("q-grid-walk-levels-unchecked", "dynmaps.py", "q, p, dim=_check_levels(levels))", "q, p, dim=levels)"),
     Mutant(
         "hermitian-nonsquare-scalar",
         "matcore.py",
@@ -218,12 +236,19 @@ def importers(root: Path, module: str) -> list:
     return files
 
 
-def tier1(root: Path, files: list = ()) -> bool:
-    """Whether the tests in ``files`` (the whole tier-1 suite when none) pass in the checkout at ``root``."""
+def test_files(root: Path, module: str | None = None) -> list:
+    """Every tier-1 test file under ``root``: those that import ``depolmark.<module>`` first, then the others."""
+    first = importers(root, module) if module else []
+    rest = [str(path.relative_to(root)) for path in sorted((root / "tests").glob("test_*.py"))]
+    return first + [name for name in rest if name not in first]
+
+
+def tier1(root: Path, files: list) -> bool:
+    """Whether the tier-1 suite passes in the checkout at ``root``, its ``files`` run in the order given."""
     # No bytecode: a mutant of the same length, written within the same
     # second as the original, would otherwise reuse a stale .pyc.
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors", *files]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "--assert=plain", "-p", "no:cacheprovider", "--continue-on-collection-errors", *files]
     proc = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=900)
     return proc.returncode == 0
 
@@ -239,7 +264,7 @@ def run(mutants: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=IGNORE)
-        if not tier1(copy):
+        if not tier1(copy, test_files(copy)):
             print("the unmutated suite fails; no verdict")
             return 1
         bad = 0
@@ -251,19 +276,12 @@ def run(mutants: list) -> int:
                 bad += 1
                 continue
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
-            files = importers(copy, mutant.module)
-            times = ["    -", "    -"]
             try:
-                killed = False
-                if files:
-                    passed, seconds = timed(lambda: tier1(copy, files))
-                    killed, times[0] = not passed, f"{seconds:5.1f}"
-                if not killed:
-                    passed, seconds = timed(lambda: tier1(copy))
-                    killed, times[1] = not passed, f"{seconds:5.1f}"
+                passed, seconds = timed(lambda: tier1(copy, test_files(copy, mutant.module)))
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = f"{'killed' if killed else 'survived':9s} subset {times[0]} s full {times[1]} s"
+            killed = not passed
+            verdict = f"{'killed' if killed else 'survived':9s} {seconds:5.1f} s"
             note = f" ({mutant.reason})" if not killed and mutant.reason else ""
             print(f"{verdict} {mutant.name}: {mutant.module}: {mutant.old.strip()!r} -> {mutant.new.strip()!r}{note}", flush=True)
             if killed and mutant.reason:
