@@ -63,8 +63,8 @@ parameter (``q`` within 1e-6 of the singular value for a Choi quantity)
 is refused when the ``SweepSpec`` is built, with ``SingularMapError``,
 and the command exits with code 3; usage errors exit with code 2. Among them: a grid bound
 outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
-``steps`` (every row is held in memory), a ``g-function`` grid ending
-above 1 - 1e-6 (its finite-difference step), a value repeated in
+``steps`` (the sweep's columns are held in memory), a ``g-function`` grid
+ending above 1 - 1e-6 (its finite-difference step), a value repeated in
 ``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
 that takes one, a non-integer ``steps``, ``levels`` or ``qubits`` or a
 non-numeric ``alpha``, ``q`` or grid bound given to ``SweepSpec``, a
@@ -91,14 +91,18 @@ At module level this file imports the standard library and the numpy-free
 command loads numpy only when it computes a dense column. Parsing,
 validation, every exit-2 or exit-3 path and every ``kernel`` column (the
 closed forms and the ``hcla`` and ``blp`` measures) load ``cli`` and
-``kernel`` alone. No function here imports a module: a dense column goes
-through the package, ``_lib.measures.f(...)``, whose first access to a
+``kernel`` alone. No function here imports a module but ``write_json``,
+which imports ``json`` so that a CSV command never loads it: a dense column
+goes through the package, ``_lib.measures.f(...)``, whose first access to a
 module imports it, so a command loads only the modules its quantity calls.
 
 ``SweepSpec`` holds the sweep and nothing else: its ``metadata()`` is its
 fields, and the command line's ``--out`` and ``--format`` go to the
 writers, never into the spec. Each writer adds its own ``format`` (csv or
-json) to the metadata it prints. Library callers hand ``write_csv`` or
+json) to the metadata it prints, and prints the cells ``run_sweep`` made
+as they are, converting none again: ``write_csv`` walks the columns row by
+row and builds no row list, and ``write_json`` hands ``json`` the rows as
+tuples, which it writes as arrays. Library callers hand ``write_csv`` or
 ``write_json`` an open file, and ``figure`` a directory and a format.
 """
 
@@ -136,7 +140,7 @@ __all__ = [
     "FIGURES",
 ]
 
-# Largest accepted number of grid points: a sweep holds every row in memory.
+# Largest accepted number of grid points: a sweep holds every column in memory.
 _MAX_STEPS = 1_000_000
 
 
@@ -274,7 +278,9 @@ class SweepTable:
     """Grid samples of one or more named series over a common abscissa.
 
     ``columns`` holds the abscissa column first, then one column per series
-    name: lists of floats, with ``None`` for an NA sample.
+    name: lists of Python floats, with ``None`` for an NA sample. The
+    writers print the cells as they are, so a table built by hand holds
+    floats too (an int cell would print as ``3``, not ``3.0``, in JSON).
     """
 
     abscissa_name: str
@@ -515,18 +521,13 @@ def _write_out(path: str | None, write: Callable[[TextIO], None]) -> None:
         raise UsageError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
 
 
-def _format_value(value: float | None) -> str:
-    return "NA" if value is None else format(float(value), ".15g")
-
-
 def write_csv(table: SweepTable, fh: TextIO) -> None:
     """CSV payload: ``#`` metadata lines (``format=csv`` among them), header row, 15-significant-digit rows."""
     meta = {**table.metadata, "format": "csv"}
     for key in sorted(meta):
         fh.write(f"# {key}={_meta_str(meta[key])}\n")
     fh.write(",".join((table.abscissa_name,) + tuple(table.series_names)) + "\n")
-    for row in table.rows:
-        fh.write(",".join(_format_value(v) for v in row) + "\n")
+    fh.writelines(",".join("NA" if v is None else format(v, ".15g") for v in row) + "\n" for row in zip(*table.columns))
 
 
 def _meta_str(value) -> str:
@@ -544,7 +545,7 @@ def write_json(table: SweepTable, fh: TextIO) -> None:
     payload = {
         "spec": {**table.metadata, "format": "json"},
         "columns": [table.abscissa_name, *table.series_names],
-        "rows": [[None if v is None else float(v) for v in row] for row in table.rows],
+        "rows": table.rows,
     }
     json.dump(payload, fh, sort_keys=True)
     fh.write("\n")

@@ -12,13 +12,21 @@ both decay rates and the tetrahedron trajectory) and both scalar measures
 and ``abs``) and take numpy arrays as well as floats; IEEE arithmetic
 gives the same bits either way, so a column mapped point by point over
 Python floats equals the one computed on the whole array. ``trajectory``
-takes one ``p``, and each measure returns one float per alpha.
+takes one ``p``, and each measure returns one float per alpha. The closed
+forms also follow their argument's type: their constants are integers or
+come from ``0 * x``, so on ``fractions.Fraction`` arguments ``kappa``,
+``survival``, ``lambda_ratio``, ``qudit_choi_eigenvalues``, both rates,
+``bloch_contraction_derivative`` and ``trajectory`` return the exact
+rational, and on floats the bits of the float constants. Where a function
+runs once per point of a column, a float alpha takes the float coefficient
+(N^2 - 1)/N^2 directly: a mixed int and float operation takes CPython's
+slower path.
 ``_check_unit`` is the one check of the parameter box [0, 1], with one
 ``ValueError`` text for every closed form built on it, and ``_check_levels``
 is the package's one check of a level count N: an integral number (an int,
 a numpy integer or a float such as 3.0) of at least 2, refused with one
-``ValueError`` text. Every closed form that takes N reads it: ``kappa``,
-which ``survival`` and both rates call before they use N, screens it as
+``ValueError`` text. Every closed form that takes N reads it: ``kappa``
+and ``survival``, which both rates call before they use N, screen it as
 ``survival`` screens alpha, and ``crossover_point``, ``lambda_ratio`` (so
 ``qudit_choi_eigenvalues``) and ``hcla_measure`` call it. ``channels``,
 ``dynmaps``, ``geometry`` and ``dense`` call it too, and
@@ -123,12 +131,12 @@ def kappa(alpha: float, p, levels: int = 2):
     Raises:
         ValueError: unless N is an integral number of at least 2.
     """
-    # The check is _check_levels'; a type screen goes first, as the per-point
-    # columns and the rate quadratures call this thousands of times.
-    if levels.__class__ is not int or levels < 2:
-        _check_levels(levels)
-    n2 = levels * levels
-    return p + alpha * p - (n2 - 1) / n2 * alpha * p * p
+    # The check is _check_levels', behind a type screen as in survival. The
+    # coefficient takes alpha's type: a float alpha gets the float
+    # (N^2 - 1)/N^2, any other (a Fraction) the exact one through 0 * alpha.
+    n2 = levels * levels if levels.__class__ is int and levels >= 2 else _check_levels(levels) ** 2
+    c = (n2 - 1) / n2 if alpha.__class__ is float else (n2 - 1 + 0 * alpha) / n2
+    return p + alpha * p - c * alpha * p * p
 
 
 def survival(alpha: float, p, levels: int = 2):
@@ -140,14 +148,18 @@ def survival(alpha: float, p, levels: int = 2):
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
-            is an integral number of at least 2 (``kappa``'s check). The
-            rates and the trajectory inherit these checks.
+            is an integral number of at least 2. The rates and the
+            trajectory inherit these checks.
     """
     # The check is _check_unit's; a chained comparison screens first, as the
-    # per-point columns and the rate quadrature call this thousands of times.
+    # per-point columns and the quadratures call this thousands of times. For
+    # the same reason kappa's lines are repeated here, not called: the call
+    # made a float call about 15 % slower.
     if not 0.0 <= alpha <= 1.0:
         _check_unit("alpha", alpha)
-    return 1.0 - kappa(alpha, p, levels)
+    n2 = levels * levels if levels.__class__ is int and levels >= 2 else _check_levels(levels) ** 2
+    c = (n2 - 1) / n2 if alpha.__class__ is float else (n2 - 1 + 0 * alpha) / n2
+    return 1 - (p + alpha * p - c * alpha * p * p)
 
 
 def crossover_point(alpha: float, levels: int = 2) -> float:
@@ -251,15 +263,17 @@ def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     spectrum sums to 1 (trace preservation), and a negative ``rest`` or
     ``top`` flags an NCP propagator. Takes grids too.
     """
-    lam = lambda_ratio(alpha, q, p, levels)
-    n2 = levels * levels
-    return (1 / n2 + (1 - 1 / n2) * lam, 1 / n2 - lam / n2)
+    lam, n2 = lambda_ratio(alpha, q, p, levels), levels * levels
+    inv = 1 / n2 if lam.__class__ is float else (0 * lam + 1) / n2  # 1/N^2 in lam's type, as in kappa
+    return (inv + (1 - inv) * lam, inv - lam / n2)
 
 
 # Apart from bloch_contraction_derivative: same G', other last bits; this one feeds the rates.
+# The coefficient follows alpha's type as in kappa; c + c is 2c exactly.
 def _survival_derivative(alpha: float, p, levels: int):
-    c = (levels * levels - 1) / (levels * levels)
-    return -(1.0 + alpha) + 2.0 * c * alpha * p
+    n2 = levels * levels
+    c = (n2 - 1) / n2 if alpha.__class__ is float else (n2 - 1 + 0 * alpha) / n2
+    return -(alpha + 1) + (c + c) * alpha * p
 
 
 def decay_rate(alpha: float, p, levels: int = 2):
@@ -296,7 +310,7 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
             at most ``ZERO_FLOOR`` at any point: at alpha = p = 0, and
             wherever alpha + p is below about 1e-12.
     """
-    g, num = survival(alpha, p, levels), _survival_derivative(alpha, p, levels)  # survival first: its kappa checks N
+    g, num = survival(alpha, p, levels), _survival_derivative(alpha, p, levels)  # survival first: it checks N
     den = g + num
     if not _all(abs(den) > ZERO_FLOOR):
         raise ValueError(f"normalized rate undefined at p = {p}")
@@ -306,7 +320,7 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
 def bloch_contraction_derivative(alpha: float, p: float) -> float:
     """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p)."""
     # Apart from _survival_derivative: same G', other last bits; this one feeds trajectories.
-    return 1.5 * alpha * p - alpha - 1.0
+    return (0 * alpha + 3) / 2 * alpha * p - alpha - 1
 
 
 def trajectory(alpha: float, p: float) -> tuple:
@@ -330,7 +344,7 @@ def trajectory(alpha: float, p: float) -> tuple:
     """
     _check_unit("grid values", p)
     lam = survival(alpha, p)
-    inside = 1.0 + lam >= abs(lam + lam) and 1.0 - lam >= 0.0
+    inside = 1 + lam >= abs(lam + lam) and 1 - lam >= 0
     if abs(lam) <= ZERO_FLOOR:
         return lam, math.nan, inside, False
     a = bloch_contraction_derivative(alpha, p) / lam

@@ -25,6 +25,13 @@ def test_the_list_runs_every_preset_and_every_quantity_in_csv_and_json():
         assert (target,) in samebytes.COMMANDS and (target, "--format", "json") in samebytes.COMMANDS
 
 
+def test_the_list_compares_the_writers_at_scale():
+    assert samebytes.VERSION == 2
+    for argv in (("choi-eigs", "--steps", "200000"), ("choi-eigs", "--steps", "200000", "--format", "json")):
+        assert argv in samebytes.COMMANDS
+    assert ("decay-rate", "--alpha", "0,0.7", "--steps", "2001", "--format", "json") in samebytes.COMMANDS
+
+
 def test_a_one_character_format_change_names_exactly_the_command_it_changes(tmp_path):
     old, new = (shutil.copytree(ROOT / "src", tmp_path / side / "src", ignore=shutil.ignore_patterns("__pycache__")) for side in ("old", "new"))
     base = [samebytes.run(old, argv) for argv in SHORT]

@@ -180,10 +180,22 @@ CATALOGUE = (
         "x.reshape(-1)[ok.reshape(-1).argmax()]",
     ),
     Mutant("levels-check-boundary", "kernel.py", '_check_count(levels, 2, "levels', '_check_count(levels, 1, "levels'),
-    Mutant("levels-fast-path-boundary", "kernel.py", "is int and levels >= 2 else", "is int and levels >= 1 else"),
+    Mutant("levels-fast-path-boundary", "kernel.py", "return levels if levels.__class__ is int and levels >= 2 else", "return levels if levels.__class__ is int and levels >= 1 else"),
     Mutant("qubits-check-boundary", "dynmaps.py", '_check_count(n, 1, "qubits', '_check_count(n, 0, "qubits'),
     Mutant("count-integrality-dropped", "kernel.py", "isinstance(n, float) and n.is_integer()", "isinstance(n, float)"),
-    Mutant("kappa-screen-bound-dropped", "kernel.py", "if levels.__class__ is not int or levels < 2:", "if levels.__class__ is not int:"),
+    Mutant(
+        "kappa-screen-bound-dropped",
+        "kernel.py",
+        "0 * alpha.\n    n2 = levels * levels if levels.__class__ is int and levels >= 2 else",
+        "0 * alpha.\n    n2 = levels * levels if levels.__class__ is int else",
+    ),
+    Mutant(
+        "survival-screen-bound-dropped",
+        "kernel.py",
+        '_check_unit("alpha", alpha)\n    n2 = levels * levels if levels.__class__ is int and levels >= 2 else',
+        '_check_unit("alpha", alpha)\n    n2 = levels * levels if levels.__class__ is int else',
+    ),
+    Mutant("survival-float-one", "kernel.py", "return 1 - (p + alpha * p", "return 1.0 - (p + alpha * p"),
     Mutant(
         "rate-uses-levels-before-check",
         "kernel.py",
@@ -212,6 +224,8 @@ CATALOGUE = (
         "for alpha in ():\n            for levels in spec.levels:",
     ),
     Mutant("writer-format-swapped", "cli.py", '{**table.metadata, "format": "json"}', '{**table.metadata, "format": "csv"}'),
+    Mutant("csv-zero-cell-na", "cli.py", '"NA" if v is None else', '"NA" if not v else'),
+    Mutant("json-rows-as-columns", "cli.py", '"rows": table.rows,', '"rows": table.columns,'),
     Mutant("levels-loop-first-only", "cli.py", "for n in spec.levels:", "for n in spec.levels[:1]:"),
     Mutant("decay-rate-pole-computed", "cli.py", "math.nan if pole(p)", "math.nan if False"),
     Mutant("decay-rate-norm-pole-computed", "cli.py", "math.nan if norm_pole(p)", "math.nan if False"),

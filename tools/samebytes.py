@@ -6,13 +6,14 @@ REV`` and once on ``src/`` of the working tree. The two runs are compared
 on their exit code, their stdout, their stderr and every file they wrote,
 by name and byte for byte. The list holds the 13 figure presets and every
 quantity at its defaults, each in CSV and JSON, multi-series and edge
-sweeps, and probes of the exit-2 (usage error) and exit-3 (pinned
-singularity) paths. It is versioned: a change to it bumps ``VERSION``, so
-two reports of the same version ran the same commands.
+sweeps, tables of 200 000 rows in CSV and JSON (since v2), and probes of
+the exit-2 (usage error) and exit-3 (pinned singularity) paths. It is
+versioned: a change to it bumps ``VERSION``, so two reports of the same
+version ran the same commands.
 
 Usage: ``python3 tools/samebytes.py REV`` from the checkout root. It
 prints one line per difference, then a summary line, and exits 1 on any
-difference, 0 otherwise. The full list takes about 30 s on a 2-vCPU host.
+difference, 0 otherwise. The full list takes about 35 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "from depolmark.cli import console_main; console_main()"
-VERSION = 1
+VERSION = 2
 
 _FIGURES = tuple(f"fig{i}" for i in range(1, 14))
 _QUANTITIES = ("choi-eigs", "choi-norm", "decay-rate", "hcla", "blp", "trace-distance", "memory-x", "volume", "trajectory", "f-norm", "g-function")
@@ -50,6 +51,10 @@ COMMANDS = (
     ("hcla", "--levels", "3", "--steps", "11"),
     ("hcla", "--alpha", "0,1e-16,1e-7,1e-6,1"),
     ("blp", "--alpha", "0,1e-16,1e-6,0.5,1", "--format", "json"),
+    # The writers at scale (v2): 200 000 rows in CSV and JSON, and NA cells in JSON.
+    ("choi-eigs", "--steps", "200000"),
+    ("choi-eigs", "--steps", "200000", "--format", "json"),
+    ("decay-rate", "--alpha", "0,0.7", "--steps", "2001", "--format", "json"),
     # Edges: two points, both poles, the guard band, signed zeros, written files.
     ("choi-eigs", "--steps", "2"),
     ("choi-eigs", "--alpha", "1", "--q", "0", "--steps", "7"),
