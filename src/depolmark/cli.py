@@ -100,16 +100,19 @@ module imports it, so a command loads only the modules its quantity calls.
 fields, and the command line's ``--out`` and ``--format`` go to the
 writers, never into the spec. Each writer adds its own ``format`` (csv or
 json) to the metadata it prints, and prints the cells ``run_sweep`` made
-as they are, converting none again: ``write_csv`` walks the columns row by
-row and builds no row list, and ``write_json`` hands ``json`` the rows as
-tuples, which it writes as arrays. Library callers hand ``write_csv`` or
-``write_json`` an open file, and ``figure`` a directory and a format.
+as they are, converting none again, and builds no row list: ``write_csv``
+walks the columns row by row, and ``write_json`` walks them in chunks of
+``_JSON_CHUNK`` rows, one ``json.dumps`` call (the C encoder) per chunk,
+and writes each chunk's text before it takes the next. Library callers
+hand ``write_csv`` or ``write_json`` an open file, and ``figure`` a
+directory and a format.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import operator
 import os
@@ -142,6 +145,9 @@ __all__ = [
 
 # Largest accepted number of grid points: a sweep holds every column in memory.
 _MAX_STEPS = 1_000_000
+# Rows per json.dumps call of write_json: the C encoder is used, and one
+# chunk's text is held at a time.
+_JSON_CHUNK = 4096
 
 
 class UsageError(ValueError):
@@ -347,7 +353,7 @@ def _choi_eigs(spec: SweepSpec, alpha: float, n: int) -> tuple:
 
 
 def _choi_norm(spec: SweepSpec, alpha: float, n: int) -> tuple:
-    # One N-level column and its n-th powers (spec.qubits is (1,) above N = 2).
+    # One N-level column and its n-th powers, the norms of n copies.
     names = tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits)
     return names, lambda grid: _lib.dynmaps.choi_trace_norm(alpha, spec.q, grid, n, spec.qubits)
 
@@ -396,8 +402,6 @@ def _g_function(spec: SweepSpec, alpha: float, n: int) -> tuple:
 def _one_system_axis(spec: SweepSpec) -> None:
     if len(spec.levels) > 1 and len(spec.qubits) > 1:
         raise UsageError("sweep either levels or qubits, not both")
-    if any(n > 2 for n in spec.levels) and any(k > 1 for k in spec.qubits):
-        raise UsageError("combined multi-level multi-qubit maps are not supported")
 
 
 def _one_level(spec: SweepSpec) -> None:
@@ -539,16 +543,18 @@ def _meta_str(value) -> str:
 
 
 def write_json(table: SweepTable, fh: TextIO) -> None:
-    """JSON payload: spec echo (``"format": "json"`` in it), column names and row arrays (null = singular)."""
+    """JSON payload: column names, row arrays (null = singular) and spec echo (``"format": "json"`` in it).
+
+    The keys come in sorted order, and ``json.dumps`` writes the rows
+    ``_JSON_CHUNK`` at a time, each chunk's array stripped of its brackets.
+    """
     import json  # here, not at the top: only this writer needs it, and CSV commands stay without it
 
-    payload = {
-        "spec": {**table.metadata, "format": "json"},
-        "columns": [table.abscissa_name, *table.series_names],
-        "rows": table.rows,
-    }
-    json.dump(payload, fh, sort_keys=True)
-    fh.write("\n")
+    rows = zip(*table.columns)
+    fh.write(f'{{"columns": {json.dumps([table.abscissa_name, *table.series_names])}, "rows": [')
+    for i, chunk in enumerate(iter(lambda: list(itertools.islice(rows, _JSON_CHUNK)), [])):
+        fh.write((", " if i else "") + json.dumps(chunk)[1:-1])
+    fh.write(f'], "spec": {json.dumps({**table.metadata, "format": "json"}, sort_keys=True)}}}\n')
 
 
 def _list_of(kind: type, what: str) -> Callable[[str], tuple]:

@@ -4,7 +4,7 @@ Nothing the command line runs imports this module. The names here serve
 the tests, which use them to check the production routes from another
 side: the column-stacking ``vectorize``/``devectorize`` pair and the
 subsystem swap of the textbook Choi route, the tensor-product Kraus set of
-n qubit channels, the closed-form qubit Choi matrix, the Bell-basis
+n N-level channels, the closed-form qubit Choi matrix, the Bell-basis
 witness expectations, the Pauli transfer matrix, the closed-form |+>/|->
 trace distance and a random search over antipodal Bloch pairs.
 
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .channels import KrausSet, apply_channel, qubit_kraus
-from .dynmaps import ChoiMatrix, Superoperator, _check_system
+from .dynmaps import ChoiMatrix, Superoperator, _check_system, _kraus
 from .kernel import _check_levels, lambda_ratio
 from .matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .measures import trace_distance
@@ -81,20 +81,22 @@ def swap_matrix(levels: int) -> np.ndarray:
     return np.eye(_check_levels(levels) ** 4)[swap_permutation(levels)]
 
 
-# ---------------------------------------------------------------- n qubits
+# ---------------------------------------------------------------- n copies
 
 
-def multiqubit_kraus(alpha: float, p, qubits: int) -> KrausSet:
-    """Tensor-product Kraus set of ``qubits`` independent qubit channels.
+def multiqubit_kraus(alpha: float, p, qubits: int, levels: int = 2) -> KrausSet:
+    """Tensor-product Kraus set of ``qubits`` independent N-level channels.
 
-    The 4^n operators are ordered lexicographically in the per-qubit index
-    (I, X, Y, Z), each the Kronecker product of its factors taken left to
-    right. Any n >= 1 is taken (``dynmaps._check_system`` checks it); the
-    set holds 4^n operators of dimension 2^n, so memory, not a cap, bounds
-    n. ``p`` may be a grid, as for :func:`depolmark.channels.qubit_kraus`.
+    The factors are the one-step Kraus set of ``dynmaps._kraus``: Pauli
+    order (I, X, Y, Z) at N = 2, Weyl order above. The N^(2n) operators
+    are ordered lexicographically in the per-copy index, each the
+    Kronecker product of its factors taken left to right. Any N >= 2 and
+    n >= 1 are taken (``dynmaps._check_system`` checks them); the set holds
+    N^(2n) operators of dimension N^n, so memory, not a cap, bounds them.
+    ``p`` may be a grid, as for :func:`depolmark.channels.qubit_kraus`.
     """
-    _, n = _check_system(2, qubits)
-    single = qubit_kraus(alpha, p).operators
+    levels, n = _check_system(levels, qubits)
+    single = _kraus(alpha, p, levels).operators
     return KrausSet(tuple(functools.reduce(kron, combo) for combo in itertools.product(single, repeat=n)))
 
 

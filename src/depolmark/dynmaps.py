@@ -49,13 +49,14 @@ empty grid gives empty results.
 
 The system is a parameter too: ``propagator_column`` takes ``levels`` N,
 and ``intermediate_map``, ``intermediate_choi`` and ``choi_trace_norm``
-take ``levels`` and ``qubits`` n. N = 2 builds its Kraus sets in Pauli
-order (``qubit_kraus``), N > 2 in Weyl order (``qudit_kraus``); n qubits
-are the reordered Kronecker power of the single-qubit propagator, and
-their Choi trace norm is the n-th power of the single-qubit one.
+take ``levels`` and a copy count ``qubits`` n, any pair N >= 2, n >= 1.
+N = 2 builds its Kraus sets in Pauli order (``qubit_kraus``), N > 2 in
+Weyl order (``qudit_kraus``); n copies of an N-level system are the
+reordered Kronecker power of the single-system propagator, and their
+Choi trace norm is the n-th power of the single-system one.
 ``choi_trace_norm`` and ``g_function`` take any count n >= 1 or a tuple
 of counts; either way they compute one single-system column and take its
-powers. N > 2 together with n > 1 is not supported.
+powers.
 
 ``kernel._check_levels`` is the one check of N, and ``_check_system``
 here the one check of n (and of N with it): each refuses a count that is
@@ -168,10 +169,7 @@ def _kraus(alpha: float, p, levels: int) -> KrausSet:
 
 def _check_system(levels, *qubits) -> tuple:
     """N and the copy counts n as ints: N checked by ``kernel._check_levels``, each n to be integral and >= 1."""
-    levels, *counts = _check_levels(levels), *(_check_count(n, 1, "qubits must be >= 1") for n in qubits)
-    if levels > 2 and any(n > 1 for n in counts):
-        raise ValueError("combined multi-level multi-qubit maps are not supported")
-    return (levels, *counts)
+    return _check_levels(levels), *(_check_count(n, 1, "qubits must be >= 1") for n in qubits)
 
 
 def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q, p, levels: int = 2):
@@ -207,28 +205,29 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
     return blockwise(lambda q_block, p_block: fn(propagator(p_block, one_step_inverse(q_block))), q, p, dim=_check_levels(levels))
 
 
-def _grouped_slot_permutation(qubits: int) -> np.ndarray:
-    """Map vec indices from per-qubit (col, row) pairs to grouped layout.
+def _grouped_slot_permutation(levels: int, qubits: int) -> np.ndarray:
+    """Map vec indices from per-copy (col, row) pairs to grouped layout.
 
-    The Kronecker power of single-qubit superoperators carries its 2n binary
-    index slots interleaved as (col_1, row_1, ..., col_n, row_n), while the
-    superoperator of the composite system orders them (col_1..col_n,
-    row_1..row_n) under column stacking of 2^n x 2^n matrices.
+    The Kronecker power of n single-system superoperators carries its 2n
+    index slots, each of N values, interleaved as (col_1, row_1, ...,
+    col_n, row_n), while the superoperator of the composite system orders
+    them (col_1..col_n, row_1..row_n) under column stacking of N^n x N^n
+    matrices.
     """
     axes = list(range(0, 2 * qubits, 2)) + list(range(1, 2 * qubits, 2))
-    return np.arange(4**qubits).reshape([2] * (2 * qubits)).transpose(axes).reshape(-1)
+    return np.arange(levels ** (2 * qubits)).reshape([levels] * (2 * qubits)).transpose(axes).reshape(-1)
 
 
 def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Superoperator:
-    """Propagator Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1} of N levels or n qubits, as a superoperator.
+    """Propagator Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1} of n copies of an N-level system, as a superoperator.
 
     ``q`` and ``p`` may be grids (they broadcast); the result is then the
-    stack of propagators, and a pinned ``q`` is inverted once. The n-qubit
+    stack of propagators, and a pinned ``q`` is inverted once. The n-copy
     one-step superoperator is (up to the fixed slot reordering of
     :func:`_grouped_slot_permutation`) the n-fold Kronecker power of the
-    single-qubit one, so its inverse factorizes per tensor slot and the
-    propagator is the reordered Kronecker power of the single-qubit
-    propagator; the 4^n-dimensional matrix is never inverted.
+    single-system one, so its inverse factorizes per tensor slot and the
+    propagator is the reordered Kronecker power of the single-system
+    propagator; the N^(2n)-dimensional matrix is never inverted.
 
     Near the crossover point p_- the digits are bounded only by the
     condition number 1/|G(q)|: :func:`depolmark.matcore.inverse` accepts
@@ -239,8 +238,7 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     2e-16). Sweeps mask that band as NA; direct calls get no warning.
 
     Raises:
-        ValueError: unless N and n are integral numbers of at least 2 and
-            1, or for N > 2 together with n > 1.
+        ValueError: unless N and n are integral numbers of at least 2 and 1.
         SingularMapError: when Phi(q, 0) is not invertible (q at the
             crossover point of the family).
     """
@@ -250,7 +248,7 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     for _ in range(qubits - 1):
         acc = kron(acc, single)
     if qubits > 1:
-        perm = _grouped_slot_permutation(qubits)
+        perm = _grouped_slot_permutation(levels, qubits)
         acc = acc[..., perm[:, None], perm]
     return Superoperator(acc)
 
@@ -284,7 +282,7 @@ def choi_of(superop: Superoperator) -> ChoiMatrix:
 
 
 def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> ChoiMatrix:
-    """Choi matrix of the propagator :func:`intermediate_map` of N levels or n qubits.
+    """Choi matrix of the propagator :func:`intermediate_map` of n copies of an N-level system.
 
     Within about 1e-6 of the crossover point its digits are bounded only
     by the condition number 1/|G(q)| of Phi(q, 0), as for
@@ -300,13 +298,14 @@ def ncp_witness(choi: ChoiMatrix) -> NcpWitness:
 
 
 def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1):
-    """Choi trace norm of the propagator of N levels or n qubits, via the full pipeline.
+    """Choi trace norm of the propagator of n copies of an N-level system, via the full pipeline.
 
-    The n-qubit Choi matrix is, up to a subsystem permutation, the n-fold
-    Kronecker power of the single-qubit one, so its spectrum consists of
-    products of single-qubit Choi eigenvalues and the trace norm is the
-    n-th power of the single-qubit trace norm. The single-system norm is
-    computed through the full superoperator/Choi pipeline.
+    The n-copy Choi matrix is, up to a subsystem permutation, the n-fold
+    Kronecker power of the single-system one, so its spectrum consists of
+    products of single-system Choi eigenvalues and the trace norm is the
+    n-th power of the single-system trace norm, at every N. The
+    single-system norm is computed through the full superoperator/Choi
+    pipeline.
 
     ``q`` and ``p`` may be grids (an array of norms comes back). The power
     is taken point by point in Python floats, whose ``**`` can differ from
@@ -315,7 +314,7 @@ def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1
 
     Raises:
         ValueError: unless N and every n are integral numbers of at least
-            2 and 1, or for N > 2 together with n > 1.
+            2 and 1.
     """
     levels, *counts = _check_system(levels, *(qubits if isinstance(qubits, tuple) else (qubits,)))
     base = propagator_column(lambda superop: trace_norm(choi_of(superop).matrix), alpha, q, p, levels)

@@ -334,7 +334,7 @@ def test_python_m_depolmark_runs_a_figure(tmp_path):
         (["choi-norm", "--q", "0.3", "--p-min", "0.2999999999999"], "at or above q"),
         (["g-function", "--p-max", "0.9999999"], "max + 1e-06 <= 1"),
         (["trace-distance", "--steps", "1000000000000"], "steps must lie in [2, 1000000]"),
-        (["choi-norm", "--levels", "3", "--qubits", "2"], "combined multi-level multi-qubit maps are not supported"),
+        (["choi-norm", "--levels", "2,3", "--qubits", "1,2"], "sweep either levels or qubits, not both"),
         (["choi-eigs", "--alpha", "0.1,x"], "expected comma-separated numbers, got '0.1,x'"),
         (["choi-eigs", "--levels", "2,a"], "expected comma-separated integers, got '2,a'"),
         # The library's F takes any N >= 2; the quantity table still caps the command.
@@ -346,6 +346,19 @@ def test_out_of_domain_parameters_exit_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_choi_norm_of_qutrit_pairs_matches_the_dense_oracle(capsys):
+    # N > 2 with n > 1: each cell is the n-th power of the qutrit norm, and
+    # equals the trace norm of the full 81 x 81 Choi matrix.
+    assert main(["choi-norm", "--alpha", "0.9", "--q", "0.4", "--levels", "3", "--qubits", "1,2", "--steps", "7"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert header == ["p", "choi_norm_alpha0.9_N3_n1", "choi_norm_alpha0.9_N3_n2"]
+    for p, *cells in rows:
+        for qubits, cell in zip((1, 2), cells):
+            dense = dynmaps.trace_norm(dynmaps.intermediate_choi(0.9, 0.4, float(p), 3, qubits).matrix)
+            assert abs(float(cell) - dense) <= 1e-12 * dense
+    assert float(rows[-1][2]) > 1.5  # NCP at p = 1: the oracle is not the trivial 1
 
 
 def test_steps_cap_is_checked_before_any_grid_exists():

@@ -36,6 +36,7 @@ LEVEL_TAKERS = {
     "choi_trace_norm": lambda n: dynmaps.choi_trace_norm(0.7, 0.3, [0.5, 0.6], levels=n),
     "swap_permutation": lambda n: dense.swap_permutation(n),
     "swap_matrix": lambda n: dense.swap_matrix(n),
+    "multiqubit_kraus": lambda n: dense.multiqubit_kraus(0.7, [0.2, 0.5], 2, levels=n),
 }
 
 # Every function of the library that takes n, called at n.

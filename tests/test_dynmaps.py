@@ -414,9 +414,22 @@ def test_choi_spectrum_matches_the_dense_route_up_to_eight_levels(levels):
         assert np.abs(dense - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_intermediate_choi_rejects_mixed_extension():
-    with pytest.raises(ValueError):
-        intermediate_choi(0.5, 0.2, 0.8, levels=3, qubits=2)
+# (levels, qubits): n copies of an N-level system beyond the qubit products.
+PRODUCT_SYSTEMS = [(3, 2), (4, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("levels,qubits", PRODUCT_SYSTEMS, ids=[f"N{n}-n{k}" for n, k in PRODUCT_SYSTEMS])
+def test_n_copies_of_n_levels_match_the_dense_oracle(levels, qubits):
+    # The power rule against the trace norm of the full Choi matrix, and the
+    # reordered Kronecker power against the superoperator of the product Kraus
+    # set; off the guard band, at one NCP point and two others.
+    for alpha, q, p in ((0.9, 0.4, 1.0), (0.5, 0.1, 0.95), (1.0, 0.2, 0.9)):
+        assert abs(q - crossover_point(alpha, levels)) > 0.1
+        dense = trace_norm(intermediate_choi(alpha, q, p, levels, qubits).matrix)
+        assert abs(choi_trace_norm(alpha, q, p, levels, qubits) - dense) <= 1e-12 * dense
+        kraus_route = superoperator_of(multiqubit_kraus(alpha, p, qubits, levels=levels)).matrix
+        assert kraus_route.shape == (levels ** (2 * qubits),) * 2
+        assert np.abs(kraus_route - intermediate_map(alpha, 0.0, p, levels, qubits).matrix).max() <= 1e-12
 
 
 def test_intermediate_map_rejects_fewer_than_one_qubit():

@@ -6,6 +6,8 @@ while the CSV writer sent every cell through ``_format_value`` (one more
 row in a second ``None``/``float()`` pass; their bodies are copied
 unchanged. They are the oracle: on every table ``run_sweep`` can build,
 whose cells are Python floats or ``None``, the writers give the same bytes.
+The JSON writer encodes its rows ``cli._JSON_CHUNK`` at a time, so the
+examples hold tables of no row and of one row below, at and above a chunk.
 """
 
 import io
@@ -84,9 +86,19 @@ def assert_same_bytes(table: SweepTable) -> None:
     assert written(write_json, table) == written(old_write_json, table)
 
 
+def seam_table(rows: int) -> SweepTable:
+    """A table of ``rows`` rows and two series, an NA cell in every fifth row."""
+    grid = [i / 7 for i in range(rows)]
+    return SweepTable("p", ("a", "b"), [grid, [None if i % 5 == 0 else -x for i, x in enumerate(grid)], [x * x for x in grid]], METADATA[0])
+
+
 @given(tables())
 @example(SweepTable("p", ("a", "b"), [[0.0, 0.5], [0.0, -0.0], [None, 5e-324]], METADATA[0]))
 @example(SweepTable("p", (), [[]], METADATA[0]))
+@example(seam_table(0))
+@example(seam_table(cli._JSON_CHUNK - 1))
+@example(seam_table(cli._JSON_CHUNK))
+@example(seam_table(cli._JSON_CHUNK + 1))
 def test_writers_give_the_old_bytes(table):
     assert_same_bytes(table)
 
@@ -100,3 +112,4 @@ def test_writers_give_the_old_bytes_on_merged_tables(table):
 def test_writers_give_the_old_bytes_on_the_merged_preset():
     (_, *specs), = cli._FIGURES["fig4"]
     assert_same_bytes(_merge([cli.run_sweep(spec) for spec in specs]))
+

@@ -181,6 +181,8 @@ CATALOGUE = (
     ),
     Mutant("levels-check-boundary", "kernel.py", '_check_count(levels, 2, "levels', '_check_count(levels, 1, "levels'),
     Mutant("levels-fast-path-boundary", "kernel.py", "return levels if levels.__class__ is int and levels >= 2 else", "return levels if levels.__class__ is int and levels >= 1 else"),
+    Mutant("slot-permutation-binary", "dynmaps.py", ".reshape([levels] * (2 * qubits))", ".reshape([2] * (2 * qubits))"),
+    Mutant("product-kraus-qubit-factors", "dense.py", "single = _kraus(alpha, p, levels).operators", "single = qubit_kraus(alpha, p).operators"),
     Mutant("qubits-check-boundary", "dynmaps.py", '_check_count(n, 1, "qubits', '_check_count(n, 0, "qubits'),
     Mutant("count-integrality-dropped", "kernel.py", "isinstance(n, float) and n.is_integer()", "isinstance(n, float)"),
     Mutant(
@@ -225,7 +227,13 @@ CATALOGUE = (
     ),
     Mutant("writer-format-swapped", "cli.py", '{**table.metadata, "format": "json"}', '{**table.metadata, "format": "csv"}'),
     Mutant("csv-zero-cell-na", "cli.py", '"NA" if v is None else', '"NA" if not v else'),
-    Mutant("json-rows-as-columns", "cli.py", '"rows": table.rows,', '"rows": table.columns,'),
+    Mutant("json-rows-as-columns", "cli.py", "rows = zip(*table.columns)", "rows = iter(table.columns)"),
+    Mutant(
+        "json-last-partial-chunk-dropped",
+        "cli.py",
+        "iter(lambda: list(itertools.islice(rows, _JSON_CHUNK)), [])",
+        "(c for c in iter(lambda: list(itertools.islice(rows, _JSON_CHUNK)), []) if len(c) == _JSON_CHUNK)",
+    ),
     Mutant("levels-loop-first-only", "cli.py", "for n in spec.levels:", "for n in spec.levels[:1]:"),
     Mutant("decay-rate-pole-computed", "cli.py", "math.nan if pole(p)", "math.nan if False"),
     Mutant("decay-rate-norm-pole-computed", "cli.py", "math.nan if norm_pole(p)", "math.nan if False"),

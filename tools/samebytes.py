@@ -6,8 +6,9 @@ REV`` and once on ``src/`` of the working tree. The two runs are compared
 on their exit code, their stdout, their stderr and every file they wrote,
 by name and byte for byte. The list holds the 13 figure presets and every
 quantity at its defaults, each in CSV and JSON, multi-series and edge
-sweeps, tables of 200 000 rows in CSV and JSON (since v2), and probes of
-the exit-2 (usage error) and exit-3 (pinned singularity) paths. It is
+sweeps, tables of 200 000 rows in CSV and JSON (since v2), n copies of a
+qutrit (since v3), and probes of the exit-2 (usage error) and exit-3
+(pinned singularity) paths. It is
 versioned: a change to it bumps ``VERSION``, so two reports of the same
 version ran the same commands.
 
@@ -29,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "from depolmark.cli import console_main; console_main()"
-VERSION = 2
+VERSION = 3
 
 _FIGURES = tuple(f"fig{i}" for i in range(1, 14))
 _QUANTITIES = ("choi-eigs", "choi-norm", "decay-rate", "hcla", "blp", "trace-distance", "memory-x", "volume", "trajectory", "f-norm", "g-function")
@@ -41,6 +42,8 @@ COMMANDS = (
     ("choi-eigs", "--alpha", "0,0.5,1", "--levels", "2,3,4", "--steps", "41"),
     ("choi-norm", "--alpha", "0.2,0.9", "--q", "0.4", "--qubits", "1,2,3", "--steps", "41"),
     ("choi-norm", "--alpha", "0.9", "--q", "0.4", "--levels", "2,3,4", "--steps", "41", "--format", "json"),
+    # n copies of an N-level system (v3): the n-th powers of one qutrit column.
+    ("choi-norm", "--alpha", "0.9", "--q", "0.4", "--levels", "3", "--qubits", "1,2,3", "--steps", "41"),
     ("decay-rate", "--alpha", "0,0.3,1", "--levels", "3"),
     ("g-function", "--alpha", "0,0.5,0.9", "--qubits", "1,2", "--steps", "51"),
     ("memory-x", "--alpha", "0,0.7,1", "--steps", "51"),
@@ -72,7 +75,7 @@ COMMANDS = (
     ("f-norm", "--levels", "3,4"),
     ("decay-rate", "--levels", "1"),
     ("choi-norm", "--qubits", "0"),
-    ("choi-norm", "--levels", "3", "--qubits", "2"),
+    ("choi-norm", "--levels", "2,3", "--qubits", "1,2"),
     ("g-function", "--qubits", "3"),
     ("g-function", "--p-max", "0.9999999"),
     ("choi-eigs", "--alpha", "1.5"),
