@@ -33,21 +33,20 @@ Python float, and NaN into ``None``, in one place, and ``SweepTable``
 keeps the columns (abscissa first), its ``rows`` being derived from them.
 ``SweepSpec.grid`` performs ``np.linspace``'s own arithmetic on Python
 floats, so the grid is bit-equal to numpy's. ``choi-eigs``,
-``decay-rate``, ``trajectory`` and ``hcla`` use the per-point adapter
-``_points``: it calls a scalar function once per grid point (or alpha),
-which returns one value per series name.
+``decay-rate``, ``trajectory``, ``hcla`` and ``blp`` use the per-point
+adapter ``_points``: it calls a scalar function once per grid point (or
+alpha), which returns one value per series name.
 ``kernel``'s closed forms give the bits the whole-array call gives (IEEE
 arithmetic), one ``kernel.trajectory`` call feeds the five ``trajectory``
-columns (its two flags written as 1.0/0.0), and ``hcla`` calls its
-measure once per alpha. The one-column quantities are ``_column`` rows,
-a name template and one library call on the grid: ``blp``
-(``kernel.blp_measure`` per alpha), ``trace-distance``
-(``measures.plus_minus_distance``), ``memory-x``
+columns (its two flags written as 1.0/0.0), and ``hcla`` and ``blp``
+call their measure once per alpha. The four dense one-column quantities
+are ``_column`` rows, a name template and one library call on the grid:
+``trace-distance`` (``measures.plus_minus_distance``), ``memory-x``
 (``measures.memory_witness_X``), ``volume``
 (``geometry.volume_determinant``) and ``f-norm`` (``geometry.f_norm``).
-All of them but ``blp``, and ``choi-norm`` (``dynmaps.choi_trace_norm``)
-and ``g-function`` (``dynmaps.g_function``), run the whole grid through
-the dense route in one call (see ``dynmaps``). ``choi-norm`` computes
+They, ``choi-norm`` (``dynmaps.choi_trace_norm``) and ``g-function``
+(``dynmaps.g_function``) run the whole grid through the dense route in
+one call (see ``dynmaps``). ``choi-norm`` computes
 one single-system column per alpha and N, and ``g-function`` one per
 alpha; their n-th powers are the n-qubit norms.
 
@@ -338,9 +337,8 @@ def _points(names: tuple, fn: Callable[[float], tuple]) -> tuple:
 
 
 def _column(name: str, fn: Callable) -> Callable:
-    """A one-column builder: ``name`` formatted with ``n`` and the system ``tag`` (none for an alpha sweep), ``fn(spec, alpha, n, grid)`` the column."""
-    tag = lambda spec, alpha: "" if alpha is None else _system_tag(spec, alpha)
-    return lambda spec, alpha, n: ((name.format(n=n, tag=tag(spec, alpha)),), lambda grid: [fn(spec, alpha, n, grid)])
+    """A dense one-column builder: ``name`` formatted with ``n`` and the system ``tag``, ``fn(spec, alpha, n, grid)`` the column."""
+    return lambda spec, alpha, n: ((name.format(n=n, tag=_system_tag(spec, alpha)),), lambda grid: [fn(spec, alpha, n, grid)])
 
 
 # ---------------------------------------------------------------- column builders
@@ -419,7 +417,7 @@ _QUANTITIES = {
     "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
     "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
     "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
-    "blp": _Quantity(_column("N_BLP", lambda spec, a, n, grid: list(map(blp_measure, grid))), abscissa="alpha"),
+    "blp": _Quantity(lambda spec, alpha, n: _points(("N_BLP",), lambda a: (blp_measure(a),)), abscissa="alpha"),
     "trace-distance": _Quantity(_column("D_{tag}", lambda spec, a, n, grid: _lib.measures.plus_minus_distance(a, grid))),
     "memory-x": _Quantity(_column("X_{tag}", lambda spec, a, n, grid: _lib.measures.memory_witness_X(a, spec.q, grid)), pinned=True),
     "volume": _Quantity(_column("volume_{tag}", lambda spec, a, n, grid: _lib.geometry.volume_determinant(a, grid))),

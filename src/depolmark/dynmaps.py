@@ -53,7 +53,8 @@ take ``levels`` and a copy count ``qubits`` n, any pair N >= 2, n >= 1.
 N = 2 builds its Kraus sets in Pauli order (``qubit_kraus``), N > 2 in
 Weyl order (``qudit_kraus``); n copies of an N-level system are the
 reordered Kronecker power of the single-system propagator, and their
-Choi trace norm is the n-th power of the single-system one.
+Choi trace norm is the n-th power of the single-system one. Every n goes
+through the one slot reordering, which is the identity at n = 1.
 ``choi_trace_norm`` and ``g_function`` take any count n >= 1 or a tuple
 of counts; either way they compute one single-system column and take its
 powers.
@@ -227,7 +228,9 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     :func:`_grouped_slot_permutation`) the n-fold Kronecker power of the
     single-system one, so its inverse factorizes per tensor slot and the
     propagator is the reordered Kronecker power of the single-system
-    propagator; the N^(2n)-dimensional matrix is never inverted.
+    propagator; the N^(2n)-dimensional matrix is never inverted. Every n
+    goes through that reordering; at n = 1 it is the identity, so the
+    result is the single-system propagator bit for bit.
 
     Near the crossover point p_- the digits are bounded only by the
     condition number 1/|G(q)|: :func:`depolmark.matcore.inverse` accepts
@@ -247,10 +250,8 @@ def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Su
     acc = single
     for _ in range(qubits - 1):
         acc = kron(acc, single)
-    if qubits > 1:
-        perm = _grouped_slot_permutation(levels, qubits)
-        acc = acc[..., perm[:, None], perm]
-    return Superoperator(acc)
+    perm = _grouped_slot_permutation(levels, qubits)
+    return Superoperator(acc[..., perm[:, None], perm])
 
 
 def maximally_entangled_projector(dim: int) -> np.ndarray:

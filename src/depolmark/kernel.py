@@ -478,8 +478,12 @@ def hcla_closed_form(alpha: float) -> float:
     (-1, 1) below about 1e-17), so the series alpha/4 + 3 alpha^2/32 is
     returned there instead: it is within 5e-14 relative of a 60-digit
     quadrature on (0, 1e-6) and gives exactly 0 at alpha = 0.
+
+    The lower endpoint comes first: its ``crossover_point`` call checks
+    alpha, so an alpha outside [0, 1] (NaN included) raises its ValueError
+    before the series branch is reached.
     """
-    _check_unit("alpha", alpha)
+    lower = crossover_point(alpha, 2)
     if alpha < 1e-6:
         return alpha / 4.0 + 3.0 * alpha * alpha / 32.0
     s = math.sqrt(4.0 - 4.0 * alpha + 13.0 * alpha * alpha)
@@ -488,7 +492,6 @@ def hcla_closed_form(alpha: float) -> float:
         den = 4.0 * p + 4.0 * alpha - 2.0 * alpha * p - 3.0 * alpha * p * p
         return math.log(abs(den)) + (6.0 * alpha / s) * math.atanh((3.0 * alpha * p + alpha - 2.0) / s)
 
-    lower = crossover_point(alpha, 2)
     return antiderivative(1.0) - antiderivative(lower)
 
 

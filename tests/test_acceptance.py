@@ -6,14 +6,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 import itertools
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from depolmark.channels import apply_channel, qubit_kraus, qudit_kraus
-from depolmark import kernel
 from depolmark.dense import bell_expectations, choi_closed_form, devectorize, multiqubit_kraus, swap_matrix, vectorize
 from depolmark.dynmaps import (
     choi_of,
@@ -37,20 +35,13 @@ from depolmark.kernel import (
 )
 from depolmark.matcore import trace_norm
 from depolmark.measures import memory_witness_closed, memory_witness_X, trace_distance
-from helpers import random_density
+from helpers import random_density, trajectory
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
     tail = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number:2d}: {description}{tail}")
     assert ok, f"criterion {number} failed: {description}{tail}"
-
-
-def trajectory(alpha, grid):
-    """``kernel.trajectory`` mapped over a grid: ``p`` and one array per field."""
-    p = np.array(grid, dtype=float, ndmin=1)
-    fields = map(np.array, zip(*(kernel.trajectory(alpha, x) for x in p.tolist())))
-    return SimpleNamespace(p=p, **dict(zip(("lam", "a", "inside_tetrahedron", "cp_divisible"), fields)))
 
 
 def survival(alpha, p, levels=2):

@@ -25,7 +25,7 @@ from depolmark.cli import (
     write_csv,
     write_json,
 )
-from depolmark.kernel import SingularMapError, crossover_point
+from depolmark.kernel import SingularMapError, blp_measure, crossover_point
 
 ALPHA_MINUS_07 = 0.7725529126366106
 
@@ -103,6 +103,11 @@ def test_blp_sweep_default_grid():
     grid = [row[0] for row in table.rows]
     assert grid == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert np.abs(np.array(table.column("N_BLP")) - np.array(grid) / 4).max() < 1e-8
+    # The column is blp_measure at each alpha, bit for bit, tiny alphas included.
+    alphas = (0.0, 1e-16, 1e-6, 0.5, 1.0)
+    table = run_sweep(SweepSpec("blp", alpha=alphas))
+    assert table.series_names == ("N_BLP",)
+    assert [v.hex() for v in table.column("N_BLP")] == [blp_measure(a).hex() for a in alphas]
 
 
 def test_sweep_determinism():

@@ -19,6 +19,7 @@ from depolmark.dense import (
 from depolmark.dynmaps import (
     ChoiMatrix,
     Superoperator,
+    _grouped_slot_permutation,
     choi_of,
     choi_trace_norm,
     g_function,
@@ -26,6 +27,7 @@ from depolmark.dynmaps import (
     intermediate_map,
     maximally_entangled_projector,
     ncp_witness,
+    propagator_column,
     superoperator_of,
 )
 from depolmark.kernel import (
@@ -430,6 +432,18 @@ def test_n_copies_of_n_levels_match_the_dense_oracle(levels, qubits):
         kraus_route = superoperator_of(multiqubit_kraus(alpha, p, qubits, levels=levels)).matrix
         assert kraus_route.shape == (levels ** (2 * qubits),) * 2
         assert np.abs(kraus_route - intermediate_map(alpha, 0.0, p, levels, qubits).matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4, 5])
+def test_one_copy_is_the_single_system_propagator_bit_for_bit(levels):
+    # One copy goes through the slot permutation too, as arange(N^2). Swapping
+    # the two slots of a single-system propagator keeps its bits at N = 2 only.
+    assert np.array_equal(_grouped_slot_permutation(levels, 1), np.arange(levels * levels))
+    for q, p in ((0.2, np.linspace(0.2, 1.0, 9)), (np.linspace(0.0, 0.3, 9), np.linspace(0.35, 1.0, 9))):
+        got = intermediate_map(0.7, q, p, levels, 1).matrix
+        want = propagator_column(lambda s: s.matrix, 0.7, q, p, levels)
+        assert got.shape == want.shape == (9, levels * levels, levels * levels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_intermediate_map_rejects_fewer_than_one_qubit():

@@ -1,20 +1,12 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from depolmark import kernel
 from depolmark.geometry import affine_map_of, f_matrix, f_norm, gell_mann_matrices, volume_determinant
 from depolmark.kernel import blp_measure, bloch_contraction_derivative, crossover_point, kappa, survival, volume_measure
-
-
-def trajectory(alpha, grid):
-    """``kernel.trajectory`` mapped over a grid: ``p`` and one array per field."""
-    p = np.array(grid, dtype=float, ndmin=1)
-    fields = map(np.array, zip(*(kernel.trajectory(alpha, x) for x in p.tolist())))
-    return SimpleNamespace(p=p, **dict(zip(("lam", "a", "inside_tetrahedron", "cp_divisible"), fields)))
+from helpers import trajectory
 
 
 def test_affine_map_memoryless():

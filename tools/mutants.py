@@ -182,6 +182,18 @@ CATALOGUE = (
     Mutant("levels-check-boundary", "kernel.py", '_check_count(levels, 2, "levels', '_check_count(levels, 1, "levels'),
     Mutant("levels-fast-path-boundary", "kernel.py", "return levels if levels.__class__ is int and levels >= 2 else", "return levels if levels.__class__ is int and levels >= 1 else"),
     Mutant("slot-permutation-binary", "dynmaps.py", ".reshape([levels] * (2 * qubits))", ".reshape([2] * (2 * qubits))"),
+    Mutant(
+        "slot-permutation-halves-swapped",
+        "dynmaps.py",
+        "axes = list(range(0, 2 * qubits, 2)) + list(range(1, 2 * qubits, 2))",
+        "axes = list(range(1, 2 * qubits, 2)) + list(range(0, 2 * qubits, 2))",
+    ),
+    Mutant(
+        "hcla-closed-series-before-check",
+        "kernel.py",
+        "    lower = crossover_point(alpha, 2)\n    if alpha < 1e-6:\n        return alpha / 4.0 + 3.0 * alpha * alpha / 32.0\n",
+        "    if alpha < 1e-6:\n        return alpha / 4.0 + 3.0 * alpha * alpha / 32.0\n    lower = crossover_point(alpha, 2)\n",
+    ),
     Mutant("product-kraus-qubit-factors", "dense.py", "single = _kraus(alpha, p, levels).operators", "single = qubit_kraus(alpha, p).operators"),
     Mutant("qubits-check-boundary", "dynmaps.py", '_check_count(n, 1, "qubits', '_check_count(n, 0, "qubits'),
     Mutant("count-integrality-dropped", "kernel.py", "isinstance(n, float) and n.is_integer()", "isinstance(n, float)"),
