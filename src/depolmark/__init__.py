@@ -1,28 +1,17 @@
 """Non-Markovian depolarizing channels and their non-Markovianity diagnostics.
 
-The package builds the generalized depolarizing Kraus families (qubit,
-N-level, multiqubit), their intermediate dynamical maps and Choi matrices,
-and every witness and measure of non-Markovianity defined for the family:
-Choi spectra and trace-norm witnesses, canonical decay rates and their
-normalized integral, distinguishability revivals, the quantum-memory
-witness, accessible-state volume and parameter-space trajectories. The
-``depolmark`` command line emits the corresponding plot-ready datasets.
-The helpers that only check those routes (``vectorize``, the tensor-product
-Kraus set, the closed-form qubit Choi matrix, ...) live in ``dense``, which
-no command loads.
-
-Submodules and the names they export load on first access (PEP 562):
-``import depolmark`` imports nothing else, ``depolmark.survival`` loads
-the numpy-free ``kernel`` only, and ``__all__`` (``from depolmark import
-*``) loads every library module.
+Every name in a library module's ``__all__`` is importable from here.
+Submodules and those names load on first access (PEP 562): ``import
+depolmark`` imports nothing else, and ``from depolmark import *`` loads
+every library module.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is its public API; a name is looked up in this
-# order, the numpy-free kernel first and the oracle helpers of ``dense`` last.
+# Name lookup order: the numpy-free kernel first, so ``depolmark.survival``
+# loads no numpy, and the oracle helpers of ``dense`` last.
 _LIBRARY = ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry", "dense")
 
 

@@ -1,32 +1,16 @@
 """Kraus families of the generalized depolarizing channel.
 
-The single-qubit channel is parametrized by a timelike parameter ``p`` in
-[0, 1] and a memory strength ``alpha`` in [0, 1]:
+The qubit channel, with timelike parameter ``p`` and memory strength
+``alpha`` in [0, 1], has the Kraus operators
 
     E_I = sqrt((1 - (3/4) alpha p) (1 - (3/4) p)) I
     E_i = sqrt((1 + alpha (1 - (3/4) p)) p / 4) sigma_i,   i = X, Y, Z
 
-which acts as rho -> (1 - k) rho + k I/2 with the effective depolarizing
-probability k(p) = p + alpha p - (3/4) alpha p^2 (see :func:`depolmark.kernel.kappa`).
-``alpha = 0`` recovers the standard depolarizing channel with k = p.
-
-The N-level generalization replaces the Pauli operators by the Weyl
-shift-and-phase unitaries and the fraction 3/4 by (N^2 - 1)/N^2. The
-n-qubit family is the tensor product of identical single-qubit channels;
-its Kraus set, which no dataset reads, is the oracle
-``depolmark.dense.multiqubit_kraus``.
-
-The builders take ``p`` as one value or as a grid. A grid gives a stacked
-:class:`KrausSet`: operator ``i`` has shape ``p.shape + (d, d)`` and holds
-the i-th Kraus operator at every grid point, built from the same float
-operations as a single value, so a stack is bit-equal to the sets built
-point by point. Completeness is checked at every grid point. A
-``KrausSet`` takes the operators alone and reads d from their last axis.
-
-The kernel's ``_check_unit`` checks ``alpha`` and every point of ``p``
-against [0, 1], and its ``_check_levels``, the package's one check of a
-level count, refuses an N that is not an integral number of at least 2
-(2.7 does not build a qubit channel).
+and acts as rho -> (1 - k) rho + k I/2 with k = ``kernel.kappa``. The
+N-level channel replaces the Pauli operators by the Weyl unitaries and
+3/4 by (N^2 - 1)/N^2. The builders take ``p`` as one value or as a grid;
+a grid gives a stacked ``KrausSet``, each point bit-equal to a set built
+for that point alone.
 """
 
 from __future__ import annotations
@@ -55,13 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Ordered Kraus operators of one channel, all of one dimension d.
+    """Ordered Kraus operators of one channel, or of each channel of a grid.
 
-    Each operator is ``(d, d)``, or a stack ``(..., d, d)`` holding that
-    operator for every channel of a grid; all operators share one shape.
-    ``dim`` is d, read from the operators' last axis. A set holds at least
-    one operator, and d >= 1. Construction verifies the completeness
-    relation sum_i E_i^dag E_i = I for every channel.
+    Each operator is ``(d, d)``, or a stack ``(..., d, d)`` with one channel
+    per grid point; all share one shape, and ``dim`` is d >= 1, read from
+    the last axis. ValueError for no operator, mismatched shapes, or a
+    completeness defect above 1e-9 at any channel.
     """
 
     operators: tuple = field(repr=False)
@@ -88,10 +71,7 @@ class KrausSet:
         return self.operators[0].shape[:-2]
 
     def completeness_defect(self):
-        """max |sum_i E_i^dag E_i - I|, the sum taken over the operators in order; zero for a trace-preserving set.
-
-        A float for one channel, an array with one defect per channel for a stack.
-        """
+        """max |sum_i E_i^dag E_i - I|, zero for a trace-preserving set: a float for one channel, an array for a stack."""
         acc = sum(op.conj().swapaxes(-1, -2) @ op for op in self.operators)
         defect = np.abs(acc - np.eye(self.dim)).max(axis=(-2, -1))
         return float(defect) if defect.ndim == 0 else defect
@@ -104,15 +84,12 @@ def _sqrt_coefficient(radicand) -> np.ndarray:
     (1 - c alpha p)(1 - c p) >= (1 - c)^2 > 0 and (1 + alpha (1 - c p)) p / N^2 >= 0.
     """
     # p = -0.0 passes the [0, 1] check and gives a -0.0 radicand; the maximum
-    # makes it +0.0, so the coefficient is +0.0 and not sqrt(-0.0) = -0.0.
+    # makes the coefficient +0.0, not sqrt(-0.0) = -0.0.
     return np.sqrt(np.maximum(np.asarray(radicand, dtype=float), 0.0))[..., None, None]
 
 
 def _kraus_set(alpha: float, p, levels: int, unitaries: list) -> KrausSet:
-    """Kraus set of the N-level channel over ``unitaries``, the identity first, weighted as in :func:`qudit_kraus`.
-
-    At N = 2, c = (N^2 - 1)/N^2 is exactly 0.75, the 3/4 of the qubit weights.
-    """
+    """Kraus set of the N-level channel over ``unitaries``, the identity first, weighted as in ``qudit_kraus``."""
     alpha = _check_unit("alpha", np.asarray(alpha, dtype=float))
     p = _check_unit("p", np.asarray(p, dtype=float))
     n2 = levels * levels
@@ -123,18 +100,20 @@ def _kraus_set(alpha: float, p, levels: int, unitaries: list) -> KrausSet:
 
 
 def qubit_kraus(alpha: float, p) -> KrausSet:
-    """Kraus operators of the single-qubit channel, ordered (I, X, Y, Z).
+    """Kraus operators of the single-qubit channel, ordered (I, X, Y, Z); ``p`` may be a grid.
 
-    ``p`` may be a grid; the set then holds one channel per grid point.
+    Raises:
+        ValueError: for alpha or a p outside [0, 1] (NaN included).
     """
     return _kraus_set(alpha, p, 2, [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def weyl_operator(levels: int, r: int, s: int) -> np.ndarray:
-    """Weyl unitary U_{r,s} = sum_i omega^{i r} |i><i + s mod N|.
+    """Weyl unitary U_{r,s} = sum_i omega^{i r} |i><i + s mod N|, omega = exp(2 pi i / N); U_{0,1} = X and U_{1,0} = Z at N = 2.
 
-    ``omega = exp(2 pi i / N)``. For N = 2, U_{0,1} is sigma_X and U_{1,0}
-    is sigma_Z, so the Weyl set generalizes the Pauli operators.
+    Raises:
+        ValueError: unless N is an integral number of at least 2 and
+            0 <= r, s < N.
     """
     n = _check_levels(levels)
     if not (0 <= r < n and 0 <= s < n):
@@ -147,13 +126,15 @@ def weyl_operator(levels: int, r: int, s: int) -> np.ndarray:
 
 
 def qudit_kraus(alpha: float, p, levels: int) -> KrausSet:
-    """Kraus operators of the N-level channel, lexicographic in (r, s).
+    """Kraus operators of the N-level channel, the Weyl unitaries U_{r,s} lexicographic in (r, s); ``p`` may be a grid.
 
-    The (0, 0) slot carries the identity with weight
-    sqrt((1 - c alpha p)(1 - c p)), c = (N^2 - 1)/N^2; every other slot
-    carries sqrt((1 + alpha (1 - c p)) p / N^2) U_{r,s}. These weights are
-    the unique choice for which the completeness relation holds for all
-    alpha and p. ``p`` may be a grid, as for :func:`qubit_kraus`.
+    With c = (N^2 - 1)/N^2, U_{0,0} = I carries the weight
+    sqrt((1 - c alpha p)(1 - c p)) and every other U_{r,s} the weight
+    sqrt((1 + alpha (1 - c p)) p / N^2).
+
+    Raises:
+        ValueError: for alpha or a p outside [0, 1] (NaN included), or
+            unless N is an integral number of at least 2.
     """
     n = _check_levels(levels)
     return _kraus_set(alpha, p, n, [weyl_operator(n, r, s) for r in range(n) for s in range(n)])
@@ -162,16 +143,14 @@ def qudit_kraus(alpha: float, p, levels: int) -> KrausSet:
 def apply_channel(kraus: KrausSet, rho: np.ndarray, validate: bool = True) -> np.ndarray:
     """Apply the channel, rho -> sum_i E_i rho E_i^dag.
 
-    ``rho`` is one operator ``(d, d)`` or a stack ``(..., d, d)``; a stack
-    is mapped operator by operator. A stacked Kraus set maps every operator
-    through every one of its channels: the result has shape
-    ``kraus.shape + rho.shape``. The terms are summed in Kraus order,
-    starting from zero, one term at a time across the stack.
+    ``rho`` is one operator ``(d, d)`` or a stack ``(..., d, d)``. A
+    stacked Kraus set maps every operator through each of its channels:
+    the result has shape ``kraus.shape + rho.shape``.
 
-    With ``validate`` (the default) every input must be a density matrix:
-    Hermitian, unit trace and positive semidefinite within 1e-10. Pass
-    ``validate=False`` to use the linear action on arbitrary operators,
-    e.g. basis elements when assembling transfer matrices.
+    Raises:
+        ValueError: for a state of another dimension or, with ``validate``
+            (the default), for an input that is not a density matrix within
+            1e-10; ``validate=False`` gives the linear action on any operator.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (kraus.dim, kraus.dim):

@@ -1,112 +1,27 @@
-"""Command-line front end: parameter sweeps and figure-ready datasets.
+"""The ``depolmark`` command line: parameter sweeps and figure-ready datasets.
 
-Every run evaluates one quantity on a one-dimensional grid and emits a
-table, either CSV (header row, ``NA`` for singular samples, 15 significant
-digits) or JSON (``{"spec": ..., "columns": ..., "rows": ...}``). Output is
-deterministic: no timestamps or randomness enter the payload, so repeated
-runs are byte identical.
+Table-driven. ``_QUANTITIES`` is the one place a quantity is defined: its
+abscissa, default grid, allowed ``levels`` and ``qubits``, pinned q,
+further domain rule and column builder. ``_FIGURES`` maps each preset to
+the files it writes and the pinned specs behind each. ``SweepSpec`` takes
+the defaults it is not given from the quantity's entry and validates
+against it, and the command line only turns the flags given into fields,
+so ``SweepSpec("f-norm")`` and ``depolmark f-norm`` are one sweep. A
+builder returns one ``(names, fn)`` group per (alpha, N), ``fn(grid)``
+giving one column per name with NaN in each NA cell. Reruns are byte
+identical: no timestamp or randomness enters a payload.
 
-One table, ``_QUANTITIES``, is the only place a quantity is defined. Its
-entry holds the abscissa (``p``, ``q`` or ``alpha``), the default grid,
-the allowed ``levels`` (the first one the default) and ``qubits``, whether
-the p range starts at a pinned ``q`` (which is then checked against the
-singular value), any further domain rule, and the column builder that
-turns a spec, one alpha and one N into one ``(names, fn(grid))`` series
-group. ``SweepSpec`` takes the defaults it is not given from the entry
-(the grid, started at ``q`` when q is pinned, and the first allowed level)
-and validates against it; ``run_sweep`` loops over alpha, then over
-``levels``, and evaluates one group per (alpha, N) (an alpha-swept
-quantity has the one alpha None). The command line only turns the flags
-given into fields, so ``SweepSpec("f-norm")`` and a bare ``depolmark
-f-norm`` are the same sweep, and adding a quantity means adding one entry.
-``QUANTITIES`` lists the table's keys in order.
+Exit codes: 0 success; 2 usage error (``UsageError``: a parameter outside
+its domain, a malformed flag, an output that cannot be written), reported
+as one ``depolmark: error:`` line; 3 a pinned q at the singular parameter
+(``SingularMapError``, raised as the ``SweepSpec`` is built). No input
+ends in a traceback.
 
-Figure presets ``fig1`` .. ``fig13`` are a second table, ``_FIGURES``,
-from figure id to the files the preset writes, each with the pinned
-spec(s) behind it; two specs behind one file (``fig4``) are merged column
-by column. ``FIGURES`` lists its keys in order.
-
-Every series group has one shape, the pair ``(names, fn)``: ``fn``
-takes the grid as a list of floats and returns one column per series
-name, with NaN in each NA cell. ``run_sweep`` turns each cell into a
-Python float, and NaN into ``None``, in one place, and ``SweepTable``
-keeps the columns (abscissa first), its ``rows`` being derived from them.
-``SweepSpec.grid`` performs ``np.linspace``'s own arithmetic on Python
-floats, so the grid is bit-equal to numpy's. ``choi-eigs``,
-``decay-rate``, ``trajectory``, ``hcla`` and ``blp`` use the per-point
-adapter ``_points``: it calls a scalar function once per grid point (or
-alpha), which returns one value per series name.
-``kernel``'s closed forms give the bits the whole-array call gives (IEEE
-arithmetic), one ``kernel.trajectory`` call feeds the five ``trajectory``
-columns (its two flags written as 1.0/0.0), and ``hcla`` and ``blp``
-call their measure once per alpha. The four dense one-column quantities
-are ``_column`` rows, a name template and one library call on the grid:
-``trace-distance`` (``measures.plus_minus_distance``), ``memory-x``
-(``measures.memory_witness_X``), ``volume``
-(``geometry.volume_determinant``) and ``f-norm`` (``geometry.f_norm``).
-They, ``choi-norm`` (``dynmaps.choi_trace_norm``) and ``g-function``
-(``dynmaps.g_function``) run the whole grid through the dense route in
-one call (see ``dynmaps``). ``choi-norm`` computes
-one single-system column per alpha and N, and ``g-function`` one per
-alpha; their n-th powers are the n-qubit norms.
-
-Grid points inside the singularity guard band, or where a closed form is
-undefined, are emitted as ``NA`` samples, never dropped, and each column
-function puts the NaN there itself: ``decay-rate``'s point function
-returns NaN for a rate wherever that rate's pole mask holds (one
-``kernel._survival_pair`` call per point gives the G and G' that feed
-both masks, so a point costs at most three evaluations of it), and
-``g-function``'s column function tests each grid point against the guard
-band once, calls ``dynmaps.g_function`` on the kept points alone (which
-may be none) and puts NaN at the others; at alpha = 0 the
-singular point is the boundary p = 1. A singularity at a *pinned*
-parameter (``q`` within 1e-6 of the singular value for a Choi quantity)
-is refused when the ``SweepSpec`` is built, with ``SingularMapError``,
-and the command exits with code 3; usage errors exit with code 2. Among them: a grid bound
-outside [0, 1], ``levels`` < 2, ``qubits`` < 1, more than 1 000 000
-``steps`` (the sweep's columns are held in memory), a ``g-function`` grid
-ending above 1 - 1e-6 (its finite-difference step), a value repeated in
-``alpha``, ``levels`` or ``qubits``, several ``levels`` for a quantity
-that takes one, a non-integer ``steps``, ``levels`` or ``qubits`` or a
-non-numeric ``alpha``, ``q`` or grid bound given to ``SweepSpec``, a
-bare number (a 0-d array too) given to ``SweepSpec`` as ``alpha``,
-``levels`` or ``qubits`` (each takes a sequence), an
-``--alpha``, ``--levels`` or ``--qubits`` that is not a comma-separated
-list (argparse names the flag), a format other than csv or json given to
-``figure``, and any output that cannot be opened or written: an ``--out``
-file, a preset's file or stdout (a full disk, a closed pipe). That one
-prints ``cannot write <dest>: <reason>`` and no traceback, and a broken
-stdout is pointed at the null device so the interpreter's last flush stays
-silent. Two refusals depend on a flag being given at all, so they live on
-the command line alone, never in ``SweepSpec`` (its defaults
-``alpha=(0.7,)`` and ``q=0.3`` are echoed in every table): a single ``--alpha``
-for ``hcla`` or ``blp``, which sweep alpha, and ``--q`` for a quantity
-that does not pin q (only ``choi-eigs``, ``choi-norm`` and ``memory-x``
-read it). Series names and the CSV metadata echo print numbers with ``:g``
-where that reads back as the same float, and with the shortest
-round-tripping ``repr`` otherwise; ``SweepSpec`` adds 0.0 to ``alpha``,
-``q`` and the grid bounds, so a -0.0 prints and names as 0.
-
-At module level this file imports the standard library and the numpy-free
-``kernel`` only, and it imports numpy nowhere, so one rule holds: a
-command loads numpy only when it computes a dense column. Parsing,
-validation, every exit-2 or exit-3 path and every ``kernel`` column (the
-closed forms and the ``hcla`` and ``blp`` measures) load ``cli`` and
-``kernel`` alone. No function here imports a module but ``write_json``,
-which imports ``json`` so that a CSV command never loads it: a dense column
-goes through the package, ``_lib.measures.f(...)``, whose first access to a
-module imports it, so a command loads only the modules its quantity calls.
-
-``SweepSpec`` holds the sweep and nothing else: its ``metadata()`` is its
-fields, and the command line's ``--out`` and ``--format`` go to the
-writers, never into the spec. Each writer adds its own ``format`` (csv or
-json) to the metadata it prints, and prints the cells ``run_sweep`` made
-as they are, converting none again, and builds no row list: ``write_csv``
-walks the columns row by row, and ``write_json`` walks them in chunks of
-``_JSON_CHUNK`` rows, one ``json.dumps`` call (the C encoder) per chunk,
-and writes each chunk's text before it takes the next. Library callers
-hand ``write_csv`` or ``write_json`` an open file, and ``figure`` a
-directory and a format.
+numpy loads only for a dense column. This module imports the standard
+library and the numpy-free ``kernel`` alone, and reaches a dense module
+through the package (``_lib.measures``), which imports it on first
+access. So parsing, validation, every exit-2 or exit-3 path and every
+``kernel`` column load ``cli`` and ``kernel`` only.
 """
 
 from __future__ import annotations
@@ -126,8 +41,7 @@ from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityE
 from .kernel import _survival_pair, blp_measure, decay_rate, decay_rate_normalized, hcla_closed_form, hcla_measure
 from .kernel import qudit_choi_eigenvalues, qutrit_hcla_log_form, trajectory
 
-# The package: ``_lib.measures`` imports that module on first access, so a
-# command loads only the modules its quantity calls.
+# The package: its first access to ``_lib.measures`` imports that module.
 _lib = sys.modules[__package__]
 
 __all__ = [
@@ -157,10 +71,10 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class _Quantity:
-    """One entry of the quantity table: what a sweep of this quantity needs to know."""
+    """One entry of the quantity table."""
 
-    # (spec, alpha, N) -> (series names, fn(grid) -> one column per name),
-    # one group per alpha and N; an alpha-swept quantity has alpha None.
+    # (spec, alpha, N) -> (series names, fn(grid) -> one column per name);
+    # an alpha-swept quantity gets alpha None.
     columns: Callable
     abscissa: str = "p"
     # Default grid; a pinned quantity starts it at q instead.
@@ -198,12 +112,14 @@ class _Quantity:
 class SweepSpec:
     """Validated description of one sweep.
 
-    ``alpha``, ``levels`` and ``qubits`` accept several values at once; the
-    sweep then emits one series per combination. ``p_min``/``p_max``/
-    ``steps`` describe the abscissa grid of whichever variable the quantity
-    sweeps (p, q or alpha, see the quantity table). ``p_min``, ``p_max``
-    and ``levels`` left at None take the quantity's defaults: its grid
-    (from ``q`` when it pins q) and its first allowed level.
+    ``alpha``, ``levels`` and ``qubits`` take sequences, one series per
+    combination; ``p_min``, ``p_max`` and ``steps`` set the grid of the
+    quantity's abscissa (p, q or alpha). A field left at None takes the
+    quantity's default.
+
+    Raises:
+        UsageError: for a field of the wrong type or outside the domain.
+        SingularMapError: for a pinned q at the singular parameter.
     """
 
     quantity: str
@@ -282,12 +198,11 @@ class SweepSpec:
 
 @dataclass
 class SweepTable:
-    """Grid samples of one or more named series over a common abscissa.
+    """Grid samples of named series over one abscissa.
 
-    ``columns`` holds the abscissa column first, then one column per series
-    name: lists of Python floats, with ``None`` for an NA sample. The
-    writers print the cells as they are, so a table built by hand holds
-    floats too (an int cell would print as ``3``, not ``3.0``, in JSON).
+    ``columns`` holds the abscissa column, then one column per series name:
+    Python floats, ``None`` for an NA sample. The writers print the cells
+    as they are, so a table built by hand holds floats too.
     """
 
     abscissa_name: str
@@ -297,9 +212,11 @@ class SweepTable:
 
     @property
     def rows(self) -> list:
+        """The cells row by row, abscissa first."""
         return list(zip(*self.columns))
 
     def column(self, name: str) -> list:
+        """A copy of the column ``name``; ValueError for a name the table lacks."""
         return list(self.columns[[self.abscissa_name, *self.series_names].index(name)])
 
 
@@ -321,10 +238,7 @@ def _number(value: float) -> str:
 
 
 def _system_tag(spec: SweepSpec, alpha: float, levels: int = 2, qubits: int = 1) -> str:
-    """Series suffix naming alpha, then N and n wherever the spec sweeps them or leaves the single qubit.
-
-    Left at their defaults, ``levels`` and ``qubits`` name nothing unless the spec sweeps them.
-    """
+    """Series suffix naming alpha, then N and n wherever the spec sweeps them or leaves the single qubit."""
     tag = f"alpha{_number(alpha)}"
     if len(spec.levels) > 1 or levels != 2:
         tag += f"_N{levels}"
@@ -353,7 +267,6 @@ def _choi_eigs(spec: SweepSpec, alpha: float, n: int) -> tuple:
 
 
 def _choi_norm(spec: SweepSpec, alpha: float, n: int) -> tuple:
-    # One N-level column and its n-th powers, the norms of n copies.
     names = tuple(f"choi_norm_{_system_tag(spec, alpha, n, k)}" for k in spec.qubits)
     return names, lambda grid: _lib.dynmaps.choi_trace_norm(alpha, spec.q, grid, n, spec.qubits)
 
@@ -362,7 +275,6 @@ def _decay_rate(spec: SweepSpec, alpha: float, n: int) -> tuple:
     # NaN (NA) in the guard band of each pole (p_- for the rate, p = 1 and
     # p = 0 at alpha = 0) and wherever the library would raise: G = 0 for the
     # rate, G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
-    # One _survival_pair call per point feeds both masks.
     def point(p: float) -> tuple:
         g, dg = _survival_pair(alpha, p, n)
         pole = _guard(p, alpha, n) or abs(g) <= ZERO_FLOOR
@@ -389,8 +301,8 @@ def _trajectory(spec: SweepSpec, alpha: float, n: int) -> tuple:
 
 def _g_function(spec: SweepSpec, alpha: float, n: int) -> tuple:
     def columns(grid: list) -> list:
-        # NaN (NA) in the guard band of p_-: the library runs on the kept points
-        # alone, which may be none.
+        # The library raises inside the guard band of p_-: it gets the kept
+        # points alone (maybe none), and the others are NA.
         na = [_guard(q, alpha) for q in grid]
         kept = [q for q, masked in zip(grid, na) if not masked]
         values = map(iter, _lib.dynmaps.g_function(alpha, kept, spec.qubits))
@@ -435,11 +347,10 @@ QUANTITIES = tuple(_QUANTITIES)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the requested quantity on its grid, one column function call per series group.
+    """The table of one sweep: its grid, then the columns of every series group.
 
-    Every group returns one float column per name, NaN marking NA; here,
-    and only here, NaN becomes the ``None`` sample that the writers print
-    as NA. Singular grid points are never dropped.
+    Here, and only here, NaN becomes the ``None`` that the writers print as
+    NA; singular grid points are kept as NA, never dropped.
     """
     entry = _QUANTITIES[spec.quantity]
     grid = spec.grid() if spec.uses_grid() else list(spec.alpha)
@@ -456,9 +367,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 def _merge(tables: Sequence[SweepTable]) -> SweepTable:
     """Join the tables column by column; a single table comes back as it is.
 
-    Precondition: every table has the first one's abscissa name and grid.
-    The tables come from the specs of one ``_FIGURES`` file, and the tests
-    check that those specs share both.
+    Precondition, which the tests check for every ``_FIGURES`` file: every
+    table has the first one's abscissa name and grid.
     """
     first = tables[0]
     if len(tables) == 1:
@@ -495,7 +405,11 @@ FIGURES = tuple(_FIGURES)
 
 
 def figure(fig_id: str, out_dir: str = ".", fmt: str = "csv") -> list:
-    """Write the dataset(s) behind one figure preset in ``fmt``, csv or json; returns the paths."""
+    """Write the dataset(s) behind one figure preset into ``out_dir`` in ``fmt``, csv or json; returns the paths.
+
+    Raises:
+        UsageError: for an unknown id or format, or a file that cannot be written.
+    """
     if fig_id not in _FIGURES:
         raise UsageError(f"unknown figure id {fig_id!r}; expected one of {FIGURES}")
     if fmt not in ("csv", "json"):
@@ -510,9 +424,9 @@ def figure(fig_id: str, out_dir: str = ".", fmt: str = "csv") -> list:
 
 
 def _write_out(path: str | None, write: Callable[[TextIO], None]) -> None:
-    """Run ``write`` on the file at ``path``, or on stdout (then flushed) when there is none.
+    """Run ``write`` on the file at ``path``, or on stdout when there is none.
 
-    A failed open or write is a usage error naming the destination. A broken
+    A failed open or write raises UsageError naming the destination. A broken
     stdout is pointed at the null device, so that the interpreter's last
     flush at exit stays silent.
     """
@@ -529,7 +443,7 @@ def _write_out(path: str | None, write: Callable[[TextIO], None]) -> None:
 
 
 def write_csv(table: SweepTable, fh: TextIO) -> None:
-    """CSV payload: ``#`` metadata lines (``format=csv`` among them), header row, 15-significant-digit rows."""
+    """Write the CSV payload to ``fh``: ``#`` metadata lines (``format=csv`` among them), header row, 15-significant-digit rows."""
     meta = {**table.metadata, "format": "csv"}
     for key in sorted(meta):
         fh.write(f"# {key}={_meta_str(meta[key])}\n")
@@ -546,11 +460,7 @@ def _meta_str(value) -> str:
 
 
 def write_json(table: SweepTable, fh: TextIO) -> None:
-    """JSON payload: column names, row arrays (null = singular) and spec echo (``"format": "json"`` in it).
-
-    The keys come in sorted order, and ``json.dumps`` writes the rows
-    ``_JSON_CHUNK`` at a time, each chunk's array stripped of its brackets.
-    """
+    """Write the JSON payload to ``fh``: column names, row arrays (null = NA) and the spec echo, keys sorted, ``"format": "json"`` in it."""
     import json  # here, not at the top: only this writer needs it, and CSV commands stay without it
 
     rows = zip(*table.columns)
@@ -611,7 +521,7 @@ def _spec_from_args(target: str, given: dict) -> SweepSpec:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point. Exit codes: 0 success, 2 usage error, 3 pinned singularity."""
+    """Run the command line on ``argv`` (default ``sys.argv[1:]``); returns the exit code: 0 success, 2 usage error, 3 pinned singularity."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -640,4 +550,5 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    """Run ``main`` on the process arguments and exit with its code."""
     raise SystemExit(main())

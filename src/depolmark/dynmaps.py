@@ -1,70 +1,21 @@
-"""Superoperators, intermediate maps, Choi matrices and NCP witnesses.
+"""The dense route: superoperators, propagators, Choi matrices and NCP witnesses.
 
-The dynamical map Phi(p, 0) is represented as a matrix acting on
-column-stacked states, S = sum_i conj(E_i) kron E_i. The propagator
-between timelike parameters q <= p is
+The map Phi(p, 0) acts on column-stacked states as S = sum_i conj(E_i)
+kron E_i, and the propagator is Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1}.
+This route checks the numpy-free closed forms ``kernel.lambda_ratio`` and
+``kernel.qudit_choi_eigenvalues`` and computes the dense columns. At
+``kernel.crossover_point`` Phi(q, 0) is singular, and a q there raises
+``SingularMapError``. A map is completely positive iff its Choi matrix is
+positive semidefinite, so a Choi trace norm above 1 witnesses an NCP
+propagator.
 
-    Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1},
-
-which for the qubit family is diagonal in the Pauli basis,
-diag(1, lambda, lambda, lambda), with
-
-    lambda(p, q) = (p (4 + 4 alpha - 3 alpha p) - 4)
-                   / (4 q + 4 alpha q - 3 alpha q^2 - 4),
-
-the ratio G(p)/G(q) of survival factors G = 1 - k over the common
-denominator 4 (N^2 for N levels). That closed form and the Choi spectrum
-built from it are ``kernel.lambda_ratio`` and
-``kernel.qudit_choi_eigenvalues``, which need no numpy; this module is the
-dense route they are checked against.
-
-The denominator vanishes when the effective depolarizing probability
-reaches 1 at q; that parameter value (``kernel.crossover_point``) is a genuine
-singularity of the propagator and surfaces as :class:`SingularMapError`.
-
-The Choi matrix of a map with superoperator S on an N-level system is a
-reshuffle of S (Wood, Biamonte and Cory, arXiv:1111.6950): S is read as a
-four-index tensor over (row, column) pairs of the input and output
-operators, its axes are permuted, and the result is weighted by the
-entry 1/N of the projector onto the maximally entangled state
-sum_i |ii>/sqrt(N). Every entry of the Choi matrix is one entry of S
-times that weight; no N^4 x N^4 intermediate is formed. The map is
-completely positive iff the Choi matrix is positive semidefinite; a trace
-norm above 1 therefore witnesses an NCP propagator.
-
-Every function of the dense route takes ``p`` (and ``q``) as one value or
-as a grid, a list or an array, and ``Superoperator`` and ``ChoiMatrix``
-hold either one matrix or a stack ``(..., n, n)`` with one matrix per
-grid point. They take the matrix alone: its side n must be a perfect
-square of at least 1, and ``dim`` reads d = sqrt(n) from it. The stacked route
-performs, point by point, the same float operations as a call on that
-point alone, so its results are bit-equal to those calls; sweeps use it
-to evaluate a whole column in one call.
-The propagator functions walk their grid in blocks sized by the system
-dimension, 1024 points at N = 2 and 64 at N = 4 (``matcore.blockwise``),
-so that the stacks they hold stay bounded, and with a pinned ``q`` they
-build and SVD-check Phi(q, 0)^{-1} once for the whole grid rather than
-once per point. A single value is walked as a one-point grid, and an
-empty grid gives empty results.
-
-The system is a parameter too: ``propagator_column`` takes ``levels`` N,
-and ``intermediate_map``, ``intermediate_choi`` and ``choi_trace_norm``
-take ``levels`` and a copy count ``qubits`` n, any pair N >= 2, n >= 1.
-N = 2 builds its Kraus sets in Pauli order (``qubit_kraus``), N > 2 in
-Weyl order (``qudit_kraus``); n copies of an N-level system are the
-reordered Kronecker power of the single-system propagator, and their
-Choi trace norm is the n-th power of the single-system one. Every n goes
-through the one slot reordering, which is the identity at n = 1.
-``choi_trace_norm`` and ``g_function`` take any count n >= 1 or a tuple
-of counts; either way they compute one single-system column and take its
-powers.
-
-``kernel._check_levels`` is the one check of N, and ``_check_system``
-here the one check of n (and of N with it): each refuses a count that is
-not an integral number (an int, a numpy integer or an integral float) of
-at least 2 and 1 respectively, with one text, and hands back ints. Every
-function here that takes N or n reads them before it walks a grid, and
-``dense.multiqubit_kraus`` reads ``_check_system`` too.
+Every function that takes ``p`` (and ``q``) takes one value or a grid, a
+list or an array, and gives each point the bits of a call on that point
+alone; ``Superoperator`` and ``ChoiMatrix`` hold one matrix or a stack
+``(..., n, n)``. Grids are walked in blocks (``matcore.blockwise``), so
+the stacks held stay bounded. n copies of an N-level system, any N >= 2
+and n >= 1, are the reordered Kronecker power of one system, and their
+Choi trace norm is the n-th power of the single-system one.
 """
 
 from __future__ import annotations
@@ -99,7 +50,7 @@ __all__ = [
 class _MapMatrix:
     """A complex d^2 x d^2 matrix of a map on a d-level system, or a stack ``(..., d^2, d^2)`` of them.
 
-    ``dim`` is d >= 1, the square root of the matrix side, which must be a perfect square.
+    ``dim`` is d >= 1, read from the side; ValueError for a side that is not a perfect square.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -115,21 +66,13 @@ class _MapMatrix:
 
 
 class Superoperator(_MapMatrix):
-    """Matrix representation of a channel on column-stacked operators.
-
-    ``matrix`` is ``(d^2, d^2)``, or a stack ``(..., d^2, d^2)`` with one
-    channel per grid point; ``dim`` is d either way, read from the matrix.
-    """
+    """Matrix of a channel on column-stacked operators, ``(d^2, d^2)`` or a stack of them; ``dim`` is d."""
 
     _kind = "superoperator"
 
 
 class ChoiMatrix(_MapMatrix):
-    """Choi matrix of a map on a d-level system (d^2 x d^2, trace 1); ``dim`` is d, read from the matrix.
-
-    ``matrix`` may also be a stack ``(..., d^2, d^2)``, one Choi matrix per
-    grid point.
-    """
+    """Choi matrix of a map on a d-level system, ``(d^2, d^2)`` with trace 1 or a stack of them; ``dim`` is d."""
 
     _kind = "Choi matrix"
 
@@ -151,11 +94,9 @@ class NcpWitness(NamedTuple):
 
 
 def superoperator_of(kraus: KrausSet) -> Superoperator:
-    """Column-stacking superoperator S = sum_i conj(E_i) kron E_i.
+    """Column-stacking superoperator S = sum_i conj(E_i) kron E_i, with S vec(rho) = vec(sum_i E_i rho E_i^dag).
 
-    Satisfies S vec(rho) = vec(sum_i E_i rho E_i^dag). A stacked Kraus set
-    gives the stack of superoperators. The products are summed in operator
-    order, starting from zero, one Kraus term at a time across the stack.
+    A stacked Kraus set gives the stack of superoperators.
     """
     acc = 0
     for op in kraus.operators:
@@ -174,17 +115,11 @@ def _check_system(levels, *qubits) -> tuple:
 
 
 def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q, p, levels: int = 2):
-    """``fn(Phi(p, q))`` of the N-level propagator over the grid, block by block, results concatenated.
+    """``fn(Phi(p, q))`` of the N-level propagator over the grid, walked block by block.
 
-    ``fn`` receives a stack of propagators (a one-point stack for scalar q
-    and p) and returns one value, or one array, per propagator. A pinned q (one
-    value) has Phi(q, 0)^{-1} built and SVD-checked once for the whole grid
-    of p; a grid of q, broadcast against p, is inverted block by block,
-    every matrix checked.
-
-    N is checked before a grid is walked: ``_check_levels`` sizes each
-    walk's blocks, and a pinned q builds its one inverse through the
-    checking Kraus builders first.
+    ``fn`` takes a stack of propagators and returns one value, or one
+    array, per propagator. A pinned q (one value) is inverted once for the
+    whole grid of p; a grid of q broadcasts against p.
 
     Raises:
         ValueError: unless N is an integral number of at least 2, or
@@ -207,14 +142,7 @@ def propagator_column(fn: Callable[[Superoperator], np.ndarray], alpha: float, q
 
 
 def _grouped_slot_permutation(levels: int, qubits: int) -> np.ndarray:
-    """Map vec indices from per-copy (col, row) pairs to grouped layout.
-
-    The Kronecker power of n single-system superoperators carries its 2n
-    index slots, each of N values, interleaved as (col_1, row_1, ...,
-    col_n, row_n), while the superoperator of the composite system orders
-    them (col_1..col_n, row_1..row_n) under column stacking of N^n x N^n
-    matrices.
-    """
+    """Permutation of vec indices from the Kronecker power's slots (col_1, row_1, ..., col_n, row_n) to the composite system's (col_1..col_n, row_1..row_n)."""
     axes = list(range(0, 2 * qubits, 2)) + list(range(1, 2 * qubits, 2))
     return np.arange(levels ** (2 * qubits)).reshape([levels] * (2 * qubits)).transpose(axes).reshape(-1)
 
@@ -222,28 +150,20 @@ def _grouped_slot_permutation(levels: int, qubits: int) -> np.ndarray:
 def intermediate_map(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> Superoperator:
     """Propagator Phi(p, q) = Phi(p, 0) Phi(q, 0)^{-1} of n copies of an N-level system, as a superoperator.
 
-    ``q`` and ``p`` may be grids (they broadcast); the result is then the
-    stack of propagators, and a pinned ``q`` is inverted once. The n-copy
-    one-step superoperator is (up to the fixed slot reordering of
-    :func:`_grouped_slot_permutation`) the n-fold Kronecker power of the
-    single-system one, so its inverse factorizes per tensor slot and the
-    propagator is the reordered Kronecker power of the single-system
-    propagator; the N^(2n)-dimensional matrix is never inverted. Every n
-    goes through that reordering; at n = 1 it is the identity, so the
-    result is the single-system propagator bit for bit.
+    ``q`` and ``p`` may be grids (they broadcast), giving the stack of
+    propagators. The n-copy propagator is the reordered Kronecker power of
+    the single-system one, which it equals bit for bit at n = 1.
 
-    Near the crossover point p_- the digits are bounded only by the
-    condition number 1/|G(q)|: :func:`depolmark.matcore.inverse` accepts
-    Phi(q, 0) down to a singular-value ratio of 1e-12, and within about
-    1e-6 of p_- the propagator's relative error can reach a few ulps times
-    that number, erratically (``intermediate_choi(1.0, 0.75 + 1e-10, 1.0,
-    levels=3)`` is Hermitian only to 2e-7 relative, q = 0.75 + 1e-11 to
-    2e-16). Sweeps mask that band as NA; direct calls get no warning.
+    Accuracy: within about 1e-6 of p_- the relative error can reach a few
+    ulps times the condition number 1/|G(q)|, erratically
+    (``intermediate_choi(1.0, 0.75 + 1e-10, 1.0, levels=3)`` is Hermitian
+    only to 2e-7 relative). Sweeps mask that band as NA; direct calls get
+    no warning.
 
     Raises:
-        ValueError: unless N and n are integral numbers of at least 2 and 1.
-        SingularMapError: when Phi(q, 0) is not invertible (q at the
-            crossover point of the family).
+        ValueError: unless N and n are integral numbers of at least 2 and
+            1, or unless 0 <= q <= p <= 1.
+        SingularMapError: when Phi(q, 0) is not invertible at some q.
     """
     levels, qubits = _check_system(levels, qubits)
     single = propagator_column(lambda s: s.matrix, alpha, q, p, levels)
@@ -261,17 +181,12 @@ def maximally_entangled_projector(dim: int) -> np.ndarray:
 
 
 def choi_of(superop: Superoperator) -> ChoiMatrix:
-    """Choi matrix of a map given its superoperator.
+    """Choi matrix of a map given its superoperator (or of each one of a stack).
 
-    Reshuffles S (Wood, Biamonte and Cory, arXiv:1111.6950): with
-    S[(a, b), (c, e)] = S4[a, b, c, e] in column-stacking order, the Choi
-    matrix is chi[(b, e), (a, c)] = S4[a, b, c, e] / d. The weight 1/d is
-    read from the maximally entangled projector, so it is the same float
-    (e.g. 0.4999999999999999 at d = 2) as in the textbook route
-    devec(U (S kron I_{d^2}) U vec(P)), with U the swap of the second and
-    third tensor factors. That route's matrix-vector product has exactly
-    one nonzero term per entry, so both give the same bits. A stack of
-    superoperators gives the stack of Choi matrices.
+    A reshuffle of S (Wood, Biamonte and Cory, arXiv:1111.6950), weighted
+    by the entry 1/d of the maximally entangled projector (0.4999999999999999
+    at d = 2): bit-equal to the textbook route devec(U (S kron I) U vec(P)),
+    whose product has one nonzero term per entry.
     """
     d = superop.dim
     lead = superop.matrix.shape[:-2]
@@ -283,12 +198,7 @@ def choi_of(superop: Superoperator) -> ChoiMatrix:
 
 
 def intermediate_choi(alpha: float, q, p, levels: int = 2, qubits: int = 1) -> ChoiMatrix:
-    """Choi matrix of the propagator :func:`intermediate_map` of n copies of an N-level system.
-
-    Within about 1e-6 of the crossover point its digits are bounded only
-    by the condition number 1/|G(q)| of Phi(q, 0), as for
-    :func:`intermediate_map`; sweeps mask that band, direct calls do not.
-    """
+    """Choi matrix of ``intermediate_map(alpha, q, p, levels, qubits)``; its domain, accuracy and Raises hold."""
     return choi_of(intermediate_map(alpha, q, p, levels, qubits))
 
 
@@ -299,23 +209,17 @@ def ncp_witness(choi: ChoiMatrix) -> NcpWitness:
 
 
 def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1):
-    """Choi trace norm of the propagator of n copies of an N-level system, via the full pipeline.
+    """Choi trace norm of the propagator of n copies of an N-level system, through the superoperator and Choi route.
 
-    The n-copy Choi matrix is, up to a subsystem permutation, the n-fold
-    Kronecker power of the single-system one, so its spectrum consists of
-    products of single-system Choi eigenvalues and the trace norm is the
-    n-th power of the single-system trace norm, at every N. The
-    single-system norm is computed through the full superoperator/Choi
-    pipeline.
-
-    ``q`` and ``p`` may be grids (an array of norms comes back). The power
-    is taken point by point in Python floats, whose ``**`` can differ from
-    ``np.power`` in the last bit. A tuple of qubit counts gives a list with
-    one result per count, all powers of one single-system column.
+    It is the n-th power of the single-system norm, taken in Python floats
+    (whose ``**`` can differ from ``np.power`` in the last bit). ``q`` and
+    ``p`` may be grids, giving an array; a tuple of counts gives a list
+    with one result per count.
 
     Raises:
         ValueError: unless N and every n are integral numbers of at least
-            2 and 1.
+            2 and 1, or unless 0 <= q <= p <= 1.
+        SingularMapError: when Phi(q, 0) is not invertible at some q.
     """
     levels, *counts = _check_system(levels, *(qubits if isinstance(qubits, tuple) else (qubits,)))
     base = propagator_column(lambda superop: trace_norm(choi_of(superop).matrix), alpha, q, p, levels)
@@ -326,22 +230,13 @@ def choi_trace_norm(alpha: float, q, p, levels: int = 2, qubits: int | tuple = 1
 
 
 def g_function(alpha: float, q, qubits: int | tuple = 1):
-    """Right derivative of the Choi trace norm at a vanishing step.
+    """Right derivative g(q) = lim_{eps -> 0+} (||chi(alpha, q, q + eps)||_1 - 1) / eps of the n-qubit Choi trace norm.
 
-    g(q, alpha) = lim_{eps -> 0+} (||chi(alpha, q, q + eps)||_1 - 1) / eps,
-    evaluated by a one-sided finite difference with eps =
-    ``G_FUNCTION_STEP`` (1e-6) refined by Richardson extrapolation at eps/2.
-    Negative values and values below the 1e-8 noise floor of the difference
-    quotient are clamped to 0. The limit is zero wherever the propagator
-    stays CP and positive where CP divisibility breaks. ``q`` may be a grid
-    (an array comes back); every q of it is inverted and checked. Its
-    domain is [0, 1 - ``G_FUNCTION_STEP``], so that q + eps stays a
-    parameter value.
-
-    ``qubits`` is any count n >= 1, or a tuple of them; a tuple gives a
-    list with one result per count. Either way each step takes one
-    single-qubit Choi-norm column, whose n-th power is the n-qubit norm, as
-    in :func:`choi_trace_norm`. (The command line offers n = 1 and 2.)
+    A one-sided difference at eps = ``G_FUNCTION_STEP``, Richardson-refined
+    at eps/2; values below the 1e-8 noise floor are clamped to 0. g is zero
+    while the propagator stays CP and positive where CP divisibility breaks.
+    ``q`` may be a grid, giving an array; a tuple of counts gives a list
+    with one result per count.
 
     Raises:
         ValueError: when a q lies outside [0, 1 - ``G_FUNCTION_STEP``] or

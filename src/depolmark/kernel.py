@@ -1,49 +1,23 @@
-"""The scalar kernel of the family: survival factor, singular point, closed forms, measures, typed errors.
+"""The numpy-free scalar kernel of the family: closed forms, measures and typed errors.
 
-Everything here is plain arithmetic on the standard library (``math`` and
-``sys``). This is the one rule of where numpy loads: ``kernel`` never
-imports it, and a command loads it only when it computes a dense column.
-So the command line validates a sweep, checks a pinned q against the
-singular value and computes every closed-form column (the Choi spectra,
-both decay rates and the tetrahedron trajectory) and both scalar measures
-(HCLA and BLP) without numpy. ``kappa``, ``survival``, ``_guard``,
-``lambda_ratio``, ``qudit_choi_eigenvalues``, ``decay_rate`` and
-``decay_rate_normalized`` are written with operators alone (``+ - * /``
-and ``abs``) and take numpy arrays as well as floats; IEEE arithmetic
-gives the same bits either way, so a column mapped point by point over
-Python floats equals the one computed on the whole array. ``trajectory``
-takes one ``p``, and each measure returns one float per alpha. The closed
-forms also follow their argument's type: their constants are integers or
-come from ``0 * x``, so on ``fractions.Fraction`` arguments ``kappa``,
-``survival``, ``lambda_ratio``, ``qudit_choi_eigenvalues``, both rates,
-``bloch_contraction_derivative`` and ``trajectory`` return the exact
-rational, and on floats the bits of the float constants. G and its slope
-G' come from one call, ``_survival_pair``, the one place where a float
-alpha takes the float coefficient (N^2 - 1)/N^2 directly (a mixed int and
-float operation takes CPython's slower path): ``survival``, both rates,
-``trajectory`` and the BLP integrand read it, so a ``decay-rate`` point
-evaluates it at most three times and a quadrature node once.
-``_check_unit`` is the one check of the parameter box [0, 1], with one
-``ValueError`` text for every closed form built on it, and ``_check_levels``
-is the package's one check of a level count N: an integral number (an int,
-a numpy integer or a float such as 3.0) of at least 2, refused with one
-``ValueError`` text. Every closed form that takes N reads it:
-``_survival_pair`` screens it as it screens alpha, before either value is
-computed, and ``kappa``, ``crossover_point``, ``lambda_ratio`` (so
-``qudit_choi_eigenvalues``) and ``hcla_measure`` call it. ``channels``,
-``dynmaps``, ``geometry`` and ``dense`` call it too, and
-``dynmaps._check_system`` checks a copy count n with the same
-``_check_count``.
+Every Choi spectrum, rate and measure of the family is a function of the
+survival factor G(p) = 1 - k(p) (``survival``) and of the ratio
+lambda = G(p)/G(q). This module imports ``math`` and ``sys`` only, so the
+command line validates a sweep and computes every closed-form column and
+both scalar measures without numpy.
 
-The two quadrature measures, ``hcla_measure`` and ``blp_measure``, run
-``_quad``: quad's first 21-point Gauss-Kronrod pass in plain Python,
-bit-equal to ``scipy.integrate.quad`` with absolute tolerance 1e-9. No
-preset loads scipy; only a refused first pass (below alpha of about
-1e-6) imports it, for quad to bisect.
+Arguments. ``alpha`` and the level count N are one value each. ``p`` and
+``q`` may be numpy arrays (grids) in ``kappa``, ``survival``,
+``lambda_ratio``, ``qudit_choi_eigenvalues`` and both rates, and IEEE
+arithmetic gives each point of a grid the bits of a call on that point
+alone. ``trajectory`` takes one ``p``, and each measure one alpha. On
+``fractions.Fraction`` arguments the rational closed forms (all but
+``crossover_point`` and the measures) return exact rationals.
 
-The other modules import these names from here; ``matcore`` and
-``dynmaps`` keep the errors and constants they import importable under
-their old homes.
+Errors, as each function's Raises names them: ``_check_unit`` refuses a
+value outside [0, 1] (NaN included) and ``_check_levels``, the package's
+one check of N, an N that is not an integral number of at least 2, both
+with ``ValueError``; a singular point raises a ``SingularityError``.
 """
 
 from __future__ import annotations
@@ -85,17 +59,15 @@ class SingularRateError(SingularityError):
     """The canonical decay rate diverges at the requested parameter."""
 
 
-#: Zero floor of the package. A matrix whose smallest singular value is at
-#: most this times its largest is not invertible, and a denominator of at
-#: most this magnitude counts as zero; the two agree for the survival factor
-#: G, which is the smallest singular value of Phi(p, 0). Every raise
-#: condition and NA mask of a singular point reads this one value, so the
-#: map singularity surfaces as a typed error, not as a garbage inverse.
+#: Zero floor of the package: a matrix whose smallest singular value is at
+#: most this times its largest is singular, and a denominator at most this
+#: in magnitude is zero. The two agree for G, the smallest singular value of
+#: Phi(p, 0). Every raise condition and NA mask of a singular point reads it.
 ZERO_FLOOR = 1e-12
 
-#: Width of the guard band around the singular parameter value (see
-#: :func:`_guard`); sweeps treat grid points closer than this to the
-#: singularity as undefined samples, and ``dynmaps.g_function`` rejects them.
+#: Half-width of the guard band around the singular parameter (``_guard``):
+#: sweeps emit the grid points inside it as NA, and ``dynmaps.g_function``
+#: refuses them.
 SINGULARITY_GUARD = 1e-6
 
 #: Finite-difference step of ``dynmaps.g_function``; a q grid must end at or
@@ -104,32 +76,23 @@ G_FUNCTION_STEP = 1e-6
 
 
 def _check_count(n, least: int, rule: str) -> int:
-    """``n`` as an int, checked to be integral (an int, a numpy integer or an integral float) and at least ``least``.
-
-    ``rule`` is the error text; the refusal adds that ``n`` must be integral
-    and names the value given.
-    """
+    """``n`` as an int: an int, a numpy integer or an integral float of at least ``least``, else ValueError with ``rule`` in its text."""
     if (hasattr(n, "__index__") or isinstance(n, float) and n.is_integer()) and n >= least:
         return int(n)
     raise ValueError(f"{rule} and integral, got {n!r}")
 
 
 def _check_levels(levels) -> int:
-    """``levels`` as an int, checked to be an integral N >= 2: the package's one check of a level count.
+    """``levels`` as an int N, checked by ``_check_count`` to be integral and at least 2.
 
-    An int of at least 2 comes back at once: ``lambda_ratio`` calls this
-    once per point of a ``choi-eigs`` column. ``_survival_pair`` screens N
-    inline and calls this only for any other N.
+    An int of at least 2 comes back at once: ``lambda_ratio`` calls this at
+    every point of a ``choi-eigs`` column.
     """
     return levels if levels.__class__ is int and levels >= 2 else _check_count(levels, 2, "levels must be >= 2")
 
 
 def kappa(alpha: float, p, levels: int = 2):
-    """Effective depolarizing probability k(p) of the N-level channel.
-
-    k(p) = p + alpha p - ((N^2 - 1)/N^2) alpha p^2. For alpha = 0 this is
-    just p; at p = 1 it equals 1 + alpha/N^2, i.e. the perturbation drives
-    the channel past the maximal-depolarizing point k = 1.
+    """Effective depolarizing probability k(p) = p + alpha p - ((N^2 - 1)/N^2) alpha p^2 of the N-level channel.
 
     Raises:
         ValueError: unless N is an integral number of at least 2.
@@ -139,30 +102,22 @@ def kappa(alpha: float, p, levels: int = 2):
 
 
 def survival(alpha: float, p, levels: int = 2):
-    """Survival factor G(p) = 1 - k(p): the shared non-identity transfer eigenvalue of Phi(p, 0).
-
-    For the qubit it is the Bloch contraction factor. Every Choi spectrum,
-    rate and measure of the family is a function of G; it vanishes at the
-    singular parameter value.
+    """Survival factor G(p) = 1 - k(p), the non-identity transfer eigenvalue of Phi(p, 0); zero at the singular parameter.
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
-            is an integral number of at least 2. The rates and the
-            trajectory inherit these checks.
+            is an integral number of at least 2.
     """
     return _survival_pair(alpha, p, levels)[0]
 
 
 def _survival_pair(alpha: float, p, levels: int = 2) -> tuple:
-    """(G, G') at p, G' = -(1 + alpha) + 2 ((N^2 - 1)/N^2) alpha p: the one evaluation every rate reads.
+    """(G, G') at p, with G' = -(1 + alpha) + 2 ((N^2 - 1)/N^2) alpha p; raises as ``survival``.
 
-    This is the kernel's one per-call fast path, as the per-point columns
-    and the quadratures call it thousands of times: a chained comparison
-    screens alpha before ``_check_unit``, an int N of at least 2 skips
-    ``_check_levels``, and a float alpha takes the float coefficient
-    (N^2 - 1)/N^2 directly (a mixed int and float operation takes CPython's
-    slower path); any other alpha (a ``Fraction``) gets the exact one
-    through 0 * alpha. c + c is 2c exactly.
+    The kernel's one per-call fast path, as the per-point columns and the
+    quadratures call it thousands of times: an alpha in [0, 1] and an int
+    N >= 2 skip the checks, and a float alpha takes the float coefficient
+    directly (a mixed int and float operation takes CPython's slower path).
     """
     if not 0.0 <= alpha <= 1.0:
         _check_unit("alpha", alpha)
@@ -172,18 +127,11 @@ def _survival_pair(alpha: float, p, levels: int = 2) -> tuple:
 
 
 def crossover_point(alpha: float, levels: int = 2) -> float:
-    """Singular parameter value of the N-level family (the smaller root), in [0, 1].
+    """Singular parameter p_- of the N-level family: the smaller root of k(p) = 1, in [0, 1].
 
-    Solves ((N^2-1)/N^2) alpha p^2 - (1 + alpha) p + 1 = 0, i.e. k(p) = 1,
-    using the cancellation-free form 2 / ((1 + alpha) + sqrt(disc)). At this
-    point the one-step map loses invertibility, the propagator eigenvalues
-    cross, and the decay rate diverges.
-
-    At alpha = 0 the form gives exactly 1.0: the root degenerates to the
-    boundary p = 1 (and the companion root escapes to infinity), so the
-    family has no interior singularity. Below about alpha = 1e-15 the form
-    can round up to 1 + 2**-52; the value is clamped to 1, so it never
-    leaves the parameter range.
+    There Phi(p, 0) loses invertibility and the decay rate diverges. It is
+    exactly 1.0 at alpha = 0 (no interior singularity); below alpha of about
+    1e-15 the root form rounds up to 1 + 2**-52, and the value is clamped to 1.
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
@@ -197,10 +145,7 @@ def crossover_point(alpha: float, levels: int = 2) -> float:
 
 
 def _guard(x, alpha: float, levels: int = 2):
-    """Whether x (or each point of a grid) lies inside the guard band of the singular parameter.
-
-    At alpha = 0 that parameter is the boundary p = 1.
-    """
+    """Whether x (or each point of a grid) lies inside the guard band of p_- (the boundary p = 1 at alpha = 0)."""
     return abs(x - crossover_point(alpha, levels)) < SINGULARITY_GUARD
 
 
@@ -210,12 +155,7 @@ def _all(flags) -> bool:
 
 
 def _check_unit(name: str, x):
-    """``x`` unchanged, checked to lie in [0, 1] at every point of a grid (NaN fails).
-
-    Written with operators and the array's own methods, so it takes a float,
-    a ``Fraction`` or an array without importing numpy; the error names the
-    first point outside.
-    """
+    """``x`` unchanged (a float, a ``Fraction`` or an array), or ValueError naming its first point outside [0, 1] (NaN included)."""
     ok = (0.0 <= x) & (x <= 1.0)
     if not _all(ok):
         bad = x if isinstance(ok, bool) else x.reshape(-1)[ok.reshape(-1).argmin()]
@@ -233,24 +173,14 @@ def _check_pair(q, p) -> None:
 
 
 def lambda_ratio(alpha: float, q, p, levels: int = 2):
-    """Closed-form transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator.
-
-    With n2 = N^2 both survival factors G = 1 - k are written over the
-    common denominator n2,
-
-        lambda = (p (n2 + n2 alpha - (n2 - 1) alpha p) - n2)
-                 / (n2 q + n2 alpha q - (n2 - 1) alpha q^2 - n2);
-
-    it is 1 - p at q = alpha = 0 for the qubit and exactly 1 at p = q.
-    Takes grids too.
+    """Transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator; exactly 1 at p = q.
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), unless
             0 <= q <= p <= 1, or unless N is an integral number of at
             least 2.
-        SingularMapError: when the denominator vanishes (q at the singular
-            parameter), matching the invertibility threshold of
-            :func:`depolmark.matcore.inverse`.
+        SingularMapError: where |G(q)| is at most ``ZERO_FLOOR``, the
+            invertibility threshold of ``matcore.inverse``.
     """
     _check_unit("alpha", alpha)
     _check_pair(q, p)
@@ -264,13 +194,12 @@ def lambda_ratio(alpha: float, q, p, levels: int = 2):
 
 
 def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
-    """Choi spectrum of the N-level propagator as (top, rest).
+    """Choi spectrum (top, rest) of the N-level propagator; raises as ``lambda_ratio``.
 
-    ``top`` = 1/N^2 + (1 - 1/N^2) l has multiplicity 1 and ``rest`` =
-    1/N^2 - l/N^2 has multiplicity N^2 - 1, with l = :func:`lambda_ratio`.
-    For the qubit they are Lambda_I and the threefold Lambda_{X,Y,Z}. The
-    spectrum sums to 1 (trace preservation), and a negative ``rest`` or
-    ``top`` flags an NCP propagator. Takes grids too.
+    With l = ``lambda_ratio``, ``top`` = 1/N^2 + (1 - 1/N^2) l has
+    multiplicity 1 and ``rest`` = (1 - l)/N^2 multiplicity N^2 - 1 (for the
+    qubit, Lambda_I and the threefold Lambda_XYZ). A negative value flags an
+    NCP propagator.
     """
     lam, n2 = lambda_ratio(alpha, q, p, levels), levels * levels
     inv = 1 / n2 if lam.__class__ is float else (0 * lam + 1) / n2  # 1/N^2 in lam's type, as in _survival_pair
@@ -278,17 +207,12 @@ def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
 
 
 def decay_rate(alpha: float, p, levels: int = 2):
-    """Canonical decay rate gamma(p) = -G'(p)/G(p) with G = 1 - k(p).
-
-    For the qubit this is (4 + (4 - 6 p) alpha) / (4 + 3 alpha p^2
-    - 4 p (1 + alpha)); at alpha = 0 it reduces to 1/(1 - p). The rate is
-    positive while the channel keeps contracting and flips sign across the
-    singular parameter value. A grid of p gives an array.
+    """Canonical decay rate gamma(p) = -G'(p)/G(p); it changes sign across the singular parameter.
 
     Raises:
-        ValueError: for alpha outside [0, 1] (NaN included).
+        ValueError: as ``survival``.
         SingularRateError: where |G| is at most ``ZERO_FLOOR`` (at any point
-            of a grid) and the rate diverges.
+            of a grid).
     """
     g, dg = _survival_pair(alpha, p, levels)
     if not _all(abs(g) > ZERO_FLOOR):
@@ -297,19 +221,11 @@ def decay_rate(alpha: float, p, levels: int = 2):
 
 
 def decay_rate_normalized(alpha: float, p, levels: int = 2):
-    """Normalized rate gamma~ = -gamma/(1 - gamma), simplified to G'/(G + G').
-
-    The algebraic simplification cancels the pole of gamma, so the value is
-    finite across the singular parameter (where it equals exactly 1). For
-    the qubit it reads (4 + 4 alpha - 6 alpha p) / (4 p + 4 alpha
-    - 2 alpha p - 3 alpha p^2), and 1/p at alpha = 0. A grid of p gives an
-    array.
+    """Normalized rate -gamma/(1 - gamma) = G'/(G + G'): finite across the singular parameter, where it is exactly 1.
 
     Raises:
-        ValueError: for alpha outside [0, 1] (NaN included), or if the
-            simplified denominator G + G' (about -(alpha + p) near p = 0) is
-            at most ``ZERO_FLOOR`` at any point: at alpha = p = 0, and
-            wherever alpha + p is below about 1e-12.
+        ValueError: as ``survival``, or where |G + G'| is at most
+            ``ZERO_FLOOR`` at any point (alpha + p below about 1e-12).
     """
     g, num = _survival_pair(alpha, p, levels)
     den = g + num
@@ -319,26 +235,21 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
 
 
 def bloch_contraction_derivative(alpha: float, p: float) -> float:
-    """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p)."""
+    """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p), unchecked."""
     # Apart from _survival_pair: same G', other last bits; this one feeds trajectories (fig9 prints them).
     return (0 * alpha + 3) / 2 * alpha * p - alpha - 1
 
 
 def trajectory(alpha: float, p: float) -> tuple:
-    """The transfer-eigenvalue trajectory at one p, as (lam, a, inside_tetrahedron, cp_divisible).
+    """Transfer-eigenvalue trajectory of the qubit map at one p: (lam, a, inside_tetrahedron, cp_divisible).
 
-    The three transfer eigenvalues of the qubit map are equal, so ``lam``
-    is the one value G(p). ``a`` is the log-derivative lambda'/lambda
-    shared by all three axes of the A vector, NaN where |lambda| <=
-    ``ZERO_FLOOR``. CP divisibility needs the three inequalities
-    A.(-1, 1, 1), A.(1, -1, 1) and A.(1, 1, -1) to be <= 0; with equal
-    entries each of them is exactly ``a`` in floating point, so
-    ``cp_divisible`` is ``a <= 0``, and False where ``a`` is NaN (the
-    propagator through that point is undefined). No tolerance is needed:
-    on the whole box lambda' <= alpha/2 - 1 <= -1/2 and |lambda| <= 1, so
-    |a| >= 1/2. ``inside_tetrahedron`` is the exact test
-    1 + lambda >= |2 lambda| and 1 - lambda >= 0 of the tetrahedron
-    1 +- lambda_3 >= |lambda_1 +- lambda_2| of CP unital Pauli maps.
+    ``lam`` = G(p) is each of the three equal transfer eigenvalues, and
+    ``a`` = lambda'/lambda each entry of the A vector, NaN where |lam| <=
+    ``ZERO_FLOOR``. With equal entries each CP-divisibility inequality
+    A.(-1, 1, 1) <= 0 and its permutations is exactly ``a <= 0``, so that is
+    ``cp_divisible`` (False at NaN); no tolerance is needed, as |a| >= 1/2
+    on the whole box. ``inside_tetrahedron`` is the exact test of the CP
+    unital Pauli maps, 1 + lam >= |2 lam| and 1 - lam >= 0.
 
     Raises:
         ValueError: for alpha or p outside [0, 1] (NaN included).
@@ -353,12 +264,10 @@ def trajectory(alpha: float, p: float) -> tuple:
 
 
 def volume_measure(alpha: float) -> float:
-    """Volume-revival measure: integral of max(0, d||M||_1/dp) over [0, 1].
+    """Volume-revival measure, the integral of max(0, d||M||_1/dp) over [0, 1], in its closed form 3 alpha/4.
 
-    ||M||_1 = 1 + 3 |lambda| of the affine Bloch map grows only past the
-    singular parameter value, so the integral is 3 (|lambda(1)| - 0) =
-    (3/4) alpha, returned in that closed form. The alpha = 0 channel
-    yields exactly 0.
+    ||M||_1 = 1 + 3 |lambda| of the affine Bloch map grows only past p_-,
+    from 1 to 1 + 3 |lambda(1)| = 1 + 3 alpha/4.
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included).
@@ -390,15 +299,13 @@ _EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 
 def _quad(integrand, lower: float, upper: float) -> float:
-    """Adaptive quadrature over [lower, upper], bit-equal to ``scipy.integrate.quad`` with ``_QUAD_OPTS``.
+    """Integral over [lower, upper], bit-equal to ``scipy.integrate.quad`` with ``_QUAD_OPTS``.
 
-    quad's dqagse starts with one 21-point Gauss-Kronrod pass (dqk21) over
-    the whole window and returns it when its error test passes. That pass
-    runs here in plain Python, in QUADPACK's summation order, so an
-    accepted pass gives quad's bits without loading scipy: every preset
-    takes this route. Only a refused pass (the measures refuse it below
-    alpha of about 1e-6) or reversed bounds import scipy and call quad,
-    which then bisects. An empty window gives 0.0, as quad's shortcut does.
+    quad first makes one 21-point Gauss-Kronrod pass (dqk21) over the whole
+    window and returns it when its error test passes. That pass runs here in
+    plain Python, in QUADPACK's summation order, so an accepted pass gives
+    quad's bits without scipy. A refused pass or reversed bounds import
+    scipy and call quad. An empty window gives 0.0, as quad does.
     """
     if lower < upper:
         centre, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
@@ -435,20 +342,11 @@ def _quad(integrand, lower: float, upper: float) -> float:
 
 
 def hcla_measure(alpha: float, levels: int = 2) -> float:
-    """Negative-decay-rate measure: integral of gamma~ over [p_-, 1].
+    """Negative-decay-rate measure: the integral of ``decay_rate_normalized`` over [p_-, 1], +0.0 at alpha = 0.
 
-    ``p_-`` is the singular parameter value of the family
-    (:func:`depolmark.kernel.crossover_point`); beyond it the canonical
-    rate is negative and the normalized rate is positive. Evaluated by
-    adaptive quadrature. At alpha = 0 the window is empty (p_- = 1, and
-    the width w below is 0), so the quadrature gives +0.0.
-
-    Below alpha = 1e-6 the window is only a few ulps of 1 wide (about
-    alpha/4 for the qubit), so bounds on p would round. There the integral
-    runs over s = 1 - p, on [0, w] with the width w = 1 - p_- =
-    4 alpha (1 - c) / ((r + 1 - alpha) ((1 + alpha) + r)), c =
-    (N^2 - 1)/N^2 and r = sqrt((1 + alpha)^2 - 4 c alpha), which has no
-    cancellation.
+    Below alpha = 1e-6 the window is a few ulps of 1 wide, so bounds on p
+    would round: the integral runs over s = 1 - p on [0, 1 - p_-], that
+    width written without cancellation.
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
@@ -464,25 +362,14 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
 
 
 def hcla_closed_form(alpha: float) -> float:
-    """Antiderivative evaluation of the qubit normalized-rate integral.
+    """Qubit ``hcla_measure`` in closed form: its antiderivative at 1 minus at p_-.
 
-    With den(p) = 4 p + 4 alpha - 2 alpha p - 3 alpha p^2 and
-    s = sqrt(4 - 4 alpha + 13 alpha^2), the antiderivative is
+    Below alpha = 1e-6 the two values cancel catastrophically, so the series
+    alpha/4 + 3 alpha^2/32 is returned there: within 5e-14 relative of a
+    60-digit quadrature, and exactly 0 at alpha = 0.
 
-        F(p) = ln|den(p)| + (6 alpha / s) artanh((3 alpha p + alpha - 2)/s)
-
-    and the measure is F(1) - F(p_-). The logarithm is taken of the
-    absolute value; the branch constant cancels between the endpoints.
-
-    Below alpha = 1e-6 the two endpoint values cancel catastrophically
-    (relative error -9.9 at alpha = 1e-16, and the artanh argument leaves
-    (-1, 1) below about 1e-17), so the series alpha/4 + 3 alpha^2/32 is
-    returned there instead: it is within 5e-14 relative of a 60-digit
-    quadrature on (0, 1e-6) and gives exactly 0 at alpha = 0.
-
-    The lower endpoint comes first: its ``crossover_point`` call checks
-    alpha, so an alpha outside [0, 1] (NaN included) raises its ValueError
-    before the series branch is reached.
+    Raises:
+        ValueError: for alpha outside [0, 1] (NaN included).
     """
     lower = crossover_point(alpha, 2)
     if alpha < 1e-6:
@@ -497,16 +384,15 @@ def hcla_closed_form(alpha: float) -> float:
 
 
 def qutrit_hcla_log_form(alpha: float) -> float:
-    """Plain-logarithm reference value for the qutrit rate integral.
+    """Log-form reference value ln(p) + ln(9 + 9 alpha - 8 alpha p) taken from the qutrit p_- to 1; 0 at alpha = 0.
 
-    Evaluates ln(p) + ln(9 + 9 alpha - 8 p alpha) between the qutrit
-    singular parameter and 1. This expression is NOT an antiderivative of
-    the qutrit normalized rate (its derivative has the denominator
-    9 p + 9 alpha p - 8 alpha p^2 instead of 9 p + 9 alpha - 7 alpha p
-    - 8 alpha p^2), so it deviates from ``hcla_measure(alpha, levels=3)``.
-    It is provided so datasets can report both values side by side; the
-    quadrature value is the authoritative one. At alpha = 0 the singular
-    parameter is the boundary p = 1, and the value is 0.
+    It is not an antiderivative of the qutrit normalized rate (its
+    derivative has the denominator 9 p + 9 alpha p - 8 alpha p^2, not
+    9 p + 9 alpha - 7 alpha p - 8 alpha p^2), so it differs from
+    ``hcla_measure(alpha, 3)``, the authoritative value.
+
+    Raises:
+        ValueError: for alpha outside [0, 1] (NaN included).
     """
     lower = crossover_point(alpha, 3)  # raises ValueError for alpha outside [0, 1]
 
@@ -517,7 +403,7 @@ def qutrit_hcla_log_form(alpha: float) -> float:
 
 
 def plus_minus_distance_derivative(alpha: float, p: float) -> float:
-    """dD/dp of the |+>/|-> trace distance D(p) = |G(p)| (zero at the kink)."""
+    """dD/dp of the |+>/|-> trace distance D(p) = |G(p)| at one p, 0 at the kink G = 0; raises as ``survival``."""
     g, dg = _survival_pair(alpha, p)
     if g == 0.0:
         return 0.0
@@ -525,17 +411,15 @@ def plus_minus_distance_derivative(alpha: float, p: float) -> float:
 
 
 def blp_measure(alpha: float) -> float:
-    """Distinguishability-revival measure for the antipodal |+>/|-> pair.
+    """Distinguishability-revival measure of the |+>/|-> pair: the integral of max(0, dD/dp) over [0, 1].
 
-    Integrates max(0, dD/dp) over [0, 1] by adaptive quadrature. D = |G|
-    only contracts up to the singular parameter value p_- (G > 0 and
-    G' < 0 there), so the integrand is zero on [0, p_-] and the quadrature
-    covers the revival window [p_-, 1] alone, giving D(1) - D(p_-) =
-    alpha/4. ``crossover_point`` never exceeds 1, so the window is never
-    backwards. At alpha = 0 (and near 1e-16) it is the empty window
-    [1, 1] and the value is +0.0: the alpha = 0 channel contracts
-    monotonically. ``crossover_point`` also raises the ValueError for an
-    alpha outside [0, 1] or NaN.
+    D = |G| only contracts up to p_-, so the quadrature covers [p_-, 1]
+    alone, where the exact value is alpha/4; it is +0.0 at alpha = 0.
+    Below alpha of about 1e-12 the sign of G rounds inside the window, and
+    the value strays from alpha/4: by 0.8 % at 1e-13, to 0 at 1e-16.
+
+    Raises:
+        ValueError: for alpha outside [0, 1] (NaN included).
     """
     integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
     return _quad(integrand, crossover_point(alpha, 2), 1.0)

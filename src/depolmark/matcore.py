@@ -1,21 +1,9 @@
-"""Dense complex linear algebra primitives shared by the whole package.
+"""Dense complex linear algebra shared by the dense route.
 
-Everything here operates on plain ``numpy.ndarray`` values. Superoperators
-act on column-stacked operators throughout; the stacking itself,
-``vectorize``/``devectorize``, is an oracle helper in ``depolmark.dense``.
-
-Matrices are small (at most 64 x 64), so all routines are dense and
-LAPACK-backed. ``kron`` is a broadcast product rather than ``np.kron``: it
-performs the same elementwise multiplications, so its result is bit-equal,
-without ``np.kron``'s Python-level axis bookkeeping, and it also accepts
-stacks of matrices.
-
-``is_hermitian``, ``hermitian_eigenvalues``, ``trace_norm`` and ``inverse``
-take one matrix ``(n, n)`` or a stack ``(..., n, n)``, as the sweeps hand
-them a whole block of grid points at once. Every test they make (the
-Hermiticity branch of ``trace_norm``, the conditioning check of ``inverse``)
-is made per matrix, so each matrix of a stack gets exactly the result a
-call on that matrix alone gives; a single matrix is the 0-d case.
+Superoperators act on column-stacked operators throughout. ``kron``,
+``is_hermitian``, ``hermitian_eigenvalues``, ``trace_norm`` and
+``inverse`` take one matrix ``(n, n)`` or a stack ``(..., n, n)``, and
+each matrix of a stack gets exactly the result a call on it alone gives.
 """
 
 from __future__ import annotations
@@ -46,19 +34,12 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Complex superoperator entries that one block of a whole-grid evaluation
-# may hold (256 KiB). A d-level superoperator has d**4 entries per point, so
-# a block is 1024 points at d = 2, 202 at d = 3 and 64 at d = 4, and the
-# stacks held at once stay bounded whatever the number of grid points.
+# may hold (256 KiB), so the stacks held stay bounded at any grid length.
 _BUDGET = 2**14
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (dimensions multiply).
-
-    Leading axes broadcast, so stacks ``(..., m, n)`` and ``(..., r, s)``
-    give the stack of products ``(..., m r, n s)``. Each entry is the single
-    product ``a[i, j] * b[k, l]``, exactly as in ``np.kron``.
-    """
+    """Kronecker product, bit-equal to ``np.kron``; stacks ``(..., m, n)`` and ``(..., r, s)`` broadcast to ``(..., m r, n s)``."""
     a, b = np.asarray(a), np.asarray(b)
     (m, n), (r, s) = a.shape[-2:], b.shape[-2:]
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -66,16 +47,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def blockwise(fn, *grids, dim: int):
-    """``fn`` over consecutive blocks of the grids, results concatenated.
+    """``fn`` over consecutive blocks of the broadcast, flattened grids, results concatenated.
 
-    ``dim`` is the dimension d of the system whose maps ``fn`` builds; a
-    block holds ``max(1, _BUDGET // d**4)`` points. The grids broadcast
-    against each other and are flattened; ``fn`` takes one 1-D block of
-    each and returns arrays whose first axis runs over the block. The
-    result has the grids' shape followed by ``fn``'s trailing axes. A
-    single value is a one-point block, and an empty grid is one call on
-    empty blocks, so that ``fn``'s trailing axes survive. A 0-d result
-    comes back as a float.
+    ``dim`` is the dimension d of the system whose maps ``fn`` builds, and
+    sizes the blocks. ``fn`` takes one 1-D block of each grid and returns
+    arrays whose first axis runs over the block. The result has the grids'
+    shape followed by ``fn``'s trailing axes (an empty grid is one call on
+    empty blocks, so that they survive); a 0-d result is a float.
     """
     grids = np.broadcast_arrays(*(np.asarray(g, dtype=float) for g in grids))
     flat = [g.reshape(-1) for g in grids]
@@ -108,10 +86,9 @@ def is_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> bool:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (or of each one of a stack), ascending.
 
-    The Hermiticity tolerance is relative: 1e-10 times ``max(1, max |m|)``
-    of the matrix at hand. Propagator Choi matrices near the singular
-    parameter have entries of order 1/G(q), and their rounding asymmetry
-    grows with them.
+    The Hermiticity tolerance is 1e-10 times ``max(1, max |m|)`` of each
+    matrix: near the singular parameter, Choi entries of order 1/G(q) carry
+    a rounding asymmetry that grows with them.
 
     Raises:
         ValueError: if a matrix deviates from Hermiticity by more than that.
@@ -124,11 +101,10 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray):
-    """Trace norm ||m||_1, the sum of singular values.
+    """Trace norm ||m||_1: a float for one matrix, an array for a stack.
 
-    Hermitian inputs (within an absolute 1e-10) take the fast path of
-    summing absolute eigenvalues. A stack ``(..., n, n)`` gives an array of
-    norms, each matrix taking its own path; one matrix gives a float.
+    A matrix Hermitian within 1e-10 sums its absolute eigenvalues, any other
+    its singular values.
     """
     m = np.asarray(m)
     hermitian = np.asarray(is_hermitian(m, 1e-10))
@@ -141,14 +117,12 @@ def trace_norm(m: np.ndarray):
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix, or of each matrix of a stack, with a conditioning check.
-
-    Every matrix is checked on its own singular values.
+    """Inverse of a square matrix, or of each matrix of a stack.
 
     Raises:
+        ValueError: for a matrix that is not square.
         SingularMapError: if, for any matrix, the smallest singular value
-            is at most ``ZERO_FLOOR`` times the largest. For the channel
-            families in this package that is exactly the parameter point
+            is at most ``ZERO_FLOOR`` times the largest: for this family,
             where the map loses invertibility.
     """
     m = np.asarray(m)

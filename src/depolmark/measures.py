@@ -1,17 +1,9 @@
 """The dense witness columns: trace distance and quantum-memory witness.
 
-* trace distance   (1/2) ||a - b||_1 of two states, and the |+>/|->
-  column ``plus_minus_distance`` through the qubit Kraus set (it equals
-  |G(p)|);
-* memory witness   X = |s| + ||T||_1 from the Bloch-type decomposition of
-  the propagator Choi matrix, equal to 3 |lambda(p, q)|
-  (``memory_witness_closed``), and checked against it at every point.
-
-Each takes whole grids (stacks of states) as well, point by point
-bit-equal to single calls; the two columns walk a grid in blocks
-(``matcore.blockwise``), so the stacks they hold stay bounded. The
-scalar measures built on the same G (HCLA, BLP and their closed forms)
-are numpy-free and live in ``kernel``.
+``plus_minus_distance`` equals |G(p)| and ``memory_witness_X`` equals
+3 |lambda(p, q)|, checked at every point against its closed form. Both
+take one value or a grid, each point bit-equal to a call on that point
+alone. The scalar measures on the same G live in ``kernel``.
 """
 
 from __future__ import annotations
@@ -34,10 +26,10 @@ __all__ = [
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
-    """Trace distance (1/2) ||a - b||_1 between two density matrices.
+    """Trace distance (1/2) ||a - b||_1 of two density matrices, or the array of pairwise distances of two stacks.
 
-    Lies in [0, 1] and reaches 1 exactly for states with orthogonal
-    support. Two stacks of states give the array of pairwise distances.
+    Raises:
+        ValueError: for arguments of different shapes.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -54,12 +46,10 @@ def plus_minus_states() -> tuple:
 
 
 def plus_minus_distance(alpha: float, p):
-    """Trace distance D(p) of the |+>/|-> pair evolved by the qubit channel, through its Kraus set.
+    """Trace distance D(p) = |G(p)| of the |+>/|-> pair evolved through the qubit Kraus set: a float for one p, an array for a grid.
 
-    ``p`` may be a grid, as a list or an array: it is walked in blocks
-    (:func:`depolmark.matcore.blockwise`) and an array comes back, point
-    by point bit-equal to single calls. One p gives a float. Equals
-    |G(p)| (``dense.plus_minus_trace_distance`` is that closed form).
+    Raises:
+        ValueError: for alpha or a p outside [0, 1] (NaN included).
     """
     plus, minus = plus_minus_states()
     distance = lambda kraus: trace_distance(apply_channel(kraus, plus), apply_channel(kraus, minus))
@@ -67,8 +57,7 @@ def plus_minus_distance(alpha: float, p):
 
 
 # I kron sigma_i, then sigma_i kron sigma_j row by row: the observables
-# behind the Bloch parts of a two-qubit Choi matrix. Their entries are
-# exact, so building them once changes no result.
+# behind the Bloch parts of a two-qubit Choi matrix.
 _BLOCH_OBSERVABLES = np.array(
     [kron(np.eye(2), sig) for sig in (PAULI_X, PAULI_Y, PAULI_Z)]
     + [kron(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z) for b in (PAULI_X, PAULI_Y, PAULI_Z)]
@@ -90,21 +79,16 @@ def _witness_direct(superop) -> np.ndarray:
 
 
 def memory_witness_X(alpha: float, q, p):
-    """Quantum-memory witness X = |s| + ||T||_1 of the propagator Choi matrix.
+    """Quantum-memory witness X = |s| + ||T||_1 of the qubit propagator's Choi matrix: a float, or an array for grids.
 
-    ``s`` collects tr(chi (I kron sigma_i)) and T the correlations
-    tr(chi (sigma_i kron sigma_j)). Values above 1 certify quantum
-    correlations in the Choi state; a nonmonotonic rise of X along p
-    signals quantum information backflow. Equals 3 |lambda(p, q)| for this
-    family, which is cross-checked internally to 1e-8 of
-    max(1, 3 |lambda|) at every point.
-
-    ``p`` (and ``q``) may be grids, as lists or arrays; the propagators
-    then run through :func:`depolmark.dynmaps.propagator_column`, with
-    Phi(q, 0)^{-1} built once for a pinned q, and an array comes back.
+    s_i = tr(chi (I kron sigma_i)) and T_ij = tr(chi (sigma_i kron sigma_j)).
+    X above 1 certifies quantum correlations in the Choi state, and a rise
+    along p signals information backflow. Each point is checked against
+    ``memory_witness_closed`` to 1e-8 of max(1, 3 |lambda|).
 
     Raises:
-        SingularMapError: when q sits at the singular parameter value.
+        ValueError: for alpha outside [0, 1] or unless 0 <= q <= p <= 1.
+        SingularMapError: when q sits at the singular parameter.
         ArithmeticError: when the two routes disagree beyond that bound.
     """
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
@@ -121,5 +105,5 @@ def memory_witness_X(alpha: float, q, p):
 
 
 def memory_witness_closed(alpha: float, q, p):
-    """Closed form 3 |lambda(p, q)| of the memory witness."""
+    """Closed form 3 |lambda(p, q)| of the qubit memory witness; raises as ``kernel.lambda_ratio``."""
     return 3.0 * abs(lambda_ratio(alpha, q, p))

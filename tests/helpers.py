@@ -1,10 +1,15 @@
 """Helpers shared by the test modules."""
 
+import itertools
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from depolmark import kernel
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def random_density(rng, dim=2):
@@ -19,3 +24,11 @@ def trajectory(alpha, grid):
     p = np.array(grid, dtype=float, ndmin=1)
     fields = map(np.array, zip(*(kernel.trajectory(alpha, x) for x in p.tolist())))
     return SimpleNamespace(p=p, **dict(zip(("lam", "a", "inside_tetrahedron", "cp_divisible"), fields)))
+
+
+def readme_rows(first_header: str) -> list:
+    """Body rows of the README table whose header starts with ``first_header``, as lists of cells; a table may be indented."""
+    lines = [line.strip() for line in README.splitlines()]
+    start = next(i for i, line in enumerate(lines) if re.match(rf"\|\s*{first_header}\s*\|", line))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]

@@ -11,17 +11,13 @@ import functools
 import importlib
 import inspect
 import io
-import itertools
-import re
 import types
-from pathlib import Path
 
 import pytest
 
 import depolmark
 from depolmark.cli import FIGURES, QUANTITIES, SweepSpec, main, run_sweep, write_csv
-
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+from helpers import readme_rows
 
 # Abscissa name and default grid ends (q defaults to 0.3).
 DEFAULT_GRID = {
@@ -112,14 +108,6 @@ def test_qubits_outside_the_domain_exit_2(quantity, capsys):
     assert main([quantity, "--qubits", OUTSIDE_QUBITS[quantity], "--steps", "3", *extra]) == 2
     captured = capsys.readouterr()
     assert "qubits" in captured.err and captured.out == ""
-
-
-def readme_rows(first_header: str) -> list:
-    """Body rows of the README table whose header starts with ``first_header``, as lists of cells."""
-    lines = README.splitlines()
-    start = next(i for i, line in enumerate(lines) if re.match(rf"\|\s*{first_header}\s*\|", line))
-    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :])
-    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
 
 
 def readme_table(first_header: str) -> list:

@@ -1,17 +1,21 @@
-"""Count the code lines of each module of ``src/depolmark``.
+"""Count the code, docstring and physical lines of each module of ``src/depolmark``.
 
 A code line is a source line that holds at least one token other than a
 comment, blank-line or indentation token, and that is not part of a
 docstring (the leading string literal of a module, class or function,
-found with ``ast``). This is the simplicity metric the ROADMAP tracks.
+found with ``ast``). Code lines are the simplicity metric the ROADMAP
+tracks; docstring and physical lines are the prose a reader reads with
+them.
 
 Usage: ``python3 tools/codelines.py [PACKAGE_DIR]`` from the checkout
-root; prints one ``lines  module`` row per module, the total, the
-production total (every module but the test-only oracle ``dense``), and
-the code lines on the import path of ``depolmark fig1``: the sum over the
-package modules that command has loaded when it ends, run in a fresh
-interpreter against PACKAGE_DIR. A closed stdout (``| head -1``) ends it
-with exit code 1 and nothing on stderr.
+root; prints one row per module, then the total and the production total
+(every module but the test-only oracle ``dense``). A row starts with the
+code lines and the name, then gives the docstring lines, those of the
+module docstring, and the physical lines. The last line gives the code
+lines on the import path of ``depolmark fig1``: the sum over the package
+modules that command has loaded when it ends, run in a fresh interpreter
+against PACKAGE_DIR. A closed stdout (``| head -1``) ends it with exit
+code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import subprocess
 import sys
 import tokenize
 from pathlib import Path
+from typing import NamedTuple
 
 # Runs ``depolmark fig1`` into a temporary directory and prints the package
 # modules it loaded, one line.
@@ -36,18 +41,30 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "depolmark"))
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def _docstring_lines(tree: ast.AST) -> set:
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
-                lines.update(range(first.lineno, first.end_lineno + 1))
-    return lines
+class Counts(NamedTuple):
+    """Line counts of one source file, or sums of them."""
+
+    code: int
+    docstring: int
+    module_docstring: int
+    physical: int
 
 
-def code_lines(path: Path) -> int:
-    """Number of code lines of one Python source file."""
+def total(counts) -> Counts:
+    """Column sums of one or more ``Counts``."""
+    return Counts(*map(sum, zip(*counts)))
+
+
+def _docstring_lines(node: ast.AST) -> set:
+    """Line numbers of ``node``'s own docstring: empty when it has none."""
+    first = node.body[0] if node.body else None
+    if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+        return set(range(first.lineno, first.end_lineno + 1))
+    return set()
+
+
+def line_counts(path: Path) -> Counts:
+    """Code, docstring, module-docstring and physical lines of one Python source file."""
     with tokenize.open(path) as fh:
         source = fh.read()
     with path.open("rb") as fh:
@@ -56,7 +73,22 @@ def code_lines(path: Path) -> int:
     for tok in tokens:
         if tok.type not in _LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    tree = ast.parse(source)
+    docs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            docs |= _docstring_lines(node)
+    return Counts(len(lines - docs), len(docs), len(_docstring_lines(tree)), len(source.splitlines()))
+
+
+def package_counts(package: Path) -> dict:
+    """``line_counts`` of every module of ``package``, by file name."""
+    return {path.name: line_counts(path) for path in sorted(package.glob("*.py"))}
+
+
+def production(counts: dict) -> Counts:
+    """The sum over every module but the test-only oracle ``dense``."""
+    return total(c for name, c in counts.items() if name != "dense.py")
 
 
 def fig1_modules(package: Path) -> list:
@@ -67,15 +99,19 @@ def fig1_modules(package: Path) -> list:
     return [package / ("__init__.py" if name == package.name else name.split(".", 1)[1] + ".py") for name in names]
 
 
+def _row(label: str, c: Counts) -> str:
+    return f"{c.code:6d}  {label:<27}{c.docstring:6d} docstring{c.module_docstring:6d} module docstring{c.physical:6d} physical"
+
+
 def main(argv: list) -> int:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "depolmark"
-    counts = {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
-    for name, count in counts.items():
-        print(f"{count:6d}  {name}")
-    print(f"{sum(counts.values()):6d}  total")
-    print(f"{sum(counts.values()) - counts.get('dense.py', 0):6d}  production (all but dense)")
+    counts = package_counts(package)
+    for name, c in counts.items():
+        print(_row(name, c))
+    print(_row("total", total(counts.values())))
+    print(_row("production (all but dense)", production(counts)))
     loaded = fig1_modules(package)
-    print(f"{sum(map(code_lines, loaded)):6d}  import path of depolmark fig1 ({', '.join(p.stem for p in loaded)})")
+    print(f"{sum(line_counts(p).code for p in loaded):6d}  import path of depolmark fig1 ({', '.join(p.stem for p in loaded)})")
     return 0
 
 
