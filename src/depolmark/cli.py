@@ -37,9 +37,9 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
-from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _guard
-from .kernel import _survival_pair, blp_measure, decay_rate, decay_rate_normalized, hcla_closed_form, hcla_measure
-from .kernel import qudit_choi_eigenvalues, qutrit_hcla_log_form, trajectory
+from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _choi_spectrum, _guard
+from .kernel import _lambda_source, _rate, _rate_normalized, _survival_source, _trajectory_point, blp_measure
+from .kernel import hcla_closed_form, hcla_measure, qutrit_hcla_log_form
 
 # The package: its first access to ``_lib.measures`` imports that module.
 _lib = sys.modules[__package__]
@@ -104,7 +104,7 @@ class _Quantity:
         # A singular pinned q cannot produce any sample: abort, not NA.
         for alpha in spec.alpha:
             for levels in spec.levels:
-                if _guard(spec.q, alpha, levels):
+                if _guard(alpha, levels)(spec.q):
                     raise SingularMapError(f"pinned q = {spec.q} sits at the singular parameter value for alpha = {alpha}, levels = {levels}")
 
 
@@ -262,8 +262,8 @@ def _column(name: str, fn: Callable) -> Callable:
 
 def _choi_eigs(spec: SweepSpec, alpha: float, n: int) -> tuple:
     names = ("Lambda_I", "Lambda_XYZ") if n == 2 else ("Lambda_top", "Lambda_rest")
-    tag = _system_tag(spec, alpha, levels=n)
-    return _points(tuple(f"{name}_{tag}" for name in names), lambda p: qudit_choi_eigenvalues(alpha, spec.q, p, n))
+    tag, lam = _system_tag(spec, alpha, levels=n), _lambda_source(alpha, spec.q, n)
+    return _points(tuple(f"{name}_{tag}" for name in names), lambda p: _choi_spectrum(lam(p), n * n))
 
 
 def _choi_norm(spec: SweepSpec, alpha: float, n: int) -> tuple:
@@ -275,11 +275,13 @@ def _decay_rate(spec: SweepSpec, alpha: float, n: int) -> tuple:
     # NaN (NA) in the guard band of each pole (p_- for the rate, p = 1 and
     # p = 0 at alpha = 0) and wherever the library would raise: G = 0 for the
     # rate, G + G' = 0 (alpha + p below about 1e-12) for the normalized rate.
+    pair, near = _survival_source(alpha, n), _guard(alpha, n)
+
     def point(p: float) -> tuple:
-        g, dg = _survival_pair(alpha, p, n)
-        pole = _guard(p, alpha, n) or abs(g) <= ZERO_FLOOR
+        g, dg = pair(p)
+        pole = near(p) or abs(g) <= ZERO_FLOOR
         norm_pole = (alpha == 0.0 and p < SINGULARITY_GUARD) or abs(g + dg) <= ZERO_FLOOR
-        return math.nan if pole else decay_rate(alpha, p, n), math.nan if norm_pole else decay_rate_normalized(alpha, p, n)
+        return math.nan if pole else _rate(g, dg), math.nan if norm_pole else _rate_normalized(g, dg)
 
     tag = _system_tag(spec, alpha)
     return _points((f"gamma_{tag}", f"gamma_normalized_{tag}"), point)
@@ -291,8 +293,10 @@ def _hcla(spec: SweepSpec, alpha: None, n: int) -> tuple:
 
 
 def _trajectory(spec: SweepSpec, alpha: float, n: int) -> tuple:
+    survival = _survival_source(alpha)
+
     def point(p: float) -> tuple:
-        lam, a, inside, divisible = trajectory(alpha, p)
+        lam, a, inside, divisible = _trajectory_point(alpha, p, survival(p)[0])
         return lam, abs(lam), a, float(inside), float(divisible)
 
     names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
@@ -303,7 +307,7 @@ def _g_function(spec: SweepSpec, alpha: float, n: int) -> tuple:
     def columns(grid: list) -> list:
         # The library raises inside the guard band of p_-: it gets the kept
         # points alone (maybe none), and the others are NA.
-        na = [_guard(q, alpha) for q in grid]
+        na = list(map(_guard(alpha), grid))
         kept = [q for q, masked in zip(grid, na) if not masked]
         values = map(iter, _lib.dynmaps.g_function(alpha, kept, spec.qubits))
         return [[math.nan if masked else next(column) for masked in na] for column in values]

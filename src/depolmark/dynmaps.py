@@ -250,7 +250,7 @@ def g_function(alpha: float, q, qubits: int | tuple = 1):
     if not np.all((0.0 <= q_arr) & (q_arr + eps <= 1.0)):
         raise ValueError(f"q must lie in [0, 1 - {eps:g}], got {q}")
     counts = qubits if isinstance(qubits, tuple) else (qubits,)
-    if np.any(_guard(q_arr, alpha)):
+    if np.any(_guard(alpha)(q_arr)):
         raise SingularMapError(f"q = {q} lies within {SINGULARITY_GUARD:g} of the singular parameter value")
 
     def quotients(step: float) -> list:

@@ -1,23 +1,23 @@
 """The numpy-free scalar kernel of the family: closed forms, measures and typed errors.
 
-Every Choi spectrum, rate and measure of the family is a function of the
-survival factor G(p) = 1 - k(p) (``survival``) and of the ratio
-lambda = G(p)/G(q). This module imports ``math`` and ``sys`` only, so the
-command line validates a sweep and computes every closed-form column and
-both scalar measures without numpy.
+Every Choi spectrum, rate and measure is a function of the survival factor
+G(p) = 1 - k(p) and of lambda = G(p)/G(q). Two sources give them:
+``_survival_source(alpha, N)`` returns p -> (G, G') and
+``_lambda_source(alpha, q, N)`` p -> lambda. alpha, q and N are checked at
+the source, once; p is checked by the public function. Each spectrum,
+rate, slope and trajectory point is one formula of what a source returns.
+A public function is its source, then that formula; a sweep column or a
+quadrature builds the source once and evaluates the formula alone at each
+point. Only ``math`` and ``sys`` are imported: no closed form needs numpy.
 
-Arguments. ``alpha`` and the level count N are one value each. ``p`` and
-``q`` may be numpy arrays (grids) in ``kappa``, ``survival``,
-``lambda_ratio``, ``qudit_choi_eigenvalues`` and both rates, and IEEE
-arithmetic gives each point of a grid the bits of a call on that point
-alone. ``trajectory`` takes one ``p``, and each measure one alpha. On
-``fractions.Fraction`` arguments the rational closed forms (all but
-``crossover_point`` and the measures) return exact rationals.
-
-Errors, as each function's Raises names them: ``_check_unit`` refuses a
-value outside [0, 1] (NaN included) and ``_check_levels``, the package's
-one check of N, an N that is not an integral number of at least 2, both
-with ``ValueError``; a singular point raises a ``SingularityError``.
+alpha and N are one value each; p and q may be numpy arrays (grids) in
+``kappa``, ``survival``, ``lambda_ratio``, ``qudit_choi_eigenvalues`` and
+both rates, each point keeping the bits of a call on it alone. On
+``Fraction`` arguments the rational closed forms (all but the measures and
+``crossover_point``) return exact rationals. ``_check_unit`` refuses a
+value outside [0, 1] (NaN included) and ``_check_levels`` an N that is not
+an integral number of at least 2, both with ``ValueError``; a singular
+point raises a ``SingularityError``.
 """
 
 from __future__ import annotations
@@ -83,47 +83,47 @@ def _check_count(n, least: int, rule: str) -> int:
 
 
 def _check_levels(levels) -> int:
-    """``levels`` as an int N, checked by ``_check_count`` to be integral and at least 2.
-
-    An int of at least 2 comes back at once: ``lambda_ratio`` calls this at
-    every point of a ``choi-eigs`` column.
-    """
-    return levels if levels.__class__ is int and levels >= 2 else _check_count(levels, 2, "levels must be >= 2")
+    """``levels`` as an int N, checked by ``_check_count`` to be integral and at least 2."""
+    return _check_count(levels, 2, "levels must be >= 2")
 
 
 def kappa(alpha: float, p, levels: int = 2):
     """Effective depolarizing probability k(p) = p + alpha p - ((N^2 - 1)/N^2) alpha p^2 of the N-level channel.
 
     Raises:
-        ValueError: unless N is an integral number of at least 2.
+        ValueError: for alpha or p outside [0, 1] (NaN included), or unless
+            N is an integral number of at least 2.
     """
+    _check_unit("alpha", alpha)
     n2 = _check_levels(levels) ** 2
-    return p + alpha * p - (n2 - 1 + 0 * alpha) / n2 * alpha * p * p
+    return _check_unit("p", p) + alpha * p - (n2 - 1 + 0 * alpha) / n2 * alpha * p * p
+
+
+def _survival_source(alpha: float, levels: int = 2):
+    """p -> (G, G') for one alpha and one N, both checked here; p is the caller's to check.
+
+    G = 1 - k(p) and G' = -(1 + alpha) + 2 ((N^2 - 1)/N^2) alpha p, with
+    the terms free of p computed once: Python's left-to-right grouping of
+    the written formulas gives them the same bits.
+
+    Raises:
+        ValueError: as ``crossover_point``.
+    """
+    _check_unit("alpha", alpha)
+    n2 = _check_levels(levels) ** 2
+    c = (n2 - 1 + 0 * alpha) / n2
+    curvature, slope, intercept = c * alpha, (c + c) * alpha, -(alpha + 1)
+    return lambda p: (1 - (p + alpha * p - curvature * p * p), intercept + slope * p)
 
 
 def survival(alpha: float, p, levels: int = 2):
     """Survival factor G(p) = 1 - k(p), the non-identity transfer eigenvalue of Phi(p, 0); zero at the singular parameter.
 
     Raises:
-        ValueError: for alpha outside [0, 1] (NaN included), or unless N
-            is an integral number of at least 2.
+        ValueError: for alpha or p outside [0, 1] (NaN included), or unless
+            N is an integral number of at least 2.
     """
-    return _survival_pair(alpha, p, levels)[0]
-
-
-def _survival_pair(alpha: float, p, levels: int = 2) -> tuple:
-    """(G, G') at p, with G' = -(1 + alpha) + 2 ((N^2 - 1)/N^2) alpha p; raises as ``survival``.
-
-    The kernel's one per-call fast path, as the per-point columns and the
-    quadratures call it thousands of times: an alpha in [0, 1] and an int
-    N >= 2 skip the checks, and a float alpha takes the float coefficient
-    directly (a mixed int and float operation takes CPython's slower path).
-    """
-    if not 0.0 <= alpha <= 1.0:
-        _check_unit("alpha", alpha)
-    n2 = levels * levels if levels.__class__ is int and levels >= 2 else _check_levels(levels) ** 2
-    c = (n2 - 1) / n2 if alpha.__class__ is float else (n2 - 1 + 0 * alpha) / n2
-    return 1 - (p + alpha * p - c * alpha * p * p), -(alpha + 1) + (c + c) * alpha * p
+    return _survival_source(alpha, levels)(_check_unit("p", p))[0]
 
 
 def crossover_point(alpha: float, levels: int = 2) -> float:
@@ -144,9 +144,10 @@ def crossover_point(alpha: float, levels: int = 2) -> float:
     return min(2.0 / ((1 + alpha) + math.sqrt(disc)), 1.0)
 
 
-def _guard(x, alpha: float, levels: int = 2):
-    """Whether x (or each point of a grid) lies inside the guard band of p_- (the boundary p = 1 at alpha = 0)."""
-    return abs(x - crossover_point(alpha, levels)) < SINGULARITY_GUARD
+def _guard(alpha: float, levels: int = 2):
+    """x -> whether x (or each point of a grid) lies inside the guard band of p_- (the boundary p = 1 at alpha = 0); raises as ``crossover_point``."""
+    point = crossover_point(alpha, levels)
+    return lambda x: abs(x - point) < SINGULARITY_GUARD
 
 
 def _all(flags) -> bool:
@@ -172,25 +173,45 @@ def _check_pair(q, p) -> None:
         raise ValueError(f"intermediate parameters must satisfy 0 <= q <= p <= 1, got q={q}, p={p}")
 
 
-def lambda_ratio(alpha: float, q, p, levels: int = 2):
-    """Transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator; exactly 1 at p = q.
+def _lambda_source(alpha: float, q, levels: int = 2):
+    """p -> lambda(p, q) = G(p)/G(q) for one alpha, one q (or q grid) and one N, each checked here; p is the caller's to check.
+
+    The terms free of p, n2 + n2 alpha, (N^2 - 1) alpha and the denominator
+    n2 G(q), are computed once, with the bits of the written formula.
 
     Raises:
-        ValueError: for alpha outside [0, 1] (NaN included), unless
-            0 <= q <= p <= 1, or unless N is an integral number of at
-            least 2.
+        ValueError: for alpha or q outside [0, 1] (NaN included), or unless
+            N is an integral number of at least 2.
         SingularMapError: where |G(q)| is at most ``ZERO_FLOOR``, the
             invertibility threshold of ``matcore.inverse``.
     """
     _check_unit("alpha", alpha)
-    _check_pair(q, p)
+    _check_unit("q", q)
     n2 = _check_levels(levels) ** 2
-    num = p * (n2 + n2 * alpha - (n2 - 1) * alpha * p) - n2
     den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2
     # |den|/n2 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
     if not _all(abs(den) / n2 > ZERO_FLOOR):
         raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
-    return num / den
+    linear, quadratic = n2 + n2 * alpha, (n2 - 1) * alpha
+    return lambda p: (p * (linear - quadratic * p) - n2) / den
+
+
+def lambda_ratio(alpha: float, q, p, levels: int = 2):
+    """Transfer eigenvalue lambda(p, q) = G(p)/G(q) of the N-level propagator; exactly 1 at p = q.
+
+    Raises:
+        ValueError: unless 0 <= q <= p <= 1, for alpha outside [0, 1] (NaN
+            included), or unless N is an integral number of at least 2.
+        SingularMapError: where |G(q)| is at most ``ZERO_FLOOR``.
+    """
+    _check_pair(q, p)
+    return _lambda_source(alpha, q, levels)(p)
+
+
+def _choi_spectrum(lam, n2) -> tuple:
+    """(top, rest) = (1/N^2 + (1 - 1/N^2) lam, (1 - lam)/N^2) from lam = lambda(p, q) and n2 = N^2, 1/N^2 in lam's type."""
+    inv = (0 * lam + 1) / n2
+    return inv + (1 - inv) * lam, inv - lam / n2
 
 
 def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
@@ -201,9 +222,17 @@ def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     qubit, Lambda_I and the threefold Lambda_XYZ). A negative value flags an
     NCP propagator.
     """
-    lam, n2 = lambda_ratio(alpha, q, p, levels), levels * levels
-    inv = 1 / n2 if lam.__class__ is float else (0 * lam + 1) / n2  # 1/N^2 in lam's type, as in _survival_pair
-    return (inv + (1 - inv) * lam, inv - lam / n2)
+    return _choi_spectrum(lambda_ratio(alpha, q, p, levels), levels * levels)
+
+
+def _rate(g, dg):
+    """gamma = -G'/G from (G, G')."""
+    return -dg / g
+
+
+def _rate_normalized(g, dg):
+    """G'/(G + G') from (G, G')."""
+    return dg / (g + dg)
 
 
 def decay_rate(alpha: float, p, levels: int = 2):
@@ -214,10 +243,10 @@ def decay_rate(alpha: float, p, levels: int = 2):
         SingularRateError: where |G| is at most ``ZERO_FLOOR`` (at any point
             of a grid).
     """
-    g, dg = _survival_pair(alpha, p, levels)
+    g, dg = _survival_source(alpha, levels)(_check_unit("p", p))
     if not _all(abs(g) > ZERO_FLOOR):
         raise SingularRateError(f"decay rate diverges at p = {p} (survival factor vanished)")
-    return -dg / g
+    return _rate(g, dg)
 
 
 def decay_rate_normalized(alpha: float, p, levels: int = 2):
@@ -227,17 +256,30 @@ def decay_rate_normalized(alpha: float, p, levels: int = 2):
         ValueError: as ``survival``, or where |G + G'| is at most
             ``ZERO_FLOOR`` at any point (alpha + p below about 1e-12).
     """
-    g, num = _survival_pair(alpha, p, levels)
-    den = g + num
-    if not _all(abs(den) > ZERO_FLOOR):
+    g, dg = _survival_source(alpha, levels)(_check_unit("p", p))
+    if not _all(abs(g + dg) > ZERO_FLOOR):
         raise ValueError(f"normalized rate undefined at p = {p}")
-    return num / den
+    return _rate_normalized(g, dg)
 
 
 def bloch_contraction_derivative(alpha: float, p: float) -> float:
-    """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p), unchecked."""
-    # Apart from _survival_pair: same G', other last bits; this one feeds trajectories (fig9 prints them).
+    """d lambda / dp = (3/2) alpha p - alpha - 1 of the Bloch contraction lambda = survival(alpha, p), unchecked.
+
+    The kernel's one public function that checks neither argument: it is
+    the slope of ``trajectory``'s point formula, which a ``trajectory``
+    column evaluates at every grid point. Its G' has other last bits than
+    ``_survival_source``'s, and ``fig9`` prints them.
+    """
     return (0 * alpha + 3) / 2 * alpha * p - alpha - 1
+
+
+def _trajectory_point(alpha: float, p: float, lam) -> tuple:
+    """``trajectory``'s tuple at p from lam = G(p)."""
+    inside = 1 + lam >= abs(lam + lam) and 1 - lam >= 0
+    if abs(lam) <= ZERO_FLOOR:
+        return lam, math.nan, inside, False
+    a = bloch_contraction_derivative(alpha, p) / lam
+    return lam, a, inside, a <= 0
 
 
 def trajectory(alpha: float, p: float) -> tuple:
@@ -254,13 +296,7 @@ def trajectory(alpha: float, p: float) -> tuple:
     Raises:
         ValueError: for alpha or p outside [0, 1] (NaN included).
     """
-    _check_unit("grid values", p)
-    lam = _survival_pair(alpha, p)[0]
-    inside = 1 + lam >= abs(lam + lam) and 1 - lam >= 0
-    if abs(lam) <= ZERO_FLOOR:
-        return lam, math.nan, inside, False
-    a = bloch_contraction_derivative(alpha, p) / lam
-    return lam, a, inside, a <= 0
+    return _trajectory_point(alpha, p, _survival_source(alpha)(_check_unit("grid values", p))[0])
 
 
 def volume_measure(alpha: float) -> float:
@@ -352,13 +388,13 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
             is an integral number of at least 2.
     """
-    lower = crossover_point(alpha, levels)  # checks alpha and N
+    lower, pair = crossover_point(alpha, levels), _survival_source(alpha, levels)
     if alpha < 1e-6:
         c = (levels * levels - 1) / (levels * levels)
         r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
         width = 4.0 * alpha * (1.0 - c) / ((r + 1.0 - alpha) * ((1.0 + alpha) + r))
-        return _quad(lambda s: decay_rate_normalized(alpha, 1.0 - s, levels), 0.0, width)
-    return _quad(lambda p: decay_rate_normalized(alpha, p, levels), lower, 1.0)
+        return _quad(lambda s: _rate_normalized(*pair(1.0 - s)), 0.0, width)
+    return _quad(lambda p: _rate_normalized(*pair(p)), lower, 1.0)
 
 
 def hcla_closed_form(alpha: float) -> float:
@@ -402,12 +438,14 @@ def qutrit_hcla_log_form(alpha: float) -> float:
     return log_form(1.0) - log_form(lower)
 
 
+def _distance_slope(g, dg) -> float:
+    """dD/dp of D = |G| from (G, G'): 0 at the kink G = 0."""
+    return 0.0 if g == 0.0 else math.copysign(1.0, g) * dg
+
+
 def plus_minus_distance_derivative(alpha: float, p: float) -> float:
     """dD/dp of the |+>/|-> trace distance D(p) = |G(p)| at one p, 0 at the kink G = 0; raises as ``survival``."""
-    g, dg = _survival_pair(alpha, p)
-    if g == 0.0:
-        return 0.0
-    return math.copysign(1.0, g) * dg
+    return _distance_slope(*_survival_source(alpha)(_check_unit("p", p)))
 
 
 def blp_measure(alpha: float) -> float:
@@ -421,5 +459,5 @@ def blp_measure(alpha: float) -> float:
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included).
     """
-    integrand = lambda p: max(0.0, plus_minus_distance_derivative(alpha, p))
-    return _quad(integrand, crossover_point(alpha, 2), 1.0)
+    lower, pair = crossover_point(alpha, 2), _survival_source(alpha)
+    return _quad(lambda p: max(0.0, _distance_slope(*pair(p))), lower, 1.0)

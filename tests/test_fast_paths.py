@@ -268,14 +268,22 @@ def near(x, alpha, levels=2):
     return abs(x - point) < SINGULARITY_GUARD
 
 
-def per_point_series(spec) -> list:
-    """(name, fn(x)) pairs of the sweep, one scalar call per point."""
+def public_trajectory(alpha, p) -> tuple:
+    """The five ``trajectory`` cells of ``kernel.trajectory`` at one p, checked against ``trajectory_point``'s bits."""
+    lam, a, inside, divisible = kernel.trajectory(alpha, p)
+    cells = (lam, abs(lam), a, float(inside), float(divisible))
+    assert bits(cells) == bits(trajectory_point(alpha, p)), p
+    return cells
+
+
+def per_point_series(spec, levels=None) -> list:
+    """(name, fn(x)) pairs of the sweep, one public scalar call per point; ``levels`` stands in for ``spec.levels``."""
     q, out = spec.q, []
     for alpha in spec.alpha:
         short = f"{alpha:g}"
         tag = "alpha" + (short if float(short) == alpha else repr(alpha))
         if spec.quantity == "choi-eigs":
-            for n in spec.levels:
+            for n in levels or spec.levels:
                 t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
                 if n == 2:
                     out.append((f"Lambda_I_{t}", guarded(lambda p, a=alpha: kernel.qudit_choi_eigenvalues(a, q, p, 2)[0])))
@@ -317,7 +325,7 @@ def per_point_series(spec) -> list:
         elif spec.quantity == "trajectory":
             names = ("lambda", "abs_lambda", "A", "inside_tetrahedron", "cp_divisible")
             out += [
-                (f"{name}_{tag}", lambda p, a=alpha, i=i: trajectory_point(a, p)[i])
+                (f"{name}_{tag}", lambda p, a=alpha, i=i: public_trajectory(a, p)[i])
                 for i, name in enumerate(names)
             ]
         elif spec.quantity == "f-norm":
@@ -344,29 +352,32 @@ def bits(column) -> list:
     return [None if v is None or v != v else float(v).hex() for v in column]
 
 
-def assert_columns_match_per_point(spec, grid):
+def assert_columns_match_per_point(spec, grid, levels=None):
+    """Every cell of the sweep's columns has the bits of its public scalar call; ``levels`` (any N >= 2) stands in for ``spec.levels``."""
     names, columns = [], []
     for alpha in spec.alpha:
-        for n in spec.levels:
+        for n in levels or spec.levels:
             series_names, fn = cli._QUANTITIES[spec.quantity].columns(spec, alpha, n)
             names += series_names
             columns += fn(grid)
-    oracle = per_point_series(spec)
+    oracle = per_point_series(spec, levels)
     assert names == [name for name, _ in oracle]
     for name, column, (_, fn) in zip(names, columns, oracle):
         assert bits(column) == bits([fn(x) for x in grid.tolist()]), name
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     alpha=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
     levels=st.sampled_from([2, 3, 4]),
+    kernel_levels=st.integers(2, 8),
     qubits=st.sampled_from([1, 2, 3]),
     width=st.floats(1e-5, 0.3),
     points=st.integers(2, 12),
     q_shift=st.one_of(st.floats(-0.6, -2 * SINGULARITY_GUARD), st.floats(2 * SINGULARITY_GUARD, 1e-3)),
 )
-def test_sweep_columns_equal_per_point_calls(alpha, levels, qubits, width, points, q_shift):
+@example(alpha=1.0, levels=2, kernel_levels=8, qubits=1, width=1e-3, points=5, q_shift=2e-6)
+def test_sweep_columns_equal_per_point_calls(alpha, levels, kernel_levels, qubits, width, points, q_shift):
     # At alpha = 0 the singular parameter is the boundary p = 1, where a
     # straddling grid is clipped to one side: centre those grids at p = 0.8.
     centre = crossover_point(alpha, levels) if alpha > 0.0 else 0.8
@@ -375,24 +386,32 @@ def test_sweep_columns_equal_per_point_calls(alpha, levels, qubits, width, point
     assume(not near(q, alpha, levels))
     pinned = straddling_grid(centre, width, points, q, 1.0)
     swept = straddling_grid(centre, width, points, 0.0, 1.0)
+    # The kernel columns (choi-eigs, decay-rate) at any N, across that N's
+    # singular parameter; the qubit trajectory across the qubit's.
+    k_centre = crossover_point(alpha, kernel_levels) if alpha > 0.0 else 0.8
+    k_q = min(max(k_centre + q_shift, 0.0), 0.99)
+    assume(not near(k_q, alpha, kernel_levels) and not near(k_q, alpha))
+    qubit_swept = straddling_grid(crossover_point(alpha) if alpha > 0.0 else 0.8, width, points, 0.0, 1.0)
     spec = lambda quantity, **kw: cli.SweepSpec(quantity, **{"alpha": (alpha,), "q": q, "p_max": 1.0, **kw})
     n_or_qubits = dict(qubits=(1, 2, 3)) if levels == 2 else dict(levels=(levels,))
     cases = [
         (spec("choi-eigs", levels=tuple(sorted({2, levels})), p_min=q), pinned),
+        (spec("choi-eigs", q=k_q, p_min=k_q), straddling_grid(k_centre, width, points, k_q, 1.0), (kernel_levels,)),
         (spec("choi-norm", p_min=q, **n_or_qubits), pinned),
         (spec("memory-x", p_min=q), pinned),
-        (spec("decay-rate", levels=(levels,)), swept),
+        (spec("decay-rate", levels=(kernel_levels,)), straddling_grid(k_centre, width, points, 0.0, 1.0)),
         (spec("trace-distance"), swept),
         (spec("volume"), swept),
         (spec("trajectory"), swept),
+        (spec("trajectory"), qubit_swept),
         (spec("f-norm", levels=(max(levels, 3),)), swept),
     ]
     if qubits < 3:
         g_centre = crossover_point(alpha) if alpha > 0.0 else 0.8
         q_grid = straddling_grid(g_centre, width, points, 0.0, 1.0 - dynmaps.G_FUNCTION_STEP)
         cases.append((spec("g-function", qubits=(qubits,), p_max=0.99), q_grid))
-    for sweep, grid in cases:
-        assert_columns_match_per_point(sweep, grid)
+    for sweep, grid, *levels_override in cases:
+        assert_columns_match_per_point(sweep, grid, *levels_override)
 
 
 # Grid bounds: anywhere in [0, 1], or a few thousand subnormal units
@@ -507,6 +526,27 @@ def test_kernel_trajectory_matches_the_array_formula(alpha, near, far):
         assert got[2:] == (bool(inside[i]), bool(divisible[i]))
 
 
+@pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: kernel.kappa(0.5, p),
+        lambda p: survival(0.5, p),
+        lambda p: decay_rate(0.5, p),
+        lambda p: decay_rate_normalized(0.5, p, 3),
+        lambda p: kernel.plus_minus_distance_derivative(0.5, p),
+        lambda p: kernel.trajectory(0.5, p),
+        lambda p: lambda_ratio(0.5, 0.0, p),
+        lambda p: qudit_choi_eigenvalues(0.5, 0.0, p, 3),
+    ],
+    ids=["kappa", "survival", "decay_rate", "decay_rate_normalized", "plus_minus_distance_derivative", "trajectory", "lambda_ratio", "qudit_choi_eigenvalues"],
+)
+def test_kernel_functions_reject_p_outside_the_unit_interval(call, p):
+    # One domain rule for p: each public function that takes it checks it.
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]|must satisfy 0 <= q <= p <= 1"):
+        call(p)
+
+
 def test_kernel_trajectory_rejects_p_outside_the_unit_interval():
     for p in (-1e-300, 1.0 + 2**-52, float("nan")):
         with pytest.raises(ValueError, match="grid values must lie in"):
@@ -516,6 +556,9 @@ def test_kernel_trajectory_rejects_p_outside_the_unit_interval():
 @pytest.mark.parametrize("alpha", [3.0, 5.0, -1.0, -1e-300, 1.0 + 2**-52, float("nan")])
 def test_kernel_closed_forms_reject_alpha_outside_the_unit_interval(alpha):
     calls = [
+        lambda: kernel.kappa(alpha, 0.5),
+        lambda: survival(alpha, 0.5),
+        lambda: kernel.plus_minus_distance_derivative(alpha, 0.5),
         lambda: lambda_ratio(alpha, 0.1, 0.2),
         lambda: qudit_choi_eigenvalues(alpha, 0.1, 0.2, 3),
         lambda: decay_rate(alpha, 0.5),

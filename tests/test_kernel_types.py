@@ -1,13 +1,15 @@
-"""The kernel's closed forms follow their argument's type, and G and G' come from one call.
+"""The kernel's closed forms follow their argument's type, and each point reads its source once.
 
 On ``Fraction`` arguments ``kappa``, ``survival``, ``qudit_choi_eigenvalues``,
-both values (G, G') of ``_survival_pair``, both decay rates,
+both values (G, G') of the ``_survival_source`` closure, both decay rates,
 ``bloch_contraction_derivative`` and ``trajectory`` return the exact
 rational: the formula of each docstring, evaluated here in ``Fraction``.
 On floats each keeps the bits of its float-literal form (``1.0 - k``,
 ``1 / n2``, ``2.0 * c``, ``1.5 * alpha``), kept below as the oracle, so no
-printed digit can move. The last test counts the ``_survival_pair`` calls
-behind a ``decay-rate`` sweep and the two quadrature measures.
+printed digit can move. The last tests count the evaluations of the
+(G, G') source behind a ``decay-rate`` sweep and the two quadrature
+measures, and the parameter checks behind a sweep: one set per column,
+whatever the grid's length.
 """
 
 import math
@@ -49,7 +51,7 @@ def test_closed_forms_are_exact_on_fractions(alpha, q, p, levels):
     top, rest = kernel.qudit_choi_eigenvalues(alpha, q, p, levels)
     assert is_exact(kernel.kappa(alpha, p, levels), k)
     assert is_exact(kernel.survival(alpha, p, levels), g)
-    got_g, got_dg = kernel._survival_pair(alpha, p, levels)
+    got_g, got_dg = kernel._survival_source(alpha, levels)(p)
     assert is_exact(got_g, g) and is_exact(got_dg, dg)
     assert is_exact(kernel.decay_rate(alpha, p, levels), -dg / g)
     assert is_exact(kernel.decay_rate_normalized(alpha, p, levels), dg / (g + dg))
@@ -96,7 +98,7 @@ def test_float_results_keep_the_float_literal_bits(alpha, p, q, n):
     k, g, dg = old_kappa(alpha, p, n), 1.0 - old_kappa(alpha, p, n), old_derivative(alpha, p, n)
     assert same_bits(kernel.kappa(alpha, p, n), k)
     assert same_bits(kernel.survival(alpha, p, n), g)
-    got_g, got_dg = kernel._survival_pair(alpha, p, n)
+    got_g, got_dg = kernel._survival_source(alpha, n)(p)
     assert same_bits(got_g, g) and same_bits(got_dg, dg)
     try:
         assert same_bits(kernel.decay_rate(alpha, p, n), -dg / g)
@@ -133,22 +135,45 @@ def test_float_trajectory_keeps_the_float_literal_bits(alpha, p):
 
 
 def test_survival_pair_is_evaluated_once_per_use(monkeypatch):
-    # A decay-rate point: one call for both NA masks, one per rate. A
-    # quadrature node: one call, and an accepted first pass has 21 nodes.
-    calls, pair = [], kernel._survival_pair
+    # A decay-rate point: one (G, G') evaluation feeds both NA masks and
+    # both rates. A quadrature node: one, and an accepted first pass has 21.
+    calls, source = [], kernel._survival_source
 
-    def counted(alpha, p, *levels):
-        calls.append((alpha, p))
-        return pair(alpha, p, *levels)
+    def counted(alpha, *levels):
+        pair = source(alpha, *levels)
 
-    monkeypatch.setattr(kernel, "_survival_pair", counted)
-    monkeypatch.setattr(cli, "_survival_pair", counted)
+        def evaluate(p):
+            calls.append((alpha, p))
+            return pair(p)
+
+        return evaluate
+
+    monkeypatch.setattr(kernel, "_survival_source", counted)
+    monkeypatch.setattr(cli, "_survival_source", counted)
     spec = cli.SweepSpec("decay-rate", alpha=(0.0, 0.7), steps=201)
     cli.run_sweep(spec)
-    per_point = Counter(calls)
-    assert set(per_point) == {(alpha, p) for alpha in spec.alpha for p in spec.grid()}
-    assert max(per_point.values()) <= 3
+    assert Counter(calls) == Counter((alpha, p) for alpha in spec.alpha for p in spec.grid())
     for measure in (kernel.hcla_measure, kernel.blp_measure):
         calls.clear()
         measure(0.7)
         assert len(calls) == 21
+
+
+@pytest.mark.parametrize("quantity", ["choi-eigs", "decay-rate", "trajectory"])
+def test_parameters_are_checked_once_per_column(quantity, monkeypatch):
+    # alpha, q and N are checked where a column builds its source, never at
+    # a grid point, so a long grid makes no more checks than a short one.
+    counts = Counter()
+    for name in ("_check_unit", "_check_count"):
+        check = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *args, check=check, name=name: counts.update([name]) or check(*args))
+
+    def checks(steps: int) -> Counter:
+        spec = cli.SweepSpec(quantity, alpha=(0.0, 0.7), steps=steps)
+        counts.clear()
+        cli.run_sweep(spec)
+        return Counter(counts)
+
+    short = checks(11)
+    assert checks(2001) == short
+    assert short["_check_unit"] > 0 and short["_check_count"] > 0

@@ -112,8 +112,8 @@ CATALOGUE = (
     Mutant(
         "blp-split-dropped",
         "kernel.py",
-        "_quad(integrand, crossover_point(alpha, 2), 1.0)",
-        "_quad(integrand, 0.0, 1.0)",
+        "max(0.0, _distance_slope(*pair(p))), lower, 1.0)",
+        "max(0.0, _distance_slope(*pair(p))), 0.0, 1.0)",
     ),
     Mutant(
         "first-pass-always-accepted",
@@ -173,10 +173,10 @@ CATALOGUE = (
     Mutant(
         "lambda-ratio-alpha-check-dropped",
         "kernel.py",
-        '    _check_unit("alpha", alpha)\n    _check_pair(q, p)',
-        "    _check_pair(q, p)",
+        '    _check_unit("alpha", alpha)\n    _check_unit("q", q)',
+        '    _check_unit("q", q)',
     ),
-    Mutant("trajectory-range-check-dropped", "kernel.py", '    _check_unit("grid values", p)\n', ""),
+    Mutant("trajectory-range-check-dropped", "kernel.py", '(_check_unit("grid values", p))', "(p)"),
     Mutant(
         "unit-check-first-point",
         "kernel.py",
@@ -184,7 +184,6 @@ CATALOGUE = (
         "x.reshape(-1)[ok.reshape(-1).argmax()]",
     ),
     Mutant("levels-check-boundary", "kernel.py", '_check_count(levels, 2, "levels', '_check_count(levels, 1, "levels'),
-    Mutant("levels-fast-path-boundary", "kernel.py", "return levels if levels.__class__ is int and levels >= 2 else", "return levels if levels.__class__ is int and levels >= 1 else"),
     Mutant("slot-permutation-binary", "dynmaps.py", ".reshape([levels] * (2 * qubits))", ".reshape([2] * (2 * qubits))"),
     Mutant(
         "slot-permutation-halves-swapped",
@@ -202,13 +201,22 @@ CATALOGUE = (
     Mutant("qubits-check-boundary", "dynmaps.py", '_check_count(n, 1, "qubits', '_check_count(n, 0, "qubits'),
     Mutant("count-integrality-dropped", "kernel.py", "isinstance(n, float) and n.is_integer()", "isinstance(n, float)"),
     Mutant(
-        "survival-screen-bound-dropped",
+        "survival-source-levels-unchecked",
         "kernel.py",
-        '_check_unit("alpha", alpha)\n    n2 = levels * levels if levels.__class__ is int and levels >= 2 else',
-        '_check_unit("alpha", alpha)\n    n2 = levels * levels if levels.__class__ is int else',
+        "n2 = _check_levels(levels) ** 2\n    c = (n2 - 1 + 0 * alpha) / n2",
+        "n2 = levels**2\n    c = (n2 - 1 + 0 * alpha) / n2",
     ),
-    Mutant("survival-float-one", "kernel.py", "return 1 - (p + alpha * p", "return 1.0 - (p + alpha * p"),
-    Mutant("pair-slope-halved", "kernel.py", "(c + c) * alpha * p", "c * alpha * p"),
+    Mutant("survival-float-one", "kernel.py", "(1 - (p + alpha * p", "(1.0 - (p + alpha * p"),
+    Mutant("pair-slope-halved", "kernel.py", "(c + c) * alpha", "c * alpha"),
+    Mutant("survival-source-curvature-drops-alpha", "kernel.py", "curvature, slope, intercept = c * alpha,", "curvature, slope, intercept = c,"),
+    Mutant("survival-source-intercept-drops-alpha", "kernel.py", "-(alpha + 1)", "-1"),
+    Mutant("lambda-source-linear-drops-n2", "kernel.py", "linear, quadratic = n2 + n2 * alpha,", "linear, quadratic = n2 + alpha,"),
+    Mutant("lambda-source-quadratic-coefficient", "kernel.py", "quadratic = n2 + n2 * alpha, (n2 - 1) * alpha", "quadratic = n2 + n2 * alpha, n2 * alpha"),
+    Mutant("lambda-source-denominator-coefficient", "kernel.py", "- (n2 - 1) * alpha * q * q - n2", "- n2 * alpha * q * q - n2"),
+    Mutant("choi-spectrum-float-inverse", "kernel.py", "inv = (0 * lam + 1) / n2", "inv = 1 / n2"),
+    Mutant("guard-band-qubit-point", "kernel.py", "point = crossover_point(alpha, levels)", "point = crossover_point(alpha, 2)"),
+    Mutant("kappa-p-check-dropped", "kernel.py", 'return _check_unit("p", p) + alpha * p', "return p + alpha * p"),
+    Mutant("survival-p-check-dropped", "kernel.py", '(alpha, levels)(_check_unit("p", p))[0]', "(alpha, levels)(p)[0]"),
     Mutant("q-grid-walk-levels-unchecked", "dynmaps.py", "q, p, dim=_check_levels(levels))", "q, p, dim=levels)"),
     Mutant(
         "hermitian-nonsquare-scalar",
