@@ -1,15 +1,15 @@
 """The ``depolmark`` command line: parameter sweeps and figure-ready datasets.
 
-Table-driven. ``_QUANTITIES`` is the one place a quantity is defined: its
-abscissa, default grid, allowed ``levels`` and ``qubits``, pinned q,
-further domain rule and column builder. ``_FIGURES`` maps each preset to
-the files it writes and the pinned specs behind each. ``SweepSpec`` takes
-the defaults it is not given from the quantity's entry and validates
-against it, and the command line only turns the flags given into fields,
-so ``SweepSpec("f-norm")`` and ``depolmark f-norm`` are one sweep. A
-builder returns one ``(names, fn)`` group per (alpha, N), ``fn(grid)``
-giving one column per name with NaN in each NA cell. Reruns are byte
-identical: no timestamp or randomness enters a payload.
+Table-driven. ``_QUANTITIES`` is the one place a quantity is defined, one
+row of data: abscissa, default grid, allowed ``levels`` and ``qubits``,
+pinned q, one level only, grid room below 1, column builder. ``_FIGURES``
+maps each preset to the files it writes and the pinned specs behind each.
+``SweepSpec`` takes the defaults it is not given from the row and is the
+sweep's one validator; the command line only turns the flags given into
+fields, so ``SweepSpec("f-norm")`` and ``depolmark f-norm`` are one
+sweep. A builder returns one ``(names, fn)`` group per (alpha, N),
+``fn(grid)`` giving one column per name with NaN in each NA cell. Reruns
+are byte identical: no timestamp or randomness enters a payload.
 
 Exit codes: 0 success; 2 usage error (``UsageError``: a parameter outside
 its domain, a malformed flag, an output that cannot be written), reported
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
-from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _choi_spectrum, _guard
-from .kernel import _lambda_source, _rate, _rate_normalized, _survival_source, _trajectory_point, blp_measure
+from .kernel import G_FUNCTION_STEP, SINGULARITY_GUARD, ZERO_FLOOR, SingularityError, SingularMapError, _check_levels, _choi_spectrum
+from .kernel import _guard, _lambda_source, _rate, _rate_normalized, _survival_source, _trajectory_point, blp_measure
 from .kernel import hcla_closed_form, hcla_measure, qutrit_hcla_log_form
 
 # The package: its first access to ``_lib.measures`` imports that module.
@@ -71,7 +71,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class _Quantity:
-    """One entry of the quantity table."""
+    """One row of the quantity table, read by ``SweepSpec``."""
 
     # (spec, alpha, N) -> (series names, fn(grid) -> one column per name);
     # an alpha-swept quantity gets alpha None.
@@ -79,33 +79,16 @@ class _Quantity:
     abscissa: str = "p"
     # Default grid; a pinned quantity starts it at q instead.
     grid: tuple = (0.0, 1.0)
-    # Allowed values, the first one the default; None allows every levels >= 2 (default 2).
+    # Allowed values, the first one the default; None allows every N that
+    # ``kernel._check_levels`` accepts (default 2).
     levels: tuple | None = (2,)
     qubits: tuple = (1,)
     # The p range starts at or above q, and q is checked against the singularity.
     pinned: bool = False
-    # A further domain rule: spec -> None, raising UsageError.
-    rule: Callable | None = None
-
-    def check(self, spec: "SweepSpec") -> None:
-        """Raise UsageError where ``spec`` leaves this quantity's domain, SingularMapError at a singular pinned q."""
-        for axis in ("levels", "qubits"):
-            allowed, values = getattr(self, axis), getattr(spec, axis)
-            if allowed is not None and not all(n in allowed for n in values):
-                single = (self.levels, self.qubits) == ((2,), (1,))
-                domain = "the single-qubit family (levels=2, qubits=1)" if single else f"{axis} in {allowed}"
-                raise UsageError(f"{spec.quantity} is defined for {domain}, got {axis} = {values}")
-        if self.rule is not None:
-            self.rule(spec)
-        if not self.pinned:
-            return
-        if spec.p_min < spec.q:
-            raise UsageError(f"p range must start at or above q = {spec.q}, got p_min = {spec.p_min}")
-        # A singular pinned q cannot produce any sample: abort, not NA.
-        for alpha in spec.alpha:
-            for levels in spec.levels:
-                if _guard(alpha, levels)(spec.q):
-                    raise SingularMapError(f"pinned q = {spec.q} sits at the singular parameter value for alpha = {alpha}, levels = {levels}")
+    # A sweep takes one levels value only.
+    one_level: bool = False
+    # The grid end plus this stays at or below 1: room for a finite-difference step.
+    room: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -163,19 +146,29 @@ class SweepSpec:
             raise UsageError(f"q must lie in [0, 1], got {self.q}")
         if not 2 <= self.steps <= _MAX_STEPS:
             raise UsageError(f"steps must lie in [2, {_MAX_STEPS}], got {self.steps}")
-        if any(n < 2 for n in self.levels):
-            raise UsageError(f"levels must be >= 2, got {self.levels}")
-        if any(n < 1 for n in self.qubits):
-            raise UsageError(f"qubits must be >= 1, got {self.qubits}")
+        try:
+            for n in self.levels:
+                _check_levels(n)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if not self.p_min < self.p_max:
             raise UsageError(f"grid needs min < max, got [{self.p_min}, {self.p_max}]")
-        if self.uses_grid() and not (0.0 <= self.p_min and self.p_max <= 1.0):
-            raise UsageError(f"{entry.abscissa} grid values must lie in [0, 1], got [{self.p_min}, {self.p_max}]")
-        entry.check(self)
-
-    def uses_grid(self) -> bool:
-        """False when an alpha-swept quantity takes its several alphas as the grid."""
-        return _QUANTITIES[self.quantity].abscissa != "alpha" or len(self.alpha) == 1
+        if not (0.0 <= self.p_min and self.p_max + entry.room <= 1.0):
+            raise UsageError(f"{entry.abscissa} grid values must lie in [0, {1.0 - entry.room:g}], got [{self.p_min}, {self.p_max}]")
+        for axis in ("levels", "qubits"):
+            allowed, values = getattr(entry, axis), getattr(self, axis)
+            if allowed is not None and not all(n in allowed for n in values):
+                single = (entry.levels, entry.qubits) == ((2,), (1,))
+                domain = "the single-qubit family (levels=2, qubits=1)" if single else f"{axis} in {allowed}"
+                raise UsageError(f"{self.quantity} is defined for {domain}, got {axis} = {values}")
+        if entry.one_level and len(self.levels) != 1:
+            raise UsageError(f"{self.quantity} supports a single levels value")
+        if entry.pinned and self.p_min < self.q:
+            raise UsageError(f"p range must start at or above q = {self.q}, got p_min = {self.p_min}")
+        # A singular pinned q cannot produce any sample: abort, not NA.
+        for alpha, levels in itertools.product(self.alpha, self.levels):
+            if entry.pinned and _guard(alpha, levels)(self.q):
+                raise SingularMapError(f"pinned q = {self.q} sits at the singular parameter value for alpha = {alpha}, levels = {levels}")
 
     def grid(self) -> list:
         """``np.linspace(p_min, p_max, steps)`` in Python floats, bit for bit: numpy's own arithmetic."""
@@ -315,36 +308,18 @@ def _g_function(spec: SweepSpec, alpha: float, n: int) -> tuple:
     return tuple(f"g_{_system_tag(spec, alpha, qubits=k)}" for k in spec.qubits), columns
 
 
-# ---------------------------------------------------------------- domain rules
-
-
-def _one_system_axis(spec: SweepSpec) -> None:
-    if len(spec.levels) > 1 and len(spec.qubits) > 1:
-        raise UsageError("sweep either levels or qubits, not both")
-
-
-def _one_level(spec: SweepSpec) -> None:
-    if len(spec.levels) != 1:
-        raise UsageError(f"{spec.quantity} supports a single levels value")
-
-
-def _step_room(spec: SweepSpec) -> None:
-    if spec.p_max + G_FUNCTION_STEP > 1.0:
-        raise UsageError(f"g-function sweeps q and requires max + {G_FUNCTION_STEP:g} <= 1")
-
-
 _QUANTITIES = {
-    "choi-eigs": _Quantity(_choi_eigs, levels=(2, 3, 4), pinned=True),
-    "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True, rule=_one_system_axis),
-    "decay-rate": _Quantity(_decay_rate, levels=None, rule=_one_level),
-    "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), rule=_one_level),
+    "choi-eigs": _Quantity(_choi_eigs, levels=None, pinned=True),
+    "choi-norm": _Quantity(_choi_norm, levels=(2, 3, 4), qubits=(1, 2, 3), pinned=True),
+    "decay-rate": _Quantity(_decay_rate, levels=None, one_level=True),
+    "hcla": _Quantity(_hcla, abscissa="alpha", levels=(2, 3), one_level=True),
     "blp": _Quantity(lambda spec, alpha, n: _points(("N_BLP",), lambda a: (blp_measure(a),)), abscissa="alpha"),
     "trace-distance": _Quantity(_column("D_{tag}", lambda spec, a, n, grid: _lib.measures.plus_minus_distance(a, grid))),
     "memory-x": _Quantity(_column("X_{tag}", lambda spec, a, n, grid: _lib.measures.memory_witness_X(a, spec.q, grid)), pinned=True),
     "volume": _Quantity(_column("volume_{tag}", lambda spec, a, n, grid: _lib.geometry.volume_determinant(a, grid))),
     "trajectory": _Quantity(_trajectory),
-    "f-norm": _Quantity(_column("F{n}_norm_{tag}", lambda spec, a, n, grid: _lib.geometry.f_norm(a, grid, n)), levels=(3, 4), rule=_one_level),
-    "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), rule=_step_room),
+    "f-norm": _Quantity(_column("F{n}_norm_{tag}", lambda spec, a, n, grid: _lib.geometry.f_norm(a, grid, n)), levels=(3, 4), one_level=True),
+    "g-function": _Quantity(_g_function, abscissa="q", grid=(0.0, 0.98), qubits=(1, 2), room=G_FUNCTION_STEP),
 }
 
 QUANTITIES = tuple(_QUANTITIES)
@@ -357,7 +332,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     NA; singular grid points are kept as NA, never dropped.
     """
     entry = _QUANTITIES[spec.quantity]
-    grid = spec.grid() if spec.uses_grid() else list(spec.alpha)
+    grid = list(spec.alpha) if entry.abscissa == "alpha" and len(spec.alpha) > 1 else spec.grid()
     names: list = []
     columns: list = [grid]
     for alpha in spec.alpha if entry.abscissa != "alpha" else (None,):

@@ -16,8 +16,8 @@ both rates, each point keeping the bits of a call on it alone. On
 ``Fraction`` arguments the rational closed forms (all but the measures and
 ``crossover_point``) return exact rationals. ``_check_unit`` refuses a
 value outside [0, 1] (NaN included) and ``_check_levels`` an N that is not
-an integral number of at least 2, both with ``ValueError``; a singular
-point raises a ``SingularityError``.
+an integral number in [2, 10**150] (the bound keeps N^2 a finite float),
+both with ``ValueError``; a singular point raises a ``SingularityError``.
 """
 
 from __future__ import annotations
@@ -83,8 +83,15 @@ def _check_count(n, least: int, rule: str) -> int:
 
 
 def _check_levels(levels) -> int:
-    """``levels`` as an int N, checked by ``_check_count`` to be integral and at least 2."""
-    return _check_count(levels, 2, "levels must be >= 2")
+    """``levels`` as an int N: integral and at least 2 (``_check_count``), and at most 10**150.
+
+    The bound keeps N^2 <= 1e300 a finite float, with room for the sums of
+    the closed forms (n2 + n2 alpha <= 2e300).
+    """
+    n = _check_count(levels, 2, "levels must be >= 2")
+    if n > 10**150:
+        raise ValueError(f"levels must be <= 10**150 (N^2 a finite float), got {levels!r}")
+    return n
 
 
 def kappa(alpha: float, p, levels: int = 2):
@@ -92,7 +99,7 @@ def kappa(alpha: float, p, levels: int = 2):
 
     Raises:
         ValueError: for alpha or p outside [0, 1] (NaN included), or unless
-            N is an integral number of at least 2.
+            N is an integral number in [2, 10**150].
     """
     _check_unit("alpha", alpha)
     n2 = _check_levels(levels) ** 2
@@ -121,7 +128,7 @@ def survival(alpha: float, p, levels: int = 2):
 
     Raises:
         ValueError: for alpha or p outside [0, 1] (NaN included), or unless
-            N is an integral number of at least 2.
+            N is an integral number in [2, 10**150].
     """
     return _survival_source(alpha, levels)(_check_unit("p", p))[0]
 
@@ -135,7 +142,7 @@ def crossover_point(alpha: float, levels: int = 2) -> float:
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
-            is an integral number of at least 2.
+            is an integral number in [2, 10**150].
     """
     _check_unit("alpha", alpha)
     _check_levels(levels)
@@ -177,22 +184,24 @@ def _lambda_source(alpha: float, q, levels: int = 2):
     """p -> lambda(p, q) = G(p)/G(q) for one alpha, one q (or q grid) and one N, each checked here; p is the caller's to check.
 
     The terms free of p, n2 + n2 alpha, (N^2 - 1) alpha and the denominator
-    n2 G(q), are computed once, with the bits of the written formula.
+    n2 G(q), are computed once, with the bits of the written formula. The
+    denominator is the numerator's own expression at q, so lambda(q, q) is
+    exactly 1.
 
     Raises:
         ValueError: for alpha or q outside [0, 1] (NaN included), or unless
-            N is an integral number of at least 2.
+            N is an integral number in [2, 10**150].
         SingularMapError: where |G(q)| is at most ``ZERO_FLOOR``, the
             invertibility threshold of ``matcore.inverse``.
     """
     _check_unit("alpha", alpha)
     _check_unit("q", q)
     n2 = _check_levels(levels) ** 2
-    den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2
+    linear, quadratic = n2 + n2 * alpha, (n2 - 1) * alpha
+    den = q * (linear - quadratic * q) - n2
     # |den|/n2 = |1 - k(q)| is the smallest singular value of Phi(q, 0).
     if not _all(abs(den) / n2 > ZERO_FLOOR):
         raise SingularMapError(f"propagator undefined: q = {q} sits at the map singularity")
-    linear, quadratic = n2 + n2 * alpha, (n2 - 1) * alpha
     return lambda p: (p * (linear - quadratic * p) - n2) / den
 
 
@@ -201,7 +210,7 @@ def lambda_ratio(alpha: float, q, p, levels: int = 2):
 
     Raises:
         ValueError: unless 0 <= q <= p <= 1, for alpha outside [0, 1] (NaN
-            included), or unless N is an integral number of at least 2.
+            included), or unless N is an integral number in [2, 10**150].
         SingularMapError: where |G(q)| is at most ``ZERO_FLOOR``.
     """
     _check_pair(q, p)
@@ -386,7 +395,7 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
 
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
-            is an integral number of at least 2.
+            is an integral number in [2, 10**150].
     """
     lower, pair = crossover_point(alpha, levels), _survival_source(alpha, levels)
     if alpha < 1e-6:

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -167,8 +168,9 @@ def test_spec_validation_errors():
         SweepSpec("f-norm", levels=(2,))
     with pytest.raises(UsageError, match="qubits"):
         SweepSpec("g-function", qubits=(3,), p_max=0.9)
-    with pytest.raises(UsageError, match="not both"):
-        SweepSpec("choi-norm", levels=(2, 3), qubits=(1, 2))
+    # N and n sweep together: one series per (N, n).
+    table = run_sweep(SweepSpec("choi-norm", levels=(2, 3), qubits=(1, 2), steps=3))
+    assert table.series_names == tuple(f"choi_norm_alpha0.7_N{n}_n{k}" for n in (2, 3) for k in (1, 2))
     with pytest.raises(UsageError, match="unknown quantity"):
         SweepSpec("bogus")
 
@@ -298,18 +300,25 @@ def test_memory_x_near_singular_q_matches_closed_form(capsys):
         ["choi-eigs", "--p-max", "1.2"],
         ["g-function", "--p-min", "-0.1"],
         ["hcla", "--p-max", "1.5"],
+        # Several alphas are the grid, and the payload still echoes p_min and p_max.
+        ["hcla", "--alpha", "0.1,0.2", "--p-max=inf", "--format", "json"],
+        ["blp", "--alpha", "0.1,0.2", "--p-min=-1"],
     ],
 )
 def test_grid_bound_outside_unit_interval_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "grid values must lie in [0, 1]" in captured.err
+    # g-function's q grid keeps room for its finite-difference step.
+    end = "0.999999" if argv[0] == "g-function" else "1"
+    assert f"grid values must lie in [0, {end}], got [" in captured.err
     assert captured.out == ""
 
 
-def test_alpha_list_grid_ignores_p_bounds():
-    spec = SweepSpec("blp", alpha=(0.2, 0.4), p_max=1.5)
-    assert [row[0] for row in run_sweep(spec).rows] == [0.2, 0.4]
+def test_alpha_list_grid_checks_p_bounds():
+    # The alphas are the grid, but p_min and p_max are echoed in the payload: they are checked too.
+    with pytest.raises(UsageError, match=r"^alpha grid values must lie in \[0, 1\], got \[0.0, 1.5\]$"):
+        SweepSpec("blp", alpha=(0.2, 0.4), p_max=1.5)
+    assert [row[0] for row in run_sweep(SweepSpec("blp", alpha=(0.2, 0.4))).rows] == [0.2, 0.4]
 
 
 def test_python_m_depolmark_runs_a_figure(tmp_path):
@@ -335,11 +344,12 @@ def test_python_m_depolmark_runs_a_figure(tmp_path):
         (["decay-rate", "--levels", "0"], "levels must be >= 2"),
         (["decay-rate", "--levels", "1"], "levels must be >= 2"),
         (["hcla", "--levels", "1"], "levels must be >= 2"),
-        (["choi-norm", "--qubits", "0"], "qubits must be >= 1"),
+        (["choi-norm", "--qubits", "0"], "qubits in (1, 2, 3), got qubits = (0,)"),
         (["choi-norm", "--q", "0.3", "--p-min", "0.2999999999999"], "at or above q"),
-        (["g-function", "--p-max", "0.9999999"], "max + 1e-06 <= 1"),
+        (["g-function", "--p-max", "0.9999999"], "q grid values must lie in [0, 0.999999]"),
         (["trace-distance", "--steps", "1000000000000"], "steps must lie in [2, 1000000]"),
-        (["choi-norm", "--levels", "2,3", "--qubits", "1,2"], "sweep either levels or qubits, not both"),
+        # N^2 would overflow a float.
+        (["decay-rate", "--levels", "1" + "0" * 160], "levels must be <= 10**150"),
         (["choi-eigs", "--alpha", "0.1,x"], "expected comma-separated numbers, got '0.1,x'"),
         (["choi-eigs", "--levels", "2,a"], "expected comma-separated integers, got '2,a'"),
         # The library's F takes any N >= 2; the quantity table still caps the command.
@@ -366,6 +376,17 @@ def test_choi_norm_of_qutrit_pairs_matches_the_dense_oracle(capsys):
     assert float(rows[-1][2]) > 1.5  # NCP at p = 1: the oracle is not the trivial 1
 
 
+def test_choi_norm_sweeps_levels_and_qubits_together(capsys):
+    # Each (N, n) column has the bytes of the sweep of that N and n alone.
+    assert main(["choi-norm", "--alpha", "0.9", "--q", "0.4", "--levels", "2,3", "--qubits", "1,2", "--steps", "7"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert header == ["p"] + [f"choi_norm_alpha0.9_N{n}_n{k}" for n in (2, 3) for k in (1, 2)]
+    for i, (n, k) in enumerate(itertools.product((2, 3), (1, 2)), start=1):
+        alone = run_sweep(SweepSpec("choi-norm", alpha=(0.9,), q=0.4, steps=7, levels=(n,), qubits=(k,))).columns[1]
+        assert [row[i] for row in rows] == [format(v, ".15g") for v in alone]
+    assert rows[-1][4] != "1"  # the NCP end: the N = 3, n = 2 column is not all ones
+
+
 def test_steps_cap_is_checked_before_any_grid_exists():
     # SweepSpec validates on construction and builds no grid.
     with pytest.raises(UsageError, match="steps"):
@@ -376,6 +397,8 @@ def test_steps_cap_is_checked_before_any_grid_exists():
 def test_g_function_grid_may_end_one_step_below_one():
     spec = SweepSpec("g-function", alpha=(0.9,), p_min=0.98, p_max=0.999, steps=2)
     assert [row[0] for row in run_sweep(spec).rows] == [0.98, 0.999]
+    # The room is checked as p_max + 1e-6 <= 1, which 0.999999 passes.
+    assert SweepSpec("g-function", p_max=0.999999).p_max == 0.999999
 
 
 def test_g_function_three_qubits_stays_outside_the_command_line(capsys):
@@ -688,7 +711,7 @@ def test_specs_merged_into_one_file_share_the_abscissa_and_its_grid():
     merged = [specs for files in cli._FIGURES.values() for _, *specs in files if len(specs) > 1]
     assert merged
     for specs in merged:
-        axes = {(cli._QUANTITIES[s.quantity].abscissa, tuple(s.grid() if s.uses_grid() else s.alpha)) for s in specs}
+        axes = {(cli._QUANTITIES[s.quantity].abscissa, tuple(run_sweep(s).columns[0])) for s in specs}
         assert len(axes) == 1, specs
 
 

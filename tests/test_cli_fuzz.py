@@ -1,6 +1,8 @@
 """Property test of the exit-code contract: any command line ends in 0, 2 or 3, never a traceback.
 
-An exit-0 table also holds no ``nan`` cell and no negative measure.
+An exit-0 table also holds no ``nan`` cell and no negative measure, and a
+JSON payload is strict JSON (no ``NaN`` or ``Infinity`` anywhere) whose
+spec echoes every field of the sweep.
 """
 
 import contextlib
@@ -55,10 +57,18 @@ def command_lines(draw) -> list:
 NONNEGATIVE = ("N_BLP", "N_HCLA_numeric", "N_HCLA_closed")
 
 
+SPEC_KEYS = {"tool", "version", "quantity", "alpha", "q", "p_min", "p_max", "steps", "levels", "qubits", "format"}
+
+
+def strict(constant: str):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
 def table(payload: str) -> tuple:
     """Header and rows of a CSV or JSON table, every sample as text (NA or None where singular)."""
     if payload.startswith("{"):
-        data = json.loads(payload)
+        data = json.loads(payload, parse_constant=strict)
+        assert set(data["spec"]) == SPEC_KEYS and data["spec"]["format"] == "json"
         return data["columns"], [[repr(v) for v in row] for row in data["rows"]]
     lines = [line for line in payload.splitlines() if not line.startswith("#")]
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -71,6 +81,8 @@ def table(payload: str) -> tuple:
 @example(argv=["hcla", "--levels", "3", "--alpha", "1e-16,1e-14"])
 @example(argv=["decay-rate", "--alpha", "1e-300"])
 @example(argv=["choi-eigs", "--alpha", "0.7,0.7000001", "--q", "0.30000001", "--steps", "2"])
+@example(argv=["hcla", "--alpha", "0.1,0.2", "--p-max=inf", "--format", "json"])
+@example(argv=["decay-rate", "--levels", "1" + "0" * 160, "--format", "json"])
 def test_any_command_line_exits_0_2_or_3_without_nan_cells(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -69,6 +69,21 @@ def test_every_function_of_n_levels_refuses_a_bad_level_count(call):
             call(levels)
 
 
+@pytest.mark.parametrize("call", LEVEL_TAKERS.values(), ids=LEVEL_TAKERS.keys())
+def test_every_function_of_n_levels_refuses_a_level_count_above_the_bound(call):
+    # Above 10**150, N^2 would overflow a float: a ValueError, not an OverflowError.
+    for levels in (10**150 + 1, 10**160, 1e200):
+        with pytest.raises(ValueError, match=rf"^levels must be <= 10\*\*150 \(N\^2 a finite float\), got {re.escape(repr(levels))}$"):
+            call(levels)
+
+
+def test_the_closed_forms_take_every_level_count_up_to_the_bound():
+    for levels in (10**8, 10**150):
+        assert math.isfinite(kernel.survival(0.7, 0.5, levels))
+        assert all(map(math.isfinite, kernel.qudit_choi_eigenvalues(0.7, 0.3, 0.5, levels)))
+        assert math.isfinite(kernel.decay_rate(0.7, 0.5, levels))
+
+
 @pytest.mark.parametrize("call", QUBIT_TAKERS.values(), ids=QUBIT_TAKERS.keys())
 def test_every_function_of_n_qubits_refuses_a_bad_qubit_count(call):
     for qubits in BAD_QUBITS:

@@ -498,11 +498,21 @@ def test_qubit_closed_forms_keep_their_bits():
         if abs(q - (crossover_point(alpha) or 2.0)) < 1e-9:
             continue
         p = q + u * (1.0 - q)
+        # The denominator is the numerator's grouping at q, so lambda(q, q) is exactly 1.
         num = p * (4 + 4 * alpha - 3 * alpha * p) - 4
-        lam = num / (4 * q + 4 * alpha * q - 3 * alpha * q * q - 4)
+        lam = num / (q * (4 + 4 * alpha - 3 * alpha * q) - 4)
         assert lambda_ratio(alpha, q, p).hex() == lam.hex()
         top, rest = qudit_choi_eigenvalues(alpha, q, p, 2)
         assert (top.hex(), rest.hex()) == ((0.25 + 0.75 * lam).hex(), (0.25 - 0.25 * lam).hex())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), levels=st.integers(2, 64))
+def test_lambda_is_exactly_one_at_p_equal_q(alpha, q, levels):
+    # The propagator from q to q is the identity map: no NCP flag, however small.
+    assume(abs(1.0 - kappa(alpha, q, levels)) > 1e-9)
+    assert lambda_ratio(alpha, q, q, levels) == 1.0
+    assert qudit_choi_eigenvalues(alpha, q, q, levels) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("levels", [3, 4])

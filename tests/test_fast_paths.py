@@ -276,14 +276,14 @@ def public_trajectory(alpha, p) -> tuple:
     return cells
 
 
-def per_point_series(spec, levels=None) -> list:
-    """(name, fn(x)) pairs of the sweep, one public scalar call per point; ``levels`` stands in for ``spec.levels``."""
+def per_point_series(spec) -> list:
+    """(name, fn(x)) pairs of the sweep, one public scalar call per point."""
     q, out = spec.q, []
     for alpha in spec.alpha:
         short = f"{alpha:g}"
         tag = "alpha" + (short if float(short) == alpha else repr(alpha))
         if spec.quantity == "choi-eigs":
-            for n in levels or spec.levels:
+            for n in spec.levels:
                 t = tag + (f"_N{n}" if len(spec.levels) > 1 or n != 2 else "")
                 if n == 2:
                     out.append((f"Lambda_I_{t}", guarded(lambda p, a=alpha: kernel.qudit_choi_eigenvalues(a, q, p, 2)[0])))
@@ -352,15 +352,15 @@ def bits(column) -> list:
     return [None if v is None or v != v else float(v).hex() for v in column]
 
 
-def assert_columns_match_per_point(spec, grid, levels=None):
-    """Every cell of the sweep's columns has the bits of its public scalar call; ``levels`` (any N >= 2) stands in for ``spec.levels``."""
+def assert_columns_match_per_point(spec, grid):
+    """Every cell of the sweep's columns has the bits of its public scalar call."""
     names, columns = [], []
     for alpha in spec.alpha:
-        for n in levels or spec.levels:
+        for n in spec.levels:
             series_names, fn = cli._QUANTITIES[spec.quantity].columns(spec, alpha, n)
             names += series_names
             columns += fn(grid)
-    oracle = per_point_series(spec, levels)
+    oracle = per_point_series(spec)
     assert names == [name for name, _ in oracle]
     for name, column, (_, fn) in zip(names, columns, oracle):
         assert bits(column) == bits([fn(x) for x in grid.tolist()]), name
@@ -370,13 +370,15 @@ def assert_columns_match_per_point(spec, grid, levels=None):
 @given(
     alpha=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
     levels=st.sampled_from([2, 3, 4]),
-    kernel_levels=st.integers(2, 8),
+    kernel_levels=st.one_of(st.integers(2, 8), st.just(64)),
     qubits=st.sampled_from([1, 2, 3]),
     width=st.floats(1e-5, 0.3),
     points=st.integers(2, 12),
     q_shift=st.one_of(st.floats(-0.6, -2 * SINGULARITY_GUARD), st.floats(2 * SINGULARITY_GUARD, 1e-3)),
 )
 @example(alpha=1.0, levels=2, kernel_levels=8, qubits=1, width=1e-3, points=5, q_shift=2e-6)
+@example(alpha=0.9, levels=3, kernel_levels=5, qubits=2, width=1e-3, points=5, q_shift=-2e-6)
+@example(alpha=0.6, levels=4, kernel_levels=64, qubits=1, width=0.2, points=9, q_shift=5e-4)
 def test_sweep_columns_equal_per_point_calls(alpha, levels, kernel_levels, qubits, width, points, q_shift):
     # At alpha = 0 the singular parameter is the boundary p = 1, where a
     # straddling grid is clipped to one side: centre those grids at p = 0.8.
@@ -396,7 +398,7 @@ def test_sweep_columns_equal_per_point_calls(alpha, levels, kernel_levels, qubit
     n_or_qubits = dict(qubits=(1, 2, 3)) if levels == 2 else dict(levels=(levels,))
     cases = [
         (spec("choi-eigs", levels=tuple(sorted({2, levels})), p_min=q), pinned),
-        (spec("choi-eigs", q=k_q, p_min=k_q), straddling_grid(k_centre, width, points, k_q, 1.0), (kernel_levels,)),
+        (spec("choi-eigs", levels=(kernel_levels,), q=k_q, p_min=k_q), straddling_grid(k_centre, width, points, k_q, 1.0)),
         (spec("choi-norm", p_min=q, **n_or_qubits), pinned),
         (spec("memory-x", p_min=q), pinned),
         (spec("decay-rate", levels=(kernel_levels,)), straddling_grid(k_centre, width, points, 0.0, 1.0)),
@@ -410,8 +412,8 @@ def test_sweep_columns_equal_per_point_calls(alpha, levels, kernel_levels, qubit
         g_centre = crossover_point(alpha) if alpha > 0.0 else 0.8
         q_grid = straddling_grid(g_centre, width, points, 0.0, 1.0 - dynmaps.G_FUNCTION_STEP)
         cases.append((spec("g-function", qubits=(qubits,), p_max=0.99), q_grid))
-    for sweep, grid, *levels_override in cases:
-        assert_columns_match_per_point(sweep, grid, *levels_override)
+    for sweep, grid in cases:
+        assert_columns_match_per_point(sweep, grid)
 
 
 # Grid bounds: anywhere in [0, 1], or a few thousand subnormal units

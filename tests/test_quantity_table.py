@@ -36,7 +36,7 @@ DEFAULT_GRID = {
 
 # A --levels / --qubits value outside each quantity's domain; None where every value is accepted.
 OUTSIDE_LEVELS = {
-    "choi-eigs": "5",
+    "choi-eigs": None,
     "choi-norm": "5",
     "decay-rate": None,
     "hcla": "4",

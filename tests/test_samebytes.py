@@ -26,7 +26,7 @@ def test_the_list_runs_every_preset_and_every_quantity_in_csv_and_json():
 
 
 def test_the_list_compares_the_writers_at_scale():
-    assert samebytes.VERSION == 3
+    assert samebytes.VERSION == 4
     for argv in (("choi-eigs", "--steps", "200000"), ("choi-eigs", "--steps", "200000", "--format", "json")):
         assert argv in samebytes.COMMANDS
     assert ("decay-rate", "--alpha", "0,0.7", "--steps", "2001", "--format", "json") in samebytes.COMMANDS
@@ -36,6 +36,16 @@ def test_the_list_runs_n_copies_of_a_qutrit_and_refuses_sweeping_both_axes():
     assert ("choi-norm", "--alpha", "0.9", "--q", "0.4", "--levels", "3", "--qubits", "1,2,3", "--steps", "41") in samebytes.COMMANDS
     assert ("choi-norm", "--levels", "2,3", "--qubits", "1,2") in samebytes.COMMANDS
     assert ("choi-norm", "--levels", "3", "--qubits", "2") not in samebytes.COMMANDS
+
+
+def test_the_list_probes_the_grid_echo_the_level_bound_and_any_n():
+    for argv in (
+        ("hcla", "--alpha", "0.1,0.2", "--p-max", "inf", "--format", "json"),
+        ("decay-rate", "--levels", "1" + "0" * 160),
+        ("choi-eigs", "--levels", "5,64", "--steps", "5"),
+        ("choi-eigs", "--alpha", "0.9", "--q", "0.6", "--steps", "3"),
+    ):
+        assert argv in samebytes.COMMANDS
 
 
 def test_a_one_character_format_change_names_exactly_the_command_it_changes(tmp_path):

@@ -168,7 +168,7 @@ CATALOGUE = (
         "kernel.py",
         "abs(den) / n2 > ZERO_FLOOR",
         "abs(den) / n2 >= ZERO_FLOOR",
-        reason="equivalent: near the root den = x - N^2 is an exact multiple of ulp(N^2), and no such multiple over N^2 equals 1e-12 (checked for N = 2..39)",
+        reason="equivalent: near the root den = x - N^2 is exact and a multiple of half an ulp of N^2, and no such multiple over N^2 equals 1e-12 (checked for N = 2..69)",
     ),
     Mutant(
         "lambda-ratio-alpha-check-dropped",
@@ -184,6 +184,7 @@ CATALOGUE = (
         "x.reshape(-1)[ok.reshape(-1).argmax()]",
     ),
     Mutant("levels-check-boundary", "kernel.py", '_check_count(levels, 2, "levels', '_check_count(levels, 1, "levels'),
+    Mutant("levels-upper-bound", "kernel.py", "if n > 10**150:", "if n > 10**154:"),
     Mutant("slot-permutation-binary", "dynmaps.py", ".reshape([levels] * (2 * qubits))", ".reshape([2] * (2 * qubits))"),
     Mutant(
         "slot-permutation-halves-swapped",
@@ -212,7 +213,13 @@ CATALOGUE = (
     Mutant("survival-source-intercept-drops-alpha", "kernel.py", "-(alpha + 1)", "-1"),
     Mutant("lambda-source-linear-drops-n2", "kernel.py", "linear, quadratic = n2 + n2 * alpha,", "linear, quadratic = n2 + alpha,"),
     Mutant("lambda-source-quadratic-coefficient", "kernel.py", "quadratic = n2 + n2 * alpha, (n2 - 1) * alpha", "quadratic = n2 + n2 * alpha, n2 * alpha"),
-    Mutant("lambda-source-denominator-coefficient", "kernel.py", "- (n2 - 1) * alpha * q * q - n2", "- n2 * alpha * q * q - n2"),
+    Mutant("lambda-source-denominator-coefficient", "kernel.py", "den = q * (linear - quadratic * q) - n2", "den = q * (linear - n2 * alpha * q) - n2"),
+    Mutant(
+        "lambda-source-denominator-regrouped",
+        "kernel.py",
+        "den = q * (linear - quadratic * q) - n2",
+        "den = n2 * q + n2 * alpha * q - (n2 - 1) * alpha * q * q - n2",
+    ),
     Mutant("choi-spectrum-float-inverse", "kernel.py", "inv = (0 * lam + 1) / n2", "inv = 1 / n2"),
     Mutant("guard-band-qubit-point", "kernel.py", "point = crossover_point(alpha, levels)", "point = crossover_point(alpha, 2)"),
     Mutant("kappa-p-check-dropped", "kernel.py", 'return _check_unit("p", p) + alpha * p', "return p + alpha * p"),
@@ -235,9 +242,18 @@ CATALOGUE = (
     Mutant(
         "pinned-singular-check-dropped",
         "cli.py",
-        "for alpha in spec.alpha:\n            for levels in spec.levels:",
-        "for alpha in ():\n            for levels in spec.levels:",
+        "for alpha, levels in itertools.product(self.alpha, self.levels):",
+        "for alpha, levels in itertools.product((), self.levels):",
     ),
+    Mutant("grid-room-dropped", "cli.py", "self.p_max + entry.room <= 1.0", "self.p_max <= 1.0"),
+    Mutant(
+        "alpha-list-grid-exempt",
+        "cli.py",
+        "if not (0.0 <= self.p_min and self.p_max + entry.room <= 1.0):",
+        'if (entry.abscissa != "alpha" or len(self.alpha) == 1) and not (0.0 <= self.p_min and self.p_max + entry.room <= 1.0):',
+    ),
+    Mutant("one-level-rule-ignored", "cli.py", "if entry.one_level and len(self.levels) != 1:", "if False and len(self.levels) != 1:"),
+    Mutant("spec-levels-unchecked", "cli.py", "                _check_levels(n)\n", "                pass\n"),
     Mutant("writer-format-swapped", "cli.py", '{**table.metadata, "format": "json"}', '{**table.metadata, "format": "csv"}'),
     Mutant("csv-zero-cell-na", "cli.py", '"NA" if v is None else', '"NA" if not v else'),
     Mutant("json-rows-as-columns", "cli.py", "rows = zip(*table.columns)", "rows = iter(table.columns)"),

@@ -7,8 +7,9 @@ on their exit code, their stdout, their stderr and every file they wrote,
 by name and byte for byte. The list holds the 13 figure presets and every
 quantity at its defaults, each in CSV and JSON, multi-series and edge
 sweeps, tables of 200 000 rows in CSV and JSON (since v2), n copies of a
-qutrit (since v3), and probes of the exit-2 (usage error) and exit-3
-(pinned singularity) paths. It is
+qutrit (since v3), Choi spectra at N = 5 and 64, lambda at p = q and
+the grid echo and level bound of a usage error (since v4), and probes of
+the exit-2 (usage error) and exit-3 (pinned singularity) paths. It is
 versioned: a change to it bumps ``VERSION``, so two reports of the same
 version ran the same commands.
 
@@ -30,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "from depolmark.cli import console_main; console_main()"
-VERSION = 3
+VERSION = 4
 
 _FIGURES = tuple(f"fig{i}" for i in range(1, 14))
 _QUANTITIES = ("choi-eigs", "choi-norm", "decay-rate", "hcla", "blp", "trace-distance", "memory-x", "volume", "trajectory", "f-norm", "g-function")
@@ -45,6 +46,9 @@ COMMANDS = (
     # n copies of an N-level system (v3): the n-th powers of one qutrit column.
     ("choi-norm", "--alpha", "0.9", "--q", "0.4", "--levels", "3", "--qubits", "1,2,3", "--steps", "41"),
     ("decay-rate", "--alpha", "0,0.3,1", "--levels", "3"),
+    # Choi spectra at any N, and lambda(q, q) = 1 at the first grid point (v4).
+    ("choi-eigs", "--levels", "5,64", "--steps", "5"),
+    ("choi-eigs", "--alpha", "0.9", "--q", "0.6", "--steps", "3"),
     ("g-function", "--alpha", "0,0.5,0.9", "--qubits", "1,2", "--steps", "51"),
     ("memory-x", "--alpha", "0,0.7,1", "--steps", "51"),
     ("trace-distance", "--alpha", "0,0.5,1"),
@@ -91,6 +95,9 @@ COMMANDS = (
     ("decay-rate", "--q", "0.3"),
     ("g-function", "--q", "0.3"),
     ("choi-eigs", "--format", "xml"),
+    # A grid bound the payload would echo as Infinity, and an N whose N^2 overflows a float (v4).
+    ("hcla", "--alpha", "0.1,0.2", "--p-max", "inf", "--format", "json"),
+    ("decay-rate", "--levels", "1" + "0" * 160),
     ("nonsense",),
     (),
     ("decay-rate", "--out", "missing/x.csv"),
