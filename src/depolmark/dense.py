@@ -188,8 +188,7 @@ def blp_random_pair_search(
     alpha/4 up to grid error.
     """
     rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, 1.0, grid_points)
-    kraus_sets = [qubit_kraus(alpha, p) for p in grid]
+    kraus = qubit_kraus(alpha, np.linspace(0.0, 1.0, grid_points))
     best = 0.0
     for _ in range(pairs):
         vec = rng.normal(size=3)
@@ -197,7 +196,7 @@ def blp_random_pair_search(
         bloch = vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z
         rho_a = 0.5 * (np.eye(2) + bloch)
         rho_b = 0.5 * (np.eye(2) - bloch)
-        dist = [trace_distance(apply_channel(k, rho_a), apply_channel(k, rho_b)) for k in kraus_sets]
+        dist = trace_distance(apply_channel(kraus, rho_a), apply_channel(kraus, rho_b)).tolist()
         revival = sum(max(0.0, b - a) for a, b in zip(dist, dist[1:]))
         best = max(best, revival)
     return best

@@ -393,6 +393,19 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     would round: the integral runs over s = 1 - p on [0, 1 - p_-], that
     width written without cancellation.
 
+    From 1e-6 up, the error is that of the rounded p_-: a few 2**-53
+    absolute at N = 2 and 3, growing roughly like N**2, and the relative
+    error peaks near alpha = 1e-6, where the window is about alpha/N**2
+    wide. Worst relative error against 50-digit mpmath over more than
+    1,000 alphas in [1e-6, 1], and over those from 0.1 up:
+
+        N       alpha >= 1e-6        alpha >= 0.1
+        2       8.7e-10              6.6e-15
+        3       1.9e-9               1.6e-14
+        64      6.6e-7               7.7e-12
+        1000    1.9e-4               1.7e-9
+        10**5   1.2 (no digit)       1.6e-5
+
     Raises:
         ValueError: for alpha outside [0, 1] (NaN included), or unless N
             is an integral number in [2, 10**150].

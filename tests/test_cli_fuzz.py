@@ -74,7 +74,7 @@ def table(payload: str) -> tuple:
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(argv=command_lines())
 @example(argv=["hcla", "--alpha", "0,1e-17"])
 @example(argv=["hcla", "--alpha", "1e-16,1e-14"])

@@ -1,29 +1,24 @@
 """A depolmark process imports numpy only when it computes a dense column.
 
 ``depolmark.kernel`` is numpy-free, and ``cli`` imports no other library
-module at module level. So a fresh interpreter that only parses,
-validates, exits with code 2 or 3, or computes ``kernel`` columns (the
-closed forms of ``choi-eigs``, ``decay-rate`` and ``trajectory``, the
-``hcla`` and ``blp`` measures, and the presets built on them) must end
-with no numpy module loaded and with no ``depolmark`` module besides the
-package, ``cli`` and ``kernel``; ``import depolmark`` alone loads none
-either. A command that computes a dense column loads numpy and the
-library modules its columns call, but never the oracle module
-``depolmark.dense``: all 13 presets run without it.
+module at module level. A process that only parses, validates, exits with
+code 2 or 3, or computes ``kernel`` columns (``choi-eigs``, ``decay-rate``,
+``trajectory``, ``hcla``, ``blp`` and their presets) loads no numpy and no
+``depolmark`` module but the package, ``cli`` and ``kernel``, and in CSV no
+json; no preset loads ``depolmark.dense``. ``cold_probe`` takes the snapshots.
 
 The package resolves its submodules and re-exported names on first access;
 its ``__all__`` holds 70 names, each exported by one module.
 """
 
 import ast
-import os
-import subprocess
-import sys
+import json
 from pathlib import Path
 
 import depolmark
+from depolmark.cli import FIGURES
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_TREE = ast.parse((Path(__file__).resolve().parents[1] / "src" / "depolmark" / "cli.py").read_text(encoding="utf-8"))
 
 PUBLIC = [
     "AffineMap", "ChoiMatrix", "KrausSet", "NcpWitness", "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z",
@@ -42,109 +37,51 @@ PUBLIC = [
     "weyl_operator",
 ]
 
-# (argv, exit code): none of them computes a column.
-NON_COMPUTING = [
-    (["fig99"], 2),
-    (["--help"], 0),
-    (["choi-eigs", "--alpha", "1.5"], 2),
-    (["trace-distance", "--p-min=-0.5"], 2),
-    (["choi-norm", "--alpha", "0.7", "--q", "0.7725529"], 3),
-]
-
-CHILD = """
-import contextlib, io, sys
-import depolmark
-print("numpy" in sys.modules)
-from depolmark.cli import main
-for argv, code in {cases!r}:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == code, argv
-print("numpy" in sys.modules)
-print(sorted(name for name in sys.modules if name.startswith("depolmark")))
-"""
+KERNEL_ONLY = ["depolmark", "depolmark.cli", "depolmark.kernel"]
 
 
-def assert_numpy_free(cases: list) -> None:
-    """A fresh interpreter runs ``cases`` through ``main`` and ends with no numpy and only cli and kernel loaded."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD.format(cases=cases)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", "False", "['depolmark', 'depolmark.cli', 'depolmark.kernel']"]
+def test_usage_and_singularity_exits_never_import_numpy(cold_probe):
+    snapshots = cold_probe[2]
+    assert "numpy" not in snapshots["import"]["loaded"] + snapshots["exits"]["loaded"]
+    assert snapshots["exits"]["depolmark"] == KERNEL_ONLY
 
 
-def test_usage_and_singularity_exits_never_import_numpy():
-    assert_numpy_free(NON_COMPUTING)
+def test_closed_form_commands_never_import_numpy(cold_probe):
+    kernel, _, snapshots = cold_probe
+    # After the CSV and then the JSON kernel commands:
+    assert "numpy" not in snapshots["json"]["loaded"] and snapshots["json"]["depolmark"] == KERNEL_ONLY
+    assert sorted(path.stem for path in kernel.iterdir()) == ["fig1", "fig10", "fig2", "fig3", "fig4", "fig8", "fig9"]
 
 
-def test_closed_form_commands_never_import_numpy(tmp_path):
-    out = str(tmp_path)
-    presets = ("fig1", "fig2", "fig3", "fig4", "fig8", "fig9", "fig10")
-    figures = [([fig_id, "--out", out], 0) for fig_id in presets]
-    # blp's default alpha grid has no point below 1e-6 but 0, so no quadrature hands over to scipy.
-    sweeps = [["choi-eigs", "--levels", "2,3,4"], ["decay-rate", "--format", "json"], ["trajectory", "--alpha", "0,0.7"]]
-    sweeps += [["hcla", "--alpha", "0.3,0.7"], ["blp"]]
-    assert_numpy_free(figures + [(argv, 0) for argv in sweeps])
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"{fig_id}.csv" for fig_id in presets)
-
-
-def test_csv_commands_never_import_json(tmp_path):
-    child = """
-import contextlib, io, sys
-from depolmark.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["fig1", "--out", sys.argv[1]]) == 0
-    assert main(["choi-eigs", "--levels", "2,3"]) == 0
-print("json" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()) as buf:
-    assert main(["choi-eigs", "--format", "json"]) == 0
-import json
-print(json.loads(buf.getvalue())["spec"]["format"])
-"""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "json"]
+def test_csv_commands_never_import_json(cold_probe):
+    _, dense, snapshots = cold_probe
+    assert "json" not in snapshots["kernel"]["loaded"]
+    assert json.loads((dense / "decay-rate.json").read_text(encoding="utf-8"))["spec"]["format"] == "json"
 
 
 def test_cli_source_imports_no_numpy():
     # Not at module level, not for type checking and not inside a builder:
     # the dense builders reach numpy only through the library modules.
-    tree = ast.parse((SRC / "depolmark" / "cli.py").read_text(encoding="utf-8"))
-    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
-    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    modules = [alias.name for node in ast.walk(CLI_TREE) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(CLI_TREE) if isinstance(node, ast.ImportFrom) and node.module]
     assert modules and not [name for name in modules if name.split(".")[0] == "numpy"]
 
 
 def test_cli_leaves_kraus_sets_and_blocks_to_the_library():
     # Each dense column is one library call: the Kraus builders and the block
     # walk (and so the block size) are the library's alone.
-    tree = ast.parse((SRC / "depolmark" / "cli.py").read_text(encoding="utf-8"))
-    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imports = [node for node in ast.walk(CLI_TREE) if isinstance(node, (ast.Import, ast.ImportFrom))]
     modules = {(node.module or "").split(".")[-1] for node in imports if isinstance(node, ast.ImportFrom)}
     modules |= {alias.name.split(".")[-1] for node in imports for alias in node.names}
     assert not modules & {"channels", "matcore"}
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(CLI_TREE) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(CLI_TREE) if isinstance(node, ast.Attribute)}
     assert "blockwise" not in names | {alias.name for node in imports for alias in node.names}
 
 
-def test_no_preset_loads_the_oracle_module():
-    child = """
-import sys, tempfile
-from depolmark.cli import FIGURES, figure
-with tempfile.TemporaryDirectory() as out:
-    for fig_id in FIGURES:
-        figure(fig_id, out)
-print(len(FIGURES), "depolmark.dense" in sys.modules)
-"""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["13", "False"]
+def test_no_preset_loads_the_oracle_module(cold_probe):
+    assert len(FIGURES) == 13
+    assert "depolmark.dense" not in cold_probe[2]["presets"]["depolmark"]
 
 
 def test_lazy_package_keeps_its_public_names():

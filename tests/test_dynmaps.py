@@ -469,7 +469,7 @@ def propagator_parameters(draw) -> tuple:
     return alpha, q, draw(st.floats(q, 1.0)), levels, qubits
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(params=propagator_parameters())
 def test_oracle_preserves_trace_and_gives_hermitian_unit_trace_choi(params):
     alpha, q, p, levels, qubits = params
@@ -506,7 +506,7 @@ def test_qubit_closed_forms_keep_their_bits():
         assert (top.hex(), rest.hex()) == ((0.25 + 0.75 * lam).hex(), (0.25 - 0.25 * lam).hex())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(alpha=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), levels=st.integers(2, 64))
 def test_lambda_is_exactly_one_at_p_equal_q(alpha, q, levels):
     # The propagator from q to q is the identity map: no NCP flag, however small.

@@ -366,7 +366,7 @@ def assert_columns_match_per_point(spec, grid):
         assert bits(column) == bits([fn(x) for x in grid.tolist()]), name
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     alpha=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
     levels=st.sampled_from([2, 3, 4]),
@@ -424,7 +424,7 @@ GRID_BOUNDS = st.one_of(
 ).map(sorted).filter(lambda bounds: bounds[0] < bounds[1])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(bounds=GRID_BOUNDS, steps=st.integers(2, 10_000))
 @example(bounds=[0.0, 1e-323], steps=5)  # step == 0: numpy's i / div * delta branch
 @example(bounds=[0.3, 1.0], steps=141)
@@ -459,7 +459,7 @@ def assert_pointwise_equals_array(fn, points: list) -> None:
         assert [v.hex() for v in array.tolist()] == [v.hex() for v in scalars]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
     levels=st.sampled_from([2, 3, 4]),
@@ -509,7 +509,7 @@ def array_trajectory(alpha, p_grid) -> tuple:
     return lam, a, inside, ~singular & (a <= 0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
     near=st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=8),

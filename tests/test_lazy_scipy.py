@@ -3,10 +3,9 @@
 ``kernel.hcla_measure`` and ``kernel.blp_measure`` integrate with
 ``kernel._quad``, quad's first 21-point Gauss-Kronrod pass in plain Python,
 which every preset's quadrature accepts. Only a refused pass (blp below alpha
-of about 1e-6) imports scipy, for quad to bisect. A fresh interpreter that
-imports the package and runs every preset, ``fig4`` and ``fig10`` included,
-and every quantity but ``hcla`` and ``blp`` must end with no scipy module
-loaded; a ``blp`` sweep at an alpha whose first pass is refused then loads it.
+of about 1e-6) imports scipy, for quad to bisect; ``cold_probe``'s fresh
+interpreter loads none through every preset, every quantity but ``hcla``
+and ``blp``, and ``_quad`` on an empty window.
 
 The quadrature values are checked bit for bit against two-piece (BLP) or
 one-piece (HCLA) ``scipy.integrate.quad`` calls written out here with their
@@ -16,10 +15,6 @@ quadrature of its integrand stays here as its oracle.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -38,42 +33,17 @@ from depolmark.kernel import (
     volume_measure,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-11, limit=200)
 
 ALPHAS = (0.05, 0.3, 0.5, 0.7, 0.9, 1.0)
 
-CHILD = """
-import os, sys
-import depolmark, depolmark.cli
-from depolmark.cli import FIGURES, QUANTITIES, main
 
-out = sys.argv[1]
-runs = [[fig, "--out", out] for fig in FIGURES]
-runs += [
-    [quantity, "--steps", "3", "--out", os.path.join(out, quantity + ".csv")]
-    + (["--levels", "3"] if quantity == "f-norm" else [])
-    for quantity in QUANTITIES
-    if quantity not in ("hcla", "blp")
-]
-for argv in runs:
-    assert main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-assert main(["blp", "--alpha", "0,1.0792209959885488e-15", "--out", os.path.join(out, "blp.csv")]) == 0
-print("scipy" in sys.modules)
-"""
-
-
-def test_scipy_loads_only_when_a_quadrature_runs(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_scipy_loads_only_when_a_quadrature_runs(cold_probe):
+    _, dense, snapshots = cold_probe
     # fig1, choi-norm, memory-x and g-function are among the runs.
-    assert {"fig1.csv", "choi-norm.csv", "memory-x.csv", "g-function.csv"} <= set(os.listdir(tmp_path))
-    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert {"fig1.csv", "choi-norm.csv", "memory-x.csv", "g-function.csv"} <= {path.name for path in dense.iterdir()}
+    assert "scipy" not in snapshots["quantities"]["loaded"]
+    assert "scipy" in snapshots["refused blp"]["loaded"]
 
 
 def two_piece(integrand, split: float) -> float:
@@ -127,7 +97,7 @@ def hcla_by_quad(alpha: float, levels: int) -> float:
 # (blp's refusals stop below about 9.3e-7, HCLA's below 1e-11). At the pinned
 # alpha quad's first blp pass is refused (it reports last == 2).
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     alpha=st.one_of(st.floats(-17.0, -6.0, exclude_max=True), st.floats(-6.0, 0.0)).map(lambda e: 10.0**e),
     levels=st.sampled_from([2, 3, 4, 7]),
@@ -147,30 +117,13 @@ def test_measures_equal_quad_and_call_it_only_for_a_refused_first_pass(alpha, le
         assert spy.call_count >= 1
 
 
-EDGES = """
-import sys, warnings
-from depolmark.kernel import _quad
-
-calls = []
-def negative(x):
-    calls.append(x)
-    return -1.0
-print(_quad(negative, 0.5, 0.5).hex(), calls, "scipy" in sys.modules)
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    value = _quad(lambda x: 1e7 * (x - 0.5), 0.0, 1.0)
-print(value.hex(), [type(w.message).__name__ for w in caught], "scipy" in sys.modules)
-"""
-
-
-def test_empty_window_loads_no_scipy_and_a_round_off_pass_keeps_quads_warning(tmp_path):
+def test_empty_window_loads_no_scipy_and_a_round_off_pass_keeps_quads_warning(cold_probe):
     # quad returns 0.0 for an empty window without calling the integrand. The
     # ramp's first pass trips quad's round-off flag: quad returns that pass
     # with an IntegrationWarning, which only quad itself raises.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", EDGES], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
     with pytest.warns(integrate.IntegrationWarning):
         ramp = integrate.quad(lambda x: 1e7 * (x - 0.5), 0.0, 1.0, **QUAD_OPTS)[0]
     empty = integrate.quad(lambda x: -1.0, 0.5, 0.5, **QUAD_OPTS)[0]
-    assert proc.stdout.splitlines() == [f"{empty.hex()} [] False", f"{ramp.hex()} ['IntegrationWarning'] True"]
+    window, ramped = cold_probe[2]["empty window"], cold_probe[2]["ramp"]
+    assert "scipy" not in window["loaded"] and window["returned"] == (empty.hex(), [])
+    assert "scipy" in ramped["loaded"] and ramped["returned"] == (ramp.hex(), ["IntegrationWarning"])

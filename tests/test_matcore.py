@@ -5,7 +5,6 @@ from depolmark import matcore
 from depolmark.matcore import (
     PAULI_I,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     SingularMapError,
     hermitian_eigenvalues,

@@ -32,7 +32,7 @@ def test_the_list_compares_the_writers_at_scale():
     assert ("decay-rate", "--alpha", "0,0.7", "--steps", "2001", "--format", "json") in samebytes.COMMANDS
 
 
-def test_the_list_runs_n_copies_of_a_qutrit_and_refuses_sweeping_both_axes():
+def test_the_list_runs_n_copies_of_a_qutrit_and_sweeps_both_axes():
     assert ("choi-norm", "--alpha", "0.9", "--q", "0.4", "--levels", "3", "--qubits", "1,2,3", "--steps", "41") in samebytes.COMMANDS
     assert ("choi-norm", "--levels", "2,3", "--qubits", "1,2") in samebytes.COMMANDS
     assert ("choi-norm", "--levels", "3", "--qubits", "2") not in samebytes.COMMANDS

@@ -18,9 +18,9 @@ so none is), so a mutant is most often killed early; the files are the
 suite either way, so the order changes how long a verdict takes, never
 the verdict. The unmutated copy makes the same call first, and has to
 pass, or no verdict means anything. The call runs with
-``--assert=plain``: pytest would otherwise rewrite the asserts of the
-plugins it loads (74 hypothesis and 12 pytest-benchmark modules) in every
-run, about 3 s, and a failing assert fails either way.
+``--assert=plain``: the copy writes no bytecode, so pytest would
+otherwise rewrite the asserts of every test module in every run, about
+1 s, and a failing assert fails either way.
 
 A survivor either gets a test that kills it or a one-line reason in the
 catalogue. The exit code is 1 when a mutant without a reason survives,
