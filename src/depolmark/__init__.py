@@ -11,8 +11,8 @@ import importlib
 __version__ = "0.1.0"
 
 # Name lookup order: the numpy-free kernel first, so ``depolmark.survival``
-# loads no numpy, and the oracle helpers of ``dense`` last.
-_LIBRARY = ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry", "dense")
+# loads no numpy.
+_LIBRARY = ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry")
 
 
 def _module(name: str):

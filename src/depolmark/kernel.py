@@ -145,7 +145,7 @@ def crossover_point(alpha: float, levels: int = 2) -> float:
             is an integral number in [2, 10**150].
     """
     _check_unit("alpha", alpha)
-    _check_levels(levels)
+    levels = _check_levels(levels)
     c = (levels * levels - 1) / (levels * levels)
     disc = (1 + alpha) ** 2 - 4 * c * alpha
     return min(2.0 / ((1 + alpha) + math.sqrt(disc)), 1.0)
@@ -231,7 +231,7 @@ def qudit_choi_eigenvalues(alpha: float, q, p, levels: int) -> tuple:
     qubit, Lambda_I and the threefold Lambda_XYZ). A negative value flags an
     NCP propagator.
     """
-    return _choi_spectrum(lambda_ratio(alpha, q, p, levels), levels * levels)
+    return _choi_spectrum(lambda_ratio(alpha, q, p, levels), _check_levels(levels) ** 2)
 
 
 def _rate(g, dg):
@@ -412,7 +412,8 @@ def hcla_measure(alpha: float, levels: int = 2) -> float:
     """
     lower, pair = crossover_point(alpha, levels), _survival_source(alpha, levels)
     if alpha < 1e-6:
-        c = (levels * levels - 1) / (levels * levels)
+        n2 = _check_levels(levels) ** 2
+        c = (n2 - 1) / n2
         r = math.sqrt((1.0 + alpha) ** 2 - 4.0 * c * alpha)
         width = 4.0 * alpha * (1.0 - c) / ((r + 1.0 - alpha) * ((1.0 + alpha) + r))
         return _quad(lambda s: _rate_normalized(*pair(1.0 - s)), 0.0, width)

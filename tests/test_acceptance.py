@@ -8,11 +8,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 from depolmark.channels import apply_channel, qubit_kraus, qudit_kraus
-from depolmark.dense import bell_expectations, choi_closed_form, devectorize, multiqubit_kraus, swap_matrix, vectorize
 from depolmark.dynmaps import (
     choi_of,
     choi_trace_norm,
@@ -27,7 +25,6 @@ from depolmark.kernel import (
     decay_rate,
     hcla_closed_form,
     hcla_measure,
-    kappa,
     qudit_choi_eigenvalues,
     qutrit_hcla_log_form,
     survival,
@@ -36,16 +33,13 @@ from depolmark.kernel import (
 from depolmark.matcore import trace_norm
 from depolmark.measures import memory_witness_closed, memory_witness_X, trace_distance
 from helpers import random_density, trajectory
+from oracle.dense import bell_expectations, choi_closed_form, devectorize, multiqubit_kraus, swap_matrix, vectorize
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
     tail = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number:2d}: {description}{tail}")
     assert ok, f"criterion {number} failed: {description}{tail}"
-
-
-def survival(alpha, p, levels=2):
-    return 1.0 - kappa(alpha, p, levels)
 
 
 def test_criterion_1_choi_oracle_equivalence():

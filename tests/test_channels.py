@@ -13,12 +13,12 @@ from depolmark.channels import (
     qudit_kraus,
     weyl_operator,
 )
-from depolmark.dense import multiqubit_kraus, swap_permutation
 from depolmark.dynmaps import intermediate_map, superoperator_of
 from depolmark.geometry import gell_mann_matrices
 from depolmark.kernel import _check_unit, crossover_point, kappa
 from depolmark.matcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from helpers import random_density
+from oracle.dense import multiqubit_kraus, swap_permutation
 
 ALPHAS = (0.0, 0.3, 0.7, 1.0)
 PS = (0.0, 0.2, 0.5, 0.8, 1.0)

@@ -12,7 +12,7 @@ _spec = importlib.util.spec_from_file_location("codelines", TOOL)
 codelines = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(codelines)
 
-# Lines of the production module docstrings. A change may lower these
+# Lines of the package's module docstrings. A change may lower these
 # bounds, naming the change in CHANGES.md; none raises them.
 MODULE_DOCSTRING_BUDGET = 115
 CLI_MODULE_DOCSTRING_BUDGET = 30
@@ -48,15 +48,10 @@ def test_a_fixture_module_has_its_known_counts(tmp_path):
     assert codelines.line_counts(path) == codelines.Counts(code=9, docstring=6, module_docstring=2, physical=21)
 
 
-def test_production_leaves_out_the_oracle():
-    counts = {"a.py": codelines.Counts(1, 2, 3, 4), "dense.py": codelines.Counts(10, 20, 30, 40), "b.py": codelines.Counts(5, 6, 7, 8)}
-    assert codelines.production(counts) == codelines.Counts(6, 8, 10, 12)
-
-
 def test_module_docstrings_stay_within_their_budget():
     counts = codelines.package_counts(ROOT / "src" / "depolmark")
     assert counts["cli.py"].module_docstring <= CLI_MODULE_DOCSTRING_BUDGET
-    assert codelines.production(counts).module_docstring <= MODULE_DOCSTRING_BUDGET
+    assert codelines.total(counts.values()).module_docstring <= MODULE_DOCSTRING_BUDGET
 
 
 def test_a_closed_pipe_ends_the_report_without_a_traceback():

@@ -5,10 +5,11 @@ module at module level. A process that only parses, validates, exits with
 code 2 or 3, or computes ``kernel`` columns (``choi-eigs``, ``decay-rate``,
 ``trajectory``, ``hcla``, ``blp`` and their presets) loads no numpy and no
 ``depolmark`` module but the package, ``cli`` and ``kernel``, and in CSV no
-json; no preset loads ``depolmark.dense``. ``cold_probe`` takes the snapshots.
+json. The presets and quantities together load every module of the
+package, so none serves the tests alone. ``cold_probe`` takes the snapshots.
 
 The package resolves its submodules and re-exported names on first access;
-its ``__all__`` holds 70 names, each exported by one module.
+its ``__all__`` holds 59 names, each exported by one module.
 """
 
 import ast
@@ -23,18 +24,15 @@ CLI_TREE = ast.parse((Path(__file__).resolve().parents[1] / "src" / "depolmark" 
 PUBLIC = [
     "AffineMap", "ChoiMatrix", "KrausSet", "NcpWitness", "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z",
     "SingularMapError", "SingularRateError", "SingularityError", "Superoperator", "__version__",
-    "affine_map_of", "apply_channel", "bell_expectations", "bell_states", "bloch_basis",
-    "bloch_contraction_derivative", "blockwise", "blp_measure", "blp_random_pair_search", "choi_closed_form",
+    "affine_map_of", "apply_channel", "bloch_basis", "bloch_contraction_derivative", "blockwise", "blp_measure",
     "choi_of", "choi_trace_norm", "crossover_point", "decay_rate", "decay_rate_normalized",
-    "devectorize", "f_matrix", "f_norm", "g_function", "gell_mann_matrices", "hcla_closed_form", "hcla_measure",
+    "f_matrix", "f_norm", "g_function", "gell_mann_matrices", "hcla_closed_form", "hcla_measure",
     "hermitian_eigenvalues", "intermediate_choi", "intermediate_map", "inverse", "is_density_matrix",
     "is_hermitian", "kappa", "kron", "lambda_ratio", "maximally_entangled_projector", "memory_witness_X",
-    "memory_witness_closed", "multiqubit_kraus", "ncp_witness", "pauli_transfer", "plus_minus_distance",
-    "plus_minus_distance_derivative", "plus_minus_states", "plus_minus_trace_distance", "propagator_column",
-    "qubit_kraus", "qudit_choi_eigenvalues", "qudit_kraus", "qutrit_hcla_log_form", "superoperator_of", "survival",
-    "swap_matrix", "swap_permutation",
-    "trace_distance", "trace_norm", "trajectory", "vectorize", "volume_determinant", "volume_measure",
-    "weyl_operator",
+    "memory_witness_closed", "ncp_witness", "plus_minus_distance", "plus_minus_distance_derivative",
+    "plus_minus_states", "propagator_column", "qubit_kraus", "qudit_choi_eigenvalues", "qudit_kraus",
+    "qutrit_hcla_log_form", "superoperator_of", "survival", "trace_distance", "trace_norm", "trajectory",
+    "volume_determinant", "volume_measure", "weyl_operator",
 ]
 
 KERNEL_ONLY = ["depolmark", "depolmark.cli", "depolmark.kernel"]
@@ -79,13 +77,18 @@ def test_cli_leaves_kraus_sets_and_blocks_to_the_library():
     assert "blockwise" not in names | {alias.name for node in imports for alias in node.names}
 
 
-def test_no_preset_loads_the_oracle_module(cold_probe):
+def test_every_package_module_is_loaded_by_a_command(cold_probe):
+    # After every preset and one sweep of each quantity, the process has
+    # loaded each module of the package (``python -m``'s __main__ aside):
+    # test-only code has no place in it.
     assert len(FIGURES) == 13
-    assert "depolmark.dense" not in cold_probe[2]["presets"]["depolmark"]
+    package = Path(depolmark.__file__).parent
+    modules = {"depolmark"} | {f"depolmark.{path.stem}" for path in package.glob("*.py") if path.stem not in ("__init__", "__main__")}
+    assert set(cold_probe[2]["quantities"]["depolmark"]) == modules
 
 
 def test_lazy_package_keeps_its_public_names():
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 59
     assert sorted(depolmark.__all__) == PUBLIC
     names = dir(depolmark)
     for name in PUBLIC:
@@ -98,12 +101,12 @@ def test_lazy_package_keeps_its_public_names():
     assert depolmark.survival is depolmark.kernel.survival
     assert depolmark.SingularityError is depolmark.matcore.SingularityError
     assert depolmark.trajectory is depolmark.kernel.trajectory
-    assert depolmark.vectorize is depolmark.dense.vectorize
+    assert depolmark.f_norm is depolmark.geometry.f_norm
 
 
 def test_each_public_name_is_in_one_module_all():
     homes = {}
-    for module in ("kernel", "matcore", "channels", "dynmaps", "measures", "geometry", "dense"):
+    for module in depolmark._LIBRARY:
         for name in getattr(depolmark, module).__all__:
             homes.setdefault(name, []).append(module)
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}

@@ -1,7 +1,7 @@
 """One rule per dimension: every library function that takes a level count N
-or a copy count n refuses the same values with the same text, and takes
-every integral value (numpy integers and integral floats included) as the
-int it equals, bit for bit."""
+or a copy count n (and every oracle function) refuses the same values with
+the same text, and takes every integral value (numpy integers and integral
+floats included) as the int it equals, bit for bit."""
 
 import math
 import re
@@ -9,12 +9,14 @@ import re
 import numpy as np
 import pytest
 
-from depolmark import channels, dense, dynmaps, geometry, kernel
+from depolmark import channels, dynmaps, geometry, kernel
+from oracle import dense
 
 TRACE = lambda superop: np.trace(superop.matrix, axis1=-2, axis2=-1)
 
-# Every function of the library that takes N, called at N.
-LEVEL_TAKERS = {
+# Every function of the library and of the oracle that takes N, called at N:
+# those of the kernel first.
+KERNEL_LEVEL_TAKERS = {
     "kappa": lambda n: kernel.kappa(0.7, 0.5, n),
     "survival": lambda n: kernel.survival(0.7, 0.5, n),
     "crossover_point": lambda n: kernel.crossover_point(0.7, n),
@@ -24,6 +26,9 @@ LEVEL_TAKERS = {
     "decay_rate_normalized": lambda n: kernel.decay_rate_normalized(0.7, 0.5, n),
     "hcla_measure": lambda n: kernel.hcla_measure(0.7, n),
     "hcla_measure-small-alpha": lambda n: kernel.hcla_measure(1e-7, n),
+}
+LEVEL_TAKERS = {
+    **KERNEL_LEVEL_TAKERS,
     "qudit_kraus": lambda n: channels.qudit_kraus(0.7, [0.2, 0.5], n),
     "weyl_operator": lambda n: channels.weyl_operator(n, 1, 1),
     "gell_mann_matrices": lambda n: geometry.gell_mann_matrices(n),
@@ -39,7 +44,7 @@ LEVEL_TAKERS = {
     "multiqubit_kraus": lambda n: dense.multiqubit_kraus(0.7, [0.2, 0.5], 2, levels=n),
 }
 
-# Every function of the library that takes n, called at n.
+# Every function of the library and of the oracle that takes n, called at n.
 QUBIT_TAKERS = {
     "intermediate_map": lambda n: dynmaps.intermediate_map(0.7, 0.3, 0.5, qubits=n),
     "intermediate_choi": lambda n: dynmaps.intermediate_choi(0.7, 0.3, 0.5, qubits=n),
@@ -96,6 +101,15 @@ def test_an_integral_level_count_of_any_type_gives_the_same_bits(call):
     for levels in (2, 3):
         same = [bits(call(n)) for n in (np.int64(levels), float(levels), np.float64(levels), np.asarray(levels))]
         assert same == [bits(call(levels))] * 4
+
+
+@pytest.mark.parametrize("call", KERNEL_LEVEL_TAKERS.values(), ids=KERNEL_LEVEL_TAKERS.keys())
+def test_a_large_level_count_of_any_type_gives_the_bits_of_its_int(call):
+    # N^2 comes from the checked int: an np.int64 N^2 wraps above
+    # 3037000499, and a float one rounds above 2**26.5. (No dense function
+    # here: a Kraus set of N levels holds N^2 operators.)
+    for levels in (10**8 + 1, 3037000500, 2**32):
+        assert [bits(call(n)) for n in (np.int64(levels), float(levels))] == [bits(call(levels))] * 2, levels
 
 
 @pytest.mark.parametrize("call", QUBIT_TAKERS.values(), ids=QUBIT_TAKERS.keys())

@@ -7,15 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depolmark.channels import qubit_kraus, qudit_kraus
-from depolmark.dense import (
-    bell_expectations,
-    bell_states,
-    choi_closed_form,
-    devectorize,
-    multiqubit_kraus,
-    pauli_transfer,
-    vectorize,
-)
 from depolmark.dynmaps import (
     ChoiMatrix,
     Superoperator,
@@ -42,6 +33,15 @@ from depolmark.kernel import (
 )
 from depolmark.matcore import inverse, kron, trace_norm
 from helpers import random_density
+from oracle.dense import (
+    bell_expectations,
+    bell_states,
+    choi_closed_form,
+    devectorize,
+    multiqubit_kraus,
+    pauli_transfer,
+    vectorize,
+)
 
 ALPHA_MINUS_07 = 0.7725529126366106  # closed-form root for alpha = 0.7
 

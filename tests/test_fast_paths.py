@@ -7,18 +7,17 @@ column (``plus_minus_distance``, ``volume_determinant``, ``f_norm``)
 evaluated point by point on Python floats against the same function on
 the whole array.
 
-Each oracle below is the construction the library used before it built
-its products by broadcasting: ``np.kron`` in a loop over Kraus operators,
-the composite U (S kron I_{d^2}) U applied to vec(P) for the Choi matrix,
-one index per diagonal entry of the maximally entangled vector in P, and
-one trace per transfer-matrix entry. The fast forms perform the same
-floating-point operations, so the results must agree bit for bit, signs
-of zeros included, not just within a tolerance. Half of the seeded draws
+The oracles of the first half, in ``oracle.dense``, are the
+constructions the library used before it built its products by
+broadcasting: ``np.kron`` in a loop over Kraus operators, the composite
+U (S kron I_{d^2}) U applied to vec(P) for the Choi matrix, one index per
+diagonal entry of the maximally entangled vector in P, and one trace per
+transfer-matrix entry. The fast forms perform the same floating-point
+operations, so the results must agree bit for bit, signs of zeros
+included, not just within a tolerance. Half of the seeded draws
 put q within 1e-3 of the singular parameter, where entries grow like
 1/G(q).
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 
 from depolmark import cli, dynmaps, geometry, kernel, matcore, measures
 from depolmark.channels import KrausSet, apply_channel, qubit_kraus, qudit_kraus
-from depolmark.dense import devectorize, multiqubit_kraus, swap_permutation, vectorize
 from depolmark.dynmaps import choi_of, maximally_entangled_projector, superoperator_of
 from depolmark.kernel import (
     SINGULARITY_GUARD,
@@ -39,14 +37,15 @@ from depolmark.kernel import (
     qudit_choi_eigenvalues,
     survival,
 )
-from depolmark.matcore import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SingularMapError,
-    inverse,
-    kron,
-    trace_norm,
+from depolmark.matcore import SingularMapError, inverse, kron, trace_norm
+from oracle.dense import (
+    apply_loop,
+    bloch_parts_loop,
+    choi_composite,
+    multiqubit_kraus,
+    projector_loop,
+    superoperator_loop,
+    transfer_loop,
 )
 
 # (levels, qubits, draws): Choi dimensions d = 2, 3, 4, 4 and 8.
@@ -68,74 +67,11 @@ def draws(levels: int, qubits: int, count: int) -> list:
     return out
 
 
-def kraus_for(alpha: float, p: float, levels: int, qubits: int):
-    if qubits > 1:
-        return multiqubit_kraus(alpha, p, qubits)
-    return qudit_kraus(alpha, p, levels) if levels > 2 else qubit_kraus(alpha, p)
-
-
-def propagator(alpha: float, q: float, p: float, levels: int, qubits: int):
-    """The superoperator that ``intermediate_choi`` reshuffles for this system."""
-    return dynmaps.intermediate_map(alpha, q, p, levels, qubits)
-
-
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # also the signs of zeros
-
-
-# ---------------------------------------------------------------- oracles
-
-
-def superoperator_loop(kraus) -> np.ndarray:
-    d2 = kraus.dim * kraus.dim
-    acc = np.zeros((d2, d2), dtype=complex)
-    for op in kraus:
-        acc += np.kron(op.conj(), op)
-    return acc
-
-
-def projector_loop(dim: int) -> np.ndarray:
-    psi = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        psi[i * dim + i] = 1.0
-    psi /= math.sqrt(dim)
-    return np.outer(psi, psi.conj())
-
-
-def choi_composite(superop) -> np.ndarray:
-    d = superop.dim
-    perm = swap_permutation(d)
-    composite = np.kron(superop.matrix, np.eye(d * d))[np.ix_(perm, perm)]
-    return devectorize(composite @ vectorize(maximally_entangled_projector(d)), d * d)
-
-
-def apply_loop(kraus, rho) -> np.ndarray:
-    out = np.zeros_like(rho, dtype=complex)
-    for op in kraus:
-        out += op @ rho @ op.conj().T
-    return out
-
-
-def transfer_loop(kraus, basis, scale: int) -> np.ndarray:
-    images = [apply_loop(kraus, g) for g in basis]
-    m = np.empty((len(basis), len(basis)))
-    for i, g_i in enumerate(basis):
-        for j in range(len(basis)):
-            m[i, j] = float(np.trace(g_i @ images[j]).real) / scale
-    return m
-
-
-def bloch_parts_loop(chi) -> tuple:
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    s = np.array([float(np.trace(chi @ np.kron(np.eye(2), sig)).real) for sig in paulis])
-    t = np.empty((3, 3))
-    for i, sig_i in enumerate(paulis):
-        for j, sig_j in enumerate(paulis):
-            t[i, j] = float(np.trace(chi @ np.kron(sig_i, sig_j)).real)
-    return s, t
 
 
 # ---------------------------------------------------------------- tests
@@ -162,14 +98,14 @@ def test_kron_of_stacks_is_the_stack_of_products():
 def test_superoperator_matches_kron_loop(levels, qubits, count):
     for alpha, q, p in draws(levels, qubits, count):
         for t in (q, p):
-            kraus = kraus_for(alpha, t, levels, qubits)
+            kraus = multiqubit_kraus(alpha, t, qubits, levels)
             assert_same_bits(superoperator_of(kraus).matrix, superoperator_loop(kraus))
 
 
 @pytest.mark.parametrize("levels,qubits,count", SYSTEMS, ids=SYSTEM_IDS)
 def test_choi_reshuffle_matches_composite_route(levels, qubits, count):
     for alpha, q, p in draws(levels, qubits, count):
-        superop = propagator(alpha, q, p, levels, qubits)
+        superop = dynmaps.intermediate_map(alpha, q, p, levels, qubits)
         want = choi_composite(superop)
         assert_same_bits(choi_of(superop).matrix, want)
         assert_same_bits(dynmaps.intermediate_choi(alpha, q, p, levels, qubits).matrix, want)
@@ -587,9 +523,9 @@ def test_stacked_route_equals_its_0d_case(levels, qubits, count):
             assert_same_bits(stacked.matrix[i], dynmaps.intermediate_choi(alpha, q, p, levels, qubits).matrix)
         norms = trace_norm(stacked.matrix)
         assert [trace_norm(m) for m in stacked.matrix] == norms.tolist()
-        kraus = kraus_for(alpha, grid, levels, qubits)
+        kraus = multiqubit_kraus(alpha, grid, qubits, levels)
         assert kraus.shape == (5,)
-        assert_same_bits(superoperator_of(kraus).matrix[2], superoperator_of(kraus_for(alpha, grid[2], levels, qubits)).matrix)
+        assert_same_bits(superoperator_of(kraus).matrix[2], superoperator_of(multiqubit_kraus(alpha, grid[2], qubits, levels)).matrix)
     assert isinstance(dynmaps.choi_trace_norm(0.7, 0.3, 0.5, levels=3), float)
     assert isinstance(dynmaps.choi_trace_norm(0.7, 0.3, 0.5, qubits=2), float)
 

@@ -12,8 +12,8 @@ from depolmark.matcore import (
     kron,
     trace_norm,
 )
-from depolmark.dense import devectorize, swap_matrix, vectorize
 from helpers import random_density
+from oracle.dense import devectorize, swap_matrix, vectorize
 
 
 def test_kron_identities():

@@ -7,7 +7,6 @@ import pytest
 
 from depolmark.channels import apply_channel, qubit_kraus
 from depolmark import measures
-from depolmark.dense import blp_random_pair_search, plus_minus_trace_distance
 from depolmark.dynmaps import intermediate_map
 from depolmark.kernel import (
     SingularMapError,
@@ -32,6 +31,7 @@ from depolmark.measures import (
     trace_distance,
 )
 from helpers import random_density
+from oracle.dense import blp_random_pair_search, plus_minus_trace_distance
 
 ALPHA_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
 
@@ -129,15 +129,6 @@ def test_normalized_rate_finite_at_pole():
 def test_normalized_rate_pole():
     with pytest.raises(ValueError):
         decay_rate_normalized(0.0, 0.0)
-
-
-def test_rate_sample_links_both_views():
-    gamma = decay_rate(0.6, 0.4)
-    assert abs(decay_rate_normalized(0.6, 0.4) - (-gamma / (1 - gamma))) < 1e-12
-    for p in (0.1, 0.5, 0.9):  # the normalized view is undefined at alpha = 0, p = 0
-        assert decay_rate(0.0, p) > 0
-    with pytest.raises(SingularRateError):
-        decay_rate(0.7, crossover_point(0.7))
 
 
 def test_hcla_zero_without_memory():

@@ -8,8 +8,7 @@ tracks; docstring and physical lines are the prose a reader reads with
 them.
 
 Usage: ``python3 tools/codelines.py [PACKAGE_DIR]`` from the checkout
-root; prints one row per module, then the total and the production total
-(every module but the test-only oracle ``dense``). A row starts with the
+root; prints one row per module, then the total. A row starts with the
 code lines and the name, then gives the docstring lines, those of the
 module docstring, and the physical lines. The last line gives the code
 lines on the import path of ``depolmark fig1``: the sum over the package
@@ -86,11 +85,6 @@ def package_counts(package: Path) -> dict:
     return {path.name: line_counts(path) for path in sorted(package.glob("*.py"))}
 
 
-def production(counts: dict) -> Counts:
-    """The sum over every module but the test-only oracle ``dense``."""
-    return total(c for name, c in counts.items() if name != "dense.py")
-
-
 def fig1_modules(package: Path) -> list:
     """Source files of the package modules that ``depolmark fig1`` loads."""
     env = dict(os.environ, PYTHONPATH=str(package.resolve().parent))
@@ -109,7 +103,6 @@ def main(argv: list) -> int:
     for name, c in counts.items():
         print(_row(name, c))
     print(_row("total", total(counts.values())))
-    print(_row("production (all but dense)", production(counts)))
     loaded = fig1_modules(package)
     print(f"{sum(line_counts(p).code for p in loaded):6d}  import path of depolmark fig1 ({', '.join(p.stem for p in loaded)})")
     return 0

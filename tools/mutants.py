@@ -1,7 +1,8 @@
 """Mutation gate: the tier-1 suite against a fixed catalogue of one-line mutants.
 
 Each mutant replaces one piece of text, which must occur exactly once in
-its file under ``src/depolmark``. The catalogue holds thresholds and
+its file, named by its path from ``src/depolmark`` (the test oracle is
+``../../tests/oracle/dense.py``). The catalogue holds thresholds and
 numerical choices that the suite is meant to pin down: a threshold moved
 by a factor of ten, a power taken by another routine, a dropped
 quadrature split, a propagator scaled by 1 + 1e-9. The checkout is
@@ -144,9 +145,12 @@ CATALOGUE = (
     Mutant(
         "hcla-branch-point",
         "kernel.py",
-        "    if alpha < 1e-6:\n        c = (levels * levels - 1)",
-        "    if alpha < 1e-5:\n        c = (levels * levels - 1)",
+        "    if alpha < 1e-6:\n        n2 = ",
+        "    if alpha < 1e-5:\n        n2 = ",
     ),
+    Mutant("hcla-series-raw-levels", "kernel.py", "n2 = _check_levels(levels) ** 2\n        c = (n2 - 1) / n2", "n2 = levels * levels\n        c = (n2 - 1) / n2"),
+    Mutant("crossover-raw-levels", "kernel.py", "    levels = _check_levels(levels)\n    c = (levels", "    _check_levels(levels)\n    c = (levels"),
+    Mutant("choi-spectrum-raw-levels", "kernel.py", "levels), _check_levels(levels) ** 2)", "levels), levels * levels)"),
     Mutant("kraus-completeness", "channels.py", "defect() > 1e-9", "defect() > 1e-8"),
     Mutant("map-matrix-side-any-square", "dynmaps.py", "!= (d * d, d * d) or", "!= (m.shape[-1],) * 2 or"),
     Mutant("map-matrix-dimension-zero", "dynmaps.py", "or d < 1:", "or d < 0:"),
@@ -198,7 +202,7 @@ CATALOGUE = (
         "    lower = crossover_point(alpha, 2)\n    if alpha < 1e-6:\n        return alpha / 4.0 + 3.0 * alpha * alpha / 32.0\n",
         "    if alpha < 1e-6:\n        return alpha / 4.0 + 3.0 * alpha * alpha / 32.0\n    lower = crossover_point(alpha, 2)\n",
     ),
-    Mutant("product-kraus-qubit-factors", "dense.py", "single = _kraus(alpha, p, levels).operators", "single = qubit_kraus(alpha, p).operators"),
+    Mutant("product-kraus-qubit-factors", "../../tests/oracle/dense.py", "single = _kraus(alpha, p, levels).operators", "single = qubit_kraus(alpha, p).operators"),
     Mutant("qubits-check-boundary", "dynmaps.py", '_check_count(n, 1, "qubits', '_check_count(n, 0, "qubits'),
     Mutant("count-integrality-dropped", "kernel.py", "isinstance(n, float) and n.is_integer()", "isinstance(n, float)"),
     Mutant(
